@@ -1,5 +1,5 @@
-//! Shared plumbing for the throughput benches (`churn`,
-//! `parallel_route`): one measurement record, workspace-rooted path
+//! Shared plumbing for the throughput benches (`churn`, `codec`,
+//! `replication`): one measurement record, workspace-rooted path
 //! resolution for checked-in baseline files, and the hand-rolled JSON
 //! snapshot format CI tracks across PRs.
 

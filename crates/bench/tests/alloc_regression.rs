@@ -17,7 +17,7 @@
 use rebeca_broker::replication::{
     Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicatedBrokerNode, ReplicationMetrics,
 };
-use rebeca_broker::{BrokerCore, Message, Outcome, RoutingStrategy};
+use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
 use rebeca_core::{
     BrokerId, ClientId, Filter, Notification, SharedInterner, SimTime, Subscription, SubscriptionId,
 };
@@ -123,9 +123,9 @@ fn steady_state_pipeline_allocates_nothing() {
     // attributes so matching exercises multi-constraint counting.
     for i in 0..48u32 {
         let client = ClientId::new(i % 6);
-        core.attach_client(client, NodeId::new(10 + (i % 6)));
         let filter = Filter::builder().eq("service", "t").eq("room", (i % 12) as i64).build();
-        core.subscribe_client(&mut ctx, client, SubscriptionId::new(i), filter);
+        let subscription = Subscription::new(SubscriptionId::new(i), client, filter);
+        core.apply(&mut ctx, BrokerOp::Subscribe { node: NodeId::new(10 + (i % 6)), subscription });
     }
     // Both neighbours announce interest; the arrival link (node 0) is
     // excluded from forwarding, so every routed notification goes to
@@ -177,9 +177,10 @@ fn steady_state_pipeline_allocates_nothing() {
     assert_eq!(sharded.shard_count(), 4);
     for i in 0..48u32 {
         let client = ClientId::new(i % 6);
-        sharded.attach_client(client, NodeId::new(10 + (i % 6)));
         let filter = Filter::builder().eq("service", "t").eq("room", (i % 12) as i64).build();
-        sharded.subscribe_client(&mut ctx, client, SubscriptionId::new(i), filter);
+        let subscription = Subscription::new(SubscriptionId::new(i), client, filter);
+        sharded
+            .apply(&mut ctx, BrokerOp::Subscribe { node: NodeId::new(10 + (i % 6)), subscription });
     }
     let announced = Filter::builder().eq("service", "t").build();
     sharded.handle(&mut ctx, NodeId::new(0), Message::SubForward { filter: announced.clone() });

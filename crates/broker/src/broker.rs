@@ -7,15 +7,22 @@
 //! (immobile) deployments, and the mobility crate wraps the same core with
 //! relocation and replication behaviour. The core hands mobility messages
 //! back to its wrapper instead of interpreting them.
+//!
+//! Every mutation of the routing state goes through one seam:
+//! [`BrokerCore::classify`] re-expresses a mutating message as a
+//! [`BrokerOp`], [`BrokerCore::apply`] applies an op. What happens in
+//! between is the wrapper's business — nothing ([`BrokerNode`], via
+//! [`BrokerCore::handle_into`]), a replica-group commit
+//! ([`ReplicatedBrokerNode`](crate::ReplicatedBrokerNode)), or
+//! localization (the mobility crate's `MobileBrokerNode`).
 
 use crate::message::{Message, MobilityMsg};
+use crate::replication::BrokerOp;
 use crate::routing::{CoverChanges, LinkAnnouncer, RoutingStrategy};
 use crate::shard::ShardedRouter;
 use crate::table::{FilterOrigin, RouteScratch, TableDelta};
-use rebeca_core::{
-    BrokerId, ClientId, Digest, Filter, Notification, SharedInterner, SubscriptionId,
-};
-use rebeca_net::{Ctx, Node, NodeId, Payload, Topology};
+use rebeca_core::{BrokerId, ClientId, Digest, Filter, Notification, SharedInterner};
+use rebeca_net::{Ctx, Node, NodeId, Topology};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -214,11 +221,6 @@ impl BrokerCore {
         self.broker_nodes[broker.raw() as usize]
     }
 
-    /// Number of filters currently announced to `neighbor`.
-    pub fn announced_count(&self, neighbor: NodeId) -> usize {
-        self.announced_filters(neighbor).len()
-    }
-
     /// The shared symbol table of this broker's routing state.
     pub fn interner(&self) -> &Arc<SharedInterner> {
         self.router.interner()
@@ -236,6 +238,9 @@ impl BrokerCore {
     /// Handles one message, appending local deliveries and unhandled
     /// mobility traffic to `out` (*not* cleared first — wrappers reuse one
     /// buffer across messages to keep the dispatch loop allocation-free).
+    /// A mutation is applied on the spot; wrappers that must do something
+    /// else with it first (submit it to a replicated log, localize it)
+    /// call [`BrokerCore::classify`] and [`BrokerCore::apply`] themselves.
     pub fn handle_into(
         &mut self,
         ctx: &mut Ctx<'_, Message>,
@@ -243,54 +248,65 @@ impl BrokerCore {
         msg: Message,
         out: &mut Outcome,
     ) {
+        if let Some(op) = self.classify(ctx, from, msg, out) {
+            self.apply(ctx, op);
+        }
+    }
+
+    /// Does everything a message asks for *except* mutating the routing
+    /// state, and returns the mutation — the message re-expressed as a
+    /// [`BrokerOp`], with `from` as the op's `node` — for the caller to
+    /// [`apply`](BrokerCore::apply) now or once a replica group has
+    /// committed it. Notifications are routed (the read path), `Routed`
+    /// envelopes are unwrapped here or forwarded towards their target,
+    /// mobility traffic lands in `out.unhandled`. This is the only place a
+    /// `Message` turns into a `BrokerOp`.
+    pub fn classify(
+        &mut self,
+        ctx: &mut Ctx<'_, Message>,
+        from: NodeId,
+        msg: Message,
+        out: &mut Outcome,
+    ) -> Option<BrokerOp> {
         match msg {
-            Message::ClientAttach { client } => {
-                self.router.attach_client(client, from);
-            }
-            Message::ClientDetach { client } => {
-                self.detach_client(ctx, client);
-            }
-            Message::Subscribe { subscription } => {
-                // Subscribing implies attachment (first contact may race).
-                self.router.attach_client(subscription.client(), from);
-                let delta = self.router.subscribe_client(
-                    subscription.client(),
-                    subscription.id(),
-                    subscription.filter().clone(),
-                );
-                self.apply_delta(ctx, &delta);
-            }
-            Message::Unsubscribe { client, id } => {
-                let delta = self.router.unsubscribe_client(client, id);
-                self.apply_delta(ctx, &delta);
-            }
+            // hot-path: begin — the per-notification read path: match,
+            // route, fan out. Never a mutation, so it never reaches a
+            // replica, an op log or a lock; its zero-allocation property is
+            // asserted end to end by crates/bench/tests/alloc_regression.rs.
             Message::Publish { notification } | Message::Forward { notification } => {
                 self.route_notification_into(ctx, from, notification, out);
+                None
             }
-            Message::SubForward { filter } => {
-                let delta = self.router.neighbor_subscribe(from, filter);
-                self.apply_delta(ctx, &delta);
-            }
-            Message::UnsubForward { filter } => {
-                let delta = self.router.neighbor_unsubscribe(from, filter.digest());
-                self.apply_delta(ctx, &delta);
-            }
+            // hot-path: end
             Message::Routed { to, inner } => {
                 if to == self.id {
-                    self.handle_into(ctx, from, *inner, out);
-                } else {
-                    match self.topology.next_hop(self.id, to) {
-                        Some(nh) => {
-                            let node = self.broker_nodes[nh.raw() as usize];
-                            ctx.send(node, Message::Routed { to, inner });
-                        }
-                        None => {
-                            debug_assert!(false, "routed message to self not unwrapped");
-                        }
-                    }
+                    return self.classify(ctx, from, *inner, out);
                 }
+                match self.topology.next_hop(self.id, to) {
+                    Some(nh) => {
+                        let node = self.broker_nodes[nh.raw() as usize];
+                        ctx.send(node, Message::Routed { to, inner });
+                    }
+                    None => debug_assert!(false, "routed message to self not unwrapped"),
+                }
+                None
             }
-            Message::Mobility(m) => out.unhandled.push((from, m)),
+            Message::Mobility(m) => {
+                out.unhandled.push((from, m));
+                None
+            }
+            Message::ClientAttach { client } => Some(BrokerOp::ClientAttach { client, node: from }),
+            Message::ClientDetach { client } => Some(BrokerOp::ClientDetach { client }),
+            Message::Subscribe { subscription } => {
+                Some(BrokerOp::Subscribe { node: from, subscription })
+            }
+            Message::Unsubscribe { client, id } => Some(BrokerOp::Unsubscribe { client, id }),
+            Message::SubForward { filter } => {
+                Some(BrokerOp::NeighborSubscribe { node: from, filter })
+            }
+            Message::UnsubForward { filter } => {
+                Some(BrokerOp::NeighborUnsubscribe { node: from, filter })
+            }
             // Application-level and client-bound messages are not broker
             // business; they are silently ignored if misdelivered. Replica
             // traffic is only meaningful to a replicated wrapper
@@ -300,22 +316,54 @@ impl BrokerCore {
             | Message::AppSubscribe { .. }
             | Message::AppUnsubscribe { .. }
             | Message::Deliver { .. }
-            | Message::Replica(_) => {}
+            | Message::Replica(_) => None,
         }
     }
 
-    /// Forwards a notification per routing table / strategy and returns the
-    /// local deliveries. Allocating convenience form of
-    /// [`BrokerCore::route_notification_into`].
-    pub fn route_notification(
-        &mut self,
-        ctx: &mut Ctx<'_, Message>,
-        from: NodeId,
-        n: Arc<Notification>,
-    ) -> Vec<LocalDelivery> {
-        let mut out = Outcome::default();
-        self.route_notification_into(ctx, from, n, &mut out);
-        out.deliveries
+    /// Applies one mutation to the routing state and incrementally updates
+    /// the affected announcements — the only place a [`BrokerOp`] touches
+    /// the router. Deterministic, and idempotent at the table level (see
+    /// the `oplog` module docs), so a recovery replay of a whole op log
+    /// converges.
+    pub fn apply(&mut self, ctx: &mut Ctx<'_, Message>, op: BrokerOp) {
+        let delta = match op {
+            BrokerOp::ClientAttach { client, node } => {
+                self.router.attach_client(client, node);
+                TableDelta::default()
+            }
+            BrokerOp::ClientDetach { client } => match self.router.detach_client(client) {
+                // Drop the client's subscriptions and retract whatever
+                // they alone were responsible for announcing.
+                Some(entry) => {
+                    // Digest order, not HashMap order: the announcer
+                    // processes removals deterministically.
+                    let mut removed: Vec<(FilterOrigin, Filter)> =
+                        entry.subs.into_values().map(|f| (FilterOrigin::Client, f)).collect();
+                    removed.sort_unstable_by_key(|(_, f)| f.digest());
+                    TableDelta { added: Vec::new(), removed }
+                }
+                None => TableDelta::default(),
+            },
+            BrokerOp::Subscribe { node, subscription } => {
+                // Subscribing implies attachment (first contact may race
+                // the attach).
+                let (client, id) = (subscription.client(), subscription.id());
+                self.router.attach_client(client, node);
+                self.router.subscribe_client(client, id, subscription.into_filter())
+            }
+            BrokerOp::Unsubscribe { client, id } => self.router.unsubscribe_client(client, id),
+            BrokerOp::NeighborSubscribe { node, filter } => {
+                self.router.neighbor_subscribe(node, filter)
+            }
+            BrokerOp::NeighborUnsubscribe { node, filter } => {
+                self.router.neighbor_unsubscribe(node, filter.digest())
+            }
+            // Lifecycle markers of a replicated log: the routing table is
+            // link-state independent (send-time gating lives in the
+            // runtime).
+            BrokerOp::LinkUp { node: _ } | BrokerOp::LinkDown { node: _ } => TableDelta::default(),
+        };
+        self.apply_delta(ctx, &delta);
     }
 
     /// Forwards a notification per routing table / strategy, appending the
@@ -354,53 +402,6 @@ impl BrokerCore {
                 notification: Arc::clone(&n),
             });
         }
-    }
-
-    /// Attaches a client programmatically (used by mobility wrappers).
-    pub fn attach_client(&mut self, client: ClientId, node: NodeId) {
-        self.router.attach_client(client, node);
-    }
-
-    /// Detaches a client, drops its subscriptions and incrementally
-    /// retracts whatever they alone were responsible for announcing.
-    pub fn detach_client(&mut self, ctx: &mut Ctx<'_, Message>, client: ClientId) {
-        let delta = match self.router.detach_client(client) {
-            Some(entry) => {
-                // Digest order, not HashMap order: the announcer processes
-                // removals deterministically.
-                let mut removed: Vec<(FilterOrigin, Filter)> =
-                    entry.subs.into_values().map(|f| (FilterOrigin::Client, f)).collect();
-                removed.sort_unstable_by_key(|(_, f)| f.digest());
-                TableDelta { added: Vec::new(), removed }
-            }
-            None => TableDelta::default(),
-        };
-        self.apply_delta(ctx, &delta);
-    }
-
-    /// Installs a client subscription programmatically and incrementally
-    /// updates the affected announcements.
-    pub fn subscribe_client(
-        &mut self,
-        ctx: &mut Ctx<'_, Message>,
-        client: ClientId,
-        id: SubscriptionId,
-        filter: Filter,
-    ) {
-        let delta = self.router.subscribe_client(client, id, filter);
-        self.apply_delta(ctx, &delta);
-    }
-
-    /// Removes a client subscription programmatically and incrementally
-    /// updates the affected announcements.
-    pub fn unsubscribe_client(
-        &mut self,
-        ctx: &mut Ctx<'_, Message>,
-        client: ClientId,
-        id: SubscriptionId,
-    ) {
-        let delta = self.router.unsubscribe_client(client, id);
-        self.apply_delta(ctx, &delta);
     }
 
     /// The filters currently announced to `neighbor`, sorted by digest
@@ -546,16 +547,12 @@ impl BrokerNode {
 
 impl Node<Message> for BrokerNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
-        // Take the reusable buffer out so `core` can be borrowed mutably;
-        // its capacity survives the round trip.
-        let mut outcome = std::mem::take(&mut self.outcome);
-        outcome.clear();
-        self.core.handle_into(ctx, from, msg, &mut outcome);
-        for d in outcome.deliveries.drain(..) {
+        self.outcome.clear();
+        self.core.handle_into(ctx, from, msg, &mut self.outcome);
+        for d in self.outcome.deliveries.drain(..) {
             ctx.send(d.node, Message::Deliver { client: d.client, notification: d.notification });
         }
-        self.ignored_mobility += outcome.unhandled.len() as u64;
-        self.outcome = outcome;
+        self.ignored_mobility += self.outcome.unhandled.len() as u64;
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -566,6 +563,3 @@ impl Node<Message> for BrokerNode {
         self
     }
 }
-
-// Keep the unused-import lint honest for Payload (used in doc examples).
-const _: fn(&Message) -> usize = Payload::wire_size;

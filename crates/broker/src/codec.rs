@@ -16,7 +16,7 @@
 //! the nesting depth so adversarial bytes cannot recurse the stack away.
 
 use crate::message::{Message, MobilityMsg};
-use crate::replication::{BrokerOp, BufferOp, ReplicaMsg};
+use crate::replication::{BrokerOp, ReplicaMsg};
 use crate::table::{FilterOrigin, TableDelta};
 use bytes::{Buf, BufMut};
 use rebeca_core::codec::{
@@ -468,48 +468,6 @@ pub fn decode_table_delta(buf: &mut impl Buf) -> Result<TableDelta, CoreError> {
     Ok(delta)
 }
 
-fn encode_buffer_op(b: &BufferOp, buf: &mut impl BufMut) {
-    match b {
-        BufferOp::Store { client, notification } => {
-            buf.put_u8(0);
-            buf.put_u32_le(client.raw());
-            notification.encode(buf);
-        }
-        BufferOp::Flush { client } => {
-            buf.put_u8(1);
-            buf.put_u32_le(client.raw());
-        }
-        BufferOp::Relocate { client, to } => {
-            buf.put_u8(2);
-            buf.put_u32_le(client.raw());
-            buf.put_u32_le(to.raw());
-        }
-    }
-}
-
-fn decode_buffer_op(buf: &mut impl Buf) -> Result<BufferOp, CoreError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => {
-            need(buf, 4)?;
-            let client = ClientId::new(buf.get_u32_le());
-            let notification = Arc::new(Notification::decode(buf)?);
-            Ok(BufferOp::Store { client, notification })
-        }
-        1 => {
-            need(buf, 4)?;
-            Ok(BufferOp::Flush { client: ClientId::new(buf.get_u32_le()) })
-        }
-        2 => {
-            need(buf, 8)?;
-            let client = ClientId::new(buf.get_u32_le());
-            let to = BrokerId::new(buf.get_u32_le());
-            Ok(BufferOp::Relocate { client, to })
-        }
-        tag => Err(CoreError::BadTag { what: "buffer op", tag }),
-    }
-}
-
 /// Encodes a [`BrokerOp`] (tag byte + payload) — one entry of a
 /// replication op log.
 pub fn encode_broker_op(op: &BrokerOp, buf: &mut impl BufMut) {
@@ -550,10 +508,6 @@ pub fn encode_broker_op(op: &BrokerOp, buf: &mut impl BufMut) {
         BrokerOp::LinkDown { node } => {
             buf.put_u8(7);
             buf.put_u32_le(node.raw());
-        }
-        BrokerOp::Buffer(b) => {
-            buf.put_u8(8);
-            encode_buffer_op(b, buf);
         }
     }
 }
@@ -605,7 +559,7 @@ pub fn decode_broker_op(buf: &mut impl Buf) -> Result<BrokerOp, CoreError> {
             need(buf, 4)?;
             Ok(BrokerOp::LinkDown { node: NodeId::new(buf.get_u32_le()) })
         }
-        8 => Ok(BrokerOp::Buffer(decode_buffer_op(buf)?)),
+        // Tag 8 was the retired mobility-buffer op; it stays unassigned.
         tag => Err(CoreError::BadTag { what: "broker op", tag }),
     }
 }
@@ -861,7 +815,7 @@ mod tests {
         all
     }
 
-    /// One instance of every `BrokerOp` variant (and every `BufferOp`).
+    /// One instance of every `BrokerOp` variant.
     fn all_broker_ops() -> Vec<BrokerOp> {
         vec![
             BrokerOp::ClientAttach { client: ClientId::new(4), node: NodeId::new(1) },
@@ -872,12 +826,6 @@ mod tests {
             BrokerOp::NeighborUnsubscribe { node: NodeId::new(2), filter: Filter::all() },
             BrokerOp::LinkUp { node: NodeId::new(3) },
             BrokerOp::LinkDown { node: NodeId::new(3) },
-            BrokerOp::Buffer(BufferOp::Store {
-                client: ClientId::new(7),
-                notification: sample_notification(6),
-            }),
-            BrokerOp::Buffer(BufferOp::Flush { client: ClientId::new(7) }),
-            BrokerOp::Buffer(BufferOp::Relocate { client: ClientId::new(7), to: BrokerId::new(2) }),
         ]
     }
 
@@ -970,16 +918,17 @@ mod tests {
             decode_message(&mut cur),
             Err(CoreError::BadTag { what: "replica", tag: 99 })
         ));
-        // Replica → Forward → bad op tag, then op → Buffer → bad buffer tag.
+        // Replica → Forward → bad op tag; the retired buffer-op tag (8) is
+        // one of them, whatever follows it.
         let mut cur: &[u8] = &[14u8, 0, 99];
         assert!(matches!(
             decode_message(&mut cur),
             Err(CoreError::BadTag { what: "broker op", tag: 99 })
         ));
-        let mut cur: &[u8] = &[14u8, 0, 8, 99];
+        let mut cur: &[u8] = &[14u8, 0, 8, 1, 7, 0, 0, 0];
         assert!(matches!(
             decode_message(&mut cur),
-            Err(CoreError::BadTag { what: "buffer op", tag: 99 })
+            Err(CoreError::BadTag { what: "broker op", tag: 8 })
         ));
     }
 

@@ -9,12 +9,17 @@
 //! * [`RoutingStrategy`] — flooding / simple / covering / merging;
 //! * [`RoutingTable`] — `(Filter, Link)` entries backed by the counting
 //!   match index;
-//! * [`ShardedRouter`] / [`ParallelRouter`] — the same routing state
-//!   partitioned into filter-digest-range shards, fanned over in-line
-//!   (deterministic simulator) or by one worker thread per shard (live
-//!   runtime), with decisions provably identical to the unsharded table;
+//! * [`ShardedRouter`] — the same routing state partitioned into
+//!   filter-digest-range shards, fanned over in-line, with decisions
+//!   provably identical to the unsharded table;
 //! * [`BrokerCore`] / [`BrokerNode`] — the routing engine and its plain
-//!   (immobile) node wrapper;
+//!   (immobile) node wrapper. The engine has one mutation seam:
+//!   [`BrokerCore::classify`] handles everything about a message except
+//!   mutating the routing state and returns the mutation as a
+//!   [`BrokerOp`]; [`BrokerCore::apply`] is the only place an op touches
+//!   the table. Hosts differ in what happens in between — nothing
+//!   ([`BrokerNode`]), a replica-group commit ([`ReplicatedBrokerNode`]),
+//!   localization (the mobility crate's `MobileBrokerNode`);
 //! * [`LocalBroker`] / [`ClientNode`] — the client-side library ("local
 //!   broker") and its immobile node wrapper;
 //! * [`replication`] — VR-style op-log replica groups: a broker's whole
@@ -46,9 +51,9 @@ pub use client::{ClientNode, DeliveryRecord, LocalBroker};
 pub use codec::{decode_message, decode_mobility, encode_message, encode_mobility};
 pub use message::{Message, MobilityMsg};
 pub use replication::{
-    BrokerOp, BufferOp, OpLog, Replica, ReplicaMsg, ReplicaNode, ReplicaStatus,
-    ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats,
+    BrokerOp, OpLog, Replica, ReplicaMsg, ReplicaNode, ReplicaStatus, ReplicatedBrokerNode,
+    ReplicationMetrics, ReplicationStats,
 };
 pub use routing::{minimal_cover, CoverChanges, LinkAnnouncer, RoutingStrategy};
-pub use shard::{ParallelRouter, ShardedRouter};
+pub use shard::ShardedRouter;
 pub use table::{ClientEntry, RouteDecision, RouteKey, RouteScratch, RoutingTable, TableDelta};

@@ -2,19 +2,21 @@
 //!
 //! A crashed broker process was the one uncertainty this system did not
 //! survive: PR 8's supervisor heals the *links* of a SIGKILLed broker with
-//! zero loss, but the reborn process came back with an empty routing table
-//! and empty mobility buffers, silently depending on every client
-//! re-subscribing. This module closes that gap by treating each broker's
+//! zero loss, but the reborn process came back with an empty routing
+//! table, silently depending on every client re-subscribing. This module closes that gap by treating each broker's
 //! mutations as a deterministic operation log ([`oplog`]) replicated
 //! across a small group with viewstamped-replication-style primary/backup
-//! semantics ([`replica`]), and by wrapping the broker so every
-//! table/buffer mutation rides through that log while the
-//! per-notification read path bypasses it entirely ([`replicated`]).
+//! semantics ([`replica`]), and by wrapping the broker so every table
+//! mutation rides through that log while the per-notification read path
+//! bypasses it entirely ([`replicated`]).
 //!
 //! The layering:
 //!
-//! * [`oplog`] — [`BrokerOp`]/[`BufferOp`], the deterministic, idempotent
-//!   mutation vocabulary, and the 1-based [`OpLog`].
+//! * [`oplog`] — [`BrokerOp`], the broker's one mutation vocabulary
+//!   (deterministic, idempotent; what
+//!   [`BrokerCore::classify`](crate::BrokerCore::classify) produces and
+//!   [`BrokerCore::apply`](crate::BrokerCore::apply) consumes, replicated
+//!   or not), and the 1-based [`OpLog`].
 //! * [`replica`] — the sans-io [`Replica`] state machine (view number, op
 //!   number, commit number; prepare/prepare-ok/commit, view changes,
 //!   probe-based crash recovery) and its wire messages ([`ReplicaMsg`],
@@ -30,6 +32,6 @@ pub mod oplog;
 pub mod replica;
 pub mod replicated;
 
-pub use oplog::{BrokerOp, BufferOp, OpLog};
+pub use oplog::{BrokerOp, OpLog};
 pub use replica::{Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicaStatus};
 pub use replicated::{ReplicaNode, ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats};

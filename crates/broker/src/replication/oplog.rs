@@ -1,8 +1,8 @@
 //! The deterministic operation log a broker replica group agrees on.
 //!
 //! Every mutation of a broker's state — routing-table churn (client
-//! attach/detach, subscriptions, neighbour announcements, link lifecycle)
-//! and mobility-buffer traffic (store/flush/relocate) — is a [`BrokerOp`].
+//! attach/detach, subscriptions, neighbour announcements) and the link
+//! lifecycle markers — is a [`BrokerOp`].
 //! The read path (match + route + fan-out) never appears here: replication
 //! sits on the mutation path only, and applying the same op sequence to a
 //! fresh [`BrokerCore`](crate::BrokerCore) rebuilds the identical routing
@@ -14,36 +14,8 @@
 //! yields an empty [`TableDelta`](crate::TableDelta). Recovery therefore
 //! never needs exactly-once delivery — at-least-once replay converges.
 
-use rebeca_core::{BrokerId, ClientId, Filter, Notification, Subscription, SubscriptionId};
+use rebeca_core::{ClientId, Filter, Subscription, SubscriptionId};
 use rebeca_net::NodeId;
-use std::sync::Arc;
-
-/// A logged mobility-buffer mutation (the replicator layer's uncertainty
-/// buffers, paged per the wire protocol). Buffered notifications ride
-/// behind their existing [`Arc`] — logging a store is a refcount bump.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BufferOp {
-    /// A notification was buffered on behalf of an absent client.
-    Store {
-        /// The client the buffer belongs to.
-        client: ClientId,
-        /// The buffered notification (shared, not copied).
-        notification: Arc<Notification>,
-    },
-    /// The client's buffer was drained for replay.
-    Flush {
-        /// The client whose buffer flushed.
-        client: ClientId,
-    },
-    /// The client's buffered state moved to another border broker
-    /// (relocation hand-off).
-    Relocate {
-        /// The relocating client.
-        client: ClientId,
-        /// The broker now responsible for the buffer.
-        to: BrokerId,
-    },
-}
 
 /// One replicated broker mutation.
 ///
@@ -105,20 +77,6 @@ pub enum BrokerOp {
         /// A node behind the affected peer link.
         node: NodeId,
     },
-    /// A mobility-buffer mutation (see [`BufferOp`]).
-    Buffer(BufferOp),
-}
-
-impl BufferOp {
-    /// Approximate encoded size (the [`Payload`](rebeca_net::Payload)
-    /// accounting model, mirroring `MobilityMsg::wire_size`).
-    pub(crate) fn wire_size(&self) -> usize {
-        match self {
-            BufferOp::Store { notification, .. } => 4 + notification.wire_size(),
-            BufferOp::Flush { .. } => 4,
-            BufferOp::Relocate { .. } => 8,
-        }
-    }
 }
 
 impl BrokerOp {
@@ -133,7 +91,6 @@ impl BrokerOp {
             BrokerOp::NeighborSubscribe { filter, .. }
             | BrokerOp::NeighborUnsubscribe { filter, .. } => 4 + filter.wire_size(),
             BrokerOp::LinkUp { .. } | BrokerOp::LinkDown { .. } => 4,
-            BrokerOp::Buffer(b) => 1 + b.wire_size(),
         }
     }
 }
@@ -170,18 +127,13 @@ impl OpLog {
         self.ops.len() as u64
     }
 
-    /// All ops in order (op number 1 first).
-    pub fn ops(&self) -> &[BrokerOp] {
-        &self.ops
-    }
-
     /// Replaces the whole log (view change / recovery adoption).
     pub fn replace(&mut self, ops: Vec<BrokerOp>) {
         self.ops = ops;
     }
 
     /// Clones the log's ops (shipped in view-change and recovery
-    /// messages; notifications inside buffer ops are shared by `Arc`).
+    /// messages).
     pub fn to_vec(&self) -> Vec<BrokerOp> {
         self.ops.clone()
     }

@@ -29,9 +29,8 @@
 //!   no out-of-band flag. Ops submitted meanwhile queue in `pending`.
 //!
 //! Logs are shipped whole in `DoViewChange`/`StartView`/`RecoveryResponse`
-//! — broker op logs are routing-table churn, not payload traffic, and the
-//! buffered notifications inside them travel by `Arc` in-process. The
-//! durable-log/checkpoint follow-on is tracked in ROADMAP item 4.
+//! — broker op logs are routing-table churn, not payload traffic. The
+//! bounded-log/checkpoint follow-on is tracked in ROADMAP item 3.
 
 use super::oplog::{BrokerOp, OpLog};
 use rebeca_net::NodeId;
@@ -204,6 +203,8 @@ pub struct Replica {
     applied: u64,
     /// Primary bookkeeping: cumulative PrepareOk high-water per member.
     ack_high: Vec<u64>,
+    /// Primary bookkeeping: the commit number at the previous tick.
+    commit_at_tick: u64,
     /// View-change bookkeeping: StartViewChange votes for `view`.
     svc_votes: Vec<bool>,
     /// Whether we already sent our DoViewChange for `view`.
@@ -214,6 +215,9 @@ pub struct Replica {
     nonce: u64,
     rec_responded: Vec<bool>,
     rec_best: Option<DvcPayload>,
+    /// A Normal-status state transfer was requested and neither answered
+    /// nor a tick old yet.
+    catching_up: bool,
     /// Ops submitted while not Normal; drained on the next transition.
     pending: Vec<BrokerOp>,
 }
@@ -244,12 +248,14 @@ impl Replica {
             commit_number: 0,
             applied: 0,
             ack_high: vec![0; n],
+            commit_at_tick: 0,
             svc_votes: vec![false; n],
             dvc_sent: false,
             dvc: vec![None; n],
             nonce: 0,
             rec_responded: vec![false; n],
             rec_best: None,
+            catching_up: false,
             pending: Vec::new(),
         }
     }
@@ -331,10 +337,10 @@ impl Replica {
         );
     }
 
-    /// Periodic retransmission driver: recovery probes, view-change votes
-    /// and the primary's commit heartbeat are all re-sent here, so a
-    /// message lost to a link outage delays the protocol by one tick
-    /// instead of wedging it.
+    /// Periodic retransmission driver: recovery probes, view-change votes,
+    /// the primary's unacknowledged `Prepare`s and its commit heartbeat are
+    /// all re-sent here, so a message lost to a link outage delays the
+    /// protocol by one tick instead of wedging it.
     pub fn tick(&mut self, out: &mut Outbox) {
         match self.status {
             ReplicaStatus::Recovering => {
@@ -360,12 +366,51 @@ impl Replica {
                 }
             }
             ReplicaStatus::Normal => {
+                // A catch-up probe that went unanswered for a whole tick is
+                // presumed lost; the next gap may ask again.
+                self.catching_up = false;
                 if self.is_primary() && self.cfg.group.len() > 1 {
+                    // Only a stalled pipeline needs healing: while commits
+                    // advance, the ops in flight are merely younger than
+                    // their acks, and re-sending them would double the
+                    // traffic of a busy group on every tick.
+                    if self.commit_number == self.commit_at_tick {
+                        self.resend_unacked_prepares(out);
+                    }
+                    self.commit_at_tick = self.commit_number;
                     self.broadcast(
                         &ReplicaMsg::Commit { view: self.view, commit_number: self.commit_number },
                         out,
                     );
                 }
+            }
+        }
+    }
+
+    /// Re-sends the uncommitted suffix of the log to every backup that has
+    /// not acknowledged it (called when a whole tick passed without commit
+    /// progress). A `Prepare` a backup dropped (it was still
+    /// Recovering, or the link was down) is otherwise never seen again: the
+    /// commit heartbeat alone tells a backup nothing it lacks while
+    /// `commit_number` trails the lost op. Duplicates fall through to the
+    /// backup's cumulative ack.
+    fn resend_unacked_prepares(&self, out: &mut Outbox) {
+        for (i, &node) in self.cfg.group.iter().enumerate() {
+            if i == self.cfg.me {
+                continue;
+            }
+            let held = self.ack_high[i].max(self.commit_number);
+            for op_number in held + 1..=self.log.op_number() {
+                let op = self.log.get(op_number).expect("op number inside the log").clone();
+                out.push((
+                    node,
+                    ReplicaMsg::Prepare {
+                        view: self.view,
+                        op_number,
+                        commit_number: self.commit_number,
+                        op,
+                    },
+                ));
             }
         }
     }
@@ -686,8 +731,14 @@ impl Replica {
 
     /// Asks `from` for its full state via a fresh recovery probe round,
     /// *without* leaving Normal status: a lagging replica keeps serving
-    /// its committed prefix while it catches up.
+    /// its committed prefix while it catches up. At most one round is in
+    /// flight: every further gapped `Prepare` of a burst would otherwise
+    /// bump the nonce and disown the answer already on its way.
     fn state_transfer(&mut self, from: NodeId, out: &mut Outbox) {
+        if self.catching_up {
+            return;
+        }
+        self.catching_up = true;
         self.nonce += 1;
         self.rec_responded = vec![false; self.cfg.group.len()];
         self.rec_best = None;
@@ -798,6 +849,7 @@ impl Replica {
             return;
         }
         self.rec_responded[replica] = true;
+        self.catching_up = false;
         if normal {
             let better = match &self.rec_best {
                 None => true,
@@ -1086,6 +1138,83 @@ mod tests {
             &mut outs[2],
         );
         assert_eq!(live[1].op_number(), before, "stale-view Prepare must not append");
+    }
+
+    /// PR 12 finding 1: backups still Recovering drop the primary's first
+    /// `Prepare`s; the tick must re-send them or the group wedges until the
+    /// next submit.
+    #[test]
+    fn tick_resends_prepares_the_backups_dropped() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        rs[0].submit(op(1), &mut outs[0]);
+        rs[0].submit(op(2), &mut outs[0]);
+        assert_eq!(outs[0].len(), 4, "two Prepares to each backup");
+        outs[0].clear(); // lost on the way
+        pump(&mut rs, &mut outs);
+        assert_eq!(rs[0].commit_number(), 0, "nothing acknowledged, nothing committed");
+
+        rs[0].tick(&mut outs[0]);
+        pump(&mut rs, &mut outs);
+        assert_eq!(rs[0].commit_number(), 2, "one tick, no further submit");
+        for r in &rs[1..] {
+            assert_eq!(r.op_number(), 2);
+        }
+        // While commits advance, a tick only heartbeats: ops in flight are
+        // not re-sent until a whole tick passes without progress.
+        rs[0].submit(op(3), &mut outs[0]);
+        outs[0].clear(); // lost again
+        rs[0].tick(&mut outs[0]);
+        assert!(outs[0].iter().all(|(_, m)| matches!(m, ReplicaMsg::Commit { .. })));
+        pump(&mut rs, &mut outs);
+        for r in &rs {
+            assert_eq!(r.commit_number(), 2, "the heartbeat carries the commit number");
+        }
+        rs[0].tick(&mut outs[0]);
+        pump(&mut rs, &mut outs);
+        assert_eq!(rs[0].commit_number(), 3, "stalled for a tick: re-sent and committed");
+    }
+
+    /// PR 12 finding 2: a burst of gapped `Prepare`s starts one catch-up
+    /// round, not one per message — each new round used to disown the
+    /// answer to the previous one.
+    #[test]
+    fn gapped_prepares_start_one_state_transfer() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        for i in 1..=11 {
+            rs[0].submit(op(i), &mut outs[0]);
+        }
+        // Backup 1 misses op 1 and sees the ten that follow.
+        let to_1: Vec<ReplicaMsg> = std::mem::take(&mut outs[0])
+            .into_iter()
+            .filter(|(to, _)| *to == NodeId::new(1))
+            .map(|(_, m)| m)
+            .collect();
+        for m in to_1.into_iter().skip(1) {
+            rs[1].on_msg(NodeId::new(0), m, &mut outs[1]);
+        }
+        let probes =
+            outs[1].iter().filter(|(_, m)| matches!(m, ReplicaMsg::Recovery { .. })).count();
+        assert_eq!(probes, 1, "ten gapped Prepares, one probe: {:?}", outs[1]);
+        assert_eq!(outs[1].len(), 1, "and nothing acknowledged meanwhile");
+
+        pump(&mut rs, &mut outs);
+        assert_eq!(rs[1].op_number(), 11, "the answer is adopted");
+        assert_eq!(rs[0].commit_number(), 11, "and acknowledged: quorum without backup 2");
+
+        // A later gap may ask again.
+        rs[0].submit(op(12), &mut outs[0]);
+        rs[0].submit(op(13), &mut outs[0]);
+        let late: Vec<ReplicaMsg> = std::mem::take(&mut outs[0])
+            .into_iter()
+            .filter(|(to, _)| *to == NodeId::new(1))
+            .map(|(_, m)| m)
+            .collect();
+        rs[1].on_msg(NodeId::new(0), late[1].clone(), &mut outs[1]);
+        assert!(matches!(outs[1][..], [(_, ReplicaMsg::Recovery { .. })]));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Broker nodes that route their mutation surface through a replica group.
 //!
 //! [`ReplicatedBrokerNode`] wraps a [`BrokerCore`] the way
-//! [`BrokerNode`](crate::BrokerNode) does, but every *mutation* — client
-//! attach/detach, subscribe/unsubscribe, neighbour announcements,
-//! mobility-buffer traffic — becomes a [`BrokerOp`] submitted to the
-//! node's [`Replica`] and is applied to the core only once the group
+//! [`BrokerNode`](crate::BrokerNode) does, and runs the same
+//! [`BrokerCore::classify`] on every message. The one difference is what
+//! happens to a *mutation* — client attach/detach, subscribe/unsubscribe,
+//! neighbour announcements: the [`BrokerOp`] is submitted to the node's
+//! [`Replica`] and reaches [`BrokerCore::apply`] only once the group
 //! commits it. The *read* path (match + route + fan-out of
-//! `Publish`/`Forward`) bypasses the log entirely and stays the same
-//! zero-allocation, lock-free path as the unreplicated broker — the
-//! `// hot-path` markers below are enforced by `cargo run -p xtask -- lint`
-//! and the end-to-end allocation counter in
+//! `Publish`/`Forward`) is the core's own and never sees the log — the
+//! `// hot-path` markers there and below are enforced by
+//! `cargo run -p xtask -- lint` and the end-to-end allocation counter in
 //! `crates/bench/tests/alloc_regression.rs`.
 //!
 //! [`ReplicaNode`] is the log-only group member: it holds the op log and
@@ -18,7 +18,7 @@
 //! `ReplicaNode`s, placed on distinct processes by the facade so one
 //! SIGKILL never takes a quorum (see `SystemBuilder::replication`).
 
-use super::oplog::{BrokerOp, BufferOp};
+use super::oplog::BrokerOp;
 use super::replica::{Outbox, Replica, ReplicaConfig, ReplicaStatus};
 use crate::broker::{BrokerCore, Outcome};
 use crate::message::Message;
@@ -118,11 +118,9 @@ impl ReplicaDriver {
     /// entry point (message, timer, peer change, submit) funnels through
     /// this before returning to the runtime.
     fn flush_outbox(&mut self, ctx: &mut Ctx<'_, Message>) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for (to, rm) in outbox.drain(..) {
+        for (to, rm) in self.outbox.drain(..) {
             ctx.send(to, Message::Replica(rm));
         }
-        self.outbox = outbox;
 
         let view = self.replica.view();
         if view > self.last_view {
@@ -157,38 +155,28 @@ impl ReplicaDriver {
     }
 
     fn start(&mut self, ctx: &mut Ctx<'_, Message>) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.replica.start(&mut outbox);
-        self.outbox = outbox;
+        self.replica.start(&mut self.outbox);
         self.flush_outbox(ctx);
         self.arm_tick(ctx);
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Message>) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.replica.tick(&mut outbox);
-        self.outbox = outbox;
+        self.replica.tick(&mut self.outbox);
         self.flush_outbox(ctx);
         self.arm_tick(ctx);
     }
 
     fn on_replica_msg(&mut self, from: NodeId, msg: super::replica::ReplicaMsg) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.replica.on_msg(from, msg, &mut outbox);
-        self.outbox = outbox;
+        self.replica.on_msg(from, msg, &mut self.outbox);
     }
 
     fn on_peer_change(&mut self, peer: NodeId, up: bool) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.replica.on_peer_change(peer, up, &mut outbox);
-        self.outbox = outbox;
+        self.replica.on_peer_change(peer, up, &mut self.outbox);
     }
 
     fn submit(&mut self, op: BrokerOp) {
         ReplicationMetrics::add(&self.metrics.ops_logged, 1);
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.replica.submit(op, &mut outbox);
-        self.outbox = outbox;
+        self.replica.submit(op, &mut self.outbox);
     }
 }
 
@@ -200,11 +188,6 @@ pub struct ReplicatedBrokerNode {
     driver: ReplicaDriver,
     /// Reused across messages so dispatch allocates nothing steady-state.
     outcome: Outcome,
-    /// Scratch for draining committed ops out of the replica before
-    /// applying them (two `&mut self` borrows otherwise).
-    apply_scratch: Vec<BrokerOp>,
-    /// Committed mobility-buffer ops, for the hosting wrapper to drain.
-    buffer_ops: Vec<BufferOp>,
     ignored_mobility: u64,
 }
 
@@ -226,8 +209,6 @@ impl ReplicatedBrokerNode {
             core,
             driver: ReplicaDriver::new(replica, metrics),
             outcome: Outcome::default(),
-            apply_scratch: Vec::new(),
-            buffer_ops: Vec::new(),
             ignored_mobility: 0,
         }
     }
@@ -247,149 +228,14 @@ impl ReplicatedBrokerNode {
         self.ignored_mobility
     }
 
-    /// Submits a mobility-buffer mutation to the group log (the mobility
-    /// layer's seam: buffer stores/flushes/relocations become logged ops).
-    pub fn submit_buffer_op(&mut self, ctx: &mut Ctx<'_, Message>, op: BufferOp) {
-        self.driver.submit(BrokerOp::Buffer(op));
-        self.pump(ctx);
-    }
-
-    /// Drains the committed-and-applied mobility-buffer ops accumulated
-    /// since the last call (for the hosting mobility wrapper to replay
-    /// into its buffers).
-    pub fn take_buffer_ops(&mut self) -> Vec<BufferOp> {
-        std::mem::take(&mut self.buffer_ops)
-    }
-
     /// Ships replica messages and applies newly committed ops to the core.
     fn pump(&mut self, ctx: &mut Ctx<'_, Message>) {
         self.driver.flush_outbox(ctx);
-        // Drain committed ops into the scratch first: the closure borrows
-        // the replica, applying borrows the core.
-        let mut scratch = std::mem::take(&mut self.apply_scratch);
-        scratch.clear();
-        self.driver.replica.drain_committed(|op| scratch.push(op.clone()));
-        let applied = scratch.len() as u64;
-        for op in scratch.drain(..) {
-            self.apply_op(ctx, op);
-        }
-        self.apply_scratch = scratch;
+        let core = &mut self.core;
+        let applied = self.driver.replica.drain_committed(|op| core.apply(ctx, op.clone()));
+        // Applying ops emits announcements, never new replica traffic: the
+        // one flush above suffices.
         ReplicationMetrics::add(&self.driver.metrics.ops_applied, applied);
-        // Applying ops can emit announcements but never new replica
-        // traffic, so one flush round suffices; ship anything the drain
-        // itself queued (e.g. a StartView after adoption).
-        self.driver.flush_outbox(ctx);
-    }
-
-    /// Applies one committed op to the routing core. Deterministic and
-    /// idempotent at the table level (see the `oplog` module docs), so
-    /// recovery replays of the whole log converge.
-    fn apply_op(&mut self, ctx: &mut Ctx<'_, Message>, op: BrokerOp) {
-        let mut outcome = std::mem::take(&mut self.outcome);
-        outcome.clear();
-        match op {
-            BrokerOp::ClientAttach { client, node } => self.core.attach_client(client, node),
-            BrokerOp::ClientDetach { client } => self.core.detach_client(ctx, client),
-            BrokerOp::Subscribe { node, subscription } => {
-                // Subscribing implies attachment, as in the unreplicated
-                // dispatch (first contact may race the attach op).
-                self.core.attach_client(subscription.client(), node);
-                self.core.subscribe_client(
-                    ctx,
-                    subscription.client(),
-                    subscription.id(),
-                    subscription.filter().clone(),
-                );
-            }
-            BrokerOp::Unsubscribe { client, id } => self.core.unsubscribe_client(ctx, client, id),
-            BrokerOp::NeighborSubscribe { node, filter } => {
-                self.core.handle_into(ctx, node, Message::SubForward { filter }, &mut outcome);
-            }
-            BrokerOp::NeighborUnsubscribe { node, filter } => {
-                self.core.handle_into(ctx, node, Message::UnsubForward { filter }, &mut outcome);
-            }
-            // Lifecycle markers: the routing table is link-state
-            // independent (send-time gating lives in the runtime).
-            BrokerOp::LinkUp { node: _ } | BrokerOp::LinkDown { node: _ } => {}
-            BrokerOp::Buffer(b) => self.buffer_ops.push(b),
-        }
-        debug_assert!(outcome.deliveries.is_empty(), "mutations never deliver");
-        self.outcome = outcome;
-    }
-
-    /// Full message dispatch; recursion unwraps `Routed` envelopes
-    /// addressed to this broker so wrapped mutations still hit the log.
-    fn dispatch(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
-        match msg {
-            // hot-path: begin — the per-notification read path: match,
-            // route, fan out. Must never touch the replica, the op log or
-            // any lock; its zero-allocation property is asserted end to
-            // end by crates/bench/tests/alloc_regression.rs.
-            Message::Publish { notification } | Message::Forward { notification } => {
-                let mut outcome = std::mem::take(&mut self.outcome);
-                outcome.clear();
-                self.core.route_notification_into(ctx, from, notification, &mut outcome);
-                for d in outcome.deliveries.drain(..) {
-                    ctx.send(
-                        d.node,
-                        Message::Deliver { client: d.client, notification: d.notification },
-                    );
-                }
-                self.outcome = outcome;
-            }
-            // hot-path: end
-            Message::Replica(rm) => {
-                self.driver.on_replica_msg(from, rm);
-                self.pump(ctx);
-            }
-            Message::ClientAttach { client } => {
-                self.driver.submit(BrokerOp::ClientAttach { client, node: from });
-                self.pump(ctx);
-            }
-            Message::ClientDetach { client } => {
-                self.driver.submit(BrokerOp::ClientDetach { client });
-                self.pump(ctx);
-            }
-            Message::Subscribe { subscription } => {
-                self.driver.submit(BrokerOp::Subscribe { node: from, subscription });
-                self.pump(ctx);
-            }
-            Message::Unsubscribe { client, id } => {
-                self.driver.submit(BrokerOp::Unsubscribe { client, id });
-                self.pump(ctx);
-            }
-            Message::SubForward { filter } => {
-                self.driver.submit(BrokerOp::NeighborSubscribe { node: from, filter });
-                self.pump(ctx);
-            }
-            Message::UnsubForward { filter } => {
-                self.driver.submit(BrokerOp::NeighborUnsubscribe { node: from, filter });
-                self.pump(ctx);
-            }
-            Message::Routed { to, inner } => {
-                if to == self.core.id() {
-                    self.dispatch(ctx, from, *inner);
-                } else {
-                    let mut outcome = std::mem::take(&mut self.outcome);
-                    outcome.clear();
-                    self.core.handle_into(ctx, from, Message::Routed { to, inner }, &mut outcome);
-                    self.ignored_mobility += outcome.unhandled.len() as u64;
-                    self.outcome = outcome;
-                }
-            }
-            Message::Mobility(m) => {
-                // This wrapper predates the mobility integration of its
-                // group log; buffer ops arrive via submit_buffer_op.
-                let _ = m;
-                self.ignored_mobility += 1;
-            }
-            // Application-level and client-bound messages are not broker
-            // business; they are silently ignored if misdelivered.
-            Message::AppPublish { .. }
-            | Message::AppSubscribe { .. }
-            | Message::AppUnsubscribe { .. }
-            | Message::Deliver { .. } => {}
-        }
     }
 }
 
@@ -400,7 +246,26 @@ impl Node<Message> for ReplicatedBrokerNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
-        self.dispatch(ctx, from, msg);
+        if let Message::Replica(rm) = msg {
+            self.driver.on_replica_msg(from, rm);
+            self.pump(ctx);
+            return;
+        }
+        self.outcome.clear();
+        // hot-path: begin — what a notification runs through here: the
+        // core's read path, then the fan-out of its local deliveries. Must
+        // never touch the replica, the op log or any lock.
+        let op = self.core.classify(ctx, from, msg, &mut self.outcome);
+        for d in self.outcome.deliveries.drain(..) {
+            ctx.send(d.node, Message::Deliver { client: d.client, notification: d.notification });
+        }
+        // hot-path: end
+        // This wrapper hosts no mobility layer.
+        self.ignored_mobility += self.outcome.unhandled.len() as u64;
+        if let Some(op) = op {
+            self.driver.submit(op);
+            self.pump(ctx);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Message>, _timer: TimerId, tag: u64) {

@@ -10,24 +10,17 @@
 //! `tests/shard_equivalence.rs` — identical to the unsharded one: sharding
 //! changes *where* matching happens, never *what* matches.
 //!
-//! Two execution styles share the same partitioning:
-//!
-//! * [`ShardedRouter`] — the shards fanned over **in-line**, in shard
-//!   order. This is what [`BrokerCore`](crate::BrokerCore) embeds: it keeps
-//!   the deterministic simulator replayable and the steady-state route path
-//!   allocation-free (one key scratch, reused across shards; one normalise
-//!   pass at the end).
-//! * [`ParallelRouter`] — the same shards moved onto a
-//!   [`ShardPool`](rebeca_net::ShardPool), one worker thread owning each
-//!   shard, for live threaded deployments where N cores should match
-//!   concurrently.
+//! [`ShardedRouter`] fans the shards over **in-line**, in shard order. This
+//! is what [`BrokerCore`](crate::BrokerCore) embeds: it keeps the
+//! deterministic simulator replayable and the steady-state route path
+//! allocation-free (one key scratch, reused across shards; one normalise
+//! pass at the end).
 
 use crate::table::{ClientEntry, RouteDecision, RouteScratch, RoutingTable, TableDelta};
 use rebeca_core::{ClientId, Digest, Filter, Notification, SharedInterner, SubscriptionId};
-use rebeca_net::{NodeId, ShardPool};
+use rebeca_net::NodeId;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// A broker's routing state partitioned into N digest-range shards.
@@ -255,263 +248,6 @@ impl ShardedRouter {
         scratch.finish();
     }
     // hot-path: end
-
-    /// Consumes the router into its shard tables (for moving them onto a
-    /// [`ShardPool`], see [`ParallelRouter`]). The subscription→shard map
-    /// travels alongside in [`ParallelRouter`]; raw shards are also useful
-    /// to harnesses.
-    pub fn into_parts(self) -> (Vec<RoutingTable>, HashMap<(ClientId, SubscriptionId), u32>) {
-        (self.shards, self.sub_home)
-    }
-}
-
-/// One shard's raw contribution to a parallel routing decision.
-type ShardMatches = (Vec<(ClientId, NodeId)>, Vec<NodeId>);
-
-/// One parallel worker's owned state: its shard table plus a persistent
-/// per-worker [`RouteScratch`]. The scratch keeps the match-key buffer —
-/// and, inside the table's match index, the cached interner snapshot —
-/// warm across route calls, so a worker's steady-state matching touches no
-/// shared state at all: no lock, no refcount bump, just its own shard.
-struct ShardSlot {
-    table: RoutingTable,
-    scratch: RouteScratch,
-}
-
-/// The live-runtime sharded router: the same digest-range shards as
-/// [`ShardedRouter`], but each owned by a [`ShardPool`] worker thread, so
-/// [`ParallelRouter::route`] matches on N cores **concurrently**.
-///
-/// Mutations are mailed to the owning shard (one channel round-trip);
-/// routing scatters the notification to every worker and merges the
-/// replies. This trades per-call channel traffic for multi-core matching —
-/// the right trade for the live [`ThreadRuntime`](rebeca_net::ThreadRuntime)
-/// with large tables, and the wrong one for the deterministic simulator,
-/// which keeps the in-line [`ShardedRouter`]. Decisions are identical
-/// between the two by construction (same shards, same merge; asserted by
-/// the `parallel_router_agrees_with_sequential` test).
-pub struct ParallelRouter {
-    pool: ShardPool<ShardSlot>,
-    sub_home: HashMap<(ClientId, SubscriptionId), u32>,
-    shard_count: usize,
-    /// Long-lived reply channel for [`ParallelRouter::route_into`] — one
-    /// per router instead of one per call.
-    results: (mpsc::Sender<ShardMatches>, mpsc::Receiver<ShardMatches>),
-    /// Recycled reply-buffer pairs: drained into the caller's scratch and
-    /// handed back to the next batch of route jobs, so a warm route path
-    /// reuses its decision buffers instead of allocating per shard.
-    spare: Vec<ShardMatches>,
-}
-
-impl fmt::Debug for ParallelRouter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelRouter").field("shards", &self.shard_count).finish()
-    }
-}
-
-impl ParallelRouter {
-    /// Moves a (possibly pre-loaded) sequential router onto worker threads.
-    pub fn spawn(router: ShardedRouter) -> Self {
-        let (shards, sub_home) = router.into_parts();
-        let shard_count = shards.len();
-        let slots = shards
-            .into_iter()
-            .map(|table| ShardSlot { table, scratch: RouteScratch::new() })
-            .collect();
-        ParallelRouter {
-            pool: ShardPool::new(slots),
-            sub_home,
-            shard_count,
-            results: mpsc::channel(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// Number of shards (= worker threads).
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    fn home(&self, digest: Digest) -> usize {
-        digest.shard(self.shard_count)
-    }
-
-    /// Registers a client behind `node` in every shard.
-    pub fn attach_client(&mut self, client: ClientId, node: NodeId) {
-        self.pool
-            .run_all(|_| Box::new(move |slot| slot.table.attach_client(client, node)))
-            .expect("shard worker died: pool poisoned");
-    }
-
-    /// Adds (or replaces) a client subscription; same shard-routing rules
-    /// and delta semantics as [`ShardedRouter::subscribe_client`].
-    pub fn subscribe_client(
-        &mut self,
-        client: ClientId,
-        sub: SubscriptionId,
-        filter: Filter,
-    ) -> TableDelta {
-        let home = self.home(filter.digest());
-        // `tx` moves into the closure: if the job dies before replying the
-        // channel disconnects and the recv below fails loudly instead of
-        // blocking forever.
-        let (tx, rx) = mpsc::channel();
-        self.pool
-            .run_on(
-                home,
-                Box::new(move |slot| {
-                    if slot.table.client(client).is_none() {
-                        let _ = tx.send((false, TableDelta::default()));
-                    } else {
-                        let _ = tx.send((true, slot.table.subscribe_client(client, sub, filter)));
-                    }
-                }),
-            )
-            .expect("shard worker died: pool poisoned");
-        let (attached, mut delta) = rx.recv().expect("shard worker replied");
-        if !attached {
-            return TableDelta::default();
-        }
-        if self.shard_count == 1 {
-            // Like the in-line router, a single shard needs no ownership
-            // bookkeeping (and pre-spawn subscriptions have none).
-            return delta;
-        }
-        if let Some(&old) = self.sub_home.get(&(client, sub)) {
-            if old as usize != home {
-                let (tx, rx) = mpsc::channel();
-                self.pool
-                    .run_on(
-                        old as usize,
-                        Box::new(move |slot| {
-                            let _ = tx.send(slot.table.unsubscribe_client(client, sub));
-                        }),
-                    )
-                    .expect("shard worker died: pool poisoned");
-                let mut retracted = rx.recv().expect("shard worker replied");
-                delta.removed.append(&mut retracted.removed);
-            }
-        }
-        self.sub_home.insert((client, sub), home as u32);
-        delta
-    }
-
-    /// Removes a client subscription from its owning shard.
-    pub fn unsubscribe_client(&mut self, client: ClientId, sub: SubscriptionId) -> TableDelta {
-        let home = if self.shard_count == 1 {
-            0
-        } else {
-            match self.sub_home.remove(&(client, sub)) {
-                Some(home) => home as usize,
-                None => return TableDelta::default(),
-            }
-        };
-        let (tx, rx) = mpsc::channel();
-        self.pool
-            .run_on(
-                home,
-                Box::new(move |slot| {
-                    let _ = tx.send(slot.table.unsubscribe_client(client, sub));
-                }),
-            )
-            .expect("shard worker died: pool poisoned");
-        rx.recv().expect("shard worker replied")
-    }
-
-    /// Records a filter announced by a neighbour broker.
-    pub fn neighbor_subscribe(&mut self, node: NodeId, filter: Filter) -> TableDelta {
-        let home = self.home(filter.digest());
-        let (tx, rx) = mpsc::channel();
-        self.pool
-            .run_on(
-                home,
-                Box::new(move |slot| {
-                    let _ = tx.send(slot.table.neighbor_subscribe(node, filter));
-                }),
-            )
-            .expect("shard worker died: pool poisoned");
-        rx.recv().expect("shard worker replied")
-    }
-
-    /// Removes a neighbour's filter by digest.
-    pub fn neighbor_unsubscribe(&mut self, node: NodeId, digest: Digest) -> TableDelta {
-        let home = self.home(digest);
-        let (tx, rx) = mpsc::channel();
-        self.pool
-            .run_on(
-                home,
-                Box::new(move |slot| {
-                    let _ = tx.send(slot.table.neighbor_unsubscribe(node, digest));
-                }),
-            )
-            .expect("shard worker died: pool poisoned");
-        rx.recv().expect("shard worker replied")
-    }
-
-    /// The routing decision for a notification, matched by all shard
-    /// workers concurrently and merged into the canonical (sorted,
-    /// deduplicated) form — identical to what [`ShardedRouter::route`]
-    /// computes in-line. Allocating convenience form of
-    /// [`ParallelRouter::route_into`].
-    pub fn route(&mut self, n: &Arc<Notification>) -> RouteDecision {
-        let mut scratch = RouteScratch::new();
-        self.route_into(n, &mut scratch);
-        RouteDecision { clients: scratch.clients, neighbors: scratch.neighbors }
-    }
-
-    /// Computes the routing decision into a reusable scratch (cleared
-    /// first). Each worker matches against its own shard with its own
-    /// persistent buffers and cached interner snapshot, and the reply
-    /// buffers are recycled across calls — a warm route fan-out shares
-    /// only the notification `Arc` and allocates nothing beyond the boxed
-    /// job closures.
-    pub fn route_into(&mut self, n: &Arc<Notification>, scratch: &mut RouteScratch) {
-        let (tx, rx) = &self.results;
-        let spare = &mut self.spare;
-        self.pool
-            .run_all(|_| {
-                let n = Arc::clone(n);
-                let tx = tx.clone();
-                let (mut clients, mut neighbors) = spare.pop().unwrap_or_default();
-                Box::new(move |slot| {
-                    clients.clear();
-                    neighbors.clear();
-                    // The worker-owned key buffer is the one that grows with
-                    // the match count; it stays warm across calls.
-                    slot.table.route_append(
-                        &n,
-                        &mut slot.scratch.keys,
-                        &mut clients,
-                        &mut neighbors,
-                    );
-                    let _ = tx.send((clients, neighbors));
-                })
-            })
-            .expect("shard worker died: pool poisoned");
-        // `run_all` blocks until every job completed, so all replies are
-        // already queued — and it reported any dead worker above, so every
-        // reply a healthy worker queued is here.
-        scratch.clients.clear();
-        scratch.neighbors.clear();
-        for _ in 0..self.shard_count {
-            let (mut clients, mut neighbors) = rx.try_recv().expect("shard worker replied");
-            // `append` drains the reply buffers, so they go back into the
-            // spare pool empty but with their capacity intact.
-            scratch.clients.append(&mut clients);
-            scratch.neighbors.append(&mut neighbors);
-            self.spare.push((clients, neighbors));
-        }
-        scratch.finish();
-    }
-
-    /// Stops the workers and reassembles the sequential router (e.g. to
-    /// hand the state back to a simulator-driven harness).
-    pub fn join(self) -> ShardedRouter {
-        ShardedRouter {
-            shards: self.pool.join().into_iter().map(|slot| slot.table).collect(),
-            sub_home: self.sub_home,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -623,44 +359,5 @@ mod tests {
         let d = r.route(&n);
         assert_eq!(d.clients, scratch.clients);
         assert_eq!(d.neighbors, scratch.neighbors);
-    }
-
-    /// The pool-backed router and the in-line router compute identical
-    /// decisions and deltas for the same op sequence — the live runtime's
-    /// concurrency changes nothing about routing semantics.
-    #[test]
-    fn parallel_router_agrees_with_sequential() {
-        let mut seq = ShardedRouter::new(4);
-        let mut par = ParallelRouter::spawn(ShardedRouter::new(4));
-        assert_eq!(par.shard_count(), 4);
-        let c = ClientId::new(3);
-        let nb = NodeId::new(9);
-        seq.attach_client(c, NodeId::new(20));
-        par.attach_client(c, NodeId::new(20));
-        for i in 0..16i64 {
-            let a = seq.subscribe_client(c, SubscriptionId::new(i as u32), f("x", i));
-            let b = par.subscribe_client(c, SubscriptionId::new(i as u32), f("x", i));
-            assert_eq!(a.added.len(), b.added.len());
-        }
-        seq.neighbor_subscribe(nb, f("x", 4));
-        par.neighbor_subscribe(nb, f("x", 4));
-        // Replacement that crosses shards, and a retraction.
-        seq.subscribe_client(c, SubscriptionId::new(2), f("x", 30));
-        par.subscribe_client(c, SubscriptionId::new(2), f("x", 30));
-        assert_eq!(
-            seq.unsubscribe_client(c, SubscriptionId::new(5)).removed.len(),
-            par.unsubscribe_client(c, SubscriptionId::new(5)).removed.len()
-        );
-        for i in 0..32i64 {
-            let n = Arc::new(note(&[("x", i)]));
-            assert_eq!(seq.route(&n), par.route(&n), "x={i}");
-        }
-        seq.neighbor_unsubscribe(nb, f("x", 4).digest());
-        par.neighbor_unsubscribe(nb, f("x", 4).digest());
-        let n = Arc::new(note(&[("x", 4)]));
-        assert_eq!(seq.route(&n), par.route(&n));
-        // The workers hand the state back intact.
-        let rejoined = par.join();
-        assert_eq!(rejoined.entry_count(), seq.entry_count());
     }
 }

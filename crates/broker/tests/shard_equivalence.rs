@@ -16,9 +16,10 @@
 //! proptest-generated churn.
 
 use proptest::prelude::*;
-use rebeca_broker::{BrokerCore, Message, Outcome, RoutingStrategy};
+use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
 use rebeca_core::{
-    BrokerId, ClientId, Digest, Filter, Notification, SharedInterner, SimTime, SubscriptionId,
+    BrokerId, ClientId, Digest, Filter, Notification, SharedInterner, SimTime, Subscription,
+    SubscriptionId,
 };
 use rebeca_net::{Ctx, NodeId, Topology};
 use std::sync::Arc;
@@ -119,15 +120,21 @@ fn apply(c: &mut BrokerCore, op: &Op) -> (Vec<Wire>, Vec<(ClientId, NodeId)>) {
     let client_node = |c: u32| NodeId::new(10 + c);
     let nb_node = |second: bool| if second { NodeId::new(2) } else { NodeId::new(0) };
     match op {
-        Op::Attach(cl) => c.attach_client(ClientId::new(*cl), client_node(*cl)),
+        Op::Attach(cl) => {
+            let op = BrokerOp::ClientAttach { client: ClientId::new(*cl), node: client_node(*cl) };
+            c.apply(&mut ctx, op);
+        }
         Op::Subscribe(cl, s, f) => {
-            c.attach_client(ClientId::new(*cl), client_node(*cl));
-            c.subscribe_client(&mut ctx, ClientId::new(*cl), SubscriptionId::new(*s), f.clone());
+            let subscription =
+                Subscription::new(SubscriptionId::new(*s), ClientId::new(*cl), f.clone());
+            c.apply(&mut ctx, BrokerOp::Subscribe { node: client_node(*cl), subscription });
         }
         Op::Unsubscribe(cl, s) => {
-            c.unsubscribe_client(&mut ctx, ClientId::new(*cl), SubscriptionId::new(*s));
+            let op =
+                BrokerOp::Unsubscribe { client: ClientId::new(*cl), id: SubscriptionId::new(*s) };
+            c.apply(&mut ctx, op);
         }
-        Op::Detach(cl) => c.detach_client(&mut ctx, ClientId::new(*cl)),
+        Op::Detach(cl) => c.apply(&mut ctx, BrokerOp::ClientDetach { client: ClientId::new(*cl) }),
         Op::NeighborSub(nb, f) => {
             let msg = Message::SubForward { filter: f.clone() };
             c.handle_into(&mut ctx, nb_node(*nb), msg, &mut out);

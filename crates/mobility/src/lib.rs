@@ -37,7 +37,6 @@ pub mod buffer;
 pub mod client;
 pub mod context;
 pub mod location;
-pub mod logged;
 pub mod movement;
 pub mod paging;
 pub mod physical;
@@ -47,7 +46,6 @@ pub use buffer::{BufferSpec, ReplayBuffer, SharedBuffer};
 pub use client::{ClientMobilityMode, MobileClientNode};
 pub use context::ContextMap;
 pub use location::LocationMap;
-pub use logged::LoggedBuffers;
 pub use movement::MovementGraph;
 pub use paging::{pages, DEFAULT_MAX_BATCH_BYTES};
 pub use physical::{MobileBrokerConfig, MobileBrokerNode, RelocationBuffers};

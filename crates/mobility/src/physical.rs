@@ -27,7 +27,7 @@
 //! pre-subscriptions improve on.
 
 use crate::location::LocationMap;
-use rebeca_broker::{BrokerCore, Message, MobilityMsg, Outcome};
+use rebeca_broker::{BrokerCore, BrokerOp, Message, MobilityMsg, Outcome};
 use rebeca_core::{BrokerId, ClientId, Notification, SimDuration, SimTime, Subscription};
 use rebeca_net::{Ctx, Node, NodeId};
 use std::collections::HashMap;
@@ -224,12 +224,38 @@ impl MobileBrokerNode {
     }
 
     /// Resolves a subscription for installation at *this* broker.
-    fn localize(&self, sub: &Subscription) -> Subscription {
+    fn localize(&self, sub: Subscription) -> Subscription {
         if self.config.resolve_myloc {
-            self.locations.resolve_subscription(sub, self.my_id())
+            self.locations.resolve_subscription(&sub, self.my_id())
         } else {
-            sub.clone()
+            sub
         }
+    }
+
+    /// The mobility layer's share of a mutation — track the client's
+    /// device for connection-awareness, localize a subscription — and then
+    /// the routing core's one [`BrokerCore::apply`].
+    fn apply(&mut self, ctx: &mut Ctx<'_, Message>, op: BrokerOp) {
+        let op = match op {
+            BrokerOp::ClientAttach { client, node } => {
+                self.devices.insert(client, node);
+                op
+            }
+            BrokerOp::ClientDetach { client } => {
+                self.devices.remove(&client);
+                op
+            }
+            BrokerOp::Subscribe { node, subscription } => {
+                self.devices.insert(subscription.client(), node);
+                BrokerOp::Subscribe { node, subscription: self.localize(subscription) }
+            }
+            BrokerOp::Unsubscribe { .. }
+            | BrokerOp::NeighborSubscribe { .. }
+            | BrokerOp::NeighborUnsubscribe { .. }
+            | BrokerOp::LinkUp { .. }
+            | BrokerOp::LinkDown { .. } => op,
+        };
+        self.core.apply(ctx, op);
     }
 
     fn deliver_or_buffer(
@@ -260,11 +286,9 @@ impl MobileBrokerNode {
     fn handle_mobility(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: MobilityMsg) {
         match msg {
             MobilityMsg::MoveIn { client, old_border, subscriptions, epoch: _ } => {
-                self.devices.insert(client, from);
-                self.core.attach_client(client, from);
-                for sub in &subscriptions {
-                    let local = self.localize(sub);
-                    self.core.subscribe_client(ctx, client, local.id(), local.into_filter());
+                self.apply(ctx, BrokerOp::ClientAttach { client, node: from });
+                for subscription in subscriptions {
+                    self.apply(ctx, BrokerOp::Subscribe { node: from, subscription });
                 }
                 match old_border {
                     Some(old) if old == self.my_id() => {
@@ -346,39 +370,20 @@ impl Node<Message> for MobileBrokerNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
-        // Intercept client-facing messages that need mobility-aware
-        // handling; everything else goes to the routing core.
-        match msg {
-            Message::ClientAttach { client } => {
-                self.devices.insert(client, from);
-                self.core.attach_client(client, from);
-            }
-            Message::ClientDetach { client } => {
-                self.devices.remove(&client);
-                let out = self.core.handle(ctx, from, Message::ClientDetach { client });
-                debug_assert!(out.deliveries.is_empty());
-            }
-            Message::Subscribe { subscription } => {
-                let local = self.localize(&subscription);
-                self.devices.insert(local.client(), from);
-                self.core.attach_client(local.client(), from);
-                self.core.subscribe_client(ctx, local.client(), local.id(), local.into_filter());
-            }
-            other => {
-                // Reusable buffer: capacity survives across messages, so
-                // the steady-state dispatch loop allocates nothing.
-                let mut outcome = std::mem::take(&mut self.outcome);
-                outcome.clear();
-                self.core.handle_into(ctx, from, other, &mut outcome);
-                for d in outcome.deliveries.drain(..) {
-                    self.deliver_or_buffer(ctx, d.client, d.node, d.notification);
-                }
-                for (peer, m) in outcome.unhandled.drain(..) {
-                    self.handle_mobility(ctx, peer, m);
-                }
-                self.outcome = outcome;
-            }
+        // Reusable buffer: capacity survives across messages, so the
+        // steady-state dispatch loop allocates nothing.
+        let mut outcome = std::mem::take(&mut self.outcome);
+        outcome.clear();
+        if let Some(op) = self.core.classify(ctx, from, msg, &mut outcome) {
+            self.apply(ctx, op);
         }
+        for d in outcome.deliveries.drain(..) {
+            self.deliver_or_buffer(ctx, d.client, d.node, d.notification);
+        }
+        for (peer, m) in outcome.unhandled.drain(..) {
+            self.handle_mobility(ctx, peer, m);
+        }
+        self.outcome = outcome;
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Message>, _timer: rebeca_net::TimerId, tag: u64) {
@@ -387,7 +392,7 @@ impl Node<Message> for MobileBrokerNode {
             // signal completion to the new border.
             let client = ClientId::new((tag - DRAIN_TAG_BASE) as u32);
             if let Some(new_border) = self.reloc.finish_drain(client) {
-                self.core.detach_client(ctx, client);
+                self.core.apply(ctx, BrokerOp::ClientDetach { client });
                 let done = Message::Mobility(MobilityMsg::BufferedBatch {
                     client,
                     notifications: Vec::new(),
@@ -401,8 +406,7 @@ impl Node<Message> for MobileBrokerNode {
         let expired = self.reloc.expire(ctx.now(), self.config.relocation_ttl);
         for client in expired {
             // Degraded service after long disconnection: drop state.
-            self.devices.remove(&client);
-            self.core.detach_client(ctx, client);
+            self.apply(ctx, BrokerOp::ClientDetach { client });
         }
         ctx.set_timer(self.config.sweep_interval, SWEEP_TAG);
     }

@@ -34,10 +34,10 @@
 pub mod link;
 pub mod metrics;
 pub mod node;
+mod node_loop;
 pub mod process_rt;
 pub mod rng;
 pub mod send_buffer;
-pub mod shard_pool;
 pub mod supervisor;
 mod sync;
 pub mod thread_rt;
@@ -51,7 +51,6 @@ pub use node::{Ctx, Node, NodeId, Payload, TimerId};
 pub use process_rt::{LinkMetricsHandle, PeerId, PeerStatus, ProcessRuntime, PEER_SEND_CAPACITY};
 pub use rng::SplitMix64;
 pub use send_buffer::{LinkClosed, SendBuffer};
-pub use shard_pool::{ShardJob, ShardPool, ShardPoolPoisoned};
 pub use supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
 pub use thread_rt::ThreadRuntime;
 pub use topology::{Topology, TopologyError};

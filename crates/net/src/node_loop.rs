@@ -1,0 +1,184 @@
+//! The node message/timer loop shared by the live runtimes.
+//!
+//! [`ThreadRuntime`](crate::ThreadRuntime) and
+//! [`ProcessRuntime`](crate::ProcessRuntime) drive a [`Node`] the same way:
+//! one OS thread per node, an inbox of [`Envelope`]s, a wall-clock timer
+//! heap, and a shared [`LinkSet`] consulted at send time ("unplugged cable":
+//! a send across a down link is silently dropped). They differ only in
+//! where a permitted send goes — a plain channel, or a sink table that may
+//! frame the message onto a peer socket — so [`run_node`] takes that step
+//! as a monomorphised closure and everything else lives here once.
+
+use crate::node::{Action, Ctx, Node, NodeId, Payload, TimerId};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
+use parking_lot::RwLock;
+use rebeca_core::SimTime;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// What a node thread's inbox carries.
+pub(crate) enum Envelope<M> {
+    Msg {
+        from: NodeId,
+        msg: M,
+    },
+    /// Wake-up so link changes are observed promptly.
+    SetLinkNotice,
+    /// Supervisor verdict on a peer process: every node in `nodes` (the
+    /// nodes hosted behind one peer link) became unreachable or reachable
+    /// again. Dispatched to the node's `on_peer_change`, once per entry.
+    /// Only the multi-process runtime has a supervisor to send it.
+    PeerChange {
+        nodes: Arc<Vec<NodeId>>,
+        up: bool,
+    },
+    Stop,
+}
+
+/// The directed link pairs of one runtime, shared by all its threads.
+#[derive(Debug, Default)]
+pub(crate) struct LinkSet {
+    pub(crate) up: HashSet<(NodeId, NodeId)>,
+    /// Every pair ever connected or flipped — the universe the process
+    /// supervisor re-broadcasts to a restarted peer so it converges on our
+    /// view.
+    pub(crate) known: HashSet<(NodeId, NodeId)>,
+}
+
+impl LinkSet {
+    /// Marks the bidirectional link `a`–`b` up or down.
+    pub(crate) fn set(&mut self, a: NodeId, b: NodeId, up: bool) {
+        for pair in [(a, b), (b, a)] {
+            self.known.insert(pair);
+            if up {
+                self.up.insert(pair);
+            } else {
+                self.up.remove(&pair);
+            }
+        }
+    }
+}
+
+/// Ordered by deadline, then by id (ids are unique per node, so `tag`
+/// never decides).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct PendingTimer {
+    at: SimTime,
+    id: TimerId,
+    tag: u64,
+}
+
+/// One node thread's state between handler invocations.
+struct NodeLoop<M: Payload, S> {
+    node: Box<dyn Node<M>>,
+    me: NodeId,
+    t0: Instant,
+    links: Arc<RwLock<LinkSet>>,
+    send: S,
+    next_timer: u64,
+    /// Min-heap: the earliest deadline pops first.
+    timers: BinaryHeap<Reverse<PendingTimer>>,
+    pending: HashSet<u64>,
+    cancelled: HashSet<u64>,
+}
+
+impl<M: Payload, S: FnMut(NodeId, M)> NodeLoop<M, S> {
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.t0.elapsed().as_micros() as u64)
+    }
+
+    /// Runs one handler invocation and applies its actions.
+    fn invoke(&mut self, f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {
+        let me = self.me;
+        let links = &self.links;
+        let link_up = |a: NodeId, b: NodeId| links.read().up.contains(&(a, b));
+        let mut ctx = Ctx {
+            now: self.now(),
+            me,
+            actions: Vec::new(),
+            next_timer: &mut self.next_timer,
+            link_up: &link_up,
+        };
+        f(self.node.as_mut(), &mut ctx);
+        for a in ctx.actions {
+            match a {
+                Action::Send { to, msg } => {
+                    // Send-time link check: a down link silently drops the
+                    // message, like an unplugged cable.
+                    if link_up(me, to) {
+                        (self.send)(to, msg);
+                    }
+                }
+                Action::SetTimer { at, id, tag } => {
+                    self.pending.insert(id.0);
+                    self.timers.push(Reverse(PendingTimer { at, id, tag }));
+                }
+                Action::CancelTimer(id) => {
+                    // Only pending timers are recorded — cancelling a fired
+                    // timer must not grow the set forever (see World::apply).
+                    if self.pending.remove(&id.0) {
+                        self.cancelled.insert(id.0);
+                    }
+                }
+            }
+        }
+    }
+
+    fn fire_due_timers(&mut self) {
+        let now = self.now();
+        while self.timers.peek().is_some_and(|head| head.0.at <= now) {
+            let Reverse(t) = self.timers.pop().expect("peeked");
+            self.pending.remove(&t.id.0);
+            if !self.cancelled.remove(&t.id.0) {
+                self.invoke(|n, ctx| n.on_timer(ctx, t.id, t.tag));
+            }
+        }
+    }
+}
+
+/// Drives `node` until a [`Envelope::Stop`] arrives (or every sender is
+/// gone) and hands it back. `send(to, msg)` executes a send the link set
+/// permitted; `now` is wall-clock time since `t0`.
+pub(crate) fn run_node<M: Payload>(
+    node: Box<dyn Node<M>>,
+    me: NodeId,
+    rx: Receiver<Envelope<M>>,
+    links: Arc<RwLock<LinkSet>>,
+    t0: Instant,
+    send: impl FnMut(NodeId, M),
+) -> Box<dyn Node<M>> {
+    let mut lp = NodeLoop {
+        node,
+        me,
+        t0,
+        links,
+        send,
+        next_timer: 0,
+        timers: BinaryHeap::new(),
+        pending: HashSet::new(),
+        cancelled: HashSet::new(),
+    };
+    lp.invoke(|n, ctx| n.on_start(ctx));
+    loop {
+        lp.fire_due_timers();
+        // Wait for the next message or timer deadline.
+        let timeout = match lp.timers.peek() {
+            Some(t) => {
+                Duration::from_micros(t.0.at.as_micros().saturating_sub(lp.now().as_micros()))
+            }
+            None => Duration::from_millis(50),
+        };
+        match rx.recv_timeout(timeout) {
+            Ok(Envelope::Msg { from, msg }) => lp.invoke(|n, ctx| n.on_message(ctx, from, msg)),
+            Ok(Envelope::PeerChange { nodes, up }) => {
+                for peer in nodes.iter() {
+                    lp.invoke(|n, ctx| n.on_peer_change(ctx, *peer, up));
+                }
+            }
+            Ok(Envelope::SetLinkNotice) | Err(RecvTimeoutError::Timeout) => {}
+            Ok(Envelope::Stop) | Err(RecvTimeoutError::Disconnected) => return lp.node,
+        }
+    }
+}

@@ -49,15 +49,14 @@
 //! [`set_reconnect_policy`]: ProcessRuntime::set_reconnect_policy
 
 use crate::metrics::{LinkCounters, LinkMetrics};
-use crate::node::{Action, Ctx, Node, NodeId, Payload, TimerId};
+use crate::node::{Node, NodeId, Payload};
+use crate::node_loop::{run_node, Envelope, LinkSet};
 use crate::rng::SplitMix64;
 use crate::send_buffer::SendBuffer;
 use crate::supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
 use crate::wire::{encode_frame, Frame, FrameReassembler, Wire};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use rebeca_core::SimTime;
-use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::io::{Read, Write};
 use std::os::unix::fs::FileTypeExt;
@@ -71,22 +70,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerId(usize);
 
-enum Envelope<M> {
-    Msg {
-        from: NodeId,
-        msg: M,
-    },
-    SetLinkNotice, // wake-up so link changes are observed promptly
-    /// Supervisor verdict on a peer process: every node in `nodes` (the
-    /// nodes hosted behind one peer link) became unreachable or reachable
-    /// again. Dispatched to each local node's `on_peer_change`.
-    PeerChange {
-        nodes: Arc<Vec<NodeId>>,
-        up: bool,
-    },
-    Stop,
-}
-
 /// Events flowing from a link's service threads to the supervisor.
 enum SupEvent {
     /// The winning down report of one peer link epoch (see
@@ -94,14 +77,6 @@ enum SupEvent {
     Down { peer: usize, cause: LinkDownCause },
     /// The runtime is stopping: tear every link down and exit.
     Stop,
-}
-
-#[derive(Debug, Default)]
-struct LinkSet {
-    up: HashSet<(NodeId, NodeId)>,
-    /// Every pair ever connected or flipped — the universe the supervisor
-    /// re-broadcasts to a restarted peer so it converges on our view.
-    known: HashSet<(NodeId, NodeId)>,
 }
 
 /// Externally visible state of one peer link, kept current by the
@@ -255,11 +230,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
     /// Installs a bidirectional link (initially up), in this process's
     /// view. Every process must make the same `connect` calls.
     pub fn connect(&mut self, a: NodeId, b: NodeId) {
-        let mut l = self.links.write();
-        l.up.insert((a, b));
-        l.up.insert((b, a));
-        l.known.insert((a, b));
-        l.known.insert((b, a));
+        self.links.write().set(a, b, true);
     }
 
     /// Binds a UDS listener at `path` and accepts exactly one peer
@@ -457,7 +428,25 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                 let links = Arc::clone(&self.links);
                 let handle = std::thread::Builder::new()
                     .name(format!("rebeca-pnode-{i}"))
-                    .spawn(move || run_node(node, me, rx, sinks, buffers, links, t0))
+                    .spawn(move || {
+                        run_node(node, me, rx, links, t0, move |to: NodeId, msg: M| {
+                            match sinks.get(to.raw() as usize) {
+                                Some(Sink::Local(tx)) => {
+                                    let _ = tx.send(Envelope::Msg { from: me, msg });
+                                }
+                                Some(Sink::Remote(peer)) => {
+                                    let mut payload = Vec::new();
+                                    msg.encode_into(&mut payload);
+                                    let mut bytes = Vec::new();
+                                    encode_frame(&Frame::Msg { from: me, to, payload }, &mut bytes);
+                                    // Blocking push: a full peer buffer is
+                                    // backpressure on this node thread.
+                                    let _ = buffers[peer.0].push(&bytes);
+                                }
+                                None => {}
+                            }
+                        })
+                    })
                     .expect("spawn node thread");
                 self.node_handles.push(handle);
             }
@@ -467,7 +456,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
     /// Marks a link up or down in this process, propagates the flip to
     /// every peer, and nudges the local endpoints.
     pub fn set_link_up(&self, a: NodeId, b: NodeId, up: bool) {
-        apply_link(&self.links, a, b, up);
+        self.links.write().set(a, b, up);
         let mut bytes = Vec::new();
         encode_frame(&Frame::SetLink { a, b, up }, &mut bytes);
         for peer in &self.peers {
@@ -592,19 +581,6 @@ fn connect_error_is_fatal(kind: std::io::ErrorKind) -> bool {
     )
 }
 
-fn apply_link(links: &Arc<RwLock<LinkSet>>, a: NodeId, b: NodeId, up: bool) {
-    let mut l = links.write();
-    l.known.insert((a, b));
-    l.known.insert((b, a));
-    if up {
-        l.up.insert((a, b));
-        l.up.insert((b, a));
-    } else {
-        l.up.remove(&(a, b));
-        l.up.remove(&(b, a));
-    }
-}
-
 /// The supervisor's view of one peer link.
 struct SupPeer {
     /// The initial connection, consumed by the first bring-up.
@@ -726,12 +702,9 @@ impl<M: Payload + Wire> Supervisor<M> {
             }
             crossing
         };
-        for tx in self.senders.iter().flatten() {
-            let _ = tx.send(Envelope::SetLinkNotice);
-        }
         // Failure-detector verdict to every local node: the nodes behind
         // this peer are unreachable until the link restarts (the
-        // replication layer's view-change trigger).
+        // replication layer's view-change trigger). It also wakes them.
         let down_nodes = Arc::new(self.peers[i].behind.clone());
         for tx in self.senders.iter().flatten() {
             let _ = tx.send(Envelope::PeerChange { nodes: Arc::clone(&down_nodes), up: false });
@@ -860,9 +833,6 @@ impl<M: Payload + Wire> Supervisor<M> {
             st.up = true;
             st.restarts += 1;
         }
-        for tx in self.senders.iter().flatten() {
-            let _ = tx.send(Envelope::SetLinkNotice);
-        }
         let up_nodes = Arc::new(self.peers[i].behind.clone());
         for tx in self.senders.iter().flatten() {
             let _ = tx.send(Envelope::PeerChange { nodes: Arc::clone(&up_nodes), up: true });
@@ -947,7 +917,7 @@ fn drain_frames<M: Payload + Wire>(
                 }
             }
             Ok(Some(Frame::SetLink { a, b, up })) => {
-                apply_link(links, a, b, up);
+                links.write().set(a, b, up);
                 for id in [a, b] {
                     if let Some(Some(tx)) = senders.get(id.raw() as usize) {
                         let _ = tx.send(Envelope::SetLinkNotice);
@@ -1000,196 +970,10 @@ fn reader_loop<M: Payload + Wire>(
     }
 }
 
-struct PendingTimer {
-    at: SimTime,
-    id: TimerId,
-    tag: u64,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// The node message/timer loop — the threaded runtime's loop with the sink
-/// table (local inbox vs. peer frame) in place of plain channel sends.
-fn run_node<M: Payload + Wire>(
-    mut node: Box<dyn Node<M>>,
-    me: NodeId,
-    rx: Receiver<Envelope<M>>,
-    sinks: Arc<Vec<Sink<M>>>,
-    buffers: Arc<Vec<SendBuffer>>,
-    links: Arc<RwLock<LinkSet>>,
-    t0: Instant,
-) -> Box<dyn Node<M>> {
-    let mut next_timer: u64 = 0;
-    let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
-    let mut pending: HashSet<u64> = HashSet::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    let now_fn = |t0: Instant| SimTime::from_micros(t0.elapsed().as_micros() as u64);
-
-    // Helper that runs one handler invocation and applies its actions.
-    #[allow(clippy::too_many_arguments)]
-    fn invoke<M: Payload + Wire>(
-        node: &mut dyn Node<M>,
-        me: NodeId,
-        now: SimTime,
-        next_timer: &mut u64,
-        timers: &mut BinaryHeap<PendingTimer>,
-        pending: &mut HashSet<u64>,
-        cancelled: &mut HashSet<u64>,
-        sinks: &[Sink<M>],
-        buffers: &[SendBuffer],
-        links: &Arc<RwLock<LinkSet>>,
-        f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>),
-    ) {
-        let links_ref = Arc::clone(links);
-        let link_up = move |a: NodeId, b: NodeId| links_ref.read().up.contains(&(a, b));
-        let mut ctx = Ctx { now, me, actions: Vec::new(), next_timer, link_up: &link_up };
-        f(node, &mut ctx);
-        let actions = std::mem::take(&mut ctx.actions);
-        drop(ctx);
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => {
-                    // Send-time link check, identical to the threaded
-                    // runtime: a down link silently drops the message.
-                    let up = links.read().up.contains(&(me, to));
-                    if up {
-                        match sinks.get(to.raw() as usize) {
-                            Some(Sink::Local(tx)) => {
-                                let _ = tx.send(Envelope::Msg { from: me, msg });
-                            }
-                            Some(Sink::Remote(peer)) => {
-                                let mut payload = Vec::new();
-                                msg.encode_into(&mut payload);
-                                let mut bytes = Vec::new();
-                                encode_frame(&Frame::Msg { from: me, to, payload }, &mut bytes);
-                                // Blocking push: a full peer buffer is
-                                // backpressure on this node thread.
-                                let _ = buffers[peer.0].push(&bytes);
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                Action::SetTimer { at, id, tag } => {
-                    pending.insert(id.0);
-                    timers.push(PendingTimer { at, id, tag });
-                }
-                Action::CancelTimer(id) => {
-                    if pending.remove(&id.0) {
-                        cancelled.insert(id.0);
-                    }
-                }
-            }
-        }
-    }
-
-    invoke(
-        node.as_mut(),
-        me,
-        now_fn(t0),
-        &mut next_timer,
-        &mut timers,
-        &mut pending,
-        &mut cancelled,
-        &sinks,
-        &buffers,
-        &links,
-        |n, ctx| n.on_start(ctx),
-    );
-
-    loop {
-        // Fire due timers.
-        let now = now_fn(t0);
-        while let Some(head) = timers.peek() {
-            if head.at > now {
-                break;
-            }
-            let t = timers.pop().expect("peeked");
-            pending.remove(&t.id.0);
-            if cancelled.remove(&t.id.0) {
-                continue;
-            }
-            invoke(
-                node.as_mut(),
-                me,
-                now_fn(t0),
-                &mut next_timer,
-                &mut timers,
-                &mut pending,
-                &mut cancelled,
-                &sinks,
-                &buffers,
-                &links,
-                |n, ctx| n.on_timer(ctx, t.id, t.tag),
-            );
-        }
-        // Wait for the next message or timer deadline.
-        let timeout = timers
-            .peek()
-            .map(|t| {
-                let now = now_fn(t0);
-                Duration::from_micros(t.at.as_micros().saturating_sub(now.as_micros()))
-            })
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Envelope::Msg { from, msg }) => {
-                invoke(
-                    node.as_mut(),
-                    me,
-                    now_fn(t0),
-                    &mut next_timer,
-                    &mut timers,
-                    &mut pending,
-                    &mut cancelled,
-                    &sinks,
-                    &buffers,
-                    &links,
-                    |n, ctx| n.on_message(ctx, from, msg),
-                );
-            }
-            Ok(Envelope::SetLinkNotice) => {}
-            Ok(Envelope::PeerChange { nodes, up }) => {
-                for n in nodes.iter() {
-                    invoke(
-                        node.as_mut(),
-                        me,
-                        now_fn(t0),
-                        &mut next_timer,
-                        &mut timers,
-                        &mut pending,
-                        &mut cancelled,
-                        &sinks,
-                        &buffers,
-                        &links,
-                        |nd, ctx| nd.on_peer_change(ctx, *n, up),
-                    );
-                }
-            }
-            Ok(Envelope::Stop) => return node,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return node,
-        }
-    }
-}
-
 #[cfg(all(test, not(rebeca_verify)))]
 mod tests {
     use super::*;
+    use crate::node::Ctx;
     use rebeca_core::CoreError;
     use std::any::Any;
 

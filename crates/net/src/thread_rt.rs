@@ -8,25 +8,15 @@
 //! the protocol layer is runtime-agnostic; quantitative experiments use the
 //! deterministic [`World`](crate::World).
 
-use crate::node::{Action, Ctx, Node, NodeId, Payload, TimerId};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::node::{Node, NodeId, Payload};
+use crate::node_loop::{run_node, Envelope, LinkSet};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
-use rebeca_core::SimTime;
-use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-enum Envelope<M> {
-    Msg { from: NodeId, msg: M },
-    SetLinkNotice, // wake-up so link changes are observed promptly
-    Stop,
-}
-
-#[derive(Debug, Default)]
-struct LinkSet {
-    up: HashSet<(NodeId, NodeId)>,
-}
+type Inbox<M> = Receiver<Envelope<M>>;
 
 /// Builder + handle for a threaded deployment of nodes.
 ///
@@ -40,9 +30,9 @@ struct LinkSet {
 /// [`send_external`]: ThreadRuntime::send_external
 /// [`stop`]: ThreadRuntime::stop
 pub struct ThreadRuntime<M: Payload> {
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
+    /// Each node with its inbox, until `start` moves them onto threads.
+    nodes: Vec<(Box<dyn Node<M>>, Inbox<M>)>,
     senders: Vec<Sender<Envelope<M>>>,
-    receivers: Vec<Option<Receiver<Envelope<M>>>>,
     links: Arc<RwLock<LinkSet>>,
     handles: Vec<std::thread::JoinHandle<Box<dyn Node<M>>>>,
     started: bool,
@@ -63,7 +53,6 @@ impl<M: Payload> ThreadRuntime<M> {
         ThreadRuntime {
             nodes: Vec::new(),
             senders: Vec::new(),
-            receivers: Vec::new(),
             links: Arc::new(RwLock::new(LinkSet::default())),
             handles: Vec::new(),
             started: false,
@@ -77,34 +66,22 @@ impl<M: Payload> ThreadRuntime<M> {
     /// Panics if the runtime has already started.
     pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
         assert!(!self.started, "cannot add nodes after start");
-        let id = NodeId::new(self.nodes.len() as u32);
+        let id = NodeId::new(self.senders.len() as u32);
         let (tx, rx) = unbounded();
-        self.nodes.push(Some(node));
+        self.nodes.push((node, rx));
         self.senders.push(tx);
-        self.receivers.push(Some(rx));
         id
     }
 
     /// Installs a bidirectional link (initially up).
     pub fn connect(&mut self, a: NodeId, b: NodeId) {
-        let mut l = self.links.write();
-        l.up.insert((a, b));
-        l.up.insert((b, a));
+        self.links.write().set(a, b, true);
     }
 
     /// Marks a link up or down; nodes observe the change on their next
     /// action.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        {
-            let mut l = self.links.write();
-            if up {
-                l.up.insert((a, b));
-                l.up.insert((b, a));
-            } else {
-                l.up.remove(&(a, b));
-                l.up.remove(&(b, a));
-            }
-        }
+        self.links.write().set(a, b, up);
         for id in [a, b] {
             if let Some(tx) = self.senders.get(id.raw() as usize) {
                 let _ = tx.send(Envelope::SetLinkNotice);
@@ -121,15 +98,19 @@ impl<M: Payload> ThreadRuntime<M> {
         assert!(!self.started, "already started");
         self.started = true;
         let t0 = Instant::now();
-        for i in 0..self.nodes.len() {
-            let node = self.nodes[i].take().expect("node present before start");
-            let rx = self.receivers[i].take().expect("receiver present");
+        for (i, (node, rx)) in self.nodes.drain(..).enumerate() {
             let senders = self.senders.clone();
             let links = Arc::clone(&self.links);
             let me = NodeId::new(i as u32);
             let handle = std::thread::Builder::new()
                 .name(format!("rebeca-node-{i}"))
-                .spawn(move || run_node(node, me, rx, senders, links, t0))
+                .spawn(move || {
+                    run_node(node, me, rx, links, t0, move |to: NodeId, msg| {
+                        if let Some(tx) = senders.get(to.raw() as usize) {
+                            let _ = tx.send(Envelope::Msg { from: me, msg });
+                        }
+                    })
+                })
                 .expect("spawn node thread");
             self.handles.push(handle);
         }
@@ -158,168 +139,13 @@ impl<M: Payload> Default for ThreadRuntime<M> {
     }
 }
 
-// The shard fan-out pool used to live here; it moved to its own module so
-// it can compile against the model-checker shims (see `crate::sync`). The
-// re-export keeps `thread_rt::ShardPool` paths working.
-pub use crate::shard_pool::{ShardJob, ShardPool, ShardPoolPoisoned};
-
-struct PendingTimer {
-    at: SimTime,
-    id: TimerId,
-    tag: u64,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-fn run_node<M: Payload>(
-    mut node: Box<dyn Node<M>>,
-    me: NodeId,
-    rx: Receiver<Envelope<M>>,
-    senders: Vec<Sender<Envelope<M>>>,
-    links: Arc<RwLock<LinkSet>>,
-    t0: Instant,
-) -> Box<dyn Node<M>> {
-    let mut next_timer: u64 = 0;
-    let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
-    let mut pending: HashSet<u64> = HashSet::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    let now_fn = |t0: Instant| SimTime::from_micros(t0.elapsed().as_micros() as u64);
-
-    // Helper that runs one handler invocation and applies its actions.
-    #[allow(clippy::too_many_arguments)]
-    fn invoke<M: Payload>(
-        node: &mut dyn Node<M>,
-        me: NodeId,
-        now: SimTime,
-        next_timer: &mut u64,
-        timers: &mut BinaryHeap<PendingTimer>,
-        pending: &mut HashSet<u64>,
-        cancelled: &mut HashSet<u64>,
-        senders: &[Sender<Envelope<M>>],
-        links: &Arc<RwLock<LinkSet>>,
-        f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>),
-    ) {
-        let links_ref = Arc::clone(links);
-        let link_up = move |a: NodeId, b: NodeId| links_ref.read().up.contains(&(a, b));
-        let mut ctx = Ctx { now, me, actions: Vec::new(), next_timer, link_up: &link_up };
-        f(node, &mut ctx);
-        let actions = std::mem::take(&mut ctx.actions);
-        drop(ctx);
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => {
-                    let up = links.read().up.contains(&(me, to));
-                    if up {
-                        if let Some(tx) = senders.get(to.raw() as usize) {
-                            let _ = tx.send(Envelope::Msg { from: me, msg });
-                        }
-                    }
-                    // else: dropped, like an unplugged cable.
-                }
-                Action::SetTimer { at, id, tag } => {
-                    pending.insert(id.0);
-                    timers.push(PendingTimer { at, id, tag });
-                }
-                Action::CancelTimer(id) => {
-                    // Only pending timers are recorded — cancelling a fired
-                    // timer must not grow the set forever (see World::apply).
-                    if pending.remove(&id.0) {
-                        cancelled.insert(id.0);
-                    }
-                }
-            }
-        }
-    }
-
-    invoke(
-        node.as_mut(),
-        me,
-        now_fn(t0),
-        &mut next_timer,
-        &mut timers,
-        &mut pending,
-        &mut cancelled,
-        &senders,
-        &links,
-        |n, ctx| n.on_start(ctx),
-    );
-
-    loop {
-        // Fire due timers.
-        let now = now_fn(t0);
-        while let Some(head) = timers.peek() {
-            if head.at > now {
-                break;
-            }
-            let t = timers.pop().expect("peeked");
-            pending.remove(&t.id.0);
-            if cancelled.remove(&t.id.0) {
-                continue;
-            }
-            invoke(
-                node.as_mut(),
-                me,
-                now_fn(t0),
-                &mut next_timer,
-                &mut timers,
-                &mut pending,
-                &mut cancelled,
-                &senders,
-                &links,
-                |n, ctx| n.on_timer(ctx, t.id, t.tag),
-            );
-        }
-        // Wait for the next message or timer deadline.
-        let timeout = timers
-            .peek()
-            .map(|t| {
-                let now = now_fn(t0);
-                Duration::from_micros(t.at.as_micros().saturating_sub(now.as_micros()))
-            })
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Envelope::Msg { from, msg }) => {
-                invoke(
-                    node.as_mut(),
-                    me,
-                    now_fn(t0),
-                    &mut next_timer,
-                    &mut timers,
-                    &mut pending,
-                    &mut cancelled,
-                    &senders,
-                    &links,
-                    |n, ctx| n.on_message(ctx, from, msg),
-                );
-            }
-            Ok(Envelope::SetLinkNotice) => {}
-            Ok(Envelope::Stop) => return node,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return node,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{Ctx, TimerId};
     use rebeca_core::SimDuration;
     use std::any::Any;
+    use std::time::Duration;
 
     #[derive(Debug)]
     struct Tick(u64);
@@ -381,9 +207,9 @@ mod tests {
         rt.connect(a, b);
         // Wire the peers before start (nodes owned until start).
         {
-            let pa = rt.nodes[a.raw() as usize].as_mut().unwrap();
+            let pa = &mut rt.nodes[a.raw() as usize].0;
             pa.as_any_mut().downcast_mut::<PingPong>().unwrap().peer = Some(b);
-            let pb = rt.nodes[b.raw() as usize].as_mut().unwrap();
+            let pb = &mut rt.nodes[b.raw() as usize].0;
             pb.as_any_mut().downcast_mut::<PingPong>().unwrap().peer = Some(a);
         }
         rt.start();
@@ -413,7 +239,7 @@ mod tests {
         let b = rt.add_node(Box::new(PingPong { max_hops: 10, ..Default::default() }));
         rt.connect(a, b);
         {
-            let pa = rt.nodes[a.raw() as usize].as_mut().unwrap();
+            let pa = &mut rt.nodes[a.raw() as usize].0;
             pa.as_any_mut().downcast_mut::<PingPong>().unwrap().peer = Some(b);
         }
         rt.set_link_up(a, b, false);

@@ -1,13 +1,14 @@
 //! `rebeca-verify` — bounded exhaustive-interleaving model checker for the
 //! rebeca broker's hot-path concurrency protocols.
 //!
-//! PRs 4–5 made the broker core genuinely concurrent: an RCU snapshot
-//! interner (clone-and-install writer, generation-revalidated reader
-//! caches) and a `ShardPool` barrier fanning routing across worker
-//! threads. Their safety arguments were backed by stress tests, which
-//! sample a handful of interleavings. This crate checks them *all* (within
-//! a preemption bound), loom-style — and since the workspace is offline
-//! and cannot vendor loom, it is a purpose-built mini implementation:
+//! The broker's concurrent pieces — the RCU snapshot interner
+//! (clone-and-install writer, generation-revalidated reader caches), the
+//! bounded `SendBuffer`, link-lifecycle epoch arbitration, the replica
+//! group's view change — rest on safety arguments that stress tests only
+//! sample a handful of interleavings of. This crate checks them *all*
+//! (within a preemption bound), loom-style — and since the workspace is
+//! offline and cannot vendor loom, it is a purpose-built mini
+//! implementation:
 //!
 //! * [`shim`] — drop-in `AtomicU64`/`AtomicUsize`/`AtomicBool` (explicit
 //!   orderings honored under a store-buffer-style weak-memory model),

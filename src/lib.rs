@@ -135,15 +135,9 @@
 //! route path is preserved for every shard count (asserted by the
 //! allocation-regression test at shards = 4).
 //!
-//! In the deterministic simulator the shards are fanned over in-line
-//! ([`broker::ShardedRouter`]); a live threaded deployment can move the
-//! same shards onto one worker thread each
-//! ([`broker::ParallelRouter`] over [`net::ShardPool`]) so a multi-core
-//! broker matches concurrently. Since the snapshot interner, the parallel
-//! route path shares **nothing** between workers beyond the notification
-//! `Arc`: each worker owns its shard, its scratch buffers and its cached
-//! interner snapshot (the `parallel_route` bench measures the fan-out at
-//! shard counts {1, 2, 4, 8}).
+//! The shards are fanned over in-line, in shard order
+//! ([`broker::ShardedRouter`]), in every runtime: one broker is one node
+//! thread, and the decision is deterministic whatever the shard count.
 //!
 //! ## Subscription churn at 10⁵ filters
 //!
@@ -194,10 +188,14 @@
 //! A supervised link heals the wires after a broker process is killed,
 //! but the reborn process would come back with an empty routing table.
 //! [`SystemBuilder::replication`] arms the broker-state replication layer
-//! ([`broker::replication`]): every broker's table and mobility-buffer
-//! mutations become a deterministic op log replicated across a group of
-//! `group_size` members with viewstamped-replication-style primary/backup
-//! semantics. The per-notification route path never touches the log (the
+//! ([`broker::replication`]). A broker has **one mutation seam**:
+//! [`broker::BrokerCore::classify`] turns a message into a
+//! [`broker::BrokerOp`] and [`broker::BrokerCore::apply`] is the only
+//! place an op touches the routing table. A plain or mobile broker applies
+//! the op on the spot; a replicated one submits the same op to a log
+//! replicated across a group of `group_size` members with
+//! viewstamped-replication-style primary/backup semantics and applies it
+//! on commit. The per-notification route path never touches the log (the
 //! allocation-regression suite asserts zero steady-state allocations with
 //! replication enabled; `BENCH_replication_pr10.json` records that
 //! publish throughput is unchanged while churn pays the quorum round
@@ -266,7 +264,7 @@ use rebeca_broker::replication::{
 };
 use rebeca_broker::{BrokerCore, BrokerNode, ClientNode, LocalBroker};
 use rebeca_mobility::{MobileBrokerNode, MobileClientNode, ReplicatorNode};
-use rebeca_net::{LinkConfig, NodeId, World};
+use rebeca_net::{LinkConfig, Node, NodeId, World};
 use std::sync::Arc;
 
 /// Which mobility layers are deployed.
@@ -311,6 +309,37 @@ fn default_shard_count() -> usize {
             Ok(n) if n >= 1 => n,
             _ => panic!("REBECA_SHARDS must be a positive integer (1 = unsharded), got {v:?}"),
         },
+    }
+}
+
+/// Node ids of broker `b`'s replica group in a tier of `n` brokers with
+/// groups of `g`: the broker itself, then its `g - 1` log backups. Backup
+/// `j` lives at node `n + b*(g-1) + j` — the backups are appended directly
+/// after the broker tier, so client numbering is the same whether or not
+/// replication is on, and every build path (and every process of a
+/// partitioned build) derives the same ids.
+fn replica_group(n: usize, g: usize, b: usize) -> Vec<NodeId> {
+    let mut group = vec![NodeId::new(b as u32)];
+    group.extend((0..g - 1).map(|j| NodeId::new((n + b * (g - 1) + j) as u32)));
+    group
+}
+
+/// The immobile broker node around `core`. This is where a deployment
+/// chooses what happens to a broker's mutations: with replication on they
+/// are submitted to the broker's replica group and applied on commit,
+/// otherwise applied at once.
+fn static_broker_node(
+    core: BrokerCore,
+    n: usize,
+    g: usize,
+    metrics: Option<&Arc<ReplicationMetrics>>,
+) -> Box<dyn Node<Message>> {
+    match metrics {
+        Some(metrics) => {
+            let group = replica_group(n, g, core.id().raw() as usize);
+            Box::new(ReplicatedBrokerNode::new(core, group, Arc::clone(metrics)))
+        }
+        None => Box::new(BrokerNode::new(core)),
     }
 }
 
@@ -532,14 +561,6 @@ impl SystemBuilder {
         let interner = Arc::new(SharedInterner::new());
         let g = self.replication;
         let replication_metrics = (g > 1).then(|| Arc::new(ReplicationMetrics::default()));
-        // Backup j of broker b lives at node n + b*(g-1) + j, appended
-        // directly after the broker tier so client numbering stays the
-        // same whether or not replication is on.
-        let group_of = |b: usize| -> Vec<NodeId> {
-            let mut group = vec![NodeId::new(b as u32)];
-            group.extend((0..g - 1).map(|j| NodeId::new((n + b * (g - 1) + j) as u32)));
-            group
-        };
         for b in topology.brokers() {
             let core = BrokerCore::with_shards(
                 b,
@@ -557,18 +578,9 @@ impl SystemBuilder {
                         cfg.clone(),
                     )));
                 }
-                _ => match &replication_metrics {
-                    Some(metrics) => {
-                        world.add_node(Box::new(ReplicatedBrokerNode::new(
-                            core,
-                            group_of(b.raw() as usize),
-                            Arc::clone(metrics),
-                        )));
-                    }
-                    None => {
-                        world.add_node(Box::new(BrokerNode::new(core)));
-                    }
-                },
+                _ => {
+                    world.add_node(static_broker_node(core, n, g, replication_metrics.as_ref()));
+                }
             }
         }
         for (a, b) in topology.edges() {
@@ -582,7 +594,7 @@ impl SystemBuilder {
         // Replica-group backups with a full link mesh per group.
         if let Some(metrics) = &replication_metrics {
             for b in 0..n {
-                let group = group_of(b);
+                let group = replica_group(n, g, b);
                 for j in 1..g {
                     let id = world.add_node(Box::new(ReplicaNode::new(
                         group.clone(),
@@ -704,16 +716,10 @@ impl SystemBuilder {
         let interner = Arc::new(SharedInterner::new());
         let g = self.replication;
         let replication_metrics = (g > 1).then(|| Arc::new(ReplicationMetrics::default()));
-        // Same placement formula as the simulator build: backup p of
-        // broker b (group position p ∈ 1..g) is node n + b*(g-1) + (p-1),
-        // hosted by the process of broker (b+p) mod n — each group member
-        // lives in a *different* process, so one process death never takes
-        // a quorum down.
-        let group_of = |b: usize| -> Vec<NodeId> {
-            let mut group = vec![NodeId::new(b as u32)];
-            group.extend((0..g - 1).map(|j| NodeId::new((n + b * (g - 1) + j) as u32)));
-            group
-        };
+        // Same group node ids as the simulator build; the member at group
+        // position p ∈ 1..g is hosted by the process of broker (b+p) mod n —
+        // each group member lives in a *different* process, so one process
+        // death never takes a quorum down.
         let mut ids = Vec::with_capacity(n);
         for b in topology.brokers() {
             if hosted.contains(&b) {
@@ -725,14 +731,8 @@ impl SystemBuilder {
                     Arc::clone(&interner),
                     self.shards,
                 );
-                match &replication_metrics {
-                    Some(metrics) => ids.push(rt.add_local(Box::new(ReplicatedBrokerNode::new(
-                        core,
-                        group_of(b.raw() as usize),
-                        Arc::clone(metrics),
-                    )))),
-                    None => ids.push(rt.add_local(Box::new(BrokerNode::new(core)))),
-                }
+                let node = static_broker_node(core, n, g, replication_metrics.as_ref());
+                ids.push(rt.add_local(node));
             } else {
                 let peer = peer_of(b).ok_or_else(|| {
                     RebecaError::InvalidDeployment(format!(
@@ -744,7 +744,7 @@ impl SystemBuilder {
         }
         if let Some(metrics) = &replication_metrics {
             for b in 0..n {
-                let group = group_of(b);
+                let group = replica_group(n, g, b);
                 for p in 1..g {
                     let host = BrokerId::new(((b + p) % n) as u32);
                     let id = if hosted.contains(&host) {
@@ -772,7 +772,7 @@ impl SystemBuilder {
         // Full link mesh inside each replica group.
         if replication_metrics.is_some() {
             for b in 0..n {
-                let group = group_of(b);
+                let group = replica_group(n, g, b);
                 for i in 0..g {
                     for k in (i + 1)..g {
                         rt.connect(group[i], group[k]);
@@ -1227,16 +1227,19 @@ impl System {
     /// Returns [`RebecaError::UnknownBroker`] if `broker` is outside the
     /// topology.
     pub fn broker_stats(&self, broker: BrokerId) -> Result<BrokerStats, RebecaError> {
+        Ok(self.broker_core(broker)?.stats())
+    }
+
+    /// The routing core of one broker, whichever node type hosts it.
+    fn broker_core(&self, broker: BrokerId) -> Result<&BrokerCore, RebecaError> {
         let node = self.broker_nodes[self.check_broker(broker)?];
-        if let Some(b) = self.world.node_as::<BrokerNode>(node) {
-            Ok(b.core().stats())
-        } else if let Some(b) = self.world.node_as::<MobileBrokerNode>(node) {
-            Ok(b.core().stats())
-        } else if let Some(b) = self.world.node_as::<ReplicatedBrokerNode>(node) {
-            Ok(b.core().stats())
-        } else {
-            Ok(BrokerStats::default())
-        }
+        let w = &self.world;
+        let core = w
+            .node_as::<BrokerNode>(node)
+            .map(BrokerNode::core)
+            .or_else(|| w.node_as::<MobileBrokerNode>(node).map(MobileBrokerNode::core))
+            .or_else(|| w.node_as::<ReplicatedBrokerNode>(node).map(ReplicatedBrokerNode::core));
+        Ok(core.expect("build() hosts every broker's core in one of these three node types"))
     }
 
     /// Routing-table size (entries) of one broker.
@@ -1246,16 +1249,7 @@ impl System {
     /// Returns [`RebecaError::UnknownBroker`] if `broker` is outside the
     /// topology.
     pub fn table_size(&self, broker: BrokerId) -> Result<usize, RebecaError> {
-        let node = self.broker_nodes[self.check_broker(broker)?];
-        if let Some(b) = self.world.node_as::<BrokerNode>(node) {
-            Ok(b.core().router().entry_count())
-        } else if let Some(b) = self.world.node_as::<MobileBrokerNode>(node) {
-            Ok(b.core().router().entry_count())
-        } else if let Some(b) = self.world.node_as::<ReplicatedBrokerNode>(node) {
-            Ok(b.core().router().entry_count())
-        } else {
-            Ok(0)
-        }
+        Ok(self.broker_core(broker)?.router().entry_count())
     }
 
     /// Sum of routing-table sizes over all brokers.
