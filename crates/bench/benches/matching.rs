@@ -31,29 +31,91 @@ fn notification(i: u64) -> Notification {
         .publish(ClientId::new(0), i, SimTime::ZERO)
 }
 
+const ATTRS: [&str; 6] = ["a0", "a1", "a2", "a3", "a4", "a5"];
+
+/// The `match-heavy` shape of the end-to-end benchmark (`bench/`): eq ∧
+/// range ∧ in-set over three of six attributes, every value in `0..16`.
+fn match_heavy_filters(n: usize) -> Vec<Filter> {
+    (0..n as i64)
+        .map(|i| {
+            let lo = (i / 7) % 11;
+            Filter::builder()
+                .eq(ATTRS[(i % 6) as usize], (i / 6) % 16)
+                .between(ATTRS[((i + 1 + i / 96 % 2) % 6) as usize], lo, lo + 5)
+                .one_of(
+                    ATTRS[((i + 3 + i / 192 % 3) % 6) as usize],
+                    (0..4).map(|k| (i + 3 * k) % 16),
+                )
+                .build()
+        })
+        .collect()
+}
+
+fn match_heavy_notification(i: u64) -> Notification {
+    let mut b = Notification::builder();
+    for (a, name) in ATTRS.into_iter().enumerate() {
+        b = b.attr(name, ((i * 7 + a as u64 * 5 + i / 16) % 16) as i64);
+    }
+    b.publish(ClientId::new(0), i, SimTime::ZERO)
+}
+
+fn index_of(filters: &[Filter]) -> MatchIndex<SubscriptionId> {
+    let mut index = MatchIndex::new();
+    for (i, f) in filters.iter().enumerate() {
+        index.insert(SubscriptionId::new(i as u32), f.clone());
+    }
+    index
+}
+
+/// Times the index the way a broker uses it: notifications built
+/// beforehand, keys into a buffer that keeps its capacity.
+fn bench_index(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    n: usize,
+    index: &MatchIndex<SubscriptionId>,
+    notes: &[Notification],
+) {
+    let mut hits = Vec::new();
+    group.bench_with_input(BenchmarkId::new("value-index", n), &n, |b, _| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            index.matching_into(&notes[i % notes.len()], &mut hits);
+            black_box(hits.len())
+        });
+    });
+}
+
 fn bench_match_index(c: &mut Criterion) {
+    let notes: Vec<_> = (0..256).map(notification).collect();
     let mut group = c.benchmark_group("matching");
     for n in [100usize, 1000, 5000] {
-        let filters = build_filters(n);
-        let mut index = MatchIndex::new();
-        for (i, f) in filters.iter().enumerate() {
-            index.insert(SubscriptionId::new(i as u32), f.clone());
-        }
+        let index = index_of(&build_filters(n));
         group.throughput(Throughput::Elements(1));
-        group.bench_with_input(BenchmarkId::new("counting-index", n), &n, |b, _| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                black_box(index.matching(&notification(i)))
-            });
-        });
+        bench_index(&mut group, n, &index, &notes);
         group.bench_with_input(BenchmarkId::new("linear-scan", n), &n, |b, _| {
-            let mut i = 0u64;
+            let mut i = 0usize;
             b.iter(|| {
                 i += 1;
-                black_box(index.scan_matching(&notification(i)))
+                black_box(index.scan_matching(&notes[i % notes.len()]))
             });
         });
+    }
+    group.finish();
+}
+
+/// Ten times the table, ten times the matches — and the time per call
+/// follows the matches, because the candidates are the filters that share
+/// a value with the notification.
+fn bench_match_heavy(c: &mut Criterion) {
+    let notes: Vec<_> = (0..256).map(match_heavy_notification).collect();
+    let mut group = c.benchmark_group("matching/match-heavy");
+    for n in [5_000usize, 50_000] {
+        let index = index_of(&match_heavy_filters(n));
+        let matched: usize = notes.iter().map(|n| index.matching(n).len()).sum();
+        println!("matching/match-heavy/{n}: {:.1} matches per call", matched as f64 / 256.0);
+        group.throughput(Throughput::Elements(1));
+        bench_index(&mut group, n, &index, &notes);
     }
     group.finish();
 }
@@ -91,5 +153,11 @@ fn bench_covering_checks(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_match_index, bench_insert_remove, bench_covering_checks);
+criterion_group!(
+    benches,
+    bench_match_index,
+    bench_match_heavy,
+    bench_insert_remove,
+    bench_covering_checks
+);
 criterion_main!(benches);

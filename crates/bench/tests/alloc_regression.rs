@@ -11,39 +11,48 @@
 //! * [`ReplicatedBrokerNode`] dispatch — the same route path behind PR 10's
 //!   op-log replication wrapper, table populated through a live group of 3.
 //!
-//! Everything lives in **one** `#[test]` so no parallel test thread can
-//! allocate concurrently and pollute the counter.
+//! The counter is per thread: the test harness's own thread allocates
+//! while the test runs (about one run in thirty saw it inside a measured
+//! loop when the counter was global).
 
 use rebeca_broker::replication::{
     Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicatedBrokerNode, ReplicationMetrics,
 };
 use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
 use rebeca_core::{
-    BrokerId, ClientId, Filter, Notification, SharedInterner, SimTime, Subscription, SubscriptionId,
+    BrokerId, ClientId, Filter, LocationId, Notification, SharedInterner, SimTime, Subscription,
+    SubscriptionId,
 };
 use rebeca_mobility::BufferSpec;
 use rebeca_net::{Ctx, Node, NodeId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counts every allocation (alloc + realloc) passing through the global
-/// allocator.
+/// Counts every allocation (alloc + realloc) the calling thread passes
+/// through the global allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor outlives its thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down may allocate after its locals are gone;
+    // nothing measures that thread any more.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
+// thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards `layout` unchanged to the system allocator, which
     // upholds the GlobalAlloc contract for it.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // ordering: Relaxed — a monotonically increasing event counter;
-        // the test reads it from the same thread that allocates, so no
-        // cross-thread ordering is needed.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -56,8 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same delegation as `alloc`/`dealloc`; the system allocator
     // upholds the realloc contract for a pointer it handed out.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // ordering: Relaxed — same single-threaded event counter as `alloc`.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -66,9 +74,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    // ordering: Relaxed — read on the allocating thread itself; the test
-    // only compares counts taken on one thread.
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Shuttles replica traffic between a [`ReplicatedBrokerNode`] and a set
@@ -120,12 +126,26 @@ fn steady_state_pipeline_allocates_nothing() {
         Ctx::standalone(SimTime::ZERO, NodeId::new(1), &mut next_timer, &link_up);
 
     // Local subscribers plus neighbour announcements, spread over a few
-    // attributes so matching exercises multi-constraint counting.
-    for i in 0..48u32 {
-        let client = ClientId::new(i % 6);
-        let filter = Filter::builder().eq("service", "t").eq("room", (i % 12) as i64).build();
-        let subscription = Subscription::new(SubscriptionId::new(i), client, filter);
-        core.apply(&mut ctx, BrokerOp::Subscribe { node: NodeId::new(10 + (i % 6)), subscription });
+    // attributes so every candidate is verified against a second
+    // constraint, plus one set and one location-set filter: the
+    // value-keyed lookup (`Eq`, `In`, `InLocations`) is the path held to
+    // zero — an index that built a key buffer per lookup would fail here.
+    let subscriptions = || {
+        let rooms = (0..48u32)
+            .map(|i| Filter::builder().eq("service", "t").eq("room", (i % 12) as i64).build());
+        let sets = [
+            Filter::builder().one_of("room", [3i64, 7]).build(),
+            Filter::builder().in_locations("location", [4, 5].map(LocationId::new)).build(),
+        ];
+        rooms.chain(sets).enumerate().map(|(i, filter)| {
+            let i = i as u32;
+            let subscription =
+                Subscription::new(SubscriptionId::new(i), ClientId::new(i % 6), filter);
+            BrokerOp::Subscribe { node: NodeId::new(10 + (i % 6)), subscription }
+        })
+    };
+    for op in subscriptions() {
+        core.apply(&mut ctx, op);
     }
     // Both neighbours announce interest; the arrival link (node 0) is
     // excluded from forwarding, so every routed notification goes to
@@ -138,6 +158,7 @@ fn steady_state_pipeline_allocates_nothing() {
         Notification::builder()
             .attr("service", "t")
             .attr("room", 3i64)
+            .attr("location", LocationId::new(4))
             .attr("celsius", 21i64)
             .publish(ClientId::new(99), 0, SimTime::ZERO),
     );
@@ -150,7 +171,11 @@ fn steady_state_pipeline_allocates_nothing() {
         out.clear();
         core.route_notification_into(&mut ctx, NodeId::new(0), Arc::clone(&n), &mut out);
     }
-    assert!(!out.deliveries.is_empty(), "the notification matches local subscribers");
+    assert_eq!(
+        out.deliveries.len(),
+        3,
+        "the room subscribers' client, the set filter's and the location-set filter's"
+    );
     assert!(ctx.action_count() > 0, "the notification is forwarded onwards");
 
     // Measured: zero heap allocations across many routed notifications.
@@ -175,12 +200,8 @@ fn steady_state_pipeline_allocates_nothing() {
         4,
     );
     assert_eq!(sharded.shard_count(), 4);
-    for i in 0..48u32 {
-        let client = ClientId::new(i % 6);
-        let filter = Filter::builder().eq("service", "t").eq("room", (i % 12) as i64).build();
-        let subscription = Subscription::new(SubscriptionId::new(i), client, filter);
-        sharded
-            .apply(&mut ctx, BrokerOp::Subscribe { node: NodeId::new(10 + (i % 6)), subscription });
+    for op in subscriptions() {
+        sharded.apply(&mut ctx, op);
     }
     let announced = Filter::builder().eq("service", "t").build();
     sharded.handle(&mut ctx, NodeId::new(0), Message::SubForward { filter: announced.clone() });

@@ -7,7 +7,7 @@
 //!   broker, and the mobility sub-protocol interpreted by the mobility
 //!   crate's wrappers);
 //! * [`RoutingStrategy`] — flooding / simple / covering / merging;
-//! * [`RoutingTable`] — `(Filter, Link)` entries backed by the counting
+//! * [`RoutingTable`] — `(Filter, Link)` entries backed by the value-keyed
 //!   match index;
 //! * [`ShardedRouter`] — the same routing state partitioned into
 //!   filter-digest-range shards, fanned over in-line, with decisions

@@ -293,9 +293,9 @@ impl RoutingTable {
     // with a warm scratch, no locks; enforced by `cargo run -p xtask -- lint`)
     /// Computes the routing decision into a reusable scratch (cleared
     /// first). With a warm scratch this performs **zero** heap allocation
-    /// per notification: matching uses the index's generation-stamped
-    /// counters, and the decision buffers retain their capacity across
-    /// calls.
+    /// per notification: the index walks its buckets without any
+    /// per-call state, and the decision buffers retain their capacity
+    /// across calls.
     pub fn route_into(&self, n: &Notification, scratch: &mut RouteScratch) {
         scratch.clients.clear();
         scratch.neighbors.clear();

@@ -15,8 +15,10 @@
 //!   may contain the `myloc` marker ([`Predicate::MyLoc`]) which makes the
 //!   subscription *location-dependent*; the mobility layer resolves the
 //!   marker to a concrete location set for the client's current position.
-//! * [`MatchIndex`] — the counting-based matching algorithm used by broker
-//!   routing tables and local delivery.
+//! * [`MatchIndex`] — the value-keyed matching index used by broker routing
+//!   tables and local delivery: each filter is filed under one of its
+//!   constraints (by value when it has a `==`/`∈` one), and a
+//!   notification's candidates are verified in full.
 //!
 //! The crate is deliberately free of any I/O or runtime concern so the same
 //! types drive the deterministic simulator and the threaded live runtime.

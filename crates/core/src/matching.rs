@@ -1,30 +1,57 @@
-//! The counting-based matching index.
+//! The value-keyed matching index.
 //!
 //! Brokers must decide, for every incoming notification, which routing-table
-//! entries (and which locally attached clients) it matches. The classic
-//! algorithm for conjunctive content filters is *counting*: index every
-//! constraint under its attribute; evaluate, per notification, only the
-//! constraints whose attribute actually occurs; a filter matches when its
-//! satisfied-constraint count reaches the filter's total constraint count.
+//! entries (and which locally attached clients) it matches. A filter is a
+//! conjunction, so it can only match a notification that satisfies any
+//! *one* of its constraints — and when that constraint is `attr == v`,
+//! `attr ∈ {v, …}` or `attr ∈ locations`, the notifications that satisfy it
+//! are exactly those carrying one of a few known values. The index uses
+//! that:
 //!
-//! This implementation is built for the hot path:
+//! * **Filing.** Every non-empty filter is filed under exactly **one** of
+//!   its constraints, its *access constraint*. If the filter has
+//!   value-keyed constraints ([`Predicate::Eq`], [`Predicate::In`],
+//!   [`Predicate::InLocations`]), it is filed under the one whose buckets
+//!   hold the fewest filters at insert time — `service == s ∧ room == r`
+//!   lands under `room`, not under the value every subscriber shares — in
+//!   one bucket per value, keyed per attribute by the value's canonical
+//!   digest. Otherwise it goes on the *residual* list of its first
+//!   constraint's attribute.
+//! * **Matching.** For each attribute a notification carries, the
+//!   candidates are that attribute's residual list plus the one bucket the
+//!   attribute's value selects. A filter is filed once and a notification
+//!   has one value per attribute, so no filter is a candidate twice.
+//! * **Verification.** Being a candidate says one constraint is *probably*
+//!   satisfied (bucket keys are digests: unequal values may share one) and
+//!   nothing about the others, so every candidate is checked against
+//!   **all** of its constraints before it is reported.
 //!
-//! * attribute names are interned to dense [`Symbol`]s, so the
-//!   per-notification work is array indexing, not string hashing;
-//! * filters live in dense slots; the per-notification counters are a
-//!   generation-stamped scratch buffer that is reused across calls —
-//!   [`MatchIndex::matching_into`] performs **zero** heap allocation per
-//!   notification;
-//! * [`MatchIndex::matches_any`] returns as soon as the first filter is
-//!   satisfied.
+//! The per-notification cost is therefore the number of filters that share
+//! a value with the notification, not the size of the table. What stays
+//! linear is the residual list: a filter with no value-keyed constraint
+//! (`price < 10`, `topic starts-with "sport"`) is a candidate for every
+//! notification that carries its first attribute.
+//!
+//! Built for the hot path:
+//!
+//! * attribute names are interned to dense [`Symbol`]s, so an attribute no
+//!   filter constrains costs one table lookup and nothing else;
+//! * buckets hold dense slot ids only and keep a single filter inline;
+//! * [`MatchIndex::matching_into`] performs **zero** heap allocation per
+//!   notification, and [`MatchIndex::matches_any`] returns at the first
+//!   verified candidate.
 
-use crate::filter::{Filter, Predicate};
+use crate::digest::Fnv1a;
+use crate::filter::{Constraint, Filter, Predicate};
 use crate::intern::{InternerCache, SharedInterner, Symbol};
 use crate::notification::Notification;
+use crate::value::Value;
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// One indexed filter in its dense slot.
@@ -32,24 +59,175 @@ use std::sync::Arc;
 struct Slot<K> {
     key: K,
     filter: Filter,
-    /// Number of constraints that must be satisfied (the filter's length).
-    required: u32,
+    /// Position, in the filter's constraint list, of the access constraint
+    /// (the one the filter is filed under). Meaningless for the empty
+    /// filter, which lives in `universal`.
+    access: u32,
 }
 
-/// Reusable per-notification scratch: a generation-stamped counter per
-/// slot plus the list of slots touched in the current generation, plus the
-/// index's cached interner snapshot (revalidated per matching call with
-/// one atomic load — see [`InternerCache`]).
+/// The slots filed under one `(attribute, value)` pair, in filing order.
+/// Most values are wanted by one filter, which is kept inline; `Many`
+/// holds two or more.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+// hot-path: begin (what the candidate loop calls per attribute and per
+// candidate — no allocation, no locks)
+impl<K> Slot<K> {
+    /// The full check every candidate gets. `in_hand` is the notification's
+    /// value for the access constraint's attribute — the value that made
+    /// this slot a candidate — so only the *other* constraints look their
+    /// attribute up by name.
+    fn matches(&self, n: &Notification, in_hand: &Value) -> bool {
+        self.filter.constraints().enumerate().all(|(i, c)| {
+            if i == self.access as usize {
+                c.predicate().matches(in_hand)
+            } else {
+                c.matches(n)
+            }
+        })
+    }
+}
+
+impl Bucket {
+    fn slots(&self) -> &[u32] {
+        match self {
+            Bucket::One(slot) => std::slice::from_ref(slot),
+            Bucket::Many(slots) => slots,
+        }
+    }
+}
+
+/// The bucket key of a value: its canonical digest, under which equal
+/// values (`Int(3)`, `Float(3.0)`; `0.0`, `-0.0`) always agree.
+fn value_key(v: &Value) -> u64 {
+    let mut h = Fnv1a::new();
+    v.canonical_hash_into(&mut h);
+    h.finish().raw()
+}
+// hot-path: end
+
+/// The bucket keys of a value-keyed predicate — one per value that can
+/// satisfy it, duplicates included — or `None` for a predicate no finite
+/// value list describes. Every variant is named: a new [`Predicate`] does
+/// not compile until it is classified here.
+fn value_keys(p: &Predicate) -> Option<impl Iterator<Item = u64> + '_> {
+    let (values, locations) = match p {
+        Predicate::Eq(v) => (std::slice::from_ref(v), None),
+        Predicate::In(vs) => (vs.as_slice(), None),
+        Predicate::InLocations(set) => (&[][..], Some(set)),
+        Predicate::Any
+        | Predicate::Ne(_)
+        | Predicate::Lt(_)
+        | Predicate::Le(_)
+        | Predicate::Gt(_)
+        | Predicate::Ge(_)
+        | Predicate::Prefix(_)
+        | Predicate::Suffix(_)
+        | Predicate::Contains(_)
+        | Predicate::MyLoc
+        | Predicate::MyCtx(_) => return None,
+    };
+    let locations = locations.into_iter().flatten().map(|l| value_key(&Value::Loc(*l)));
+    Some(values.iter().map(value_key).chain(locations))
+}
+
+/// Bucket keys are FNV-1a digests already; hashing them again buys nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("bucket keys are u64 digests");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Everything filed under one attribute.
 #[derive(Debug, Clone, Default)]
-struct Scratch {
-    generation: u64,
-    /// Per slot: (generation the count belongs to, satisfied count).
-    counts: Vec<(u64, u32)>,
-    /// Slots touched in the current generation, in first-touch order.
-    touched: Vec<u32>,
-    /// Cached symbol-table snapshot: the hot path resolves attribute names
-    /// against this without taking any lock or bumping any refcount.
-    interner: InternerCache,
+struct Filed {
+    /// Filters with no value-keyed constraint whose first constraint names
+    /// this attribute: candidates whenever the attribute is present.
+    residual: Vec<u32>,
+    /// Canonical value digest → the filters filed under that value. A
+    /// bucket that empties leaves the map.
+    by_value: HashMap<u64, Bucket, BuildHasherDefault<DigestHasher>>,
+}
+
+impl Filed {
+    /// Files `slot` under `access`: in one bucket per key if the predicate
+    /// is value-keyed, on the residual list otherwise.
+    fn file(&mut self, access: &Predicate, slot: u32) {
+        let Some(keys) = value_keys(access) else { return self.residual.push(slot) };
+        for key in keys {
+            match self.by_value.entry(key) {
+                Entry::Vacant(e) => {
+                    e.insert(Bucket::One(slot));
+                }
+                Entry::Occupied(mut e) => {
+                    // The keys of one predicate are filed back to back, so
+                    // if `slot` is in the bucket already (`In([3, 3.0])`
+                    // names one key twice) it is the last entry.
+                    let bucket = e.get_mut();
+                    match bucket {
+                        Bucket::One(first) if *first == slot => {}
+                        Bucket::One(first) => *bucket = Bucket::Many(vec![*first, slot]),
+                        Bucket::Many(slots) => {
+                            if slots.last() != Some(&slot) {
+                                slots.push(slot);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Undoes [`Filed::file`]. Order-preserving; one bucket lookup per key
+    /// (a repeated key finds the slot already gone).
+    fn unfile(&mut self, access: &Predicate, slot: u32) {
+        fn remove(slots: &mut Vec<u32>, slot: u32) {
+            // Filters tend to leave youngest first.
+            if let Some(at) = slots.iter().rposition(|s| *s == slot) {
+                slots.remove(at);
+            }
+        }
+        let Some(keys) = value_keys(access) else { return remove(&mut self.residual, slot) };
+        for key in keys {
+            let Entry::Occupied(mut e) = self.by_value.entry(key) else { continue };
+            let bucket = e.get_mut();
+            match bucket {
+                Bucket::One(only) => {
+                    if *only == slot {
+                        e.remove();
+                    }
+                }
+                Bucket::Many(slots) => {
+                    remove(slots, slot);
+                    if let [last] = slots[..] {
+                        *bucket = Bucket::One(last);
+                    }
+                }
+            }
+        }
+    }
+
+    /// How many candidate entries the buckets of value-keyed `access`
+    /// would hold with one more filter filed there.
+    fn filing_cost(&self, access: &Predicate) -> usize {
+        let keys = value_keys(access).into_iter().flatten();
+        keys.map(|key| 1 + self.by_value.get(&key).map_or(0, |b| b.slots().len())).sum()
+    }
 }
 
 /// A matching index over a keyed set of [`Filter`]s.
@@ -81,12 +259,15 @@ pub struct MatchIndex<K> {
     slots: Vec<Option<Slot<K>>>,
     /// Free slot indices available for reuse.
     free: Vec<u32>,
-    /// symbol index → constraints on that attribute as (slot, predicate).
-    by_attr: Vec<Vec<(u32, Predicate)>>,
+    /// symbol index → the filters filed under that attribute.
+    by_attr: Vec<Filed>,
     /// Keys of empty (match-all) filters.
     universal: Vec<K>,
     interner: Arc<SharedInterner>,
-    scratch: RefCell<Scratch>,
+    /// Cached symbol-table snapshot (revalidated per call with one atomic
+    /// load — see [`InternerCache`]): attribute names resolve against it
+    /// without taking any lock or bumping any refcount.
+    cache: RefCell<InternerCache>,
 }
 
 impl<K> Default for MatchIndex<K> {
@@ -117,7 +298,7 @@ impl<K> MatchIndex<K> {
             by_attr: Vec::new(),
             universal: Vec::new(),
             interner,
-            scratch: RefCell::new(Scratch::default()),
+            cache: RefCell::new(InternerCache::default()),
         }
     }
 
@@ -137,10 +318,45 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     /// snapshot (one atomic generation load — the mutation path pays the
     /// shared interner's lock only for genuinely new attribute names).
     fn intern_cached(&self, attr: &str) -> Symbol {
-        if let Some(sym) = self.scratch.borrow_mut().interner.get(&self.interner).lookup(attr) {
+        if let Some(sym) = self.cache.borrow_mut().get(&self.interner).lookup(attr) {
             return sym;
         }
         self.interner.intern(attr)
+    }
+
+    /// Interns every constraint's attribute (matching resolves names
+    /// against the interner, and indices sharing one rely on it) and picks
+    /// the access constraint: the value-keyed one that is cheapest to file
+    /// under — the first on a tie — or, without any, the first constraint.
+    /// Costs are only worked out once there is a choice to make.
+    fn choose_access<'f>(&mut self, filter: &'f Filter) -> Option<(usize, Symbol, &'f Constraint)> {
+        let mut first = None;
+        let mut best = None;
+        let mut best_cost = None;
+        for (i, c) in filter.constraints().enumerate() {
+            let sym = self.intern_cached(c.attr());
+            if self.by_attr.len() <= sym.index() {
+                self.by_attr.resize_with(sym.index() + 1, Filed::default);
+            }
+            first.get_or_insert((i, sym, c));
+            if value_keys(c.predicate()).is_none() {
+                continue;
+            }
+            let Some((_, best_sym, incumbent)) = best else {
+                best = Some((i, sym, c));
+                continue;
+            };
+            let by_attr = &self.by_attr;
+            let to_beat = *best_cost.get_or_insert_with(|| {
+                by_attr[best_sym.index()].filing_cost(incumbent.predicate())
+            });
+            let cost = by_attr[sym.index()].filing_cost(c.predicate());
+            if cost < to_beat {
+                best = Some((i, sym, c));
+                best_cost = Some(cost);
+            }
+        }
+        best.or(first)
     }
 
     /// Inserts (or replaces) a filter under the given key.
@@ -156,19 +372,17 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
                 (self.slots.len() - 1) as u32
             }
         };
-        if filter.is_empty() {
-            self.universal.push(key);
-        } else {
-            for c in filter.constraints() {
-                let sym = self.intern_cached(c.attr());
-                if self.by_attr.len() <= sym.index() {
-                    self.by_attr.resize_with(sym.index() + 1, Vec::new);
-                }
-                self.by_attr[sym.index()].push((slot, c.predicate().clone()));
+        let access = match self.choose_access(&filter) {
+            None => {
+                self.universal.push(key);
+                0
             }
-        }
-        let required = filter.len() as u32;
-        self.slots[slot as usize] = Some(Slot { key, filter, required });
+            Some((i, sym, c)) => {
+                self.by_attr[sym.index()].file(c.predicate(), slot);
+                i as u32
+            }
+        };
+        self.slots[slot as usize] = Some(Slot { key, filter, access });
         self.keys.insert(key, slot);
     }
 
@@ -177,18 +391,16 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     pub fn remove(&mut self, key: &K) -> Option<Filter> {
         let slot = self.keys.remove(key)?;
         let entry = self.slots[slot as usize].take().expect("keyed slot occupied");
-        if entry.filter.is_empty() {
-            self.universal.retain(|k| k != key);
-        } else {
-            for c in entry.filter.constraints() {
+        match entry.filter.constraints().nth(entry.access as usize) {
+            None => self.universal.retain(|k| k != key),
+            Some(c) => {
                 let sym = self
-                    .scratch
+                    .cache
                     .borrow_mut()
-                    .interner
                     .get(&self.interner)
                     .lookup(c.attr())
                     .expect("indexed attr interned");
-                self.by_attr[sym.index()].retain(|(s, _)| *s != slot);
+                self.by_attr[sym.index()].unfile(c.predicate(), slot);
             }
         }
         self.free.push(slot);
@@ -222,91 +434,79 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     }
 
     /// Returns the keys of all filters matching the notification, in
-    /// unspecified order (the counting algorithm).
+    /// unspecified order.
     pub fn matching(&self, n: &Notification) -> Vec<K> {
         let mut out = Vec::new();
         self.matching_into(n, &mut out);
         out
     }
 
-    // hot-path: begin (per-notification counting match — no allocation
-    // beyond buffer growth, no locks; enforced by `cargo run -p xtask -- lint`)
+    // hot-path: begin (per-notification candidate walk and verification —
+    // no allocation beyond buffer growth, no locks; enforced by
+    // `cargo run -p xtask -- lint`)
+    /// The one candidate loop: hands `visit` every filter filed under an
+    /// attribute of `n` alone or under the value `n` carries for it, with
+    /// that value, until `visit` breaks. Each non-empty filter is filed
+    /// once, so none is visited twice; the order follows the
+    /// notification's attributes and, within one, filing order — never
+    /// hash-map iteration.
+    fn try_candidates<B>(
+        &self,
+        n: &Notification,
+        mut visit: impl FnMut(&Slot<K>, &Value) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        // One snapshot for the whole notification — no lock, no shared
+        // refcount traffic when the cache is warm.
+        let mut cache = self.cache.borrow_mut();
+        let interner = cache.get(&self.interner);
+        for (attr, value) in n.attrs() {
+            let Some(sym) = interner.lookup(attr) else { continue };
+            // A symbol minted by a *different* index over the same interner
+            // may exceed `by_attr` — hence `get`.
+            let Some(filed) = self.by_attr.get(sym.index()) else { continue };
+            // An attribute no filter is filed by value under is not hashed.
+            let keyed = if filed.by_value.is_empty() {
+                None
+            } else {
+                filed.by_value.get(&value_key(value))
+            };
+            let keyed = keyed.map_or(&[][..], Bucket::slots);
+            for slot in filed.residual.iter().chain(keyed) {
+                let entry = self.slots[*slot as usize].as_ref().expect("filed slot occupied");
+                visit(entry, value)?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
     /// Appends the keys of all matching filters to `out` (which is cleared
-    /// first). This is the allocation-free form: the counting state lives
-    /// in a generation-stamped scratch buffer reused across calls, so a
-    /// warm index performs no heap allocation per notification beyond what
-    /// `out` already owns.
+    /// first). This is the allocation-free form: a warm index performs no
+    /// heap allocation per notification beyond what `out` already owns.
     pub fn matching_into(&self, n: &Notification, out: &mut Vec<K>) {
         out.clear();
         out.extend(self.universal.iter().copied());
-        let mut scratch = self.scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        scratch.generation += 1;
-        let generation = scratch.generation;
-        if scratch.counts.len() < self.slots.len() {
-            scratch.counts.resize(self.slots.len(), (0, 0));
-        }
-        scratch.touched.clear();
-        // One snapshot for the whole notification — no lock, no shared
-        // refcount traffic when the cache is warm. A symbol minted by a
-        // *different* index over the same interner may exceed `by_attr` —
-        // hence `get`.
-        let interner = scratch.interner.get(&self.interner);
-        for (attr, value) in n.attrs() {
-            let Some(sym) = interner.lookup(attr) else { continue };
-            let Some(constraints) = self.by_attr.get(sym.index()) else { continue };
-            for (slot, predicate) in constraints {
-                if predicate.matches(value) {
-                    let cell = &mut scratch.counts[*slot as usize];
-                    if cell.0 != generation {
-                        *cell = (generation, 0);
-                        scratch.touched.push(*slot);
-                    }
-                    cell.1 += 1;
-                }
+        let _: ControlFlow<()> = self.try_candidates(n, |candidate, value| {
+            if candidate.matches(n, value) {
+                out.push(candidate.key);
             }
-        }
-        for slot in &scratch.touched {
-            let entry = self.slots[*slot as usize].as_ref().expect("indexed slot occupied");
-            if scratch.counts[*slot as usize].1 == entry.required {
-                out.push(entry.key);
-            }
-        }
+            ControlFlow::Continue(())
+        });
     }
 
     /// Returns `true` if at least one indexed filter matches — cheaper than
-    /// [`MatchIndex::matching`]: it early-exits on the first satisfied
-    /// filter and allocates nothing.
+    /// [`MatchIndex::matching`]: it stops at the first verified candidate
+    /// and allocates nothing.
     pub fn matches_any(&self, n: &Notification) -> bool {
-        if !self.universal.is_empty() {
-            return true;
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        scratch.generation += 1;
-        let generation = scratch.generation;
-        if scratch.counts.len() < self.slots.len() {
-            scratch.counts.resize(self.slots.len(), (0, 0));
-        }
-        let interner = scratch.interner.get(&self.interner);
-        for (attr, value) in n.attrs() {
-            let Some(sym) = interner.lookup(attr) else { continue };
-            let Some(constraints) = self.by_attr.get(sym.index()) else { continue };
-            for (slot, predicate) in constraints {
-                if predicate.matches(value) {
-                    let cell = &mut scratch.counts[*slot as usize];
-                    if cell.0 != generation {
-                        *cell = (generation, 0);
+        !self.universal.is_empty()
+            || self
+                .try_candidates(n, |candidate, value| {
+                    if candidate.matches(n, value) {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
                     }
-                    cell.1 += 1;
-                    let entry = self.slots[*slot as usize].as_ref().expect("indexed slot occupied");
-                    if cell.1 == entry.required {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+                })
+                .is_break()
     }
     // hot-path: end
 
@@ -407,9 +607,9 @@ mod tests {
     }
 
     /// Multi-constraint filters across shared attribute names: the interner
-    /// assigns one symbol per distinct attribute, slot reuse keeps the
-    /// scratch dense, and matching stays exact across interleaved
-    /// insert/remove/match cycles on the same reused scratch buffer.
+    /// assigns one symbol per distinct attribute (every constraint's, not
+    /// just the access constraint's), slots are recycled, and matching
+    /// stays exact across interleaved insert/remove/match cycles.
     #[test]
     fn interning_multi_constraint_churn() {
         let mut idx = MatchIndex::new();
@@ -422,13 +622,13 @@ mod tests {
             );
         }
         assert_eq!(idx.interned_attrs(), 3, "one symbol per distinct attribute");
-        // Matching twice with the same scratch must give identical results.
+        // Matching is a pure read: asking twice gives identical results.
         let n = note(&[("x", 3), ("y", 1), ("z", 9)]);
         let mut first = idx.matching(&n);
         let mut second = idx.matching(&n);
         first.sort();
         second.sort();
-        assert_eq!(first, second, "scratch reuse must not corrupt counts");
+        assert_eq!(first, second, "matching must not disturb the index");
         let mut scanned = idx.scan_matching(&n);
         scanned.sort();
         assert_eq!(first, scanned);
@@ -504,42 +704,181 @@ mod tests {
             assert_eq!(idx.matches_any(&n), !idx.matching(&n).is_empty(), "for {n}");
         }
     }
+
+    /// How many filters the candidate loop hands over for `n` — the work a
+    /// match call does, counted instead of timed.
+    pub(super) fn candidates<K: Copy + Eq + Hash>(idx: &MatchIndex<K>, n: &Notification) -> usize {
+        let mut seen = 0;
+        let _: ControlFlow<()> = idx.try_candidates(n, |_, _| {
+            seen += 1;
+            ControlFlow::Continue(())
+        });
+        seen
+    }
+
+    /// Nothing of a removed filter may stay behind: no bucket (an emptied
+    /// one leaves its map), no residual entry, no occupied slot.
+    pub(super) fn assert_drained<K>(idx: &MatchIndex<K>) {
+        assert!(idx.keys.is_empty() && idx.universal.is_empty());
+        assert!(idx.slots.iter().all(Option::is_none));
+        assert_eq!(idx.free.len(), idx.slots.len(), "every slot is back on the free list");
+        for (sym, filed) in idx.by_attr.iter().enumerate() {
+            assert!(filed.residual.is_empty(), "residual of symbol {sym} not empty");
+            assert!(filed.by_value.is_empty(), "buckets of symbol {sym} not empty");
+        }
+    }
+
+    /// The `churn-repl3` access pattern: distinct values pass through a
+    /// bounded live set forever. Removal must be one bucket lookup that
+    /// takes the emptied bucket with it, or the maps grow with history.
+    #[test]
+    fn churn_through_live_slots_leaves_nothing_behind() {
+        const LIVE: u32 = 1_000;
+        let mut idx = MatchIndex::new();
+        for k in 0..100_000u32 {
+            if k >= LIVE {
+                assert!(idx.remove(&sid(k - LIVE)).is_some());
+            }
+            idx.insert(sid(k), Filter::builder().eq("churn", i64::from(k)).build());
+            assert!(idx.len() <= LIVE as usize);
+        }
+        let sym = idx.interner.lookup("churn").expect("interned");
+        assert_eq!(idx.by_attr[sym.index()].by_value.len(), LIVE as usize);
+        assert_eq!(idx.matching(&note(&[("churn", 99_999)])), vec![sid(99_999)]);
+        assert!(idx.matching(&note(&[("churn", 98_999)])).is_empty(), "left the live set");
+        for k in 100_000 - LIVE..100_000 {
+            assert!(idx.remove(&sid(k)).is_some());
+        }
+        assert_drained(&idx);
+        assert!(idx.slots.len() <= LIVE as usize, "slots outgrew the live set");
+    }
+
+    /// The adaptive filing rule: with a value every subscriber shares and
+    /// a value of its own, a filter is filed under its own. Filing under
+    /// the first `Eq` ("class" sorts before "room") would make every
+    /// filter a candidate for every notification.
+    #[test]
+    fn filters_are_filed_under_their_rarest_value() {
+        let mut idx = MatchIndex::new();
+        for i in 0..2_000u32 {
+            idx.insert(sid(i), Filter::builder().eq("class", "s").eq("room", i64::from(i)).build());
+        }
+        let n = Notification::builder().attr("class", "s").attr("room", 7i64).publish(
+            ClientId::new(0),
+            0,
+            SimTime::ZERO,
+        );
+        assert_eq!(idx.matching(&n), vec![sid(7)]);
+        assert!(candidates(&idx, &n) <= 2, "verified {} candidates", candidates(&idx, &n));
+    }
+
+    /// A `match-heavy`-shaped table (eq ∧ range ∧ in-set over three of six
+    /// attributes, values in `0..16`): the candidates of a notification
+    /// are the filters sharing one value with it — a sixteenth of the
+    /// table — at either size, and they still contain every match.
+    #[test]
+    fn candidates_follow_shared_values_not_table_size() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as i64
+        };
+        let attr = |a: i64| ["a0", "a1", "a2", "a3", "a4", "a5"][a as usize];
+        for size in [5_000usize, 50_000] {
+            let mut idx = MatchIndex::new();
+            for i in 0..size {
+                let first = below(6);
+                let second = (first + 1 + below(5)) % 6;
+                let third = (0..6).filter(|a| *a != first && *a != second).nth(below(4) as usize);
+                let (lo, start, step) = (below(11), below(16), 1 + below(5));
+                let f = Filter::builder()
+                    .eq(attr(first), below(16))
+                    .between(attr(second), lo, lo + 5)
+                    .one_of(
+                        attr(third.expect("four remain")),
+                        (0..4).map(|k| (start + k * step) % 16),
+                    )
+                    .build();
+                idx.insert(i as u32, f);
+            }
+            for _ in 0..32 {
+                let mut b = Notification::builder();
+                for a in 0..6 {
+                    b = b.attr(attr(a), below(16));
+                }
+                let n = b.publish(ClientId::new(0), 0, SimTime::ZERO);
+                let seen = candidates(&idx, &n);
+                assert!(seen < size / 10, "{seen} candidates in a table of {size}");
+                let mut hits = idx.matching(&n);
+                let mut scanned = idx.scan_matching(&n);
+                hits.sort_unstable();
+                scanned.sort_unstable();
+                assert_eq!(hits, scanned);
+                assert!(hits.len() <= seen);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::assert_drained;
     use super::*;
-    use crate::id::{ClientId, SubscriptionId};
+    use crate::id::{ClientId, LocationId};
     use crate::time::SimTime;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
+    /// Every comparison class, over a domain small enough that filters and
+    /// notifications keep meeting — including the pairs that are equal
+    /// without being identical (`3`/`3.0`, `0`/`0.0`/`-0.0`).
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<bool>().prop_map(Value::Bool),
+            (-2i64..4).prop_map(Value::Int),
+            (-4i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
+            Just(Value::Float(-0.0)),
+            "[ab]{0,2}".prop_map(Value::Str),
+            (0u32..4).prop_map(|l| Value::Loc(LocationId::new(l))),
+        ]
+    }
+
+    fn arb_predicate() -> impl Strategy<Value = Predicate> {
+        let locations = proptest::collection::btree_set((0u32..4).prop_map(LocationId::new), 0..3);
+        prop_oneof![
+            Just(Predicate::Any),
+            arb_value().prop_map(Predicate::Eq),
+            arb_value().prop_map(Predicate::Eq),
+            arb_value().prop_map(Predicate::Ne),
+            arb_value().prop_map(Predicate::Lt),
+            arb_value().prop_map(Predicate::Le),
+            arb_value().prop_map(Predicate::Gt),
+            arb_value().prop_map(Predicate::Ge),
+            // Empty, and with equal members under different spellings.
+            proptest::collection::vec(arb_value(), 0..4).prop_map(Predicate::In),
+            Just(Predicate::In(vec![Value::Int(3), Value::Float(3.0)])),
+            "[ab]{0,2}".prop_map(Predicate::Prefix),
+            "[ab]{0,2}".prop_map(Predicate::Suffix),
+            "[ab]{0,2}".prop_map(Predicate::Contains),
+            locations.prop_map(Predicate::InLocations),
+            Just(Predicate::MyLoc),
+            Just(Predicate::MyCtx("speed".into())),
+        ]
+    }
+
+    /// Zero to three constraints over three attribute names: the empty
+    /// filter, repeated attributes and several value-keyed constraints in
+    /// one filter all occur.
     fn arb_filter() -> impl Strategy<Value = Filter> {
-        (
-            proptest::option::of(-3i64..3),
-            proptest::option::of(-3i64..3),
-            proptest::option::of((-3i64..3, -3i64..3)),
-            any::<bool>(),
-        )
-            .prop_map(|(a, b, c, all)| {
-                if all {
-                    return Filter::all();
-                }
-                let mut f = Filter::builder();
-                if let Some(v) = a {
-                    f = f.eq("a", v);
-                }
-                if let Some(v) = b {
-                    f = f.lt("b", v);
-                }
-                if let Some((lo, hi)) = c {
-                    f = f.between("c", lo.min(hi), lo.max(hi));
-                }
-                f.build()
-            })
+        proptest::collection::vec(("[a-c]", arb_predicate()), 0..4).prop_map(|constraints| {
+            Filter::from_constraints(constraints.into_iter().map(|(a, p)| Constraint::new(a, p)))
+        })
     }
 
     fn arb_note() -> impl Strategy<Value = Notification> {
-        proptest::collection::btree_map("[a-d]", -4i64..4, 0..4).prop_map(|m| {
+        proptest::collection::btree_map("[a-d]", arb_value(), 0..4).prop_map(|m| {
             let mut b = Notification::builder();
             for (k, v) in m {
                 b = b.attr(k, v);
@@ -548,31 +887,63 @@ mod prop_tests {
         })
     }
 
+    /// One step of the script: keys are drawn from `0..6`, so inserts
+    /// replace and removals hit.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u32, Filter),
+        Remove(u32),
+        Match(Notification),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u32..6, arb_filter()).prop_map(|(k, f)| Step::Insert(k, f)),
+            (0u32..6, arb_filter()).prop_map(|(k, f)| Step::Insert(k, f)),
+            (0u32..6).prop_map(Step::Remove),
+            arb_note().prop_map(Step::Match),
+            arb_note().prop_map(Step::Match),
+        ]
+    }
+
     proptest! {
-        /// The counting index is equivalent to brute-force scanning, and
-        /// `matches_any` to non-emptiness, across insert/remove churn on
-        /// the shared scratch buffer.
+        #![proptest_config(ProptestConfig { cases: 30_000, ..ProptestConfig::default() })]
+
+        /// Across insertion, replacement and removal the index reports
+        /// exactly the filters a brute-force scan (and a model kept beside
+        /// it) finds, each once; `matches_any` is non-emptiness; and
+        /// removing everything leaves no structure behind.
         #[test]
-        fn index_equals_scan(
-            filters in proptest::collection::vec(arb_filter(), 0..8),
-            notes in proptest::collection::vec(arb_note(), 0..8),
-            removals in proptest::collection::vec(0usize..8, 0..4),
-        ) {
+        fn index_equals_scan(steps in proptest::collection::vec(arb_step(), 0..24)) {
             let mut idx = MatchIndex::new();
-            for (i, f) in filters.iter().enumerate() {
-                idx.insert(SubscriptionId::new(i as u32), f.clone());
+            let mut model = BTreeMap::new();
+            for step in steps {
+                match step {
+                    Step::Insert(k, f) => {
+                        idx.insert(k, f.clone());
+                        model.insert(k, f);
+                    }
+                    Step::Remove(k) => prop_assert_eq!(idx.remove(&k), model.remove(&k)),
+                    Step::Match(n) => {
+                        let mut hits = idx.matching(&n);
+                        hits.sort_unstable();
+                        let mut scanned = idx.scan_matching(&n);
+                        scanned.sort_unstable();
+                        let expected: Vec<u32> =
+                            model.iter().filter(|(_, f)| f.matches(&n)).map(|(k, _)| *k).collect();
+                        // `expected` has no repeats, so equality also says
+                        // no key was reported twice.
+                        prop_assert_eq!(&hits, &expected, "index vs model for {}", n);
+                        prop_assert_eq!(&scanned, &expected, "scan vs model for {}", n);
+                        prop_assert_eq!(idx.matches_any(&n), !expected.is_empty());
+                    }
+                }
+                prop_assert_eq!(idx.len(), model.len());
             }
-            for r in removals {
-                idx.remove(&SubscriptionId::new(r as u32));
+            for k in model.keys() {
+                prop_assert!(idx.remove(k).is_some());
             }
-            for n in &notes {
-                let mut a = idx.matching(n);
-                let mut b = idx.scan_matching(n);
-                a.sort();
-                b.sort();
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(idx.matches_any(n), !a.is_empty());
-            }
+            assert_drained(&idx);
         }
     }
 }

@@ -72,8 +72,10 @@
 //!    ([`Message::Publish`]). This is the sole per-notification heap
 //!    allocation of the pipeline.
 //! 2. **Match.** Each broker's routing table answers "who wants this?"
-//!    with the counting [`MatchIndex`](core::MatchIndex): attribute names
-//!    resolve to dense symbols through the **per-world
+//!    with the value-keyed [`MatchIndex`](core::MatchIndex): every filter
+//!    is filed under one `(attribute, value)` bucket, so the candidates of
+//!    a notification are the filters sharing a value with it, and each is
+//!    verified against all of its constraints. Attribute names resolve to dense symbols through the **per-world
 //!    [`SharedInterner`]** — one symbol table, owned by the [`System`]
 //!    (accessible via [`System::interner`]) and shared by every routing
 //!    table and local-delivery index, so no stage ever re-interns. The
@@ -81,9 +83,9 @@
 //!    attribute name) install a new immutable table; each index keeps a
 //!    cached snapshot ([`core::InternerCache`]) revalidated with a single
 //!    atomic generation load per matching call, so the match path holds
-//!    no lock and bumps no shared refcount at any shard count. The
-//!    counting state lives in generation-stamped scratch reused across
-//!    notifications.
+//!    no lock and bumps no shared refcount at any shard count. Matching
+//!    keeps no per-call state: a filter is filed once, so it is a
+//!    candidate at most once.
 //! 3. **Route.** [`broker::BrokerCore`] threads a reusable
 //!    [`broker::RouteScratch`] through the decision and fans out by
 //!    cloning the `Arc` ([`Message::Forward`] per matching neighbour,
