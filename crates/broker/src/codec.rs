@@ -588,12 +588,12 @@ pub fn encode_replica(r: &ReplicaMsg, buf: &mut impl BufMut) {
             buf.put_u8(0);
             encode_broker_op(op, buf);
         }
-        ReplicaMsg::Prepare { view, op_number, commit_number, op } => {
+        ReplicaMsg::Prepare { view, op_number, commit_number, ops } => {
             buf.put_u8(1);
             buf.put_u64_le(*view);
             buf.put_u64_le(*op_number);
             buf.put_u64_le(*commit_number);
-            encode_broker_op(op, buf);
+            encode_op_log(ops, buf);
         }
         ReplicaMsg::PrepareOk { view, op_number, replica } => {
             buf.put_u8(2);
@@ -656,8 +656,8 @@ pub fn decode_replica(buf: &mut impl Buf) -> Result<ReplicaMsg, CoreError> {
             let view = buf.get_u64_le();
             let op_number = buf.get_u64_le();
             let commit_number = buf.get_u64_le();
-            let op = decode_broker_op(buf)?;
-            Ok(ReplicaMsg::Prepare { view, op_number, commit_number, op })
+            let ops = decode_op_log(buf)?;
+            Ok(ReplicaMsg::Prepare { view, op_number, commit_number, ops })
         }
         2 => {
             need(buf, 20)?;
@@ -836,7 +836,14 @@ mod tests {
         let mut msgs: Vec<ReplicaMsg> =
             ops.iter().map(|op| ReplicaMsg::Forward { op: op.clone() }).collect();
         msgs.extend([
-            ReplicaMsg::Prepare { view: 3, op_number: 12, commit_number: 11, op: ops[2].clone() },
+            ReplicaMsg::Prepare {
+                view: 3,
+                op_number: 12,
+                commit_number: 11,
+                ops: vec![ops[2].clone()],
+            },
+            ReplicaMsg::Prepare { view: 3, op_number: 13, commit_number: 11, ops: ops.clone() },
+            ReplicaMsg::Prepare { view: 0, op_number: 0, commit_number: 0, ops: Vec::new() },
             ReplicaMsg::PrepareOk { view: 3, op_number: 12, replica: 1 },
             ReplicaMsg::Commit { view: 3, commit_number: 12 },
             ReplicaMsg::StartViewChange { view: 4, replica: 2 },
@@ -930,6 +937,20 @@ mod tests {
             decode_message(&mut cur),
             Err(CoreError::BadTag { what: "broker op", tag: 8 })
         ));
+    }
+
+    /// A hostile length prefix buys no allocation: the reservation is
+    /// capped and the missing body is a `Truncated` error.
+    #[test]
+    fn op_log_length_prefix_is_not_trusted() {
+        for tail in [&[][..], &[0u8, 1, 0, 0, 0, 2, 0, 0, 0][..]] {
+            let mut bytes = vec![14u8, 1];
+            bytes.extend_from_slice(&[0u8; 24]);
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            bytes.extend_from_slice(tail);
+            let mut cur: &[u8] = &bytes;
+            assert!(matches!(decode_message(&mut cur), Err(CoreError::Truncated { .. })));
+        }
     }
 
     #[test]
@@ -1081,6 +1102,39 @@ mod prop_tests {
         ]
     }
 
+    fn arb_broker_op() -> impl Strategy<Value = BrokerOp> {
+        prop_oneof![
+            (any::<u32>(), any::<u32>()).prop_map(|(c, n)| BrokerOp::ClientAttach {
+                client: ClientId::new(c),
+                node: NodeId::new(n),
+            }),
+            (any::<u32>(), arb_subscription()).prop_map(|(n, subscription)| {
+                BrokerOp::Subscribe { node: NodeId::new(n), subscription }
+            }),
+            (any::<u32>(), any::<u32>()).prop_map(|(c, id)| BrokerOp::Unsubscribe {
+                client: ClientId::new(c),
+                id: SubscriptionId::new(id),
+            }),
+            (any::<u32>(), arb_filter()).prop_map(|(n, filter)| BrokerOp::NeighborSubscribe {
+                node: NodeId::new(n),
+                filter,
+            }),
+            any::<u32>().prop_map(|n| BrokerOp::LinkDown { node: NodeId::new(n) }),
+        ]
+    }
+
+    /// A `Prepare` of any shape the wire can carry — empty, one op, many —
+    /// with any numbers: what the replica rejects must still decode.
+    fn arb_prepare() -> impl Strategy<Value = ReplicaMsg> {
+        (any::<u64>(), any::<u64>(), any::<u64>(), proptest::collection::vec(arb_broker_op(), 0..6))
+            .prop_map(|(view, op_number, commit_number, ops)| ReplicaMsg::Prepare {
+                view,
+                op_number,
+                commit_number,
+                ops,
+            })
+    }
+
     fn arb_message() -> impl Strategy<Value = Message> {
         let leaf = prop_oneof![
             proptest::collection::btree_map("[a-z]{1,8}", arb_value(), 0..4).prop_map(|m| {
@@ -1111,6 +1165,7 @@ mod prop_tests {
             arb_filter().prop_map(|filter| Message::SubForward { filter }),
             arb_filter().prop_map(|filter| Message::UnsubForward { filter }),
             arb_mobility().prop_map(Message::Mobility),
+            arb_prepare().prop_map(Message::Replica),
         ];
         // One optional level of routing on top of any leaf (the protocol
         // itself routes exactly one level deep).

@@ -33,5 +33,7 @@ pub mod replica;
 pub mod replicated;
 
 pub use oplog::{BrokerOp, OpLog};
-pub use replica::{Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicaStatus};
+pub use replica::{
+    Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicaStatus, MAX_BATCH_OPS, PREPARE_WINDOW,
+};
 pub use replicated::{ReplicaNode, ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats};

@@ -127,6 +127,19 @@ impl OpLog {
         self.ops.len() as u64
     }
 
+    /// Appends `ops` in order.
+    pub fn extend(&mut self, ops: impl IntoIterator<Item = BrokerOp>) {
+        self.ops.extend(ops);
+    }
+
+    /// The ops numbered `first..=last` (1-based, clamped to the log) — what
+    /// one batched `Prepare` carries.
+    pub fn range(&self, first: u64, last: u64) -> &[BrokerOp] {
+        let end = (last.min(self.op_number())) as usize;
+        let start = (first.max(1) - 1) as usize;
+        self.ops.get(start..end).unwrap_or(&[])
+    }
+
     /// Replaces the whole log (view change / recovery adoption).
     pub fn replace(&mut self, ops: Vec<BrokerOp>) {
         self.ops = ops;
@@ -159,6 +172,18 @@ mod tests {
         assert_eq!(log.get(1), Some(&op(0)));
         assert_eq!(log.get(2), Some(&op(1)));
         assert_eq!(log.get(3), None);
+    }
+
+    #[test]
+    fn range_is_inclusive_one_based_and_clamped() {
+        let mut log = OpLog::new();
+        log.extend((0..5).map(op));
+        assert_eq!(log.op_number(), 5);
+        assert_eq!(log.range(2, 4), &[op(1), op(2), op(3)]);
+        assert_eq!(log.range(0, 1), &[op(0)], "op number 0 does not exist");
+        assert_eq!(log.range(4, 99), &[op(3), op(4)], "clamped to the log end");
+        assert!(log.range(6, 9).is_empty());
+        assert!(log.range(3, 2).is_empty());
     }
 
     #[test]

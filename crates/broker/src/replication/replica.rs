@@ -11,9 +11,21 @@
 //! The protocol is viewstamped replication in its modern form:
 //!
 //! * **Normal case** — the primary of view `v` (group member `v % n`)
-//!   appends a submitted op, broadcasts `Prepare`, backups append in order
-//!   and answer cumulative `PrepareOk`s; the primary commits once a
-//!   majority (itself included) holds the op and broadcasts `Commit`.
+//!   only *appends* a submitted op; one send step ships the log suffix no
+//!   `Prepare` has carried yet as a single batched `Prepare` (consecutive
+//!   ops from `op_number`, at most [`MAX_BATCH_OPS`]) while fewer than
+//!   [`PREPARE_WINDOW`] batches are uncommitted. The step runs on every
+//!   submit and again whenever a `PrepareOk` advances the commit number,
+//!   so an idle group sends each op at once as a batch of one, and a busy
+//!   group ships whatever piled up behind the round trip in one message —
+//!   self-clocked by acknowledgements, no timer. Backups append the part
+//!   of a batch that extends their log and answer one cumulative
+//!   `PrepareOk` per batch; a batch starting beyond the log end is a gap
+//!   (one state-transfer probe). The primary's commit number is the
+//!   quorum-th highest acknowledgement. It rides on the next `Prepare`;
+//!   an explicit `Commit` leaves only when the commit number advanced, no
+//!   `Prepare` left in the same step to carry it and the log is committed
+//!   to its end (the pipeline drained), plus the tick heartbeat.
 //! * **View change** — a downed primary (reported by the process runtime's
 //!   link supervisor via [`Replica::on_peer_change`]) triggers
 //!   `StartViewChange(v+1)`; at a majority of votes each member sends
@@ -34,6 +46,7 @@
 
 use super::oplog::{BrokerOp, OpLog};
 use rebeca_net::NodeId;
+use std::collections::VecDeque;
 
 /// Messages exchanged inside one replica group. Carried on the ordinary
 /// broker links as [`Message::Replica`](crate::Message::Replica), encoded
@@ -46,16 +59,17 @@ pub enum ReplicaMsg {
         /// The op to log.
         op: BrokerOp,
     },
-    /// Primary → backups: append `op` as op number `op_number`.
+    /// Primary → backups: append `ops` as the consecutive op numbers
+    /// `op_number..op_number + ops.len()`.
     Prepare {
         /// The primary's view.
         view: u64,
-        /// 1-based op number assigned to `op`.
+        /// 1-based op number assigned to `ops[0]`.
         op_number: u64,
         /// The primary's commit number (piggybacked).
         commit_number: u64,
-        /// The op itself.
-        op: BrokerOp,
+        /// The batch: between 1 and [`MAX_BATCH_OPS`] ops.
+        ops: Vec<BrokerOp>,
     },
     /// Backup → primary: my log holds everything up to `op_number`
     /// (cumulative acknowledgement).
@@ -141,7 +155,7 @@ impl ReplicaMsg {
         }
         match self {
             ReplicaMsg::Forward { op } => 1 + op.wire_size(),
-            ReplicaMsg::Prepare { op, .. } => 24 + op.wire_size(),
+            ReplicaMsg::Prepare { ops, .. } => 28 + log_size(ops),
             ReplicaMsg::PrepareOk { .. } => 20,
             ReplicaMsg::Commit { .. } => 16,
             ReplicaMsg::StartViewChange { .. } => 12,
@@ -189,6 +203,36 @@ impl ReplicaConfig {
 /// Messages to send, accumulated by every state-machine input.
 pub type Outbox = Vec<(NodeId, ReplicaMsg)>;
 
+/// How many `Prepare` batches a primary keeps uncommitted before it stops
+/// sending and lets submitted ops accumulate for the next batch. One would
+/// serialise round trips (and cost unloaded latency when a cycle's ops
+/// overlap); many would send each op on its own again.
+pub const PREPARE_WINDOW: usize = 4;
+
+/// Most ops one `Prepare` carries; a longer batch is rejected on receipt.
+pub const MAX_BATCH_OPS: usize = 256;
+
+/// What a backup did with one `Prepare` — every hostile or edge input has
+/// a name here instead of a panic or a hole in the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PrepareOutcome {
+    /// Not serving (recovering or mid view change): dropped, the tick
+    /// re-sends.
+    NotServing,
+    /// From a view older than ours: dropped.
+    StaleView,
+    /// From a view newer than ours, or starting beyond our log end: a
+    /// state-transfer probe was sent (at most one in flight), nothing
+    /// appended or acknowledged.
+    Behind,
+    /// No op number 0, no empty batch, none longer than the cap, none
+    /// whose last op number overflows: dropped.
+    Malformed,
+    /// This many ops extended the log (0 for a pure duplicate); the
+    /// cumulative `PrepareOk` was sent.
+    Acked(usize),
+}
+
 /// The per-member replica state (view number, op number via the log,
 /// commit number) plus the transient vote/ack bookkeeping of the three
 /// sub-protocols.
@@ -203,6 +247,12 @@ pub struct Replica {
     applied: u64,
     /// Primary bookkeeping: cumulative PrepareOk high-water per member.
     ack_high: Vec<u64>,
+    /// Primary bookkeeping: highest op number a `Prepare` already carried.
+    sent: u64,
+    /// Primary bookkeeping: last op number of each uncommitted batch.
+    in_flight: VecDeque<u64>,
+    /// `Prepare` batches built so far (a broadcast counts once).
+    prepares_sent: u64,
     /// Primary bookkeeping: the commit number at the previous tick.
     commit_at_tick: u64,
     /// View-change bookkeeping: StartViewChange votes for `view`.
@@ -248,6 +298,9 @@ impl Replica {
             commit_number: 0,
             applied: 0,
             ack_high: vec![0; n],
+            sent: 0,
+            in_flight: VecDeque::new(),
+            prepares_sent: 0,
             commit_at_tick: 0,
             svc_votes: vec![false; n],
             dvc_sent: false,
@@ -295,6 +348,12 @@ impl Replica {
         self.pending.len()
     }
 
+    /// `Prepare` batches this member built as primary: a broadcast counts
+    /// once, a tick re-send once per lagging backup.
+    pub fn prepares_sent(&self) -> u64 {
+        self.prepares_sent
+    }
+
     /// `true` when this member is the acting primary of its current view.
     pub fn is_primary(&self) -> bool {
         self.status == ReplicaStatus::Normal && self.cfg.primary_of(self.view) == self.cfg.me
@@ -309,11 +368,18 @@ impl Replica {
         self.cfg.group[self.cfg.primary_of(self.view)]
     }
 
-    fn broadcast(&self, msg: &ReplicaMsg, out: &mut Outbox) {
-        for (i, &node) in self.cfg.group.iter().enumerate() {
-            if i != self.cfg.me {
-                out.push((node, msg.clone()));
+    /// Queues `msg` for every other member; the last one gets the original,
+    /// so a batch or a whole log is cloned once per backup and no more.
+    fn broadcast(&self, msg: ReplicaMsg, out: &mut Outbox) {
+        let me = self.cfg.me;
+        let mut peers =
+            self.cfg.group.iter().enumerate().filter(|(i, _)| *i != me).map(|(_, &n)| n).peekable();
+        while let Some(node) = peers.next() {
+            if peers.peek().is_none() {
+                out.push((node, msg));
+                return;
             }
+            out.push((node, msg.clone()));
         }
     }
 
@@ -332,7 +398,7 @@ impl Replica {
         self.rec_responded = vec![false; self.cfg.group.len()];
         self.rec_best = None;
         self.broadcast(
-            &ReplicaMsg::Recovery { replica: self.cfg.me as u32, nonce: self.nonce },
+            ReplicaMsg::Recovery { replica: self.cfg.me as u32, nonce: self.nonce },
             out,
         );
     }
@@ -360,7 +426,7 @@ impl Replica {
             ReplicaStatus::ViewChange => {
                 let msg =
                     ReplicaMsg::StartViewChange { view: self.view, replica: self.cfg.me as u32 };
-                self.broadcast(&msg, out);
+                self.broadcast(msg, out);
                 if self.dvc_sent && self.cfg.primary_of(self.view) != self.cfg.me {
                     out.push((self.primary_node(), self.do_view_change_msg()));
                 }
@@ -379,7 +445,7 @@ impl Replica {
                     }
                     self.commit_at_tick = self.commit_number;
                     self.broadcast(
-                        &ReplicaMsg::Commit { view: self.view, commit_number: self.commit_number },
+                        ReplicaMsg::Commit { view: self.view, commit_number: self.commit_number },
                         out,
                     );
                 }
@@ -387,53 +453,82 @@ impl Replica {
         }
     }
 
-    /// Re-sends the uncommitted suffix of the log to every backup that has
-    /// not acknowledged it (called when a whole tick passed without commit
-    /// progress). A `Prepare` a backup dropped (it was still
-    /// Recovering, or the link was down) is otherwise never seen again: the
-    /// commit heartbeat alone tells a backup nothing it lacks while
-    /// `commit_number` trails the lost op. Duplicates fall through to the
-    /// backup's cumulative ack.
-    fn resend_unacked_prepares(&self, out: &mut Outbox) {
-        for (i, &node) in self.cfg.group.iter().enumerate() {
+    /// Re-sends what was sent but not committed to every backup that has
+    /// not acknowledged it, as one batched `Prepare` each (one per
+    /// [`MAX_BATCH_OPS`] when a whole window was lost) — called when a whole
+    /// tick passed without commit progress. A `Prepare` a backup dropped
+    /// (it was still Recovering, or the link was down) is otherwise never
+    /// seen again: the commit heartbeat alone tells a backup nothing it
+    /// lacks while `commit_number` trails the lost op. Duplicates fall
+    /// through to the backup's cumulative ack.
+    fn resend_unacked_prepares(&mut self, out: &mut Outbox) {
+        for i in 0..self.cfg.group.len() {
             if i == self.cfg.me {
                 continue;
             }
-            let held = self.ack_high[i].max(self.commit_number);
-            for op_number in held + 1..=self.log.op_number() {
-                let op = self.log.get(op_number).expect("op number inside the log").clone();
-                out.push((
-                    node,
-                    ReplicaMsg::Prepare {
-                        view: self.view,
-                        op_number,
-                        commit_number: self.commit_number,
-                        op,
-                    },
-                ));
+            let mut first = self.ack_high[i].max(self.commit_number) + 1;
+            while first <= self.sent {
+                let last = self.sent.min(first + (MAX_BATCH_OPS as u64 - 1));
+                let msg = self.prepare_msg(first, last);
+                out.push((self.cfg.group[i], msg));
+                first = last + 1;
             }
         }
     }
 
-    /// Submits one mutation to the group. On the primary this appends and
-    /// broadcasts `Prepare`; on a backup it forwards to the primary; while
+    /// The one place a `Prepare` is built: ops `first..=last` of the log.
+    fn prepare_msg(&mut self, first: u64, last: u64) -> ReplicaMsg {
+        self.prepares_sent += 1;
+        ReplicaMsg::Prepare {
+            view: self.view,
+            op_number: first,
+            commit_number: self.commit_number,
+            ops: self.log.range(first, last).to_vec(),
+        }
+    }
+
+    /// The primary's one send step: while fewer than [`PREPARE_WINDOW`]
+    /// batches are uncommitted, broadcasts the log suffix no `Prepare` has
+    /// carried yet as one batch (several only when it exceeds
+    /// [`MAX_BATCH_OPS`]). Returns whether a `Prepare` left — it carries
+    /// the commit number, so the caller need not announce it.
+    fn send_prepares(&mut self, out: &mut Outbox) -> bool {
+        while self.in_flight.front().is_some_and(|&last| last <= self.commit_number) {
+            self.in_flight.pop_front();
+        }
+        let mut left = false;
+        while self.sent < self.log.op_number() && self.in_flight.len() < PREPARE_WINDOW {
+            let last = self.log.op_number().min(self.sent + MAX_BATCH_OPS as u64);
+            let msg = self.prepare_msg(self.sent + 1, last);
+            self.broadcast(msg, out);
+            self.sent = last;
+            self.in_flight.push_back(last);
+            left = true;
+        }
+        left
+    }
+
+    /// Resets the primary-side bookkeeping when this member starts leading
+    /// a view whose log it just shipped whole (`StartView`): everything is
+    /// sent, nothing acknowledged yet.
+    fn lead_from_log_end(&mut self) {
+        self.ack_high = vec![0; self.cfg.group.len()];
+        self.ack_high[self.cfg.me] = self.log.op_number();
+        self.sent = self.log.op_number();
+        self.in_flight.clear();
+    }
+
+    /// Submits one mutation to the group. On the primary this only appends
+    /// and runs the send step (an idle group's op leaves at once, as a
+    /// batch of one); on a backup it forwards to the primary; while
     /// Recovering or in a view change it queues.
     pub fn submit(&mut self, op: BrokerOp, out: &mut Outbox) {
         match self.status {
             ReplicaStatus::Recovering | ReplicaStatus::ViewChange => self.pending.push(op),
             ReplicaStatus::Normal => {
                 if self.is_primary() {
-                    let n = self.log.append(op.clone());
-                    self.ack_high[self.cfg.me] = n;
-                    self.broadcast(
-                        &ReplicaMsg::Prepare {
-                            view: self.view,
-                            op_number: n,
-                            commit_number: self.commit_number,
-                            op,
-                        },
-                        out,
-                    );
+                    self.ack_high[self.cfg.me] = self.log.append(op);
+                    self.send_prepares(out);
                     self.maybe_commit(out);
                 } else {
                     out.push((self.primary_node(), ReplicaMsg::Forward { op }));
@@ -478,7 +573,7 @@ impl Replica {
         self.svc_votes[self.cfg.me] = true;
         self.dvc_sent = false;
         self.dvc = vec![None; self.cfg.group.len()];
-        self.broadcast(&ReplicaMsg::StartViewChange { view, replica: self.cfg.me as u32 }, out);
+        self.broadcast(ReplicaMsg::StartViewChange { view, replica: self.cfg.me as u32 }, out);
         self.maybe_do_view_change(out);
     }
 
@@ -541,10 +636,9 @@ impl Replica {
         self.commit_number = commit.max(self.commit_number).min(self.log.op_number());
         self.status = ReplicaStatus::Normal;
         self.last_normal = self.view;
-        self.ack_high = vec![0; self.cfg.group.len()];
-        self.ack_high[self.cfg.me] = self.log.op_number();
+        self.lead_from_log_end();
         self.broadcast(
-            &ReplicaMsg::StartView {
+            ReplicaMsg::StartView {
                 view: self.view,
                 commit_number: self.commit_number,
                 log: self.log.to_vec(),
@@ -562,8 +656,12 @@ impl Replica {
         }
     }
 
-    /// Primary-side commit rule: advance the commit number over every op a
-    /// majority of members (self included) holds, then announce it.
+    /// Primary-side commit rule: the commit number is the quorum-th highest
+    /// acknowledgement (own log end included). An advance re-runs the send
+    /// step — the window just opened — and is announced by the `Prepare`
+    /// that leaves there; an explicit `Commit` goes out only when none did
+    /// and the whole log is committed, so a busy pipeline never pays for
+    /// one and a draining one pays exactly once.
     fn maybe_commit(&mut self, out: &mut Outbox) {
         if !self.is_primary() {
             return;
@@ -578,20 +676,21 @@ impl Replica {
         } else {
             self.cfg.quorum()
         };
-        let mut next = self.commit_number;
-        while next < self.log.op_number() {
-            let holders = self.ack_high.iter().filter(|&&h| h > next).count();
-            if holders < quorum {
-                break;
+        let acks = &self.ack_high;
+        let held_by_quorum = acks
+            .iter()
+            .copied()
+            .filter(|&h| acks.iter().filter(|&&a| a >= h).count() >= quorum)
+            .max()
+            .unwrap_or(0);
+        if held_by_quorum > self.commit_number {
+            self.commit_number = held_by_quorum;
+            if !self.send_prepares(out) && self.commit_number == self.log.op_number() {
+                self.broadcast(
+                    ReplicaMsg::Commit { view: self.view, commit_number: self.commit_number },
+                    out,
+                );
             }
-            next += 1;
-        }
-        if next > self.commit_number {
-            self.commit_number = next;
-            self.broadcast(
-                &ReplicaMsg::Commit { view: self.view, commit_number: self.commit_number },
-                out,
-            );
         }
     }
 
@@ -599,8 +698,8 @@ impl Replica {
     pub fn on_msg(&mut self, from: NodeId, msg: ReplicaMsg, out: &mut Outbox) {
         match msg {
             ReplicaMsg::Forward { op } => self.on_forward(from, op, out),
-            ReplicaMsg::Prepare { view, op_number, commit_number, op } => {
-                self.on_prepare(from, view, op_number, commit_number, op, out);
+            ReplicaMsg::Prepare { view, op_number, commit_number, ops } => {
+                self.on_prepare(from, view, op_number, commit_number, ops, out);
             }
             ReplicaMsg::PrepareOk { view, op_number, replica } => {
                 self.on_prepare_ok(view, op_number, replica as usize, out);
@@ -664,11 +763,11 @@ impl Replica {
         view: u64,
         op_number: u64,
         commit_number: u64,
-        op: BrokerOp,
+        ops: Vec<BrokerOp>,
         out: &mut Outbox,
-    ) {
+    ) -> PrepareOutcome {
         if self.status == ReplicaStatus::Recovering {
-            return;
+            return PrepareOutcome::NotServing;
         }
         // Model-checker fault injection: accept a Prepare from a stale
         // view as if it were current. A primary deposed by a view change
@@ -678,24 +777,40 @@ impl Replica {
         // crates/verify/tests/replication.rs).
         let stale_ok = rebeca_verify::inject::enabled("viewchange_stale_view");
         if view < self.view && !stale_ok {
-            return;
+            return PrepareOutcome::StaleView;
         }
         if view > self.view {
             // We missed a view change: fetch state from the new primary.
             self.state_transfer(from, out);
-            return;
+            return PrepareOutcome::Behind;
         }
         if self.status != ReplicaStatus::Normal {
-            return;
+            return PrepareOutcome::NotServing;
         }
-        if op_number == self.log.op_number() + 1 {
-            self.log.append(op);
-        } else if op_number > self.log.op_number() + 1 {
-            // Gap: we lost an earlier Prepare — full state transfer.
+        if op_number == 0
+            || ops.is_empty()
+            || ops.len() > MAX_BATCH_OPS
+            || op_number.checked_add(ops.len() as u64 - 1).is_none()
+        {
+            return PrepareOutcome::Malformed;
+        }
+        let log_end = self.log.op_number();
+        // Model-checker fault injection: append a batch that starts beyond
+        // the log end as if it were contiguous. Its ops land under the
+        // wrong op numbers — the hole the gap check exists to prevent
+        // (`batch_skip_gap_check` twin in crates/verify/tests/replication.rs).
+        let gap_ok = rebeca_verify::inject::enabled("batch_skip_gap_check");
+        if op_number > log_end + 1 && !gap_ok {
+            // Gap: we lost an earlier batch — full state transfer.
             self.state_transfer(from, out);
-            return;
+            return PrepareOutcome::Behind;
         }
-        // Duplicate (op_number <= log): fall through to the cumulative ack.
+        // Only the part of the batch past our log end is new; the overlap
+        // (a re-sent or duplicated prefix) falls through to the cumulative
+        // ack.
+        let known = (log_end + 1).saturating_sub(op_number).min(ops.len() as u64) as usize;
+        let appended = ops.len() - known;
+        self.log.extend(ops.into_iter().skip(known));
         self.commit_to(commit_number);
         out.push((
             from,
@@ -705,14 +820,18 @@ impl Replica {
                 replica: self.cfg.me as u32,
             },
         ));
+        PrepareOutcome::Acked(appended)
     }
 
     fn on_prepare_ok(&mut self, view: u64, op_number: u64, replica: usize, out: &mut Outbox) {
         if view != self.view || !self.is_primary() || replica >= self.ack_high.len() {
             return;
         }
-        if op_number > self.ack_high[replica] {
-            self.ack_high[replica] = op_number;
+        // Nobody holds what the primary does not: an acknowledgement beyond
+        // the log (hostile or confused) counts as one of the log end.
+        let held = op_number.min(self.log.op_number());
+        if held > self.ack_high[replica] {
+            self.ack_high[replica] = held;
         }
         self.maybe_commit(out);
     }
@@ -910,10 +1029,9 @@ impl Replica {
             // We recovered as the acting primary (e.g. a rebooted broker
             // whose group never elected past it): re-assert the view so
             // backups realign and re-ack.
-            self.ack_high = vec![0; self.cfg.group.len()];
-            self.ack_high[self.cfg.me] = self.log.op_number();
+            self.lead_from_log_end();
             self.broadcast(
-                &ReplicaMsg::StartView {
+                ReplicaMsg::StartView {
                     view: self.view,
                     commit_number: self.commit_number,
                     log: self.log.to_vec(),
@@ -962,8 +1080,10 @@ mod tests {
         BrokerOp::ClientAttach { client: ClientId::new(i), node: NodeId::new(10 + i) }
     }
 
-    /// Delivers every queued message until the group quiesces.
-    fn pump(replicas: &mut [Replica], outboxes: &mut [Outbox]) {
+    /// Delivers every queued message until the group quiesces; returns
+    /// what was delivered, in order.
+    fn pump(replicas: &mut [Replica], outboxes: &mut [Outbox]) -> Vec<ReplicaMsg> {
+        let mut delivered = Vec::new();
         loop {
             let mut moved = false;
             for i in 0..replicas.len() {
@@ -976,14 +1096,41 @@ mod tests {
                     let Some(dest) = replicas.iter().position(|r| r.me_node() == to) else {
                         continue;
                     };
+                    delivered.push(msg.clone());
                     let mut out = std::mem::take(&mut outboxes[dest]);
                     replicas[dest].on_msg(from, msg, &mut out);
                     outboxes[dest] = out;
                 }
             }
             if !moved {
-                return;
+                return delivered;
             }
+        }
+    }
+
+    /// Removes and returns the messages queued for `to`, in order.
+    fn take_to(out: &mut Outbox, to: NodeId) -> Vec<ReplicaMsg> {
+        let (hit, rest) = std::mem::take(out).into_iter().partition(|(t, _)| *t == to);
+        *out = rest;
+        hit.into_iter().map(|(_, m)| m).collect()
+    }
+
+    /// `(first op number, batch length, piggybacked commit)` of a `Prepare`.
+    fn batch(m: &ReplicaMsg) -> (u64, usize, u64) {
+        match m {
+            ReplicaMsg::Prepare { op_number, commit_number, ops, .. } => {
+                (*op_number, ops.len(), *commit_number)
+            }
+            other => panic!("not a Prepare: {other:?}"),
+        }
+    }
+
+    fn prepare(view: u64, first: u32, len: u32) -> ReplicaMsg {
+        ReplicaMsg::Prepare {
+            view,
+            op_number: u64::from(first),
+            commit_number: 0,
+            ops: (first..first + len).map(op).collect(),
         }
     }
 
@@ -1134,7 +1281,12 @@ mod tests {
         let before = live[1].op_number();
         live[1].on_msg(
             NodeId::new(0),
-            ReplicaMsg::Prepare { view: 0, op_number: before + 1, commit_number: 0, op: op(9) },
+            ReplicaMsg::Prepare {
+                view: 0,
+                op_number: before + 1,
+                commit_number: 0,
+                ops: vec![op(9)],
+            },
             &mut outs[2],
         );
         assert_eq!(live[1].op_number(), before, "stale-view Prepare must not append");
@@ -1150,12 +1302,22 @@ mod tests {
         boot(&mut rs, &mut outs);
         rs[0].submit(op(1), &mut outs[0]);
         rs[0].submit(op(2), &mut outs[0]);
-        assert_eq!(outs[0].len(), 4, "two Prepares to each backup");
+        assert_eq!(outs[0].len(), 4, "an idle group's ops leave at once: two batches of one");
         outs[0].clear(); // lost on the way
         pump(&mut rs, &mut outs);
         assert_eq!(rs[0].commit_number(), 0, "nothing acknowledged, nothing committed");
 
         rs[0].tick(&mut outs[0]);
+        for backup in [1, 2] {
+            let resent: Vec<_> = outs[0]
+                .iter()
+                .filter(|(to, m)| {
+                    *to == NodeId::new(backup) && matches!(m, ReplicaMsg::Prepare { .. })
+                })
+                .map(|(_, m)| batch(m))
+                .collect();
+            assert_eq!(resent, [(1, 2, 0)], "the uncommitted suffix, one message per backup");
+        }
         pump(&mut rs, &mut outs);
         assert_eq!(rs[0].commit_number(), 2, "one tick, no further submit");
         for r in &rs[1..] {
@@ -1176,45 +1338,252 @@ mod tests {
         assert_eq!(rs[0].commit_number(), 3, "stalled for a tick: re-sent and committed");
     }
 
-    /// PR 12 finding 2: a burst of gapped `Prepare`s starts one catch-up
+    /// PR 12 finding 2: a burst of gapped batches starts one catch-up
     /// round, not one per message — each new round used to disown the
     /// answer to the previous one.
     #[test]
-    fn gapped_prepares_start_one_state_transfer() {
+    fn gapped_batches_start_one_state_transfer() {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
         for i in 1..=11 {
             rs[0].submit(op(i), &mut outs[0]);
         }
-        // Backup 1 misses op 1 and sees the ten that follow.
-        let to_1: Vec<ReplicaMsg> = std::mem::take(&mut outs[0])
-            .into_iter()
-            .filter(|(to, _)| *to == NodeId::new(1))
-            .map(|(_, m)| m)
-            .collect();
-        for m in to_1.into_iter().skip(1) {
-            rs[1].on_msg(NodeId::new(0), m, &mut outs[1]);
+        // Backup 1 loses everything the primary sent it so far, then sees
+        // ten batches that all start beyond its (empty) log.
+        take_to(&mut outs[0], NodeId::new(1));
+        for first in 2..=11 {
+            rs[1].on_msg(NodeId::new(0), prepare(0, first, 1), &mut outs[1]);
         }
         let probes =
             outs[1].iter().filter(|(_, m)| matches!(m, ReplicaMsg::Recovery { .. })).count();
-        assert_eq!(probes, 1, "ten gapped Prepares, one probe: {:?}", outs[1]);
+        assert_eq!(probes, 1, "ten gapped batches, one probe: {:?}", outs[1]);
         assert_eq!(outs[1].len(), 1, "and nothing acknowledged meanwhile");
+        assert_eq!(rs[1].op_number(), 0, "and nothing appended: no hole in the log");
 
         pump(&mut rs, &mut outs);
         assert_eq!(rs[1].op_number(), 11, "the answer is adopted");
-        assert_eq!(rs[0].commit_number(), 11, "and acknowledged: quorum without backup 2");
+        assert_eq!(rs[0].commit_number(), 11);
 
         // A later gap may ask again.
         rs[0].submit(op(12), &mut outs[0]);
         rs[0].submit(op(13), &mut outs[0]);
-        let late: Vec<ReplicaMsg> = std::mem::take(&mut outs[0])
-            .into_iter()
-            .filter(|(to, _)| *to == NodeId::new(1))
-            .map(|(_, m)| m)
-            .collect();
+        let late = take_to(&mut outs[0], NodeId::new(1));
+        assert_eq!(late.len(), 2, "the window is open: two batches of one");
         rs[1].on_msg(NodeId::new(0), late[1].clone(), &mut outs[1]);
         assert!(matches!(outs[1][..], [(_, ReplicaMsg::Recovery { .. })]));
+    }
+
+    /// The window: a burst leaves as `PREPARE_WINDOW` batches at once, the
+    /// rest waits for an acknowledgement and then travels as one message;
+    /// the commit number rides on it, and the one explicit `Commit` leaves
+    /// when the pipeline drains.
+    #[test]
+    fn burst_ships_a_window_then_the_rest_in_one_batch() {
+        const N: u32 = 60;
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        for i in 1..=N {
+            rs[0].submit(op(i), &mut outs[0]);
+        }
+        let w = PREPARE_WINDOW as u64;
+        for backup in [1, 2] {
+            let sent: Vec<_> = outs[0]
+                .iter()
+                .filter(|(to, _)| *to == NodeId::new(backup))
+                .map(|(_, m)| batch(m))
+                .collect();
+            let want: Vec<_> = (1..=w).map(|n| (n, 1, 0)).collect();
+            assert_eq!(sent, want, "a window of single-op batches, then silence");
+        }
+        assert_eq!(rs[0].prepares_sent(), w);
+
+        // One acknowledgement of the first batch opens one slot.
+        let first = take_to(&mut outs[0], NodeId::new(1)).remove(0);
+        rs[1].on_msg(NodeId::new(0), first, &mut outs[1]);
+        let ack = take_to(&mut outs[1], NodeId::new(0)).remove(0);
+        let before = outs[0].len();
+        rs[0].on_msg(NodeId::new(1), ack, &mut outs[0]);
+        let step: Vec<_> = outs[0][before..].iter().map(|(_, m)| batch(m)).collect();
+        let rest = (w + 1, (u64::from(N) - w) as usize, 1);
+        assert_eq!(step, [rest, rest], "the rest in one batch per backup, carrying the commit");
+        assert_eq!(rs[0].prepares_sent(), w + 1);
+
+        // Backup 1 lost batches 2..=w above; backup 2 carries the quorum.
+        let delivered = pump(&mut rs, &mut outs);
+        let commits: Vec<_> =
+            delivered.iter().filter(|m| matches!(m, ReplicaMsg::Commit { .. })).collect();
+        let drained = ReplicaMsg::Commit { view: 0, commit_number: u64::from(N) };
+        assert_eq!(commits, [&drained, &drained], "one broadcast, when the pipeline drains");
+        assert_eq!(rs[0].commit_number(), u64::from(N));
+        assert_eq!(rs[2].commit_number(), u64::from(N));
+        assert_eq!(rs[2].log(), rs[0].log());
+    }
+
+    #[test]
+    fn a_batch_never_exceeds_the_cap() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        let n = (PREPARE_WINDOW + MAX_BATCH_OPS + 10) as u32;
+        for i in 1..=n {
+            rs[0].submit(op(i), &mut outs[0]);
+        }
+        let delivered = pump(&mut rs, &mut outs);
+        let longest = delivered
+            .iter()
+            .filter(|m| matches!(m, ReplicaMsg::Prepare { .. }))
+            .map(|m| batch(m).1)
+            .max();
+        assert_eq!(longest, Some(MAX_BATCH_OPS));
+        for r in &rs {
+            assert_eq!(r.commit_number(), u64::from(n), "every op commits all the same");
+        }
+    }
+
+    /// A backup holding ops 1..=3 of view 0, ready for hand-made batches.
+    fn backup_with_three() -> (Replica, Outbox) {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        for i in 1..=3 {
+            rs[0].submit(op(i), &mut outs[0]);
+        }
+        pump(&mut rs, &mut outs);
+        (rs.remove(1), Outbox::new())
+    }
+
+    fn offer(r: &mut Replica, out: &mut Outbox, m: ReplicaMsg) -> PrepareOutcome {
+        let ReplicaMsg::Prepare { view, op_number, commit_number, ops } = m else {
+            panic!("not a Prepare");
+        };
+        r.on_prepare(NodeId::new(0), view, op_number, commit_number, ops, out)
+    }
+
+    #[test]
+    fn malformed_batches_are_dropped_whole() {
+        let (mut r, mut out) = backup_with_three();
+        let hostile = [
+            ReplicaMsg::Prepare { view: 0, op_number: 0, commit_number: 0, ops: vec![op(9)] },
+            ReplicaMsg::Prepare { view: 0, op_number: 4, commit_number: 0, ops: Vec::new() },
+            ReplicaMsg::Prepare {
+                view: 0,
+                op_number: u64::MAX,
+                commit_number: 0,
+                ops: vec![op(9), op(10)],
+            },
+            prepare(0, 4, MAX_BATCH_OPS as u32 + 1),
+        ];
+        for m in hostile {
+            assert_eq!(offer(&mut r, &mut out, m.clone()), PrepareOutcome::Malformed, "{m:?}");
+        }
+        assert_eq!(r.op_number(), 3, "nothing appended");
+        assert!(out.is_empty(), "nothing acknowledged, no probe");
+        // The cap itself is fine.
+        let full = prepare(0, 4, MAX_BATCH_OPS as u32);
+        assert_eq!(offer(&mut r, &mut out, full), PrepareOutcome::Acked(MAX_BATCH_OPS));
+    }
+
+    #[test]
+    fn an_overlapping_batch_appends_only_its_new_suffix() {
+        let (mut r, mut out) = backup_with_three();
+        assert_eq!(offer(&mut r, &mut out, prepare(0, 2, 4)), PrepareOutcome::Acked(2));
+        assert_eq!(r.op_number(), 5);
+        let want: Vec<_> = (1..=5).map(op).collect();
+        assert_eq!(r.log().range(1, 5), &want[..], "each op under its own number");
+        // A pure duplicate appends nothing; both are acknowledged cumulatively.
+        assert_eq!(offer(&mut r, &mut out, prepare(0, 1, 3)), PrepareOutcome::Acked(0));
+        let ack = ReplicaMsg::PrepareOk { view: 0, op_number: 5, replica: 1 };
+        assert_eq!(out, [(NodeId::new(0), ack.clone()), (NodeId::new(0), ack)]);
+    }
+
+    #[test]
+    fn stale_gapped_and_unserved_batches_have_their_own_outcomes() {
+        let (mut r, mut out) = backup_with_three();
+        assert_eq!(offer(&mut r, &mut out, prepare(0, 5, 2)), PrepareOutcome::Behind);
+        assert!(matches!(out[..], [(_, ReplicaMsg::Recovery { .. })]), "a gap probes: {out:?}");
+        assert_eq!(offer(&mut r, &mut out, prepare(1, 4, 1)), PrepareOutcome::Behind);
+        assert_eq!(out.len(), 1, "a newer view too, but one probe is in flight already");
+        r.on_peer_change(NodeId::new(0), false, &mut out);
+        assert_eq!(r.view(), 1);
+        assert_eq!(offer(&mut r, &mut out, prepare(0, 4, 1)), PrepareOutcome::StaleView);
+        assert_eq!(offer(&mut r, &mut out, prepare(1, 4, 1)), PrepareOutcome::NotServing);
+        assert_eq!(r.op_number(), 3);
+
+        let mut fresh = Replica::new(r.config().clone());
+        assert_eq!(offer(&mut fresh, &mut out, prepare(0, 1, 1)), PrepareOutcome::NotServing);
+    }
+
+    /// An acknowledgement beyond the primary's log (hostile or confused)
+    /// commits nothing that is not there.
+    #[test]
+    fn commit_is_the_quorum_th_highest_ack_bounded_by_the_log() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        for i in 1..=3 {
+            rs[0].submit(op(i), &mut outs[0]);
+        }
+        outs[0].clear();
+        let ok = |op_number, replica| ReplicaMsg::PrepareOk { view: 0, op_number, replica };
+        rs[0].on_msg(NodeId::new(1), ok(2, 1), &mut outs[0]);
+        assert_eq!(rs[0].commit_number(), 2, "primary and backup 1 hold 1..=2");
+        rs[0].on_msg(NodeId::new(2), ok(1, 2), &mut outs[0]);
+        assert_eq!(rs[0].commit_number(), 2, "a lower ack changes nothing");
+        rs[0].on_msg(NodeId::new(2), ok(u64::MAX, 2), &mut outs[0]);
+        assert_eq!(rs[0].commit_number(), 3, "never past the log");
+        rs[0].tick(&mut outs[0]);
+        rs[0].tick(&mut outs[0]); // a stalled tick walks the acks: no overflow
+    }
+
+    /// The primary dies with a window in flight: some batches reached both
+    /// backups, one reached a single backup, the rest nobody. The new
+    /// primary adopts the longest log, re-commits what was uncommitted, and
+    /// sends on from the adopted log end.
+    #[test]
+    fn view_change_mid_window_keeps_committed_ops() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        for i in 1..=10 {
+            rs[0].submit(op(i), &mut outs[0]);
+        }
+        let to_1 = take_to(&mut outs[0], NodeId::new(1));
+        let to_2 = take_to(&mut outs[0], NodeId::new(2));
+        for m in &to_1[..2] {
+            rs[1].on_msg(NodeId::new(0), m.clone(), &mut outs[1]);
+        }
+        for m in &to_2[..3] {
+            rs[2].on_msg(NodeId::new(0), m.clone(), &mut outs[2]);
+        }
+        for ack in take_to(&mut outs[1], NodeId::new(0)) {
+            rs[0].on_msg(NodeId::new(1), ack, &mut outs[0]);
+        }
+        assert_eq!(rs[0].commit_number(), 2, "ops 1 and 2 are committed at the primary");
+        assert_eq!(rs[0].op_number(), 10);
+
+        // The primary dies; what it still had queued (the batch 5..=10
+        // among it) and backup 2's acknowledgements go nowhere.
+        let mut live = rs.split_off(1);
+        outs[2].clear();
+        live[0].on_peer_change(NodeId::new(0), false, &mut outs[1]);
+        live[1].on_peer_change(NodeId::new(0), false, &mut outs[2]);
+        pump(&mut live, &mut outs[1..]);
+        assert!(live[0].is_primary());
+        for r in &live {
+            assert_eq!(r.view(), 1);
+            assert_eq!(r.commit_number(), 3, "the adopted suffix is re-committed");
+            assert_eq!(r.log().range(1, 3), &[op(1), op(2), op(3)]);
+        }
+
+        live[0].submit(op(11), &mut outs[1]);
+        let sent = take_to(&mut outs[1], NodeId::new(2));
+        assert_eq!(sent.iter().map(batch).collect::<Vec<_>>(), [(4, 1, 3)], "no re-send of 1..=3");
+        live[1].on_msg(NodeId::new(1), sent[0].clone(), &mut outs[2]);
+        pump(&mut live, &mut outs[1..]);
+        assert_eq!(live[0].commit_number(), 4);
+        assert_eq!(live[1].log(), live[0].log());
     }
 
     #[test]

@@ -42,6 +42,7 @@ const REPLICA_TICK: SimDuration = SimDuration::from_millis(200);
 #[derive(Debug, Default)]
 pub struct ReplicationMetrics {
     ops_logged: AtomicU64,
+    prepares_sent: AtomicU64,
     ops_committed: AtomicU64,
     ops_applied: AtomicU64,
     view_changes: AtomicU64,
@@ -53,6 +54,10 @@ pub struct ReplicationMetrics {
 pub struct ReplicationStats {
     /// Mutations submitted to a replica group.
     pub ops_logged: u64,
+    /// `Prepare` batches the primaries built — messages, not ops: a
+    /// broadcast counts once (a tick re-send once per lagging backup), so
+    /// `ops_logged / prepares_sent` is the mean batch size.
+    pub prepares_sent: u64,
     /// Commit-number advancements summed over every group member: each op
     /// counts once per member that learns its commit, so a fully healthy
     /// group of g reports `g * ops_logged`.
@@ -82,6 +87,7 @@ impl ReplicationMetrics {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ReplicationStats {
             ops_logged: load(&self.ops_logged),
+            prepares_sent: load(&self.prepares_sent),
             ops_committed: load(&self.ops_committed),
             ops_applied: load(&self.ops_applied),
             view_changes: load(&self.view_changes),
@@ -98,6 +104,7 @@ struct ReplicaDriver {
     metrics: Arc<ReplicationMetrics>,
     last_view: u64,
     last_commit: u64,
+    last_prepares: u64,
     was_recovering: bool,
 }
 
@@ -110,6 +117,7 @@ impl ReplicaDriver {
             metrics,
             last_view: 0,
             last_commit: 0,
+            last_prepares: 0,
             was_recovering,
         }
     }
@@ -132,6 +140,9 @@ impl ReplicaDriver {
             ReplicationMetrics::add(&self.metrics.ops_committed, commit - self.last_commit);
             self.last_commit = commit;
         }
+        let prepares = self.replica.prepares_sent();
+        ReplicationMetrics::add(&self.metrics.prepares_sent, prepares - self.last_prepares);
+        self.last_prepares = prepares;
         match self.replica.status() {
             ReplicaStatus::Recovering => self.was_recovering = true,
             ReplicaStatus::Normal => {
@@ -221,6 +232,13 @@ impl ReplicatedBrokerNode {
     /// Access to the replica state machine (view, commit number, status).
     pub fn replica(&self) -> &Replica {
         &self.driver.replica
+    }
+
+    /// Snapshot of the replication counters this node shares with every
+    /// other group member built by the same facade call (one system, or one
+    /// process partition of it).
+    pub fn replication_stats(&self) -> ReplicationStats {
+        self.driver.metrics.snapshot()
     }
 
     /// Mobility messages received and dropped.

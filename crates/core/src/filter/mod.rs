@@ -104,6 +104,10 @@ impl Filter {
     /// Creates a filter from pre-built constraints.
     pub fn from_constraints(constraints: impl IntoIterator<Item = Constraint>) -> Filter {
         let mut constraints: Vec<_> = constraints.into_iter().collect();
+        // A filter never grows again, and an op log keeps the very filter a
+        // client built: a builder's spare capacity (room for four
+        // constraints behind the usual one) would be held for good.
+        constraints.shrink_to_fit();
         constraints.sort_by(|a, b| a.attr.cmp(&b.attr));
         Filter { constraints }
     }

@@ -77,6 +77,9 @@ struct NodeLoop<M: Payload, S> {
     t0: Instant,
     links: Arc<RwLock<LinkSet>>,
     send: S,
+    /// The handlers' action buffer, emptied and reused across invocations:
+    /// one commit-apply of a batched `Prepare` emits hundreds of sends.
+    actions: Vec<Action<M>>,
     next_timer: u64,
     /// Min-heap: the earliest deadline pops first.
     timers: BinaryHeap<Reverse<PendingTimer>>,
@@ -97,12 +100,13 @@ impl<M: Payload, S: FnMut(NodeId, M)> NodeLoop<M, S> {
         let mut ctx = Ctx {
             now: self.now(),
             me,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             next_timer: &mut self.next_timer,
             link_up: &link_up,
         };
         f(self.node.as_mut(), &mut ctx);
-        for a in ctx.actions {
+        let mut actions = ctx.actions;
+        for a in actions.drain(..) {
             match a {
                 Action::Send { to, msg } => {
                     // Send-time link check: a down link silently drops the
@@ -124,6 +128,7 @@ impl<M: Payload, S: FnMut(NodeId, M)> NodeLoop<M, S> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     fn fire_due_timers(&mut self) {
@@ -155,6 +160,7 @@ pub(crate) fn run_node<M: Payload>(
         t0,
         links,
         send,
+        actions: Vec::new(),
         next_timer: 0,
         timers: BinaryHeap::new(),
         pending: HashSet::new(),

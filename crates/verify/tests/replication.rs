@@ -1,11 +1,11 @@
-//! Model-checks the replica-group view-change arbitration from
-//! `rebeca-broker` — the real production state machine
-//! ([`rebeca_broker::replication::Replica`]), sans-io, driven under the
-//! checker's scheduler.
+//! Model-checks the replica group from `rebeca-broker` — the real
+//! production state machine ([`rebeca_broker::replication::Replica`]),
+//! sans-io, driven under the checker's scheduler: the view-change
+//! arbitration, and the batch boundaries of the normal case.
 //!
 //! Run with: `RUSTFLAGS="--cfg rebeca_verify" cargo test -p rebeca-verify --release`
 //!
-//! The scenario: a 3-member group boots fresh and commits two ops, then
+//! The view-change scenario: a 3-member group boots fresh and commits two ops, then
 //! the primary dies with a third op in flight. The two survivors race —
 //! the supervisor's peer-down notices and the dead primary's last
 //! `Prepare`s are interleaved exhaustively — and whatever the order, the
@@ -13,8 +13,19 @@
 //! member committed, and keep the survivors' committed prefixes
 //! identical.
 //!
-//! Two injected twins prove the checker would catch the classic bugs:
+//! The batch-boundary scenario: the primary has two multi-op `Prepare`s
+//! in flight to both backups, each carrying a different piggybacked commit
+//! number, with more acknowledgements still to come. The four deliveries
+//! and the primary's next two inputs are interleaved exhaustively — a later
+//! batch can overtake an earlier one — and whatever the order, no replica's
+//! commit number regresses, every log stays a prefix of the primary's (no
+//! hole), and the group settles with every op committed everywhere.
 //!
+//! Three injected twins prove the checker would catch the classic bugs:
+//!
+//! * `batch_skip_gap_check` — `on_prepare` appends a batch that starts
+//!   beyond the log end, so an overtaking batch lands under the wrong op
+//!   numbers.
 //! * `viewchange_stale_view` — `on_prepare` accepts a Prepare from a
 //!   stale view, so the deposed primary's dying gasp splits the
 //!   survivors' logs at one op number.
@@ -24,7 +35,7 @@
 #![cfg(rebeca_verify)]
 
 use rebeca_broker::replication::{
-    BrokerOp, Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicaStatus,
+    BrokerOp, Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicaStatus, PREPARE_WINDOW,
 };
 use rebeca_core::ClientId;
 use rebeca_net::NodeId;
@@ -61,18 +72,18 @@ fn pump_full(replicas: &mut [Replica], outboxes: &mut [Outbox]) {
     }
 }
 
-/// The two survivors plus the network between them. Sends addressed to
-/// the dead primary are dropped, exactly as the process runtime drops
-/// writes on a downed link.
-struct Survivors {
-    dead: NodeId,
+/// The live members plus the network between them. Sends addressed to a
+/// dead primary are dropped, exactly as the process runtime drops writes
+/// on a downed link.
+struct Net {
+    dead: Option<NodeId>,
     live: Vec<Replica>,
     queue: VecDeque<(NodeId, NodeId, ReplicaMsg)>,
     /// Per-survivor commit high-water, for the monotonicity invariant.
     last_commit: Vec<u64>,
 }
 
-impl Survivors {
+impl Net {
     fn feed(&mut self, from: NodeId, out: Outbox) {
         for (to, msg) in out {
             self.queue.push_back((from, to, msg));
@@ -80,7 +91,7 @@ impl Survivors {
     }
 
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: ReplicaMsg) {
-        if to == self.dead {
+        if Some(to) == self.dead {
             return;
         }
         let i = self
@@ -98,21 +109,35 @@ impl Survivors {
         self.feed(to, out);
     }
 
-    /// One racing step: the next queued message addressed to survivor `i`.
-    fn deliver_next_to(&mut self, i: usize) {
+    /// One racing step: the next queued message addressed to member `i`.
+    /// Returns whether there was one.
+    fn deliver_next_to(&mut self, i: usize) -> bool {
         let node = self.live[i].me_node();
-        let Some(pos) = self.queue.iter().position(|(_, to, _)| *to == node) else {
-            return;
+        self.deliver_first(|(_, to, _)| *to == node)
+    }
+
+    fn deliver_first(&mut self, pick: impl Fn(&(NodeId, NodeId, ReplicaMsg)) -> bool) -> bool {
+        let Some(pos) = self.queue.iter().position(pick) else {
+            return false;
         };
         let (from, to, msg) = self.queue.remove(pos).expect("position just found");
         self.deliver(from, to, msg);
+        true
+    }
+
+    fn submit(&mut self, i: usize, op: BrokerOp) {
+        let mut out = Outbox::new();
+        self.live[i].submit(op, &mut out);
+        let from = self.live[i].me_node();
+        self.feed(from, out);
     }
 
     /// The supervisor's down event for the dead primary at survivor `i`.
     fn peer_down(&mut self, i: usize) {
         let mut out = Outbox::new();
         let node = self.live[i].me_node();
-        self.live[i].on_peer_change(self.dead, false, &mut out);
+        let dead = self.dead.expect("a crash scenario");
+        self.live[i].on_peer_change(dead, false, &mut out);
         self.feed(node, out);
     }
 
@@ -154,7 +179,7 @@ fn primary_crash_body() {
     let in_flight: Outbox = std::mem::take(&mut outs[0]);
     rs.remove(0);
     let last_commit = rs.iter().map(|r| r.commit_number()).collect();
-    let mut sv = Survivors { dead, live: rs, queue: VecDeque::new(), last_commit };
+    let mut sv = Net { dead: Some(dead), live: rs, queue: VecDeque::new(), last_commit };
     sv.feed(dead, in_flight);
     let st = Arc::new(Mutex::new(sv));
 
@@ -170,7 +195,9 @@ fn primary_crash_body() {
             };
             let net = {
                 let st = Arc::clone(&st);
-                thread::spawn(move || st.lock().deliver_next_to(i))
+                thread::spawn(move || {
+                    st.lock().deliver_next_to(i);
+                })
             };
             [down, net]
         })
@@ -202,16 +229,13 @@ fn primary_crash_body() {
         view: 0,
         op_number: sv.live[victim].op_number() + 1,
         commit_number: committed.len() as u64,
-        op: op(66),
+        ops: vec![op(66)],
     };
     sv.deliver(dead, gasp_to, gasp);
 
     // New-view traffic commits over whatever the logs now hold.
     let leader = sv.live.iter().position(|r| r.is_primary()).expect("one primary");
-    let mut out = Outbox::new();
-    sv.live[leader].submit(op(4), &mut out);
-    let from = sv.live[leader].me_node();
-    sv.feed(from, out);
+    sv.submit(leader, op(4));
     sv.pump();
 
     // Invariant: nothing that was committed before the crash vanished.
@@ -287,6 +311,151 @@ fn injected_commit_before_quorum_is_caught_and_replays() {
         .inject("commit_before_quorum")
         .schedule(&failure.schedule)
         .check(primary_crash_body);
+    assert_eq!(replay.explored, 1, "a replay explores exactly one schedule");
+    assert_eq!(replay.assert_fails().message, failure.message);
+}
+
+/// Every backup log is a prefix of the primary's: an op filed under the
+/// wrong number (a hole papered over) shows as a mismatch.
+fn assert_no_hole(net: &Net) {
+    let primary = &net.live[0];
+    for backup in &net.live[1..] {
+        for n in 1..=backup.op_number() {
+            assert_eq!(
+                backup.log().get(n),
+                primary.log().get(n),
+                "a log has a hole: op {n} at {:?} is not the primary's",
+                backup.me_node()
+            );
+        }
+    }
+}
+
+/// Two multi-op batches, each with its own piggybacked commit number, in
+/// flight to both backups while acknowledgements keep arriving at the
+/// primary — delivered in every order, overtaking included.
+fn batch_boundary_body() {
+    // Deterministic prologue. A burst fills the window with single-op
+    // batches and leaves ops 5 and 6 behind; the backups take the window in
+    // order, and the first acknowledgement that commits op 1 releases
+    // batch A = [5, 6] carrying commit 1. Ops 7 and 8 pile up behind it
+    // and leave as batch B = [7, 8] carrying commit 2.
+    let nodes: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+    let mut rs: Vec<Replica> =
+        (0..3).map(|me| Replica::new(ReplicaConfig { group: nodes.clone(), me })).collect();
+    let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+    for (r, out) in rs.iter_mut().zip(outs.iter_mut()) {
+        r.start(out);
+    }
+    pump_full(&mut rs, &mut outs);
+    let mut net = Net { dead: None, live: rs, queue: VecDeque::new(), last_commit: vec![0; 3] };
+    let window = PREPARE_WINDOW as u32;
+    for i in 1..=window + 2 {
+        net.submit(0, op(i));
+    }
+    for _ in 0..window {
+        net.deliver_next_to(1);
+        net.deliver_next_to(2);
+    }
+    let acks_until_commit = |net: &mut Net, commit: u64| {
+        while net.live[0].commit_number() < commit {
+            assert!(net.deliver_next_to(0), "an acknowledgement is queued");
+        }
+    };
+    acks_until_commit(&mut net, 1);
+    net.submit(0, op(window + 3));
+    net.submit(0, op(window + 4));
+    acks_until_commit(&mut net, 2);
+    let (a, b) = (u64::from(window) + 1, u64::from(window) + 3);
+    let in_flight: Vec<(u32, u64, usize, u64)> = net
+        .queue
+        .iter()
+        .filter_map(|(_, to, m)| match m {
+            ReplicaMsg::Prepare { op_number, commit_number, ops, .. } => {
+                Some((to.raw(), *op_number, ops.len(), *commit_number))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(in_flight, [(1, a, 2, 1), (2, a, 2, 1), (1, b, 2, 2), (2, b, 2, 2)]);
+    let total = u64::from(window) + 4;
+    let st = Arc::new(Mutex::new(net));
+
+    // Racing phase: each batch at each backup is its own event, and so are
+    // the primary's next two inputs (acknowledgements of the window, of a
+    // batch, or a gapped backup's state-transfer probe).
+    let mut handles = Vec::new();
+    for backup in [1u32, 2] {
+        for first in [a, b] {
+            let st = Arc::clone(&st);
+            handles.push(thread::spawn(move || {
+                let mut net = st.lock();
+                let hit = net.deliver_first(|(_, to, m)| {
+                    to.raw() == backup
+                        && matches!(m, ReplicaMsg::Prepare { op_number, .. } if *op_number == first)
+                });
+                assert!(hit, "the batch is still queued");
+                assert_no_hole(&net);
+            }));
+        }
+    }
+    for _ in 0..2 {
+        let st = Arc::clone(&st);
+        handles.push(thread::spawn(move || {
+            st.lock().deliver_next_to(0);
+        }));
+    }
+    for h in handles {
+        h.join().expect("racing delivery step");
+    }
+
+    // Deterministic epilogue: drain to quiescence.
+    let mut net = st.lock();
+    net.pump();
+    assert_no_hole(&net);
+    for r in &net.live {
+        assert_eq!(r.status(), ReplicaStatus::Normal);
+        assert_eq!(r.view(), 0, "nobody died");
+        assert_eq!(r.op_number(), total, "every op reached {:?}", r.me_node());
+        assert_eq!(r.commit_number(), total, "and is committed there");
+        assert_eq!(r.log(), net.live[0].log(), "committed prefixes agree");
+    }
+}
+
+/// Every racing step of the batch model runs start to finish under the
+/// one network lock, so the order in which the six steps take it is the
+/// whole schedule: all 6! orders are explored without preemptions, which
+/// would only re-order lock *attempts*.
+fn batch_checker(name: &str) -> Checker {
+    Checker::new(name).preemption_bound(0)
+}
+
+#[test]
+fn batches_commit_in_every_delivery_order() {
+    let report = batch_checker("batches_commit_in_every_delivery_order").check(batch_boundary_body);
+    report.assert_ok();
+    assert!(report.complete && report.explored >= 720, "explored {}", report.explored);
+}
+
+/// Injected bug: `on_prepare` skips the gap check, so when batch B
+/// overtakes batch A its ops are appended under A's op numbers. The
+/// checker must find it, and the printed schedule must replay
+/// deterministically.
+#[test]
+fn injected_batch_skip_gap_check_is_caught_and_replays() {
+    let report = batch_checker("injected_batch_skip_gap_check_is_caught_and_replays")
+        .inject("batch_skip_gap_check")
+        .check(batch_boundary_body);
+    let failure = report.assert_fails();
+    assert!(
+        failure.message.contains("a log has a hole"),
+        "unexpected failure: {}",
+        failure.message
+    );
+    let replay = batch_checker("injected_batch_skip_gap_check_is_caught_and_replays")
+        .inject("batch_skip_gap_check")
+        .schedule(&failure.schedule)
+        .check(batch_boundary_body);
     assert_eq!(replay.explored, 1, "a replay explores exactly one schedule");
     assert_eq!(replay.assert_fails().message, failure.message);
 }

@@ -24,6 +24,7 @@
 //!
 //! Run with: `cargo run --example replicated_group`
 
+use rebeca::broker::replication::ReplicatedBrokerNode;
 use rebeca::broker::{ClientNode, Message, RoutingStrategy};
 use rebeca::{BrokerId, ClientId, Filter, Notification, SubscriptionId, SystemBuilder};
 use rebeca_net::{NodeId, ProcessRuntime, ReconnectPolicy, Topology};
@@ -180,6 +181,21 @@ fn parent_process() {
     println!(
         "link supervision: {} downs, {} restarts, {} thread panics.",
         m.link_downs, m.link_restarts, m.thread_panics
+    );
+    let repl = nodes[0]
+        .as_ref()
+        .expect("broker 0 is local here")
+        .as_any()
+        .downcast_ref::<ReplicatedBrokerNode>()
+        .expect("replicated broker node")
+        .replication_stats();
+    println!(
+        "replication (this process): {} ops logged in {} Prepares (mean batch {:.1}), \
+         {} view changes.",
+        repl.ops_logged,
+        repl.prepares_sent,
+        repl.ops_logged as f64 / repl.prepares_sent.max(1) as f64,
+        repl.view_changes
     );
     println!("one subscription, one SIGKILL, zero re-subscriptions — the log remembers.");
 }

@@ -201,11 +201,13 @@
 //! allocation-regression suite asserts zero steady-state allocations with
 //! replication enabled; `BENCH_replication_pr10.json` records that
 //! publish throughput is unchanged while churn pays the quorum round
-//! trips). Under [`SystemBuilder::build_process_partition`] each broker's
+//! trips — one per batch of ops, not one per op: a busy group ships the
+//! ops that piled up behind a round trip in a single `Prepare`). Under [`SystemBuilder::build_process_partition`] each broker's
 //! backups are placed in *different* processes than the broker, so a
 //! SIGKILLed process recovers its state by probing its group across the
 //! healed link — no client ever re-subscribes. Group health is observable
-//! via [`System::replication_stats`]; `examples/replicated_group.rs` is
+//! via [`System::replication_stats`] (`ops_logged / prepares_sent` is the
+//! mean batch size); `examples/replicated_group.rs` is
 //! the two-process walkthrough and `tests/process_soak.rs` the
 //! seed-replayable kill/recover proof. Default `group_size` 1 = off.
 //!

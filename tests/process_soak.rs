@@ -726,6 +726,34 @@ fn replicated_child_runtime(
     rt
 }
 
+/// Builds the parent half of the replicated deployment once the child is
+/// spawned: accepts it on `sock`, hosts brokers 0–1 (primaries of their
+/// groups), the backups co-hosted with them (both of broker 2's among
+/// them), the publisher and consumer B.
+fn replicated_parent_runtime(
+    sock: &std::path::Path,
+    reconnect: Option<ReconnectPolicy>,
+) -> (ProcessRuntime<Message>, rebeca::net::PeerId) {
+    let mut rt: ProcessRuntime<Message> = ProcessRuntime::new();
+    let peer = rt.listen_uds(sock).expect("accept child process");
+    let mut builder = SystemBuilder::new(Topology::line(BROKERS).expect("non-empty"))
+        .strategy(RoutingStrategy::Simple)
+        .replication(R_GROUP);
+    if let Some(policy) = reconnect {
+        builder = builder.reconnect_policy(policy);
+    }
+    builder
+        .build_process_partition(&mut rt, &[BrokerId::new(0), BrokerId::new(1)], |_| Some(peer))
+        .expect("deploy parent partition");
+    rt.add_local(Box::new(ClientNode::new(ClientId::new(1), Some(NodeId::new(0)))));
+    rt.add_remote(peer); // consumer A lives in the child
+    rt.add_local(Box::new(ClientNode::new(ClientId::new(3), Some(NodeId::new(1)))));
+    rt.connect(R_PUBLISHER, NodeId::new(0));
+    rt.connect(R_CONSUMER_A, NodeId::new(2));
+    rt.connect(R_CONSUMER_B, NodeId::new(1));
+    (rt, peer)
+}
+
 /// Parent half of the replicated kill/recover soak. Hosts brokers 0–1 and
 /// broker 2's two log backups; SIGKILLs the generation-1 child (taking
 /// broker 2's group primary with it), publishes into the outage, respawns,
@@ -751,26 +779,15 @@ fn run_replicated_kill_recover(
     };
     let mut gen1 = spawn_child("repl-gen1");
 
-    let mut rt: ProcessRuntime<Message> = ProcessRuntime::new();
-    let peer = rt.listen_uds(&sock).expect("accept generation-1 child");
-    let builder = SystemBuilder::new(Topology::line(BROKERS).expect("non-empty"))
-        .strategy(RoutingStrategy::Simple)
-        .replication(R_GROUP)
-        .reconnect_policy(ReconnectPolicy {
+    let (mut rt, peer) = replicated_parent_runtime(
+        &sock,
+        Some(ReconnectPolicy {
             initial: Duration::from_millis(10),
             max: Duration::from_millis(100),
             jitter: 0.2,
             max_attempts: 600,
-        });
-    builder
-        .build_process_partition(&mut rt, &[BrokerId::new(0), BrokerId::new(1)], |_| Some(peer))
-        .expect("deploy parent partition");
-    rt.add_local(Box::new(ClientNode::new(ClientId::new(1), Some(NodeId::new(0)))));
-    rt.add_remote(peer); // consumer A lives in the child
-    rt.add_local(Box::new(ClientNode::new(ClientId::new(3), Some(NodeId::new(1)))));
-    rt.connect(R_PUBLISHER, NodeId::new(0));
-    rt.connect(R_CONSUMER_A, NodeId::new(2));
-    rt.connect(R_CONSUMER_B, NodeId::new(1));
+        }),
+    );
     let metrics = rt.metrics_handle();
     rt.start();
 
@@ -941,6 +958,183 @@ fn replicated_primary_kill_recovers_without_resubscription() {
     });
     if let Err(panic) = result {
         eprintln!("\nreplicated kill/recover soak FAILED under master seed {seed}");
+        eprintln!(
+            "reproduce with: REBECA_SOAK_SEED={seed} cargo test --release --test process_soak\n"
+        );
+        std::panic::resume_unwind(panic);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replicated burst: a few hundred subscriptions issued back to back through
+// replica groups of 3 that span the socket. Every op must commit at every
+// member, the routing tables must come out as without replication, and the
+// burst must have travelled in batched `Prepare`s.
+// ---------------------------------------------------------------------------
+
+/// The burst's filters, seed-derived: `mark > k` for distinct `k`, so under
+/// simple routing every broker ends up holding every one of them.
+fn burst_filters(seed: u64) -> Vec<Filter> {
+    let mut rng = SplitMix64::new(seed ^ 0x6275_7273); // "burs"
+    let n = 300 + rng.next_u64() % 200;
+    let base = (rng.next_u64() % 1000) as i64;
+    (0..n as i64)
+        .map(|k| Filter::builder().eq("service", "soak").gt("mark", base + k).build())
+        .collect()
+}
+
+/// What one replica-group member holds when its process stops.
+fn member_line(tag: &str, r: &rebeca::broker::replication::Replica) -> String {
+    format!("{tag} ops={} committed={}", r.op_number(), r.commit_number())
+}
+
+/// `(member_line of every local group member, stats, broker table sizes)`
+/// of one stopped process partition.
+fn replicated_report(
+    nodes: &[Option<Box<dyn rebeca::net::Node<Message>>>],
+) -> (Vec<String>, rebeca::broker::replication::ReplicationStats, Vec<(usize, usize)>) {
+    use rebeca::broker::replication::ReplicaNode;
+    let mut members = Vec::new();
+    let mut stats = None;
+    let mut tables = Vec::new();
+    for (i, node) in nodes.iter().enumerate() {
+        let Some(node) = node else { continue };
+        if let Some(b) = node.as_any().downcast_ref::<ReplicatedBrokerNode>() {
+            members.push(member_line(&format!("broker {i}"), b.replica()));
+            stats = Some(b.replication_stats());
+            tables.push((i, b.core().router().entry_count()));
+        } else if let Some(r) = node.as_any().downcast_ref::<ReplicaNode>() {
+            members.push(member_line(&format!("backup {i}"), r.replica()));
+        }
+    }
+    (members, stats.expect("every partition hosts a broker"), tables)
+}
+
+/// Child half of the burst: broker 2 and the backups co-hosted with it.
+/// Lives long enough for the parent's burst to settle, then reports.
+#[test]
+fn replicated_burst_child() {
+    if std::env::var(ROLE_ENV).as_deref() != Ok("repl-burst") {
+        return;
+    }
+    let sock = PathBuf::from(std::env::var(SOCK_ENV).expect("socket path env"));
+    let mut rt = replicated_child_runtime(&sock, Duration::from_secs(15));
+    rt.start();
+    std::thread::sleep(Duration::from_millis(4000));
+    let nodes = rt.stop();
+    let (members, stats, tables) = replicated_report(&nodes);
+    println!("BURST-MEMBERS: {}", members.join("; "));
+    println!("BURST-LOGGED: {}", stats.ops_logged);
+    println!("BURST-PREPARES: {}", stats.prepares_sent);
+    println!("BURST-TABLE: {}", tables[0].1);
+}
+
+#[test]
+fn replicated_burst_commits_in_batches_across_the_socket() {
+    if std::env::var(ROLE_ENV).is_ok() {
+        return; // never recurse inside a child re-execution
+    }
+    let seed: u64 = match std::env::var("REBECA_SOAK_SEED") {
+        Ok(s) => s.parse().expect("REBECA_SOAK_SEED must be a u64"),
+        Err(_) => std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .expect("clock")
+            .as_nanos() as u64,
+    };
+    println!("replicated burst master seed: {seed}");
+
+    let result = std::panic::catch_unwind(|| {
+        let filters = burst_filters(seed);
+        let n = filters.len() as u64;
+
+        // The unreplicated reference: same topology, strategy and filters.
+        let mut reference = SystemBuilder::new(Topology::line(BROKERS).expect("non-empty"))
+            .strategy(RoutingStrategy::Simple)
+            .build()
+            .expect("reference system");
+        let client = reference.add_client(BrokerId::new(0)).expect("reference client");
+        for f in &filters {
+            reference.subscribe(client, f.clone()).expect("reference subscribe");
+        }
+        reference.run_for(rebeca::SimDuration::from_secs(5));
+        let want: Vec<usize> = (0..BROKERS as u32)
+            .map(|b| reference.table_size(BrokerId::new(b)).expect("reference table"))
+            .collect();
+        assert_eq!(want, vec![filters.len(); BROKERS], "simple routing floods every filter");
+
+        let sock =
+            std::env::temp_dir().join(format!("rebeca-burst-soak-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let child = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+            .args(["replicated_burst_child", "--exact", "--nocapture"])
+            .env(ROLE_ENV, "repl-burst")
+            .env(SOCK_ENV, &sock)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn child process");
+
+        let (mut rt, _peer) = replicated_parent_runtime(&sock, None);
+        let metrics = rt.metrics_handle();
+        rt.start();
+
+        // Let every group boot, then issue the whole burst back to back: the
+        // ops pile up behind broker 0's first round trips, broker 1 and (over
+        // the socket) broker 2 receive the announcements in bulk, and broker
+        // 2's quorum needs the socket for every commit — both its backups
+        // live here.
+        std::thread::sleep(Duration::from_millis(600));
+        for (i, f) in filters.iter().enumerate() {
+            rt.send_external(
+                R_PUBLISHER,
+                Message::AppSubscribe { id: SubscriptionId::new(i as u32), filter: f.clone() },
+            );
+        }
+
+        // The child's exit is itself replicated work here: brokers 0 and 1
+        // log a `LinkDown` marker per vanished node and broker 2's orphaned
+        // backups elect a new view. Three replica ticks settle that too.
+        let out = child.wait_with_output().expect("wait for child");
+        std::thread::sleep(Duration::from_millis(600));
+        let nodes = rt.stop();
+        let _ = std::fs::remove_file(&sock);
+        assert!(out.status.success(), "burst child failed");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+
+        let (members, stats, tables) = replicated_report(&nodes);
+        let child_members = child_field(&stdout, "BURST-MEMBERS:");
+        let all: Vec<&str> =
+            members.iter().map(String::as_str).chain(child_members.split("; ")).collect();
+        assert_eq!(all.len(), BROKERS * R_GROUP, "nine group members report: {all:?}");
+        for m in &all {
+            let (ops, committed) =
+                m.split_once("ops=").expect("ops").1.split_once(" committed=").expect("committed");
+            assert_eq!(ops, committed, "an op never committed at {m}");
+            assert!(ops.parse::<u64>().expect("count") >= n, "{m} holds less than the burst");
+        }
+
+        for (b, size) in tables {
+            assert_eq!(size, want[b], "broker {b}'s table differs from the unreplicated reference");
+        }
+        let child_table: usize = child_field(&stdout, "BURST-TABLE:").parse().expect("table");
+        assert_eq!(child_table, want[2], "broker 2's table differs from the reference");
+
+        let child_logged: u64 = child_field(&stdout, "BURST-LOGGED:").parse().expect("logged");
+        let child_prepares: u64 =
+            child_field(&stdout, "BURST-PREPARES:").parse().expect("prepares");
+        assert!(stats.ops_logged >= 2 * n, "brokers 0 and 1 log the burst: {stats:?}");
+        assert!(child_logged >= n, "broker 2 logs the burst");
+        assert!(
+            stats.prepares_sent < stats.ops_logged,
+            "the burst never batched in the parent: {stats:?}"
+        );
+        assert!(
+            child_prepares < child_logged,
+            "the burst never batched in the child: {child_prepares} Prepares for {child_logged} ops"
+        );
+        assert_eq!(metrics.snapshot().thread_panics, 0, "link threads must never panic");
+    });
+    if let Err(panic) = result {
+        eprintln!("\nreplicated burst soak FAILED under master seed {seed}");
         eprintln!(
             "reproduce with: REBECA_SOAK_SEED={seed} cargo test --release --test process_soak\n"
         );
