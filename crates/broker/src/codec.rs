@@ -16,7 +16,7 @@
 //! the nesting depth so adversarial bytes cannot recurse the stack away.
 
 use crate::message::{Message, MobilityMsg};
-use crate::replication::{BrokerOp, ReplicaMsg};
+use crate::replication::{BrokerOp, LogState, ReplicaMsg};
 use crate::table::{FilterOrigin, TableDelta};
 use bytes::{Buf, BufMut};
 use rebeca_core::codec::{
@@ -581,6 +581,22 @@ fn decode_op_log(buf: &mut impl Buf) -> Result<Vec<BrokerOp>, CoreError> {
     Ok(out)
 }
 
+/// A log as the whole-state messages carry it: `base`, then checkpoint and
+/// tail as two op lists.
+fn encode_log_state(log: &LogState, buf: &mut impl BufMut) {
+    buf.put_u64_le(log.base);
+    encode_op_log(&log.checkpoint, buf);
+    encode_op_log(&log.tail, buf);
+}
+
+fn decode_log_state(buf: &mut impl Buf) -> Result<LogState, CoreError> {
+    need(buf, 8)?;
+    let base = buf.get_u64_le();
+    let checkpoint = decode_op_log(buf)?;
+    let tail = decode_op_log(buf)?;
+    Ok(LogState { base, checkpoint, tail })
+}
+
 /// Encodes a [`ReplicaMsg`] (tag byte + payload).
 pub fn encode_replica(r: &ReplicaMsg, buf: &mut impl BufMut) {
     match r {
@@ -616,14 +632,14 @@ pub fn encode_replica(r: &ReplicaMsg, buf: &mut impl BufMut) {
             buf.put_u64_le(*view);
             buf.put_u64_le(*last_normal);
             buf.put_u64_le(*commit_number);
-            encode_op_log(log, buf);
+            encode_log_state(log, buf);
             buf.put_u32_le(*replica);
         }
         ReplicaMsg::StartView { view, commit_number, log } => {
             buf.put_u8(6);
             buf.put_u64_le(*view);
             buf.put_u64_le(*commit_number);
-            encode_op_log(log, buf);
+            encode_log_state(log, buf);
         }
         ReplicaMsg::Recovery { replica, nonce } => {
             buf.put_u8(7);
@@ -635,7 +651,7 @@ pub fn encode_replica(r: &ReplicaMsg, buf: &mut impl BufMut) {
             buf.put_u64_le(*view);
             buf.put_u64_le(*nonce);
             buf.put_u64_le(*commit_number);
-            encode_op_log(log, buf);
+            encode_log_state(log, buf);
             buf.put_u8(u8::from(*normal));
             buf.put_u32_le(*replica);
         }
@@ -683,7 +699,7 @@ pub fn decode_replica(buf: &mut impl Buf) -> Result<ReplicaMsg, CoreError> {
             let view = buf.get_u64_le();
             let last_normal = buf.get_u64_le();
             let commit_number = buf.get_u64_le();
-            let log = decode_op_log(buf)?;
+            let log = Box::new(decode_log_state(buf)?);
             need(buf, 4)?;
             let replica = buf.get_u32_le();
             Ok(ReplicaMsg::DoViewChange { view, last_normal, commit_number, log, replica })
@@ -692,7 +708,7 @@ pub fn decode_replica(buf: &mut impl Buf) -> Result<ReplicaMsg, CoreError> {
             need(buf, 16)?;
             let view = buf.get_u64_le();
             let commit_number = buf.get_u64_le();
-            let log = decode_op_log(buf)?;
+            let log = Box::new(decode_log_state(buf)?);
             Ok(ReplicaMsg::StartView { view, commit_number, log })
         }
         7 => {
@@ -706,7 +722,7 @@ pub fn decode_replica(buf: &mut impl Buf) -> Result<ReplicaMsg, CoreError> {
             let view = buf.get_u64_le();
             let nonce = buf.get_u64_le();
             let commit_number = buf.get_u64_le();
-            let log = decode_op_log(buf)?;
+            let log = Box::new(decode_log_state(buf)?);
             need(buf, 5)?;
             let normal = buf.get_u8() != 0;
             let replica = buf.get_u32_le();
@@ -830,9 +846,13 @@ mod tests {
     }
 
     /// One instance of every `ReplicaMsg` variant, with empty and non-empty
-    /// logs, exercising every `BrokerOp` shape across the set.
+    /// logs, exercising every `BrokerOp` shape across the set. What the
+    /// wire carries need not be what a replica accepts: the checkpoint here
+    /// holds retractions and markers too.
     fn all_replica_msgs() -> Vec<ReplicaMsg> {
         let ops = all_broker_ops();
+        let log =
+            Box::new(LogState { base: 9, checkpoint: ops[..5].to_vec(), tail: ops[3..].to_vec() });
         let mut msgs: Vec<ReplicaMsg> =
             ops.iter().map(|op| ReplicaMsg::Forward { op: op.clone() }).collect();
         msgs.extend([
@@ -851,24 +871,24 @@ mod tests {
                 view: 4,
                 last_normal: 3,
                 commit_number: 12,
-                log: ops.clone(),
+                log: log.clone(),
                 replica: 2,
             },
             ReplicaMsg::DoViewChange {
                 view: 4,
                 last_normal: 0,
                 commit_number: 0,
-                log: Vec::new(),
+                log: Box::default(),
                 replica: 0,
             },
-            ReplicaMsg::StartView { view: 4, commit_number: 12, log: ops.clone() },
-            ReplicaMsg::StartView { view: 0, commit_number: 0, log: Vec::new() },
+            ReplicaMsg::StartView { view: 4, commit_number: 12, log: log.clone() },
+            ReplicaMsg::StartView { view: 0, commit_number: 0, log: Box::default() },
             ReplicaMsg::Recovery { replica: 1, nonce: 77 },
             ReplicaMsg::RecoveryResponse {
                 view: 4,
                 nonce: 77,
                 commit_number: 12,
-                log: ops,
+                log: Box::new(LogState { tail: Vec::new(), ..*log }),
                 normal: true,
                 replica: 0,
             },
@@ -876,7 +896,7 @@ mod tests {
                 view: 0,
                 nonce: 78,
                 commit_number: 0,
-                log: Vec::new(),
+                log: Box::default(),
                 normal: false,
                 replica: 2,
             },
@@ -1135,6 +1155,28 @@ mod prop_tests {
             })
     }
 
+    /// The three whole-state messages with any numbers and any ops in
+    /// checkpoint and tail — hostile shapes included.
+    fn arb_state_msg() -> impl Strategy<Value = ReplicaMsg> {
+        let ops = || proptest::collection::vec(arb_broker_op(), 0..4);
+        let log = (any::<u64>(), ops(), ops())
+            .prop_map(|(base, checkpoint, tail)| Box::new(LogState { base, checkpoint, tail }));
+        (log, any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>(), 0..4u32).prop_map(
+            |(log, view, commit_number, x, replica, shape)| match shape {
+                0 => ReplicaMsg::DoViewChange { view, last_normal: x, commit_number, log, replica },
+                1 => ReplicaMsg::StartView { view, commit_number, log },
+                _ => ReplicaMsg::RecoveryResponse {
+                    view,
+                    nonce: x,
+                    commit_number,
+                    log,
+                    normal: shape == 2,
+                    replica,
+                },
+            },
+        )
+    }
+
     fn arb_message() -> impl Strategy<Value = Message> {
         let leaf = prop_oneof![
             proptest::collection::btree_map("[a-z]{1,8}", arb_value(), 0..4).prop_map(|m| {
@@ -1166,6 +1208,7 @@ mod prop_tests {
             arb_filter().prop_map(|filter| Message::UnsubForward { filter }),
             arb_mobility().prop_map(Message::Mobility),
             arb_prepare().prop_map(Message::Replica),
+            arb_state_msg().prop_map(Message::Replica),
         ];
         // One optional level of routing on top of any leaf (the protocol
         // itself routes exactly one level deep).

@@ -51,8 +51,8 @@ pub use client::{ClientNode, DeliveryRecord, LocalBroker};
 pub use codec::{decode_message, decode_mobility, encode_message, encode_mobility};
 pub use message::{Message, MobilityMsg};
 pub use replication::{
-    BrokerOp, OpLog, Replica, ReplicaMsg, ReplicaNode, ReplicaStatus, ReplicatedBrokerNode,
-    ReplicationMetrics, ReplicationStats,
+    BrokerOp, LiveState, LogState, OpLog, Replica, ReplicaMsg, ReplicaNode, ReplicaStatus,
+    ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats, StateReject,
 };
 pub use routing::{minimal_cover, CoverChanges, LinkAnnouncer, RoutingStrategy};
 pub use shard::ShardedRouter;

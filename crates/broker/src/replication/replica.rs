@@ -40,11 +40,32 @@
 //!   all peers answering non-normal, so initial boot and crash-reboot need
 //!   no out-of-band flag. Ops submitted meanwhile queue in `pending`.
 //!
-//! Logs are shipped whole in `DoViewChange`/`StartView`/`RecoveryResponse`
-//! — broker op logs are routing-table churn, not payload traffic. The
-//! bounded-log/checkpoint follow-on is tracked in ROADMAP item 3.
+//! **Checkpoint + tail.** A member's [`OpLog`] holds the live state at
+//! `base` plus the ops above it (see [`oplog`](super::oplog)), and
+//! [`Replica::drain_committed`] is the one place `base` advances: handing a
+//! committed op to the caller folds it. Each member folds at its own pace
+//! and asks nobody. That is safe because nothing the normal case sends
+//! ever needs an op at or below the commit number — `Prepare`s carry what
+//! is *not* committed, re-sends start at `max(ack_high, commit_number) +
+//! 1`, acknowledgements and `Commit`s carry numbers only — so `Prepare` /
+//! `PrepareOk` / `Commit` are byte for byte what they were, and a dead
+//! backup pins nothing. A member that needs more than the uncommitted
+//! window needs everything, and gets it: `DoViewChange` / `StartView` /
+//! `RecoveryResponse` carry a [`LogState`] — `base`, the checkpoint (the
+//! live state as adds in key order) and the tail — whose size follows the
+//! live table, not the history. Log lengths are only ever compared through
+//! `op_number() = base + tail.len()`. A receiver whose own `base` is past
+//! the sender's keeps its checkpoint (committed prefixes agree, and its is
+//! further along) and takes the tail above it; one whose `base` is behind
+//! replaces both, and the ops in between — which no longer exist one by
+//! one — reach its broker as the *repair*: the diff of the two live
+//! states, retractions first, handed out by the next drain ahead of the
+//! tail. Every malformed state has a [`StateReject`] name and is dropped
+//! whole instead of panicking. Paging a state whose
+//! live table alone outgrows `MAX_FRAME` (several 10⁵ filters) is open
+//! under ROADMAP item 2.
 
-use super::oplog::{BrokerOp, OpLog};
+use super::oplog::{BrokerOp, LogState, OpLog, StateReject};
 use rebeca_net::NodeId;
 use std::collections::VecDeque;
 
@@ -105,8 +126,10 @@ pub enum ReplicaMsg {
         last_normal: u64,
         /// This member's commit number.
         commit_number: u64,
-        /// This member's full log.
-        log: Vec<BrokerOp>,
+        /// This member's log: checkpoint + tail. Boxed, like the other two
+        /// whole-state messages: they are rare, and unboxed they would grow
+        /// every `Message` that crosses a channel past a cache line.
+        log: Box<LogState>,
         /// Group index of the sender.
         replica: u32,
     },
@@ -116,8 +139,8 @@ pub enum ReplicaMsg {
         view: u64,
         /// The new primary's commit number.
         commit_number: u64,
-        /// The adopted log.
-        log: Vec<BrokerOp>,
+        /// The adopted log: checkpoint + tail.
+        log: Box<LogState>,
     },
     /// (Re)booting replica → all: send me your state (nonce matches the
     /// response to the probe round that asked for it).
@@ -137,8 +160,9 @@ pub enum ReplicaMsg {
         nonce: u64,
         /// The responder's commit number.
         commit_number: u64,
-        /// The responder's full log (empty when `normal` is false).
-        log: Vec<BrokerOp>,
+        /// The responder's log: checkpoint + tail (empty when `normal` is
+        /// false).
+        log: Box<LogState>,
         /// Whether the responder's state is authoritative.
         normal: bool,
         /// Group index of the responder.
@@ -159,10 +183,10 @@ impl ReplicaMsg {
             ReplicaMsg::PrepareOk { .. } => 20,
             ReplicaMsg::Commit { .. } => 16,
             ReplicaMsg::StartViewChange { .. } => 12,
-            ReplicaMsg::DoViewChange { log, .. } => 28 + log_size(log),
-            ReplicaMsg::StartView { log, .. } => 16 + log_size(log),
+            ReplicaMsg::DoViewChange { log, .. } => 28 + log.wire_size(),
+            ReplicaMsg::StartView { log, .. } => 16 + log.wire_size(),
             ReplicaMsg::Recovery { .. } => 12,
-            ReplicaMsg::RecoveryResponse { log, .. } => 25 + log_size(log),
+            ReplicaMsg::RecoveryResponse { log, .. } => 25 + log.wire_size(),
         }
     }
 }
@@ -233,6 +257,24 @@ enum PrepareOutcome {
     Acked(usize),
 }
 
+/// What a member did with one whole-state message (`DoViewChange`,
+/// `StartView`, `RecoveryResponse`) — the [`PrepareOutcome`] pattern for
+/// the three messages that carry a [`LogState`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StateOutcome {
+    /// Wrong status, view, nonce or sender: dropped.
+    Ignored,
+    /// The state inside is malformed, or ends below our own checkpoint:
+    /// dropped whole, nothing moved.
+    Rejected(StateReject),
+    /// Kept (a vote towards a view-change or recovery quorum, or a state
+    /// not ahead of ours); nothing adopted yet.
+    Recorded,
+    /// A state was adopted — not necessarily this message's: the one its
+    /// arrival completed a quorum for.
+    Adopted,
+}
+
 /// The per-member replica state (view number, op number via the log,
 /// commit number) plus the transient vote/ack bookkeeping of the three
 /// sub-protocols.
@@ -244,7 +286,9 @@ pub struct Replica {
     last_normal: u64,
     log: OpLog,
     commit_number: u64,
-    applied: u64,
+    /// Ops an adoption skipped past, as the diff of the two live states;
+    /// the next drain hands them out ahead of the tail.
+    repair: VecDeque<BrokerOp>,
     /// Primary bookkeeping: cumulative PrepareOk high-water per member.
     ack_high: Vec<u64>,
     /// Primary bookkeeping: highest op number a `Prepare` already carried.
@@ -253,6 +297,8 @@ pub struct Replica {
     in_flight: VecDeque<u64>,
     /// `Prepare` batches built so far (a broadcast counts once).
     prepares_sent: u64,
+    /// Ops folded out of the tail by [`Replica::drain_committed`].
+    ops_folded: u64,
     /// Primary bookkeeping: the commit number at the previous tick.
     commit_at_tick: u64,
     /// View-change bookkeeping: StartViewChange votes for `view`.
@@ -272,12 +318,17 @@ pub struct Replica {
     pending: Vec<BrokerOp>,
 }
 
+/// One member's offer of state: a `DoViewChange`, or a normal
+/// `RecoveryResponse`.
 #[derive(Debug, Clone)]
 struct DvcPayload {
     view: u64,
     last_normal: u64,
     commit_number: u64,
-    log: Vec<BrokerOp>,
+    /// `log`'s highest op number, validated on receipt.
+    op_number: u64,
+    /// `None` for our own offer: the log is already here.
+    log: Option<LogState>,
 }
 
 impl Replica {
@@ -296,11 +347,12 @@ impl Replica {
             last_normal: 0,
             log: OpLog::new(),
             commit_number: 0,
-            applied: 0,
+            repair: VecDeque::new(),
             ack_high: vec![0; n],
             sent: 0,
             in_flight: VecDeque::new(),
             prepares_sent: 0,
+            ops_folded: 0,
             commit_at_tick: 0,
             svc_votes: vec![false; n],
             dvc_sent: false,
@@ -338,7 +390,7 @@ impl Replica {
         self.commit_number
     }
 
-    /// The log (committed prefix + uncommitted suffix).
+    /// The log: the live state at `base` plus the ops above it.
     pub fn log(&self) -> &OpLog {
         &self.log
     }
@@ -352,6 +404,11 @@ impl Replica {
     /// once, a tick re-send once per lagging backup.
     pub fn prepares_sent(&self) -> u64 {
         self.prepares_sent
+    }
+
+    /// Ops this member folded into its checkpoint, one per op drained.
+    pub fn ops_folded(&self) -> u64 {
+        self.ops_folded
     }
 
     /// `true` when this member is the acting primary of its current view.
@@ -369,7 +426,7 @@ impl Replica {
     }
 
     /// Queues `msg` for every other member; the last one gets the original,
-    /// so a batch or a whole log is cloned once per backup and no more.
+    /// so a batch or a log state is cloned once per backup and no more.
     fn broadcast(&self, msg: ReplicaMsg, out: &mut Outbox) {
         let me = self.cfg.me;
         let mut peers =
@@ -483,7 +540,7 @@ impl Replica {
             view: self.view,
             op_number: first,
             commit_number: self.commit_number,
-            ops: self.log.range(first, last).to_vec(),
+            ops: self.log.range(first, last),
         }
     }
 
@@ -509,7 +566,7 @@ impl Replica {
     }
 
     /// Resets the primary-side bookkeeping when this member starts leading
-    /// a view whose log it just shipped whole (`StartView`): everything is
+    /// a view whose log state it just shipped (`StartView`): everything is
     /// sent, nothing acknowledged yet.
     fn lead_from_log_end(&mut self) {
         self.ack_high = vec![0; self.cfg.group.len()];
@@ -582,7 +639,7 @@ impl Replica {
             view: self.view,
             last_normal: self.last_normal,
             commit_number: self.commit_number,
-            log: self.log.to_vec(),
+            log: Box::new(self.log.state()),
             replica: self.cfg.me as u32,
         }
     }
@@ -604,7 +661,8 @@ impl Replica {
                 view: self.view,
                 last_normal: self.last_normal,
                 commit_number: self.commit_number,
-                log: self.log.to_vec(),
+                op_number: self.log.op_number(),
+                log: None,
             });
             self.maybe_start_view(out);
         } else {
@@ -614,38 +672,56 @@ impl Replica {
 
     /// With a majority of DoViewChange payloads (own included), the new
     /// primary adopts the best log and starts the view.
-    fn maybe_start_view(&mut self, out: &mut Outbox) {
+    fn maybe_start_view(&mut self, out: &mut Outbox) -> StateOutcome {
         if self.status != ReplicaStatus::ViewChange || self.cfg.primary_of(self.view) != self.cfg.me
         {
-            return;
+            return StateOutcome::Ignored;
         }
         let have = self.dvc.iter().filter(|d| d.is_some()).count();
         if have < self.cfg.quorum() {
-            return;
+            return StateOutcome::Recorded;
         }
-        let best = self
-            .dvc
-            .iter()
-            .flatten()
-            .max_by_key(|p| (p.last_normal, p.log.len() as u64))
-            .expect("quorum implies at least one payload")
-            .clone();
+        let best = (0..self.dvc.len())
+            .filter(|&i| self.dvc[i].is_some())
+            .max_by_key(|&i| self.dvc[i].as_ref().map(|p| (p.last_normal, p.op_number)))
+            .expect("quorum implies at least one payload");
         let commit = self.dvc.iter().flatten().map(|p| p.commit_number).max().unwrap_or(0);
         debug_assert!(commit >= self.commit_number, "commit number never regresses");
-        self.log.replace(best.log);
+        if let Some(state) = self.dvc[best].take().and_then(|p| p.log) {
+            // A quorum's best log holds every committed op, so it cannot
+            // end below our checkpoint; an offer that does is dropped and
+            // the quorum has to form again without it.
+            if let Err(reject) = self.install(state) {
+                return StateOutcome::Rejected(reject);
+            }
+        }
         self.commit_number = commit.max(self.commit_number).min(self.log.op_number());
         self.status = ReplicaStatus::Normal;
         self.last_normal = self.view;
+        self.start_view(out);
+        self.flush_pending(out);
+        StateOutcome::Adopted
+    }
+
+    /// Adopts a foreign log state, queueing the repair for the next drain.
+    fn install(&mut self, state: LogState) -> Result<(), StateReject> {
+        let repair = self.log.adopt(state)?;
+        self.repair.extend(repair);
+        Ok(())
+    }
+
+    /// Takes the lead of the current view from the log end and tells the
+    /// backups so.
+    fn start_view(&mut self, out: &mut Outbox) {
         self.lead_from_log_end();
         self.broadcast(
             ReplicaMsg::StartView {
                 view: self.view,
                 commit_number: self.commit_number,
-                log: self.log.to_vec(),
+                log: Box::new(self.log.state()),
             },
             out,
         );
-        self.flush_pending(out);
     }
 
     /// Raises the commit number, never lowering it and never past the log.
@@ -715,13 +791,13 @@ impl Replica {
                     view,
                     last_normal,
                     commit_number,
-                    log,
+                    *log,
                     replica as usize,
                     out,
                 );
             }
             ReplicaMsg::StartView { view, commit_number, log } => {
-                self.on_start_view(view, commit_number, log, out);
+                self.on_start_view(view, commit_number, *log, out);
             }
             ReplicaMsg::Recovery { replica, nonce } => {
                 self.on_recovery(replica as usize, nonce, out);
@@ -731,7 +807,7 @@ impl Replica {
                     view,
                     nonce,
                     commit_number,
-                    log,
+                    *log,
                     normal,
                     replica as usize,
                     out,
@@ -886,38 +962,45 @@ impl Replica {
         view: u64,
         last_normal: u64,
         commit_number: u64,
-        log: Vec<BrokerOp>,
+        log: LogState,
         replica: usize,
         out: &mut Outbox,
-    ) {
+    ) -> StateOutcome {
         if replica >= self.dvc.len() || self.status == ReplicaStatus::Recovering {
-            return;
+            return StateOutcome::Ignored;
         }
         if view < self.view {
-            return;
+            return StateOutcome::Ignored;
         }
+        let op_number = match log.check(commit_number) {
+            Ok(n) => n,
+            Err(reject) => return StateOutcome::Rejected(reject),
+        };
         if view > self.view {
             self.begin_view_change(view, out);
         }
         if self.status != ReplicaStatus::ViewChange || self.cfg.primary_of(view) != self.cfg.me {
-            return;
+            return StateOutcome::Ignored;
         }
-        self.dvc[replica] = Some(DvcPayload { view, last_normal, commit_number, log });
-        self.maybe_start_view(out);
+        self.dvc[replica] =
+            Some(DvcPayload { view, last_normal, commit_number, op_number, log: Some(log) });
+        self.maybe_start_view(out)
     }
 
     fn on_start_view(
         &mut self,
         view: u64,
         commit_number: u64,
-        log: Vec<BrokerOp>,
+        log: LogState,
         out: &mut Outbox,
-    ) {
+    ) -> StateOutcome {
         if view < self.view || self.status == ReplicaStatus::Recovering {
-            return;
+            return StateOutcome::Ignored;
+        }
+        if let Err(reject) = log.check(commit_number).and_then(|_| self.install(log)) {
+            return StateOutcome::Rejected(reject);
         }
         self.view = view;
-        self.log.replace(log);
         self.commit_to(commit_number);
         self.status = ReplicaStatus::Normal;
         self.last_normal = view;
@@ -933,6 +1016,7 @@ impl Replica {
             ));
         }
         self.flush_pending(out);
+        StateOutcome::Adopted
     }
 
     fn on_recovery(&mut self, replica: usize, nonce: u64, out: &mut Outbox) {
@@ -946,7 +1030,7 @@ impl Replica {
                 view: self.view,
                 nonce,
                 commit_number: self.commit_number,
-                log: if normal { self.log.to_vec() } else { Vec::new() },
+                log: Box::new(if normal { self.log.state() } else { LogState::default() }),
                 normal,
                 replica: self.cfg.me as u32,
             },
@@ -959,85 +1043,84 @@ impl Replica {
         view: u64,
         nonce: u64,
         commit_number: u64,
-        log: Vec<BrokerOp>,
+        log: LogState,
         normal: bool,
         replica: usize,
         out: &mut Outbox,
-    ) {
+    ) -> StateOutcome {
         if nonce != self.nonce || replica >= self.rec_responded.len() || replica == self.cfg.me {
-            return;
+            return StateOutcome::Ignored;
         }
+        // Only a normal responder's state is ever looked at, so only that
+        // can be malformed; a rejected answer does not count as one.
+        let op_number = match log.check(commit_number) {
+            Ok(n) => n,
+            Err(reject) if normal => return StateOutcome::Rejected(reject),
+            Err(_) => 0,
+        };
         self.rec_responded[replica] = true;
         self.catching_up = false;
-        if normal {
-            let better = match &self.rec_best {
-                None => true,
-                Some(b) => (view, log.len() as u64) > (b.view, b.log.len() as u64),
-            };
-            if better {
-                self.rec_best = Some(DvcPayload { view, last_normal: view, commit_number, log });
-            }
+        if normal
+            && self.rec_best.as_ref().is_none_or(|b| (view, op_number) > (b.view, b.op_number))
+        {
+            self.rec_best = Some(DvcPayload {
+                view,
+                last_normal: view,
+                commit_number,
+                op_number,
+                log: Some(log),
+            });
         }
         let responded = self.rec_responded.iter().filter(|r| **r).count();
         let others = self.cfg.group.len() - 1;
-        if self.status == ReplicaStatus::Recovering {
-            if let Some(best) = &self.rec_best {
-                // A normal member answered and, with us, a majority has
-                // spoken: adopt its state (its log contains every
-                // committed op of any view ≤ its own).
-                if responded + 1 >= self.cfg.quorum() {
-                    let best = best.clone();
-                    self.adopt(best, out);
-                }
-            } else if responded == others {
-                // Everybody answered and nobody holds state: this is a
-                // fresh group boot. Start view 0 empty.
-                self.status = ReplicaStatus::Normal;
-                self.view = 0;
-                self.last_normal = 0;
-                self.flush_pending(out);
+        let recovering = self.status == ReplicaStatus::Recovering;
+        let adopt = match &self.rec_best {
+            // A normal member answered and, with us, a majority has spoken:
+            // adopt its state (its log contains every committed op of any
+            // view ≤ its own).
+            Some(_) if recovering => responded + 1 >= self.cfg.quorum(),
+            // Normal-status state transfer (we fell behind in our own view,
+            // or missed a view change): adopt anything strictly ahead of us.
+            Some(b) => {
+                self.status == ReplicaStatus::Normal
+                    && (b.view, b.op_number) > (self.view, self.log.op_number())
+                    && b.commit_number >= self.commit_number
             }
-        } else if self.status == ReplicaStatus::Normal {
-            // Normal-status state transfer (we fell behind in our own
-            // view, or missed a view change): adopt anything strictly
-            // ahead of us.
-            let ahead = match &self.rec_best {
-                Some(b) => {
-                    (b.view, b.log.len() as u64) > (self.view, self.log.op_number())
-                        && b.commit_number >= self.commit_number
-                }
-                None => false,
-            };
-            if ahead {
-                let best = self.rec_best.clone().expect("checked above");
-                self.adopt(best, out);
-            }
+            None => false,
+        };
+        if adopt {
+            return self.adopt(out);
         }
+        if recovering && self.rec_best.is_none() && responded == others {
+            // Everybody answered and nobody holds state: this is a fresh
+            // group boot. Start view 0 empty.
+            self.status = ReplicaStatus::Normal;
+            self.view = 0;
+            self.last_normal = 0;
+            self.flush_pending(out);
+        }
+        StateOutcome::Recorded
     }
 
-    /// Adopts a foreign normal state wholesale (recovery completion or
-    /// normal-status state transfer).
-    fn adopt(&mut self, best: DvcPayload, out: &mut Outbox) {
+    /// Adopts the best foreign normal state heard this probe round
+    /// (recovery completion or normal-status state transfer).
+    fn adopt(&mut self, out: &mut Outbox) -> StateOutcome {
+        let Some(best) = self.rec_best.take() else {
+            return StateOutcome::Ignored;
+        };
         debug_assert!(best.commit_number >= self.commit_number);
+        if let Err(reject) = self.install(best.log.expect("a foreign offer carries its log")) {
+            return StateOutcome::Rejected(reject);
+        }
         self.view = best.view;
         self.last_normal = best.view;
-        self.log.replace(best.log);
         self.commit_number = best.commit_number.min(self.log.op_number()).max(self.commit_number);
         self.status = ReplicaStatus::Normal;
-        self.rec_best = None;
         if self.cfg.primary_of(self.view) == self.cfg.me {
             // We recovered as the acting primary (e.g. a rebooted broker
             // whose group never elected past it): re-assert the view so
             // backups realign and re-ack.
-            self.lead_from_log_end();
-            self.broadcast(
-                ReplicaMsg::StartView {
-                    view: self.view,
-                    commit_number: self.commit_number,
-                    log: self.log.to_vec(),
-                },
-                out,
-            );
+            self.start_view(out);
         } else {
             out.push((
                 self.primary_node(),
@@ -1049,17 +1132,31 @@ impl Replica {
             ));
         }
         self.flush_pending(out);
+        StateOutcome::Adopted
     }
 
-    /// Applies every committed-but-unapplied op through `apply`, advancing
-    /// the applied cursor. The caller owns what "apply" means: the broker
-    /// replica rebuilds its routing table, a log backup discards.
-    pub fn drain_committed(&mut self, mut apply: impl FnMut(&BrokerOp)) -> u64 {
-        let mut drained = 0;
-        while self.applied < self.commit_number {
-            self.applied += 1;
-            let op = self.log.get(self.applied).expect("commit number is bounded by the log");
-            apply(op);
+    /// Hands every committed-but-undrained op to `apply` **by value** and
+    /// folds it into the log's live state — this is the one place `base`
+    /// advances, so "drained" and "folded" are the same cursor and it never
+    /// passes the commit number. A repair left by an adoption (the ops it
+    /// skipped, as a state diff) goes first. The caller owns what "apply"
+    /// means: the broker replica rebuilds its routing table, a log backup
+    /// discards. Returns how many ops were handed out.
+    pub fn drain_committed(&mut self, mut apply: impl FnMut(BrokerOp)) -> u64 {
+        let mut drained = self.repair.len() as u64;
+        self.repair.drain(..).for_each(&mut apply);
+        // Model-checker fault injection: fold whatever the log holds,
+        // committed or not. A view change may still discard an uncommitted
+        // op; once it sits in the checkpoint, nothing can take it out again
+        // (`checkpoint_past_commit` twin in crates/verify/tests/replication.rs).
+        let limit = if rebeca_verify::inject::enabled("checkpoint_past_commit") {
+            self.log.op_number()
+        } else {
+            self.commit_number
+        };
+        while self.log.base() < limit {
+            apply(self.log.fold_next().expect("the commit number is bounded by the log"));
+            self.ops_folded += 1;
             drained += 1;
         }
         drained
@@ -1069,7 +1166,7 @@ impl Replica {
 #[cfg(all(test, not(rebeca_verify)))]
 mod tests {
     use super::*;
-    use rebeca_core::ClientId;
+    use rebeca_core::{ClientId, Filter, Subscription, SubscriptionId};
 
     fn group3() -> Vec<Replica> {
         let nodes: Vec<NodeId> = (0..3).map(NodeId::new).collect();
@@ -1150,7 +1247,7 @@ mod tests {
         assert!(out.is_empty(), "nobody to talk to");
         assert_eq!(r.commit_number(), 1);
         let mut applied = Vec::new();
-        r.drain_committed(|o| applied.push(o.clone()));
+        r.drain_committed(|o| applied.push(o));
         assert_eq!(applied, vec![op(1)]);
     }
 
@@ -1243,8 +1340,8 @@ mod tests {
         assert_eq!(rs[0].op_number(), 2, "log recovered from the group");
         assert_eq!(rs[0].commit_number(), 2);
         let mut applied = Vec::new();
-        rs[0].drain_committed(|o| applied.push(o.clone()));
-        assert_eq!(applied, vec![op(1), op(2)], "recovery replays the whole log");
+        rs[0].drain_committed(|o| applied.push(o));
+        assert_eq!(applied, vec![op(1), op(2)], "nobody had folded: the tail is the whole log");
         assert!(rs[0].is_primary(), "nobody elected past it, so it resumes as primary");
     }
 
@@ -1586,6 +1683,260 @@ mod tests {
         assert_eq!(live[1].log(), live[0].log());
     }
 
+    fn sub(id: u32, v: i64) -> BrokerOp {
+        let filter = Filter::builder().eq("k", v).build();
+        let subscription = Subscription::new(SubscriptionId::new(id), ClientId::new(7), filter);
+        BrokerOp::Subscribe { node: NodeId::new(70), subscription }
+    }
+
+    fn unsub(id: u32) -> BrokerOp {
+        BrokerOp::Unsubscribe { client: ClientId::new(7), id: SubscriptionId::new(id) }
+    }
+
+    fn drain(r: &mut Replica) -> Vec<BrokerOp> {
+        let mut ops = Vec::new();
+        r.drain_committed(|o| ops.push(o));
+        ops
+    }
+
+    /// Re-subscription cycles over two live subscriptions: the history
+    /// grows, the live state does not.
+    fn churn(rs: &mut [Replica], outs: &mut [Outbox], cycles: std::ops::Range<u32>) {
+        for i in cycles {
+            rs[0].submit(sub(i + 2, i64::from(i)), &mut outs[0]);
+            rs[0].submit(unsub(i), &mut outs[0]);
+            pump(rs, outs);
+        }
+    }
+
+    /// Draining is folding: resident ops follow the live table, op numbers
+    /// keep counting, and `Prepare`s never need what was folded.
+    #[test]
+    fn draining_folds_and_the_log_stops_growing() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        rs[0].submit(sub(0, -2), &mut outs[0]);
+        rs[0].submit(sub(1, -1), &mut outs[0]);
+        for round in 1..=3u32 {
+            churn(&mut rs, &mut outs, (round - 1) * 50..round * 50);
+            for r in &mut rs {
+                r.drain_committed(drop);
+                assert_eq!(r.op_number(), 2 + 100 * u64::from(round));
+                assert_eq!(r.log().base(), r.commit_number(), "drained is folded");
+                assert_eq!(r.log().live().len(), 3, "one client, two subscriptions");
+                assert_eq!(r.log().resident(), 3, "the live entries, an empty tail");
+            }
+        }
+        assert_eq!(rs[1].ops_folded(), rs[1].commit_number());
+        assert_eq!(rs[0].log().live(), rs[2].log().live());
+    }
+
+    /// Members at three different bases go through a view change: the new
+    /// primary adopts the furthest log, a member that had folded less gets
+    /// the difference as a repair, one that had folded more keeps its
+    /// checkpoint — and all three end in the same state.
+    #[test]
+    fn view_change_across_different_bases_converges() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        rs[0].submit(sub(0, -2), &mut outs[0]);
+        rs[0].submit(sub(1, -1), &mut outs[0]);
+        churn(&mut rs, &mut outs, 0..10);
+        // Member 2 folds now, member 1 never did; ten more cycles, which
+        // only member 2 then folds half of.
+        drain(&mut rs[2]);
+        churn(&mut rs, &mut outs, 10..20);
+        let commit = rs[1].commit_number();
+        assert_eq!(commit, 42);
+        let mut seen_by_2 = Vec::new();
+        rs[2].commit_number = 32;
+        seen_by_2.extend(drain(&mut rs[2]));
+        rs[2].commit_number = commit;
+        assert_eq!((rs[1].log().base(), rs[2].log().base()), (0, 32));
+
+        let mut live = rs.split_off(1);
+        live[0].on_peer_change(NodeId::new(0), false, &mut outs[1]);
+        live[1].on_peer_change(NodeId::new(0), false, &mut outs[2]);
+        let delivered = pump(&mut live, &mut outs[1..]);
+        assert!(live[0].is_primary());
+        // Equal (last_normal, op_number): the later offer wins, so the new
+        // primary adopted member 2's state and was handed the repair.
+        let start_view = delivered
+            .iter()
+            .find_map(|m| {
+                if let ReplicaMsg::StartView { log, .. } = m {
+                    return Some(log.clone());
+                }
+                None
+            })
+            .expect("a StartView went out");
+        assert_eq!(start_view.base, 32);
+        assert_eq!(start_view.tail.len(), 10);
+        assert_eq!(start_view.checkpoint.len(), 3, "the live table, not 32 ops");
+        let repaired = drain(&mut live[0]);
+        assert_eq!(repaired.len(), 3 + 10, "the checkpoint as adds, then the tail");
+        drain(&mut live[1]);
+        assert_eq!(live[0].log(), live[1].log());
+        assert_eq!(live[0].log().base(), commit);
+
+        // The old primary comes back with a base of its own and adopts the
+        // new view's state without losing or repeating anything.
+        let mut old = rs.remove(0);
+        old.commit_number = 20;
+        drain(&mut old);
+        old.commit_number = commit;
+        live[0].submit(sub(99, 99), &mut outs[1]);
+        live.insert(0, old);
+        outs[0].clear();
+        pump(&mut live, &mut outs);
+        for r in &mut live {
+            drain(r);
+        }
+        assert_eq!(live[0].view(), 1, "the Prepare of view 1 triggered a state transfer");
+        assert_eq!(live[0].log(), live[1].log());
+        assert_eq!(live[2].log(), live[1].log());
+        assert_eq!(live[0].log().live().len(), 4);
+    }
+
+    /// A respawned member recovers from a group that has folded: what its
+    /// broker is handed is the live table as adds plus the tail, not every
+    /// op that ever ran.
+    #[test]
+    fn fresh_member_recovers_from_a_folded_group() {
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        boot(&mut rs, &mut outs);
+        rs[0].submit(sub(0, -2), &mut outs[0]);
+        rs[0].submit(sub(1, -1), &mut outs[0]);
+        churn(&mut rs, &mut outs, 0..200);
+        rs.iter_mut().for_each(|r| {
+            drain(r);
+        });
+        let want = rs[1].log().clone();
+        assert_eq!(want.base(), 402);
+
+        rs[0] = Replica::new(rs[0].config().clone());
+        outs[0].clear();
+        rs[0].start(&mut outs[0]);
+        let delivered = pump(&mut rs, &mut outs);
+        let shipped: Vec<usize> = delivered
+            .iter()
+            .filter_map(|m| {
+                if let ReplicaMsg::RecoveryResponse { log, .. }
+                | ReplicaMsg::StartView { log, .. } = m
+                {
+                    return Some(log.checkpoint.len() + log.tail.len());
+                }
+                None
+            })
+            .collect();
+        assert!(!shipped.is_empty() && shipped.iter().all(|&n| n == 3), "{shipped:?}");
+        assert_eq!(rs[0].status(), ReplicaStatus::Normal);
+        assert_eq!((rs[0].op_number(), rs[0].commit_number()), (402, 402));
+        assert_eq!(drain(&mut rs[0]), want.live().checkpoint(), "the table, as three adds");
+        assert_eq!(rs[0].log(), &want);
+        assert!(rs[0].is_primary());
+        rs[0].submit(sub(500, 5), &mut outs[0]);
+        pump(&mut rs, &mut outs);
+        assert_eq!(rs[2].commit_number(), 403);
+    }
+
+    /// The four malformed shapes of a state, one `LogState` each, as seen
+    /// by a member whose own checkpoint is at op 3.
+    fn hostile_states() -> [(LogState, u64, StateReject); 4] {
+        let adds = vec![op(1), op(2), op(3)];
+        [
+            (
+                LogState { base: u64::MAX, checkpoint: adds.clone(), tail: vec![op(4)] },
+                u64::MAX,
+                StateReject::Overflow,
+            ),
+            (
+                LogState { base: 4, checkpoint: vec![op(1), unsub(1)], tail: Vec::new() },
+                4,
+                StateReject::NotAnAdd,
+            ),
+            (
+                LogState { base: 4, checkpoint: adds, tail: Vec::new() },
+                3,
+                StateReject::CommitBelowBase,
+            ),
+            (
+                LogState { base: 1, checkpoint: vec![op(1)], tail: vec![op(2)] },
+                3,
+                StateReject::BehindCheckpoint,
+            ),
+        ]
+    }
+
+    #[test]
+    fn hostile_start_views_are_rejected_by_name() {
+        let (mut r, mut out) = backup_with_three();
+        drain(&mut r);
+        let before = r.log().clone();
+        for (log, commit, reject) in hostile_states() {
+            let got = r.on_start_view(1, commit, log.clone(), &mut out);
+            assert_eq!(got, StateOutcome::Rejected(reject), "{log:?}");
+            assert_eq!((r.view(), r.commit_number(), r.log()), (0, 3, &before), "nothing moved");
+        }
+        assert!(out.is_empty(), "nothing acknowledged");
+        let honest = LogState { base: 0, checkpoint: Vec::new(), tail: vec![op(1), op(2), op(3)] };
+        assert_eq!(
+            r.on_start_view(0, 3, honest, &mut Outbox::new()),
+            StateOutcome::Adopted,
+            "an earlier base that reaches ours is fine: the checkpoint stays"
+        );
+        assert_eq!(r.log(), &before);
+    }
+
+    #[test]
+    fn hostile_do_view_changes_are_rejected_by_name() {
+        for (log, commit, reject) in hostile_states() {
+            let (mut r, mut out) = backup_with_three();
+            drain(&mut r);
+            // Member 1 leads view 1; with member 2's vote its own offer is in.
+            r.on_peer_change(NodeId::new(0), false, &mut out);
+            r.on_msg(NodeId::new(2), ReplicaMsg::StartViewChange { view: 1, replica: 2 }, &mut out);
+            let got = r.on_do_view_change(1, 5, commit, log.clone(), 2, &mut out);
+            assert_eq!(got, StateOutcome::Rejected(reject), "{log:?}");
+            assert_eq!(r.status(), ReplicaStatus::ViewChange, "no quorum formed from it");
+            assert_eq!((r.log().base(), r.op_number()), (3, 3));
+            // An honest offer from the same member completes the view change.
+            let honest =
+                LogState { base: 0, checkpoint: Vec::new(), tail: vec![op(1), op(2), op(3)] };
+            assert_eq!(r.on_do_view_change(1, 0, 3, honest, 2, &mut out), StateOutcome::Adopted);
+            assert!(r.is_primary());
+        }
+    }
+
+    #[test]
+    fn hostile_recovery_responses_are_rejected_by_name() {
+        for (log, commit, reject) in hostile_states() {
+            let (mut r, mut out) = backup_with_three();
+            drain(&mut r);
+            // A Prepare from a view we missed starts a state transfer.
+            assert_eq!(offer(&mut r, &mut out, prepare(1, 4, 1)), PrepareOutcome::Behind);
+            let nonce = r.nonce;
+            let got = r.on_recovery_response(1, nonce, commit, log.clone(), true, 2, &mut out);
+            assert_eq!(got, StateOutcome::Rejected(reject), "{log:?}");
+            assert_eq!((r.view(), r.log().base(), r.op_number()), (0, 3, 3), "nothing moved");
+            // The same numbers from a responder that claims no state are
+            // never looked at.
+            let got = r.on_recovery_response(1, nonce, commit, log, false, 0, &mut out);
+            assert_eq!(got, StateOutcome::Recorded);
+        }
+    }
+
+    /// Every message of every protocol crosses channels and action buffers
+    /// by value; the rare whole-state messages box their log so that none
+    /// of them outgrows a cache line for it.
+    #[test]
+    fn a_message_fits_a_cache_line() {
+        assert!(std::mem::size_of::<crate::Message>() <= 64);
+    }
+
     #[test]
     fn tick_retransmits_until_the_probe_answers() {
         let nodes: Vec<NodeId> = (0..3).map(NodeId::new).collect();
@@ -1603,7 +1954,7 @@ mod tests {
                 view: 0,
                 nonce: 1,
                 commit_number: 0,
-                log: Vec::new(),
+                log: Box::default(),
                 normal: false,
                 replica: 1,
             },

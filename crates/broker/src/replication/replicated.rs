@@ -14,6 +14,9 @@
 //!
 //! [`ReplicaNode`] is the log-only group member: it holds the op log and
 //! votes in view changes, but applies nothing (its state *is* the log).
+//! Both kinds drain through the same [`Replica::drain_committed`], which is
+//! what folds committed ops into the log's checkpoint — so every member
+//! keeps the live table plus the uncommitted tail, never the history.
 //! A broker group of size `g` is one `ReplicatedBrokerNode` plus `g - 1`
 //! `ReplicaNode`s, placed on distinct processes by the facade so one
 //! SIGKILL never takes a quorum (see `SystemBuilder::replication`).
@@ -45,6 +48,8 @@ pub struct ReplicationMetrics {
     prepares_sent: AtomicU64,
     ops_committed: AtomicU64,
     ops_applied: AtomicU64,
+    ops_folded: AtomicU64,
+    log_resident: AtomicU64,
     view_changes: AtomicU64,
     recoveries: AtomicU64,
 }
@@ -64,6 +69,14 @@ pub struct ReplicationStats {
     pub ops_committed: u64,
     /// Committed ops applied to a broker core.
     pub ops_applied: u64,
+    /// Committed ops folded out of a member's tail into its checkpoint,
+    /// summed over every group member: a healthy group of g that keeps up
+    /// reports `g * ops_logged`.
+    pub ops_folded: u64,
+    /// Gauge: what the op logs keep resident right now — live entries plus
+    /// tail ops, summed over the members this process hosts. Bounded by the
+    /// live tables and the uncommitted windows, not by `ops_logged`.
+    pub log_resident: u64,
     /// View changes observed (primary failovers).
     pub view_changes: u64,
     /// Completed state recoveries (a respawned member adopted group state).
@@ -90,6 +103,8 @@ impl ReplicationMetrics {
             prepares_sent: load(&self.prepares_sent),
             ops_committed: load(&self.ops_committed),
             ops_applied: load(&self.ops_applied),
+            ops_folded: load(&self.ops_folded),
+            log_resident: load(&self.log_resident),
             view_changes: load(&self.view_changes),
             recoveries: load(&self.recoveries),
         }
@@ -105,6 +120,8 @@ struct ReplicaDriver {
     last_view: u64,
     last_commit: u64,
     last_prepares: u64,
+    last_folded: u64,
+    last_resident: u64,
     was_recovering: bool,
 }
 
@@ -118,6 +135,8 @@ impl ReplicaDriver {
             last_view: 0,
             last_commit: 0,
             last_prepares: 0,
+            last_folded: 0,
+            last_resident: 0,
             was_recovering,
         }
     }
@@ -189,6 +208,24 @@ impl ReplicaDriver {
         ReplicationMetrics::add(&self.metrics.ops_logged, 1);
         self.replica.submit(op, &mut self.outbox);
     }
+
+    /// Drains the committed ops through `apply` (which folds them into the
+    /// log's checkpoint) and records what the log holds now.
+    fn drain(&mut self, apply: impl FnMut(BrokerOp)) -> u64 {
+        let drained = self.replica.drain_committed(apply);
+        let folded = self.replica.ops_folded();
+        ReplicationMetrics::add(&self.metrics.ops_folded, folded - self.last_folded);
+        self.last_folded = folded;
+        // A gauge: this member's share moves up or down, and a wrapping add
+        // of the (two's complement) difference does both.
+        let resident = self.replica.log().resident() as u64;
+        ReplicationMetrics::add(
+            &self.metrics.log_resident,
+            resident.wrapping_sub(self.last_resident),
+        );
+        self.last_resident = resident;
+        drained
+    }
 }
 
 /// A broker whose mutation surface is replicated across its group (see
@@ -250,7 +287,9 @@ impl ReplicatedBrokerNode {
     fn pump(&mut self, ctx: &mut Ctx<'_, Message>) {
         self.driver.flush_outbox(ctx);
         let core = &mut self.core;
-        let applied = self.driver.replica.drain_committed(|op| core.apply(ctx, op.clone()));
+        // By value: a retraction reaches the table without a clone, an add
+        // with the one its fold took.
+        let applied = self.driver.drain(|op| core.apply(ctx, op));
         // Applying ops emits announcements, never new replica traffic: the
         // one flush above suffices.
         ReplicationMetrics::add(&self.driver.metrics.ops_applied, applied);
@@ -355,9 +394,9 @@ impl ReplicaNode {
 
     fn pump(&mut self, ctx: &mut Ctx<'_, Message>) {
         self.driver.flush_outbox(ctx);
-        // A backup's state *is* its log: advance the applied cursor,
-        // discard the ops.
-        self.driver.replica.drain_committed(|_op| {});
+        // A backup's state *is* its log: fold the committed ops, discard
+        // what comes out.
+        self.driver.drain(drop);
     }
 }
 

@@ -28,6 +28,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute constraint: a named attribute plus a [`Predicate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,15 +86,20 @@ impl fmt::Display for Constraint {
 ///     .publish(ClientId::new(0), 0, SimTime::ZERO);
 /// assert!(f.matches(&n));
 /// ```
+///
+/// A filter never changes once built, so it is one shared allocation:
+/// cloning bumps a reference count. Routing tables, announcers, op logs and
+/// their checkpoints all keep "their own" copy of a filter that travels
+/// through them, and a re-subscription makes a dozen of those.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Filter {
-    constraints: Vec<Constraint>,
+    constraints: Arc<[Constraint]>,
 }
 
 impl Filter {
     /// The filter that matches **every** notification.
     pub fn all() -> Filter {
-        Filter { constraints: Vec::new() }
+        Filter::default()
     }
 
     /// Starts building a filter.
@@ -104,12 +110,9 @@ impl Filter {
     /// Creates a filter from pre-built constraints.
     pub fn from_constraints(constraints: impl IntoIterator<Item = Constraint>) -> Filter {
         let mut constraints: Vec<_> = constraints.into_iter().collect();
-        // A filter never grows again, and an op log keeps the very filter a
-        // client built: a builder's spare capacity (room for four
-        // constraints behind the usual one) would be held for good.
-        constraints.shrink_to_fit();
         constraints.sort_by(|a, b| a.attr.cmp(&b.attr));
-        Filter { constraints }
+        // Exactly sized: a builder's spare capacity stays behind.
+        Filter { constraints: constraints.into() }
     }
 
     /// Iterates over the constraints in attribute order.
@@ -232,7 +235,7 @@ impl Filter {
     pub fn digest(&self) -> Digest {
         let mut h = Fnv1a::new();
         h.write_u64(self.constraints.len() as u64);
-        for c in &self.constraints {
+        for c in self.constraints.iter() {
             h.write_u64(c.attr.len() as u64);
             h.write(c.attr.as_bytes());
             c.predicate.hash_into(&mut h);
@@ -263,7 +266,7 @@ impl Filter {
         let mut point = Fnv1a::new();
         let mut is_point = true;
         let mut prev: Option<&str> = None;
-        for c in &self.constraints {
+        for c in self.constraints.iter() {
             if prev == Some(c.attr.as_str()) {
                 // A repeated attribute (e.g. a range as two constraints)
                 // disqualifies the point fast path but not the shape.

@@ -191,11 +191,13 @@ fn parent_process() {
         .replication_stats();
     println!(
         "replication (this process): {} ops logged in {} Prepares (mean batch {:.1}), \
-         {} view changes.",
+         {} view changes; {} ops folded into checkpoints, {} entries resident in the logs.",
         repl.ops_logged,
         repl.prepares_sent,
         repl.ops_logged as f64 / repl.prepares_sent.max(1) as f64,
-        repl.view_changes
+        repl.view_changes,
+        repl.ops_folded,
+        repl.log_resident
     );
     println!("one subscription, one SIGKILL, zero re-subscriptions — the log remembers.");
 }

@@ -702,6 +702,22 @@ const R_PUBLISHER: NodeId = NodeId::new(9);
 const R_CONSUMER_A: NodeId = NodeId::new(10);
 const R_CONSUMER_B: NodeId = NodeId::new(11);
 
+/// Pre-kill churn at consumer A: this many re-subscription cycles, of which
+/// the last few filters stay live. None of them matches a soak mark; they
+/// exist so that broker 2's group has *folded* hundreds of ops into its
+/// checkpoint by the time its primary is killed.
+const R_CHURN_CYCLES: u32 = 400;
+const R_CHURN_KEEP: u32 = 5;
+
+/// Broker 2's routing table just before the kill: consumer A's filter,
+/// consumer B's (simple routing announces it down the whole line) and the
+/// churn's survivors.
+const R_PRE_KILL_TABLE: usize = 2 + R_CHURN_KEEP as usize;
+
+fn churn_filter(step: u32) -> Filter {
+    Filter::builder().eq("service", "churn").eq("step", i64::from(step)).build()
+}
+
 /// Builds the child half of the replicated deployment: broker 2 (primary
 /// of its group), the backups the placement formula co-hosts with it
 /// (one each for brokers 0 and 1), and consumer A.
@@ -758,11 +774,12 @@ fn replicated_parent_runtime(
 /// broker 2's two log backups; SIGKILLs the generation-1 child (taking
 /// broker 2's group primary with it), publishes into the outage, respawns,
 /// and returns what the reborn consumer A saw, its panic count, broker 2's
-/// recovered routing-table size, the parent's link metrics, and consumer B.
+/// recovered routing-table size, the parent's link metrics, consumer B, and
+/// `(checkpoint base, resident ops)` of each of broker 2's log backups.
 fn run_replicated_kill_recover(
     script: &KillScript,
     seed: u64,
-) -> (Observed, u64, usize, LinkMetrics, Observed) {
+) -> (Observed, u64, usize, LinkMetrics, Observed, Vec<(u64, usize)>) {
     let sock = std::env::temp_dir().join(format!("rebeca-repl-soak-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
 
@@ -798,9 +815,10 @@ fn run_replicated_kill_recover(
     );
     let send = |to, msg| rt.send_external(to, msg);
 
-    // Generation 1's subscription floods the routing tables *and* commits
-    // into broker 2's replica group (its two backups live right here in
-    // the parent). Then the first live batch flows.
+    // Generation 1's subscription and its churn flood the routing tables
+    // *and* commit into broker 2's replica group (its two backups live
+    // right here in the parent, folding as they go). Then the first live
+    // batch flows.
     std::thread::sleep(Duration::from_millis(800));
     publish_at(&send, R_PUBLISHER, &script.batch1);
     std::thread::sleep(Duration::from_millis(300));
@@ -853,7 +871,14 @@ fn run_replicated_kill_recover(
         .as_any()
         .downcast_ref::<ClientNode>()
         .expect("client node");
-    (a, a_panics, table, metrics.snapshot(), observe(b_node))
+    let backups_of_2 = nodes
+        .iter()
+        .flatten()
+        .filter_map(|n| n.as_any().downcast_ref::<rebeca::broker::replication::ReplicaNode>())
+        .filter(|b| b.replica().config().group[0] == NodeId::new(2))
+        .map(|b| (b.replica().log().base(), b.replica().log().resident()))
+        .collect();
+    (a, a_panics, table, metrics.snapshot(), observe(b_node), backups_of_2)
 }
 
 /// Child-process half of the replicated soak: a no-op under a normal test
@@ -881,6 +906,16 @@ fn replicated_kill_recover_child() {
             R_CONSUMER_A,
             Message::AppSubscribe { id: SubscriptionId::new(1), filter: script.filter_a() },
         );
+        // The churn: a window of R_CHURN_KEEP filters slides over
+        // R_CHURN_CYCLES re-subscriptions.
+        let id = |step: u32| SubscriptionId::new(1_000 + step);
+        for step in 0..R_CHURN_CYCLES {
+            let filter = churn_filter(step);
+            rt.send_external(R_CONSUMER_A, Message::AppSubscribe { id: id(step), filter });
+            if let Some(old) = step.checked_sub(R_CHURN_KEEP) {
+                rt.send_external(R_CONSUMER_A, Message::AppUnsubscribe { id: id(old) });
+            }
+        }
         // Nothing to report: this generation exists to be SIGKILLed.
         std::thread::sleep(Duration::from_secs(600));
         rt.stop();
@@ -929,7 +964,7 @@ fn replicated_primary_kill_recovers_without_resubscription() {
 
     let result = std::panic::catch_unwind(|| {
         let script = KillScript::derive(seed);
-        let (a, a_panics, table, metrics, b) = run_replicated_kill_recover(&script, seed);
+        let (a, a_panics, table, metrics, b, backups) = run_replicated_kill_recover(&script, seed);
 
         // Non-vacuous: every post-recovery mark matches consumer A's
         // filter only above the threshold, and the reborn consumer saw
@@ -942,10 +977,18 @@ fn replicated_primary_kill_recovers_without_resubscription() {
         );
         assert_eq!(a.fifo_violations, 0, "reborn consumer A: FIFO violated");
         assert_eq!(a.duplicates, 0, "reborn consumer A: duplicate deliveries");
-        assert!(
-            table >= 1,
-            "broker 2 came back with an empty routing table: recovery never adopted the log"
+        assert_eq!(
+            table, R_PRE_KILL_TABLE,
+            "broker 2's recovered routing table is not the one it had before the kill"
         );
+        // What it recovered from had folded: the backups held a checkpoint
+        // past the whole churn and about a table's worth of entries — not
+        // the 800 ops that built it.
+        assert_eq!(backups.len(), 2, "both of broker 2's backups live in the parent");
+        for (base, resident) in backups {
+            assert!(base >= u64::from(2 * R_CHURN_CYCLES - R_CHURN_KEEP), "folded to {base}");
+            assert!(resident <= R_PRE_KILL_TABLE + 8, "{resident} entries resident");
+        }
 
         assert_eq!(b.marks, script.expected_b(), "consumer B vs oracle");
         assert_eq!(b.fifo_violations, 0, "consumer B: FIFO violated");
