@@ -1,9 +1,9 @@
 //! Codec benchmark: the wire paths every cross-process hop pays.
 //!
-//! PR 7 made the broker wire-native: notifications, messages and routing
-//! table deltas all cross process boundaries through the binary codec, and
-//! every received byte funnels through the frame reassembler. This bench
-//! measures those paths in events per second:
+//! PR 7 made the broker wire-native: notifications and messages cross
+//! process boundaries through the binary codec, and every received byte
+//! funnels through the frame reassembler. This bench measures those paths
+//! in events per second:
 //!
 //! * `notification/encode` — appending one notification's canonical
 //!   encoding into a reused buffer (the send side of every remote hop).
@@ -20,21 +20,18 @@
 //! * `frame/msg-reassemble` — frame a message payload, feed it through the
 //!   [`FrameReassembler`], and pull the whole frame back out: the
 //!   transport-layer overhead on top of the codec.
-//! * `table-delta/encode-40k` / `table-delta/decode-40k` — a routing table
-//!   delta carrying 40 000 distinct filters (the large-table tier of the
-//!   million-filter roadmap item), counted in filters per second.
 //!
 //! Results print in the criterion-stub format and, when `CODEC_JSON` names
 //! a file, are additionally written as JSON (see `BENCH_codec_pr7.json` at
-//! the repo root) so CI can track the trajectory.
+//! the repo root, which also holds two `table-delta/*` rows for a codec no
+//! message used and that has since been removed) so CI can track the
+//! trajectory.
 
 use rebeca_bench::harness::{results_json, workspace_path, Measurement};
-use rebeca_broker::codec::{decode_table_delta, encode_table_delta};
-use rebeca_broker::table::FilterOrigin;
-use rebeca_broker::{decode_message, encode_message, Message, TableDelta};
+use rebeca_broker::{decode_message, encode_message, Message};
 use rebeca_core::codec::ArchivedNotification;
 use rebeca_core::intern::{InternerCache, SharedInterner};
-use rebeca_core::{ClientId, Filter, Notification, SimTime};
+use rebeca_core::{ClientId, Notification, SimTime};
 use rebeca_net::{encode_frame, Frame, FrameReassembler, NodeId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,68 +147,16 @@ fn bench_frame_reassemble(budget: Duration) -> Measurement {
     Measurement { name: "frame/msg-reassemble".into(), events, elapsed: start.elapsed() }
 }
 
-/// 40 000 distinct filters in one routing table delta; events count
-/// *filters*, not deltas, so the figure is comparable across sizes.
-fn table_delta_cases(budget: Duration) -> (Measurement, Measurement) {
-    const FILTERS: usize = 40_000;
-    let delta = TableDelta {
-        added: (0..FILTERS)
-            .map(|i| {
-                let origin = if i % 2 == 0 {
-                    FilterOrigin::Client
-                } else {
-                    FilterOrigin::Neighbor(NodeId::new((i % 7) as u32))
-                };
-                (
-                    origin,
-                    Filter::builder().eq("room", i as i64).gt("celsius", (i % 40) as i64).build(),
-                )
-            })
-            .collect(),
-        removed: Vec::new(),
-    };
-    let mut buf = Vec::new();
-    encode_table_delta(&delta, &mut buf);
-    let encoded_len = buf.len();
-
-    let mut events = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < budget {
-        buf.clear();
-        encode_table_delta(&delta, &mut buf);
-        assert_eq!(buf.len(), encoded_len);
-        events += FILTERS as u64;
-    }
-    let encode =
-        Measurement { name: "table-delta/encode-40k".into(), events, elapsed: start.elapsed() };
-
-    let mut events = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < budget {
-        let mut cur = buf.as_slice();
-        let back = decode_table_delta(&mut cur).expect("well-formed bytes");
-        assert_eq!(back.added.len(), FILTERS);
-        std::hint::black_box(&back);
-        events += FILTERS as u64;
-    }
-    let decode =
-        Measurement { name: "table-delta/decode-40k".into(), events, elapsed: start.elapsed() };
-    (encode, decode)
-}
-
 fn main() {
     let quick = std::env::var("CODEC_QUICK").is_ok();
     let budget = if quick { Duration::from_millis(200) } else { Duration::from_millis(1500) };
 
-    let (delta_encode, delta_decode) = table_delta_cases(budget);
     let measurements = vec![
         bench_encode(budget),
         bench_archived_parse(budget),
         bench_owned_decode(budget),
         bench_message_roundtrip(budget),
         bench_frame_reassemble(budget),
-        delta_encode,
-        delta_decode,
     ];
 
     for m in &measurements {

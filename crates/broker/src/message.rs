@@ -10,6 +10,7 @@
 //! framework (§3).
 
 use crate::replication::ReplicaMsg;
+use rebeca_core::codec::wire_len;
 use rebeca_core::{
     BrokerId, ClientId, Filter, Notification, NotificationBuilder, Subscription, SubscriptionId,
 };
@@ -266,23 +267,7 @@ impl Message {
 
 impl Payload for Message {
     fn wire_size(&self) -> usize {
-        const HDR: usize = 8;
-        HDR + match self {
-            Message::AppPublish { attrs } => 16 * attrs.len(),
-            Message::AppSubscribe { filter, .. } => 4 + filter.wire_size(),
-            Message::AppUnsubscribe { .. } => 4,
-            Message::ClientAttach { .. } | Message::ClientDetach { .. } => 4,
-            Message::Publish { notification } | Message::Forward { notification } => {
-                notification.wire_size()
-            }
-            Message::Deliver { notification, .. } => 4 + notification.wire_size(),
-            Message::Subscribe { subscription } => subscription.wire_size(),
-            Message::Unsubscribe { .. } => 8,
-            Message::SubForward { filter } | Message::UnsubForward { filter } => filter.wire_size(),
-            Message::Routed { inner, .. } => 4 + inner.wire_size(),
-            Message::Mobility(m) => m.wire_size(),
-            Message::Replica(r) => r.wire_size(),
-        }
+        wire_len::<Message>(self)
     }
 
     fn kind(&self) -> &'static str {
@@ -301,34 +286,6 @@ impl Payload for Message {
             Message::Routed { .. } => "ctl",
             Message::Mobility(_) => "mob",
             Message::Replica(_) => "rep",
-        }
-    }
-}
-
-impl MobilityMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            MobilityMsg::AppPrepareMove
-            | MobilityMsg::AppMoveTo { .. }
-            | MobilityMsg::AppDisconnect => 4,
-            MobilityMsg::AppSetContext { key, predicate } => key.len() + predicate.wire_size(),
-            MobilityMsg::MoveIn { subscriptions, .. } => {
-                17 + subscriptions.iter().map(Subscription::wire_size).sum::<usize>()
-            }
-            MobilityMsg::FetchBuffered { .. } => 8,
-            MobilityMsg::BufferedBatch { notifications, .. } => {
-                6 + notifications.iter().map(|n| n.wire_size()).sum::<usize>()
-            }
-            MobilityMsg::ReplicaCreate { subscriptions, .. } => {
-                12 + subscriptions.iter().map(Subscription::wire_size).sum::<usize>()
-            }
-            MobilityMsg::ReplicaDelete { .. } => 12,
-            MobilityMsg::ReplicaSubscribe { subscription, .. } => 12 + subscription.wire_size(),
-            MobilityMsg::ReplicaUnsubscribe { .. } => 16,
-            MobilityMsg::ReplicaFetch { .. } => 8,
-            MobilityMsg::ReplicaBatch { notifications, .. } => {
-                5 + notifications.iter().map(|n| n.wire_size()).sum::<usize>()
-            }
         }
     }
 }
@@ -364,24 +321,6 @@ mod tests {
             Message::routed(BrokerId::new(2), Message::Forward { notification: n }).kind(),
             "ctl"
         );
-    }
-
-    #[test]
-    fn wire_sizes_scale_with_content() {
-        let small =
-            Notification::builder().attr("a", 1i64).publish(ClientId::new(0), 0, SimTime::ZERO);
-        let big = Notification::builder().attr("a", 1i64).attr("blob", "x".repeat(100)).publish(
-            ClientId::new(0),
-            1,
-            SimTime::ZERO,
-        );
-        let ms = Message::Publish { notification: Arc::new(small) };
-        let mb = Message::Publish { notification: Arc::new(big) };
-        assert!(mb.wire_size() > ms.wire_size() + 100);
-
-        let f = Filter::builder().eq("service", "temperature").build();
-        let sub = Message::SubForward { filter: f.clone() };
-        assert!(sub.wire_size() >= f.wire_size());
     }
 
     #[test]

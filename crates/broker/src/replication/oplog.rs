@@ -127,22 +127,6 @@ pub enum BrokerOp {
     },
 }
 
-impl BrokerOp {
-    /// Approximate encoded size (the [`Payload`](rebeca_net::Payload)
-    /// accounting model).
-    pub(crate) fn wire_size(&self) -> usize {
-        match self {
-            BrokerOp::ClientAttach { .. } => 8,
-            BrokerOp::ClientDetach { .. } => 4,
-            BrokerOp::Subscribe { subscription, .. } => 4 + subscription.wire_size(),
-            BrokerOp::Unsubscribe { .. } => 8,
-            BrokerOp::NeighborSubscribe { filter, .. }
-            | BrokerOp::NeighborUnsubscribe { filter, .. } => 4 + filter.wire_size(),
-            BrokerOp::LinkUp { .. } | BrokerOp::LinkDown { .. } => 4,
-        }
-    }
-}
-
 /// The fold of a committed op prefix: what the ops built, keyed the way
 /// the routing table keys it (see the module docs). Two prefixes that end
 /// in the same table fold to `==` states.
@@ -335,13 +319,6 @@ impl LogState {
             return Err(StateReject::CommitBelowBase);
         }
         Ok(end)
-    }
-
-    /// Approximate encoded size (the [`Payload`](rebeca_net::Payload)
-    /// accounting model).
-    pub(crate) fn wire_size(&self) -> usize {
-        let ops = self.checkpoint.iter().chain(&self.tail);
-        8 + ops.map(BrokerOp::wire_size).sum::<usize>()
     }
 }
 

@@ -170,27 +170,6 @@ pub enum ReplicaMsg {
     },
 }
 
-impl ReplicaMsg {
-    /// Approximate encoded size (the [`Payload`](rebeca_net::Payload)
-    /// accounting model, mirroring `MobilityMsg::wire_size`).
-    pub(crate) fn wire_size(&self) -> usize {
-        fn log_size(log: &[BrokerOp]) -> usize {
-            log.iter().map(BrokerOp::wire_size).sum::<usize>()
-        }
-        match self {
-            ReplicaMsg::Forward { op } => 1 + op.wire_size(),
-            ReplicaMsg::Prepare { ops, .. } => 28 + log_size(ops),
-            ReplicaMsg::PrepareOk { .. } => 20,
-            ReplicaMsg::Commit { .. } => 16,
-            ReplicaMsg::StartViewChange { .. } => 12,
-            ReplicaMsg::DoViewChange { log, .. } => 28 + log.wire_size(),
-            ReplicaMsg::StartView { log, .. } => 16 + log.wire_size(),
-            ReplicaMsg::Recovery { .. } => 12,
-            ReplicaMsg::RecoveryResponse { log, .. } => 25 + log.wire_size(),
-        }
-    }
-}
-
 /// Where a replica is in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaStatus {

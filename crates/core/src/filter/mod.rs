@@ -37,6 +37,8 @@ pub struct Constraint {
     predicate: Predicate,
 }
 
+crate::wire_table! { struct Constraint { attr: crate::codec::Str<u16>, predicate: Predicate } }
+
 impl Constraint {
     /// Creates a constraint on the given attribute.
     pub fn new(attr: impl Into<String>, predicate: Predicate) -> Self {
@@ -116,7 +118,7 @@ impl Filter {
     }
 
     /// Iterates over the constraints in attribute order.
-    pub fn constraints(&self) -> impl Iterator<Item = &Constraint> {
+    pub fn constraints(&self) -> impl ExactSizeIterator<Item = &Constraint> {
         self.constraints.iter()
     }
 
@@ -220,14 +222,10 @@ impl Filter {
         Filter { constraints }
     }
 
-    /// Estimated size of the filter in a compact wire encoding, in bytes —
-    /// used to charge subscription-forwarding traffic against links.
+    /// Size of the filter in the wire encoding, in bytes — used to charge
+    /// subscription-forwarding traffic against links.
     pub fn wire_size(&self) -> usize {
-        2 + self
-            .constraints
-            .iter()
-            .map(|c| 2 + c.attr.len() + c.predicate.wire_size())
-            .sum::<usize>()
+        crate::codec::wire_len::<Filter>(self)
     }
 
     /// Stable content digest (used as a cheap identity key in routing

@@ -299,17 +299,10 @@ impl Predicate {
         }
     }
 
-    /// Estimated size of this predicate in a compact wire encoding, in
-    /// bytes (tag byte included) — used for control-traffic accounting.
+    /// Size of this predicate in the wire encoding, in bytes (tag byte
+    /// included) — used for control-traffic accounting.
     pub fn wire_size(&self) -> usize {
-        use Predicate::*;
-        1 + match self {
-            Any | MyLoc => 0,
-            Eq(v) | Ne(v) | Lt(v) | Le(v) | Gt(v) | Ge(v) => v.wire_size(),
-            In(s) => 2 + s.iter().map(Value::wire_size).sum::<usize>(),
-            Prefix(s) | Suffix(s) | Contains(s) | MyCtx(s) => 2 + s.len(),
-            InLocations(set) => 2 + 4 * set.len(),
-        }
+        crate::codec::wire_len::<Predicate>(self)
     }
 
     /// Returns `true` for the unresolved `myloc` marker.

@@ -16,6 +16,8 @@ macro_rules! id_type {
         )]
         pub struct $name(u32);
 
+        crate::wire_table! { struct $name { 0: u32 } }
+
         impl $name {
             /// Creates the identifier from its raw index.
             pub const fn new(raw: u32) -> Self {

@@ -6,6 +6,7 @@
 //! (the basis of FIFO and duplicate detection throughout the mobility
 //! protocols) and the publication time.
 
+use crate::codec::{self, wire_len, Count, Field, Reader, Str};
 use crate::digest::{Digest, Fnv1a};
 use crate::error::CoreError;
 use crate::id::ClientId;
@@ -130,118 +131,57 @@ impl Notification {
         h.finish()
     }
 
-    /// Size of the compact wire encoding in bytes; the simulator charges
-    /// this against link bandwidth.
+    /// Size of the compact wire encoding in bytes — exactly what
+    /// [`Notification::encode`] writes; the simulator charges this against
+    /// link bandwidth and the mobility buffers budget by it.
     pub fn wire_size(&self) -> usize {
-        // publisher (4) + seq (8) + published_at (8) + attr count (2)
-        let mut size = 4 + 8 + 8 + 2;
-        for (name, value) in self.attrs.iter() {
-            size += 2 + name.len() + value.wire_size();
-        }
-        size
+        wire_len::<Notification>(self)
     }
 
     /// Encodes the notification into a byte buffer using the compact wire
     /// format. The inverse of [`Notification::decode`].
     pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(self.id.publisher.raw());
-        buf.put_u64_le(self.id.seq);
-        buf.put_u64_le(self.published_at.as_micros());
-        buf.put_u16_le(self.attrs.len() as u16);
-        for (name, value) in self.attrs.iter() {
-            buf.put_u16_le(name.len() as u16);
-            buf.put_slice(name.as_bytes());
-            match value {
-                Value::Bool(b) => {
-                    buf.put_u8(0);
-                    buf.put_u8(u8::from(*b));
-                }
-                Value::Int(i) => {
-                    buf.put_u8(1);
-                    buf.put_i64_le(*i);
-                }
-                Value::Float(f) => {
-                    buf.put_u8(2);
-                    buf.put_f64_le(*f);
-                }
-                Value::Str(s) => {
-                    buf.put_u8(3);
-                    buf.put_u32_le(s.len() as u32);
-                    buf.put_slice(s.as_bytes());
-                }
-                Value::Loc(l) => {
-                    buf.put_u8(4);
-                    buf.put_u32_le(l.raw());
-                }
-            }
-        }
+        Notification::put(self, buf);
     }
 
     /// Decodes a notification from the compact wire format.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Decode`] if the buffer is truncated or contains
-    /// an unknown value tag or invalid UTF-8.
+    /// [`CoreError::Truncated`] if the buffer ends early,
+    /// [`CoreError::BadTag`] for an unknown value tag and
+    /// [`CoreError::Decode`] for invalid UTF-8 — the same errors, for the
+    /// same bytes, as [`ArchivedNotification::parse`](crate::ArchivedNotification::parse).
     pub fn decode(buf: &mut impl Buf) -> Result<Notification, CoreError> {
-        fn need(buf: &impl Buf, n: usize) -> Result<(), CoreError> {
-            if buf.remaining() < n {
-                Err(CoreError::Decode(format!("need {n} more bytes, have {}", buf.remaining())))
-            } else {
-                Ok(())
-            }
-        }
-        fn get_string(buf: &mut impl Buf, len: usize) -> Result<String, CoreError> {
-            need(buf, len)?;
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            String::from_utf8(bytes).map_err(|e| CoreError::Decode(e.to_string()))
-        }
-
-        need(buf, 4 + 8 + 8 + 2)?;
-        let publisher = ClientId::new(buf.get_u32_le());
-        let seq = buf.get_u64_le();
-        let published_at = SimTime::from_micros(buf.get_u64_le());
-        let nattrs = buf.get_u16_le();
-        let mut attrs = BTreeMap::new();
-        for _ in 0..nattrs {
-            need(buf, 2)?;
-            let name_len = buf.get_u16_le() as usize;
-            let name = get_string(buf, name_len)?;
-            need(buf, 1)?;
-            let value = match buf.get_u8() {
-                0 => {
-                    need(buf, 1)?;
-                    Value::Bool(buf.get_u8() != 0)
-                }
-                1 => {
-                    need(buf, 8)?;
-                    Value::Int(buf.get_i64_le())
-                }
-                2 => {
-                    need(buf, 8)?;
-                    Value::Float(buf.get_f64_le())
-                }
-                3 => {
-                    need(buf, 4)?;
-                    let len = buf.get_u32_le() as usize;
-                    Value::Str(get_string(buf, len)?)
-                }
-                4 => {
-                    need(buf, 4)?;
-                    Value::Loc(crate::id::LocationId::new(buf.get_u32_le()))
-                }
-                tag => return Err(CoreError::Decode(format!("unknown value tag {tag}"))),
-            };
-            attrs.insert(name, value);
-        }
-        Ok(Notification {
-            id: NotificationId::new(publisher, seq),
-            published_at,
-            attrs: Arc::new(attrs),
-        })
+        codec::decode::<Notification>(buf)
     }
 }
+
+/// Attribute sets: each entry a `u16`-prefixed name, then the value. A
+/// repeated name keeps its last value.
+impl Field for BTreeMap<String, Value> {
+    type T = Self;
+    fn put(m: &Self, buf: &mut impl BufMut) {
+        u16::put(&u16::narrow(m.len()), buf);
+        for (name, value) in m {
+            Str::<u16>::put(name, buf);
+            Value::put(value, buf);
+        }
+    }
+    fn get(r: &mut Reader<'_, impl Buf>) -> Result<Self, CoreError> {
+        let mut out = BTreeMap::new();
+        for _ in 0..u16::get(r)? {
+            out.insert(Str::<u16>::get(r)?, Value::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+crate::wire_table! { struct NotificationId { publisher: ClientId, seq: u64 } }
+crate::wire_table! { struct Notification {
+    id: NotificationId, published_at: SimTime, attrs: Arc<BTreeMap<String, Value>>,
+}}
+crate::wire_table! { struct NotificationBuilder { attrs: BTreeMap<String, Value> } }
 
 impl fmt::Display for Notification {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

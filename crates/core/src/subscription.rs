@@ -23,9 +23,9 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Subscription {
-    id: SubscriptionId,
-    client: ClientId,
-    filter: Filter,
+    pub(crate) id: SubscriptionId,
+    pub(crate) client: ClientId,
+    pub(crate) filter: Filter,
 }
 
 impl Subscription {
@@ -54,9 +54,9 @@ impl Subscription {
         self.filter
     }
 
-    /// Estimated wire size (id + owner + filter) in bytes.
+    /// Wire size (id + owner + filter) in bytes.
     pub fn wire_size(&self) -> usize {
-        4 + 4 + self.filter.wire_size()
+        crate::codec::wire_len::<Subscription>(self)
     }
 
     /// `true` if the filter uses `myloc` (see type-level docs).

@@ -26,6 +26,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 )]
 pub struct SimTime(u64);
 
+crate::wire_table! { struct SimTime { 0: u64 } }
+
 /// A span of simulated time, measured in microseconds.
 ///
 /// ```

@@ -170,17 +170,6 @@ impl Value {
             }
         }
     }
-
-    /// Size of this value in the compact wire encoding, in bytes (tag
-    /// included).
-    pub(crate) fn wire_size(&self) -> usize {
-        1 + match self {
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Str(s) => 4 + s.len(),
-            Value::Loc(_) => 4,
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -339,9 +328,10 @@ mod tests {
 
     #[test]
     fn wire_size_accounts_for_payload() {
-        assert_eq!(Value::from(true).wire_size(), 2);
-        assert_eq!(Value::from(1i64).wire_size(), 9);
-        assert_eq!(Value::from("ab").wire_size(), 7);
-        assert_eq!(Value::from(LocationId::new(1)).wire_size(), 5);
+        use crate::codec::wire_len;
+        assert_eq!(wire_len::<Value>(&Value::from(true)), 2);
+        assert_eq!(wire_len::<Value>(&Value::from(1i64)), 9);
+        assert_eq!(wire_len::<Value>(&Value::from("ab")), 7);
+        assert_eq!(wire_len::<Value>(&Value::from(LocationId::new(1))), 5);
     }
 }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Counters {
     /// Messages sent.
     pub msgs: u64,
-    /// Bytes sent (estimated wire size).
+    /// Bytes sent (encoded wire size).
     pub bytes: u64,
 }
 

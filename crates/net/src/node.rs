@@ -15,6 +15,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(u32);
 
+rebeca_core::wire_table! { struct NodeId { 0: u32 } }
+
 impl NodeId {
     /// Sentinel source for externally injected messages (harness → node).
     pub const EXTERNAL: NodeId = NodeId(u32::MAX);
@@ -51,10 +53,11 @@ pub struct TimerId(pub(crate) u64);
 
 /// Messages exchanged between nodes.
 ///
-/// The substrate only needs to know a message's approximate wire size (for
-/// bandwidth accounting) and a coarse classification (for per-kind metrics).
+/// The substrate only needs to know a message's wire size (for bandwidth
+/// accounting) and a coarse classification (for per-kind metrics).
 pub trait Payload: fmt::Debug + Send + 'static {
-    /// Estimated encoded size in bytes, charged against link counters.
+    /// Encoded size in bytes, charged against link counters: what a socket
+    /// would carry for this message, so simulated and real links agree.
     fn wire_size(&self) -> usize;
 
     /// Coarse message class for metrics, e.g. `"pub"`, `"sub"`, `"ctl"`.
