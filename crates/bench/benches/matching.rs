@@ -2,7 +2,9 @@
 //! path of every broker).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rebeca_broker::{RouteScratch, RoutingTable};
 use rebeca_core::{ClientId, Filter, MatchIndex, Notification, SimTime, SubscriptionId};
+use rebeca_net::NodeId;
 use std::hint::black_box;
 
 fn build_filters(n: usize) -> Vec<Filter> {
@@ -120,6 +122,36 @@ fn bench_match_heavy(c: &mut Criterion) {
     group.finish();
 }
 
+/// The routing decision over the same 5 000 filters, spread over fewer
+/// and fewer subscriptions per client: behind one client a decision costs
+/// the verifications up to the first match, behind 5 000 clients it costs
+/// every candidate — the end where deciding by destination can save
+/// nothing and must cost nothing.
+fn bench_route_match_heavy(c: &mut Criterion) {
+    let notes: Vec<_> = (0..256).map(match_heavy_notification).collect();
+    let filters = match_heavy_filters(5_000);
+    let mut group = c.benchmark_group("route/match-heavy");
+    for clients in [1usize, 50, 5_000] {
+        let mut table = RoutingTable::new();
+        for (i, f) in filters.iter().enumerate() {
+            let client = ClientId::new((i % clients) as u32);
+            table.attach_client(client, NodeId::new(100 + client.raw()));
+            table.subscribe_client(client, SubscriptionId::new(i as u32), f.clone());
+        }
+        let mut scratch = RouteScratch::new();
+        group.throughput(Throughput::Elements(1));
+        group.bench_with_input(BenchmarkId::new("clients", clients), &clients, |b, _| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i += 1;
+                table.route_into(&notes[i % notes.len()], &mut scratch);
+                black_box(scratch.clients.len())
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_insert_remove(c: &mut Criterion) {
     let filters = build_filters(1000);
     c.bench_function("matching/insert+remove-1000", |b| {
@@ -157,6 +189,7 @@ criterion_group!(
     benches,
     bench_match_index,
     bench_match_heavy,
+    bench_route_match_heavy,
     bench_insert_remove,
     bench_covering_checks
 );

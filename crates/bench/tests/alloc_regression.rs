@@ -229,6 +229,71 @@ fn steady_state_pipeline_allocates_nothing() {
         "sharded route_notification allocated {routed} times in 256 steady-state calls"
     );
 
+    // --- many filters, few destinations, on a recycled number: a first
+    //     client takes a destination number and leaves, a second one
+    //     inherits it with 256 subscriptions, one link announces 256
+    //     filters. The index sized its per-destination marks when those
+    //     filters went in, so deciding "this client, that link" per
+    //     notification grows nothing — at 1 shard and at 4 ---
+    for shards in [1usize, 4] {
+        let mut few = BrokerCore::with_shards(
+            BrokerId::new(1),
+            Arc::clone(&topology),
+            Arc::new((0..3).map(NodeId::new).collect()),
+            RoutingStrategy::Simple,
+            Arc::new(SharedInterner::new()),
+            shards,
+        );
+        let wide = |attr: &str, i: u32| {
+            let (group, tag) = (i64::from(i % 16), -i64::from(i));
+            Filter::builder().eq("service", "t").eq(attr, group).ge("celsius", tag).build()
+        };
+        let subscribe = |client: u32, id: u32, filter: Filter| BrokerOp::Subscribe {
+            node: NodeId::new(10 + client),
+            subscription: Subscription::new(SubscriptionId::new(id), ClientId::new(client), filter),
+        };
+        few.apply(&mut ctx, subscribe(7, 0, wide("room", 3)));
+        few.apply(&mut ctx, BrokerOp::ClientDetach { client: ClientId::new(7) });
+        for i in 0..256 {
+            few.apply(&mut ctx, subscribe(8, i, wide("room", i)));
+            few.handle(&mut ctx, NodeId::new(2), Message::SubForward { filter: wide("row", i) });
+        }
+        let n = Arc::new(
+            Notification::builder()
+                .attr("service", "t")
+                .attr("room", 3i64)
+                .attr("row", 5i64)
+                .attr("celsius", 21i64)
+                .publish(ClientId::new(99), 0, SimTime::ZERO),
+        );
+        let mut few_out = Outcome::default();
+        let mut route = |few: &mut BrokerCore| {
+            ctx.clear_actions();
+            few_out.clear();
+            few.route_notification_into(&mut ctx, NodeId::new(0), Arc::clone(&n), &mut few_out);
+            assert_eq!((few_out.deliveries.len(), ctx.action_count()), (1, 1));
+        };
+        for _ in 0..32 {
+            route(&mut few);
+        }
+        let before = allocations();
+        for _ in 0..256 {
+            route(&mut few);
+        }
+        let routed = allocations() - before;
+        assert_eq!(
+            routed, 0,
+            "{shards} shard(s): {routed} allocations in 256 two-destination routes"
+        );
+        let stats = few.stats();
+        assert!(
+            stats.candidates_verified <= 2 * shards as u64 * stats.notifications_routed,
+            "32 candidates share a value with the notification; {} were verified in {} routes",
+            stats.candidates_verified,
+            stats.notifications_routed
+        );
+    }
+
     // --- replicator-style buffering: offering to a warm replay buffer ---
     let mut buf = BufferSpec::Unbounded.build();
     for _ in 0..256 {

@@ -38,6 +38,10 @@ pub struct BrokerStats {
     pub local_deliveries: u64,
     /// `SubForward`/`UnsubForward` messages emitted.
     pub control_sent: u64,
+    /// Routing-table entries verified in full against a notification —
+    /// set against `forwards_sent + local_deliveries`, the work the read
+    /// path did per destination it decided.
+    pub candidates_verified: u64,
 }
 
 /// A pending delivery to a locally attached client, produced by
@@ -384,6 +388,7 @@ impl BrokerCore {
     ) {
         self.stats.notifications_routed += 1;
         self.router.route_into(&n, &mut self.scratch);
+        self.stats.candidates_verified += self.scratch.verified;
         let mut forwards = 0u64;
         let forward_to: &[NodeId] =
             if self.strategy.is_flooding() { &self.neighbors } else { &self.scratch.neighbors };
@@ -487,12 +492,16 @@ impl BrokerCore {
                 // the next). The net effect is the symmetric difference of
                 // the before/after announced sets, which is independent of
                 // the order removals were processed in.
-                let entered_digests: HashSet<Digest> =
-                    changes.entered.iter().map(Filter::digest).collect();
-                let left_digests: HashSet<Digest> =
-                    changes.left.iter().map(Filter::digest).collect();
-                changes.entered.retain(|f| !left_digests.contains(&f.digest()));
-                changes.left.retain(|f| !entered_digests.contains(&f.digest()));
+                // A lone subscribe or unsubscribe has one side empty and
+                // nothing to cancel.
+                if !changes.entered.is_empty() && !changes.left.is_empty() {
+                    let entered_digests: HashSet<Digest> =
+                        changes.entered.iter().map(Filter::digest).collect();
+                    let left_digests: HashSet<Digest> =
+                        changes.left.iter().map(Filter::digest).collect();
+                    changes.entered.retain(|f| !left_digests.contains(&f.digest()));
+                    changes.left.retain(|f| !entered_digests.contains(&f.digest()));
+                }
                 // Sort for determinism, announce before retract.
                 changes.entered.sort_unstable_by_key(Filter::digest);
                 changes.left.sort_unstable_by_key(Filter::digest);

@@ -13,8 +13,8 @@
 //! [`ShardedRouter`] fans the shards over **in-line**, in shard order. This
 //! is what [`BrokerCore`](crate::BrokerCore) embeds: it keeps the
 //! deterministic simulator replayable and the steady-state route path
-//! allocation-free (one key scratch, reused across shards; one normalise
-//! pass at the end).
+//! allocation-free (each shard appends its decided destinations to one
+//! scratch; one normalise pass at the end).
 
 use crate::table::{ClientEntry, RouteDecision, RouteScratch, RoutingTable, TableDelta};
 use rebeca_core::{ClientId, Digest, Filter, Notification, SharedInterner, SubscriptionId};
@@ -230,20 +230,21 @@ impl ShardedRouter {
     }
 
     /// Fans the routing decision across all shards into a reusable scratch:
-    /// each shard appends its raw matches (the key buffer is reused from
-    /// shard to shard), then the merged buffers are normalised once —
-    /// sorted and deduplicated, so a client whose subscriptions landed in
-    /// different shards still receives exactly one delivery. With a warm
-    /// scratch the whole fan-out performs **zero** heap allocation,
-    /// whatever the shard count.
+    /// each shard appends the destinations it decided (every shard numbers
+    /// its own, so what crosses the seam is the client or link itself),
+    /// then the merged buffers are normalised once — sorted and
+    /// deduplicated, so a client whose subscriptions landed in different
+    /// shards still receives exactly one delivery. With a warm scratch the
+    /// whole fan-out performs **zero** heap allocation, whatever the shard
+    /// count.
     // hot-path: begin (in-line shard fan-out — no allocation with a warm
     // scratch, no locks; enforced by `cargo run -p xtask -- lint`)
     pub fn route_into(&self, n: &Notification, scratch: &mut RouteScratch) {
         scratch.clients.clear();
         scratch.neighbors.clear();
-        let RouteScratch { keys, clients, neighbors } = scratch;
+        scratch.verified = 0;
         for shard in &self.shards {
-            shard.route_append(n, keys, clients, neighbors);
+            scratch.verified += shard.route_append(n, &mut scratch.clients, &mut scratch.neighbors);
         }
         scratch.finish();
     }

@@ -12,6 +12,7 @@ use rebeca_core::{
     ClientId, Digest, Filter, MatchIndex, Notification, SharedInterner, SubscriptionId,
 };
 use rebeca_net::NodeId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -86,6 +87,55 @@ pub struct ClientEntry {
     /// Active subscriptions (concrete filters; markers must be resolved by
     /// the mobility layer before they reach the table).
     pub subs: HashMap<SubscriptionId, Filter>,
+    /// The client's destination number in its table while attached there.
+    pub(crate) dest: u32,
+}
+
+/// State of one neighbour link.
+#[derive(Debug, Clone)]
+struct NeighborLink {
+    /// The link's destination number; kept for as long as the table lives.
+    dest: u32,
+    /// Filters the neighbour has announced, by digest.
+    filters: HashMap<Digest, Filter>,
+}
+
+/// What a routing decision names: the meaning of one destination number.
+#[derive(Debug, Clone, Copy)]
+enum Destination {
+    /// A recycled number no entry carries.
+    Free,
+    /// An attached client and the node its deliveries go to.
+    Client(ClientId, NodeId),
+    /// The link to a neighbour broker.
+    Neighbor(NodeId),
+}
+
+/// The table's destination numbers: dense, recycled youngest first.
+#[derive(Debug, Default)]
+struct Destinations {
+    by_number: Vec<Destination>,
+    free: Vec<u32>,
+}
+
+impl Destinations {
+    fn assign(&mut self, to: Destination) -> u32 {
+        match self.free.pop() {
+            Some(dest) => {
+                self.by_number[dest as usize] = to;
+                dest
+            }
+            None => {
+                self.by_number.push(to);
+                (self.by_number.len() - 1) as u32
+            }
+        }
+    }
+
+    fn release(&mut self, dest: u32) {
+        self.by_number[dest as usize] = Destination::Free;
+        self.free.push(dest);
+    }
 }
 
 /// The result of a routing decision for one notification.
@@ -97,19 +147,20 @@ pub struct RouteDecision {
     pub neighbors: Vec<NodeId>,
 }
 
-/// Reusable per-notification routing scratch: the match-key buffer plus the
-/// decision buffers, threaded through [`RoutingTable::route_into`] so the
-/// steady-state routing path builds no fresh vectors per notification — the
-/// caller (one per broker) owns the scratch and its capacity survives across
+/// Reusable per-notification routing scratch: the decision buffers,
+/// threaded through [`RoutingTable::route_into`] so the steady-state
+/// routing path builds no fresh vectors per notification — the caller (one
+/// per broker) owns the scratch and its capacity survives across
 /// notifications.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
-    /// Raw matching keys (reused output buffer of the match index).
-    pub(crate) keys: Vec<RouteKey>,
     /// Matching local clients, deduplicated, sorted by client id.
     pub clients: Vec<(ClientId, NodeId)>,
     /// Matching neighbour links, deduplicated, sorted.
     pub neighbors: Vec<NodeId>,
+    /// How many candidate entries were verified in full to reach this
+    /// decision — the work bound of the read path, as a count.
+    pub verified: u64,
 }
 
 impl RouteScratch {
@@ -119,10 +170,10 @@ impl RouteScratch {
     }
 
     /// Normalises the accumulated decision buffers into their canonical
-    /// form: clients sorted by id and deduplicated (one delivery per client,
-    /// however many subscriptions — possibly spread over several shards —
-    /// matched), neighbours sorted and deduplicated. In-place, no
-    /// allocation.
+    /// form: clients sorted by id, neighbours sorted, both deduplicated. One
+    /// table reports a destination once, so what is left to fold is a
+    /// client or link whose matching entries live in several shards.
+    /// In-place, no allocation.
     pub(crate) fn finish(&mut self) {
         self.clients.sort_unstable_by_key(|(c, _)| *c);
         self.clients.dedup_by_key(|(c, _)| *c);
@@ -135,8 +186,9 @@ impl RouteScratch {
 #[derive(Default)]
 pub struct RoutingTable {
     index: MatchIndex<RouteKey>,
-    neighbor_filters: HashMap<NodeId, HashMap<Digest, Filter>>,
+    neighbor_filters: HashMap<NodeId, NeighborLink>,
     clients: HashMap<ClientId, ClientEntry>,
+    destinations: Destinations,
 }
 
 impl fmt::Debug for RoutingTable {
@@ -163,6 +215,7 @@ impl RoutingTable {
             index: MatchIndex::with_interner(interner),
             neighbor_filters: HashMap::new(),
             clients: HashMap::new(),
+            destinations: Destinations::default(),
         }
     }
 
@@ -176,10 +229,18 @@ impl RoutingTable {
     /// Registers a client behind the given node. Re-attaching updates the
     /// node and keeps existing subscriptions (used by relocation).
     pub fn attach_client(&mut self, client: ClientId, node: NodeId) {
-        self.clients
-            .entry(client)
-            .and_modify(|e| e.node = node)
-            .or_insert_with(|| ClientEntry { node, subs: HashMap::new() });
+        let to = Destination::Client(client, node);
+        match self.clients.entry(client) {
+            Entry::Occupied(mut e) => {
+                let entry = e.get_mut();
+                entry.node = node;
+                self.destinations.by_number[entry.dest as usize] = to;
+            }
+            Entry::Vacant(e) => {
+                let dest = self.destinations.assign(to);
+                e.insert(ClientEntry { node, subs: HashMap::new(), dest });
+            }
+        }
     }
 
     /// Removes a client and all its subscriptions (orderly detach or
@@ -189,6 +250,7 @@ impl RoutingTable {
         for sub in entry.subs.keys() {
             self.index.remove(&RouteKey::Client { client, sub: *sub });
         }
+        self.destinations.release(entry.dest);
         Some(entry)
     }
 
@@ -222,7 +284,7 @@ impl RoutingTable {
             }
             delta.removed.push((FilterOrigin::Client, old));
         }
-        self.index.insert(RouteKey::Client { client, sub }, filter.clone());
+        self.index.insert_to(RouteKey::Client { client, sub }, filter.clone(), entry.dest);
         delta.added.push((FilterOrigin::Client, filter));
         delta
     }
@@ -249,12 +311,15 @@ impl RoutingTable {
     pub fn neighbor_subscribe(&mut self, node: NodeId, filter: Filter) -> TableDelta {
         let mut delta = TableDelta::default();
         let digest = filter.digest();
-        let per_node = self.neighbor_filters.entry(node).or_default();
-        if per_node.insert(digest, filter.clone()).is_some() {
+        let link = self.neighbor_filters.entry(node).or_insert_with(|| NeighborLink {
+            dest: self.destinations.assign(Destination::Neighbor(node)),
+            filters: HashMap::new(),
+        });
+        if link.filters.insert(digest, filter.clone()).is_some() {
             // Digest collision means "same filter": nothing changed.
             return delta;
         }
-        self.index.insert(RouteKey::Neighbor { node, digest }, filter.clone());
+        self.index.insert_to(RouteKey::Neighbor { node, digest }, filter.clone(), link.dest);
         delta.added.push((FilterOrigin::Neighbor(node), filter));
         delta
     }
@@ -263,7 +328,9 @@ impl RoutingTable {
     /// reporting the filter delta.
     pub fn neighbor_unsubscribe(&mut self, node: NodeId, digest: Digest) -> TableDelta {
         let mut delta = TableDelta::default();
-        let Some(f) = self.neighbor_filters.get_mut(&node).and_then(|m| m.remove(&digest)) else {
+        let Some(f) =
+            self.neighbor_filters.get_mut(&node).and_then(|link| link.filters.remove(&digest))
+        else {
             return delta;
         };
         self.index.remove(&RouteKey::Neighbor { node, digest });
@@ -273,7 +340,7 @@ impl RoutingTable {
 
     /// Filters currently announced by one neighbour.
     pub fn neighbor_filters(&self, node: NodeId) -> impl Iterator<Item = &Filter> {
-        self.neighbor_filters.get(&node).into_iter().flat_map(|m| m.values())
+        self.neighbor_filters.get(&node).into_iter().flat_map(|link| link.filters.values())
     }
 
     // ----- queries -----
@@ -293,41 +360,36 @@ impl RoutingTable {
     // with a warm scratch, no locks; enforced by `cargo run -p xtask -- lint`)
     /// Computes the routing decision into a reusable scratch (cleared
     /// first). With a warm scratch this performs **zero** heap allocation
-    /// per notification: the index walks its buckets without any
-    /// per-call state, and the decision buffers retain their capacity
+    /// per notification: the index keeps its per-destination marks sized on
+    /// the mutation path, and the decision buffers retain their capacity
     /// across calls.
     pub fn route_into(&self, n: &Notification, scratch: &mut RouteScratch) {
         scratch.clients.clear();
         scratch.neighbors.clear();
-        let RouteScratch { keys, clients, neighbors } = scratch;
-        self.route_append(n, keys, clients, neighbors);
+        scratch.verified = self.route_append(n, &mut scratch.clients, &mut scratch.neighbors);
         scratch.finish();
     }
 
-    /// Appends this table's raw matching contribution for `n` — unsorted,
-    /// not deduplicated — to the decision buffers. `keys` is the reusable
-    /// match-key buffer (cleared by the match index on entry). This is the
-    /// building block [`RoutingTable::route_into`] and the sharded router's
-    /// fan-out share: one table appends, the merge normalises once at the
-    /// end ([`RouteScratch::finish`]).
+    /// Appends this table's contribution for `n` — every matching
+    /// destination once, unsorted — to the decision buffers and returns
+    /// how many candidates it verified. This is the building block
+    /// [`RoutingTable::route_into`] and the sharded router's fan-out
+    /// share: one table appends, the merge normalises once at the end
+    /// ([`RouteScratch::finish`]).
     pub(crate) fn route_append(
         &self,
         n: &Notification,
-        keys: &mut Vec<RouteKey>,
         clients: &mut Vec<(ClientId, NodeId)>,
         neighbors: &mut Vec<NodeId>,
-    ) {
-        self.index.matching_into(n, keys);
-        for key in keys.iter() {
-            match *key {
-                RouteKey::Client { client, .. } => {
-                    if let Some(e) = self.clients.get(&client) {
-                        clients.push((client, e.node));
-                    }
-                }
-                RouteKey::Neighbor { node, .. } => neighbors.push(node),
+    ) -> u64 {
+        let verified = self.index.matching_destinations(n, |dest| {
+            match self.destinations.by_number[dest as usize] {
+                Destination::Client(client, node) => clients.push((client, node)),
+                Destination::Neighbor(node) => neighbors.push(node),
+                Destination::Free => debug_assert!(false, "entry filed under a free destination"),
             }
-        }
+        });
+        verified as u64
     }
     // hot-path: end
 
@@ -341,9 +403,9 @@ impl RoutingTable {
         for entry in self.clients.values() {
             out.extend(entry.subs.values().cloned());
         }
-        for (node, filters) in &self.neighbor_filters {
+        for (node, link) in &self.neighbor_filters {
             if *node != exclude {
-                out.extend(filters.values().cloned());
+                out.extend(link.filters.values().cloned());
             }
         }
         out
@@ -352,13 +414,12 @@ impl RoutingTable {
     /// Total number of routing entries (client subscriptions + neighbour
     /// announcements) — the table-size metric of experiment E7.
     pub fn entry_count(&self) -> usize {
-        self.clients.values().map(|e| e.subs.len()).sum::<usize>()
-            + self.neighbor_filters.values().map(|m| m.len()).sum::<usize>()
+        self.clients.values().map(|e| e.subs.len()).sum::<usize>() + self.neighbor_entry_count()
     }
 
     /// Number of entries contributed by neighbour announcements only.
     pub fn neighbor_entry_count(&self) -> usize {
-        self.neighbor_filters.values().map(|m| m.len()).sum()
+        self.neighbor_filters.values().map(|link| link.filters.len()).sum()
     }
 }
 
@@ -436,6 +497,43 @@ mod tests {
         t.subscribe_client(c, SubscriptionId::new(2), Filter::all());
         let d = t.route(&note("t"));
         assert_eq!(d.clients.len(), 1, "one delivery per client, not per subscription");
+    }
+
+    /// A client's entries cost one verification between them, its number
+    /// outlives a move to another node, and after a detach the number
+    /// names whoever attaches next — never the client that left.
+    #[test]
+    fn destinations_are_decided_once_moved_and_recycled() {
+        let mut t = RoutingTable::new();
+        let (a, b) = (ClientId::new(1), ClientId::new(2));
+        t.attach_client(a, NodeId::new(10));
+        for sub in 0..8 {
+            let filter = Filter::builder().eq("service", "t").ge("n", sub as i64).build();
+            t.subscribe_client(a, SubscriptionId::new(sub), filter);
+        }
+        let n = Notification::builder().attr("service", "t").attr("n", 9i64).publish(
+            ClientId::new(9),
+            0,
+            SimTime::ZERO,
+        );
+        let mut scratch = RouteScratch::new();
+        t.route_into(&n, &mut scratch);
+        assert_eq!(
+            (scratch.clients.as_slice(), scratch.verified),
+            (&[(a, NodeId::new(10))][..], 1)
+        );
+        t.attach_client(a, NodeId::new(11));
+        t.route_into(&n, &mut scratch);
+        assert_eq!(scratch.clients, vec![(a, NodeId::new(11))]);
+        let number = t.client(a).expect("attached").dest;
+        t.detach_client(a);
+        t.attach_client(b, NodeId::new(12));
+        assert_eq!(t.client(b).expect("attached").dest, number, "recycled");
+        t.route_into(&n, &mut scratch);
+        assert!(scratch.clients.is_empty(), "the number's old entries left with the old client");
+        t.subscribe_client(b, SubscriptionId::new(0), f("t"));
+        t.route_into(&n, &mut scratch);
+        assert_eq!(scratch.clients, vec![(b, NodeId::new(12))]);
     }
 
     #[test]

@@ -25,6 +25,21 @@
 //!   satisfied (bucket keys are digests: unequal values may share one) and
 //!   nothing about the others, so every candidate is checked against
 //!   **all** of its constraints before it is reported.
+//! * **Destinations.** A broker does not want the matching filters, it
+//!   wants the *links and clients* behind them — and mobility makes "many
+//!   filters, few destinations" the normal shape (a relocated client's
+//!   whole subscription set sits behind one link at every broker on the
+//!   path). A filter may therefore carry a dense *destination* number
+//!   ([`MatchIndex::insert_to`]), kept in a side array parallel to the
+//!   slots, and [`MatchIndex::matching_destinations`] reports every
+//!   destination with at least one matching filter **once**: a candidate
+//!   whose destination this call has already reported is skipped without
+//!   being verified — without its slot being read at all — and once every
+//!   destination that has a filter in the index is reported the walk ends.
+//!   The stop rule cannot fire while some live destination has no matching
+//!   filter; the walk then visits every candidate but still verifies only
+//!   those of undecided destinations. With as many destinations as filters
+//!   nothing is skipped and the cost is [`MatchIndex::matching_into`]'s.
 //!
 //! The per-notification cost is therefore the number of filters that share
 //! a value with the notification, not the size of the table. What stays
@@ -37,9 +52,15 @@
 //! * attribute names are interned to dense [`Symbol`]s, so an attribute no
 //!   filter constrains costs one table lookup and nothing else;
 //! * buckets hold dense slot ids only and keep a single filter inline;
-//! * [`MatchIndex::matching_into`] performs **zero** heap allocation per
-//!   notification, and [`MatchIndex::matches_any`] returns at the first
-//!   verified candidate.
+//! * no filter is a candidate twice, so there is no per-*filter* call
+//!   state. The destination form keeps one generation stamp per
+//!   *destination* — "reported in this call" — because several filters of
+//!   one destination are exactly what it exists to skip; the stamps are
+//!   sized when a destination's first filter is inserted, never during a
+//!   call, and a new call invalidates them all by bumping the generation;
+//! * [`MatchIndex::matching_into`] and
+//!   [`MatchIndex::matching_destinations`] perform **zero** heap
+//!   allocation per notification.
 
 use crate::digest::Fnv1a;
 use crate::filter::{Constraint, Filter, Predicate};
@@ -74,8 +95,38 @@ enum Bucket {
     Many(Vec<u32>),
 }
 
+/// The destination of a filter that was given none ([`MatchIndex::insert`]).
+/// No stamp exists for it, which is how the destination walk tells.
+const NO_DEST: u32 = u32::MAX;
+
+/// The per-call state of the destination walk: which destinations the
+/// current call has already reported.
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    /// Stamp of the current call; never 0.
+    generation: u32,
+    /// One stamp per destination number (as long as `MatchIndex::live`,
+    /// sized on the mutation path): equal to `generation` once the
+    /// destination is reported, 0 when it never was.
+    stamps: Vec<u32>,
+}
+
 // hot-path: begin (what the candidate loop calls per attribute and per
 // candidate — no allocation, no locks)
+impl Marks {
+    /// Opens a call: no destination is reported yet. Returns the call's
+    /// stamp.
+    fn begin(&mut self) -> u32 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // A stamp left 2³² calls ago would read as this call's.
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+        self.generation
+    }
+}
+
 impl<K> Slot<K> {
     /// The full check every candidate gets. `in_hand` is the notification's
     /// value for the access constraint's attribute — the value that made
@@ -257,12 +308,25 @@ pub struct MatchIndex<K> {
     keys: HashMap<K, u32>,
     /// Dense filter storage; `None` marks a free slot.
     slots: Vec<Option<Slot<K>>>,
+    /// slot index → the filter's destination number ([`NO_DEST`] for none
+    /// and for a free slot). Beside the slots, not in them: the destination
+    /// walk decides whether to skip a candidate from these four bytes
+    /// alone.
+    dest: Vec<u32>,
+    /// destination number → how many indexed filters carry it. No longer
+    /// than the highest live destination requires.
+    live: Vec<u32>,
+    /// How many entries of `live` are non-zero — what a destination walk
+    /// has to decide before it may stop.
+    live_dests: usize,
     /// Free slot indices available for reuse.
     free: Vec<u32>,
     /// symbol index → the filters filed under that attribute.
     by_attr: Vec<Filed>,
-    /// Keys of empty (match-all) filters.
-    universal: Vec<K>,
+    /// Empty (match-all) filters: key and destination.
+    universal: Vec<(K, u32)>,
+    /// Destination marks of the call in progress.
+    marks: RefCell<Marks>,
     interner: Arc<SharedInterner>,
     /// Cached symbol-table snapshot (revalidated per call with one atomic
     /// load — see [`InternerCache`]): attribute names resolve against it
@@ -282,6 +346,7 @@ impl<K: fmt::Debug> fmt::Debug for MatchIndex<K> {
             .field("filters", &self.keys.len())
             .field("attributes", &self.interner.len())
             .field("universal", &self.universal.len())
+            .field("destinations", &self.live_dests)
             .finish()
     }
 }
@@ -294,9 +359,13 @@ impl<K> MatchIndex<K> {
         MatchIndex {
             keys: HashMap::new(),
             slots: Vec::new(),
+            dest: Vec::new(),
+            live: Vec::new(),
+            live_dests: 0,
             free: Vec::new(),
             by_attr: Vec::new(),
             universal: Vec::new(),
+            marks: RefCell::new(Marks::default()),
             interner,
             cache: RefCell::new(InternerCache::default()),
         }
@@ -359,22 +428,33 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
         best.or(first)
     }
 
-    /// Inserts (or replaces) a filter under the given key.
+    /// Inserts (or replaces) a filter under the given key, with no
+    /// destination: [`MatchIndex::matching_destinations`] passes it over.
     ///
     /// Filters containing unresolved markers (`myloc`/`myctx`) are legal to
     /// insert but never match — resolve them first (the mobility layer does).
     pub fn insert(&mut self, key: K, filter: Filter) {
+        self.insert_to(key, filter, NO_DEST);
+    }
+
+    /// Inserts (or replaces) a filter that serves destination `dest` — the
+    /// caller's dense number for whatever a match of this filter decides
+    /// (a link, an attached client). Numbers are meant to be small and
+    /// recycled: the index keeps one counter and one mark per number up to
+    /// the highest in use. `u32::MAX` means "no destination".
+    pub fn insert_to(&mut self, key: K, filter: Filter, dest: u32) {
         self.remove(&key);
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
                 self.slots.push(None);
+                self.dest.push(NO_DEST);
                 (self.slots.len() - 1) as u32
             }
         };
         let access = match self.choose_access(&filter) {
             None => {
-                self.universal.push(key);
+                self.universal.push((key, dest));
                 0
             }
             Some((i, sym, c)) => {
@@ -384,6 +464,19 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
         };
         self.slots[slot as usize] = Some(Slot { key, filter, access });
         self.keys.insert(key, slot);
+        self.dest[slot as usize] = dest;
+        if dest != NO_DEST {
+            let d = dest as usize;
+            if self.live.len() <= d {
+                // The one place the marks grow: never inside a matching call.
+                self.live.resize(d + 1, 0);
+                self.marks.get_mut().stamps.resize(d + 1, 0);
+            }
+            if self.live[d] == 0 {
+                self.live_dests += 1;
+            }
+            self.live[d] += 1;
+        }
     }
 
     /// Removes the filter stored under `key`. Returns the filter if it was
@@ -391,8 +484,20 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     pub fn remove(&mut self, key: &K) -> Option<Filter> {
         let slot = self.keys.remove(key)?;
         let entry = self.slots[slot as usize].take().expect("keyed slot occupied");
+        let dest = std::mem::replace(&mut self.dest[slot as usize], NO_DEST);
+        if dest != NO_DEST {
+            let d = dest as usize;
+            self.live[d] -= 1;
+            if self.live[d] == 0 {
+                self.live_dests -= 1;
+                while self.live.last() == Some(&0) {
+                    self.live.pop();
+                }
+                self.marks.get_mut().stamps.truncate(self.live.len());
+            }
+        }
         match entry.filter.constraints().nth(entry.access as usize) {
-            None => self.universal.retain(|k| k != key),
+            None => self.universal.retain(|(k, _)| k != key),
             Some(c) => {
                 let sym = self
                     .cache
@@ -444,16 +549,17 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     // hot-path: begin (per-notification candidate walk and verification —
     // no allocation beyond buffer growth, no locks; enforced by
     // `cargo run -p xtask -- lint`)
-    /// The one candidate loop: hands `visit` every filter filed under an
-    /// attribute of `n` alone or under the value `n` carries for it, with
-    /// that value, until `visit` breaks. Each non-empty filter is filed
-    /// once, so none is visited twice; the order follows the
+    /// The one candidate loop: hands `visit` the slot of every filter filed
+    /// under an attribute of `n` alone or under the value `n` carries for
+    /// it, with that value, until `visit` breaks. Each non-empty filter is
+    /// filed once, so none is visited twice; the order follows the
     /// notification's attributes and, within one, filing order — never
-    /// hash-map iteration.
+    /// hash-map iteration. The loop itself reads no slot: whether a
+    /// candidate is worth that cache miss is the visitor's call.
     fn try_candidates<B>(
         &self,
         n: &Notification,
-        mut visit: impl FnMut(&Slot<K>, &Value) -> ControlFlow<B>,
+        mut visit: impl FnMut(u32, &Value) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         // One snapshot for the whole notification — no lock, no shared
         // refcount traffic when the cache is warm.
@@ -472,11 +578,14 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
             };
             let keyed = keyed.map_or(&[][..], Bucket::slots);
             for slot in filed.residual.iter().chain(keyed) {
-                let entry = self.slots[*slot as usize].as_ref().expect("filed slot occupied");
-                visit(entry, value)?;
+                visit(*slot, value)?;
             }
         }
         ControlFlow::Continue(())
+    }
+
+    fn filed(&self, slot: u32) -> &Slot<K> {
+        self.slots[slot as usize].as_ref().expect("filed slot occupied")
     }
 
     /// Appends the keys of all matching filters to `out` (which is cleared
@@ -484,8 +593,9 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     /// heap allocation per notification beyond what `out` already owns.
     pub fn matching_into(&self, n: &Notification, out: &mut Vec<K>) {
         out.clear();
-        out.extend(self.universal.iter().copied());
-        let _: ControlFlow<()> = self.try_candidates(n, |candidate, value| {
+        out.extend(self.universal.iter().map(|(key, _)| *key));
+        let _: ControlFlow<()> = self.try_candidates(n, |slot, value| {
+            let candidate = self.filed(slot);
             if candidate.matches(n, value) {
                 out.push(candidate.key);
             }
@@ -493,20 +603,58 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
         });
     }
 
-    /// Returns `true` if at least one indexed filter matches — cheaper than
-    /// [`MatchIndex::matching`]: it stops at the first verified candidate
-    /// and allocates nothing.
-    pub fn matches_any(&self, n: &Notification) -> bool {
-        !self.universal.is_empty()
-            || self
-                .try_candidates(n, |candidate, value| {
-                    if candidate.matches(n, value) {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
+    /// Hands `report` the number of every destination that has at least
+    /// one matching filter, each **once**, in unspecified order, and
+    /// returns how many candidates it verified to find them. Filters
+    /// inserted without a destination are passed over.
+    ///
+    /// A candidate is verified in full, as in
+    /// [`MatchIndex::matching_into`] — unless its destination is already
+    /// reported, in which case it is not looked at; and when every
+    /// destination with a filter in the index is reported the walk is
+    /// over. Allocates nothing.
+    pub fn matching_destinations(&self, n: &Notification, mut report: impl FnMut(u32)) -> usize {
+        if self.live_dests == 0 {
+            return 0;
+        }
+        let mut marks = self.marks.borrow_mut();
+        let generation = marks.begin();
+        let stamps = &mut marks.stamps[..];
+        let mut undecided = self.live_dests;
+        let mut decide = |stamp: &mut u32, dest: u32| {
+            *stamp = generation;
+            report(dest);
+            undecided -= 1;
+            if undecided == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        // A match-all filter decides its destination before the walk.
+        for &(_, dest) in &self.universal {
+            if let Some(stamp) = stamps.get_mut(dest as usize) {
+                if *stamp != generation && decide(stamp, dest).is_break() {
+                    return 0;
+                }
+            }
+        }
+        let mut verified = 0;
+        let _ = self.try_candidates(n, |slot, value| {
+            let dest = self.dest[slot as usize];
+            match stamps.get_mut(dest as usize) {
+                Some(stamp) if *stamp != generation => {
+                    verified += 1;
+                    if self.filed(slot).matches(n, value) {
+                        return decide(stamp, dest);
                     }
-                })
-                .is_break()
+                }
+                // Already reported, or no destination to report.
+                _ => {}
+            }
+            ControlFlow::Continue(())
+        });
+        verified
     }
     // hot-path: end
 
@@ -556,7 +704,7 @@ mod tests {
         let mut idx = MatchIndex::new();
         idx.insert(sid(1), Filter::all());
         assert_eq!(idx.matching(&note(&[("x", 0)])), vec![sid(1)]);
-        assert!(idx.matches_any(&note(&[])));
+        assert_eq!(idx.matching(&note(&[])), vec![sid(1)]);
     }
 
     #[test]
@@ -671,7 +819,7 @@ mod tests {
         assert_eq!(local.matching(&n), vec![sid(2)]);
         // A notification naming only foreign symbols matches nothing here.
         assert!(routing.matching(&note(&[("b", 2), ("c", 3)])).is_empty());
-        assert!(!routing.matches_any(&note(&[("c", 3)])));
+        assert!(routing.matching(&note(&[("c", 3)])).is_empty());
     }
 
     #[test]
@@ -689,20 +837,90 @@ mod tests {
         assert_eq!(out, vec![sid(2)], "only the universal filter matches");
     }
 
+    /// The destinations reported for `n`, sorted (a destination reported
+    /// twice shows as a repeat), and how many candidates were verified.
+    pub(super) fn destinations<K: Copy + Eq + Hash>(
+        idx: &MatchIndex<K>,
+        n: &Notification,
+    ) -> (Vec<u32>, usize) {
+        let mut reported = Vec::new();
+        let verified = idx.matching_destinations(n, |dest| reported.push(dest));
+        reported.sort_unstable();
+        (reported, verified)
+    }
+
+    /// One destination is the old any-match question: the walk stops at the
+    /// first verified match, candidates that all fail are all verified and
+    /// say no, and a match-all filter says yes without a walk.
     #[test]
-    fn matches_any_early_exit_agrees_with_matching() {
+    fn one_destination_stops_at_the_first_verified_match() {
         let mut idx = MatchIndex::new();
-        idx.insert(sid(1), Filter::builder().eq("a", 1i64).eq("b", 2i64).build());
-        idx.insert(sid(2), Filter::builder().eq("c", 3i64).build());
-        for n in [
-            note(&[("a", 1), ("b", 2)]),
-            note(&[("a", 1)]),
-            note(&[("c", 3)]),
-            note(&[("c", 4)]),
-            note(&[]),
-        ] {
-            assert_eq!(idx.matches_any(&n), !idx.matching(&n).is_empty(), "for {n}");
+        for i in 0..10u32 {
+            idx.insert_to(sid(i), Filter::builder().eq("a", 1i64).ge("b", 2i64).build(), 0);
         }
+        let hit = note(&[("a", 1), ("b", 2)]);
+        assert_eq!(candidates(&idx, &hit), 10);
+        assert_eq!(destinations(&idx, &hit), (vec![0], 1));
+        let miss = note(&[("a", 1), ("b", 1)]);
+        assert_eq!(candidates(&idx, &miss), 10, "all filed under one shared value");
+        assert_eq!(destinations(&idx, &miss), (vec![], 10));
+        assert_eq!(destinations(&idx, &note(&[])), (vec![], 0));
+        idx.insert_to(sid(10), Filter::all(), 0);
+        assert_eq!(destinations(&idx, &miss), (vec![0], 0));
+        assert_eq!(destinations(&idx, &note(&[])), (vec![0], 0));
+    }
+
+    /// Candidates of a reported destination are skipped, not verified; the
+    /// walk goes on while another live destination is undecided and ends
+    /// with the last one; a filter without a destination is passed over.
+    #[test]
+    fn decided_destinations_are_skipped_and_the_last_one_ends_the_walk() {
+        let mut idx = MatchIndex::new();
+        for i in 0..8u32 {
+            idx.insert_to(sid(i), Filter::builder().eq("a", 1i64).build(), 0);
+        }
+        idx.insert_to(sid(8), Filter::builder().eq("a", 1i64).ge("b", 2i64).build(), 1);
+        for i in 9..12u32 {
+            idx.insert_to(sid(i), Filter::builder().eq("a", 1i64).build(), 0);
+        }
+        idx.insert(sid(12), Filter::builder().eq("a", 1i64).build());
+        // Destination 1 never matches: its one filter is verified, the
+        // eleven of destination 0 cost one verification between them.
+        assert_eq!(destinations(&idx, &note(&[("a", 1), ("b", 1)])), (vec![0], 2));
+        // It matches: the walk ends there, three candidates early.
+        assert_eq!(destinations(&idx, &note(&[("a", 1), ("b", 2)])), (vec![0, 1], 2));
+        assert_eq!(idx.matching(&note(&[("a", 1), ("b", 2)])).len(), 13, "every key, as before");
+        // A mark lasts one call: the same question gets the same answer.
+        assert_eq!(destinations(&idx, &note(&[("a", 1), ("b", 2)])), (vec![0, 1], 2));
+        // Destination 1 leaves: one live destination, decided at once.
+        idx.remove(&sid(8));
+        assert_eq!(destinations(&idx, &note(&[("a", 1), ("b", 2)])), (vec![0], 1));
+        // Only the filter without a destination is left: nothing to report.
+        for i in (0..8).chain(9..12) {
+            idx.remove(&sid(i));
+        }
+        assert_eq!(destinations(&idx, &note(&[("a", 1)])), (vec![], 0));
+        assert_eq!(idx.matching(&note(&[("a", 1)])), vec![sid(12)]);
+    }
+
+    /// The generation wraps after 2³² calls. A stamp left by call 1 must
+    /// not read as "reported" in the call that is numbered 1 again, and a
+    /// destination never stamped (0) must not read as reported either.
+    #[test]
+    fn generation_wrap_forgets_every_mark() {
+        let mut idx = MatchIndex::new();
+        idx.insert_to(sid(0), Filter::builder().eq("a", 1i64).build(), 0);
+        idx.insert_to(sid(1), Filter::builder().eq("b", 2i64).build(), 1);
+        idx.insert_to(sid(2), Filter::builder().eq("c", 3i64).build(), 2);
+        assert_eq!(destinations(&idx, &note(&[("a", 1)])), (vec![0], 1));
+        assert_eq!(idx.marks.borrow().stamps, [1, 0, 0]);
+        idx.marks.get_mut().generation = u32::MAX - 1;
+        assert_eq!(destinations(&idx, &note(&[("b", 2)])), (vec![1], 1));
+        assert_eq!(idx.marks.borrow().stamps, [1, u32::MAX, 0]);
+        let all = note(&[("a", 1), ("b", 2), ("c", 3)]);
+        assert_eq!(destinations(&idx, &all), (vec![0, 1, 2], 3));
+        assert_eq!(idx.marks.borrow().generation, 1, "0 is the never-reported stamp");
+        assert_eq!(destinations(&idx, &all), (vec![0, 1, 2], 3));
     }
 
     /// How many filters the candidate loop hands over for `n` — the work a
@@ -722,6 +940,9 @@ mod tests {
         assert!(idx.keys.is_empty() && idx.universal.is_empty());
         assert!(idx.slots.iter().all(Option::is_none));
         assert_eq!(idx.free.len(), idx.slots.len(), "every slot is back on the free list");
+        assert!(idx.dest.iter().all(|d| *d == NO_DEST), "a free slot kept its destination");
+        assert_eq!((idx.live.len(), idx.live_dests), (0, 0), "a destination is still counted");
+        assert!(idx.marks.borrow().stamps.is_empty(), "marks outlived their destinations");
         for (sym, filed) in idx.by_attr.iter().enumerate() {
             assert!(filed.residual.is_empty(), "residual of symbol {sym} not empty");
             assert!(filed.by_value.is_empty(), "buckets of symbol {sym} not empty");
@@ -772,43 +993,61 @@ mod tests {
         assert!(candidates(&idx, &n) <= 2, "verified {} candidates", candidates(&idx, &n));
     }
 
-    /// A `match-heavy`-shaped table (eq ∧ range ∧ in-set over three of six
-    /// attributes, values in `0..16`): the candidates of a notification
-    /// are the filters sharing one value with it — a sixteenth of the
-    /// table — at either size, and they still contain every match.
+    /// The `match-heavy` shape: filters are eq ∧ range ∧ in-set over three
+    /// of six attributes, notifications carry all six, values in `0..16`.
+    struct MatchHeavy {
+        state: u64,
+    }
+
+    impl MatchHeavy {
+        const ATTRS: [&'static str; 6] = ["a0", "a1", "a2", "a3", "a4", "a5"];
+
+        fn new() -> Self {
+            MatchHeavy { state: 0x9E37_79B9_7F4A_7C15 }
+        }
+
+        fn below(&mut self, bound: u64) -> i64 {
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            (self.state % bound) as i64
+        }
+
+        fn filter(&mut self) -> Filter {
+            let attr = |a: i64| Self::ATTRS[a as usize];
+            let first = self.below(6);
+            let second = (first + 1 + self.below(5)) % 6;
+            let third = (0..6).filter(|a| *a != first && *a != second).nth(self.below(4) as usize);
+            let (lo, start, step) = (self.below(11), self.below(16), 1 + self.below(5));
+            Filter::builder()
+                .eq(attr(first), self.below(16))
+                .between(attr(second), lo, lo + 5)
+                .one_of(attr(third.expect("four remain")), (0..4).map(|k| (start + k * step) % 16))
+                .build()
+        }
+
+        fn note(&mut self) -> Notification {
+            let mut b = Notification::builder();
+            for attr in Self::ATTRS {
+                b = b.attr(attr, self.below(16));
+            }
+            b.publish(ClientId::new(0), 0, SimTime::ZERO)
+        }
+    }
+
+    /// A `match-heavy`-shaped table: the candidates of a notification are
+    /// the filters sharing one value with it — a sixteenth of the table —
+    /// at either size, and they still contain every match.
     #[test]
     fn candidates_follow_shared_values_not_table_size() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut below = move |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % bound) as i64
-        };
-        let attr = |a: i64| ["a0", "a1", "a2", "a3", "a4", "a5"][a as usize];
+        let mut gen = MatchHeavy::new();
         for size in [5_000usize, 50_000] {
             let mut idx = MatchIndex::new();
             for i in 0..size {
-                let first = below(6);
-                let second = (first + 1 + below(5)) % 6;
-                let third = (0..6).filter(|a| *a != first && *a != second).nth(below(4) as usize);
-                let (lo, start, step) = (below(11), below(16), 1 + below(5));
-                let f = Filter::builder()
-                    .eq(attr(first), below(16))
-                    .between(attr(second), lo, lo + 5)
-                    .one_of(
-                        attr(third.expect("four remain")),
-                        (0..4).map(|k| (start + k * step) % 16),
-                    )
-                    .build();
-                idx.insert(i as u32, f);
+                idx.insert(i as u32, gen.filter());
             }
             for _ in 0..32 {
-                let mut b = Notification::builder();
-                for a in 0..6 {
-                    b = b.attr(attr(a), below(16));
-                }
-                let n = b.publish(ClientId::new(0), 0, SimTime::ZERO);
+                let n = gen.note();
                 let seen = candidates(&idx, &n);
                 assert!(seen < size / 10, "{seen} candidates in a table of {size}");
                 let mut hits = idx.matching(&n);
@@ -820,11 +1059,54 @@ mod tests {
             }
         }
     }
+
+    /// The same 5 000 filters, asked for destinations. Behind **one**
+    /// destination a notification costs the verifications up to its first
+    /// match — a few, not the 313 candidates — and the answer is the
+    /// scan's. Behind 5 000 destinations nothing can be skipped: every
+    /// candidate is verified, exactly as `matching_into` does, and every
+    /// matching destination is reported — the change loses nothing where
+    /// it gains nothing.
+    #[test]
+    fn verified_candidates_follow_destinations_not_matches() {
+        const SIZE: u32 = 5_000;
+        let mut gen = MatchHeavy::new();
+        let mut one = MatchIndex::new();
+        let mut each = MatchIndex::new();
+        for i in 0..SIZE {
+            let f = gen.filter();
+            one.insert_to(i, f.clone(), 0);
+            each.insert_to(i, f, i);
+        }
+        let (mut verified_one, mut seen) = (0, 0);
+        for _ in 0..32 {
+            let n = gen.note();
+            let mut scanned = one.scan_matching(&n);
+            scanned.sort_unstable();
+            seen += candidates(&one, &n);
+
+            let (reported, verified) = destinations(&one, &n);
+            assert_eq!(reported.is_empty(), scanned.is_empty());
+            assert!(reported.len() <= 1, "one destination, reported {reported:?}");
+            verified_one += verified;
+
+            // Key i serves destination i, so the two lists must be equal.
+            let (reported, verified) = destinations(&each, &n);
+            assert_eq!(reported, scanned);
+            assert_eq!(verified, candidates(&each, &n), "nothing to skip, nothing skipped");
+        }
+        assert!(seen / 32 > 250, "the population changed: {} candidates per call", seen / 32);
+        assert!(
+            verified_one / 32 <= 40,
+            "{} verified per call for one destination",
+            verified_one / 32
+        );
+    }
 }
 
 #[cfg(test)]
 mod prop_tests {
-    use super::tests::assert_drained;
+    use super::tests::{assert_drained, candidates, destinations};
     use super::*;
     use crate::id::{ClientId, LocationId};
     use crate::time::SimTime;
@@ -888,18 +1170,25 @@ mod prop_tests {
     }
 
     /// One step of the script: keys are drawn from `0..6`, so inserts
-    /// replace and removals hit.
+    /// replace and removals hit; destinations from `0..3` or none, so
+    /// filters share one, a replacement moves between them, and one comes
+    /// and goes with its last filter.
     #[derive(Debug, Clone)]
     enum Step {
-        Insert(u32, Filter),
+        Insert(u32, Filter, Option<u32>),
         Remove(u32),
         Match(Notification),
     }
 
+    fn arb_insert() -> impl Strategy<Value = Step> {
+        (0u32..6, arb_filter(), proptest::option::of(0u32..3))
+            .prop_map(|(k, f, dest)| Step::Insert(k, f, dest))
+    }
+
     fn arb_step() -> impl Strategy<Value = Step> {
         prop_oneof![
-            (0u32..6, arb_filter()).prop_map(|(k, f)| Step::Insert(k, f)),
-            (0u32..6, arb_filter()).prop_map(|(k, f)| Step::Insert(k, f)),
+            arb_insert(),
+            arb_insert(),
             (0u32..6).prop_map(Step::Remove),
             arb_note().prop_map(Step::Match),
             arb_note().prop_map(Step::Match),
@@ -911,31 +1200,48 @@ mod prop_tests {
 
         /// Across insertion, replacement and removal the index reports
         /// exactly the filters a brute-force scan (and a model kept beside
-        /// it) finds, each once; `matches_any` is non-emptiness; and
-        /// removing everything leaves no structure behind.
+        /// it) finds, each once; the destination form reports exactly the
+        /// destinations of those filters, each once; and removing
+        /// everything leaves no structure behind.
         #[test]
         fn index_equals_scan(steps in proptest::collection::vec(arb_step(), 0..24)) {
             let mut idx = MatchIndex::new();
             let mut model = BTreeMap::new();
             for step in steps {
                 match step {
-                    Step::Insert(k, f) => {
-                        idx.insert(k, f.clone());
-                        model.insert(k, f);
+                    Step::Insert(k, f, dest) => {
+                        match dest {
+                            Some(dest) => idx.insert_to(k, f.clone(), dest),
+                            None => idx.insert(k, f.clone()),
+                        }
+                        model.insert(k, (f, dest));
                     }
-                    Step::Remove(k) => prop_assert_eq!(idx.remove(&k), model.remove(&k)),
+                    Step::Remove(k) => {
+                        prop_assert_eq!(idx.remove(&k), model.remove(&k).map(|(f, _)| f))
+                    }
                     Step::Match(n) => {
                         let mut hits = idx.matching(&n);
                         hits.sort_unstable();
                         let mut scanned = idx.scan_matching(&n);
                         scanned.sort_unstable();
-                        let expected: Vec<u32> =
-                            model.iter().filter(|(_, f)| f.matches(&n)).map(|(k, _)| *k).collect();
+                        let expected: Vec<u32> = model
+                            .iter()
+                            .filter(|(_, (f, _))| f.matches(&n))
+                            .map(|(k, _)| *k)
+                            .collect();
                         // `expected` has no repeats, so equality also says
                         // no key was reported twice.
                         prop_assert_eq!(&hits, &expected, "index vs model for {}", n);
                         prop_assert_eq!(&scanned, &expected, "scan vs model for {}", n);
-                        prop_assert_eq!(idx.matches_any(&n), !expected.is_empty());
+                        // Sorted with repeats kept against a deduplicated
+                        // list: a destination reported twice fails.
+                        let (reported, verified) = destinations(&idx, &n);
+                        let mut served: Vec<u32> =
+                            scanned.iter().filter_map(|k| model[k].1).collect();
+                        served.sort_unstable();
+                        served.dedup();
+                        prop_assert_eq!(&reported, &served, "destinations for {}", n);
+                        prop_assert!(verified <= candidates(&idx, &n));
                     }
                 }
                 prop_assert_eq!(idx.len(), model.len());

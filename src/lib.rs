@@ -83,9 +83,12 @@
 //!    attribute name) install a new immutable table; each index keeps a
 //!    cached snapshot ([`core::InternerCache`]) revalidated with a single
 //!    atomic generation load per matching call, so the match path holds
-//!    no lock and bumps no shared refcount at any shard count. Matching
-//!    keeps no per-call state: a filter is filed once, so it is a
-//!    candidate at most once.
+//!    no lock and bumps no shared refcount at any shard count. A filter
+//!    is filed once, so it is a candidate at most once and matching
+//!    keeps no state per filter; what the routing table asks for is
+//!    matching *destinations* (a client, a link), and there the index
+//!    keeps one mark per destination so that a client's or a link's
+//!    remaining candidates are skipped once one of them matched.
 //! 3. **Route.** [`broker::BrokerCore`] threads a reusable
 //!    [`broker::RouteScratch`] through the decision and fans out by
 //!    cloning the `Arc` ([`Message::Forward`] per matching neighbour,
