@@ -1,11 +1,12 @@
 //! Criterion macro-benchmark: the cost of a full hand-over cycle
 //! (simulated events processed per depart→arrive→settle round-trip), for
-//! the broker-side relocation and the replicator deployment.
+//! the reactive baseline (`k_hops: 0`) and the replicator deployment with
+//! pre-subscriptions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rebeca::{
-    BrokerId, Deployment, Filter, FixedClient, MobileBrokerConfig, MobileClient, MovementGraph,
-    Notification, ReplicatorConfig, SimDuration, System, SystemBuilder, Topology,
+    BrokerId, Deployment, Filter, FixedClient, MobileClient, MovementGraph, Notification,
+    ReplicatorConfig, SimDuration, System, SystemBuilder, Topology,
 };
 use std::hint::black_box;
 
@@ -51,7 +52,7 @@ fn bench_handover(c: &mut Criterion) {
     let mut group = c.benchmark_group("handover-cycle");
     group.sample_size(20);
     let deployments: Vec<(&str, DeploymentFactory)> = vec![
-        ("broker-relocation", || Deployment::BrokerMobility(MobileBrokerConfig::default())),
+        ("reactive", Deployment::reactive),
         ("replicator", || Deployment::Replicated {
             movement: Some(MovementGraph::line(4)),
             config: ReplicatorConfig::default(),

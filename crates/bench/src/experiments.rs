@@ -2,8 +2,8 @@
 //! each experiment to the paper claim it validates.
 
 use rebeca::{
-    BrokerId, BufferSpec, Deployment, Filter, LocationId, MobileBrokerConfig, MovementGraph,
-    Notification, ReplicatorConfig, RoutingStrategy, SimDuration, SystemBuilder, Topology,
+    BrokerId, BufferSpec, Deployment, Filter, LocationId, MovementGraph, Notification,
+    ReplicatorConfig, RoutingStrategy, SimDuration, SystemBuilder, Topology,
 };
 use rebeca_sim::scenario::{self, MovementKind, ScenarioConfig, SystemVariant, TopologyKind};
 use rebeca_sim::workload::{Arrivals, WorkloadConfig};
@@ -446,7 +446,7 @@ pub fn e6_physical_mobility(scale: Scale) -> String {
         .titled("E6b — relocation cost vs broker distance (line of 6)");
     for dist in 1usize..=5 {
         let mut sys = SystemBuilder::new(Topology::line(6).expect("valid line"))
-            .deployment(Deployment::BrokerMobility(MobileBrokerConfig::default()))
+            .deployment(Deployment::reactive())
             .build()
             .expect("valid deployment");
         let p = sys.add_client(BrokerId::new(0)).expect("broker in topology");

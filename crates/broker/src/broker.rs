@@ -3,20 +3,21 @@
 //! [`BrokerCore`] is the routing engine: it owns the routing table, applies
 //! the configured [`RoutingStrategy`], forwards notifications, propagates
 //! subscriptions, and routes point-to-point control messages through the
-//! tree. It is *not* a [`Node`] itself — [`BrokerNode`] wraps it for plain
-//! (immobile) deployments, and the mobility crate wraps the same core with
-//! relocation and replication behaviour. The core hands mobility messages
-//! back to its wrapper instead of interpreting them.
+//! tree. It is *not* a [`Node`] itself, and it knows nothing of mobility:
+//! relocation and pre-subscriptions live in the mobility crate's
+//! replicators, which sit in front of the brokers and talk to them as
+//! ordinary clients. Two nodes wrap the core: [`BrokerNode`] for a plain
+//! broker and [`ReplicatedBrokerNode`](crate::ReplicatedBrokerNode) for a
+//! broker whose routing state a replica group keeps.
 //!
 //! Every mutation of the routing state goes through one seam:
 //! [`BrokerCore::classify`] re-expresses a mutating message as a
 //! [`BrokerOp`], [`BrokerCore::apply`] applies an op. What happens in
 //! between is the wrapper's business — nothing ([`BrokerNode`], via
-//! [`BrokerCore::handle_into`]), a replica-group commit
-//! ([`ReplicatedBrokerNode`](crate::ReplicatedBrokerNode)), or
-//! localization (the mobility crate's `MobileBrokerNode`).
+//! [`BrokerCore::handle_into`]) or a replica-group commit
+//! ([`ReplicatedBrokerNode`](crate::ReplicatedBrokerNode)).
 
-use crate::message::{Message, MobilityMsg};
+use crate::message::Message;
 use crate::replication::BrokerOp;
 use crate::routing::{CoverChanges, LinkAnnouncer, RoutingStrategy};
 use crate::shard::ShardedRouter;
@@ -45,8 +46,7 @@ pub struct BrokerStats {
 }
 
 /// A pending delivery to a locally attached client, produced by
-/// [`BrokerCore::handle`]. The wrapper decides how to execute it (send,
-/// buffer for a disconnected client, ...).
+/// [`BrokerCore::handle`]. The wrapper executes it (sends a `Deliver`).
 #[derive(Debug, Clone)]
 pub struct LocalDelivery {
     /// The receiving client.
@@ -67,16 +67,12 @@ pub struct LocalDelivery {
 pub struct Outcome {
     /// Deliveries to local clients the wrapper must execute.
     pub deliveries: Vec<LocalDelivery>,
-    /// Mobility messages the core does not interpret, with their effective
-    /// sender (after `Routed` unwrapping).
-    pub unhandled: Vec<(NodeId, MobilityMsg)>,
 }
 
 impl Outcome {
-    /// Empties both buffers, keeping their capacity for reuse.
+    /// Empties the buffer, keeping its capacity for reuse.
     pub fn clear(&mut self) {
         self.deliveries.clear();
-        self.unhandled.clear();
     }
 }
 
@@ -230,8 +226,8 @@ impl BrokerCore {
         self.router.interner()
     }
 
-    /// Handles one message, returning local deliveries and unhandled
-    /// mobility traffic. Allocating convenience form of
+    /// Handles one message, returning its local deliveries. Allocating
+    /// convenience form of
     /// [`BrokerCore::handle_into`].
     pub fn handle(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) -> Outcome {
         let mut out = Outcome::default();
@@ -239,12 +235,12 @@ impl BrokerCore {
         out
     }
 
-    /// Handles one message, appending local deliveries and unhandled
-    /// mobility traffic to `out` (*not* cleared first — wrappers reuse one
-    /// buffer across messages to keep the dispatch loop allocation-free).
-    /// A mutation is applied on the spot; wrappers that must do something
-    /// else with it first (submit it to a replicated log, localize it)
-    /// call [`BrokerCore::classify`] and [`BrokerCore::apply`] themselves.
+    /// Handles one message, appending its local deliveries to `out` (*not*
+    /// cleared first — wrappers reuse one buffer across messages to keep
+    /// the dispatch loop allocation-free). A mutation is applied on the
+    /// spot; a wrapper that must do something else with it first (submit
+    /// it to a replicated log) calls [`BrokerCore::classify`] and
+    /// [`BrokerCore::apply`] itself.
     pub fn handle_into(
         &mut self,
         ctx: &mut Ctx<'_, Message>,
@@ -262,9 +258,8 @@ impl BrokerCore {
     /// [`BrokerOp`], with `from` as the op's `node` — for the caller to
     /// [`apply`](BrokerCore::apply) now or once a replica group has
     /// committed it. Notifications are routed (the read path), `Routed`
-    /// envelopes are unwrapped here or forwarded towards their target,
-    /// mobility traffic lands in `out.unhandled`. This is the only place a
-    /// `Message` turns into a `BrokerOp`.
+    /// envelopes are unwrapped here or forwarded towards their target.
+    /// This is the only place a `Message` turns into a `BrokerOp`.
     pub fn classify(
         &mut self,
         ctx: &mut Ctx<'_, Message>,
@@ -295,10 +290,6 @@ impl BrokerCore {
                 }
                 None
             }
-            Message::Mobility(m) => {
-                out.unhandled.push((from, m));
-                None
-            }
             Message::ClientAttach { client } => Some(BrokerOp::ClientAttach { client, node: from }),
             Message::ClientDetach { client } => Some(BrokerOp::ClientDetach { client }),
             Message::Subscribe { subscription } => {
@@ -311,15 +302,17 @@ impl BrokerCore {
             Message::UnsubForward { filter } => {
                 Some(BrokerOp::NeighborUnsubscribe { node: from, filter })
             }
-            // Application-level and client-bound messages are not broker
-            // business; they are silently ignored if misdelivered. Replica
-            // traffic is only meaningful to a replicated wrapper
-            // ([`crate::replication::ReplicatedBrokerNode`]), which
+            // Application-level, client-bound and mobility messages are not
+            // broker business; they are silently ignored if misdelivered
+            // (mobility traffic belongs to the replicators in front of the
+            // brokers). Replica traffic is only meaningful to a replicated
+            // wrapper ([`crate::replication::ReplicatedBrokerNode`]), which
             // intercepts it before this dispatch.
             Message::AppPublish { .. }
             | Message::AppSubscribe { .. }
             | Message::AppUnsubscribe { .. }
             | Message::Deliver { .. }
+            | Message::Mobility(_)
             | Message::Replica(_) => None,
         }
     }
@@ -517,40 +510,30 @@ impl BrokerCore {
     }
 }
 
-/// A plain (immobile) broker node: executes the core and sends local
-/// deliveries straight to the client nodes. Mobility messages are counted
-/// and dropped — this is the pre-mobility REBECA broker.
+/// A plain broker node: executes the core and sends local deliveries
+/// straight to the client nodes — the pre-mobility REBECA broker, which is
+/// also what the replicators of a mobile deployment sit in front of.
 pub struct BrokerNode {
     core: BrokerCore,
-    ignored_mobility: u64,
     /// Reused across messages so dispatch allocates nothing steady-state.
     outcome: Outcome,
 }
 
 impl fmt::Debug for BrokerNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BrokerNode")
-            .field("core", &self.core)
-            .field("ignored_mobility", &self.ignored_mobility)
-            .finish()
+        f.debug_struct("BrokerNode").field("core", &self.core).finish()
     }
 }
 
 impl BrokerNode {
     /// Wraps a routing core.
     pub fn new(core: BrokerCore) -> Self {
-        BrokerNode { core, ignored_mobility: 0, outcome: Outcome::default() }
+        BrokerNode { core, outcome: Outcome::default() }
     }
 
     /// Access to the routing core.
     pub fn core(&self) -> &BrokerCore {
         &self.core
-    }
-
-    /// Mobility messages received and dropped (should be zero in immobile
-    /// deployments).
-    pub fn ignored_mobility(&self) -> u64 {
-        self.ignored_mobility
     }
 }
 
@@ -561,7 +544,6 @@ impl Node<Message> for BrokerNode {
         for d in self.outcome.deliveries.drain(..) {
             ctx.send(d.node, Message::Deliver { client: d.client, notification: d.notification });
         }
-        self.ignored_mobility += self.outcome.unhandled.len() as u64;
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

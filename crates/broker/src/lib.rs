@@ -13,13 +13,12 @@
 //!   filter-digest-range shards, fanned over in-line, with decisions
 //!   provably identical to the unsharded table;
 //! * [`BrokerCore`] / [`BrokerNode`] — the routing engine and its plain
-//!   (immobile) node wrapper. The engine has one mutation seam:
-//!   [`BrokerCore::classify`] handles everything about a message except
-//!   mutating the routing state and returns the mutation as a
-//!   [`BrokerOp`]; [`BrokerCore::apply`] is the only place an op touches
-//!   the table. Hosts differ in what happens in between — nothing
-//!   ([`BrokerNode`]), a replica-group commit ([`ReplicatedBrokerNode`]),
-//!   localization (the mobility crate's `MobileBrokerNode`);
+//!   node wrapper; neither knows about mobility. The engine has one
+//!   mutation seam: [`BrokerCore::classify`] handles everything about a
+//!   message except mutating the routing state and returns the mutation
+//!   as a [`BrokerOp`]; [`BrokerCore::apply`] is the only place an op touches
+//!   the table. The two hosts differ in what happens in between — nothing
+//!   ([`BrokerNode`]) or a replica-group commit ([`ReplicatedBrokerNode`]);
 //! * [`LocalBroker`] / [`ClientNode`] — the client-side library ("local
 //!   broker") and its immobile node wrapper;
 //! * [`replication`] — VR-style op-log replica groups: a broker's whole

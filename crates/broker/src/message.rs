@@ -2,9 +2,9 @@
 //!
 //! Every message that crosses a link — client ↔ border broker, broker ↔
 //! broker, replicator ↔ replicator — is a [`Message`]. The enum is the
-//! single home of the protocol: the plain broker interprets the routing
-//! subset and transparently forwards the mobility sub-protocol
-//! ([`MobilityMsg`]), which only the mobility-aware nodes understand. This
+//! single home of the protocol: the broker interprets the routing subset
+//! and ignores the mobility sub-protocol ([`MobilityMsg`]), which only the
+//! replicators and mobile clients understand. This
 //! mirrors the paper's layering: the replicator offers "the same interface
 //! as the actual broker" and extensions never require changing the routing
 //! framework (§3).
@@ -100,7 +100,8 @@ pub enum Message {
         filter: Filter,
     },
     /// Point-to-point control message routed hop-by-hop through the broker
-    /// tree towards `to` (used by the relocation protocol).
+    /// tree towards `to`. No product node sends one (relocation travels
+    /// over the replicator mesh); brokers still unwrap or forward it.
     Routed {
         /// Destination broker.
         to: BrokerId,
@@ -165,7 +166,7 @@ pub enum MobilityMsg {
         /// under adversarial link delay.
         epoch: u64,
     },
-    /// New border → old border (via [`Message::Routed`]): send everything
+    /// New border → old border, over the replicator mesh: send everything
     /// you buffered for `client` and retire its old attachment.
     FetchBuffered {
         /// The relocated client.

@@ -236,7 +236,6 @@ pub struct ReplicatedBrokerNode {
     driver: ReplicaDriver,
     /// Reused across messages so dispatch allocates nothing steady-state.
     outcome: Outcome,
-    ignored_mobility: u64,
 }
 
 impl fmt::Debug for ReplicatedBrokerNode {
@@ -257,7 +256,6 @@ impl ReplicatedBrokerNode {
             core,
             driver: ReplicaDriver::new(replica, metrics),
             outcome: Outcome::default(),
-            ignored_mobility: 0,
         }
     }
 
@@ -276,11 +274,6 @@ impl ReplicatedBrokerNode {
     /// process partition of it).
     pub fn replication_stats(&self) -> ReplicationStats {
         self.driver.metrics.snapshot()
-    }
-
-    /// Mobility messages received and dropped.
-    pub fn ignored_mobility(&self) -> u64 {
-        self.ignored_mobility
     }
 
     /// Ships replica messages and applies newly committed ops to the core.
@@ -317,8 +310,6 @@ impl Node<Message> for ReplicatedBrokerNode {
             ctx.send(d.node, Message::Deliver { client: d.client, notification: d.notification });
         }
         // hot-path: end
-        // This wrapper hosts no mobility layer.
-        self.ignored_mobility += self.outcome.unhandled.len() as u64;
         if let Some(op) = op {
             self.driver.submit(op);
             self.pump(ctx);

@@ -1,19 +1,23 @@
 //! # rebeca-mobility — uncertainty-aware mobility for REBECA
 //!
 //! This crate implements everything the paper adds on top of the routing
-//! framework, in three layers that can be deployed independently:
+//! framework, in three layers, all hosted by the replicator in front of
+//! each border broker:
 //!
 //! 1. **Physical mobility** (location *transparency*): the relocation
-//!    protocol of Zeidler/Fiege \[8\]. [`MobileBrokerNode`] buffers
-//!    notifications for silently disconnected clients and replays them —
-//!    gap-free, duplicate-free, FIFO-preserving — when the client's
+//!    protocol of Zeidler/Fiege \[8\]. The [`ReplicatorNode`] in front of
+//!    each border broker buffers notifications for silently disconnected
+//!    clients in [`RelocationBuffers`] and replays them — gap-free,
+//!    duplicate-free, FIFO-preserving — when the client's
 //!    [`MobileClientNode`] re-attaches at a (possibly different) border
-//!    broker. The JEDI-style explicit `moveOut`/`moveIn` baseline is
-//!    available as [`ClientMobilityMode::Naive`].
+//!    broker. The brokers themselves stay mobility-unaware. The
+//!    JEDI-style explicit `moveOut`/`moveIn` baseline is available as
+//!    [`ClientMobilityMode::Naive`].
 //! 2. **Logical mobility** (location *awareness*): location-dependent
 //!    subscriptions via the `myloc` marker, resolved against the
 //!    [`LocationMap`] of the broker the client is currently attached to
-//!    (reactive adaptation, \[5\]).
+//!    (reactive adaptation, \[5\]: the replicator layer with
+//!    `k_hops: 0`).
 //! 3. **Extended logical mobility** — the paper's contribution:
 //!    *pre-subscriptions and virtual clients*. A [`ReplicatorNode`] per
 //!    border broker replicates each client's location-dependent
@@ -48,7 +52,7 @@ pub use context::ContextMap;
 pub use location::LocationMap;
 pub use movement::MovementGraph;
 pub use paging::{pages, DEFAULT_MAX_BATCH_BYTES};
-pub use physical::{MobileBrokerConfig, MobileBrokerNode, RelocationBuffers};
+pub use physical::RelocationBuffers;
 pub use replicator::{
     app_of, virtual_client_id, ReplicatorConfig, ReplicatorNode, ReplicatorStats, VirtualClient,
 };

@@ -1,18 +1,20 @@
-//! Physical mobility: the relocation protocol (location transparency).
+//! Physical mobility: the relocation buffers (location transparency).
 //!
 //! "When implementing physical mobility, a complex reconfiguration
 //! algorithm combined with a certain amount of buffering ensures that a
 //! relocated client receives a transparent, uninterrupted flow of
 //! notifications matching his subscriptions" (paper §1, referring to
-//! Zeidler/Fiege \[8\]). [`MobileBrokerNode`] implements the border-broker
-//! side:
+//! Zeidler/Fiege \[8\]). The protocol runs in the replicator layer
+//! ([`ReplicatorNode`](crate::ReplicatorNode)), in front of
+//! mobility-unaware brokers; [`RelocationBuffers`] is its state:
 //!
 //! * deliveries to a client whose wireless link is down are **buffered**
-//!   (the broker is connection-aware — it never silently drops);
+//!   (the replicator is connection-aware — it never silently drops);
 //! * when the client re-attaches elsewhere and its `MoveIn` arrives, the
-//!   new border broker re-installs the subscriptions, **holds back** live
-//!   matches, and fetches the old broker's buffer through the tree
-//!   ([`MobilityMsg::FetchBuffered`] / [`MobilityMsg::BufferedBatch`]);
+//!   new replicator re-installs the subscriptions, **holds back** live
+//!   matches, and fetches the old replicator's buffer over the replicator
+//!   mesh ([`MobilityMsg::FetchBuffered`] /
+//!   [`MobilityMsg::BufferedBatch`]);
 //! * replay is delivered first, then the hold-back queue, then live flow —
 //!   preserving per-publisher FIFO without loss; the client library
 //!   suppresses the (rare) duplicates;
@@ -20,23 +22,22 @@
 //!   acceptable for users to expect some form of degraded service after
 //!   long periods of disconnection", §4).
 //!
-//! Logical mobility (reactive flavour, \[5\]) is folded in: when
-//! `resolve_myloc` is enabled, location-dependent filters arriving at this
-//! broker are resolved against its [`LocationMap`] scope — adaptation
-//! happens at arrival time, which is exactly the baseline that
-//! pre-subscriptions improve on.
+//! The reactive baseline (\[5\]: `myloc` resolved only on arrival) is
+//! the same layer with no pre-subscriptions, `k_hops: 0`. Only
+//! location-independent subscriptions drain through the make-before-break
+//! grace: a `myloc` subscription follows the client's current location,
+//! so the old border must not forward matches for the location the
+//! client left (`scenario_soak` checks this).
+//!
+//! [`MobilityMsg::FetchBuffered`]: rebeca_broker::MobilityMsg::FetchBuffered
+//! [`MobilityMsg::BufferedBatch`]: rebeca_broker::MobilityMsg::BufferedBatch
 
-use crate::location::LocationMap;
-use rebeca_broker::{BrokerCore, BrokerOp, Message, MobilityMsg, Outcome};
-use rebeca_core::{BrokerId, ClientId, Notification, SimDuration, SimTime, Subscription};
-use rebeca_net::{Ctx, Node, NodeId};
+use rebeca_core::{BrokerId, ClientId, Notification, SimDuration, SimTime};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
-/// Relocation state shared by broker-side and replicator-side mobility:
-/// per-client buffers for the disconnected, hold-back queues for the
-/// arriving.
+/// Relocation state of the replicator layer: per-client buffers for the
+/// disconnected, hold-back queues for the arriving.
 #[derive(Debug, Default)]
 pub struct RelocationBuffers {
     buffering: HashMap<ClientId, (SimTime, Vec<Arc<Notification>>)>,
@@ -131,292 +132,6 @@ impl RelocationBuffers {
     /// Total notifications currently sitting in relocation buffers.
     pub fn buffered_notifications(&self) -> usize {
         self.buffering.values().map(|(_, v)| v.len()).sum()
-    }
-}
-
-/// Configuration of a mobility-aware border broker.
-#[derive(Debug, Clone)]
-pub struct MobileBrokerConfig {
-    /// Resolve `myloc` markers against this broker's location scope when
-    /// subscriptions arrive (reactive logical mobility). When `false`,
-    /// location-dependent filters stay unresolved and match nothing — the
-    /// pure physical-mobility deployment.
-    pub resolve_myloc: bool,
-    /// How long to buffer for a disconnected client before giving up.
-    pub relocation_ttl: SimDuration,
-    /// Sweep interval for TTL enforcement.
-    pub sweep_interval: SimDuration,
-    /// Grace period after `FetchBuffered` during which the old border
-    /// keeps the relocated client's subscriptions and forwards in-flight
-    /// stragglers to the new border — the make-before-break window that
-    /// makes relocation lossless.
-    pub handover_grace: SimDuration,
-    /// Byte budget of one `BufferedBatch` chunk: a relocation buffer
-    /// larger than this is paged into several messages (see
-    /// [`crate::paging`]) so it cannot head-of-line-block a link.
-    pub max_batch_bytes: usize,
-}
-
-impl Default for MobileBrokerConfig {
-    fn default() -> Self {
-        MobileBrokerConfig {
-            resolve_myloc: true,
-            relocation_ttl: SimDuration::from_secs(300),
-            sweep_interval: SimDuration::from_secs(5),
-            handover_grace: SimDuration::from_millis(100),
-            max_batch_bytes: crate::paging::DEFAULT_MAX_BATCH_BYTES,
-        }
-    }
-}
-
-/// Timer tags: the periodic sweep vs. per-client drain expiry.
-const SWEEP_TAG: u64 = 0;
-const DRAIN_TAG_BASE: u64 = 1 << 32;
-
-/// A border broker with physical-mobility support (and optional reactive
-/// logical mobility), wrapping the plain routing core.
-pub struct MobileBrokerNode {
-    core: BrokerCore,
-    locations: Arc<LocationMap>,
-    config: MobileBrokerConfig,
-    reloc: RelocationBuffers,
-    /// Clients attached here (client → device node), tracked for
-    /// connection-awareness.
-    devices: HashMap<ClientId, NodeId>,
-    /// Reused across messages so dispatch allocates nothing steady-state.
-    outcome: Outcome,
-}
-
-impl fmt::Debug for MobileBrokerNode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MobileBrokerNode")
-            .field("broker", &self.core.id())
-            .field("buffering", &self.reloc.buffering_count())
-            .finish()
-    }
-}
-
-impl MobileBrokerNode {
-    /// Wraps a routing core with mobility behaviour.
-    pub fn new(core: BrokerCore, locations: Arc<LocationMap>, config: MobileBrokerConfig) -> Self {
-        MobileBrokerNode {
-            core,
-            locations,
-            config,
-            reloc: RelocationBuffers::new(),
-            devices: HashMap::new(),
-            outcome: Outcome::default(),
-        }
-    }
-
-    /// The routing core (tables, stats).
-    pub fn core(&self) -> &BrokerCore {
-        &self.core
-    }
-
-    /// The relocation state (metrics).
-    pub fn relocation(&self) -> &RelocationBuffers {
-        &self.reloc
-    }
-
-    fn my_id(&self) -> BrokerId {
-        self.core.id()
-    }
-
-    /// Resolves a subscription for installation at *this* broker.
-    fn localize(&self, sub: Subscription) -> Subscription {
-        if self.config.resolve_myloc {
-            self.locations.resolve_subscription(&sub, self.my_id())
-        } else {
-            sub
-        }
-    }
-
-    /// The mobility layer's share of a mutation — track the client's
-    /// device for connection-awareness, localize a subscription — and then
-    /// the routing core's one [`BrokerCore::apply`].
-    fn apply(&mut self, ctx: &mut Ctx<'_, Message>, op: BrokerOp) {
-        let op = match op {
-            BrokerOp::ClientAttach { client, node } => {
-                self.devices.insert(client, node);
-                op
-            }
-            BrokerOp::ClientDetach { client } => {
-                self.devices.remove(&client);
-                op
-            }
-            BrokerOp::Subscribe { node, subscription } => {
-                self.devices.insert(subscription.client(), node);
-                BrokerOp::Subscribe { node, subscription: self.localize(subscription) }
-            }
-            BrokerOp::Unsubscribe { .. }
-            | BrokerOp::NeighborSubscribe { .. }
-            | BrokerOp::NeighborUnsubscribe { .. }
-            | BrokerOp::LinkUp { .. }
-            | BrokerOp::LinkDown { .. } => op,
-        };
-        self.core.apply(ctx, op);
-    }
-
-    fn deliver_or_buffer(
-        &mut self,
-        ctx: &mut Ctx<'_, Message>,
-        client: ClientId,
-        node: NodeId,
-        n: Arc<Notification>,
-    ) {
-        if let Some(new_border) = self.reloc.drain_target(client) {
-            // Straggler that was already in flight towards us when the
-            // hand-off began: forward it to the new border.
-            let msg = Message::Mobility(MobilityMsg::BufferedBatch {
-                client,
-                notifications: vec![n],
-                complete: false,
-            });
-            self.send_routed(ctx, new_border, msg);
-        } else if self.reloc.is_arriving(client) {
-            self.reloc.hold_back(client, n);
-        } else if ctx.link_up(node) {
-            ctx.send(node, Message::Deliver { client, notification: n });
-        } else {
-            self.reloc.buffer(ctx.now(), client, n);
-        }
-    }
-
-    fn handle_mobility(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: MobilityMsg) {
-        match msg {
-            MobilityMsg::MoveIn { client, old_border, subscriptions, epoch: _ } => {
-                self.apply(ctx, BrokerOp::ClientAttach { client, node: from });
-                for subscription in subscriptions {
-                    self.apply(ctx, BrokerOp::Subscribe { node: from, subscription });
-                }
-                match old_border {
-                    Some(old) if old == self.my_id() => {
-                        // Reconnected at the same broker: replay our own
-                        // buffer directly (shared allocations, no copies).
-                        for n in self.reloc.take_buffer(client) {
-                            ctx.send(from, Message::Deliver { client, notification: n });
-                        }
-                    }
-                    Some(old) => {
-                        self.reloc.begin_arrival(client);
-                        let fetch = Message::Mobility(MobilityMsg::FetchBuffered {
-                            client,
-                            new_border: self.my_id(),
-                        });
-                        self.send_routed(ctx, old, fetch);
-                    }
-                    None => {}
-                }
-            }
-            MobilityMsg::FetchBuffered { client, new_border } => {
-                let batch = self.reloc.take_buffer(client);
-                // Ship the buffer, but keep the subscriptions alive for a
-                // grace period so in-flight notifications still headed our
-                // way are forwarded instead of lost (make-before-break).
-                self.devices.remove(&client);
-                self.reloc.begin_drain(client, new_border);
-                // Page the buffer: all chunks `complete: false` — the
-                // drain-expiry timer sends the terminating chunk after the
-                // make-before-break grace period.
-                for page in crate::paging::pages(batch, self.config.max_batch_bytes) {
-                    let reply = Message::Mobility(MobilityMsg::BufferedBatch {
-                        client,
-                        notifications: page,
-                        complete: false,
-                    });
-                    self.send_routed(ctx, new_border, reply);
-                }
-                ctx.set_timer(self.config.handover_grace, DRAIN_TAG_BASE + u64::from(client.raw()));
-            }
-            MobilityMsg::BufferedBatch { client, notifications, complete } => {
-                if let Some(&node) = self.devices.get(&client) {
-                    for n in notifications {
-                        self.reloc.total_replayed += 1;
-                        ctx.send(node, Message::Deliver { client, notification: n });
-                    }
-                    if complete {
-                        for n in self.reloc.finish_arrival(client) {
-                            ctx.send(node, Message::Deliver { client, notification: n });
-                        }
-                    }
-                } else if complete {
-                    // Client vanished again mid-relocation; the hold-back
-                    // queue becomes a fresh relocation buffer.
-                    let now = ctx.now();
-                    for n in self.reloc.finish_arrival(client) {
-                        self.reloc.buffer(now, client, n);
-                    }
-                }
-            }
-            // Replicator traffic is not for the broker layer.
-            _ => {}
-        }
-    }
-
-    /// Ships a control message hop-by-hop through the broker tree by
-    /// letting the routing core process a `Routed` envelope (it forwards
-    /// towards the next hop).
-    fn send_routed(&mut self, ctx: &mut Ctx<'_, Message>, target: BrokerId, inner: Message) {
-        debug_assert_ne!(target, self.my_id(), "same-broker case handled locally");
-        let out = self.core.handle(ctx, NodeId::EXTERNAL, Message::routed(target, inner));
-        debug_assert!(out.deliveries.is_empty() && out.unhandled.is_empty());
-    }
-}
-
-impl Node<Message> for MobileBrokerNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Message>) {
-        ctx.set_timer(self.config.sweep_interval, 0);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
-        // Reusable buffer: capacity survives across messages, so the
-        // steady-state dispatch loop allocates nothing.
-        let mut outcome = std::mem::take(&mut self.outcome);
-        outcome.clear();
-        if let Some(op) = self.core.classify(ctx, from, msg, &mut outcome) {
-            self.apply(ctx, op);
-        }
-        for d in outcome.deliveries.drain(..) {
-            self.deliver_or_buffer(ctx, d.client, d.node, d.notification);
-        }
-        for (peer, m) in outcome.unhandled.drain(..) {
-            self.handle_mobility(ctx, peer, m);
-        }
-        self.outcome = outcome;
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Message>, _timer: rebeca_net::TimerId, tag: u64) {
-        if tag >= DRAIN_TAG_BASE {
-            // Drain grace expired: retire the relocated client for good and
-            // signal completion to the new border.
-            let client = ClientId::new((tag - DRAIN_TAG_BASE) as u32);
-            if let Some(new_border) = self.reloc.finish_drain(client) {
-                self.core.apply(ctx, BrokerOp::ClientDetach { client });
-                let done = Message::Mobility(MobilityMsg::BufferedBatch {
-                    client,
-                    notifications: Vec::new(),
-                    complete: true,
-                });
-                self.send_routed(ctx, new_border, done);
-            }
-            return;
-        }
-        debug_assert_eq!(tag, SWEEP_TAG);
-        let expired = self.reloc.expire(ctx.now(), self.config.relocation_ttl);
-        for client in expired {
-            // Degraded service after long disconnection: drop state.
-            self.apply(ctx, BrokerOp::ClientDetach { client });
-        }
-        ctx.set_timer(self.config.sweep_interval, SWEEP_TAG);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

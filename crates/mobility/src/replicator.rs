@@ -29,8 +29,9 @@
 //!
 //! Physical mobility of the client's non-location-dependent subscriptions
 //! is handled at this layer too (the replicator is the connection-aware
-//! edge), via the same [`RelocationBuffers`] machinery the broker-side
-//! deployment uses — the brokers below stay completely mobility-unaware.
+//! edge), via [`RelocationBuffers`] — the brokers below stay completely
+//! mobility-unaware. With `k_hops: 0` that is all this layer does: the
+//! reactive baseline.
 
 use crate::buffer::{BufferSpec, ReplayBuffer, SharedBuffer};
 use crate::location::LocationMap;
@@ -144,8 +145,9 @@ pub struct ReplicatorConfig {
     pub relocation_ttl: SimDuration,
     /// Housekeeping interval (buffer GC, TTL sweeps).
     pub sweep_interval: SimDuration,
-    /// Make-before-break window of the relocation hand-off (see
-    /// [`MobileBrokerConfig`](crate::MobileBrokerConfig)).
+    /// Make-before-break window of the relocation hand-off: after
+    /// `FetchBuffered` the old replicator keeps forwarding in-flight
+    /// stragglers to the new one this long before it retires the client.
     pub handover_grace: SimDuration,
     /// Byte budget of one `BufferedBatch`/`ReplicaBatch` chunk: a handover
     /// buffer larger than this is paged into several messages (see

@@ -1,19 +1,19 @@
 //! End-to-end mobility tests: full deployments inside the deterministic
 //! simulator.
 //!
-//! Two deployment shapes are exercised, mirroring DESIGN.md:
-//! * **broker-side mobility** — `MobileBrokerNode` + `MobileClientNode`
-//!   (physical relocation, reactive logical mobility);
-//! * **replicator layer** — plain `BrokerNode`s + one `ReplicatorNode` per
-//!   broker + `MobileClientNode` (extended logical mobility).
+//! Every deployment is the replicator layer: plain `BrokerNode`s + one
+//! `ReplicatorNode` per broker + `MobileClientNode`s. With `k_hops: 0` it
+//! is the reactive baseline (physical relocation, `myloc` resolved on
+//! arrival); with `k_hops > 0` it adds pre-subscriptions (extended logical
+//! mobility).
 
 use rebeca_broker::{BrokerCore, BrokerNode, Message, MobilityMsg, RoutingStrategy};
 use rebeca_core::{
     BrokerId, ClientId, Filter, LocationId, Notification, SimDuration, SubscriptionId,
 };
 use rebeca_mobility::{
-    app_of, BufferSpec, ClientMobilityMode, LocationMap, MobileBrokerConfig, MobileBrokerNode,
-    MobileClientNode, MovementGraph, ReplicatorConfig, ReplicatorNode,
+    app_of, BufferSpec, ClientMobilityMode, LocationMap, MobileClientNode, MovementGraph,
+    ReplicatorConfig, ReplicatorNode,
 };
 use rebeca_net::{LinkConfig, NodeId, Topology, World};
 use std::sync::Arc;
@@ -21,48 +21,9 @@ use std::sync::Arc;
 /// A full deployment under test.
 struct Deployment {
     world: World<Message>,
-    #[allow(dead_code)]
-    broker_nodes: Vec<NodeId>,
-    /// Node a client attaches to per broker (broker or its replicator).
-    access_nodes: Arc<Vec<NodeId>>,
-    replicator_nodes: Vec<NodeId>,
+    /// The replicator in front of each broker: where clients attach.
+    replicator_nodes: Arc<Vec<NodeId>>,
     client_nodes: Vec<NodeId>,
-}
-
-fn broker_side(topology: Topology, mode_resolve_myloc: bool) -> Deployment {
-    let topology = Arc::new(topology);
-    let n = topology.broker_count();
-    let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..n as u32).map(NodeId::new).collect());
-    let locations = Arc::new(LocationMap::one_per_broker(&topology));
-    let mut world = World::new(7);
-    for b in topology.brokers() {
-        let core = BrokerCore::new(
-            b,
-            Arc::clone(&topology),
-            Arc::clone(&broker_nodes),
-            RoutingStrategy::Simple,
-        );
-        let cfg = MobileBrokerConfig {
-            resolve_myloc: mode_resolve_myloc,
-            relocation_ttl: SimDuration::from_secs(600),
-            ..Default::default()
-        };
-        world.add_node(Box::new(MobileBrokerNode::new(core, Arc::clone(&locations), cfg)));
-    }
-    for (a, b) in topology.edges() {
-        world.connect(
-            broker_nodes[a.raw() as usize],
-            broker_nodes[b.raw() as usize],
-            LinkConfig::default(),
-        );
-    }
-    Deployment {
-        world,
-        broker_nodes: broker_nodes.to_vec(),
-        access_nodes: Arc::clone(&broker_nodes),
-        replicator_nodes: vec![],
-        client_nodes: vec![],
-    }
 }
 
 fn replicated(topology: Topology, movement: MovementGraph, config: ReplicatorConfig) -> Deployment {
@@ -108,13 +69,7 @@ fn replicated(topology: Topology, movement: MovementGraph, config: ReplicatorCon
             world.connect(replicator_nodes[i], replicator_nodes[j], LinkConfig::default());
         }
     }
-    Deployment {
-        world,
-        broker_nodes: broker_nodes.to_vec(),
-        access_nodes: Arc::clone(&replicator_nodes),
-        replicator_nodes: replicator_nodes.to_vec(),
-        client_nodes: vec![],
-    }
+    Deployment { world, replicator_nodes, client_nodes: vec![] }
 }
 
 impl Deployment {
@@ -123,9 +78,9 @@ impl Deployment {
         let node = self.world.add_node(Box::new(MobileClientNode::new(
             client,
             mode,
-            Arc::clone(&self.access_nodes),
+            Arc::clone(&self.replicator_nodes),
         )));
-        for access in self.access_nodes.iter() {
+        for access in self.replicator_nodes.iter() {
             self.world.connect(node, *access, LinkConfig::default());
             self.world.set_link_up(node, *access, false);
         }
@@ -137,16 +92,16 @@ impl Deployment {
     fn add_publisher(&mut self, client: ClientId, broker_idx: usize) -> NodeId {
         let node = self.world.add_node(Box::new(rebeca_broker::ClientNode::new(
             client,
-            Some(self.access_nodes[broker_idx]),
+            Some(self.replicator_nodes[broker_idx]),
         )));
-        self.world.connect(node, self.access_nodes[broker_idx], LinkConfig::default());
+        self.world.connect(node, self.replicator_nodes[broker_idx], LinkConfig::default());
         node
     }
 
     /// Simulates arrival of `client_node` at broker `idx`: flips the
     /// wireless links, then injects `AppMoveTo`.
     fn arrive(&mut self, client_node: NodeId, idx: usize) {
-        for (i, access) in self.access_nodes.clone().iter().enumerate() {
+        for (i, access) in self.replicator_nodes.clone().iter().enumerate() {
             self.world.set_link_up(client_node, *access, i == idx);
         }
         self.world.send_external(
@@ -160,7 +115,7 @@ impl Deployment {
     fn depart(&mut self, client_node: NodeId) {
         self.world.send_external(client_node, Message::Mobility(MobilityMsg::AppPrepareMove));
         self.settle();
-        for access in self.access_nodes.clone().iter() {
+        for access in self.replicator_nodes.clone().iter() {
             self.world.set_link_up(client_node, *access, false);
         }
         self.world.send_external(client_node, Message::Mobility(MobilityMsg::AppDisconnect));
@@ -206,7 +161,11 @@ impl Deployment {
 fn physical_relocation_is_lossless_and_fifo() {
     // Stock-quote scenario: non-location-dependent subscription, client
     // disconnects at B0, reconnects at B3; nothing may be lost.
-    let mut d = broker_side(Topology::line(4).unwrap(), true);
+    let mut d = replicated(
+        Topology::line(4).unwrap(),
+        MovementGraph::line(4),
+        ReplicatorConfig { k_hops: 0, ..Default::default() },
+    );
     let pub_node = d.add_publisher(ClientId::new(100), 1);
     let c = d.add_mobile_client(ClientId::new(1), ClientMobilityMode::Relocation);
     d.arrive(c, 0);
@@ -237,7 +196,11 @@ fn physical_relocation_is_lossless_and_fifo() {
 
 #[test]
 fn naive_reconnect_loses_the_gap() {
-    let mut d = broker_side(Topology::line(4).unwrap(), true);
+    let mut d = replicated(
+        Topology::line(4).unwrap(),
+        MovementGraph::line(4),
+        ReplicatorConfig { k_hops: 0, ..Default::default() },
+    );
     let pub_node = d.add_publisher(ClientId::new(100), 1);
     let c = d.add_mobile_client(ClientId::new(1), ClientMobilityMode::Naive);
     d.arrive(c, 0);
@@ -271,7 +234,11 @@ fn naive_reconnect_loses_the_gap() {
 fn reactive_logical_mobility_adapts_myloc() {
     // Temperature scenario: location-dependent subscription; readings for
     // the *current* office only.
-    let mut d = broker_side(Topology::line(3).unwrap(), true);
+    let mut d = replicated(
+        Topology::line(3).unwrap(),
+        MovementGraph::line(3),
+        ReplicatorConfig { k_hops: 0, ..Default::default() },
+    );
     let p0 = d.add_publisher(ClientId::new(100), 0);
     let p2 = d.add_publisher(ClientId::new(101), 2);
     let c = d.add_mobile_client(ClientId::new(1), ClientMobilityMode::Relocation);
@@ -285,6 +252,11 @@ fn reactive_logical_mobility_adapts_myloc() {
     d.depart(c);
     d.settle();
     d.arrive(c, 2);
+    // Old location, published inside the hand-off's make-before-break
+    // grace: the client has left L0, so this must not reach it either.
+    let t = d.world.now() + SimDuration::from_millis(20);
+    d.world.run_until(t);
+    d.publish_at(p0, "temperature", 0, 5);
     d.settle();
     d.publish_at(p0, "temperature", 0, 3); // old location — no longer matches
     d.publish_at(p2, "temperature", 2, 4); // new location — matches
@@ -292,6 +264,7 @@ fn reactive_logical_mobility_adapts_myloc() {
     let marks = d.delivered_marks(c);
     assert!(marks.contains(&1) && marks.contains(&4), "got {marks:?}");
     assert!(!marks.contains(&2) && !marks.contains(&3), "got {marks:?}");
+    assert!(!marks.contains(&5), "old-location reading leaked through the grace: {marks:?}");
 }
 
 #[test]

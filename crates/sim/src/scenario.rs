@@ -6,8 +6,8 @@ use crate::oracle::{self, ClientTimeline, OracleReport};
 use crate::workload::{PubEvent, WorkloadConfig};
 use rebeca::{
     BrokerId, BufferSpec, ClientMobilityMode, Deployment, Filter, FixedClient, LocationMap,
-    MobileBrokerConfig, MovementGraph, Notification, ReplicatorConfig, RoutingStrategy,
-    SimDuration, SimTime, SystemBuilder, Topology,
+    MovementGraph, Notification, ReplicatorConfig, RoutingStrategy, SimDuration, SimTime,
+    SystemBuilder, Topology,
 };
 use std::collections::BTreeMap;
 
@@ -86,8 +86,6 @@ pub enum SystemVariant {
     Static,
     /// JEDI-style explicit moveOut/moveIn, no buffering.
     NaiveReconnect,
-    /// Relocation protocol only; `myloc` filters stay unresolved.
-    PhysicalOnly,
     /// Relocation + reactive logical mobility (resolve `myloc` on
     /// arrival) — the pre-paper state of the art.
     ReactiveLogical,
@@ -109,7 +107,6 @@ impl SystemVariant {
         match self {
             SystemVariant::Static => "static".into(),
             SystemVariant::NaiveReconnect => "naive".into(),
-            SystemVariant::PhysicalOnly => "physical".into(),
             SystemVariant::ReactiveLogical => "reactive".into(),
             SystemVariant::ExtendedLogical { k, shared, .. } => {
                 if *shared {
@@ -332,15 +329,8 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let movement = cfg.movement_graph.build(cfg.brokers, &topology);
 
     let deployment = match &cfg.variant {
-        SystemVariant::Static | SystemVariant::NaiveReconnect => match &cfg.variant {
-            SystemVariant::Static => Deployment::Static,
-            _ => Deployment::BrokerMobility(MobileBrokerConfig::default()),
-        },
-        SystemVariant::PhysicalOnly => Deployment::BrokerMobility(MobileBrokerConfig {
-            resolve_myloc: false,
-            ..Default::default()
-        }),
-        SystemVariant::ReactiveLogical => Deployment::BrokerMobility(MobileBrokerConfig::default()),
+        SystemVariant::Static => Deployment::Static,
+        SystemVariant::NaiveReconnect | SystemVariant::ReactiveLogical => Deployment::reactive(),
         SystemVariant::ExtendedLogical { k, buffer, shared } => Deployment::Replicated {
             movement: Some(movement.clone()),
             config: ReplicatorConfig {

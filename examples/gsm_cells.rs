@@ -74,5 +74,7 @@ fn main() {
     }
     println!("\nthe extended variant keeps shadows in the neighbouring cells; pop-ups outside");
     println!("the neighbourhood are recovered by exception mode (degraded but functional).");
+    println!("reactive keeps no shadows (k = 0), so every arrival is uncovered and counts as");
+    println!("an exception.");
     let _ = BrokerId::new(0);
 }

@@ -14,15 +14,14 @@
 //! Run with: `cargo run --example stock_monitor`
 
 use rebeca::{
-    BrokerId, ClientMobilityMode, Deployment, Filter, MobileBrokerConfig, Notification,
-    RebecaError, SimDuration, SystemBuilder, Topology,
+    BrokerId, ClientMobilityMode, Deployment, Filter, Notification, RebecaError, SimDuration,
+    SystemBuilder, Topology,
 };
 
 fn run(mode: ClientMobilityMode) -> Result<(usize, u64, u64, Vec<i64>), RebecaError> {
     // Home — ISP — exchange — ISP — office.
-    let mut sys = SystemBuilder::new(Topology::line(5)?)
-        .deployment(Deployment::BrokerMobility(MobileBrokerConfig::default()))
-        .build()?;
+    let mut sys =
+        SystemBuilder::new(Topology::line(5)?).deployment(Deployment::reactive()).build()?;
     let exchange = sys.add_client(BrokerId::new(2))?;
     let trader = sys.add_mobile_client_with_mode(mode);
 
@@ -90,7 +89,7 @@ fn main() -> Result<(), RebecaError> {
             }
         }
     }
-    println!("the relocation protocol buffers at the old border broker and replays on");
+    println!("the relocation protocol buffers at the old border's replicator and replays on");
     println!("re-attachment — a transparent, uninterrupted flow (paper §1, [8]).");
     Ok(())
 }

@@ -98,7 +98,7 @@
 //! 4. **Buffer.** Disconnection and replication buffers
 //!    ([`mobility::ReplayBuffer`], the shared digest store, relocation and
 //!    hold-back queues) store the *same* `Arc`. The wire batches that ship
-//!    buffers between brokers ([`MobilityMsg::BufferedBatch`] /
+//!    buffers between replicators ([`MobilityMsg::BufferedBatch`] /
 //!    `ReplicaBatch`) carry `Vec<Arc<Notification>>` — handing a buffer
 //!    over never deep-copies its contents.
 //! 5. **Replay.** Arriving clients receive the buffered `Arc`s as ordinary
@@ -261,8 +261,8 @@ pub use rebeca_core::{
     Predicate, SharedInterner, SimDuration, SimTime, Subscription, SubscriptionId, Value,
 };
 pub use rebeca_mobility::{
-    BufferSpec, ClientMobilityMode, ContextMap, LocationMap, MobileBrokerConfig, MovementGraph,
-    ReplicatorConfig, ReplicatorStats,
+    BufferSpec, ClientMobilityMode, ContextMap, LocationMap, MovementGraph, ReplicatorConfig,
+    ReplicatorStats,
 };
 pub use rebeca_net::{NetMetrics, Topology};
 
@@ -270,7 +270,7 @@ use rebeca_broker::replication::{
     ReplicaNode, ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats,
 };
 use rebeca_broker::{BrokerCore, BrokerNode, ClientNode, LocalBroker};
-use rebeca_mobility::{MobileBrokerNode, MobileClientNode, ReplicatorNode};
+use rebeca_mobility::{MobileClientNode, ReplicatorNode};
 use rebeca_net::{LinkConfig, Node, NodeId, World};
 use std::sync::Arc;
 
@@ -279,9 +279,6 @@ use std::sync::Arc;
 pub enum Deployment {
     /// Plain REBECA: immobile brokers and clients, no mobility support.
     Static,
-    /// Broker-side mobility: physical relocation and (optionally) reactive
-    /// logical mobility, implemented inside the border brokers.
-    BrokerMobility(MobileBrokerConfig),
     /// The full paper: plain brokers + a replicator per border broker
     /// implementing pre-subscriptions and virtual clients over a movement
     /// graph.
@@ -300,6 +297,16 @@ impl Deployment {
     /// tree and default replicator configuration — the common case.
     pub fn replicated_defaults() -> Deployment {
         Deployment::Replicated { movement: None, config: ReplicatorConfig::default() }
+    }
+
+    /// The reactive baseline: the replicator layer with no
+    /// pre-subscriptions (`k_hops: 0`). Clients relocate losslessly and
+    /// `myloc` subscriptions are resolved when the client arrives.
+    pub fn reactive() -> Deployment {
+        Deployment::Replicated {
+            movement: None,
+            config: ReplicatorConfig { k_hops: 0, ..Default::default() },
+        }
     }
 }
 
@@ -577,18 +584,7 @@ impl SystemBuilder {
                 Arc::clone(&interner),
                 self.shards,
             );
-            match &self.deployment {
-                Deployment::BrokerMobility(cfg) => {
-                    world.add_node(Box::new(MobileBrokerNode::new(
-                        core,
-                        Arc::clone(&locations),
-                        cfg.clone(),
-                    )));
-                }
-                _ => {
-                    world.add_node(static_broker_node(core, n, g, replication_metrics.as_ref()));
-                }
-            }
+            world.add_node(static_broker_node(core, n, g, replication_metrics.as_ref()));
         }
         for (a, b) in topology.edges() {
             world.connect(
@@ -1244,9 +1240,8 @@ impl System {
         let core = w
             .node_as::<BrokerNode>(node)
             .map(BrokerNode::core)
-            .or_else(|| w.node_as::<MobileBrokerNode>(node).map(MobileBrokerNode::core))
             .or_else(|| w.node_as::<ReplicatedBrokerNode>(node).map(ReplicatedBrokerNode::core));
-        Ok(core.expect("build() hosts every broker's core in one of these three node types"))
+        Ok(core.expect("build() hosts every broker's core in one of these two node types"))
     }
 
     /// Routing-table size (entries) of one broker.
@@ -1376,9 +1371,8 @@ mod tests {
 
     #[test]
     fn broker_mobility_deployment_relocates() -> Result<(), RebecaError> {
-        let mut sys = SystemBuilder::new(Topology::line(3)?)
-            .deployment(Deployment::BrokerMobility(MobileBrokerConfig::default()))
-            .build()?;
+        let mut sys =
+            SystemBuilder::new(Topology::line(3)?).deployment(Deployment::reactive()).build()?;
         let publisher = sys.add_client(BrokerId::new(1))?;
         let roamer = sys.add_mobile_client();
         sys.arrive(roamer, BrokerId::new(0))?;

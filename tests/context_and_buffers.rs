@@ -3,15 +3,14 @@
 //! digest buffer — driven through the handle-based `Result` facade.
 
 use rebeca::{
-    BrokerId, BufferSpec, Deployment, Filter, MobileBrokerConfig, MovementGraph, Notification,
-    Predicate, RebecaError, ReplicatorConfig, SimDuration, SystemBuilder, Topology, Value,
+    BrokerId, BufferSpec, Deployment, Filter, MovementGraph, Notification, Predicate, RebecaError,
+    ReplicatorConfig, SimDuration, SystemBuilder, Topology, Value,
 };
 
 #[test]
 fn context_dependent_subscription_adapts_on_context_change() -> Result<(), RebecaError> {
-    let mut sys = SystemBuilder::new(Topology::line(2)?)
-        .deployment(Deployment::BrokerMobility(MobileBrokerConfig::default()))
-        .build()?;
+    let mut sys =
+        SystemBuilder::new(Topology::line(2)?).deployment(Deployment::reactive()).build()?;
     let p = sys.add_client(BrokerId::new(1))?;
     let m = sys.add_mobile_client();
     sys.arrive(m, BrokerId::new(0))?;

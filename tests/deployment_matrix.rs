@@ -7,14 +7,14 @@
 //! `?`-ed, clients are typed handles, and mobility steps are fallible.
 
 use rebeca::{
-    BrokerId, Deployment, Filter, MobileBrokerConfig, MovementGraph, Notification, RebecaError,
-    ReplicatorConfig, RoutingStrategy, SimDuration, SystemBuilder, Topology,
+    BrokerId, Deployment, Filter, MovementGraph, Notification, RebecaError, ReplicatorConfig,
+    RoutingStrategy, SimDuration, SystemBuilder, Topology,
 };
 
 fn deployments() -> Vec<(&'static str, Deployment)> {
     vec![
         ("static", Deployment::Static),
-        ("broker-mobility", Deployment::BrokerMobility(MobileBrokerConfig::default())),
+        ("reactive", Deployment::reactive()),
         (
             "replicated",
             Deployment::Replicated {
@@ -56,7 +56,7 @@ fn mobile_relocation_across_strategies() -> Result<(), RebecaError> {
     for strategy in RoutingStrategy::ALL {
         let mut sys = SystemBuilder::new(Topology::line(4)?)
             .strategy(strategy)
-            .deployment(Deployment::BrokerMobility(MobileBrokerConfig::default()))
+            .deployment(Deployment::reactive())
             .build()?;
         let p = sys.add_client(BrokerId::new(1))?;
         let m = sys.add_mobile_client();

@@ -56,9 +56,14 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
     let out = scenario::run(&cfg);
     assert!(!out.pubs.is_empty(), "{label}: workload generated no publications");
     let reports = if cfg.location_dependent {
-        // Extended logical mobility, k=1, graph-respecting walks: everything
-        // a continuously existing shadow buffered must be replayed.
-        out.covered_location_reports(1, SimDuration::from_secs(3600))
+        // Graph-respecting walks: everything a continuously existing shadow
+        // within the variant's k hops buffered must be replayed (k = 0 for
+        // the reactive baseline, which keeps no shadows).
+        let k = match cfg.variant {
+            SystemVariant::ExtendedLogical { k, .. } => k,
+            _ => 0,
+        };
+        out.covered_location_reports(k, SimDuration::from_secs(3600))
     } else {
         // Relocation is lossless for location-independent interests.
         out.global_reports()
@@ -78,6 +83,27 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
         let due: usize = reports.iter().map(|r| r.hits + r.misses).sum();
         assert!(due > 0, "{label} shards={shards}: oracle found nothing due — vacuous soak");
     }
+    if cfg.location_dependent {
+        // A `myloc` subscription follows the client's current location: a
+        // mark published during a stint for a location the stint's broker
+        // does not serve is never delivered during that stint.
+        for (i, (tl, log)) in out.timelines.iter().zip(&out.delivered).enumerate() {
+            for &(mark, at) in log {
+                let e = out.pubs.iter().find(|e| e.mark == mark).expect("delivered mark published");
+                let stale = tl.stints.iter().any(|s| {
+                    (s.from..s.to).contains(&at)
+                        && (s.from..s.to).contains(&e.at)
+                        && !out.locations.serves(s.broker, e.location)
+                });
+                assert!(
+                    !stale,
+                    "{label} shards={shards}: client {i} got mark {mark} for {:?}, published at \
+                     {:?} while it was elsewhere",
+                    e.location, e.at,
+                );
+            }
+        }
+    }
     for (i, v) in out.fifo_violations.iter().enumerate() {
         assert_eq!(*v, 0, "{label} shards={shards}: client {i} observed FIFO violations");
     }
@@ -87,15 +113,17 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
         .collect()
 }
 
-/// The soak body: a few random scenario shapes × two middleware variants ×
-/// shard counts {1, 4}.
+/// The soak body: a few random scenario shapes × three variant/interest
+/// pairs × shard counts {1, 4}.
 fn soak(master_seed: u64) {
     let mut rng = SplitMix64::new(master_seed);
     for round in 0..2 {
         let base = random_cfg(&mut rng);
-        for (variant, location_dependent) in
-            [(SystemVariant::ReactiveLogical, false), (SystemVariant::extended_default(), true)]
-        {
+        for (variant, location_dependent) in [
+            (SystemVariant::ReactiveLogical, false),
+            (SystemVariant::ReactiveLogical, true),
+            (SystemVariant::extended_default(), true),
+        ] {
             let cfg =
                 ScenarioConfig { variant: variant.clone(), location_dependent, ..base.clone() };
             let label = format!("round {round}, variant {}", variant.name());
