@@ -1,18 +1,16 @@
-//! # rebeca-bench — the experiment harness
+//! # rebeca-bench — the allocation-regression test
 //!
-//! Regenerates every experiment table of EXPERIMENTS.md (the paper has no
-//! quantitative evaluation of its own; DESIGN.md §5 maps each experiment to
-//! the claims it validates). Run everything with
+//! This crate holds one test, `tests/alloc_regression.rs`: a counting
+//! global allocator that proves the steady-state notification pipeline
+//! (match, route, buffer, archived decode, the replicated route path)
+//! performs zero heap allocations once warm.
 //!
 //! ```text
-//! cargo bench -p rebeca-bench --bench figures            # quick scale
-//! FIGURES_SCALE=full cargo bench -p rebeca-bench --bench figures
-//! cargo run -p rebeca-bench --release --bin figures -- E3
+//! cargo test --release -p rebeca-bench
 //! ```
+//!
+//! Nothing here is timed. The benchmark is the stand-alone `bench/`
+//! package described by `BENCHMARK.json` at the repository root
+//! (`bash bench/run.sh`).
 
 #![forbid(unsafe_code)]
-
-pub mod experiments;
-pub mod harness;
-
-pub use experiments::{run_all, run_experiment, Scale};

@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// Counters exposed by every broker (inputs to experiments E7/E8).
+/// Counters exposed by every broker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerStats {
     /// Notifications that crossed this broker (published or forwarded).

@@ -412,7 +412,7 @@ impl RoutingTable {
     }
 
     /// Total number of routing entries (client subscriptions + neighbour
-    /// announcements) — the table-size metric of experiment E7.
+    /// announcements) — the table-size metric of the routing strategies.
     pub fn entry_count(&self) -> usize {
         self.clients.values().map(|e| e.subs.len()).sum::<usize>() + self.neighbor_entry_count()
     }

@@ -658,9 +658,10 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
     }
     // hot-path: end
 
-    /// Brute-force matching (linear scan), used to cross-check the index in
-    /// tests and benchmarks.
-    pub fn scan_matching(&self, n: &Notification) -> Vec<K> {
+    /// Brute-force matching (linear scan): the reference the index is
+    /// cross-checked against in the tests below.
+    #[cfg(test)]
+    fn scan_matching(&self, n: &Notification) -> Vec<K> {
         self.iter().filter(|(_, f)| f.matches(n)).map(|(k, _)| *k).collect()
     }
 }

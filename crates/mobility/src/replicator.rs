@@ -172,7 +172,7 @@ impl Default for ReplicatorConfig {
 const SWEEP_TAG: u64 = 0;
 const DRAIN_TAG_BASE: u64 = 1 << 32;
 
-/// Counters exposed by a replicator (inputs to experiments E1–E5).
+/// Counters exposed by a replicator (summed per run by the scenario runner).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicatorStats {
     /// Virtual clients created here (setup, mirroring, exception mode).

@@ -9,7 +9,7 @@
 //! * [`World`] — a deterministic **discrete-event simulator**. All protocol
 //!   state machines implement the sans-io [`Node`] trait; the simulator owns
 //!   time, links and delivery. Runs are exactly reproducible, which is what
-//!   the experiment harness needs.
+//!   the scenario runner and its oracle need.
 //! * [`thread_rt::ThreadRuntime`] — a **live runtime** that runs the *same*
 //!   node state machines on one OS thread each, connected by crossbeam
 //!   channels. It demonstrates that nothing in the protocol layer depends on

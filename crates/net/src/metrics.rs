@@ -3,10 +3,10 @@
 //! Two consumers live here:
 //!
 //! * [`NetMetrics`] — the simulator's per-link / per-kind traffic charge
-//!   sheet. The experiment harness charges every sent message against its
-//!   directed link and its coarse message class (`kind`), which is how
-//!   the bandwidth overhead of pre-subscription replication (experiment
-//!   E3) and the control traffic of routing strategies (E7) are measured.
+//!   sheet. The simulator charges every sent message against its directed
+//!   link and its coarse message class (`kind`), which is how the
+//!   bandwidth overhead of pre-subscription replication and the control
+//!   traffic of routing strategies are measured.
 //! * [`LinkCounters`] / [`LinkMetrics`] — the
 //!   [`ProcessRuntime`](crate::ProcessRuntime)'s supervision counters:
 //!   how often peer links died, how many frames were dropped into dead

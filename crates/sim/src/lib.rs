@@ -10,7 +10,6 @@
 //! * [`oracle`] — ground truth: which notifications *should* have reached
 //!   each client given its attachment timeline (miss rates, staleness);
 //! * [`stats`] — summary statistics (mean/percentiles);
-//! * [`report`] — plain-text table rendering for the experiment harness;
 //! * [`scenario`] — the runner: builds a full deployment
 //!   ([`SystemVariant`]), drives workload + movement, and collects
 //!   [`ScenarioOutcome`] measurements.
@@ -20,14 +19,12 @@
 
 pub mod movement;
 pub mod oracle;
-pub mod report;
 pub mod scenario;
 pub mod stats;
 pub mod workload;
 
 pub use movement::{MoveSchedule, MovementModel, Stint};
 pub use oracle::{ClientTimeline, OracleReport};
-pub use report::Table;
 pub use scenario::{ScenarioConfig, ScenarioOutcome, SystemVariant};
 pub use stats::Summary;
 pub use workload::{PubEvent, WorkloadConfig};

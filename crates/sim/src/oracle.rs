@@ -90,8 +90,8 @@ fn is_live(
 /// attachment, surviving disconnections) must keep `l`'s broker inside its
 /// k-hop neighbourhood at publication time and across every intermediate
 /// handover. [`location_due`] is the *idealised demand* upper bound; the
-/// difference between the two is the coverage gap that experiment E3
-/// sweeps.
+/// difference between the two is the coverage gap that
+/// `misses_fall_as_the_neighbourhood_grows` pins as k grows.
 pub fn location_due_covered(
     pubs: &[PubEvent],
     timeline: &ClientTimeline,
@@ -324,7 +324,7 @@ mod tests {
         let ps = pubs(&[(5, 2)]);
         let due = location_due_covered(&ps, &tl, &map, &g, 1, window);
         assert!(due.all().is_empty(), "the B0 detour interrupts coverage");
-        // The idealised-demand oracle still counts it — the E3 gap.
+        // The idealised-demand oracle still counts it — the coverage gap.
         let ideal = location_due(&ps, &tl, &map, window);
         assert!(ideal.replay.contains(&0));
     }

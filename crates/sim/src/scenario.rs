@@ -1,5 +1,6 @@
 //! The scenario runner: a full deployment driven by generated workload and
-//! movement, with measurements collected for the experiment harness.
+//! movement, with measurements collected for the tests, examples and the
+//! `roam` benchmark workload.
 
 use crate::movement::{MoveSchedule, MovementModel};
 use crate::oracle::{self, ClientTimeline, OracleReport};
@@ -198,8 +199,6 @@ pub struct ScenarioOutcome {
     pub peak_vcs: usize,
     /// Peak replication-buffer bytes observed at sample points.
     pub peak_buffer_bytes: usize,
-    /// Routing-table entries summed over brokers at the end.
-    pub final_table_entries: usize,
     /// Handovers / exceptions / replays summed over replicators.
     pub replicator_totals: rebeca::ReplicatorStats,
     /// The broker↔location mapping used.
@@ -261,9 +260,9 @@ impl ScenarioOutcome {
     }
 
     /// Time from each arrival to the first delivery of a notification for
-    /// the arrival broker's location (seconds) — the reactivity metric of
-    /// experiment E1. Arrivals with no relevant delivery during the stint
-    /// are reported as the stint length (censored).
+    /// the arrival broker's location (seconds) — the reactivity metric.
+    /// Arrivals with no relevant delivery during the stint are reported as
+    /// the stint length (censored).
     pub fn arrival_latencies(&self) -> Vec<f64> {
         let mut out = Vec::new();
         for (tl, del) in self.timelines.iter().zip(&self.delivered) {
@@ -292,16 +291,6 @@ impl ScenarioOutcome {
     /// Total messages of a traffic kind.
     pub fn msgs(&self, kind: &str) -> u64 {
         self.traffic.get(kind).map_or(0, |(m, _)| *m)
-    }
-
-    /// Total bytes of a traffic kind.
-    pub fn bytes(&self, kind: &str) -> u64 {
-        self.traffic.get(kind).map_or(0, |(_, b)| *b)
-    }
-
-    /// Total bytes over all kinds.
-    pub fn total_bytes(&self) -> u64 {
-        self.traffic.values().map(|(_, b)| *b).sum()
     }
 }
 
@@ -488,7 +477,6 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
         traffic,
         peak_vcs,
         peak_buffer_bytes: peak_buffer,
-        final_table_entries: sys.total_table_entries(),
         replicator_totals,
         locations: sys.locations().clone(),
         movement,
@@ -542,6 +530,67 @@ mod tests {
             lat_extended.mean,
             lat_reactive.mean
         );
+    }
+
+    /// Two clients on a line of 6 with `k`-hop pre-subscriptions and
+    /// unbounded buffers: misses against the *idealised demand* (everything
+    /// published for a location within a dwell before arriving there), and
+    /// the peak virtual-client count.
+    fn coverage_run(k: u32, movement_model: MovementModel, seed: u64) -> (usize, usize) {
+        let cfg = ScenarioConfig {
+            brokers: 6,
+            variant: SystemVariant::ExtendedLogical {
+                k,
+                buffer: BufferSpec::Unbounded,
+                shared: false,
+            },
+            mobile_clients: 2,
+            movement_model,
+            dwell: SimDuration::from_secs(15),
+            gap: SimDuration::from_millis(500),
+            workload: WorkloadConfig {
+                arrivals: Arrivals::Periodic { period: SimDuration::from_secs(3) },
+                duration: SimDuration::from_secs(120),
+                seed: seed ^ 0xE3,
+                ..Default::default()
+            },
+            seed: 2000 + seed,
+            ..Default::default()
+        };
+        let out = run(&cfg);
+        let misses = out.location_reports(cfg.dwell).iter().map(|r| r.misses).sum();
+        (misses, out.peak_vcs)
+    }
+
+    #[test]
+    fn misses_fall_as_the_neighbourhood_grows() {
+        // The §4 trade-off: a wider `nlb` covers more of a pop-up mover's
+        // jumps and costs more virtual clients. k = 5 spans the whole line.
+        let ks = [0u32, 1, 2, 5];
+        let mut total = [0usize; 4];
+        for seed in 0..4 {
+            let popup: Vec<(usize, usize)> = ks
+                .iter()
+                .map(|&k| coverage_run(k, MovementModel::PopUp { teleport_prob: 0.3 }, seed))
+                .collect();
+            for (i, w) in popup.windows(2).enumerate() {
+                let (k, next) = (ks[i], ks[i + 1]);
+                assert!(w[1].0 <= w[0].0, "seed {seed}: misses rise from k={k} to k={next}");
+                assert!(w[1].1 >= w[0].1, "seed {seed}: peak VCs fall from k={k} to k={next}");
+            }
+            assert!(popup[0].0 > 0, "seed {seed}: k=0 pre-subscribes nothing, so it must miss");
+            assert_eq!(popup[3].0, 0, "seed {seed}: k=5 covers every jump");
+            for (t, (misses, _)) in total.iter_mut().zip(&popup) {
+                *t += misses;
+            }
+            // A graph-respecting walk never leaves a 1-hop neighbourhood.
+            for k in [1, 2, 5] {
+                let (misses, _) = coverage_run(k, MovementModel::RandomWalk, seed);
+                assert_eq!(misses, 0, "seed {seed}: a random walk missed {misses} at k={k}");
+            }
+        }
+        // Over the seeds, every step up in k strictly helps.
+        assert!(total.windows(2).all(|w| w[1] < w[0]), "misses per k: {total:?}");
     }
 
     #[test]

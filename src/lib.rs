@@ -154,9 +154,8 @@
 //! ([`core::filter::Filter::cover_key`]). Links below 64 distinct filters
 //! keep the plain scan (faster at that size); larger links build the
 //! index once and from then on pay O(candidates) per mutation instead of
-//! O(distinct served filters). The churn bench's `preload-100000` tier
-//! (`REBECA_BENCH_HEAVY=1`) holds per-event cost within a few percent of
-//! the 2000-filter tier — see `BENCH_churn_pr5.json`.
+//! O(distinct served filters), so a 10⁵-filter preload is built in linear
+//! time.
 //!
 //! ## Wire protocol & multi-process runtime
 //!
@@ -169,8 +168,7 @@
 //! and then serves ids, attributes and by-name lookups by reference,
 //! resolving attribute names to process-local symbols through a warm
 //! [`core::InternerCache`] with zero allocations (asserted by the
-//! allocation-regression suite; `BENCH_codec_pr7.json` records the
-//! throughput).
+//! allocation-regression suite).
 //!
 //! On top of the codec sits length-prefixed framing ([`net::wire`]:
 //! version byte, frame tags, 16 MiB cap, a [`net::FrameReassembler`] that
@@ -202,10 +200,10 @@
 //! viewstamped-replication-style primary/backup semantics and applies it
 //! on commit. The per-notification route path never touches the log (the
 //! allocation-regression suite asserts zero steady-state allocations with
-//! replication enabled; `BENCH_replication_pr10.json` records that
-//! publish throughput is unchanged while churn pays the quorum round
-//! trips — one per batch of ops, not one per op: a busy group ships the
-//! ops that piled up behind a round trip in a single `Prepare`). Under [`SystemBuilder::build_process_partition`] each broker's
+//! replication enabled); only churn pays the quorum round trips — one per
+//! batch of ops, not one per op: a busy group ships the ops that piled up
+//! behind a round trip in a single `Prepare`. Under
+//! [`SystemBuilder::build_process_partition`] each broker's
 //! backups are placed in *different* processes than the broker, so a
 //! SIGKILLed process recovers its state by probing its group across the
 //! healed link — no client ever re-subscribes. Group health is observable
@@ -1252,11 +1250,6 @@ impl System {
     /// topology.
     pub fn table_size(&self, broker: BrokerId) -> Result<usize, RebecaError> {
         Ok(self.broker_core(broker)?.router().entry_count())
-    }
-
-    /// Sum of routing-table sizes over all brokers.
-    pub fn total_table_entries(&self) -> usize {
-        self.topology.brokers().map(|b| self.table_size(b).unwrap_or(0)).sum()
     }
 
     /// Replicator statistics of one broker; `Ok(None)` for deployments

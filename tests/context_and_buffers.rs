@@ -179,6 +179,58 @@ fn shared_buffer_deduplicates_across_virtual_clients() -> Result<(), RebecaError
     Ok(())
 }
 
+/// Publishes 3 notifications for L1 `lead` before the client leaves B0 for
+/// B1, and returns how many of them are replayed to it on arrival.
+fn replay_after_lead(policy: BufferSpec, lead: SimDuration) -> Result<usize, RebecaError> {
+    let mut sys = SystemBuilder::new(Topology::line(2)?)
+        .deployment(Deployment::Replicated {
+            movement: Some(MovementGraph::line(2)),
+            config: ReplicatorConfig { buffer: policy, ..Default::default() },
+        })
+        .build()?;
+    let p = sys.add_client(BrokerId::new(1))?;
+    let m = sys.add_mobile_client();
+    sys.arrive(m, BrokerId::new(0))?;
+    sys.run_for(SimDuration::from_millis(300));
+    sys.subscribe(m, Filter::builder().myloc("location").build())?;
+    sys.run_for(SimDuration::from_millis(300));
+    for i in 0..3 {
+        sys.publish(
+            p,
+            Notification::builder()
+                .attr("location", rebeca::LocationId::new(1))
+                .attr("i", i as i64),
+        )?;
+    }
+    sys.run_for(lead);
+    sys.depart(m)?;
+    sys.run_for(SimDuration::from_millis(300));
+    sys.arrive(m, BrokerId::new(1))?;
+    sys.run_for(SimDuration::from_secs(1));
+    Ok(sys.delivered(m)?.len())
+}
+
+#[test]
+fn pre_arrival_replay_follows_the_buffer_policy() -> Result<(), RebecaError> {
+    // The paper's "subscription in the past": a notification published
+    // `lead` before arrival is replayed iff the virtual client's buffer
+    // still holds it. Rows are policies, columns leads of 1, 5, 15, 45 s.
+    let leads = [1u64, 5, 15, 45];
+    let table = [
+        ("unbounded", BufferSpec::Unbounded, [3, 3, 3, 3]),
+        ("time(10s)", BufferSpec::TimeBased { ttl: SimDuration::from_secs(10) }, [3, 3, 0, 0]),
+        ("history(2)", BufferSpec::HistoryBased { capacity: 2 }, [2, 2, 2, 2]),
+        ("none", BufferSpec::None, [0, 0, 0, 0]),
+    ];
+    for (name, policy, expected) in table {
+        for (lead_s, want) in leads.into_iter().zip(expected) {
+            let got = replay_after_lead(policy.clone(), SimDuration::from_secs(lead_s))?;
+            assert_eq!(got, want, "{name} at lead {lead_s} s replays {got}/3, not {want}/3");
+        }
+    }
+    Ok(())
+}
+
 #[test]
 fn replay_is_equivalent_to_a_subscription_in_the_past() -> Result<(), RebecaError> {
     // The paper's framing: after arrival the client's log looks as if it
