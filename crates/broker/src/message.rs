@@ -120,7 +120,7 @@ pub enum Message {
     Replica(ReplicaMsg),
 }
 
-/// The mobility sub-protocol (physical relocation per Zeidler/Fiege [8] and
+/// The mobility sub-protocol (physical relocation per Zeidler/Fiege \[8\] and
 /// the extended-logical-mobility replicator layer of §3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MobilityMsg {

@@ -480,8 +480,8 @@ impl MergeState {
 ///
 /// In *simple* mode (no covering) every distinct filter is announced; in
 /// *covering* mode only non-dominated filters are; in *merging* mode a
-/// [`MergeState`] additionally maintains the merge products of the cover.
-/// The covering modes keep a [`CoverIndex`]: a mutation probes only the
+/// `MergeState` additionally maintains the merge products of the cover.
+/// The covering modes keep a `CoverIndex`: a mutation probes only the
 /// *candidate* dominators/dominated filters its shape admits — for the
 /// common equality-conjunction workload that is O(1) per mutation, flat in
 /// the number of distinct served filters (the scan this replaces was

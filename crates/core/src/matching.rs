@@ -290,7 +290,7 @@ impl Filed {
 /// index owns a fresh one, but [`MatchIndex::with_interner`] lets several
 /// indices — a broker's routing table, its local-delivery index, its
 /// replicator — share one symbol table, so a notification's attributes map
-/// to the same [`Symbol`](crate::Symbol)s at every pipeline stage.
+/// to the same [`Symbol`]s at every pipeline stage.
 ///
 /// ```
 /// use rebeca_core::{ClientId, Filter, MatchIndex, Notification, SimTime, SubscriptionId};

@@ -49,10 +49,10 @@ pub use sched::{Checker, Failure, Report};
 /// Named fault injections for proving the checker catches real bugs.
 ///
 /// Production code compiled under `--cfg rebeca_verify` may branch on
-/// [`enabled`] to swap in a deliberately broken protocol variant (for
-/// example, skipping the re-check under the interner's writer lock). The
-/// keys are enabled per-[`Checker`] via [`Checker::inject`], so parallel
-/// tests never interfere.
+/// [`enabled`](inject::enabled) to swap in a deliberately broken protocol
+/// variant (for example, skipping the re-check under the interner's writer
+/// lock). The keys are enabled per-[`Checker`] via [`Checker::inject`], so
+/// parallel tests never interfere.
 pub mod inject {
     /// True when the named injection was enabled on the checker driving
     /// the current model thread. Always false outside a model run.

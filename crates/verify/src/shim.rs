@@ -10,7 +10,7 @@
 //! model.
 //!
 //! Mechanics: every shim object lazily registers a resource with the
-//! current [`Execution`](crate::sched) (re-registering — and thereby
+//! current `Execution` (re-registering — and thereby
 //! resetting to its initial state — when a new execution starts, detected
 //! by serial number). Payload values live inside the shim object guarded
 //! by an ordinary `std` lock; that lock is never contended, because the
