@@ -493,6 +493,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
 
     /// Stops local node threads, flushes and tears down peer links, and
     /// returns the local nodes in global id order (`None` in remote slots).
+    /// A runtime that was never started returns its nodes untouched.
     pub fn stop(mut self) -> Vec<Option<Box<dyn Node<M>>>> {
         // ordering: Relaxed — the flag is advisory (suppresses further
         // reconnect attempts); the teardown itself is sequenced by the
@@ -527,9 +528,13 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
 
         let mut locals = local_nodes.into_iter();
         self.slots
-            .iter()
+            .iter_mut()
             .map(|slot| match slot {
-                Slot::Local { .. } => Some(locals.next().expect("one joined node per local slot")),
+                // A runtime that never started still holds its nodes.
+                Slot::Local { node, .. } => Some(
+                    node.take()
+                        .unwrap_or_else(|| locals.next().expect("one joined node per local slot")),
+                ),
                 Slot::Remote { .. } => None,
             })
             .collect()

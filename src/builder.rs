@@ -1,6 +1,7 @@
 //! [`SystemBuilder`] and [`Deployment`]: what a deployment is made of, and
 //! how it is built on the simulator or on one process of a partition.
 
+use crate::plan::{NodeKind, Plan};
 use crate::{
     BrokerId, LocationMap, Message, MovementGraph, RebecaError, ReplicatorConfig, RoutingStrategy,
     SharedInterner, SimDuration, System, Topology,
@@ -63,34 +64,85 @@ fn default_shard_count() -> usize {
     }
 }
 
-/// Node ids of broker `b`'s replica group in a tier of `n` brokers with
-/// groups of `g`: the broker itself, then its `g - 1` log backups. Backup
-/// `j` lives at node `n + b*(g-1) + j` — the backups are appended directly
-/// after the broker tier, so client numbering is the same whether or not
-/// replication is on, and every build path (and every process of a
-/// partitioned build) derives the same ids.
-fn replica_group(n: usize, g: usize, b: usize) -> Vec<NodeId> {
-    let mut group = vec![NodeId::new(b as u32)];
-    group.extend((0..g - 1).map(|j| NodeId::new((n + b * (g - 1) + j) as u32)));
-    group
+/// What the nodes of a [`Plan`] are made of: the parts every node of one
+/// build shares.
+struct Parts {
+    topology: Arc<Topology>,
+    strategy: RoutingStrategy,
+    shards: usize,
+    /// One world-wide interner, so every routing table and local-delivery
+    /// index resolves identical symbols (see the "Notification lifecycle"
+    /// section of the crate docs).
+    interner: Arc<SharedInterner>,
+    /// Shared by every replica group member; read only when replication
+    /// is on.
+    metrics: Arc<ReplicationMetrics>,
+    /// What replicators are built from; `None` without a replicator layer.
+    mobility: Option<(Arc<MovementGraph>, Arc<LocationMap>, ReplicatorConfig)>,
 }
 
-/// The immobile broker node around `core`. This is where a deployment
-/// chooses what happens to a broker's mutations: with replication on they
-/// are submitted to the broker's replica group and applied on commit,
-/// otherwise applied at once.
-fn static_broker_node(
-    core: BrokerCore,
-    n: usize,
-    g: usize,
-    metrics: Option<&Arc<ReplicationMetrics>>,
-) -> Box<dyn Node<Message>> {
-    match metrics {
-        Some(metrics) => {
-            let group = replica_group(n, g, core.id().raw() as usize);
-            Box::new(ReplicatedBrokerNode::new(core, group, Arc::clone(metrics)))
+impl Parts {
+    fn new(
+        topology: Topology,
+        strategy: RoutingStrategy,
+        shards: usize,
+        mobility: Option<(Arc<MovementGraph>, Arc<LocationMap>, ReplicatorConfig)>,
+    ) -> Parts {
+        Parts {
+            topology: Arc::new(topology),
+            strategy,
+            shards,
+            interner: Arc::new(SharedInterner::new()),
+            metrics: Arc::default(),
+            mobility,
         }
-        None => Box::new(BrokerNode::new(core)),
+    }
+
+    /// Builds the node the plan puts at `kind`. This is where a deployment
+    /// chooses what happens to a broker's mutations: a broker with backups
+    /// submits them to its replica group and applies them on commit, one
+    /// without applies them at once.
+    fn node(&self, plan: &Plan, kind: NodeKind) -> Box<dyn Node<Message>> {
+        match kind {
+            NodeKind::Broker(b) => {
+                let core = BrokerCore::with_shards(
+                    b,
+                    Arc::clone(&self.topology),
+                    Arc::clone(&plan.brokers),
+                    self.strategy,
+                    Arc::clone(&self.interner),
+                    self.shards,
+                );
+                match plan.group(b) {
+                    [_] => Box::new(BrokerNode::new(core)),
+                    group => Box::new(ReplicatedBrokerNode::new(
+                        core,
+                        group.to_vec(),
+                        Arc::clone(&self.metrics),
+                    )),
+                }
+            }
+            NodeKind::Backup { broker, position } => Box::new(ReplicaNode::new(
+                plan.group(broker).to_vec(),
+                position,
+                Arc::clone(&self.metrics),
+            )),
+            NodeKind::Replicator(b) => {
+                let (Some((movement, locations, config)), Some(replicators)) =
+                    (&self.mobility, &plan.replicators)
+                else {
+                    unreachable!("replicators are planned only for a replicated deployment");
+                };
+                Box::new(ReplicatorNode::new(
+                    b,
+                    plan.brokers[b.raw() as usize],
+                    Arc::clone(replicators),
+                    Arc::clone(movement),
+                    Arc::clone(locations),
+                    config.clone(),
+                ))
+            }
+        }
     }
 }
 
@@ -180,20 +232,20 @@ impl SystemBuilder {
         self
     }
 
-    /// Replicates every broker's mutation state (routing-table churn and
-    /// mobility-buffer operations) across a replica group of `group_size`
-    /// members: the broker itself plus `group_size - 1` log backups, kept
-    /// consistent through a Viewstamped-Replication-style op log (see
-    /// [`broker::replication`](crate::broker::replication)). A broker whose process dies is either
-    /// succeeded by a backup (view change) or — once respawned — recovers
-    /// its full routing table and relocation buffers from its group
-    /// *without any client re-subscribing*. Replication sits on the
-    /// mutation path only; the zero-allocation notification route path is
-    /// untouched.
+    /// Replicates every broker's routing state across a replica group of
+    /// `group_size` members: the broker itself plus `group_size - 1` log
+    /// backups, kept consistent through a Viewstamped-Replication-style op
+    /// log (see [`broker::replication`](crate::broker::replication)). A
+    /// broker whose process dies is either succeeded by a backup (view
+    /// change) or — once respawned — recovers its full routing table from
+    /// its group *without any client re-subscribing*. Replication sits on
+    /// the mutation path only; the zero-allocation notification route path
+    /// is untouched. It composes with every [`Deployment`]: replicators
+    /// front replicated brokers exactly as they front plain ones, and their
+    /// own state (virtual clients, buffers) is not replicated.
     ///
-    /// Default 1 — replication off, brokers run bare exactly as before.
-    /// `group_size` must be between 2 and the broker count, and currently
-    /// requires the static deployment (validated by
+    /// Default 1 — replication off, brokers run bare. `group_size` must be
+    /// between 1 and the broker count (validated by
     /// [`SystemBuilder::build`]).
     #[must_use]
     pub fn replication(mut self, group_size: usize) -> Self {
@@ -207,8 +259,8 @@ impl SystemBuilder {
     /// under `policy`'s jittered exponential backoff, the Hello handshake
     /// is replayed, and link state is re-broadcast. Off by default — a
     /// dead peer's links then stay down (traffic towards it is counted
-    /// and dropped) while everything else keeps running. Ignored by the
-    /// simulator and threaded-runtime builds, which have no sockets.
+    /// and dropped) while everything else keeps running. Ignored by
+    /// [`build`](SystemBuilder::build): the simulator has no sockets.
     #[must_use]
     pub fn reconnect_policy(mut self, policy: rebeca_net::ReconnectPolicy) -> Self {
         self.reconnect = Some(policy);
@@ -217,8 +269,9 @@ impl SystemBuilder {
 
     /// Validates the configuration without building the world.
     ///
-    /// Returns the movement graph to deploy for replicated deployments.
-    fn validate(&self) -> Result<Option<MovementGraph>, RebecaError> {
+    /// Returns the movement graph and replicator configuration to deploy
+    /// for replicated deployments.
+    fn validate(&self) -> Result<Option<(MovementGraph, ReplicatorConfig)>, RebecaError> {
         let n = self.topology.broker_count();
         if n == 0 {
             // Unreachable through `Topology`'s constructors, which reject
@@ -235,22 +288,13 @@ impl SystemBuilder {
                 "replication group size must be at least 1 (1 = off)".into(),
             ));
         }
-        if self.replication > 1 {
-            if !matches!(self.deployment, Deployment::Static) {
-                return Err(RebecaError::InvalidDeployment(
-                    "broker-state replication currently requires the static \
-                     deployment; mobility tiers ride on unreplicated brokers"
-                        .into(),
-                ));
-            }
-            if self.replication > n {
-                return Err(RebecaError::InvalidDeployment(format!(
-                    "replication group size {} exceeds the broker count {n}: \
-                     each backup is co-hosted with a *different* broker so a \
-                     process death never takes a whole group down",
-                    self.replication
-                )));
-            }
+        if self.replication > n {
+            return Err(RebecaError::InvalidDeployment(format!(
+                "replication group size {} exceeds the broker count {n}: \
+                 each backup is co-hosted with a *different* broker so a \
+                 process death never takes a whole group down",
+                self.replication
+            )));
         }
         if let Some(locations) = &self.locations {
             for (broker, _) in locations.iter() {
@@ -263,7 +307,7 @@ impl SystemBuilder {
             }
         }
         match &self.deployment {
-            Deployment::Replicated { movement: Some(movement), .. } => {
+            Deployment::Replicated { movement: Some(movement), config } => {
                 if movement.broker_count() == 0 {
                     return Err(RebecaError::InvalidDeployment(
                         "replicated deployment with an empty movement graph: \
@@ -278,16 +322,17 @@ impl SystemBuilder {
                          {n}-broker topology"
                     )));
                 }
-                Ok(Some(movement.clone()))
+                Ok(Some((movement.clone(), config.clone())))
             }
-            Deployment::Replicated { movement: None, .. } => {
-                Ok(Some(MovementGraph::from_topology(&self.topology)))
+            Deployment::Replicated { movement: None, config } => {
+                Ok(Some((MovementGraph::from_topology(&self.topology), config.clone())))
             }
-            _ => Ok(None),
+            Deployment::Static => Ok(None),
         }
     }
 
-    /// Builds the world: brokers, links, replicators.
+    /// Builds the world: brokers, their log backups, replicators and every
+    /// link between them, as the deployment plan lays them out.
     ///
     /// # Errors
     ///
@@ -297,125 +342,58 @@ impl SystemBuilder {
     /// [`RebecaError::InvalidTopology`] if the movement graph references
     /// brokers the topology does not have.
     pub fn build(self) -> Result<System, RebecaError> {
-        let movement = self.validate()?;
-        let topology = Arc::new(self.topology);
-        let n = topology.broker_count();
+        let replicated = self.validate()?;
+        let plan = Plan::new(&self.topology, &self.deployment, self.replication);
         let locations =
-            Arc::new(self.locations.unwrap_or_else(|| LocationMap::one_per_broker(&topology)));
-        let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..n as u32).map(NodeId::new).collect());
+            Arc::new(self.locations.unwrap_or_else(|| LocationMap::one_per_broker(&self.topology)));
+        let mobility = replicated
+            .map(|(movement, config)| (Arc::new(movement), Arc::clone(&locations), config));
+        let parts = Parts::new(self.topology, self.strategy, self.shards, mobility);
         let link = LinkConfig::constant(self.link_latency);
         let mut world = World::new(self.seed);
-
-        // Brokers — all sharing one world-wide interner, so every routing
-        // table and local-delivery index resolves identical symbols (see
-        // the "Notification lifecycle" section of the crate docs).
-        let interner = Arc::new(SharedInterner::new());
-        let g = self.replication;
-        let replication_metrics = (g > 1).then(|| Arc::new(ReplicationMetrics::default()));
-        for b in topology.brokers() {
-            let core = BrokerCore::with_shards(
-                b,
-                Arc::clone(&topology),
-                Arc::clone(&broker_nodes),
-                self.strategy,
-                Arc::clone(&interner),
-                self.shards,
-            );
-            world.add_node(static_broker_node(core, n, g, replication_metrics.as_ref()));
+        for node in &plan.nodes {
+            world.add_node(parts.node(&plan, node.kind));
         }
-        for (a, b) in topology.edges() {
-            world.connect(
-                broker_nodes[a.raw() as usize],
-                broker_nodes[b.raw() as usize],
-                link.clone(),
-            );
+        for &(a, b) in &plan.edges {
+            world.connect(a, b, link.clone());
         }
-
-        // Replica-group backups with a full link mesh per group.
-        if let Some(metrics) = &replication_metrics {
-            for b in 0..n {
-                let group = replica_group(n, g, b);
-                for j in 1..g {
-                    let id = world.add_node(Box::new(ReplicaNode::new(
-                        group.clone(),
-                        j,
-                        Arc::clone(metrics),
-                    )));
-                    debug_assert_eq!(id, group[j], "backup placement formula");
-                }
-                for i in 0..g {
-                    for k in (i + 1)..g {
-                        world.connect(group[i], group[k], link.clone());
-                    }
-                }
-            }
-        }
-
-        // Replicators.
-        let (replicator_nodes, access_nodes) = match (&self.deployment, movement) {
-            (Deployment::Replicated { config, .. }, Some(movement)) => {
-                let movement = Arc::new(movement);
-                let replicator_nodes: Arc<Vec<NodeId>> =
-                    Arc::new((n as u32..2 * n as u32).map(NodeId::new).collect());
-                for b in topology.brokers() {
-                    let node = world.add_node(Box::new(ReplicatorNode::new(
-                        b,
-                        broker_nodes[b.raw() as usize],
-                        Arc::clone(&replicator_nodes),
-                        Arc::clone(&movement),
-                        Arc::clone(&locations),
-                        config.clone(),
-                    )));
-                    world.connect(node, broker_nodes[b.raw() as usize], link.clone());
-                }
-                // Replicator ↔ replicator mesh ("direct TCP connections").
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        world.connect(replicator_nodes[i], replicator_nodes[j], link.clone());
-                    }
-                }
-                (Some(Arc::clone(&replicator_nodes)), replicator_nodes)
-            }
-            _ => (None, Arc::clone(&broker_nodes)),
-        };
-
         Ok(System {
             world,
-            topology,
+            topology: parts.topology,
             locations,
-            broker_nodes,
-            access_nodes,
-            replicator_nodes,
-            interner,
+            plan,
+            interner: parts.interner,
             link,
             shards: self.shards,
             replication: self.replication,
-            replication_metrics,
+            replication_metrics: (self.replication > 1).then_some(parts.metrics),
             clients: Vec::new(),
-            next_client: 0,
             next_sub: 0,
         })
     }
 
-    /// Deploys the broker tier of this configuration into one process of a
+    /// Deploys this configuration's share for one process of a
     /// multi-process deployment (see
-    /// [`ProcessRuntime`](rebeca_net::ProcessRuntime)).
+    /// [`ProcessRuntime`](rebeca_net::ProcessRuntime)), instantiating the
+    /// same deployment plan as [`build`](SystemBuilder::build).
     ///
-    /// Brokers listed in `hosted` become local nodes of `rt`; every other
-    /// broker is declared remote behind the peer connection `peer_of`
-    /// returns for it. Every participating process must call this with the
-    /// *same* topology (so the global node table lines up) but its own
-    /// `hosted` set; topology edges are connected on all of them. Client
-    /// nodes are added by the caller afterwards — again in the same order
-    /// in every process, using
-    /// [`add_local`](rebeca_net::ProcessRuntime::add_local) here and
-    /// [`add_remote`](rebeca_net::ProcessRuntime::add_remote) elsewhere.
+    /// The nodes whose host is listed in `hosted` — each such broker and
+    /// the log backups placed with it — become local nodes of `rt`; every
+    /// other node is declared remote behind the peer connection `peer_of`
+    /// returns for its host. `rt` must hold no nodes yet. Every
+    /// participating process must call this with the *same* configuration
+    /// (so the global node table lines up) but its own `hosted` set; every
+    /// link of the plan is connected on all of them. Client nodes are
+    /// added by the caller afterwards — again in the same order in every
+    /// process, using [`add_local`](rebeca_net::ProcessRuntime::add_local)
+    /// here and [`add_remote`](rebeca_net::ProcessRuntime::add_remote)
+    /// elsewhere.
     ///
     /// Each process builds its own [`SharedInterner`]: attribute-name
     /// symbols are process-local, resolved on decode — nothing interned
     /// ever crosses the wire. Returns the broker node ids, indexed by
     /// [`BrokerId`]. The simulation-only settings of the builder (seed,
-    /// link latency) are ignored, exactly as in the threaded runtime. A
+    /// link latency) are ignored. A
     /// [`reconnect_policy`](SystemBuilder::reconnect_policy), if set, is
     /// installed on `rt` so killed peer processes are survivable (see
     /// [`rebeca_net::supervisor`]).
@@ -423,9 +401,9 @@ impl SystemBuilder {
     /// # Errors
     ///
     /// [`RebecaError::InvalidDeployment`] for a non-static deployment (the
-    /// mobility tiers currently ride on the simulator), a `hosted` broker
-    /// outside the topology, or a remote broker for which `peer_of`
-    /// returns `None`; plus anything [`SystemBuilder::build`] would reject.
+    /// mobility tiers run on the simulator only), a `hosted` broker
+    /// outside the topology, or a remote node whose host `peer_of` returns
+    /// `None` for; plus anything [`SystemBuilder::build`] would reject.
     pub fn build_process_partition(
         self,
         rt: &mut rebeca_net::ProcessRuntime<Message>,
@@ -436,7 +414,7 @@ impl SystemBuilder {
         if !matches!(self.deployment, Deployment::Static) {
             return Err(RebecaError::InvalidDeployment(
                 "process partitions deploy the static broker tier; mobility \
-                 deployments run on the simulator or the threaded runtime"
+                 deployments run on the simulator only"
                     .into(),
             ));
         }
@@ -451,75 +429,24 @@ impl SystemBuilder {
         if let Some(policy) = self.reconnect {
             rt.set_reconnect_policy(policy);
         }
-        let topology = Arc::new(self.topology);
-        let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..n as u32).map(NodeId::new).collect());
-        let interner = Arc::new(SharedInterner::new());
-        let g = self.replication;
-        let replication_metrics = (g > 1).then(|| Arc::new(ReplicationMetrics::default()));
-        // Same group node ids as the simulator build; the member at group
-        // position p ∈ 1..g is hosted by the process of broker (b+p) mod n —
-        // each group member lives in a *different* process, so one process
-        // death never takes a quorum down.
-        let mut ids = Vec::with_capacity(n);
-        for b in topology.brokers() {
-            if hosted.contains(&b) {
-                let core = BrokerCore::with_shards(
-                    b,
-                    Arc::clone(&topology),
-                    Arc::clone(&broker_nodes),
-                    self.strategy,
-                    Arc::clone(&interner),
-                    self.shards,
-                );
-                let node = static_broker_node(core, n, g, replication_metrics.as_ref());
-                ids.push(rt.add_local(node));
+        let plan = Plan::new(&self.topology, &self.deployment, self.replication);
+        let parts = Parts::new(self.topology, self.strategy, self.shards, None);
+        for node in &plan.nodes {
+            if hosted.contains(&node.host) {
+                rt.add_local(parts.node(&plan, node.kind));
             } else {
-                let peer = peer_of(b).ok_or_else(|| {
+                let host = node.host;
+                let peer = peer_of(host).ok_or_else(|| {
                     RebecaError::InvalidDeployment(format!(
-                        "broker {b} is not hosted here and has no peer connection"
+                        "broker {host} is not hosted here and has no peer connection"
                     ))
                 })?;
-                ids.push(rt.add_remote(peer));
+                rt.add_remote(peer);
             }
         }
-        if let Some(metrics) = &replication_metrics {
-            for b in 0..n {
-                let group = replica_group(n, g, b);
-                for p in 1..g {
-                    let host = BrokerId::new(((b + p) % n) as u32);
-                    let id = if hosted.contains(&host) {
-                        rt.add_local(Box::new(ReplicaNode::new(
-                            group.clone(),
-                            p,
-                            Arc::clone(metrics),
-                        )))
-                    } else {
-                        let peer = peer_of(host).ok_or_else(|| {
-                            RebecaError::InvalidDeployment(format!(
-                                "backup {p} of broker B{b} lives with broker {host}, \
-                                 which is not hosted here and has no peer connection"
-                            ))
-                        })?;
-                        rt.add_remote(peer)
-                    };
-                    debug_assert_eq!(id, group[p], "backup placement formula");
-                }
-            }
+        for &(a, b) in &plan.edges {
+            rt.connect(a, b);
         }
-        for (a, b) in topology.edges() {
-            rt.connect(ids[a.raw() as usize], ids[b.raw() as usize]);
-        }
-        // Full link mesh inside each replica group.
-        if replication_metrics.is_some() {
-            for b in 0..n {
-                let group = replica_group(n, g, b);
-                for i in 0..g {
-                    for k in (i + 1)..g {
-                        rt.connect(group[i], group[k]);
-                    }
-                }
-            }
-        }
-        Ok(ids)
+        Ok(plan.brokers.to_vec())
     }
 }

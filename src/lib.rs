@@ -194,8 +194,8 @@
 //! ([`broker::replication`]). A broker has **one mutation seam**:
 //! [`broker::BrokerCore::classify`] turns a message into a
 //! [`broker::BrokerOp`] and [`broker::BrokerCore::apply`] is the only
-//! place an op touches the routing table. A plain or mobile broker applies
-//! the op on the spot; a replicated one submits the same op to a log
+//! place an op touches the routing table. A plain broker applies the op
+//! on the spot; a replicated one submits the same op to a log
 //! replicated across a group of `group_size` members with
 //! viewstamped-replication-style primary/backup semantics and applies it
 //! on commit. The per-notification route path never touches the log (the
@@ -211,6 +211,9 @@
 //! mean batch size); `examples/replicated_group.rs` is
 //! the two-process walkthrough and `tests/process_soak.rs` the
 //! seed-replayable kill/recover proof. Default `group_size` 1 = off.
+//! Replication composes with every [`Deployment`]: the replicators of
+//! [`Deployment::Replicated`] front replicated brokers exactly as they
+//! front plain ones.
 //!
 //! ## Migrating from the panicking API
 //!
@@ -250,6 +253,7 @@ pub use rebeca_net as net;
 mod builder;
 mod error;
 mod handle;
+mod plan;
 mod system;
 
 pub use builder::{Deployment, SystemBuilder};
@@ -289,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn broker_mobility_deployment_relocates() -> Result<(), RebecaError> {
+    fn reactive_deployment_relocates() -> Result<(), RebecaError> {
         let mut sys =
             SystemBuilder::new(Topology::line(3)?).deployment(Deployment::reactive()).build()?;
         let publisher = sys.add_client(BrokerId::new(1))?;
@@ -361,12 +365,12 @@ mod tests {
         // Zero is not a group.
         let err = SystemBuilder::new(Topology::line(2).unwrap()).replication(0).build();
         assert!(matches!(err, Err(RebecaError::InvalidDeployment(_))), "{err:?}");
-        // Mobility deployments are not replicable yet.
-        let err = SystemBuilder::new(Topology::line(3).unwrap())
+        // Replicators front replicated brokers like plain ones.
+        let sys = SystemBuilder::new(Topology::line(3).unwrap())
             .replication(2)
             .deployment(Deployment::replicated_defaults())
             .build();
-        assert!(matches!(err, Err(RebecaError::InvalidDeployment(_))), "{err:?}");
+        assert!(sys.is_ok(), "{sys:?}");
         // replication(1) is the default no-op.
         assert!(SystemBuilder::new(Topology::line(2).unwrap()).replication(1).build().is_ok());
     }

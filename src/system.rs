@@ -1,6 +1,7 @@
 //! [`System`]: a built deployment on the simulator, driven through typed
 //! client handles.
 
+use crate::plan::Plan;
 use crate::{
     BrokerId, BrokerStats, ClientHandle, ClientId, ClientMobilityMode, DeliveryRecord, Filter,
     FixedClient, LocationMap, Message, MobileClient, MobilityMsg, NetMetrics, NotificationBuilder,
@@ -47,16 +48,14 @@ pub struct System {
     pub(crate) world: World<Message>,
     pub(crate) topology: Arc<Topology>,
     pub(crate) locations: Arc<LocationMap>,
-    pub(crate) broker_nodes: Arc<Vec<NodeId>>,
-    pub(crate) access_nodes: Arc<Vec<NodeId>>,
-    pub(crate) replicator_nodes: Option<Arc<Vec<NodeId>>>,
+    pub(crate) plan: Plan,
     pub(crate) interner: Arc<SharedInterner>,
     pub(crate) link: LinkConfig,
     pub(crate) shards: usize,
     pub(crate) replication: usize,
     pub(crate) replication_metrics: Option<Arc<ReplicationMetrics>>,
+    /// Indexed by [`ClientId`].
     pub(crate) clients: Vec<ClientInfo>,
-    pub(crate) next_client: u32,
     pub(crate) next_sub: u32,
 }
 
@@ -99,11 +98,9 @@ impl System {
 
     fn check_broker(&self, broker: BrokerId) -> Result<usize, RebecaError> {
         let idx = broker.raw() as usize;
-        if idx < self.topology.broker_count() {
-            Ok(idx)
-        } else {
-            Err(RebecaError::UnknownBroker(broker))
-        }
+        (idx < self.topology.broker_count())
+            .then_some(idx)
+            .ok_or(RebecaError::UnknownBroker(broker))
     }
 
     /// Adds an immobile client attached to `broker` (always connected),
@@ -114,9 +111,8 @@ impl System {
     /// Returns [`RebecaError::UnknownBroker`] if `broker` is outside the
     /// topology.
     pub fn add_client(&mut self, broker: BrokerId) -> Result<FixedClient, RebecaError> {
-        let access = self.access_nodes[self.check_broker(broker)?];
-        let id = ClientId::new(self.next_client);
-        self.next_client += 1;
+        let access = self.plan.access()[self.check_broker(broker)?];
+        let id = ClientId::new(self.clients.len() as u32);
         let node = self.world.add_node(Box::new(ClientNode::new(id, Some(access))));
         self.world.connect(node, access, self.link.clone());
         self.clients.push(ClientInfo { id, node, mobile: false, attached: None });
@@ -133,27 +129,22 @@ impl System {
     /// Adds a mobile client with an explicit mobility mode (the naive
     /// JEDI-style baseline or the relocation protocol).
     pub fn add_mobile_client_with_mode(&mut self, mode: ClientMobilityMode) -> MobileClient {
-        let id = ClientId::new(self.next_client);
-        self.next_client += 1;
+        let id = ClientId::new(self.clients.len() as u32);
         let node = self.world.add_node(Box::new(MobileClientNode::new(
             id,
             mode,
-            Arc::clone(&self.access_nodes),
+            Arc::clone(self.plan.access()),
         )));
-        for access in self.access_nodes.iter() {
-            self.world.connect(node, *access, self.link.clone());
-            self.world.set_link_up(node, *access, false);
+        for &access in self.plan.access().iter() {
+            self.world.connect(node, access, self.link.clone());
+            self.world.set_link_up(node, access, false);
         }
         self.clients.push(ClientInfo { id, node, mobile: true, attached: None });
         MobileClient::new(id)
     }
 
     fn info(&self, client: ClientId) -> Result<ClientInfo, RebecaError> {
-        self.clients
-            .iter()
-            .find(|c| c.id == client)
-            .copied()
-            .ok_or(RebecaError::UnknownClient(client))
+        self.clients.get(client.raw() as usize).copied().ok_or(RebecaError::UnknownClient(client))
     }
 
     /// Looks up a mobile client, verifying the handle belongs to this
@@ -278,8 +269,8 @@ impl System {
         if let Some(at) = info.attached {
             return Err(RebecaError::AlreadyConnected { client: info.id, at });
         }
-        for (i, access) in self.access_nodes.clone().iter().enumerate() {
-            self.world.set_link_up(info.node, *access, i == broker.raw() as usize);
+        for (i, &access) in self.plan.access().iter().enumerate() {
+            self.world.set_link_up(info.node, access, i == broker.raw() as usize);
         }
         self.world
             .send_external(info.node, Message::Mobility(MobilityMsg::AppMoveTo { border: broker }));
@@ -305,8 +296,8 @@ impl System {
         // Give the (naive) moveOut a moment on the still-up link.
         let t = self.world.now() + SimDuration::from_millis(50);
         self.world.run_until(t);
-        for access in self.access_nodes.clone().iter() {
-            self.world.set_link_up(info.node, *access, false);
+        for &access in self.plan.access().iter() {
+            self.world.set_link_up(info.node, access, false);
         }
         self.world.send_external(info.node, Message::Mobility(MobilityMsg::AppDisconnect));
         self.set_attached(info.id, None);
@@ -314,7 +305,7 @@ impl System {
     }
 
     fn set_attached(&mut self, client: ClientId, attached: Option<BrokerId>) {
-        if let Some(info) = self.clients.iter_mut().find(|c| c.id == client) {
+        if let Some(info) = self.clients.get_mut(client.raw() as usize) {
             info.attached = attached;
         }
     }
@@ -345,11 +336,11 @@ impl System {
         at: BrokerId,
     ) -> Result<(), RebecaError> {
         let info = self.info(client.client_id())?;
-        let access = self.access_nodes[self.check_broker(at)?];
+        let access = self.plan.access()[self.check_broker(at)?];
         self.world.send_external(access, Message::ClientDetach { client: info.id });
         if info.mobile && info.attached.is_some() {
-            for node in self.access_nodes.clone().iter() {
-                self.world.set_link_up(info.node, *node, false);
+            for &access in self.plan.access().iter() {
+                self.world.set_link_up(info.node, access, false);
             }
             self.set_attached(info.id, None);
         }
@@ -380,15 +371,12 @@ impl System {
         let info = self.info(client)?;
         // The downcasts cannot fail for a validated client id: the node was
         // created by add_client / add_mobile_client with matching mobility.
-        if info.mobile {
-            Ok(f(self
-                .world
-                .node_as::<MobileClientNode>(info.node)
-                .expect("mobile client node")
-                .local()))
+        let local = if info.mobile {
+            self.world.node_as::<MobileClientNode>(info.node).map(MobileClientNode::local)
         } else {
-            Ok(f(self.world.node_as::<ClientNode>(info.node).expect("client node").local()))
-        }
+            self.world.node_as::<ClientNode>(info.node).map(ClientNode::local)
+        };
+        Ok(f(local.expect("client node of matching mobility")))
     }
 
     fn with_local_mut<R>(
@@ -397,15 +385,12 @@ impl System {
         f: impl FnOnce(&mut LocalBroker) -> R,
     ) -> Result<R, RebecaError> {
         let info = self.info(client)?;
-        if info.mobile {
-            Ok(f(self
-                .world
-                .node_as_mut::<MobileClientNode>(info.node)
-                .expect("mobile client node")
-                .local_mut()))
+        let local = if info.mobile {
+            self.world.node_as_mut::<MobileClientNode>(info.node).map(MobileClientNode::local_mut)
         } else {
-            Ok(f(self.world.node_as_mut::<ClientNode>(info.node).expect("client node").local_mut()))
-        }
+            self.world.node_as_mut::<ClientNode>(info.node).map(ClientNode::local_mut)
+        };
+        Ok(f(local.expect("client node of matching mobility")))
     }
 
     /// The notifications delivered to `client` (and not yet drained).
@@ -462,7 +447,7 @@ impl System {
 
     /// The routing core of one broker, whichever node type hosts it.
     fn broker_core(&self, broker: BrokerId) -> Result<&BrokerCore, RebecaError> {
-        let node = self.broker_nodes[self.check_broker(broker)?];
+        let node = self.plan.brokers[self.check_broker(broker)?];
         let w = &self.world;
         let core = w
             .node_as::<BrokerNode>(node)
@@ -492,11 +477,7 @@ impl System {
         &self,
         broker: BrokerId,
     ) -> Result<Option<ReplicatorStats>, RebecaError> {
-        let idx = self.check_broker(broker)?;
-        let Some(nodes) = self.replicator_nodes.as_ref() else {
-            return Ok(None);
-        };
-        Ok(self.world.node_as::<ReplicatorNode>(nodes[idx]).map(|r| r.stats()))
+        Ok(self.replicator(broker)?.map(ReplicatorNode::stats))
     }
 
     /// Virtual clients hosted at one broker's replicator (0 for
@@ -507,14 +488,7 @@ impl System {
     /// Returns [`RebecaError::UnknownBroker`] if `broker` is outside the
     /// topology.
     pub fn vc_count(&self, broker: BrokerId) -> Result<usize, RebecaError> {
-        let idx = self.check_broker(broker)?;
-        Ok(self
-            .replicator_nodes
-            .as_ref()
-            .and_then(|nodes| {
-                self.world.node_as::<ReplicatorNode>(nodes[idx]).map(|r| r.vc_count())
-            })
-            .unwrap_or(0))
+        Ok(self.replicator(broker)?.map_or(0, ReplicatorNode::vc_count))
     }
 
     /// Total virtual clients across all replicators.
@@ -530,14 +504,7 @@ impl System {
     /// Returns [`RebecaError::UnknownBroker`] if `broker` is outside the
     /// topology.
     pub fn buffer_bytes(&self, broker: BrokerId) -> Result<usize, RebecaError> {
-        let idx = self.check_broker(broker)?;
-        Ok(self
-            .replicator_nodes
-            .as_ref()
-            .and_then(|nodes| {
-                self.world.node_as::<ReplicatorNode>(nodes[idx]).map(|r| r.buffer_bytes())
-            })
-            .unwrap_or(0))
+        Ok(self.replicator(broker)?.map_or(0, ReplicatorNode::buffer_bytes))
     }
 
     /// Total buffered bytes across all replicators.
@@ -554,10 +521,7 @@ impl System {
     /// topology.
     pub fn replicator(&self, broker: BrokerId) -> Result<Option<&ReplicatorNode>, RebecaError> {
         let idx = self.check_broker(broker)?;
-        Ok(self
-            .replicator_nodes
-            .as_ref()
-            .and_then(|nodes| self.world.node_as::<ReplicatorNode>(nodes[idx])))
+        Ok(self.plan.replicators.as_ref().and_then(|nodes| self.world.node_as(nodes[idx])))
     }
 
     /// Direct access to the underlying world (advanced inspection).
