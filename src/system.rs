@@ -98,9 +98,11 @@ impl System {
 
     fn check_broker(&self, broker: BrokerId) -> Result<usize, RebecaError> {
         let idx = broker.raw() as usize;
-        (idx < self.topology.broker_count())
-            .then_some(idx)
-            .ok_or(RebecaError::UnknownBroker(broker))
+        if idx < self.topology.broker_count() {
+            Ok(idx)
+        } else {
+            Err(RebecaError::UnknownBroker(broker))
+        }
     }
 
     /// Adds an immobile client attached to `broker` (always connected),
@@ -371,12 +373,15 @@ impl System {
         let info = self.info(client)?;
         // The downcasts cannot fail for a validated client id: the node was
         // created by add_client / add_mobile_client with matching mobility.
-        let local = if info.mobile {
-            self.world.node_as::<MobileClientNode>(info.node).map(MobileClientNode::local)
+        if info.mobile {
+            Ok(f(self
+                .world
+                .node_as::<MobileClientNode>(info.node)
+                .expect("mobile client node")
+                .local()))
         } else {
-            self.world.node_as::<ClientNode>(info.node).map(ClientNode::local)
-        };
-        Ok(f(local.expect("client node of matching mobility")))
+            Ok(f(self.world.node_as::<ClientNode>(info.node).expect("client node").local()))
+        }
     }
 
     fn with_local_mut<R>(
@@ -385,12 +390,15 @@ impl System {
         f: impl FnOnce(&mut LocalBroker) -> R,
     ) -> Result<R, RebecaError> {
         let info = self.info(client)?;
-        let local = if info.mobile {
-            self.world.node_as_mut::<MobileClientNode>(info.node).map(MobileClientNode::local_mut)
+        if info.mobile {
+            Ok(f(self
+                .world
+                .node_as_mut::<MobileClientNode>(info.node)
+                .expect("mobile client node")
+                .local_mut()))
         } else {
-            self.world.node_as_mut::<ClientNode>(info.node).map(ClientNode::local_mut)
-        };
-        Ok(f(local.expect("client node of matching mobility")))
+            Ok(f(self.world.node_as_mut::<ClientNode>(info.node).expect("client node").local_mut()))
+        }
     }
 
     /// The notifications delivered to `client` (and not yet drained).
