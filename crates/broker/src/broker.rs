@@ -24,7 +24,7 @@ use crate::shard::ShardedRouter;
 use crate::table::{FilterOrigin, RouteScratch, TableDelta};
 use rebeca_core::{BrokerId, ClientId, Digest, Filter, Notification, SharedInterner};
 use rebeca_net::{Ctx, Node, NodeId, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,11 +91,6 @@ pub struct BrokerCore {
     /// Incremental announcement state, one per neighbour (same order as
     /// `neighbors`) — the single source of truth for announced sets.
     announcers: Vec<LinkAnnouncer>,
-    /// Merging strategy only: the products last *emitted* per neighbour
-    /// (same order as `neighbors`), i.e. the pre-delta snapshot the wire
-    /// diff is computed against. Simple/covering need no such snapshot —
-    /// their announcers report transitions directly.
-    emitted: Vec<HashMap<Digest, Filter>>,
     /// Reusable per-notification routing scratch (zero-alloc hot path).
     scratch: RouteScratch,
     stats: BrokerStats,
@@ -169,9 +164,7 @@ impl BrokerCore {
         assert!(broker_nodes.len() >= topology.broker_count(), "broker node map incomplete");
         let neighbors: Vec<NodeId> =
             topology.neighbors(id).iter().map(|b| broker_nodes[b.raw() as usize]).collect();
-        let announcers: Vec<LinkAnnouncer> =
-            neighbors.iter().map(|_| LinkAnnouncer::for_strategy(strategy)).collect();
-        let emitted = announcers.iter().map(|_| HashMap::new()).collect();
+        let announcers = neighbors.iter().map(|_| LinkAnnouncer::new(strategy)).collect();
         BrokerCore {
             id,
             strategy,
@@ -180,7 +173,6 @@ impl BrokerCore {
             neighbors,
             router: ShardedRouter::with_interner(shards, interner),
             announcers,
-            emitted,
             scratch: RouteScratch::new(),
             stats: BrokerStats::default(),
         }
@@ -404,29 +396,24 @@ impl BrokerCore {
 
     /// The filters currently announced to `neighbor`, sorted by digest
     /// (equivalence testing and diagnostics). Read straight from the
-    /// link's incremental announcer — the single source of truth.
+    /// link's incremental announcer — the single source of truth. Empty
+    /// under flooding, whose announcers are never fed.
     pub fn announced_filters(&self, neighbor: NodeId) -> Vec<Filter> {
-        let Some(i) = self.neighbors.iter().position(|n| *n == neighbor) else {
-            return Vec::new();
-        };
-        let announcer = &self.announcers[i];
-        match self.strategy {
-            RoutingStrategy::Flooding => Vec::new(),
-            RoutingStrategy::Merging => announcer.merged_sorted().expect("merging announcer"),
-            RoutingStrategy::Simple | RoutingStrategy::Covering => announcer.announced(),
+        match self.neighbors.iter().position(|n| *n == neighbor) {
+            Some(i) => self.announcers[i].announced(),
+            None => Vec::new(),
         }
     }
 
     /// Applies one routing-table delta to the announcement state of every
-    /// *affected* neighbour link and emits the difference (SubForward
-    /// before UnsubForward, so coverage never has a gap —
-    /// make-before-break over FIFO links).
+    /// *affected* neighbour link and sends the announcer's net transitions
+    /// as the wire diff (SubForward before UnsubForward, so coverage never
+    /// has a gap — make-before-break over FIFO links).
     ///
     /// This is the churn hot path: a client filter touches every link, a
     /// neighbour's filter every link but its own, and per link the cost is
-    /// `O(distinct served filters)` covering checks — never a recompute of
-    /// the whole table. Only the merging strategy re-merges, and it merges
-    /// the (small) minimal cover, not the full filter set.
+    /// the covering checks of one announcer mutation (none under simple
+    /// routing) — never a recompute of the whole table.
     fn apply_delta(&mut self, ctx: &mut Ctx<'_, Message>, delta: &TableDelta) {
         if self.strategy.is_flooding() || delta.is_empty() {
             return;
@@ -447,64 +434,31 @@ impl BrokerCore {
             if changes.is_empty() {
                 continue;
             }
-            if matches!(self.strategy, RoutingStrategy::Merging) {
-                // The merge products are maintained incrementally by the
-                // announcer; `emitted` *is* the pre-delta product set, so
-                // the wire diff is a straight set difference — no re-merge,
-                // no transition bookkeeping.
-                let current = &mut self.emitted[i];
-                let desired = announcer.merged_products().expect("merging announcer");
-                let mut added: Vec<(Digest, Filter)> = desired
-                    .iter()
-                    .filter(|(d, _)| !current.contains_key(*d))
-                    .map(|(d, f)| (*d, f.clone()))
-                    .collect();
-                added.sort_unstable_by_key(|(d, _)| *d);
-                let mut removed: Vec<(Digest, Filter)> = current
-                    .iter()
-                    .filter(|(d, _)| !desired.contains_key(*d))
-                    .map(|(d, f)| (*d, f.clone()))
-                    .collect();
-                removed.sort_unstable_by_key(|(d, _)| *d);
-                self.stats.control_sent += (added.len() + removed.len()) as u64;
-                for (_, f) in &added {
-                    ctx.send(nb, Message::SubForward { filter: f.clone() });
-                }
-                for (d, f) in &removed {
-                    current.remove(d);
-                    ctx.send(nb, Message::UnsubForward { filter: f.clone() });
-                }
-                for (d, f) in added {
-                    current.insert(d, f);
-                }
-            } else {
-                // Simple / covering: the announcer's transitions *are* the
-                // wire diff — after cancelling filters that both entered
-                // and left within this delta (e.g. a multi-filter detach
-                // uncovers a filter with one removal and removes it with
-                // the next). The net effect is the symmetric difference of
-                // the before/after announced sets, which is independent of
-                // the order removals were processed in.
-                // A lone subscribe or unsubscribe has one side empty and
-                // nothing to cancel.
-                if !changes.entered.is_empty() && !changes.left.is_empty() {
-                    let entered_digests: HashSet<Digest> =
-                        changes.entered.iter().map(Filter::digest).collect();
-                    let left_digests: HashSet<Digest> =
-                        changes.left.iter().map(Filter::digest).collect();
-                    changes.entered.retain(|f| !left_digests.contains(&f.digest()));
-                    changes.left.retain(|f| !entered_digests.contains(&f.digest()));
-                }
-                // Sort for determinism, announce before retract.
-                changes.entered.sort_unstable_by_key(Filter::digest);
-                changes.left.sort_unstable_by_key(Filter::digest);
-                self.stats.control_sent += (changes.entered.len() + changes.left.len()) as u64;
-                for f in changes.entered {
-                    ctx.send(nb, Message::SubForward { filter: f });
-                }
-                for f in changes.left {
-                    ctx.send(nb, Message::UnsubForward { filter: f });
-                }
+            // The announcer's transitions *are* the wire diff — after
+            // cancelling filters that both entered and left within this
+            // delta (e.g. a multi-filter detach uncovers a filter with one
+            // removal and removes it with the next). The net effect is the
+            // symmetric difference of the before/after announced sets,
+            // which is independent of the order removals were processed
+            // in. A lone subscribe or unsubscribe has one side empty and
+            // nothing to cancel.
+            if !changes.entered.is_empty() && !changes.left.is_empty() {
+                let entered_digests: HashSet<Digest> =
+                    changes.entered.iter().map(Filter::digest).collect();
+                let left_digests: HashSet<Digest> =
+                    changes.left.iter().map(Filter::digest).collect();
+                changes.entered.retain(|f| !left_digests.contains(&f.digest()));
+                changes.left.retain(|f| !entered_digests.contains(&f.digest()));
+            }
+            // Sort for determinism, announce before retract.
+            changes.entered.sort_unstable_by_key(Filter::digest);
+            changes.left.sort_unstable_by_key(Filter::digest);
+            self.stats.control_sent += (changes.entered.len() + changes.left.len()) as u64;
+            for f in changes.entered {
+                ctx.send(nb, Message::SubForward { filter: f });
+            }
+            for f in changes.left {
+                ctx.send(nb, Message::UnsubForward { filter: f });
             }
         }
     }

@@ -6,7 +6,7 @@
 //! * [`Message`] — the complete wire protocol (client ↔ broker, broker ↔
 //!   broker, and the mobility sub-protocol interpreted by the mobility
 //!   crate's wrappers);
-//! * [`RoutingStrategy`] — flooding / simple / covering / merging;
+//! * [`RoutingStrategy`] — flooding / simple / covering;
 //! * [`RoutingTable`] — `(Filter, Link)` entries backed by the value-keyed
 //!   match index;
 //! * [`ShardedRouter`] — the same routing state partitioned into

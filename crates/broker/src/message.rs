@@ -88,8 +88,7 @@ pub enum Message {
         notification: Arc<Notification>,
     },
     /// Subscription propagation: the sender wants all notifications
-    /// matching `filter`. Identified by the filter's digest (strategies may
-    /// announce merged filters that correspond to no single subscription).
+    /// matching `filter`. Identified by the filter's digest.
     SubForward {
         /// The announced filter.
         filter: Filter,

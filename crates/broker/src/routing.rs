@@ -6,18 +6,21 @@
 //! available in REBECA, for the sake of simplicity we assume simple routing
 //! throughout this paper." (paper, §2)
 //!
-//! All four classic strategies are implemented behind one uniform
-//! abstraction: given the deduplicated set of filters a broker must serve
-//! through a link, [`RoutingStrategy::announcements`] computes the filter
-//! set actually *announced* over that link. The broker then diffs desired
-//! against currently-announced filters and emits
-//! [`SubForward`](crate::Message::SubForward) /
-//! [`UnsubForward`](crate::Message::UnsubForward) messages.
+//! Three strategies are implemented: flooding, simple and covering. Given
+//! the deduplicated set of filters a broker must serve through a link,
+//! [`RoutingStrategy::announcements`] computes from scratch the filter set
+//! *announced* over that link. A broker never runs it: one
+//! [`LinkAnnouncer`] per link maintains the same set incrementally, and
+//! the transitions it reports for each routing-table delta are what the
+//! broker sends as [`SubForward`](crate::Message::SubForward) /
+//! [`UnsubForward`](crate::Message::UnsubForward) messages. The
+//! from-scratch form is the reference the equivalence tests compare the
+//! announcer against.
 
-use rebeca_core::filter::{merge_set, shape_digest, try_merge, MergeOutcome};
+use rebeca_core::filter::shape_digest;
 use rebeca_core::{CoverKey, Digest, Filter};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Content-based routing strategy of a broker network.
@@ -31,8 +34,6 @@ pub enum RoutingStrategy {
     Simple,
     /// Filters covered by an already-propagated filter are suppressed.
     Covering,
-    /// Covering plus perfect merging of the remaining filters.
-    Merging,
 }
 
 impl RoutingStrategy {
@@ -52,17 +53,12 @@ impl RoutingStrategy {
             RoutingStrategy::Flooding => Vec::new(),
             RoutingStrategy::Simple => dedup_by_digest(filters),
             RoutingStrategy::Covering => minimal_cover(filters),
-            RoutingStrategy::Merging => merge_set(minimal_cover(filters)),
         }
     }
 
     /// All strategies, in increasing order of sophistication.
-    pub const ALL: [RoutingStrategy; 4] = [
-        RoutingStrategy::Flooding,
-        RoutingStrategy::Simple,
-        RoutingStrategy::Covering,
-        RoutingStrategy::Merging,
-    ];
+    pub const ALL: [RoutingStrategy; 3] =
+        [RoutingStrategy::Flooding, RoutingStrategy::Simple, RoutingStrategy::Covering];
 }
 
 impl fmt::Display for RoutingStrategy {
@@ -71,7 +67,6 @@ impl fmt::Display for RoutingStrategy {
             RoutingStrategy::Flooding => "flooding",
             RoutingStrategy::Simple => "simple",
             RoutingStrategy::Covering => "covering",
-            RoutingStrategy::Merging => "merging",
         };
         write!(f, "{s}")
     }
@@ -212,7 +207,7 @@ struct Bucket {
 }
 
 /// The digest-bucketed covering-candidate index of one [`LinkAnnouncer`]
-/// (covering/merging modes only). Served filters are grouped by *shape*
+/// (covering mode only). Served filters are grouped by *shape*
 /// (digest of their distinct attribute names); because a coverer's
 /// attribute set is always a subset of the covered filter's
 /// ([`CoverKey`]), a mutation probes only the buckets whose shape is a
@@ -412,78 +407,16 @@ impl CoverIndex {
     }
 }
 
-/// Incrementally maintained merge products of a minimal cover, kept equal
-/// to `merge_set(cover in digest order)` after every cover transition.
-///
-/// The maintenance mirrors the covering refcounts one level up: a cover
-/// member that *interacts* with nothing (no covering relation, no perfect
-/// merge, against any member or product) enters and leaves the product set
-/// as itself in `O(cover)` structural checks — the common case under
-/// subscription churn, where the churning filter constrains its own
-/// attributes. Only when the changed member genuinely interacts is the
-/// (small) cover re-merged from scratch, which is exactly what every
-/// mutation used to cost.
-#[derive(Debug, Clone, Default)]
-struct MergeState {
-    /// The current minimal cover, digest-sorted (merge input order).
-    members: BTreeMap<Digest, Filter>,
-    /// Invariant: equals `merge_set(members in digest order)` as a set.
-    products: HashMap<Digest, Filter>,
-}
-
-impl MergeState {
-    fn interacts(a: &Filter, b: &Filter) -> bool {
-        !matches!(try_merge(a, b), MergeOutcome::NotMergeable)
-    }
-
-    /// A filter entered the minimal cover.
-    fn cover_entered(&mut self, f: &Filter) {
-        let digest = f.digest();
-        self.members.insert(digest, f.clone());
-        let standalone = self.members.iter().all(|(d, m)| *d == digest || !Self::interacts(m, f))
-            && self.products.values().all(|p| !Self::interacts(p, f));
-        if standalone {
-            // f merges with nothing and covers/is covered by nothing, so
-            // the canonical merge run leaves it untouched: products(C ∪ f)
-            // = products(C) ∪ f.
-            self.products.insert(digest, f.clone());
-        } else {
-            self.rebuild();
-        }
-    }
-
-    /// A filter left the minimal cover.
-    fn cover_left(&mut self, f: &Filter) {
-        let digest = f.digest();
-        self.members.remove(&digest);
-        // A product carrying the member's own digest can only be the member
-        // itself, un-merged (anything it had absorbed would be covered by
-        // it — impossible inside an antichain). Removing a member that
-        // never merged cannot change any other product.
-        if self.products.remove(&digest).is_none() {
-            self.rebuild();
-        }
-    }
-
-    /// From-scratch fallback: re-merge the (incrementally maintained,
-    /// digest-sorted) cover.
-    fn rebuild(&mut self) {
-        let merged = merge_set(self.members.values().cloned().collect());
-        self.products = merged.into_iter().map(|f| (f.digest(), f)).collect();
-    }
-}
-
 /// Incrementally maintained announcement state for **one** neighbour link:
 /// the refcounted multiset of filters that must be served through the link,
 /// plus per-filter dominator counts so the minimal covering subset is
 /// available without ever rescanning the whole table.
 ///
 /// In *simple* mode (no covering) every distinct filter is announced; in
-/// *covering* mode only non-dominated filters are; in *merging* mode a
-/// `MergeState` additionally maintains the merge products of the cover.
-/// The covering modes keep a `CoverIndex`: a mutation probes only the
-/// *candidate* dominators/dominated filters its shape admits — for the
-/// common equality-conjunction workload that is O(1) per mutation, flat in
+/// *covering* mode only non-dominated filters are. Covering mode keeps a
+/// `CoverIndex`: a mutation probes only the *candidate* dominators and
+/// dominated filters its shape admits — for the common
+/// equality-conjunction workload that is O(1) per mutation, flat in
 /// the number of distinct served filters (the scan this replaces was
 /// `O(distinct)` per mutation, itself replacing the historical `O(n²)`
 /// from-scratch [`minimal_cover`]). Nothing outside this link is touched.
@@ -491,8 +424,7 @@ impl MergeState {
 pub struct LinkAnnouncer {
     covering: bool,
     entries: HashMap<Digest, Served>,
-    merge: Option<MergeState>,
-    /// Covering modes only: the shape-bucketed candidate index. Built the
+    /// Covering mode only: the shape-bucketed candidate index. Built the
     /// first time the link serves [`INDEX_THRESHOLD`] distinct filters and
     /// maintained from then on — below that a plain scan of `entries` is
     /// faster than any candidate bookkeeping, and links touched by
@@ -509,24 +441,16 @@ pub struct LinkAnnouncer {
 const INDEX_THRESHOLD: usize = 64;
 
 impl LinkAnnouncer {
-    /// Creates empty state; `covering` selects covering mode (used by the
-    /// covering *and* merging strategies).
-    pub fn new(covering: bool) -> Self {
+    /// Creates empty state for `strategy`: covering mode for
+    /// [`RoutingStrategy::Covering`], simple mode otherwise (a flooding
+    /// broker never feeds its announcers).
+    pub fn new(strategy: RoutingStrategy) -> Self {
         LinkAnnouncer {
-            covering,
+            covering: strategy == RoutingStrategy::Covering,
             entries: HashMap::new(),
-            merge: None,
             index: None,
             candidates: Vec::new(),
         }
-    }
-
-    /// Creates empty state configured for `strategy` (merging implies
-    /// covering and additionally maintains merge products).
-    pub fn for_strategy(strategy: RoutingStrategy) -> Self {
-        let covering = matches!(strategy, RoutingStrategy::Covering | RoutingStrategy::Merging);
-        let merge = matches!(strategy, RoutingStrategy::Merging).then(MergeState::default);
-        LinkAnnouncer { merge, ..LinkAnnouncer::new(covering) }
     }
 
     /// Number of distinct filters currently served through the link.
@@ -542,7 +466,6 @@ impl LinkAnnouncer {
             entry.refs += 1;
             return;
         }
-        let (entered_from, left_from) = (changes.entered.len(), changes.left.len());
         let mut dominated_by = 0;
         if self.covering {
             self.ensure_index();
@@ -593,7 +516,6 @@ impl LinkAnnouncer {
             changes.entered.push(filter.clone());
         }
         self.entries.insert(digest, Served { filter: filter.clone(), refs: 1, dominated_by });
-        self.apply_merge(changes, entered_from, left_from);
     }
 
     /// Builds the candidate index once the link crosses
@@ -622,7 +544,6 @@ impl LinkAnnouncer {
         if entry.refs > 0 {
             return;
         }
-        let (entered_from, left_from) = (changes.entered.len(), changes.left.len());
         let removed = self.entries.remove(&digest).expect("entry exists");
         if self.covering {
             if let Some(index) = &mut self.index {
@@ -659,38 +580,6 @@ impl LinkAnnouncer {
         if removed.dominated_by == 0 {
             changes.left.push(removed.filter);
         }
-        self.apply_merge(changes, entered_from, left_from);
-    }
-
-    /// Feeds the cover transitions recorded by the current mutation (the
-    /// suffix of `changes` starting at the given indices) into the merge
-    /// state, removals first so the member set stays an antichain.
-    fn apply_merge(&mut self, changes: &CoverChanges, entered_from: usize, left_from: usize) {
-        let Some(merge) = &mut self.merge else {
-            return;
-        };
-        for f in &changes.left[left_from..] {
-            merge.cover_left(f);
-        }
-        for f in &changes.entered[entered_from..] {
-            merge.cover_entered(f);
-        }
-    }
-
-    /// The incrementally maintained merge products of the announced cover,
-    /// keyed by digest — `None` unless built with
-    /// [`LinkAnnouncer::for_strategy`]\([`RoutingStrategy::Merging`]).
-    pub fn merged_products(&self) -> Option<&HashMap<Digest, Filter>> {
-        self.merge.as_ref().map(|m| &m.products)
-    }
-
-    /// The merge products sorted by digest (equivalence testing).
-    pub fn merged_sorted(&self) -> Option<Vec<Filter>> {
-        self.merged_products().map(|p| {
-            let mut out: Vec<Filter> = p.values().cloned().collect();
-            out.sort_by_key(Filter::digest);
-            out
-        })
     }
 
     /// The current announced set — every distinct filter in simple mode,
@@ -757,14 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn merging_merges_siblings() {
-        let fs = vec![f_service_room("t", 1), f_service_room("t", 2)];
-        let out = RoutingStrategy::Merging.announcements(&fs);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].covers(&fs[0]) && out[0].covers(&fs[1]));
-    }
-
-    #[test]
     fn strategies_never_lose_coverage() {
         let fs = vec![
             f_service("t"),
@@ -772,8 +653,7 @@ mod tests {
             f_service_room("x", 2),
             Filter::builder().ge("level", 3i64).build(),
         ];
-        for strat in [RoutingStrategy::Simple, RoutingStrategy::Covering, RoutingStrategy::Merging]
-        {
+        for strat in [RoutingStrategy::Simple, RoutingStrategy::Covering] {
             let out = strat.announcements(&fs);
             for f in &fs {
                 assert!(
@@ -792,41 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn for_strategy_selects_modes() {
-        assert!(LinkAnnouncer::for_strategy(RoutingStrategy::Simple).merged_products().is_none());
-        assert!(LinkAnnouncer::for_strategy(RoutingStrategy::Covering).merged_products().is_none());
-        let m = LinkAnnouncer::for_strategy(RoutingStrategy::Merging);
-        assert!(m.merged_products().is_some_and(HashMap::is_empty));
-    }
-
-    /// The incremental merge products track add/remove churn: siblings
-    /// merge into one product, a non-interacting filter rides the fast
-    /// path in and out, and removals dissolve products back.
-    #[test]
-    fn merge_products_track_churn() {
-        let mut a = LinkAnnouncer::for_strategy(RoutingStrategy::Merging);
-        let mut changes = CoverChanges::default();
-        let (r1, r2) = (f_service_room("t", 1), f_service_room("t", 2));
-        a.add(&r1, &mut changes);
-        a.add(&r2, &mut changes);
-        let products = a.merged_sorted().expect("merging mode");
-        assert_eq!(products.len(), 1, "siblings merged into one product");
-        assert!(products[0].covers(&r1) && products[0].covers(&r2));
-        // A filter over a disjoint attribute set enters as itself.
-        let lone = Filter::builder().eq("level", 3i64).build();
-        a.add(&lone, &mut changes);
-        assert_eq!(a.merged_sorted().expect("merging mode").len(), 2);
-        a.remove(&lone, &mut changes);
-        let products = a.merged_sorted().expect("merging mode");
-        assert_eq!(products.len(), 1);
-        // Removing one sibling dissolves the merged product.
-        a.remove(&r1, &mut changes);
-        assert_eq!(a.merged_sorted().expect("merging mode"), vec![r2.clone()]);
-        a.remove(&r2, &mut changes);
-        assert!(a.merged_sorted().expect("merging mode").is_empty());
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(RoutingStrategy::Covering.to_string(), "covering");
     }
@@ -842,7 +687,7 @@ mod tests {
     /// computation.
     #[test]
     fn bucketed_index_matches_from_scratch_past_threshold() {
-        let mut announcer = LinkAnnouncer::for_strategy(RoutingStrategy::Covering);
+        let mut announcer = LinkAnnouncer::new(RoutingStrategy::Covering);
         let mut served: Vec<Filter> = Vec::new();
         let step =
             |announcer: &mut LinkAnnouncer, served: &mut Vec<Filter>, add: bool, f: Filter| {
@@ -967,18 +812,16 @@ mod prop_tests {
     proptest! {
         /// For every non-flooding strategy, the announced set matches a
         /// notification iff the original filter set does (no false
-        /// negatives, no false positives beyond merging's exactness).
+        /// negatives, no false positives).
         #[test]
         fn announcements_preserve_matching(
             filters in proptest::collection::vec(arb_filter(), 0..7),
             n in arb_note(),
         ) {
             let want = filters.iter().any(|f| f.matches(&n));
-            for strat in [RoutingStrategy::Simple, RoutingStrategy::Covering, RoutingStrategy::Merging] {
+            for strat in [RoutingStrategy::Simple, RoutingStrategy::Covering] {
                 let out = strat.announcements(&filters);
                 let got = out.iter().any(|f| f.matches(&n));
-                // Simple and covering are exact; merging uses only perfect
-                // merges and covering absorption, so it is exact too.
                 prop_assert_eq!(want, got, "strategy {} filters {:?}", strat, filters.len());
             }
         }
@@ -993,7 +836,7 @@ mod prop_tests {
         ) {
             let strategy =
                 if covering { RoutingStrategy::Covering } else { RoutingStrategy::Simple };
-            let mut announcer = LinkAnnouncer::new(covering);
+            let mut announcer = LinkAnnouncer::new(strategy);
             let mut served: Vec<Filter> = Vec::new();
             for (add, pick, f) in ops {
                 let mut changes = CoverChanges::default();
@@ -1018,34 +861,6 @@ mod prop_tests {
                 changes.left.sort_by_key(Filter::digest);
                 prop_assert_eq!(changes.entered, expect_entered);
                 prop_assert_eq!(changes.left, expect_left);
-            }
-        }
-
-        /// The incrementally maintained merge products equal the
-        /// from-scratch `merge_set(minimal_cover(served))` after **every**
-        /// step of a random add/remove churn sequence.
-        #[test]
-        fn merge_products_match_from_scratch(
-            ops in proptest::collection::vec((any::<bool>(), 0usize..8, arb_filter()), 1..40),
-        ) {
-            let mut announcer = LinkAnnouncer::for_strategy(RoutingStrategy::Merging);
-            let mut served: Vec<Filter> = Vec::new();
-            let mut changes = CoverChanges::default();
-            for (add, pick, f) in ops {
-                if add || served.is_empty() {
-                    served.push(f.clone());
-                    announcer.add(&f, &mut changes);
-                } else {
-                    let victim = served.swap_remove(pick % served.len());
-                    announcer.remove(&victim, &mut changes);
-                }
-                let incremental = announcer.merged_sorted().expect("merging mode");
-                let mut from_scratch = merge_set(minimal_cover(&served));
-                from_scratch.sort_by_key(Filter::digest);
-                prop_assert_eq!(&incremental, &from_scratch,
-                    "served: {:?}", served.iter().map(ToString::to_string).collect::<Vec<_>>());
-                // The cover itself must still be maintained alongside.
-                prop_assert_eq!(announcer.announced(), minimal_cover(&served));
             }
         }
 

@@ -7,7 +7,8 @@
 //! maintained announced set for every neighbour link must equal
 //! `RoutingStrategy::announcements(filters_excluding(link))` computed from
 //! scratch — and must equal what the peer actually recorded in its routing
-//! table. Runs for simple, covering and merging routing.
+//! table. Runs for every routing strategy; under flooding both sides are
+//! empty, because a flooding broker announces nothing.
 
 use proptest::prelude::*;
 use rebeca_broker::{BrokerCore, BrokerNode, Message, RoutingStrategy};
@@ -154,9 +155,7 @@ proptest! {
 
     #[test]
     fn incremental_equals_from_scratch(ops in proptest::collection::vec(arb_op(), 1..16)) {
-        for strategy in
-            [RoutingStrategy::Simple, RoutingStrategy::Covering, RoutingStrategy::Merging]
-        {
+        for strategy in RoutingStrategy::ALL {
             if let Err(e) = run_churn(strategy, &ops) {
                 prop_assert!(false, "{strategy}: {e}");
             }
@@ -197,7 +196,7 @@ fn broad_filter_collapses_and_restores() {
 /// remove+add delta and stays equivalent.
 #[test]
 fn replacement_delta_stays_equivalent() {
-    for strategy in [RoutingStrategy::Simple, RoutingStrategy::Covering, RoutingStrategy::Merging] {
+    for strategy in RoutingStrategy::ALL {
         let ops = vec![
             Op::Subscribe {
                 broker: 0,

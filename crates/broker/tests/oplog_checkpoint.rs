@@ -6,7 +6,7 @@
 //! so, for random histories that exercise every way ops interact
 //! (duplicate `Subscribe` ids, `ClientDetach` with live subscriptions,
 //! `Subscribe` before `ClientAttach`, retractions of unknown keys,
-//! interleaved link markers) and under every announcing strategy:
+//! interleaved link markers) and under every routing strategy:
 //!
 //! * for **every cut point** `c`, a fresh core fed `checkpoint(log[..c])`
 //!   and then `log[c..]` ends with the same routing-table entries and the
@@ -28,10 +28,8 @@ use std::sync::Arc;
 /// is a link it knows nothing about.
 const NEIGHBORS: [NodeId; 2] = [NodeId::new(0), NodeId::new(2)];
 const LINKS: [u32; 3] = [0, 2, 5];
-const STRATEGIES: [RoutingStrategy; 3] =
-    [RoutingStrategy::Simple, RoutingStrategy::Covering, RoutingStrategy::Merging];
 
-/// Few values and two shapes, so filters repeat, cover and merge.
+/// Few values and two shapes, so filters repeat and cover each other.
 fn arb_filter() -> impl Strategy<Value = Filter> {
     (proptest::option::of(0i64..3), proptest::option::of(0i64..3)).prop_map(|(a, b)| {
         let mut f = Filter::builder();
@@ -130,7 +128,7 @@ proptest! {
 
     #[test]
     fn checkpointed_replay_is_equivalent(log in arb_history()) {
-        for strategy in STRATEGIES {
+        for strategy in RoutingStrategy::ALL {
             let want = observe(&core_after(strategy, &log));
             for cut in 0..=log.len() {
                 let checkpoint = fold(&log[..cut]).checkpoint();
@@ -165,7 +163,7 @@ proptest! {
     #[test]
     fn diff_takes_a_core_from_one_state_to_the_other(a in arb_history(), b in arb_history()) {
         let repair = fold(&a).diff(&fold(&b));
-        for strategy in STRATEGIES {
+        for strategy in RoutingStrategy::ALL {
             let repaired = observe(&core_after(strategy, a.iter().chain(&repair)));
             let want = observe(&core_after(strategy, &b));
             prop_assert_eq!(&repaired, &want, "{:?}: {:?} then {:?}", strategy, a, repair);

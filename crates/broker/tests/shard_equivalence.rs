@@ -163,7 +163,7 @@ proptest! {
     fn sharded_core_is_bit_for_bit_equivalent(
         ops in proptest::collection::vec(arb_op(), 1..40),
         probes in proptest::collection::vec(arb_note(), 1..4),
-        strategy_pick in 0usize..4,
+        strategy_pick in 0usize..RoutingStrategy::ALL.len(),
     ) {
         let strategy = RoutingStrategy::ALL[strategy_pick];
         let interner = Arc::new(SharedInterner::new());

@@ -8,17 +8,12 @@
 //! A [`Filter`] is a conjunction of [`Constraint`]s; each constraint applies
 //! a [`Predicate`] to one named attribute. A notification matches the filter
 //! iff **every** constraint is satisfied (missing attributes never satisfy a
-//! constraint). Two relations power the routing optimisations:
-//!
-//! * **covering** — [`Filter::covers`]: `F1 ⊒ F2` when every notification
-//!   matching `F2` also matches `F1`;
-//! * **merging** — [`merge::try_merge`]: combining two filters into a single
-//!   filter matching exactly their union.
+//! constraint). One relation powers covering-based routing:
+//! [`Filter::covers`], `F1 ⊒ F2` when every notification matching `F2` also
+//! matches `F1`.
 
-mod merge;
 mod predicate;
 
-pub use merge::{loose_merge, merge_set, try_merge, MergeOutcome};
 pub use predicate::Predicate;
 
 use crate::digest::{Digest, Fnv1a};
@@ -153,14 +148,6 @@ impl Filter {
         self.constraints
             .iter()
             .all(|c1| other.constraints_on(&c1.attr).any(|c2| c1.predicate.covers(&c2.predicate)))
-    }
-
-    /// Returns `false` only when the two filters are provably disjoint (no
-    /// notification can match both).
-    pub fn overlaps(&self, other: &Filter) -> bool {
-        !self.constraints.iter().any(|c1| {
-            other.constraints_on(&c1.attr).any(|c2| !c1.predicate.overlaps(&c2.predicate))
-        })
     }
 
     /// Returns `true` if any constraint uses the `myloc` marker, i.e. the
@@ -552,19 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_on_filters() {
-        let a = Filter::builder().eq("service", "temp").build();
-        let b = Filter::builder().eq("service", "news").build();
-        assert!(!a.overlaps(&b));
-        let c = Filter::builder().eq("service", "temp").ge("room", 5i64).build();
-        assert!(a.overlaps(&c));
-        // Disjoint ranges on a shared attribute.
-        let lo = Filter::builder().lt("x", 5i64).build();
-        let hi = Filter::builder().gt("x", 5i64).build();
-        assert!(!lo.overlaps(&hi));
-    }
-
-    #[test]
     fn myloc_resolution() {
         let f = Filter::builder().eq("service", "temp").myloc("location").build();
         assert!(f.is_location_dependent());
@@ -669,14 +643,6 @@ mod prop_tests {
         fn filter_covering_sound(f in arb_small_filter(), g in arb_small_filter(), n in arb_notification()) {
             if f.covers(&g) && g.matches(&n) {
                 prop_assert!(f.matches(&n), "f={f} g={g} n={n}");
-            }
-        }
-
-        /// Filter disjointness is sound with respect to matching.
-        #[test]
-        fn filter_disjoint_sound(f in arb_small_filter(), g in arb_small_filter(), n in arb_notification()) {
-            if !f.overlaps(&g) {
-                prop_assert!(!(f.matches(&n) && g.matches(&n)));
             }
         }
 

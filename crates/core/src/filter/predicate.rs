@@ -11,7 +11,7 @@ use std::fmt;
 /// A predicate over a single attribute value.
 ///
 /// Predicates are combined conjunctively by [`Filter`](crate::Filter). They
-/// implement three decision procedures used throughout the routing layer:
+/// implement two decision procedures used throughout the routing layer:
 ///
 /// * [`Predicate::matches`] — does a concrete value satisfy the predicate?
 /// * [`Predicate::covers`] — `p.covers(q)` holds when **every** value
@@ -19,9 +19,6 @@ use std::fmt;
 ///   The implementation is *sound* (never claims coverage that does not
 ///   hold) and exact for the idioms that occur in practice; a `false` answer
 ///   may occasionally be conservative.
-/// * [`Predicate::overlaps`] — may both predicates match a common value?
-///   Conservative in the other direction: `false` is only returned when the
-///   predicates are provably disjoint.
 ///
 /// The two *marker* variants make subscriptions context-sensitive:
 /// [`Predicate::MyLoc`] is the paper's `myloc` marker ("a specific set of
@@ -200,102 +197,6 @@ impl Predicate {
             (InLocations(set), InLocations(s)) => s.is_subset(set),
 
             _ => false,
-        }
-    }
-
-    /// Returns `false` only if the predicates are provably disjoint (no
-    /// value can match both); `true` is the conservative default.
-    pub fn overlaps(&self, other: &Predicate) -> bool {
-        use Predicate::*;
-        match (self, other) {
-            (In(s), _) if s.is_empty() => false,
-            (_, In(s)) if s.is_empty() => false,
-            (InLocations(s), _) if s.is_empty() => false,
-            (_, InLocations(s)) if s.is_empty() => false,
-
-            (Eq(a), Eq(b)) => a == b,
-            (Eq(a), Ne(b)) | (Ne(b), Eq(a)) => a != b,
-            (Eq(a), In(s)) | (In(s), Eq(a)) => s.iter().any(|v| v == a),
-            (In(a), In(b)) => a.iter().any(|v| b.iter().any(|w| w == v)),
-
-            (Lt(a), Gt(b)) | (Gt(b), Lt(a)) => {
-                !matches!(a.partial_cmp(b), Some(Ordering::Less | Ordering::Equal))
-            }
-            (Lt(a), Ge(b)) | (Ge(b), Lt(a)) => {
-                matches!(b.partial_cmp(a), Some(Ordering::Less))
-            }
-            (Le(a), Gt(b)) | (Gt(b), Le(a)) => {
-                matches!(b.partial_cmp(a), Some(Ordering::Less))
-            }
-            (Le(a), Ge(b)) | (Ge(b), Le(a)) => {
-                matches!(b.partial_cmp(a), Some(Ordering::Less | Ordering::Equal))
-            }
-            (Eq(a), Lt(b)) | (Lt(b), Eq(a)) => matches!(a.partial_cmp(b), Some(Ordering::Less)),
-            (Eq(a), Le(b)) | (Le(b), Eq(a)) => {
-                matches!(a.partial_cmp(b), Some(Ordering::Less | Ordering::Equal))
-            }
-            (Eq(a), Gt(b)) | (Gt(b), Eq(a)) => matches!(a.partial_cmp(b), Some(Ordering::Greater)),
-            (Eq(a), Ge(b)) | (Ge(b), Eq(a)) => {
-                matches!(a.partial_cmp(b), Some(Ordering::Greater | Ordering::Equal))
-            }
-
-            (Prefix(a), Prefix(b)) => a.starts_with(b.as_str()) || b.starts_with(a.as_str()),
-            (Eq(v), Prefix(p)) | (Prefix(p), Eq(v)) => {
-                v.as_str().is_some_and(|s| s.starts_with(p.as_str()))
-            }
-            (Eq(v), Suffix(p)) | (Suffix(p), Eq(v)) => {
-                v.as_str().is_some_and(|s| s.ends_with(p.as_str()))
-            }
-            (Eq(v), Contains(p)) | (Contains(p), Eq(v)) => {
-                v.as_str().is_some_and(|s| s.contains(p.as_str()))
-            }
-
-            (InLocations(a), InLocations(b)) => !a.is_disjoint(b),
-            (Eq(v), InLocations(s)) | (InLocations(s), Eq(v)) => {
-                v.as_location().is_some_and(|l| s.contains(&l))
-            }
-
-            // Everything else: assume possible overlap.
-            _ => true,
-        }
-    }
-
-    /// Attempts to compute a predicate matching *exactly* the union of
-    /// `self` and `other` (used by perfect merging). Returns `None` when no
-    /// single supported predicate represents the union.
-    pub fn union(&self, other: &Predicate) -> Option<Predicate> {
-        use Predicate::*;
-        if self.covers(other) {
-            return Some(self.clone());
-        }
-        if other.covers(self) {
-            return Some(other.clone());
-        }
-        match (self, other) {
-            (Eq(a), Eq(b)) => Some(In(vec![a.clone(), b.clone()])),
-            (Eq(a), In(s)) | (In(s), Eq(a)) => {
-                let mut out = s.clone();
-                if !out.iter().any(|v| v == a) {
-                    out.push(a.clone());
-                }
-                Some(In(out))
-            }
-            (In(a), In(b)) => {
-                let mut out = a.clone();
-                for v in b {
-                    if !out.iter().any(|w| w == v) {
-                        out.push(v.clone());
-                    }
-                }
-                Some(In(out))
-            }
-            (Lt(a), Le(b)) | (Le(b), Lt(a)) => match a.partial_cmp(b) {
-                Some(Ordering::Less | Ordering::Equal) => Some(Le(b.clone())),
-                Some(Ordering::Greater) => None, // Lt(a) with a > b: union is Lt(a) iff b < a ⇒ Le(b) ⊂ Lt(a)? No: Le(b) ⊆ Lt(a) iff b < a, handled by covers above.
-                None => None,
-            },
-            (InLocations(a), InLocations(b)) => Some(InLocations(a.union(b).copied().collect())),
-            _ => None,
         }
     }
 
@@ -528,38 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_disjointness() {
-        assert!(!Predicate::Eq(v(1)).overlaps(&Predicate::Eq(v(2))));
-        assert!(Predicate::Eq(v(1)).overlaps(&Predicate::Eq(v(1))));
-        assert!(!Predicate::Lt(v(1)).overlaps(&Predicate::Gt(v(1))));
-        assert!(!Predicate::Lt(v(1)).overlaps(&Predicate::Ge(v(1))));
-        assert!(Predicate::Le(v(1)).overlaps(&Predicate::Ge(v(1))));
-        assert!(!Predicate::Prefix("ab".into()).overlaps(&Predicate::Prefix("cd".into())));
-        assert!(Predicate::Prefix("ab".into()).overlaps(&Predicate::Prefix("abc".into())));
-        let s1: BTreeSet<_> = [LocationId::new(1)].into();
-        let s2: BTreeSet<_> = [LocationId::new(2)].into();
-        assert!(!Predicate::InLocations(s1).overlaps(&Predicate::InLocations(s2)));
-        // Conservative default.
-        assert!(Predicate::Ne(v(1)).overlaps(&Predicate::Ne(v(2))));
-    }
-
-    #[test]
-    fn union_exact_cases() {
-        let u = Predicate::Eq(v(1)).union(&Predicate::Eq(v(2))).unwrap();
-        assert!(u.matches(&v(1)) && u.matches(&v(2)) && !u.matches(&v(3)));
-        let u = Predicate::Lt(v(5)).union(&Predicate::Lt(v(9))).unwrap();
-        assert_eq!(u, Predicate::Lt(v(9)));
-        let u = Predicate::In(vec![v(1)]).union(&Predicate::In(vec![v(2)])).unwrap();
-        assert!(u.matches(&v(1)) && u.matches(&v(2)));
-        assert!(Predicate::Lt(v(1)).union(&Predicate::Gt(v(5))).is_none());
-        let a: BTreeSet<_> = [LocationId::new(1)].into();
-        let b: BTreeSet<_> = [LocationId::new(2)].into();
-        let u = Predicate::InLocations(a).union(&Predicate::InLocations(b)).unwrap();
-        assert!(u.matches(&Value::from(LocationId::new(1))));
-        assert!(u.matches(&Value::from(LocationId::new(2))));
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Predicate::Eq(v(3)).to_string(), "== 3");
         assert_eq!(Predicate::MyLoc.to_string(), "in myloc");
@@ -607,28 +476,6 @@ mod prop_tests {
         fn covering_is_sound(p in arb_predicate(), q in arb_predicate(), v in arb_value()) {
             if p.covers(&q) && q.matches(&v) {
                 prop_assert!(p.matches(&v), "p={p} q={q} v={v}");
-            }
-        }
-
-        /// Soundness of disjointness: if overlaps() returns false, no value
-        /// may match both predicates.
-        #[test]
-        fn disjointness_is_sound(p in arb_predicate(), q in arb_predicate(), v in arb_value()) {
-            if !p.overlaps(&q) {
-                prop_assert!(!(p.matches(&v) && q.matches(&v)), "p={p} q={q} v={v}");
-            }
-        }
-
-        /// Exactness of union: the union predicate matches exactly the
-        /// disjunction of the operands.
-        #[test]
-        fn union_is_exact(p in arb_predicate(), q in arb_predicate(), v in arb_value()) {
-            if let Some(u) = p.union(&q) {
-                prop_assert_eq!(
-                    u.matches(&v),
-                    p.matches(&v) || q.matches(&v),
-                    "p={} q={} u={} v={}", p, q, u, v
-                );
             }
         }
 

@@ -9,8 +9,8 @@
 //!   event, published by a producer client.
 //! * [`Filter`] — a boolean-valued function over notifications: a
 //!   conjunction of [`Constraint`]s, each applying a [`Predicate`] to one
-//!   attribute. Filters implement the *covering* relation (`F1 ⊒ F2`) and
-//!   *merging*, the two classic optimisations of content-based routing.
+//!   attribute. Filters implement the *covering* relation (`F1 ⊒ F2`), on
+//!   which covering-based routing rests.
 //! * [`Subscription`] — a filter registered by a consumer client. Filters
 //!   may contain the `myloc` marker ([`Predicate::MyLoc`]) which makes the
 //!   subscription *location-dependent*; the mobility layer resolves the
@@ -68,7 +68,7 @@ pub mod value;
 pub use codec::{ArchivedAttrs, ArchivedNotification, ValueRef};
 pub use digest::Digest;
 pub use error::CoreError;
-pub use filter::{Constraint, CoverKey, Filter, FilterBuilder, MergeOutcome, Predicate};
+pub use filter::{Constraint, CoverKey, Filter, FilterBuilder, Predicate};
 pub use id::{ApplicationId, BrokerId, ClientId, LocationId, SubscriptionId};
 pub use intern::{Interner, InternerCache, SharedInterner, Symbol};
 pub use matching::MatchIndex;
