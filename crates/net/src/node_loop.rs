@@ -8,6 +8,15 @@
 //! where a permitted send goes — a plain channel, or a sink table that may
 //! frame the message onto a peer socket — so [`run_node`] takes that step
 //! as a monomorphised closure and everything else lives here once.
+//!
+//! The loop looks one envelope ahead: after taking the current envelope it
+//! polls the inbox once more, and every send the handler makes is told
+//! whether that poll came back empty. Such a send is **quiet**: the node
+//! thread is about to sleep, so it may as well do the send's work itself.
+//! The multi-process runtime then writes the frame to the peer socket
+//! directly instead of waking the link's writer thread; the threaded
+//! runtime ignores the flag. Sends from timers are never quiet (the inbox
+//! was not polled for them).
 
 use crate::node::{Action, Ctx, Node, NodeId, Payload, TimerId};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -77,6 +86,9 @@ struct NodeLoop<M: Payload, S> {
     t0: Instant,
     links: Arc<RwLock<LinkSet>>,
     send: S,
+    /// Whether the inbox was empty behind the envelope being handled: the
+    /// flag every send of this invocation carries.
+    quiet: bool,
     /// The handlers' action buffer, emptied and reused across invocations:
     /// one commit-apply of a batched `Prepare` emits hundreds of sends.
     actions: Vec<Action<M>>,
@@ -87,7 +99,7 @@ struct NodeLoop<M: Payload, S> {
     cancelled: HashSet<u64>,
 }
 
-impl<M: Payload, S: FnMut(NodeId, M)> NodeLoop<M, S> {
+impl<M: Payload, S: FnMut(NodeId, M, bool)> NodeLoop<M, S> {
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.t0.elapsed().as_micros() as u64)
     }
@@ -112,7 +124,7 @@ impl<M: Payload, S: FnMut(NodeId, M)> NodeLoop<M, S> {
                     // Send-time link check: a down link silently drops the
                     // message, like an unplugged cable.
                     if link_up(me, to) {
-                        (self.send)(to, msg);
+                        (self.send)(to, msg, self.quiet);
                     }
                 }
                 Action::SetTimer { at, id, tag } => {
@@ -144,15 +156,17 @@ impl<M: Payload, S: FnMut(NodeId, M)> NodeLoop<M, S> {
 }
 
 /// Drives `node` until a [`Envelope::Stop`] arrives (or every sender is
-/// gone) and hands it back. `send(to, msg)` executes a send the link set
-/// permitted; `now` is wall-clock time since `t0`.
+/// gone) and hands it back. `send(to, msg, quiet)` executes a send the
+/// link set permitted; `quiet` says the inbox held nothing behind the
+/// envelope being handled (see the module doc). `now` is wall-clock time
+/// since `t0`.
 pub(crate) fn run_node<M: Payload>(
     node: Box<dyn Node<M>>,
     me: NodeId,
     rx: Receiver<Envelope<M>>,
     links: Arc<RwLock<LinkSet>>,
     t0: Instant,
-    send: impl FnMut(NodeId, M),
+    send: impl FnMut(NodeId, M, bool),
 ) -> Box<dyn Node<M>> {
     let mut lp = NodeLoop {
         node,
@@ -160,6 +174,7 @@ pub(crate) fn run_node<M: Payload>(
         t0,
         links,
         send,
+        quiet: false,
         actions: Vec::new(),
         next_timer: 0,
         timers: BinaryHeap::new(),
@@ -167,16 +182,29 @@ pub(crate) fn run_node<M: Payload>(
         cancelled: HashSet::new(),
     };
     lp.invoke(|n, ctx| n.on_start(ctx));
+    // The envelope the last look-ahead took out of the inbox.
+    let mut ahead: Option<Envelope<M>> = None;
     loop {
+        lp.quiet = false;
         lp.fire_due_timers();
-        // Wait for the next message or timer deadline.
-        let timeout = match lp.timers.peek() {
-            Some(t) => {
-                Duration::from_micros(t.0.at.as_micros().saturating_sub(lp.now().as_micros()))
+        let next = match ahead.take() {
+            Some(envelope) => Ok(envelope),
+            None => {
+                // Wait for the next message or timer deadline.
+                let timeout = match lp.timers.peek() {
+                    Some(t) => Duration::from_micros(
+                        t.0.at.as_micros().saturating_sub(lp.now().as_micros()),
+                    ),
+                    None => Duration::from_millis(50),
+                };
+                rx.recv_timeout(timeout)
             }
-            None => Duration::from_millis(50),
         };
-        match rx.recv_timeout(timeout) {
+        // An empty or disconnected inbox both read as "nothing behind";
+        // a disconnect is seen again by the next wait.
+        ahead = rx.try_recv().ok();
+        lp.quiet = ahead.is_none();
+        match next {
             Ok(Envelope::Msg { from, msg }) => lp.invoke(|n, ctx| n.on_message(ctx, from, msg)),
             Ok(Envelope::PeerChange { nodes, up }) => {
                 for peer in nodes.iter() {

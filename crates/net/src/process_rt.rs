@@ -18,17 +18,31 @@
 //!   the data plane). A logical link drop + re-establishment is therefore
 //!   one more `SetLink` each way — the FIFO-floor machinery in the
 //!   protocol layer handles the rest, unchanged.
-//! * **FIFO per link.** A peer connection is one byte stream drained by
-//!   one writer thread and parsed by one reader thread, so frames between
-//!   two processes arrive in push order — the same per-link FIFO the
-//!   in-memory runtimes give.
+//! * **FIFO per link.** A peer connection is one byte stream parsed by one
+//!   reader thread, and the link's [`SendBuffer`] lets one writer at a
+//!   time at it (its write token), so frames between two processes arrive
+//!   in the order they were sent — the same per-link FIFO the in-memory
+//!   runtimes give.
 //!
 //! Each peer link runs two threads: a **writer** that drains the link's
 //! bounded [`SendBuffer`] (blocking node threads when full — backpressure)
 //! and issues coalesced stream writes, and a **reader** that feeds raw
 //! reads through a [`FrameReassembler`] (partial reads, many frames per
 //! read) and routes whole frames to local node inboxes. Node threads run
-//! the same message/timer loop as the threaded runtime.
+//! the same message/timer loop as the threaded runtime, encoding each
+//! remote send into one reused frame buffer.
+//!
+//! A node thread whose inbox is empty after the envelope it handles (a
+//! *quiet* send, see the node loop) writes a frame to the peer socket
+//! **itself** when the buffer grants it the write token — nothing queued
+//! for the link and no write in flight. That saves the writer thread's
+//! wake-up on every lightly loaded hop. Otherwise the frame is pushed and
+//! the writer thread, the coalescing overflow path, ships it. The
+//! supervisor keeps the live epoch's stream for these direct writes: it
+//! installs it before the epoch's writer spawns and clears it after
+//! teardown. A failed direct write is reported exactly like a writer
+//! failure, as a [`LinkDownCause::Write`] of its epoch. A direct write
+//! blocks its node thread while the kernel socket buffer is full.
 //!
 //! A **supervisor** thread owns every link's service threads. Any link
 //! failure — the peer killed mid-stream, a torn write, garbage bytes, an
@@ -54,7 +68,7 @@ use crate::node_loop::{run_node, Envelope, LinkSet};
 use crate::rng::SplitMix64;
 use crate::send_buffer::SendBuffer;
 use crate::supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
-use crate::wire::{encode_frame, Frame, FrameReassembler, Wire};
+use crate::wire::{encode_frame, encode_msg_frame, Frame, FrameReassembler, Wire};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
@@ -115,14 +129,65 @@ enum Sink<M> {
 /// peer block once this much is queued ahead of them (backpressure).
 pub const PEER_SEND_CAPACITY: usize = 4 * 1024 * 1024;
 
+/// The live epoch's stream of one peer link, with its epoch, for node
+/// threads' direct writes. `None` while the link is down.
+type LiveStream = Arc<Mutex<Option<(u64, Arc<UnixStream>)>>>;
+
 struct PeerLink {
     stream: Option<UnixStream>,
     /// How to re-establish this connection (None for adopted socketpairs,
     /// which have no address to return to).
     endpoint: Option<PeerEndpoint>,
     buffer: SendBuffer,
+    live: LiveStream,
     lifecycle: Arc<LinkLifecycle>,
     status: Arc<Mutex<PeerStatus>>,
+}
+
+/// One peer link as a node thread sends to it.
+struct PeerTx {
+    peer: usize,
+    buffer: SendBuffer,
+    live: LiveStream,
+    lifecycle: Arc<LinkLifecycle>,
+    events: Sender<SupEvent>,
+}
+
+impl PeerTx {
+    /// Sends one whole frame: written to the socket by this thread when
+    /// `quiet` and the buffer grants the write token, pushed for the
+    /// writer thread otherwise.
+    fn send(&self, frame: &[u8], quiet: bool) {
+        // The stream is taken before the token is asked for. Taken after,
+        // a grant from a dying epoch could meet the next epoch's stream and
+        // put this frame ahead of that epoch's Hello; taken before, the
+        // frame at worst goes to the dead epoch's socket, whose write fails
+        // and whose report loses to the restart.
+        let live = if quiet { self.live.lock().clone() } else { None };
+        self.send_on(live, frame);
+    }
+
+    fn send_on(&self, live: Option<(u64, Arc<UnixStream>)>, frame: &[u8]) {
+        if let Some((epoch, stream)) = live {
+            if self.buffer.try_direct() {
+                let written = (&*stream).write_all(frame);
+                if let Err(e) = written {
+                    // Torn link: reported as a writer thread reports it.
+                    if self.lifecycle.report_down(epoch) {
+                        let _ = self.events.send(SupEvent::Down {
+                            peer: self.peer,
+                            cause: LinkDownCause::Write(e.kind()),
+                        });
+                    }
+                }
+                self.buffer.end_direct();
+                return;
+            }
+        }
+        // Blocking push: a full peer buffer is backpressure on this node
+        // thread.
+        let _ = self.buffer.push(frame);
+    }
 }
 
 /// Builder + handle for one process of a multi-process deployment.
@@ -307,6 +372,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
             stream: Some(stream),
             endpoint,
             buffer: SendBuffer::new(PEER_SEND_CAPACITY),
+            live: Arc::new(Mutex::new(None)),
             lifecycle: Arc::new(LinkLifecycle::new()),
             status: Arc::new(Mutex::new(PeerStatus::default())),
         });
@@ -359,8 +425,6 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         self.started = true;
         let t0 = Instant::now();
         let sinks: Arc<Vec<Sink<M>>> = Arc::new(self.sinks());
-        let buffers: Arc<Vec<SendBuffer>> =
-            Arc::new(self.peers.iter().map(|p| p.buffer.clone()).collect());
 
         // Handshake: announce our node count so a topology mismatch tears
         // the link down at connect time instead of misrouting forever.
@@ -375,6 +439,19 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
 
         let (events_tx, events_rx) = unbounded();
         self.events_tx = Some(events_tx.clone());
+        let peer_txs: Arc<Vec<PeerTx>> = Arc::new(
+            self.peers
+                .iter()
+                .enumerate()
+                .map(|(i, p)| PeerTx {
+                    peer: i,
+                    buffer: p.buffer.clone(),
+                    live: Arc::clone(&p.live),
+                    lifecycle: Arc::clone(&p.lifecycle),
+                    events: events_tx.clone(),
+                })
+                .collect(),
+        );
         let sup_peers: Vec<SupPeer> = self
             .peers
             .iter_mut()
@@ -384,6 +461,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                 teardown: None,
                 endpoint: peer.endpoint.take(),
                 buffer: peer.buffer.clone(),
+                live: Arc::clone(&peer.live),
                 lifecycle: Arc::clone(&peer.lifecycle),
                 status: Arc::clone(&peer.status),
                 writer: None,
@@ -424,24 +502,23 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                 let rx = rx.take().expect("receiver present");
                 let me = NodeId::new(i as u32);
                 let sinks = Arc::clone(&sinks);
-                let buffers = Arc::clone(&buffers);
+                let peer_txs = Arc::clone(&peer_txs);
                 let links = Arc::clone(&self.links);
                 let handle = std::thread::Builder::new()
                     .name(format!("rebeca-pnode-{i}"))
                     .spawn(move || {
-                        run_node(node, me, rx, links, t0, move |to: NodeId, msg: M| {
+                        // This thread's one frame buffer, reused by every
+                        // remote send.
+                        let mut frame = Vec::new();
+                        run_node(node, me, rx, links, t0, move |to: NodeId, msg: M, quiet| {
                             match sinks.get(to.raw() as usize) {
                                 Some(Sink::Local(tx)) => {
                                     let _ = tx.send(Envelope::Msg { from: me, msg });
                                 }
                                 Some(Sink::Remote(peer)) => {
-                                    let mut payload = Vec::new();
-                                    msg.encode_into(&mut payload);
-                                    let mut bytes = Vec::new();
-                                    encode_frame(&Frame::Msg { from: me, to, payload }, &mut bytes);
-                                    // Blocking push: a full peer buffer is
-                                    // backpressure on this node thread.
-                                    let _ = buffers[peer.0].push(&bytes);
+                                    frame.clear();
+                                    encode_msg_frame(me, to, &msg, &mut frame);
+                                    peer_txs[peer.0].send(&frame, quiet);
                                 }
                                 None => {}
                             }
@@ -481,10 +558,8 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                 }
             }
             Some(Slot::Remote { peer }) => {
-                let mut payload = Vec::new();
-                msg.encode_into(&mut payload);
                 let mut bytes = Vec::new();
-                encode_frame(&Frame::Msg { from: NodeId::EXTERNAL, to, payload }, &mut bytes);
+                encode_msg_frame(NodeId::EXTERNAL, to, &msg, &mut bytes);
                 let _ = self.peers[peer.0].buffer.push(&bytes);
             }
             None => {}
@@ -595,6 +670,9 @@ struct SupPeer {
     teardown: Option<UnixStream>,
     endpoint: Option<PeerEndpoint>,
     buffer: SendBuffer,
+    /// Installed in `bring_up` before the epoch's writer spawns, cleared
+    /// after teardown.
+    live: LiveStream,
     lifecycle: Arc<LinkLifecycle>,
     status: Arc<Mutex<PeerStatus>>,
     /// Live writer/reader thread handles of the current epoch.
@@ -653,12 +731,15 @@ impl<M: Payload + Wire> Supervisor<M> {
         }
     }
 
-    /// Spawns the writer/reader pair of `epoch` over `stream`.
+    /// Installs `stream` as `epoch`'s live stream for node threads' direct
+    /// writes, then spawns the epoch's writer/reader pair over it.
     fn bring_up(&mut self, i: usize, stream: UnixStream, epoch: u64) -> std::io::Result<()> {
         let write_half = stream.try_clone()?;
         let teardown = stream.try_clone()?;
+        let direct = stream.try_clone()?;
         let p = &mut self.peers[i];
         p.teardown = Some(teardown);
+        *p.live.lock() = Some((epoch, Arc::new(direct)));
         let buffer = p.buffer.clone();
         let lifecycle = Arc::clone(&p.lifecycle);
         let events = self.tx.clone();
@@ -760,6 +841,9 @@ impl<M: Payload + Wire> Supervisor<M> {
             join(self.peers[i].writer.take());
         }
         join(self.peers[i].reader.take());
+        // The shut-down socket fails any direct write still holding it;
+        // no new one may start on it.
+        *self.peers[i].live.lock() = None;
         for _ in 0..panics {
             LinkCounters::bump(&self.counters.thread_panics);
         }
@@ -1148,6 +1232,20 @@ mod tests {
         cond()
     }
 
+    /// Waits until the link's writer thread has handed the write token back
+    /// (it holds it for a batch until its next drain), so the next quiet
+    /// send is granted a direct write.
+    fn wait_token_idle(buffer: &SendBuffer) {
+        let idle = wait_until(Duration::from_secs(5), || {
+            let granted = buffer.try_direct();
+            if granted {
+                buffer.end_direct();
+            }
+            granted
+        });
+        assert!(idle, "the writer thread never handed the token back");
+    }
+
     fn connect_retry(path: &Path, timeout: Duration) -> UnixStream {
         let deadline = Instant::now() + timeout;
         loop {
@@ -1278,6 +1376,10 @@ mod tests {
         let (listener, mut conn1) = accept.join().expect("accept thread");
         let mut re = FrameReassembler::new();
         assert_eq!(recv_frame(&mut conn1, &mut re), Frame::Hello { nodes: 2 });
+        // What a node thread holds when it is about to write directly
+        // into epoch 0.
+        let stale = rt.peers[peer.0].live.lock().clone();
+        assert_eq!(stale.as_ref().map(|(epoch, _)| *epoch), Some(0), "epoch 0 is live");
 
         // Kill the first connection: the supervisor must re-dial.
         drop(conn1);
@@ -1303,7 +1405,30 @@ mod tests {
             let st = rt.peer_status(peer);
             st.up && st.restarts == 1
         }));
+
+        // The zombie direct write: granted on the restarted link (nothing
+        // queued, no write in flight), it goes to epoch 0's shut-down
+        // socket, fails, and its report must lose to the restart.
+        let p = &rt.peers[peer.0];
+        let tx = PeerTx {
+            peer: peer.0,
+            buffer: p.buffer.clone(),
+            live: Arc::clone(&p.live),
+            lifecycle: Arc::clone(&p.lifecycle),
+            events: rt.events_tx.clone().expect("started"),
+        };
+        wait_token_idle(&tx.buffer);
+        let (_, dead) = stale.clone().expect("epoch 0's stream");
+        assert!((&*dead).write_all(&[0]).is_err(), "epoch 0's socket is shut down");
+        let mut payload = Vec::new();
+        Tick(7).encode_into(&mut payload);
+        tx.send_on(stale, &frame_bytes(&Frame::Msg { from: n0, to: n1, payload }));
+        assert!(!tx.lifecycle.is_down(), "a dead epoch's write cannot down the restarted link");
+        assert!(tx.buffer.try_direct(), "the zombie returned the token");
+        tx.buffer.end_direct();
+
         std::thread::sleep(Duration::from_millis(100));
+        assert!(rt.peer_status(peer).up);
         let nodes = rt.stop();
         let c = nodes[0].as_ref().unwrap().as_any().downcast_ref::<Collector>().unwrap();
         assert_eq!(c.received, vec![42], "the healed link delivers");
@@ -1313,6 +1438,118 @@ mod tests {
         assert!(m.reconnect_attempts >= 1);
         assert_eq!(m.thread_panics, 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Sends a numbered tick to `peer`: one per `Tick(0)` it gets, a burst
+    /// of 64 per `Tick(1)`.
+    struct Script {
+        peer: NodeId,
+        next: u64,
+    }
+
+    impl Node<Tick> for Script {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Tick>, _from: NodeId, msg: Tick) {
+            let n = if msg.0 == 1 { 64 } else { 1 };
+            for _ in 0..n {
+                ctx.send(self.peer, Tick(self.next));
+                self.next += 1;
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A node switching between direct writes (a lone tick, sent with an
+    /// empty inbox) and the queue (a burst of 64, sent with a message
+    /// behind it, and any send while the writer is busy): the remote
+    /// collector sees one strict sequence, nothing lost or duplicated.
+    #[test]
+    fn fifo_holds_across_direct_and_queued_sends() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut ra: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let pa = ra.add_peer(sa);
+        let a0 = ra.add_local(Box::new(Script { peer: NodeId::new(1), next: 0 }));
+        let a1 = ra.add_remote(pa);
+        ra.connect(a0, a1);
+        let mut rb: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let pb = rb.add_peer(sb);
+        let b0 = rb.add_remote(pb);
+        let b1 = rb.add_local(Box::new(Collector { peer: None, ..Default::default() }));
+        rb.connect(b0, b1);
+        ra.start();
+        rb.start();
+
+        // The pauses only let lone ticks find an empty inbox and an idle
+        // link; the order must hold however the paths interleave.
+        const ROUNDS: u64 = 40;
+        for _ in 0..ROUNDS {
+            ra.send_external(a0, Tick(1));
+            ra.send_external(a0, Tick(0));
+            std::thread::sleep(Duration::from_millis(1));
+            ra.send_external(a0, Tick(0));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A's stop runs its node to the end and ends the stream with a
+        // Shutdown frame; once B's reader has seen it, every tick before
+        // it is in the collector's inbox, ahead of B's Stop.
+        ra.stop();
+        assert!(wait_until(Duration::from_secs(10), || {
+            rb.peer_status(pb).last_cause == Some(LinkDownCause::PeerShutdown)
+        }));
+        let nb = rb.stop();
+        let cb = nb[1].as_ref().unwrap().as_any().downcast_ref::<Collector>().unwrap();
+        let want: Vec<u64> = (0..ROUNDS * 66).collect();
+        assert_eq!(cb.received, want, "one strict sequence across both send paths");
+    }
+
+    /// A quiet node writes into a peer that stopped reading: the direct
+    /// write fails, the link goes down exactly once with a write cause,
+    /// no thread panics, and later frames are counted drops.
+    #[test]
+    fn a_failed_direct_write_is_one_write_down() {
+        let (local, mut remote) = UnixStream::pair().expect("socketpair");
+        let mut rt: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let peer = rt.add_peer(local);
+        let n0 = rt.add_local(Box::new(Collector {
+            peer: Some(NodeId::new(1)),
+            max_hops: u64::MAX,
+            ..Default::default()
+        }));
+        let n1 = rt.add_remote(peer);
+        rt.connect(n0, n1);
+        let mh = rt.metrics_handle();
+        rt.start();
+        let mut re = FrameReassembler::new();
+        assert_eq!(recv_frame(&mut remote, &mut re), Frame::Hello { nodes: 2 });
+        wait_token_idle(&rt.peers[peer.0].buffer);
+
+        // The peer stops reading: a write to it fails with a broken pipe,
+        // while our reader sees no end of stream.
+        remote.shutdown(std::net::Shutdown::Read).expect("shutdown");
+        rt.send_external(n0, Tick(0));
+        assert!(wait_until(Duration::from_secs(5), || rt.peer_status(peer).last_cause.is_some()));
+        assert_eq!(
+            rt.peer_status(peer).last_cause,
+            Some(LinkDownCause::Write(std::io::ErrorKind::BrokenPipe))
+        );
+        assert!(!rt.peer_status(peer).up);
+
+        // Node sends across the downed route are gated off; frames that
+        // still reach the link (here: from outside) are counted drops.
+        rt.send_external(n1, Tick(10));
+        rt.send_external(n1, Tick(20));
+        assert!(
+            wait_until(Duration::from_secs(5), || mh.snapshot().frames_dropped == 2),
+            "frames sent while down are counted drops"
+        );
+        rt.stop();
+        let m = mh.snapshot();
+        assert_eq!(m.link_downs, 1);
+        assert_eq!(m.thread_panics, 0);
     }
 
     /// Listen-side supervision: the listener is retained, so when the

@@ -10,6 +10,26 @@
 //! whole capacity is admitted alone into an *empty* buffer rather than
 //! deadlocking its producer forever.
 //!
+//! The buffer also arbitrates who may touch the link's socket, through a
+//! **write token** with three states:
+//!
+//! * `Idle` — nobody is writing.
+//! * `Drainer` — the writer thread holds the batch it took in
+//!   [`drain_into`](SendBuffer::drain_into) until its *next* call, i.e.
+//!   until that batch is on the wire.
+//! * `Direct` — a producer was granted [`try_direct`](SendBuffer::try_direct)
+//!   and writes one frame to the socket itself, skipping the writer thread
+//!   and its wake-up; [`end_direct`](SendBuffer::end_direct) hands the
+//!   token back.
+//!
+//! `try_direct` grants only when the link is open and up, nothing is
+//! queued and the token is `Idle`, and `drain_into` waits while a `Direct`
+//! write is in flight. So two writers never touch the socket at once, and
+//! every frame reaches the wire in the order it was pushed or granted: the
+//! per-link FIFO holds across both paths. On one thread (push, drain, push,
+//! drain …) the token never blocks anything: each `drain_into` releases
+//! what the previous one took.
+//!
 //! Link supervision adds a third state between open and closed: **down**
 //! ([`SendBuffer::mark_down`] / [`SendBuffer::mark_up`]). While down,
 //! queued bytes are discarded, blocked producers are released, and every
@@ -23,7 +43,9 @@
 //! wait-loop structure — is what `crates/verify/tests/send_buffer.rs`
 //! exhaustively interleaves, and the `sendbuf_skip_recheck` injection twin
 //! demonstrates the checker catches the classic condvar bug (treating a
-//! wakeup as a grant without re-checking occupancy).
+//! wakeup as a grant without re-checking occupancy); the
+//! `sendbuf_direct_ignores_queue` twin grants `Direct` past queued bytes
+//! and the checker catches the reordered frames.
 
 use crate::sync::lock::{Condvar, Mutex};
 use std::fmt;
@@ -42,9 +64,19 @@ impl fmt::Display for LinkClosed {
 
 impl std::error::Error for LinkClosed {}
 
+/// Who may write to the link's socket (see the module doc).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Token {
+    #[default]
+    Idle,
+    Drainer,
+    Direct,
+}
+
 #[derive(Default)]
 struct State {
     queue: Vec<u8>,
+    token: Token,
     closed: bool,
     /// Link supervision: while down, pushes are counted drops (never
     /// blocking, never queued) and the drainer is told to exit.
@@ -60,7 +92,9 @@ struct Shared {
     state: Mutex<State>,
     /// Signalled by the drainer; waited on by producers blocked on space.
     space: Condvar,
-    /// Signalled by producers; waited on by the drainer when empty.
+    /// Signalled by producers and by the end of a `Direct` write; waited on
+    /// by the drainer while the queue is empty or a `Direct` write is in
+    /// flight.
     ready: Condvar,
     capacity: usize,
 }
@@ -147,24 +181,69 @@ impl SendBuffer {
     }
 
     /// Swaps all queued bytes into `out` (cleared first), blocking until
-    /// data arrives. Returns `false` once the buffer is closed *and*
-    /// drained — the writer thread's signal to exit after a final flush.
-    /// `out`'s storage is recycled as the next queue, so a steady-state
-    /// writer loop allocates nothing.
+    /// data arrives and no `Direct` write is in flight. Returns `false`
+    /// once the buffer is closed *and* drained, or marked down — the writer
+    /// thread's signal to exit after a final flush. `out`'s storage is
+    /// recycled as the next queue, so a steady-state writer loop allocates
+    /// nothing.
+    ///
+    /// The caller holds the write token for the returned batch until its
+    /// next call, which releases it first: producers cannot write around a
+    /// batch that is not yet on the wire.
     pub fn drain_into(&self, out: &mut Vec<u8>) -> bool {
         out.clear();
         let mut st = self.shared.state.lock();
-        while st.queue.is_empty() {
-            if st.closed || st.down {
+        if st.token == Token::Drainer {
+            st.token = Token::Idle;
+        }
+        while st.queue.is_empty() || st.token == Token::Direct {
+            if st.queue.is_empty() && (st.closed || st.down) {
                 return false;
             }
             self.shared.ready.wait(&mut st);
         }
+        st.token = Token::Drainer;
         std::mem::swap(&mut st.queue, out);
         // Every producer blocked on space may fit now; wake them all, they
         // re-check under the lock.
         self.shared.space.notify_all();
         true
+    }
+
+    /// Asks for the write token so the caller can write one frame to the
+    /// link's socket itself. Granted (`true`) only while the link is open
+    /// and up, nothing is queued and nobody else holds the token; the
+    /// caller must then call [`end_direct`](SendBuffer::end_direct) once
+    /// its write returned, successful or not. On `false` the caller
+    /// [`push`](SendBuffer::push)es instead.
+    pub fn try_direct(&self) -> bool {
+        let mut st = self.shared.state.lock();
+        // Model-checker fault injection: grant past queued bytes, so a
+        // direct frame can overtake frames pushed before it.
+        // `crates/verify/tests/send_buffer.rs` proves the checker sees the
+        // reordering.
+        let queue_empty = st.queue.is_empty();
+        #[cfg(rebeca_verify)]
+        let queue_empty =
+            queue_empty || rebeca_verify::inject::enabled("sendbuf_direct_ignores_queue");
+        let granted = !st.closed && !st.down && queue_empty && st.token == Token::Idle;
+        if granted {
+            st.token = Token::Direct;
+        }
+        granted
+    }
+
+    /// Returns the token a [`try_direct`](SendBuffer::try_direct) granted,
+    /// and wakes the drainer if frames were queued during the write.
+    pub fn end_direct(&self) {
+        let mut st = self.shared.state.lock();
+        debug_assert_eq!(st.token, Token::Direct, "end_direct without a granted try_direct");
+        st.token = Token::Idle;
+        let wake = !st.queue.is_empty();
+        drop(st);
+        if wake {
+            self.shared.ready.notify_one();
+        }
     }
 
     /// Closes the buffer: pending bytes stay drainable, further pushes
@@ -325,6 +404,62 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         sb.mark_down();
         assert!(!writer.join().unwrap(), "down wakes the drainer and tells it to exit");
+    }
+
+    #[test]
+    fn direct_is_granted_only_to_an_idle_empty_live_link() {
+        let sb = SendBuffer::new(8);
+        assert!(sb.try_direct(), "idle, empty and up");
+        assert!(!sb.try_direct(), "one direct writer at a time");
+        sb.end_direct();
+        sb.push(&[1]).unwrap();
+        assert!(!sb.try_direct(), "queued bytes go first");
+        let mut out = Vec::new();
+        assert!(sb.drain_into(&mut out));
+        assert!(!sb.try_direct(), "the drained batch is not on the wire yet");
+        sb.push(&[2]).unwrap();
+        assert!(sb.drain_into(&mut out), "the next drain releases the last batch's token");
+        assert_eq!(out, vec![2]);
+        sb.mark_down();
+        assert!(!sb.try_direct(), "never onto a down link");
+        assert!(!sb.drain_into(&mut out), "down ends the writer loop");
+        sb.mark_up();
+        assert!(sb.try_direct(), "a drain that exits releases its token");
+        sb.end_direct();
+        sb.close();
+        assert!(!sb.try_direct(), "never onto a closed link");
+    }
+
+    #[test]
+    fn drainer_waits_out_a_direct_write() {
+        let sb = SendBuffer::new(8);
+        assert!(sb.try_direct());
+        sb.push(&[5, 6]).unwrap();
+        let sb2 = sb.clone();
+        let writer = thread::spawn(move || {
+            let mut out = Vec::new();
+            let more = sb2.drain_into(&mut out);
+            (more, out)
+        });
+        thread::sleep(Duration::from_millis(30));
+        assert!(!writer.is_finished(), "the drainer must not write beside a direct write");
+        sb.end_direct();
+        assert_eq!(writer.join().unwrap(), (true, vec![5, 6]));
+    }
+
+    #[test]
+    fn mark_down_ends_a_drainer_waiting_on_a_direct_write() {
+        let sb = SendBuffer::new(8);
+        assert!(sb.try_direct());
+        sb.push(&[7]).unwrap();
+        let sb2 = sb.clone();
+        let writer = thread::spawn(move || sb2.drain_into(&mut Vec::new()));
+        thread::sleep(Duration::from_millis(30));
+        sb.mark_down();
+        assert!(!writer.join().unwrap(), "down ends the writer loop mid-direct-write");
+        sb.end_direct();
+        sb.mark_up();
+        assert!(sb.try_direct(), "the token came back");
     }
 
     #[test]
