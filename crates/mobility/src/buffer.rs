@@ -1,4 +1,4 @@
-//! Buffering policies for virtual clients and event histories.
+//! Buffering policies for virtual clients and disconnected devices.
 //!
 //! The paper's research agenda (§4, *Embedding event histories*) names the
 //! policy space: "Garbage collection can be time-based, history-based or
@@ -7,17 +7,21 @@
 //! scheme, the buffer always keeps the last n notifications. Both schemes
 //! can be combined. In semantic-based scheme new events can nullify old
 //! events." All four are implemented by [`ReplayBuffer`], configured
-//! through [`BufferSpec`]; [`SharedBuffer`] implements the shared
-//! digest-store of the same section ("a shared buffer at the border broker
-//! can be used and virtual clients can keep only the digest").
+//! through [`BufferSpec`].
+//!
+//! The same section's shared buffer at the border broker ("virtual clients
+//! can keep only the digest") is what sharing the `Arc` already gives: every
+//! buffer of a replicator holds the allocation that flowed through routing,
+//! and reports what it admits and lets go to the replicator's one
+//! [`ByteLedger`], which counts a notification held by several buffers once.
 
-use rebeca_core::{Digest, Notification, SimDuration, SimTime};
+use rebeca_core::{Notification, NotificationId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// Configuration of a virtual client's replay buffer.
+/// Configuration of a replay buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BufferSpec {
     /// No buffering at all (arrivals replay nothing).
@@ -54,6 +58,18 @@ impl BufferSpec {
     pub fn build(&self) -> ReplayBuffer {
         ReplayBuffer::new(self.clone())
     }
+
+    /// The policy's `(max age, max length)`: the one place a policy turns
+    /// into bounds. `Semantic` is bounded by its keys alone.
+    fn bounds(&self) -> (Option<SimDuration>, Option<usize>) {
+        match self {
+            BufferSpec::None => (None, Some(0)),
+            BufferSpec::Unbounded | BufferSpec::Semantic { .. } => (None, None),
+            BufferSpec::TimeBased { ttl } => (Some(*ttl), None),
+            BufferSpec::HistoryBased { capacity } => (None, Some(*capacity)),
+            BufferSpec::Combined { ttl, capacity } => (Some(*ttl), Some(*capacity)),
+        }
+    }
 }
 
 impl fmt::Display for BufferSpec {
@@ -69,11 +85,79 @@ impl fmt::Display for BufferSpec {
     }
 }
 
+/// Where a buffer reports the notifications it admits and lets go: a
+/// replicator's [`ByteLedger`], or `()` for a buffer nobody accounts for.
+pub trait Ledger {
+    /// `n` entered a buffer.
+    fn admit(&mut self, n: &Notification);
+    /// `n` left a buffer: evicted, expired or drained.
+    fn release(&mut self, n: &Notification);
+}
+
+impl Ledger for () {
+    fn admit(&mut self, _: &Notification) {}
+    fn release(&mut self, _: &Notification) {}
+}
+
+/// One replicator's account of its buffers: how many buffers hold each
+/// notification, and the wire-size bytes of every notification held at
+/// least once. A notification held by k virtual clients and a disconnected
+/// device shares one allocation and counts once.
+#[derive(Debug, Default)]
+pub struct ByteLedger {
+    holders: HashMap<NotificationId, usize>,
+    bytes: usize,
+}
+
+impl ByteLedger {
+    /// Number of distinct notifications held by some buffer.
+    pub fn len(&self) -> usize {
+        self.holders.len()
+    }
+
+    /// Returns `true` if no buffer holds anything.
+    pub fn is_empty(&self) -> bool {
+        self.holders.is_empty()
+    }
+
+    /// Bytes held, each notification counted once.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+impl Ledger for ByteLedger {
+    fn admit(&mut self, n: &Notification) {
+        let holders = self.holders.entry(n.id()).or_insert(0);
+        *holders += 1;
+        if *holders == 1 {
+            self.bytes += n.wire_size();
+        }
+    }
+
+    fn release(&mut self, n: &Notification) {
+        let holders = self
+            .holders
+            .get_mut(&n.id())
+            .expect("a buffer released a notification it never admitted");
+        *holders -= 1;
+        if *holders == 0 {
+            self.holders.remove(&n.id());
+            self.bytes -= n.wire_size();
+        }
+    }
+}
+
 /// An ordered notification buffer with pluggable garbage collection.
 ///
 /// Buffered notifications are held behind `Arc`: offering is a refcount
 /// bump on the notification that already flowed through routing, and
-/// replaying shares the same allocation with the delivery path.
+/// replaying shares the same allocation with the delivery path. The `_to`
+/// forms report every admission and eviction to a [`Ledger`]; [`offer`]
+/// and [`drain`] report to nobody.
+///
+/// [`offer`]: ReplayBuffer::offer
+/// [`drain`]: ReplayBuffer::drain
 ///
 /// ```
 /// use rebeca_core::{ClientId, Notification, SimDuration, SimTime};
@@ -90,26 +174,15 @@ impl fmt::Display for BufferSpec {
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     spec: BufferSpec,
-    items: VecDeque<(SimTime, Arc<Notification>)>,
-    bytes: usize,
-    peak_len: usize,
-    peak_bytes: usize,
-    total_offered: u64,
-    total_evicted: u64,
+    /// `(offered at, semantic key, notification)`; the key is computed once
+    /// per offer under `Semantic` and is 0 under every other policy.
+    items: VecDeque<(SimTime, u64, Arc<Notification>)>,
 }
 
 impl ReplayBuffer {
     /// Creates an empty buffer with the given policy.
     pub fn new(spec: BufferSpec) -> Self {
-        ReplayBuffer {
-            spec,
-            items: VecDeque::new(),
-            bytes: 0,
-            peak_len: 0,
-            peak_bytes: 0,
-            total_offered: 0,
-            total_evicted: 0,
-        }
+        ReplayBuffer { spec, items: VecDeque::new() }
     }
 
     /// The configured policy.
@@ -117,75 +190,73 @@ impl ReplayBuffer {
         &self.spec
     }
 
+    /// [`offer_to`](Self::offer_to) with no ledger.
+    pub fn offer(&mut self, now: SimTime, n: Arc<Notification>) {
+        self.offer_to(&mut (), now, n);
+    }
+
     /// Offers a notification at time `now`, applying the policy. The
     /// shared notification is referenced, never copied.
-    pub fn offer(&mut self, now: SimTime, n: Arc<Notification>) {
-        self.total_offered += 1;
-        match &self.spec {
+    pub fn offer_to(&mut self, ledger: &mut impl Ledger, now: SimTime, n: Arc<Notification>) {
+        let key = match &self.spec {
             BufferSpec::None => return,
             BufferSpec::Semantic { key_attrs } => {
                 let key = semantic_key(&n, key_attrs);
-                if let Some(pos) =
-                    self.items.iter().position(|(_, old)| semantic_key(old, key_attrs) == key)
-                {
-                    let (_, old) = self.items.remove(pos).expect("position valid");
-                    self.bytes -= old.wire_size();
-                    self.total_evicted += 1;
+                if let Some(pos) = self.items.iter().position(|(_, k, _)| *k == key) {
+                    let (_, _, old) = self.items.remove(pos).expect("position valid");
+                    ledger.release(&old);
                 }
+                key
             }
-            _ => {}
-        }
-        self.bytes += n.wire_size();
-        self.items.push_back((now, n));
-        self.gc(now);
-        self.peak_len = self.peak_len.max(self.items.len());
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
+            BufferSpec::Unbounded
+            | BufferSpec::TimeBased { .. }
+            | BufferSpec::HistoryBased { .. }
+            | BufferSpec::Combined { .. } => 0,
+        };
+        ledger.admit(&n);
+        self.items.push_back((now, key, n));
+        self.gc(ledger, now);
     }
 
     /// Applies garbage collection at time `now` (also called by `offer`).
-    pub fn gc(&mut self, now: SimTime) {
-        let (ttl, capacity) = match &self.spec {
-            BufferSpec::None => (None, Some(0)),
-            BufferSpec::Unbounded | BufferSpec::Semantic { .. } => (None, None),
-            BufferSpec::TimeBased { ttl } => (Some(*ttl), None),
-            BufferSpec::HistoryBased { capacity } => (None, Some(*capacity)),
-            BufferSpec::Combined { ttl, capacity } => (Some(*ttl), Some(*capacity)),
-        };
-        if let Some(ttl) = ttl {
-            let cutoff = now - ttl;
-            while let Some((at, _)) = self.items.front() {
-                if *at < cutoff {
-                    let (_, old) = self.items.pop_front().expect("front exists");
-                    self.bytes -= old.wire_size();
-                    self.total_evicted += 1;
-                } else {
-                    break;
-                }
+    pub fn gc(&mut self, ledger: &mut impl Ledger, now: SimTime) {
+        let (ttl, capacity) = self.spec.bounds();
+        while let Some((at, _, _)) = self.items.front() {
+            let expired = ttl.is_some_and(|ttl| *at < now - ttl);
+            let over = capacity.is_some_and(|cap| self.items.len() > cap);
+            if !(expired || over) {
+                break;
             }
+            let (_, _, old) = self.items.pop_front().expect("front exists");
+            ledger.release(&old);
         }
-        if let Some(cap) = capacity {
-            while self.items.len() > cap {
-                let (_, old) = self.items.pop_front().expect("len > cap");
-                self.bytes -= old.wire_size();
-                self.total_evicted += 1;
-            }
-        }
+    }
+
+    /// [`drain_to`](Self::drain_to) with no ledger.
+    pub fn drain(&mut self, now: SimTime) -> Vec<Arc<Notification>> {
+        self.drain_to(&mut (), now)
     }
 
     /// Drains the buffer in insertion order (the handover replay), after a
     /// final garbage collection at `now`. The returned notifications share
     /// their allocations with whoever else still holds them.
-    pub fn drain(&mut self, now: SimTime) -> Vec<Arc<Notification>> {
-        self.gc(now);
-        self.bytes = 0;
-        self.items.drain(..).map(|(_, n)| n).collect()
+    pub fn drain_to(&mut self, ledger: &mut impl Ledger, now: SimTime) -> Vec<Arc<Notification>> {
+        self.gc(ledger, now);
+        self.items
+            .drain(..)
+            .map(|(_, _, n)| {
+                ledger.release(&n);
+                n
+            })
+            .collect()
     }
 
-    /// Returns the buffered notifications without draining (exception-mode
-    /// fetch keeps the buffer). Cloning is per-`Arc`, not per-notification.
-    pub fn snapshot(&mut self, now: SimTime) -> Vec<Arc<Notification>> {
-        self.gc(now);
-        self.items.iter().map(|(_, n)| Arc::clone(n)).collect()
+    /// Returns the buffered notifications after garbage collection at
+    /// `now`, without draining (exception-mode fetch keeps the buffer).
+    /// Cloning is per-`Arc`, not per-notification.
+    pub fn snapshot(&mut self, ledger: &mut impl Ledger, now: SimTime) -> Vec<Arc<Notification>> {
+        self.gc(ledger, now);
+        self.items.iter().map(|(_, _, n)| Arc::clone(n)).collect()
     }
 
     /// Current number of buffered notifications.
@@ -196,31 +267,6 @@ impl ReplayBuffer {
     /// Returns `true` if nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Current buffered bytes (wire-size estimate).
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Largest length ever reached.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Largest byte footprint ever reached.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Notifications offered over the buffer's lifetime.
-    pub fn total_offered(&self) -> u64 {
-        self.total_offered
-    }
-
-    /// Notifications evicted by the policy.
-    pub fn total_evicted(&self) -> u64 {
-        self.total_evicted
     }
 }
 
@@ -241,74 +287,6 @@ fn semantic_key(n: &Notification, key_attrs: &[String]) -> u64 {
     h.finish().raw()
 }
 
-/// The shared digest-store of §4: one buffer per border broker, shared by
-/// all virtual clients there; each virtual client keeps only digests.
-/// Entries are reference-counted and vanish when no virtual client needs
-/// them.
-#[derive(Debug, Default)]
-pub struct SharedBuffer {
-    store: HashMap<Digest, (Arc<Notification>, usize)>,
-    bytes: usize,
-    peak_bytes: usize,
-}
-
-impl SharedBuffer {
-    /// Creates an empty shared buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts (or references) a notification, returning its digest. The
-    /// store shares the caller's allocation (refcount bump, no copy).
-    pub fn insert(&mut self, n: &Arc<Notification>) -> Digest {
-        let d = n.digest();
-        let entry = self.store.entry(d).or_insert_with(|| {
-            self.bytes += n.wire_size();
-            (Arc::clone(n), 0)
-        });
-        entry.1 += 1;
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-        d
-    }
-
-    /// Fetches a notification by digest.
-    pub fn get(&self, d: Digest) -> Option<&Arc<Notification>> {
-        self.store.get(&d).map(|(n, _)| n)
-    }
-
-    /// Releases one reference; the entry is dropped at zero.
-    pub fn release(&mut self, d: Digest) {
-        if let Some((n, count)) = self.store.get_mut(&d) {
-            *count -= 1;
-            if *count == 0 {
-                let size = n.wire_size();
-                self.store.remove(&d);
-                self.bytes -= size;
-            }
-        }
-    }
-
-    /// Number of distinct stored notifications.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Returns `true` if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Current byte footprint (each notification counted once).
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Largest byte footprint ever reached.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,24 +304,28 @@ mod tests {
 
     #[test]
     fn none_buffers_nothing() {
+        let mut ledger = ByteLedger::default();
         let mut b = BufferSpec::None.build();
-        b.offer(SimTime::ZERO, note(0, SimTime::ZERO));
+        b.offer_to(&mut ledger, SimTime::ZERO, note(0, SimTime::ZERO));
         assert!(b.is_empty());
-        assert_eq!(b.bytes(), 0);
+        assert!(ledger.is_empty());
     }
 
     #[test]
     fn unbounded_keeps_everything_in_order() {
+        let mut ledger = ByteLedger::default();
         let mut b = BufferSpec::Unbounded.build();
         for i in 0..10 {
-            b.offer(SimTime::from_secs(i), note(i, SimTime::from_secs(i)));
+            b.offer_to(&mut ledger, SimTime::from_secs(i), note(i, SimTime::from_secs(i)));
         }
         assert_eq!(b.len(), 10);
-        let drained = b.drain(SimTime::from_secs(10));
+        assert_eq!(ledger.len(), 10);
+        let drained = b.drain_to(&mut ledger, SimTime::from_secs(10));
         let seqs: Vec<u64> = drained.iter().map(|n| n.seq()).collect();
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
         assert!(b.is_empty());
-        assert_eq!(b.bytes(), 0);
+        assert!(ledger.is_empty());
+        assert_eq!(ledger.bytes(), 0);
     }
 
     #[test]
@@ -354,9 +336,8 @@ mod tests {
         }
         // At t=9, cutoff is t=4: items from t in [4..9] remain.
         assert_eq!(b.len(), 6);
-        b.gc(SimTime::from_secs(20));
+        b.gc(&mut (), SimTime::from_secs(20));
         assert!(b.is_empty(), "everything expires eventually");
-        assert_eq!(b.total_evicted(), 10);
     }
 
     #[test]
@@ -376,9 +357,9 @@ mod tests {
             b.offer(SimTime::from_secs(i), note(i, SimTime::from_secs(i)));
         }
         assert_eq!(b.len(), 3, "capacity binds first here");
-        b.gc(SimTime::from_secs(13));
+        b.gc(&mut (), SimTime::from_secs(13));
         assert_eq!(b.len(), 2, "cutoff 13-5=8 evicts the t=7 item");
-        b.gc(SimTime::from_secs(20));
+        b.gc(&mut (), SimTime::from_secs(20));
         assert!(b.is_empty(), "everything expires eventually");
     }
 
@@ -416,41 +397,31 @@ mod tests {
     fn snapshot_keeps_items() {
         let mut b = BufferSpec::Unbounded.build();
         b.offer(SimTime::ZERO, note(0, SimTime::ZERO));
-        let snap = b.snapshot(SimTime::ZERO);
+        let snap = b.snapshot(&mut (), SimTime::ZERO);
         assert_eq!(snap.len(), 1);
         assert_eq!(b.len(), 1, "snapshot must not drain");
     }
 
     #[test]
-    fn peaks_and_counters() {
-        let mut b = BufferSpec::HistoryBased { capacity: 2 }.build();
-        for i in 0..5 {
-            b.offer(SimTime::from_secs(i), note(i, SimTime::from_secs(i)));
-        }
-        assert_eq!(b.peak_len(), 2);
-        assert!(b.peak_bytes() > 0);
-        assert_eq!(b.total_offered(), 5);
-        assert_eq!(b.total_evicted(), 3);
-    }
-
-    #[test]
-    fn shared_buffer_refcounts() {
-        let mut s = SharedBuffer::new();
+    fn ledger_counts_a_shared_body_once() {
+        let mut ledger = ByteLedger::default();
+        let mut a = BufferSpec::HistoryBased { capacity: 2 }.build();
+        let mut b = BufferSpec::Unbounded.build();
         let n = note(0, SimTime::ZERO);
-        let d1 = s.insert(&n);
-        let d2 = s.insert(&n);
-        assert_eq!(d1, d2);
-        assert_eq!(s.len(), 1);
-        let one_size = s.bytes();
-        assert_eq!(one_size, n.wire_size(), "deduplicated storage");
-        s.release(d1);
-        assert_eq!(s.len(), 1, "still referenced once");
-        assert!(s.get(d1).is_some());
-        s.release(d1);
-        assert!(s.is_empty());
-        assert_eq!(s.bytes(), 0);
-        assert!(s.get(d1).is_none());
-        assert_eq!(s.peak_bytes(), one_size);
+        a.offer_to(&mut ledger, SimTime::ZERO, Arc::clone(&n));
+        b.offer_to(&mut ledger, SimTime::ZERO, Arc::clone(&n));
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger.bytes(), n.wire_size(), "two holders, one body");
+        // Two newer offers push `n` out of `a`; `b` still holds it.
+        for i in 1..3 {
+            a.offer_to(&mut ledger, SimTime::ZERO, note(i, SimTime::ZERO));
+        }
+        assert_eq!(ledger.len(), 3);
+        b.drain_to(&mut ledger, SimTime::ZERO);
+        assert_eq!(ledger.len(), 2, "`n` left its last holder");
+        a.drain_to(&mut ledger, SimTime::ZERO);
+        assert!(ledger.is_empty());
+        assert_eq!(ledger.bytes(), 0);
     }
 }
 
@@ -477,32 +448,35 @@ mod prop_tests {
 
     proptest! {
         /// Invariants that hold for every policy: drain yields items in
-        /// insertion order (a subsequence of offers), byte accounting is
-        /// exact, and the length respects the policy's capacity.
+        /// insertion order (a subsequence of offers), the ledger holds
+        /// exactly what the buffer holds, and the length respects the
+        /// policy's capacity.
         #[test]
         fn buffer_invariants(spec in arb_spec(), offers in proptest::collection::vec((0u64..30, 0i64..5), 0..40)) {
+            let mut ledger = ByteLedger::default();
             let mut buf = spec.build();
-            let mut times: Vec<u64> = offers.iter().map(|(t, _)| *t).collect();
-            times.sort_unstable();
             let mut now = SimTime::ZERO;
             for (i, (t, k)) in offers.iter().enumerate() {
                 now = now.max(SimTime::from_secs(*t));
                 let n = Notification::builder()
                     .attr("k", *k)
                     .publish(ClientId::new(0), i as u64, now);
-                buf.offer(now, Arc::new(n));
+                buf.offer_to(&mut ledger, now, Arc::new(n));
                 if let BufferSpec::HistoryBased { capacity } = buf.spec() {
                     prop_assert!(buf.len() <= *capacity);
                 }
-                let expect_bytes: usize = buf.snapshot(now).iter().map(|n| n.wire_size()).sum();
-                prop_assert_eq!(buf.bytes(), expect_bytes);
+                let held = buf.snapshot(&mut ledger, now);
+                let expect_bytes: usize = held.iter().map(|n| n.wire_size()).sum();
+                prop_assert_eq!(ledger.len(), held.len());
+                prop_assert_eq!(ledger.bytes(), expect_bytes);
             }
-            let drained = buf.drain(now);
+            let drained = buf.drain_to(&mut ledger, now);
             let seqs: Vec<u64> = drained.iter().map(|n| n.seq()).collect();
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             prop_assert_eq!(seqs, sorted, "replay must preserve insertion order");
-            prop_assert_eq!(buf.bytes(), 0);
+            prop_assert!(ledger.is_empty());
+            prop_assert_eq!(ledger.bytes(), 0);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! 1. **Physical mobility** (location *transparency*): the relocation
 //!    protocol of Zeidler/Fiege \[8\]. The [`ReplicatorNode`] in front of
 //!    each border broker buffers notifications for silently disconnected
-//!    clients in [`RelocationBuffers`] and replays them — gap-free,
+//!    clients ([`RelocationBuffers`]) and replays them — gap-free,
 //!    duplicate-free, FIFO-preserving — when the client's
 //!    [`MobileClientNode`] re-attaches at a (possibly different) border
 //!    broker. The brokers themselves stay mobility-unaware. The
@@ -29,9 +29,11 @@
 //! The research-agenda items of §4 are implemented too: k-hop `nlb`
 //! sizing, the *exception mode* for clients popping up outside their
 //! neighbourhood, pluggable buffering policies ([`BufferSpec`]: time-based,
-//! history-based, combined, semantic), the shared digest buffer
-//! ([`SharedBuffer`]), and context-dependent subscriptions ([`ContextMap`],
-//! `myctx`).
+//! history-based, combined, semantic), and context-dependent subscriptions
+//! ([`ContextMap`], `myctx`). Virtual clients and disconnected devices
+//! buffer in one type, [`ReplayBuffer`], and every buffer of a replicator
+//! reports to its one [`ByteLedger`], so a notification held by several
+//! buffers is counted once (§4's shared buffer at the border broker).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +48,7 @@ pub mod paging;
 pub mod physical;
 pub mod replicator;
 
-pub use buffer::{BufferSpec, ReplayBuffer, SharedBuffer};
+pub use buffer::{BufferSpec, ByteLedger, Ledger, ReplayBuffer};
 pub use client::{ClientMobilityMode, MobileClientNode};
 pub use context::ContextMap;
 pub use location::LocationMap;

@@ -9,7 +9,10 @@
 //! mobility-unaware brokers; [`RelocationBuffers`] is its state:
 //!
 //! * deliveries to a client whose wireless link is down are **buffered**
-//!   (the replicator is connection-aware — it never silently drops);
+//!   (the replicator is connection-aware — it never silently drops) in a
+//!   [`ReplayBuffer`] under `TimeBased { ttl }`, the same buffer type a
+//!   virtual client uses, reporting to the replicator's one
+//!   [`ByteLedger`];
 //! * when the client re-attaches elsewhere and its `MoveIn` arrives, the
 //!   new replicator re-installs the subscriptions, **holds back** live
 //!   matches, and fetches the old replicator's buffer over the replicator
@@ -18,7 +21,8 @@
 //! * replay is delivered first, then the hold-back queue, then live flow —
 //!   preserving per-publisher FIFO without loss; the client library
 //!   suppresses the (rare) duplicates;
-//! * relocation buffers expire after a TTL ("it will probably be
+//! * buffered notifications expire one by one after the TTL, and a client
+//!   buffered for longer than the TTL is retired ("it will probably be
 //!   acceptable for users to expect some form of degraded service after
 //!   long periods of disconnection", §4).
 //!
@@ -32,44 +36,66 @@
 //! [`MobilityMsg::FetchBuffered`]: rebeca_broker::MobilityMsg::FetchBuffered
 //! [`MobilityMsg::BufferedBatch`]: rebeca_broker::MobilityMsg::BufferedBatch
 
+use crate::buffer::{BufferSpec, ByteLedger, ReplayBuffer};
 use rebeca_core::{BrokerId, ClientId, Notification, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Relocation state of the replicator layer: per-client buffers for the
 /// disconnected, hold-back queues for the arriving.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RelocationBuffers {
-    buffering: HashMap<ClientId, (SimTime, Vec<Arc<Notification>>)>,
+    /// How long a disconnected client is buffered for: its buffer's
+    /// `TimeBased` ttl, and the age at which the client is retired.
+    ttl: SimDuration,
+    /// Per disconnected client: since when it is buffered for, and the
+    /// buffer itself.
+    buffering: HashMap<ClientId, (SimTime, ReplayBuffer)>,
     holdback: HashMap<ClientId, Vec<Arc<Notification>>>,
     /// Clients whose hand-off is draining: stragglers still in flight are
     /// forwarded to the new border until the grace period ends
     /// (make-before-break).
     draining: HashMap<ClientId, BrokerId>,
-    /// Total notifications ever buffered (metric).
-    pub total_buffered: u64,
-    /// Total notifications replayed to arriving clients (metric).
-    pub total_replayed: u64,
-    /// Buffers dropped by TTL expiry (metric).
-    pub expired: u64,
 }
 
 impl RelocationBuffers {
-    /// Creates empty relocation state.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates empty relocation state whose buffers live `ttl`.
+    pub fn new(ttl: SimDuration) -> Self {
+        RelocationBuffers {
+            ttl,
+            buffering: HashMap::new(),
+            holdback: HashMap::new(),
+            draining: HashMap::new(),
+        }
     }
 
     /// Buffers a notification for a disconnected client (shared, not
-    /// copied).
-    pub fn buffer(&mut self, now: SimTime, client: ClientId, n: Arc<Notification>) {
-        self.buffering.entry(client).or_insert_with(|| (now, Vec::new())).1.push(n);
-        self.total_buffered += 1;
+    /// copied), reporting it to `ledger`.
+    pub fn buffer(
+        &mut self,
+        ledger: &mut ByteLedger,
+        now: SimTime,
+        client: ClientId,
+        n: Arc<Notification>,
+    ) {
+        let (_, buf) = self
+            .buffering
+            .entry(client)
+            .or_insert_with(|| (now, BufferSpec::TimeBased { ttl: self.ttl }.build()));
+        buf.offer_to(ledger, now, n);
     }
 
     /// Takes (and removes) the buffer of a client.
-    pub fn take_buffer(&mut self, client: ClientId) -> Vec<Arc<Notification>> {
-        self.buffering.remove(&client).map(|(_, v)| v).unwrap_or_default()
+    pub fn take_buffer(
+        &mut self,
+        ledger: &mut ByteLedger,
+        now: SimTime,
+        client: ClientId,
+    ) -> Vec<Arc<Notification>> {
+        self.buffering
+            .remove(&client)
+            .map(|(_, mut buf)| buf.drain_to(ledger, now))
+            .unwrap_or_default()
     }
 
     /// Returns `true` while `client` has an active hold-back queue (i.e.
@@ -108,9 +134,10 @@ impl RelocationBuffers {
         self.draining.remove(&client)
     }
 
-    /// Drops buffers older than `ttl`; returns the expired clients.
-    pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<ClientId> {
-        let cutoff = now - ttl;
+    /// Drops the buffers of clients buffered for longer than the ttl;
+    /// returns those clients.
+    pub fn expire(&mut self, ledger: &mut ByteLedger, now: SimTime) -> Vec<ClientId> {
+        let cutoff = now - self.ttl;
         let expired: Vec<ClientId> = self
             .buffering
             .iter()
@@ -118,8 +145,7 @@ impl RelocationBuffers {
             .map(|(c, _)| *c)
             .collect();
         for c in &expired {
-            self.buffering.remove(c);
-            self.expired += 1;
+            self.take_buffer(ledger, now, *c);
         }
         expired
     }
@@ -131,7 +157,7 @@ impl RelocationBuffers {
 
     /// Total notifications currently sitting in relocation buffers.
     pub fn buffered_notifications(&self) -> usize {
-        self.buffering.values().map(|(_, v)| v.len()).sum()
+        self.buffering.values().map(|(_, buf)| buf.len()).sum()
     }
 }
 
@@ -150,22 +176,24 @@ mod tests {
 
     #[test]
     fn buffer_take_cycle() {
-        let mut r = RelocationBuffers::new();
+        let mut ledger = ByteLedger::default();
+        let mut r = RelocationBuffers::new(SimDuration::from_secs(300));
         let c = ClientId::new(1);
-        r.buffer(SimTime::ZERO, c, note(0));
-        r.buffer(SimTime::ZERO, c, note(1));
+        r.buffer(&mut ledger, SimTime::ZERO, c, note(0));
+        r.buffer(&mut ledger, SimTime::ZERO, c, note(1));
         assert_eq!(r.buffering_count(), 1);
         assert_eq!(r.buffered_notifications(), 2);
-        let batch = r.take_buffer(c);
+        assert_eq!(ledger.len(), 2);
+        let batch = r.take_buffer(&mut ledger, SimTime::ZERO, c);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].seq(), 0, "FIFO order");
-        assert!(r.take_buffer(c).is_empty());
-        assert_eq!(r.total_buffered, 2);
+        assert!(r.take_buffer(&mut ledger, SimTime::ZERO, c).is_empty());
+        assert!(ledger.is_empty());
     }
 
     #[test]
     fn holdback_cycle() {
-        let mut r = RelocationBuffers::new();
+        let mut r = RelocationBuffers::new(SimDuration::from_secs(300));
         let c = ClientId::new(1);
         assert!(!r.is_arriving(c));
         r.begin_arrival(c);
@@ -179,15 +207,29 @@ mod tests {
 
     #[test]
     fn ttl_expiry() {
-        let mut r = RelocationBuffers::new();
+        let mut ledger = ByteLedger::default();
+        let mut r = RelocationBuffers::new(SimDuration::from_secs(30));
         let (c1, c2) = (ClientId::new(1), ClientId::new(2));
-        r.buffer(SimTime::from_secs(0), c1, note(0));
-        r.buffer(SimTime::from_secs(50), c2, note(1));
-        let expired = r.expire(SimTime::from_secs(60), SimDuration::from_secs(30));
+        r.buffer(&mut ledger, SimTime::from_secs(0), c1, note(0));
+        r.buffer(&mut ledger, SimTime::from_secs(50), c2, note(1));
+        let expired = r.expire(&mut ledger, SimTime::from_secs(60));
         assert_eq!(expired, vec![c1]);
         assert_eq!(r.buffering_count(), 1);
-        assert_eq!(r.expired, 1);
-        assert!(r.take_buffer(c1).is_empty());
-        assert_eq!(r.take_buffer(c2).len(), 1);
+        assert_eq!(ledger.len(), 1, "the expired buffer left the ledger");
+        assert!(r.take_buffer(&mut ledger, SimTime::from_secs(60), c1).is_empty());
+        assert_eq!(r.take_buffer(&mut ledger, SimTime::from_secs(60), c2).len(), 1);
+    }
+
+    #[test]
+    fn a_long_disconnection_expires_per_notification() {
+        let mut ledger = ByteLedger::default();
+        let mut r = RelocationBuffers::new(SimDuration::from_secs(30));
+        let c = ClientId::new(1);
+        r.buffer(&mut ledger, SimTime::from_secs(0), c, note(0));
+        r.buffer(&mut ledger, SimTime::from_secs(20), c, note(1));
+        // At t = 40 the first notification is past the ttl; the second is not.
+        let batch = r.take_buffer(&mut ledger, SimTime::from_secs(40), c);
+        assert_eq!(batch.iter().map(|n| n.seq()).collect::<Vec<_>>(), vec![1]);
+        assert!(ledger.is_empty());
     }
 }

@@ -22,28 +22,33 @@
 //!
 //! The §4 research items are implemented as configuration: k-hop
 //! neighbourhoods ([`ReplicatorConfig::k_hops`]), pluggable buffering
-//! policies ([`BufferSpec`]), the shared digest buffer
-//! ([`ReplicatorConfig::shared_buffer`]), and the *exception mode*: a
-//! client popping up at an uncovered broker gets a virtual client created
-//! on the fly plus a buffer fetched from its previous replicator.
+//! policies ([`BufferSpec`]), and the *exception mode*: a client popping
+//! up at an uncovered broker gets a virtual client created on the fly plus
+//! a buffer fetched from its previous replicator.
 //!
 //! Physical mobility of the client's non-location-dependent subscriptions
 //! is handled at this layer too (the replicator is the connection-aware
 //! edge), via [`RelocationBuffers`] — the brokers below stay completely
 //! mobility-unaware. With `k_hops: 0` that is all this layer does: the
 //! reactive baseline.
+//!
+//! Every holder of buffered notifications, each virtual client and each
+//! disconnected device, has one [`ReplayBuffer`], and all of them report to
+//! the replicator's one [`ByteLedger`]. They hold the same `Arc`s, so a
+//! notification buffered for k virtual clients and a device is stored and
+//! counted once: that is §4's shared buffer at the border broker.
 
-use crate::buffer::{BufferSpec, ReplayBuffer, SharedBuffer};
+use crate::buffer::{BufferSpec, ByteLedger, ReplayBuffer};
 use crate::location::LocationMap;
 use crate::movement::MovementGraph;
 use crate::physical::RelocationBuffers;
 use rebeca_broker::{Message, MobilityMsg};
 use rebeca_core::{
-    ApplicationId, BrokerId, ClientId, Digest, Filter, Notification, SimDuration, SimTime,
-    Subscription, SubscriptionId,
+    ApplicationId, BrokerId, ClientId, Filter, Notification, SimDuration, SimTime, Subscription,
+    SubscriptionId,
 };
 use rebeca_net::{Ctx, Node, NodeId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -67,14 +72,6 @@ pub fn virtual_client_id(app: ApplicationId, broker: BrokerId) -> ClientId {
     ClientId::new(0x8000_0000 | (app.raw() << 12) | broker.raw())
 }
 
-/// Buffer of one virtual client: private per-VC storage or digests into
-/// the broker-wide [`SharedBuffer`].
-#[derive(Debug)]
-enum VcBuffer {
-    Private(ReplayBuffer),
-    Shared(VecDeque<(SimTime, Digest)>),
-}
-
 /// A virtual client: the "information shadow" of a mobile application at
 /// one border broker.
 #[derive(Debug)]
@@ -87,7 +84,7 @@ pub struct VirtualClient {
     subs: HashMap<SubscriptionId, Filter>,
     /// The device node while this virtual client is the *active* one.
     active_node: Option<NodeId>,
-    buffer: VcBuffer,
+    buffer: ReplayBuffer,
     replays: u64,
 }
 
@@ -110,10 +107,7 @@ impl VirtualClient {
 
     /// Number of currently buffered notifications.
     pub fn buffered(&self) -> usize {
-        match &self.buffer {
-            VcBuffer::Private(b) => b.len(),
-            VcBuffer::Shared(d) => d.len(),
-        }
+        self.buffer.len()
     }
 
     /// Notifications replayed to the device by this virtual client.
@@ -136,12 +130,11 @@ pub struct ReplicatorConfig {
     /// paper's `nlb`, `0` disables replication (pure reactive behaviour),
     /// larger values trade bandwidth for coverage (§4).
     pub k_hops: u32,
-    /// Buffering policy of virtual clients.
+    /// Buffering policy of virtual clients (default: the last 1 024
+    /// notifications of the last 300 s).
     pub buffer: BufferSpec,
-    /// Use the shared digest buffer instead of private per-VC buffers.
-    /// (Semantic policies fall back to unbounded in shared mode.)
-    pub shared_buffer: bool,
-    /// TTL for relocation buffers of disconnected clients.
+    /// TTL of the notifications buffered for a disconnected client, and
+    /// how long it stays disconnected before it is retired.
     pub relocation_ttl: SimDuration,
     /// Housekeeping interval (buffer GC, TTL sweeps).
     pub sweep_interval: SimDuration,
@@ -159,8 +152,7 @@ impl Default for ReplicatorConfig {
     fn default() -> Self {
         ReplicatorConfig {
             k_hops: 1,
-            buffer: BufferSpec::Unbounded,
-            shared_buffer: false,
+            buffer: BufferSpec::Combined { ttl: SimDuration::from_secs(300), capacity: 1024 },
             relocation_ttl: SimDuration::from_secs(300),
             sweep_interval: SimDuration::from_secs(5),
             handover_grace: SimDuration::from_millis(100),
@@ -192,6 +184,28 @@ pub struct ReplicatorStats {
     pub stale_dropped: u64,
 }
 
+impl std::ops::AddAssign for ReplicatorStats {
+    fn add_assign(&mut self, other: ReplicatorStats) {
+        // Destructured, so a new counter cannot be left out of the sum.
+        let ReplicatorStats {
+            vcs_created,
+            vcs_deleted,
+            handovers,
+            exceptions,
+            replayed,
+            buffered,
+            stale_dropped,
+        } = other;
+        self.vcs_created += vcs_created;
+        self.vcs_deleted += vcs_deleted;
+        self.handovers += handovers;
+        self.exceptions += exceptions;
+        self.replayed += replayed;
+        self.buffered += buffered;
+        self.stale_dropped += stale_dropped;
+    }
+}
+
 /// The replicator process of one border broker.
 pub struct ReplicatorNode {
     broker: BrokerId,
@@ -210,7 +224,8 @@ pub struct ReplicatorNode {
     epochs: HashMap<ApplicationId, u64>,
     /// Real device clients attached through this replicator.
     device_nodes: HashMap<ClientId, NodeId>,
-    shared: SharedBuffer,
+    /// What every buffer below holds, each notification counted once.
+    ledger: ByteLedger,
     reloc: RelocationBuffers,
     stats: ReplicatorStats,
 }
@@ -243,13 +258,13 @@ impl ReplicatorNode {
             replicator_nodes,
             movement,
             locations,
+            reloc: RelocationBuffers::new(config.relocation_ttl),
             config,
             vcs: HashMap::new(),
             vc_ids: HashMap::new(),
             epochs: HashMap::new(),
             device_nodes: HashMap::new(),
-            shared: SharedBuffer::new(),
-            reloc: RelocationBuffers::new(),
+            ledger: ByteLedger::default(),
             stats: ReplicatorStats::default(),
         }
     }
@@ -274,28 +289,21 @@ impl ReplicatorNode {
         self.vcs.get(&app)
     }
 
-    /// Bytes currently held in buffers (private buffers summed, or the
-    /// shared store plus 16 bytes per digest reference).
+    /// Bytes currently held in buffers, each notification counted once
+    /// however many virtual clients and devices hold it.
     pub fn buffer_bytes(&self) -> usize {
-        let private: usize = self
-            .vcs
-            .values()
-            .map(|vc| match &vc.buffer {
-                VcBuffer::Private(b) => b.bytes(),
-                VcBuffer::Shared(d) => d.len() * 16,
-            })
-            .sum();
-        private + self.shared.bytes()
+        self.ledger.bytes()
     }
 
-    /// The relocation state (physical-mobility metrics).
+    /// The account of everything this replicator's buffers hold.
+    pub fn ledger(&self) -> &ByteLedger {
+        &self.ledger
+    }
+
+    /// The relocation state: buffers of disconnected clients and hold-back
+    /// queues of arriving ones.
     pub fn relocation(&self) -> &RelocationBuffers {
         &self.reloc
-    }
-
-    /// The broker-wide shared digest buffer (refcount-balance inspection).
-    pub fn shared_buffer(&self) -> &SharedBuffer {
-        &self.shared
     }
 
     /// The newest handover epoch seen for `app`.
@@ -321,14 +329,6 @@ impl ReplicatorNode {
 
     fn peer(&self, broker: BrokerId) -> NodeId {
         self.replicator_nodes[broker.raw() as usize]
-    }
-
-    fn new_vc_buffer(&self) -> VcBuffer {
-        if self.config.shared_buffer {
-            VcBuffer::Shared(VecDeque::new())
-        } else {
-            VcBuffer::Private(self.config.buffer.build())
-        }
     }
 
     /// Creates (or reuses) the virtual client of `app`, installing its
@@ -357,7 +357,7 @@ impl ReplicatorNode {
                 },
             );
         }
-        let buffer = self.new_vc_buffer();
+        let buffer = self.config.buffer.build();
         self.vcs.insert(
             app,
             VirtualClient { app, device, vc_id, subs: map, active_node: None, buffer, replays: 0 },
@@ -403,18 +403,14 @@ impl ReplicatorNode {
     }
 
     /// Deletes the virtual client of `app` (unsubscribes and detaches it at
-    /// the broker, releases shared references).
+    /// the broker, releases its buffer from the ledger).
     fn delete_vc(&mut self, ctx: &mut Ctx<'_, Message>, app: ApplicationId) {
-        let Some(vc) = self.vcs.remove(&app) else {
+        let Some(mut vc) = self.vcs.remove(&app) else {
             return;
         };
         self.vc_ids.remove(&vc.vc_id);
         ctx.send(self.broker_node, Message::ClientDetach { client: vc.vc_id });
-        if let VcBuffer::Shared(digests) = vc.buffer {
-            for (_, d) in digests {
-                self.shared.release(d);
-            }
-        }
+        vc.buffer.drain_to(&mut self.ledger, ctx.now());
         self.stats.vcs_deleted += 1;
     }
 
@@ -424,19 +420,7 @@ impl ReplicatorNode {
         let Some(vc) = self.vcs.get_mut(&app) else {
             return;
         };
-        let items: Vec<Arc<Notification>> = match &mut vc.buffer {
-            VcBuffer::Private(b) => b.drain(now),
-            VcBuffer::Shared(digests) => {
-                let mut items = Vec::with_capacity(digests.len());
-                for (_, d) in digests.drain(..) {
-                    if let Some(n) = self.shared.get(d) {
-                        items.push(Arc::clone(n));
-                    }
-                    self.shared.release(d);
-                }
-                items
-            }
-        };
+        let items = vc.buffer.drain_to(&mut self.ledger, now);
         vc.replays += items.len() as u64;
         self.stats.replayed += items.len() as u64;
         let device = vc.device;
@@ -450,35 +434,7 @@ impl ReplicatorNode {
             return;
         };
         self.stats.buffered += 1;
-        match &mut vc.buffer {
-            VcBuffer::Private(b) => b.offer(now, n),
-            VcBuffer::Shared(digests) => {
-                let d = self.shared.insert(&n);
-                digests.push_back((now, d));
-                // Apply the ttl/capacity aspects of the policy on the
-                // digest list (semantic nullification is private-only).
-                let (ttl, capacity) = match &self.config.buffer {
-                    BufferSpec::None => (None, Some(0)),
-                    BufferSpec::TimeBased { ttl } => (Some(*ttl), None),
-                    BufferSpec::HistoryBased { capacity } => (None, Some(*capacity)),
-                    BufferSpec::Combined { ttl, capacity } => (Some(*ttl), Some(*capacity)),
-                    BufferSpec::Unbounded | BufferSpec::Semantic { .. } => (None, None),
-                };
-                if let Some(ttl) = ttl {
-                    let cutoff = now - ttl;
-                    while digests.front().is_some_and(|(at, _)| *at < cutoff) {
-                        let (_, d) = digests.pop_front().expect("front exists");
-                        self.shared.release(d);
-                    }
-                }
-                if let Some(cap) = capacity {
-                    while digests.len() > cap {
-                        let (_, d) = digests.pop_front().expect("len > cap");
-                        self.shared.release(d);
-                    }
-                }
-            }
-        }
+        vc.buffer.offer_to(&mut self.ledger, now, n);
     }
 
     /// The handover of §3.2.3 (and client setup of §3.2.1 when
@@ -510,7 +466,7 @@ impl ReplicatorNode {
         }
         match old_border {
             Some(old) if old == self.broker => {
-                for n in self.reloc.take_buffer(client) {
+                for n in self.reloc.take_buffer(&mut self.ledger, ctx.now(), client) {
                     ctx.send(device_node, Message::Deliver { client, notification: n });
                 }
             }
@@ -597,7 +553,7 @@ impl ReplicatorNode {
                     vc.active_node = None;
                 }
                 self.device_nodes.remove(&client);
-                let batch = self.reloc.take_buffer(client);
+                let batch = self.reloc.take_buffer(&mut self.ledger, ctx.now(), client);
                 self.reloc.begin_drain(client, new_border);
                 // Page the buffer: all chunks `complete: false` — the
                 // drain-expiry timer sends the terminating chunk after the
@@ -629,7 +585,7 @@ impl ReplicatorNode {
                 } else if complete {
                     let now = ctx.now();
                     for n in self.reloc.finish_arrival(client) {
-                        self.reloc.buffer(now, client, n);
+                        self.reloc.buffer(&mut self.ledger, now, client, n);
                     }
                 }
             }
@@ -698,14 +654,8 @@ impl ReplicatorNode {
             }
             MobilityMsg::ReplicaFetch { app, reply_to } => {
                 let now = ctx.now();
-                let items: Vec<Arc<Notification>> = match self.vcs.get_mut(&app) {
-                    Some(vc) => match &mut vc.buffer {
-                        VcBuffer::Private(b) => b.snapshot(now),
-                        VcBuffer::Shared(digests) => digests
-                            .iter()
-                            .filter_map(|(_, d)| self.shared.get(*d).map(Arc::clone))
-                            .collect(),
-                    },
+                let items = match self.vcs.get_mut(&app) {
+                    Some(vc) => vc.buffer.snapshot(&mut self.ledger, now),
                     None => Vec::new(),
                 };
                 // Page the replica buffer; only the last chunk carries the
@@ -789,10 +739,10 @@ impl ReplicatorNode {
                 if ctx.link_up(node) {
                     ctx.send(node, Message::Deliver { client, notification: n });
                 } else {
-                    self.reloc.buffer(ctx.now(), client, n);
+                    self.reloc.buffer(&mut self.ledger, ctx.now(), client, n);
                 }
             } else {
-                self.reloc.buffer(ctx.now(), client, n);
+                self.reloc.buffer(&mut self.ledger, ctx.now(), client, n);
             }
         }
     }
@@ -937,29 +887,11 @@ impl Node<Message> for ReplicatorNode {
         }
         debug_assert_eq!(tag, SWEEP_TAG);
         let now = ctx.now();
-        // Buffer housekeeping.
-        let mut released = Vec::new();
+        // Buffer housekeeping and the relocation TTL.
         for vc in self.vcs.values_mut() {
-            match &mut vc.buffer {
-                VcBuffer::Private(b) => b.gc(now),
-                VcBuffer::Shared(digests) => {
-                    if let BufferSpec::TimeBased { ttl } | BufferSpec::Combined { ttl, .. } =
-                        &self.config.buffer
-                    {
-                        let cutoff = now - *ttl;
-                        while digests.front().is_some_and(|(at, _)| *at < cutoff) {
-                            let (_, d) = digests.pop_front().expect("front exists");
-                            released.push(d);
-                        }
-                    }
-                }
-            }
+            vc.buffer.gc(&mut self.ledger, now);
         }
-        for d in released {
-            self.shared.release(d);
-        }
-        // Relocation TTL.
-        for client in self.reloc.expire(now, self.config.relocation_ttl) {
+        for client in self.reloc.expire(&mut self.ledger, now) {
             ctx.send(self.broker_node, Message::ClientDetach { client });
         }
         ctx.set_timer(self.config.sweep_interval, SWEEP_TAG);
@@ -994,6 +926,33 @@ mod tests {
     #[should_panic(expected = "too large")]
     fn vc_id_rejects_out_of_range() {
         virtual_client_id(ApplicationId::new(1 << 20), BrokerId::new(0));
+    }
+
+    #[test]
+    fn stats_add_every_counter() {
+        let one = ReplicatorStats {
+            vcs_created: 1,
+            vcs_deleted: 2,
+            handovers: 3,
+            exceptions: 4,
+            replayed: 5,
+            buffered: 6,
+            stale_dropped: 7,
+        };
+        let mut sum = one;
+        sum += one;
+        assert_eq!(
+            sum,
+            ReplicatorStats {
+                vcs_created: 2,
+                vcs_deleted: 4,
+                handovers: 6,
+                exceptions: 8,
+                replayed: 10,
+                buffered: 12,
+                stale_dropped: 14,
+            }
+        );
     }
 
     #[test]

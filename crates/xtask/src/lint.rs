@@ -13,10 +13,11 @@
 //!   `.write()`) in hot regions: the routing fan-out's whole design is
 //!   that shard ownership and interner snapshots make locks unnecessary.
 //! * **wildcard-arm** — no `_ =>` match arms in protocol handler files
-//!   (`broker.rs`, `client.rs`, `replicator.rs`) or transport dispatch
-//!   files (`wire.rs`, `process_rt.rs`, `supervisor.rs`): adding a
-//!   `Message` variant, a frame tag or a link-down cause must force every
-//!   handler to decide, not silently swallow it.
+//!   (`broker.rs`, `client.rs`, `replicator.rs`), transport dispatch
+//!   files (`wire.rs`, `process_rt.rs`, `supervisor.rs`) or the buffer
+//!   policy file (`buffer.rs`): adding a `Message` variant, a frame tag, a
+//!   link-down cause or a buffer policy must force every handler to
+//!   decide, not silently swallow it.
 //! * **safety-comment** — every `unsafe` item carries a `// SAFETY:`
 //!   comment on it or in the comment block directly above it.
 //! * **ordering-comment** — every atomic `Ordering::…` site carries a
@@ -85,7 +86,10 @@ const LOCK_PATTERNS: &[(&str, &str)] = &[
 /// `replica.rs` and `replicated.rs` are the replication layer: replica
 /// messages and broker-op application must enumerate every variant so a
 /// new protocol or log-op kind forces the state machine to decide.
+/// `buffer.rs` applies the buffer policies: a new `BufferSpec` variant must
+/// be decided wherever a policy is applied.
 const HANDLER_FILES: &[&str] = &[
+    "buffer.rs",
     "broker.rs",
     "client.rs",
     "replicator.rs",
@@ -504,6 +508,10 @@ fn hot() {
         assert_eq!(rules("crates/net/src/process_rt.rs", src), vec!["wildcard-arm"]);
         // The link supervisor dispatches on failure causes: same rule.
         assert_eq!(rules("crates/net/src/supervisor.rs", src), vec!["wildcard-arm"]);
+        // Buffer-policy dispatch: same rule; the name is matched whole, so
+        // the transport's `send_buffer.rs` is not a handler file.
+        assert_eq!(rules("crates/mobility/src/buffer.rs", src), vec!["wildcard-arm"]);
+        assert!(lint_source("crates/net/src/send_buffer.rs", src).is_empty());
         // Same code in a non-handler file: fine.
         assert!(lint_source("crates/broker/src/table.rs", src).is_empty());
         // Handler-named file outside src/ (a test fixture): fine.

@@ -78,15 +78,26 @@ fn main() -> Result<(), RebecaError> {
         sys.arrive(car, BrokerId::new(next))?;
         sys.run_for(SimDuration::from_secs(1));
         println!("-- car arrives in region {next}; guide shows:");
+        let mut dishes = Vec::new();
         for record in sys.take_delivered(car)? {
             let n = &record.notification;
+            let dish = n.get("dish").and_then(|v| v.as_str()).unwrap_or("?").to_owned();
             println!(
-                "   restaurant {}: {}",
+                "   restaurant {}: {dish}",
                 n.get("restaurant").and_then(|v| v.as_int()).unwrap_or(-1),
-                n.get("dish").and_then(|v| v.as_str()).unwrap_or("?"),
             );
+            dishes.push(dish);
         }
         if next == 1 {
+            // The claim: region 1's shadow replays the latest menu of each
+            // restaurant, and the semantic buffer nullified the soup.
+            for dish in ["katsu curry", "linguine"] {
+                assert!(dishes.iter().any(|d| d == dish), "region 1 must replay {dish}");
+            }
+            assert!(
+                !dishes.iter().any(|d| d == "yesterday's soup"),
+                "the superseded menu must not be replayed"
+            );
             // More menus appear while the car is in region 1; region 2's
             // shadow (created when the car reached region 1) buffers them.
             publish_menu(&mut sys, 2, 21, "dumplings")?;

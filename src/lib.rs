@@ -95,9 +95,10 @@
 //!    [`Message::Deliver`] per matching local client): refcount bumps, no
 //!    copies, and — with warm buffers — zero heap allocation per routed
 //!    notification (asserted by an allocation-regression test).
-//! 4. **Buffer.** Disconnection and replication buffers
-//!    ([`mobility::ReplayBuffer`], the shared digest store, relocation and
-//!    hold-back queues) store the *same* `Arc`. The wire batches that ship
+//! 4. **Buffer.** Virtual clients and disconnected devices buffer in one
+//!    type ([`mobility::ReplayBuffer`]), and hold-back queues likewise store
+//!    the *same* `Arc`; each replicator's [`mobility::ByteLedger`] counts a
+//!    notification held by several buffers once. The wire batches that ship
 //!    buffers between replicators ([`MobilityMsg::BufferedBatch`] /
 //!    `ReplicaBatch`) carry `Vec<Arc<Notification>>` — handing a buffer
 //!    over never deep-copies its contents.

@@ -1,6 +1,7 @@
 //! Integration tests for the §4 extensions: context-dependent
 //! subscriptions, buffering policies at system level, and the shared
-//! digest buffer — driven through the handle-based `Result` facade.
+//! buffer at the border broker (a body held by several virtual clients is
+//! counted once) — driven through the handle-based `Result` facade.
 
 use rebeca::{
     BrokerId, BufferSpec, Deployment, Filter, MovementGraph, Notification, Predicate, RebecaError,
@@ -135,23 +136,19 @@ fn time_buffer_expires_stale_notifications() -> Result<(), RebecaError> {
 
 #[test]
 fn shared_buffer_deduplicates_across_virtual_clients() -> Result<(), RebecaError> {
-    // Two mobile clients with identical interests hosted at the same
-    // replicator: the shared store keeps one copy, private mode keeps two.
-    let build = |shared: bool| -> Result<usize, RebecaError> {
+    // Mobile clients with identical interests hosted at the same
+    // replicator: their virtual clients hold the same notifications, and
+    // the replicator counts each of them once.
+    let build = |clients: usize| -> Result<usize, RebecaError> {
         let mut sys = SystemBuilder::new(Topology::line(3)?)
             .deployment(Deployment::Replicated {
                 movement: Some(MovementGraph::line(3)),
-                config: ReplicatorConfig {
-                    buffer: BufferSpec::Unbounded,
-                    shared_buffer: shared,
-                    ..Default::default()
-                },
+                config: ReplicatorConfig { buffer: BufferSpec::Unbounded, ..Default::default() },
             })
             .build()?;
         let p = sys.add_client(BrokerId::new(1))?;
-        let a = sys.add_mobile_client();
-        let b = sys.add_mobile_client();
-        for m in [a, b] {
+        for _ in 0..clients {
+            let m = sys.add_mobile_client();
             sys.arrive(m, BrokerId::new(0))?;
             sys.run_for(SimDuration::from_millis(300));
             sys.subscribe(m, Filter::builder().myloc("location").build())?;
@@ -169,13 +166,10 @@ fn shared_buffer_deduplicates_across_virtual_clients() -> Result<(), RebecaError
         sys.run_for(SimDuration::from_secs(2));
         sys.buffer_bytes(BrokerId::new(1))
     };
-    let private_bytes = build(false)?;
-    let shared_bytes = build(true)?;
-    assert!(private_bytes > 0 && shared_bytes > 0);
-    assert!(
-        shared_bytes < private_bytes,
-        "shared store ({shared_bytes}) must undercut private buffers ({private_bytes})"
-    );
+    let one = build(1)?;
+    let two = build(2)?;
+    assert!(one > 0);
+    assert!(two < 2 * one, "two identical clients ({two} B) must not cost twice one ({one} B)");
     Ok(())
 }
 
@@ -221,6 +215,16 @@ fn pre_arrival_replay_follows_the_buffer_policy() -> Result<(), RebecaError> {
         ("time(10s)", BufferSpec::TimeBased { ttl: SimDuration::from_secs(10) }, [3, 3, 0, 0]),
         ("history(2)", BufferSpec::HistoryBased { capacity: 2 }, [2, 2, 2, 2]),
         ("none", BufferSpec::None, [0, 0, 0, 0]),
+        (
+            "semantic(location)",
+            BufferSpec::Semantic { key_attrs: vec!["location".into()] },
+            [1, 1, 1, 1],
+        ),
+        (
+            "combined(10s,2)",
+            BufferSpec::Combined { ttl: SimDuration::from_secs(10), capacity: 2 },
+            [2, 2, 0, 0],
+        ),
     ];
     for (name, policy, expected) in table {
         for (lead_s, want) in leads.into_iter().zip(expected) {

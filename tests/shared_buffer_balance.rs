@@ -1,14 +1,14 @@
-//! Refcount balance of the shared digest buffer (paper §4).
+//! Balance of the replicator's byte ledger (paper §4's shared buffer).
 //!
-//! Every virtual client in shared-buffer mode holds digests into its
-//! broker's [`SharedBuffer`]; entries are refcounted and must vanish when
-//! the last referencing virtual client drops them. This property test
-//! drives a replicated deployment through random handover / exception-mode
-//! / publish / removal sequences and asserts that once every mobile client
-//! has been shut down (all virtual clients garbage-collected), every
-//! broker's shared buffer is empty with `bytes() == 0` — guarding all
-//! `release` paths: handover replay, policy eviction, sweep GC and virtual
-//! client deletion.
+//! Every buffer of a replicator reports what it admits and lets go to the
+//! replicator's one [`rebeca::mobility::ByteLedger`], which counts holders
+//! per notification; an entry must vanish when its last holder lets go.
+//! This property test drives a replicated deployment through random
+//! handover / exception-mode / publish / removal sequences and asserts that
+//! once every mobile client has been shut down (all virtual clients
+//! garbage-collected), every replicator's ledger is empty with
+//! `bytes() == 0` — guarding all release paths: handover replay, policy
+//! eviction, sweep GC and virtual client deletion.
 
 use proptest::prelude::*;
 use rebeca::{
@@ -55,7 +55,6 @@ proptest! {
         k_hops in 1u32..3,
     ) {
         let config = ReplicatorConfig {
-            shared_buffer: true,
             buffer: spec,
             k_hops,
             ..ReplicatorConfig::default()
@@ -129,15 +128,15 @@ proptest! {
                 .replicator(BrokerId::new(b))
                 .expect("broker in topology")
                 .expect("replicated deployment");
-            let shared = rep.shared_buffer();
+            let ledger = rep.ledger();
             prop_assert_eq!(
-                shared.len(),
+                ledger.len(),
                 0,
-                "broker {}: {} shared entries leaked (refcount imbalance)",
+                "broker {}: {} ledger entries leaked (holder imbalance)",
                 b,
-                shared.len()
+                ledger.len()
             );
-            prop_assert_eq!(shared.bytes(), 0, "broker {}: leaked bytes", b);
+            prop_assert_eq!(ledger.bytes(), 0, "broker {}: leaked bytes", b);
         }
     }
 }
