@@ -7,7 +7,8 @@
 //! * [`BrokerCore::route_notification_into`] — match + route + fan-out of
 //!   one `Arc<Notification>` through a broker with local subscribers and
 //!   neighbour announcements;
-//! * [`ReplayBuffer::offer`] — buffering on behalf of an absent device.
+//! * [`ReplayBuffer::offer`] — buffering on behalf of an absent device,
+//!   and `offer_to` with a [`ByteLedger`], as a replicator buffers.
 //! * [`ReplicatedBrokerNode`] dispatch — the same route path behind PR 10's
 //!   op-log replication wrapper, table populated through a live group of 3.
 //!
@@ -23,7 +24,7 @@ use rebeca_core::{
     BrokerId, ClientId, Filter, LocationId, Notification, SharedInterner, SimTime, Subscription,
     SubscriptionId,
 };
-use rebeca_mobility::BufferSpec;
+use rebeca_mobility::{BufferSpec, ByteLedger};
 use rebeca_net::{Ctx, Node, NodeId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -311,6 +312,44 @@ fn steady_state_pipeline_allocates_nothing() {
         buffered, 0,
         "warm replay-buffer offers allocated {buffered} times for 256 notifications"
     );
+
+    // --- the replicator's own path: distinct notifications offered to two
+    //     bounded buffers (two virtual clients with the same interest)
+    //     through `offer_to`, each admission and eviction reported to the
+    //     replicator's byte ledger ---
+    let notes: Vec<Arc<Notification>> = (0..1280)
+        .map(|seq| {
+            Arc::new(Notification::builder().attr("service", "t").attr("room", 3i64).publish(
+                ClientId::new(98),
+                seq,
+                SimTime::ZERO,
+            ))
+        })
+        .collect();
+    let (warm, measured) = notes.split_at(1024);
+    let mut ledger = ByteLedger::default();
+    let mut vcs = [
+        BufferSpec::HistoryBased { capacity: 64 }.build(),
+        BufferSpec::HistoryBased { capacity: 32 }.build(),
+    ];
+    let mut offer = |ledger: &mut ByteLedger, n: &Arc<Notification>| {
+        for vc in &mut vcs {
+            vc.offer_to(ledger, SimTime::ZERO, Arc::clone(n));
+        }
+    };
+    for n in warm {
+        offer(&mut ledger, n);
+    }
+    let before = allocations();
+    for n in measured {
+        offer(&mut ledger, n);
+    }
+    let ledgered = allocations() - before;
+    assert_eq!(
+        ledgered, 0,
+        "ledgered offers allocated {ledgered} times for 256 distinct notifications"
+    );
+    assert_eq!(ledger.len(), 64, "the 32 both buffers hold are counted once");
 
     // --- wire codec: the encode side into a reused buffer, and the
     //     zero-copy archived read path (parse + warm symbol resolution +

@@ -85,18 +85,20 @@ impl fmt::Display for BufferSpec {
     }
 }
 
-/// Where a buffer reports the notifications it admits and lets go: a
-/// replicator's [`ByteLedger`], or `()` for a buffer nobody accounts for.
+/// Where a buffer reports the notifications it admits and lets go, with
+/// their wire size: a replicator's [`ByteLedger`], or `()` for a buffer
+/// nobody accounts for.
 pub trait Ledger {
-    /// `n` entered a buffer.
-    fn admit(&mut self, n: &Notification);
-    /// `n` left a buffer: evicted, expired or drained.
-    fn release(&mut self, n: &Notification);
+    /// Notification `id` of `bytes` bytes entered a buffer.
+    fn admit(&mut self, id: NotificationId, bytes: usize);
+    /// Notification `id` of `bytes` bytes left a buffer: evicted, expired
+    /// or drained.
+    fn release(&mut self, id: NotificationId, bytes: usize);
 }
 
 impl Ledger for () {
-    fn admit(&mut self, _: &Notification) {}
-    fn release(&mut self, _: &Notification) {}
+    fn admit(&mut self, _: NotificationId, _: usize) {}
+    fn release(&mut self, _: NotificationId, _: usize) {}
 }
 
 /// One replicator's account of its buffers: how many buffers hold each
@@ -127,25 +129,33 @@ impl ByteLedger {
 }
 
 impl Ledger for ByteLedger {
-    fn admit(&mut self, n: &Notification) {
-        let holders = self.holders.entry(n.id()).or_insert(0);
+    fn admit(&mut self, id: NotificationId, bytes: usize) {
+        let holders = self.holders.entry(id).or_insert(0);
         *holders += 1;
         if *holders == 1 {
-            self.bytes += n.wire_size();
+            self.bytes += bytes;
         }
     }
 
-    fn release(&mut self, n: &Notification) {
-        let holders = self
-            .holders
-            .get_mut(&n.id())
-            .expect("a buffer released a notification it never admitted");
+    fn release(&mut self, id: NotificationId, bytes: usize) {
+        let holders =
+            self.holders.get_mut(&id).expect("a buffer released a notification it never admitted");
         *holders -= 1;
         if *holders == 0 {
-            self.holders.remove(&n.id());
-            self.bytes -= n.wire_size();
+            self.holders.remove(&id);
+            self.bytes -= bytes;
         }
     }
+}
+
+/// One buffered notification: when it was offered, its nullification key
+/// (0 unless `Semantic`) and its wire size, both computed once on offer.
+#[derive(Debug, Clone)]
+struct Held {
+    at: SimTime,
+    key: u64,
+    bytes: usize,
+    n: Arc<Notification>,
 }
 
 /// An ordered notification buffer with pluggable garbage collection.
@@ -153,11 +163,8 @@ impl Ledger for ByteLedger {
 /// Buffered notifications are held behind `Arc`: offering is a refcount
 /// bump on the notification that already flowed through routing, and
 /// replaying shares the same allocation with the delivery path. The `_to`
-/// forms report every admission and eviction to a [`Ledger`]; [`offer`]
-/// and [`drain`] report to nobody.
-///
-/// [`offer`]: ReplayBuffer::offer
-/// [`drain`]: ReplayBuffer::drain
+/// forms report every admission and eviction to a [`Ledger`]; `offer` and
+/// `drain` report to nobody.
 ///
 /// ```
 /// use rebeca_core::{ClientId, Notification, SimDuration, SimTime};
@@ -174,15 +181,26 @@ impl Ledger for ByteLedger {
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     spec: BufferSpec,
-    /// `(offered at, semantic key, notification)`; the key is computed once
-    /// per offer under `Semantic` and is 0 under every other policy.
-    items: VecDeque<(SimTime, u64, Arc<Notification>)>,
+    items: VecDeque<Held>,
+    bytes: usize,
+    peak_len: usize,
+    peak_bytes: usize,
+    total_offered: u64,
+    total_evicted: u64,
 }
 
 impl ReplayBuffer {
     /// Creates an empty buffer with the given policy.
     pub fn new(spec: BufferSpec) -> Self {
-        ReplayBuffer { spec, items: VecDeque::new() }
+        ReplayBuffer {
+            spec,
+            items: VecDeque::new(),
+            bytes: 0,
+            peak_len: 0,
+            peak_bytes: 0,
+            total_offered: 0,
+            total_evicted: 0,
+        }
     }
 
     /// The configured policy.
@@ -198,13 +216,14 @@ impl ReplayBuffer {
     /// Offers a notification at time `now`, applying the policy. The
     /// shared notification is referenced, never copied.
     pub fn offer_to(&mut self, ledger: &mut impl Ledger, now: SimTime, n: Arc<Notification>) {
+        self.total_offered += 1;
         let key = match &self.spec {
             BufferSpec::None => return,
             BufferSpec::Semantic { key_attrs } => {
                 let key = semantic_key(&n, key_attrs);
-                if let Some(pos) = self.items.iter().position(|(_, k, _)| *k == key) {
-                    let (_, _, old) = self.items.remove(pos).expect("position valid");
-                    ledger.release(&old);
+                if let Some(pos) = self.items.iter().position(|held| held.key == key) {
+                    let old = self.items.remove(pos).expect("position valid");
+                    self.evict(ledger, &old);
                 }
                 key
             }
@@ -213,23 +232,35 @@ impl ReplayBuffer {
             | BufferSpec::HistoryBased { .. }
             | BufferSpec::Combined { .. } => 0,
         };
-        ledger.admit(&n);
-        self.items.push_back((now, key, n));
+        let bytes = n.wire_size();
+        self.bytes += bytes;
+        ledger.admit(n.id(), bytes);
+        self.items.push_back(Held { at: now, key, bytes, n });
         self.gc(ledger, now);
+        self.peak_len = self.peak_len.max(self.items.len());
+        self.peak_bytes = self.peak_bytes.max(self.bytes);
     }
 
     /// Applies garbage collection at time `now` (also called by `offer`).
     pub fn gc(&mut self, ledger: &mut impl Ledger, now: SimTime) {
         let (ttl, capacity) = self.spec.bounds();
-        while let Some((at, _, _)) = self.items.front() {
-            let expired = ttl.is_some_and(|ttl| *at < now - ttl);
+        let cutoff = ttl.map(|ttl| now - ttl);
+        while let Some(front) = self.items.front() {
+            let expired = cutoff.is_some_and(|cutoff| front.at < cutoff);
             let over = capacity.is_some_and(|cap| self.items.len() > cap);
             if !(expired || over) {
                 break;
             }
-            let (_, _, old) = self.items.pop_front().expect("front exists");
-            ledger.release(&old);
+            let old = self.items.pop_front().expect("front exists");
+            self.evict(ledger, &old);
         }
+    }
+
+    /// Accounts for a notification the policy pushed out.
+    fn evict(&mut self, ledger: &mut impl Ledger, old: &Held) {
+        self.bytes -= old.bytes;
+        self.total_evicted += 1;
+        ledger.release(old.n.id(), old.bytes);
     }
 
     /// [`drain_to`](Self::drain_to) with no ledger.
@@ -242,11 +273,12 @@ impl ReplayBuffer {
     /// their allocations with whoever else still holds them.
     pub fn drain_to(&mut self, ledger: &mut impl Ledger, now: SimTime) -> Vec<Arc<Notification>> {
         self.gc(ledger, now);
+        self.bytes = 0;
         self.items
             .drain(..)
-            .map(|(_, _, n)| {
-                ledger.release(&n);
-                n
+            .map(|held| {
+                ledger.release(held.n.id(), held.bytes);
+                held.n
             })
             .collect()
     }
@@ -256,7 +288,7 @@ impl ReplayBuffer {
     /// Cloning is per-`Arc`, not per-notification.
     pub fn snapshot(&mut self, ledger: &mut impl Ledger, now: SimTime) -> Vec<Arc<Notification>> {
         self.gc(ledger, now);
-        self.items.iter().map(|(_, _, n)| Arc::clone(n)).collect()
+        self.items.iter().map(|held| Arc::clone(&held.n)).collect()
     }
 
     /// Current number of buffered notifications.
@@ -267,6 +299,31 @@ impl ReplayBuffer {
     /// Returns `true` if nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Current buffered bytes (wire-size estimate).
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Largest length ever reached.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
+    /// Largest byte footprint ever reached.
+    pub fn peak_bytes(&self) -> usize {
+        self.peak_bytes
+    }
+
+    /// Notifications offered over the buffer's lifetime.
+    pub fn total_offered(&self) -> u64 {
+        self.total_offered
+    }
+
+    /// Notifications evicted by the policy.
+    pub fn total_evicted(&self) -> u64 {
+        self.total_evicted
     }
 }
 
@@ -308,6 +365,7 @@ mod tests {
         let mut b = BufferSpec::None.build();
         b.offer_to(&mut ledger, SimTime::ZERO, note(0, SimTime::ZERO));
         assert!(b.is_empty());
+        assert_eq!(b.bytes(), 0);
         assert!(ledger.is_empty());
     }
 
@@ -324,6 +382,7 @@ mod tests {
         let seqs: Vec<u64> = drained.iter().map(|n| n.seq()).collect();
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
         assert!(b.is_empty());
+        assert_eq!(b.bytes(), 0);
         assert!(ledger.is_empty());
         assert_eq!(ledger.bytes(), 0);
     }
@@ -338,6 +397,7 @@ mod tests {
         assert_eq!(b.len(), 6);
         b.gc(&mut (), SimTime::from_secs(20));
         assert!(b.is_empty(), "everything expires eventually");
+        assert_eq!(b.total_evicted(), 10);
     }
 
     #[test]
@@ -403,6 +463,18 @@ mod tests {
     }
 
     #[test]
+    fn peaks_and_counters() {
+        let mut b = BufferSpec::HistoryBased { capacity: 2 }.build();
+        for i in 0..5 {
+            b.offer(SimTime::from_secs(i), note(i, SimTime::from_secs(i)));
+        }
+        assert_eq!(b.peak_len(), 2);
+        assert!(b.peak_bytes() > 0);
+        assert_eq!(b.total_offered(), 5);
+        assert_eq!(b.total_evicted(), 3);
+    }
+
+    #[test]
     fn ledger_counts_a_shared_body_once() {
         let mut ledger = ByteLedger::default();
         let mut a = BufferSpec::HistoryBased { capacity: 2 }.build();
@@ -448,9 +520,9 @@ mod prop_tests {
 
     proptest! {
         /// Invariants that hold for every policy: drain yields items in
-        /// insertion order (a subsequence of offers), the ledger holds
-        /// exactly what the buffer holds, and the length respects the
-        /// policy's capacity.
+        /// insertion order (a subsequence of offers), byte accounting is
+        /// exact, the ledger holds exactly what the buffer holds, and the
+        /// length respects the policy's capacity.
         #[test]
         fn buffer_invariants(spec in arb_spec(), offers in proptest::collection::vec((0u64..30, 0i64..5), 0..40)) {
             let mut ledger = ByteLedger::default();
@@ -467,6 +539,7 @@ mod prop_tests {
                 }
                 let held = buf.snapshot(&mut ledger, now);
                 let expect_bytes: usize = held.iter().map(|n| n.wire_size()).sum();
+                prop_assert_eq!(buf.bytes(), expect_bytes);
                 prop_assert_eq!(ledger.len(), held.len());
                 prop_assert_eq!(ledger.bytes(), expect_bytes);
             }
@@ -475,6 +548,7 @@ mod prop_tests {
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             prop_assert_eq!(seqs, sorted, "replay must preserve insertion order");
+            prop_assert_eq!(buf.bytes(), 0);
             prop_assert!(ledger.is_empty());
             prop_assert_eq!(ledger.bytes(), 0);
         }

@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 /// Relocation state of the replicator layer: per-client buffers for the
 /// disconnected, hold-back queues for the arriving.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RelocationBuffers {
     /// How long a disconnected client is buffered for: its buffer's
     /// `TimeBased` ttl, and the age at which the client is retired.
@@ -56,17 +56,16 @@ pub struct RelocationBuffers {
     /// forwarded to the new border until the grace period ends
     /// (make-before-break).
     draining: HashMap<ClientId, BrokerId>,
+    /// Total notifications ever buffered (metric).
+    pub total_buffered: u64,
+    /// Clients retired by TTL expiry (metric).
+    pub expired: u64,
 }
 
 impl RelocationBuffers {
     /// Creates empty relocation state whose buffers live `ttl`.
     pub fn new(ttl: SimDuration) -> Self {
-        RelocationBuffers {
-            ttl,
-            buffering: HashMap::new(),
-            holdback: HashMap::new(),
-            draining: HashMap::new(),
-        }
+        RelocationBuffers { ttl, ..Self::default() }
     }
 
     /// Buffers a notification for a disconnected client (shared, not
@@ -83,6 +82,7 @@ impl RelocationBuffers {
             .entry(client)
             .or_insert_with(|| (now, BufferSpec::TimeBased { ttl: self.ttl }.build()));
         buf.offer_to(ledger, now, n);
+        self.total_buffered += 1;
     }
 
     /// Takes (and removes) the buffer of a client.
@@ -146,6 +146,7 @@ impl RelocationBuffers {
             .collect();
         for c in &expired {
             self.take_buffer(ledger, now, *c);
+            self.expired += 1;
         }
         expired
     }
@@ -188,6 +189,7 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].seq(), 0, "FIFO order");
         assert!(r.take_buffer(&mut ledger, SimTime::ZERO, c).is_empty());
+        assert_eq!(r.total_buffered, 2);
         assert!(ledger.is_empty());
     }
 
@@ -215,6 +217,7 @@ mod tests {
         let expired = r.expire(&mut ledger, SimTime::from_secs(60));
         assert_eq!(expired, vec![c1]);
         assert_eq!(r.buffering_count(), 1);
+        assert_eq!(r.expired, 1);
         assert_eq!(ledger.len(), 1, "the expired buffer left the ledger");
         assert!(r.take_buffer(&mut ledger, SimTime::from_secs(60), c1).is_empty());
         assert_eq!(r.take_buffer(&mut ledger, SimTime::from_secs(60), c2).len(), 1);

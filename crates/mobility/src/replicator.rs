@@ -289,8 +289,9 @@ impl ReplicatorNode {
         self.vcs.get(&app)
     }
 
-    /// Bytes currently held in buffers, each notification counted once
-    /// however many virtual clients and devices hold it.
+    /// Bytes currently held in buffers, virtual clients' and disconnected
+    /// devices' alike, each notification counted once however many of
+    /// them hold it.
     pub fn buffer_bytes(&self) -> usize {
         self.ledger.bytes()
     }
@@ -429,10 +430,13 @@ impl ReplicatorNode {
         }
     }
 
+    /// Buffers `n` for the virtual client of `app`, which has no device
+    /// attached from here on.
     fn buffer_vc(&mut self, now: SimTime, app: ApplicationId, n: Arc<Notification>) {
         let Some(vc) = self.vcs.get_mut(&app) else {
             return;
         };
+        vc.active_node = None;
         self.stats.buffered += 1;
         vc.buffer.offer_to(&mut self.ledger, now, n);
     }
@@ -712,15 +716,8 @@ impl ReplicatorNode {
                 Some(node) if ctx.link_up(node) => {
                     ctx.send(node, Message::Deliver { client: device, notification: n });
                 }
-                Some(node) => {
-                    // Device gone silently: switch to buffering.
-                    let _ = node;
-                    if let Some(vc) = self.vcs.get_mut(&app) {
-                        vc.active_node = None;
-                    }
-                    self.buffer_vc(ctx.now(), app, n);
-                }
-                None => self.buffer_vc(ctx.now(), app, n),
+                // No device attached, or it went silently: buffer.
+                Some(_) | None => self.buffer_vc(ctx.now(), app, n),
             }
         } else {
             // Delivery for a real (device) client: physical mobility path.

@@ -192,7 +192,10 @@ pub struct ScenarioOutcome {
     pub traffic: BTreeMap<String, (u64, u64)>,
     /// Peak total virtual-client count observed at sample points.
     pub peak_vcs: usize,
-    /// Peak replication-buffer bytes observed at sample points.
+    /// Peak buffered bytes observed at sample points: the virtual clients'
+    /// buffers and the relocation buffers of disconnected devices, a
+    /// notification held by several of one replicator's buffers counted
+    /// once.
     pub peak_buffer_bytes: usize,
     /// Handovers / exceptions / replays summed over replicators.
     pub replicator_totals: rebeca::ReplicatorStats,

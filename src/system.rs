@@ -504,8 +504,9 @@ impl System {
         self.topology.brokers().map(|b| self.vc_count(b).unwrap_or(0)).sum()
     }
 
-    /// Bytes held in replication buffers at one broker (0 for deployments
-    /// without a replicator layer).
+    /// Bytes held in the buffers of one broker's replicator, virtual
+    /// clients' and disconnected devices' alike, each notification counted
+    /// once (0 for deployments without a replicator layer).
     ///
     /// # Errors
     ///
