@@ -152,8 +152,12 @@ fn steady_state_pipeline_allocates_nothing() {
     // excluded from forwarding, so every routed notification goes to
     // node 2 exactly once.
     let announced = Filter::builder().eq("service", "t").build();
-    core.handle(&mut ctx, NodeId::new(0), Message::SubForward { filter: announced.clone() });
-    core.handle(&mut ctx, NodeId::new(2), Message::SubForward { filter: announced });
+    core.handle(
+        &mut ctx,
+        NodeId::new(0),
+        Message::SubForward { filters: vec![announced.clone()].into() },
+    );
+    core.handle(&mut ctx, NodeId::new(2), Message::SubForward { filters: vec![announced].into() });
 
     let n = Arc::new(
         Notification::builder()
@@ -205,8 +209,16 @@ fn steady_state_pipeline_allocates_nothing() {
         sharded.apply(&mut ctx, op);
     }
     let announced = Filter::builder().eq("service", "t").build();
-    sharded.handle(&mut ctx, NodeId::new(0), Message::SubForward { filter: announced.clone() });
-    sharded.handle(&mut ctx, NodeId::new(2), Message::SubForward { filter: announced });
+    sharded.handle(
+        &mut ctx,
+        NodeId::new(0),
+        Message::SubForward { filters: vec![announced.clone()].into() },
+    );
+    sharded.handle(
+        &mut ctx,
+        NodeId::new(2),
+        Message::SubForward { filters: vec![announced].into() },
+    );
     let mut sharded_out = Outcome::default();
     for _ in 0..32 {
         ctx.clear_actions();
@@ -257,7 +269,11 @@ fn steady_state_pipeline_allocates_nothing() {
         few.apply(&mut ctx, BrokerOp::ClientDetach { client: ClientId::new(7) });
         for i in 0..256 {
             few.apply(&mut ctx, subscribe(8, i, wide("room", i)));
-            few.handle(&mut ctx, NodeId::new(2), Message::SubForward { filter: wide("row", i) });
+            few.handle(
+                &mut ctx,
+                NodeId::new(2),
+                Message::SubForward { filters: vec![wide("row", i)].into() },
+            );
         }
         let n = Arc::new(
             Notification::builder()
@@ -435,9 +451,17 @@ fn steady_state_pipeline_allocates_nothing() {
         pump_group(&mut ctx, &mut rb, &mut backups, me, Vec::new());
     }
     let announced = Filter::builder().eq("service", "t").build();
-    rb.on_message(&mut ctx, NodeId::new(0), Message::SubForward { filter: announced.clone() });
+    rb.on_message(
+        &mut ctx,
+        NodeId::new(0),
+        Message::SubForward { filters: vec![announced.clone()].into() },
+    );
     pump_group(&mut ctx, &mut rb, &mut backups, me, Vec::new());
-    rb.on_message(&mut ctx, NodeId::new(2), Message::SubForward { filter: announced });
+    rb.on_message(
+        &mut ctx,
+        NodeId::new(2),
+        Message::SubForward { filters: vec![announced].into() },
+    );
     pump_group(&mut ctx, &mut rb, &mut backups, me, Vec::new());
     assert!(
         rb.replica().commit_number() >= 98,

@@ -26,9 +26,9 @@
 //! * `impl Wire for Message` is the frame boundary: it alone knows where a
 //!   message's bytes end, so it alone rejects trailing bytes.
 
-use crate::message::{Message, MobilityMsg};
+use crate::message::{Filters, Message, MobilityMsg};
 use crate::replication::{BrokerOp, LogState, ReplicaMsg};
-use rebeca_core::codec::{decode, Buf, BufMut, Field, List, Nested, Str};
+use rebeca_core::codec::{decode, Buf, BufMut, Count, Field, List, Nested, Reader, Str};
 use rebeca_core::{
     wire_table, ApplicationId, BrokerId, ClientId, CoreError, Filter, Notification,
     NotificationBuilder, Predicate, Subscription, SubscriptionId,
@@ -52,12 +52,27 @@ wire_table! { enum Message, "message" {
     7 => Unsubscribe { client: ClientId, id: SubscriptionId },
     8 => Deliver { client: ClientId, notification: Arc<Notification> },
     9 => Forward { notification: Arc<Notification> },
-    10 => SubForward { filter: Filter },
-    11 => UnsubForward { filter: Filter },
+    10 => SubForward { filters: Filters },
+    11 => UnsubForward { filters: Filters },
     12 => Routed { to: BrokerId, inner: Nested<Message, MAX_ROUTED_DEPTH> },
     13 => Mobility(m: MobilityMsg),
     14 => Replica(r: ReplicaMsg),
 }}
+
+/// An announcement list travels as `List<u16, Filter>` does, and decodes
+/// without a list buffer when it holds one filter. No reservation is made
+/// from the count, so a hostile prefix buys no allocation.
+impl Field for Filters {
+    type T = Filters;
+    fn put(v: &Filters, buf: &mut impl BufMut) {
+        u16::put(&u16::narrow(v.len()), buf);
+        v.iter().for_each(|f| Filter::put(f, buf));
+    }
+    fn get(r: &mut Reader<'_, impl Buf>) -> Result<Filters, CoreError> {
+        let n = u16::get(r)?;
+        (0..n).map(|_| Filter::get(r)).collect()
+    }
+}
 
 type Subscriptions = List<u16, Subscription>;
 type Notifications = List<u32, Arc<Notification>>;
@@ -252,8 +267,12 @@ mod tests {
             Message::Unsubscribe { client: ClientId::new(4), id: SubscriptionId::new(6) },
             Message::Deliver { client: ClientId::new(4), notification: sample_notification(4) },
             Message::Forward { notification: sample_notification(5) },
-            Message::SubForward { filter: sample_filter() },
-            Message::UnsubForward { filter: Filter::all() },
+            Message::SubForward { filters: vec![sample_filter(), Filter::all()].into() },
+            Message::SubForward { filters: Vec::new().into() },
+            Message::UnsubForward { filters: vec![Filter::all()].into() },
+            Message::UnsubForward {
+                filters: (1..=4i64).map(|r| Filter::builder().eq("room", r).build()).collect(),
+            },
             Message::routed(
                 BrokerId::new(2),
                 Message::Mobility(MobilityMsg::FetchBuffered {
@@ -416,14 +435,16 @@ mod tests {
     #[test]
     fn every_counted_prefix_is_untrusted() {
         let state = |lists: &[u8]| [&[14u8, 6][..], &[0; 24], lists].concat();
-        let rows: [(&str, Vec<u8>, usize); 10] = [
+        let rows: [(&str, Vec<u8>, usize); 12] = [
+            ("SubForward.filters", vec![10], 2),
+            ("UnsubForward.filters", vec![11], 2),
             ("MoveIn.subscriptions", vec![13, 4, 0, 0, 0, 0, 0], 2),
             ("ReplicaCreate.subscriptions", vec![13, 7, 0, 0, 0, 0], 2),
             ("BufferedBatch.notifications", vec![13, 6, 0, 0, 0, 0, 1], 4),
             ("ReplicaBatch.notifications", vec![13, 12, 0, 0, 0, 0, 1], 4),
             ("Predicate::In", vec![13, 3, 0, 0, 7], 2),
             ("Predicate::InLocations", vec![13, 3, 0, 0, 11], 2),
-            ("Filter constraints", vec![10], 2),
+            ("Filter constraints", vec![10, 1, 0], 2),
             ("AppPublish.attrs", vec![0], 2),
             ("LogState.checkpoint", state(&[]), 4),
             ("LogState.tail", state(&[0; 4]), 4),
@@ -440,7 +461,7 @@ mod tests {
 
     #[test]
     fn routed_depth_is_capped() {
-        let mut m = Message::SubForward { filter: Filter::all() };
+        let mut m = Message::SubForward { filters: vec![Filter::all()].into() };
         for _ in 0..(MAX_ROUTED_DEPTH + 2) {
             m = Message::routed(BrokerId::new(0), m);
         }
@@ -484,6 +505,11 @@ mod prop_tests {
         proptest::collection::btree_map("[a-z]{1,8}", arb_predicate(), 0..4).prop_map(|m| {
             Filter::from_constraints(m.into_iter().map(|(a, p)| rebeca_core::Constraint::new(a, p)))
         })
+    }
+
+    /// An announcement list: empty, one filter or several.
+    fn arb_filters() -> impl Strategy<Value = Vec<Filter>> {
+        proptest::collection::vec(arb_filter(), 0..5)
     }
 
     fn arb_notification() -> impl Strategy<Value = Arc<Notification>> {
@@ -651,8 +677,8 @@ mod prop_tests {
                 notification,
             }),
             arb_notification().prop_map(|notification| Message::Forward { notification }),
-            arb_filter().prop_map(|filter| Message::SubForward { filter }),
-            arb_filter().prop_map(|filter| Message::UnsubForward { filter }),
+            arb_filters().prop_map(|filters| Message::SubForward { filters: filters.into() }),
+            arb_filters().prop_map(|filters| Message::UnsubForward { filters: filters.into() }),
             arb_mobility().prop_map(Message::Mobility),
             arb_prepare().prop_map(Message::Replica),
             arb_state_msg().prop_map(Message::Replica),

@@ -15,10 +15,12 @@
 //! * [`BrokerCore`] / [`BrokerNode`] — the routing engine and its plain
 //!   node wrapper; neither knows about mobility. The engine has one
 //!   mutation seam: [`BrokerCore::classify`] handles everything about a
-//!   message except mutating the routing state and returns the mutation
-//!   as a [`BrokerOp`]; [`BrokerCore::apply`] is the only place an op touches
-//!   the table. The two hosts differ in what happens in between — nothing
-//!   ([`BrokerNode`]) or a replica-group commit ([`ReplicatedBrokerNode`]);
+//!   message except mutating the routing state and returns the mutations
+//!   as [`BrokerOp`]s; applying an op is the only place it touches the
+//!   table, and each applied batch ends in one flush that sends every
+//!   neighbour its net announcement change as filter lists. The two hosts
+//!   differ in what happens in between — nothing ([`BrokerNode`]) or a
+//!   replica-group commit ([`ReplicatedBrokerNode`]);
 //! * [`LocalBroker`] / [`ClientNode`] — the client-side library ("local
 //!   broker") and its immobile node wrapper;
 //! * [`replication`] — VR-style op-log replica groups: a broker's whole
@@ -48,7 +50,7 @@ pub mod table;
 pub use broker::{BrokerCore, BrokerNode, BrokerStats, LocalDelivery, Outcome};
 pub use client::{ClientNode, DeliveryRecord, LocalBroker};
 pub use codec::{decode_message, decode_mobility, encode_message, encode_mobility};
-pub use message::{Message, MobilityMsg};
+pub use message::{Filters, Message, MobilityMsg};
 pub use replication::{
     BrokerOp, LiveState, LogState, OpLog, Replica, ReplicaMsg, ReplicaNode, ReplicaStatus,
     ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats, StateReject,

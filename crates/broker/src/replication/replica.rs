@@ -11,12 +11,13 @@
 //! The protocol is viewstamped replication in its modern form:
 //!
 //! * **Normal case** — the primary of view `v` (group member `v % n`)
-//!   only *appends* a submitted op; one send step ships the log suffix no
-//!   `Prepare` has carried yet as a single batched `Prepare` (consecutive
-//!   ops from `op_number`, at most [`MAX_BATCH_OPS`]) while fewer than
-//!   [`PREPARE_WINDOW`] batches are uncommitted. The step runs on every
-//!   submit and again whenever a `PrepareOk` advances the commit number,
-//!   so an idle group sends each op at once as a batch of one, and a busy
+//!   only *appends* a submitted batch of ops (one message's mutations, or
+//!   the backlog queued while it was not serving); one send step ships the
+//!   log suffix no `Prepare` has carried yet as a single batched `Prepare`
+//!   (consecutive ops from `op_number`, at most [`MAX_BATCH_OPS`]) while
+//!   fewer than [`PREPARE_WINDOW`] batches are uncommitted. The step runs
+//!   once per submit and again whenever a `PrepareOk` advances the commit
+//!   number, so an idle group sends each submitted batch at once, and a busy
 //!   group ships whatever piled up behind the round trip in one message —
 //!   self-clocked by acknowledgements, no timer. Backups append the part
 //!   of a batch that extends their log and answer one cumulative
@@ -554,34 +555,34 @@ impl Replica {
         self.in_flight.clear();
     }
 
-    /// Submits one mutation to the group. On the primary this only appends
-    /// and runs the send step (an idle group's op leaves at once, as a
-    /// batch of one); on a backup it forwards to the primary; while
-    /// Recovering or in a view change it queues.
-    pub fn submit(&mut self, op: BrokerOp, out: &mut Outbox) {
+    /// Submits a batch of mutations to the group. On the primary this only
+    /// appends all of them and then runs the send step once (an idle
+    /// group's batch leaves at once, as one `Prepare` per
+    /// [`MAX_BATCH_OPS`]); on a backup it forwards each op to the primary;
+    /// while Recovering or in a view change it queues them.
+    pub fn submit(&mut self, ops: impl IntoIterator<Item = BrokerOp>, out: &mut Outbox) {
         match self.status {
-            ReplicaStatus::Recovering | ReplicaStatus::ViewChange => self.pending.push(op),
+            ReplicaStatus::Recovering | ReplicaStatus::ViewChange => self.pending.extend(ops),
             ReplicaStatus::Normal => {
                 if self.is_primary() {
-                    self.ack_high[self.cfg.me] = self.log.append(op);
+                    for op in ops {
+                        self.ack_high[self.cfg.me] = self.log.append(op);
+                    }
                     self.send_prepares(out);
                     self.maybe_commit(out);
                 } else {
-                    out.push((self.primary_node(), ReplicaMsg::Forward { op }));
+                    let primary = self.primary_node();
+                    out.extend(ops.into_iter().map(|op| (primary, ReplicaMsg::Forward { op })));
                 }
             }
         }
     }
 
-    /// Drains `pending` through [`Replica::submit`] after a transition to
-    /// Normal.
+    /// Submits `pending` as one batch after a transition to Normal.
     fn flush_pending(&mut self, out: &mut Outbox) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        for op in pending {
-            self.submit(op, out);
+        if !self.pending.is_empty() {
+            let pending = std::mem::take(&mut self.pending);
+            self.submit(pending, out);
         }
     }
 
@@ -800,7 +801,7 @@ impl Replica {
             ReplicaStatus::Recovering | ReplicaStatus::ViewChange => self.pending.push(op),
             ReplicaStatus::Normal => {
                 if self.is_primary() {
-                    self.submit(op, out);
+                    self.submit([op], out);
                 } else if self.primary_node() != from {
                     // Stale-view sender: hand the op to our primary. If the
                     // sender *is* our primary we are both confused — drop
@@ -1222,7 +1223,7 @@ mod tests {
         let mut r = Replica::new(ReplicaConfig { group: vec![NodeId::new(0)], me: 0 });
         let mut out = Outbox::new();
         assert_eq!(r.status(), ReplicaStatus::Normal);
-        r.submit(op(1), &mut out);
+        r.submit([op(1)], &mut out);
         assert!(out.is_empty(), "nobody to talk to");
         assert_eq!(r.commit_number(), 1);
         let mut applied = Vec::new();
@@ -1241,8 +1242,8 @@ mod tests {
         }
         assert!(rs[0].is_primary());
 
-        rs[0].submit(op(1), &mut outs[0]);
-        rs[0].submit(op(2), &mut outs[0]);
+        rs[0].submit([op(1)], &mut outs[0]);
+        rs[0].submit([op(2)], &mut outs[0]);
         pump(&mut rs, &mut outs);
         for r in &rs {
             assert_eq!(r.op_number(), 2);
@@ -1255,7 +1256,7 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[1].submit(op(7), &mut outs[1]);
+        rs[1].submit([op(7)], &mut outs[1]);
         pump(&mut rs, &mut outs);
         assert_eq!(rs[0].commit_number(), 1);
         assert_eq!(rs[0].log().get(1), Some(&op(7)));
@@ -1266,7 +1267,7 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[0].submit(op(1), &mut outs[0]);
+        rs[0].submit([op(1)], &mut outs[0]);
         pump(&mut rs, &mut outs);
         assert_eq!(rs[2].commit_number(), 1);
 
@@ -1289,7 +1290,7 @@ mod tests {
         assert_eq!(rs_live[0].log().get(1), Some(&op(1)));
 
         // The new primary keeps serving.
-        rs_live[0].submit(op(2), &mut outs[1]);
+        rs_live[0].submit([op(2)], &mut outs[1]);
         for out in &mut outs {
             out.retain(|(to, _)| to.raw() != 0);
         }
@@ -1303,8 +1304,8 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[0].submit(op(1), &mut outs[0]);
-        rs[0].submit(op(2), &mut outs[0]);
+        rs[0].submit([op(1)], &mut outs[0]);
+        rs[0].submit([op(2)], &mut outs[0]);
         pump(&mut rs, &mut outs);
 
         // Member 0 (the primary) is SIGKILLed and respawns empty.
@@ -1329,13 +1330,32 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         // Submit before the probe round completes: must queue.
-        rs[0].submit(op(5), &mut outs[0]);
+        rs[0].submit([op(5)], &mut outs[0]);
         assert_eq!(rs[0].pending_len(), 1);
         boot(&mut rs, &mut outs);
         pump(&mut rs, &mut outs);
         assert_eq!(rs[0].pending_len(), 0);
         assert_eq!(rs[1].commit_number(), 1, "queued op commits after boot");
         assert_eq!(rs[1].log().get(1), Some(&op(5)));
+    }
+
+    /// A backlog queued while recovering is submitted as one batch: n ops
+    /// leave as ⌈n / MAX_BATCH_OPS⌉ `Prepare`s, not one per op.
+    #[test]
+    fn pending_ops_leave_in_full_batches() {
+        let n = 2 * MAX_BATCH_OPS + 88;
+        let mut rs = group3();
+        let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
+        for i in 0..n as u32 {
+            rs[0].submit([op(i)], &mut outs[0]);
+        }
+        assert_eq!(rs[0].pending_len(), n);
+        boot(&mut rs, &mut outs);
+        assert_eq!(rs[0].pending_len(), 0);
+        assert_eq!(rs[0].prepares_sent(), n.div_ceil(MAX_BATCH_OPS) as u64);
+        for r in &rs {
+            assert_eq!(r.commit_number(), n as u64, "the whole backlog commits");
+        }
     }
 
     #[test]
@@ -1376,8 +1396,8 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[0].submit(op(1), &mut outs[0]);
-        rs[0].submit(op(2), &mut outs[0]);
+        rs[0].submit([op(1)], &mut outs[0]);
+        rs[0].submit([op(2)], &mut outs[0]);
         assert_eq!(outs[0].len(), 4, "an idle group's ops leave at once: two batches of one");
         outs[0].clear(); // lost on the way
         pump(&mut rs, &mut outs);
@@ -1401,7 +1421,7 @@ mod tests {
         }
         // While commits advance, a tick only heartbeats: ops in flight are
         // not re-sent until a whole tick passes without progress.
-        rs[0].submit(op(3), &mut outs[0]);
+        rs[0].submit([op(3)], &mut outs[0]);
         outs[0].clear(); // lost again
         rs[0].tick(&mut outs[0]);
         assert!(outs[0].iter().all(|(_, m)| matches!(m, ReplicaMsg::Commit { .. })));
@@ -1423,7 +1443,7 @@ mod tests {
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
         for i in 1..=11 {
-            rs[0].submit(op(i), &mut outs[0]);
+            rs[0].submit([op(i)], &mut outs[0]);
         }
         // Backup 1 loses everything the primary sent it so far, then sees
         // ten batches that all start beyond its (empty) log.
@@ -1442,8 +1462,8 @@ mod tests {
         assert_eq!(rs[0].commit_number(), 11);
 
         // A later gap may ask again.
-        rs[0].submit(op(12), &mut outs[0]);
-        rs[0].submit(op(13), &mut outs[0]);
+        rs[0].submit([op(12)], &mut outs[0]);
+        rs[0].submit([op(13)], &mut outs[0]);
         let late = take_to(&mut outs[0], NodeId::new(1));
         assert_eq!(late.len(), 2, "the window is open: two batches of one");
         rs[1].on_msg(NodeId::new(0), late[1].clone(), &mut outs[1]);
@@ -1461,7 +1481,7 @@ mod tests {
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
         for i in 1..=N {
-            rs[0].submit(op(i), &mut outs[0]);
+            rs[0].submit([op(i)], &mut outs[0]);
         }
         let w = PREPARE_WINDOW as u64;
         for backup in [1, 2] {
@@ -1504,7 +1524,7 @@ mod tests {
         boot(&mut rs, &mut outs);
         let n = (PREPARE_WINDOW + MAX_BATCH_OPS + 10) as u32;
         for i in 1..=n {
-            rs[0].submit(op(i), &mut outs[0]);
+            rs[0].submit([op(i)], &mut outs[0]);
         }
         let delivered = pump(&mut rs, &mut outs);
         let longest = delivered
@@ -1524,7 +1544,7 @@ mod tests {
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
         for i in 1..=3 {
-            rs[0].submit(op(i), &mut outs[0]);
+            rs[0].submit([op(i)], &mut outs[0]);
         }
         pump(&mut rs, &mut outs);
         (rs.remove(1), Outbox::new())
@@ -1599,7 +1619,7 @@ mod tests {
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
         for i in 1..=3 {
-            rs[0].submit(op(i), &mut outs[0]);
+            rs[0].submit([op(i)], &mut outs[0]);
         }
         outs[0].clear();
         let ok = |op_number, replica| ReplicaMsg::PrepareOk { view: 0, op_number, replica };
@@ -1623,7 +1643,7 @@ mod tests {
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
         for i in 1..=10 {
-            rs[0].submit(op(i), &mut outs[0]);
+            rs[0].submit([op(i)], &mut outs[0]);
         }
         let to_1 = take_to(&mut outs[0], NodeId::new(1));
         let to_2 = take_to(&mut outs[0], NodeId::new(2));
@@ -1653,7 +1673,7 @@ mod tests {
             assert_eq!(r.log().range(1, 3), &[op(1), op(2), op(3)]);
         }
 
-        live[0].submit(op(11), &mut outs[1]);
+        live[0].submit([op(11)], &mut outs[1]);
         let sent = take_to(&mut outs[1], NodeId::new(2));
         assert_eq!(sent.iter().map(batch).collect::<Vec<_>>(), [(4, 1, 3)], "no re-send of 1..=3");
         live[1].on_msg(NodeId::new(1), sent[0].clone(), &mut outs[2]);
@@ -1682,8 +1702,8 @@ mod tests {
     /// grows, the live state does not.
     fn churn(rs: &mut [Replica], outs: &mut [Outbox], cycles: std::ops::Range<u32>) {
         for i in cycles {
-            rs[0].submit(sub(i + 2, i64::from(i)), &mut outs[0]);
-            rs[0].submit(unsub(i), &mut outs[0]);
+            rs[0].submit([sub(i + 2, i64::from(i))], &mut outs[0]);
+            rs[0].submit([unsub(i)], &mut outs[0]);
             pump(rs, outs);
         }
     }
@@ -1695,8 +1715,8 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[0].submit(sub(0, -2), &mut outs[0]);
-        rs[0].submit(sub(1, -1), &mut outs[0]);
+        rs[0].submit([sub(0, -2)], &mut outs[0]);
+        rs[0].submit([sub(1, -1)], &mut outs[0]);
         for round in 1..=3u32 {
             churn(&mut rs, &mut outs, (round - 1) * 50..round * 50);
             for r in &mut rs {
@@ -1720,8 +1740,8 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[0].submit(sub(0, -2), &mut outs[0]);
-        rs[0].submit(sub(1, -1), &mut outs[0]);
+        rs[0].submit([sub(0, -2)], &mut outs[0]);
+        rs[0].submit([sub(1, -1)], &mut outs[0]);
         churn(&mut rs, &mut outs, 0..10);
         // Member 2 folds now, member 1 never did; ten more cycles, which
         // only member 2 then folds half of.
@@ -1766,7 +1786,7 @@ mod tests {
         old.commit_number = 20;
         drain(&mut old);
         old.commit_number = commit;
-        live[0].submit(sub(99, 99), &mut outs[1]);
+        live[0].submit([sub(99, 99)], &mut outs[1]);
         live.insert(0, old);
         outs[0].clear();
         pump(&mut live, &mut outs);
@@ -1787,8 +1807,8 @@ mod tests {
         let mut rs = group3();
         let mut outs = vec![Outbox::new(), Outbox::new(), Outbox::new()];
         boot(&mut rs, &mut outs);
-        rs[0].submit(sub(0, -2), &mut outs[0]);
-        rs[0].submit(sub(1, -1), &mut outs[0]);
+        rs[0].submit([sub(0, -2)], &mut outs[0]);
+        rs[0].submit([sub(1, -1)], &mut outs[0]);
         churn(&mut rs, &mut outs, 0..200);
         rs.iter_mut().for_each(|r| {
             drain(r);
@@ -1817,7 +1837,7 @@ mod tests {
         assert_eq!(drain(&mut rs[0]), want.live().checkpoint(), "the table, as three adds");
         assert_eq!(rs[0].log(), &want);
         assert!(rs[0].is_primary());
-        rs[0].submit(sub(500, 5), &mut outs[0]);
+        rs[0].submit([sub(500, 5)], &mut outs[0]);
         pump(&mut rs, &mut outs);
         assert_eq!(rs[2].commit_number(), 403);
     }

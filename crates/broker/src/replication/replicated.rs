@@ -4,9 +4,11 @@
 //! [`BrokerNode`](crate::BrokerNode) does, and runs the same
 //! [`BrokerCore::classify`] on every message. The one difference is what
 //! happens to a *mutation* — client attach/detach, subscribe/unsubscribe,
-//! neighbour announcements: the [`BrokerOp`] is submitted to the node's
-//! [`Replica`] and reaches [`BrokerCore::apply`] only once the group
-//! commits it. The *read* path (match + route + fan-out of
+//! neighbour announcements: a message's [`BrokerOp`]s are submitted to the
+//! node's [`Replica`] as one batch and reach the core only once the group
+//! commits them. Each pump applies everything committed since the last
+//! one as one batch, so the core sends each link one announcement list
+//! pair for it, as [`BrokerCore::apply`] does for a single op. The *read* path (match + route + fan-out of
 //! `Publish`/`Forward`) is the core's own and never sees the log — the
 //! `// hot-path` markers there and below are enforced by
 //! `cargo run -p xtask -- lint` and the end-to-end allocation counter in
@@ -204,9 +206,10 @@ impl ReplicaDriver {
         self.replica.on_peer_change(peer, up, &mut self.outbox);
     }
 
-    fn submit(&mut self, op: BrokerOp) {
-        ReplicationMetrics::add(&self.metrics.ops_logged, 1);
-        self.replica.submit(op, &mut self.outbox);
+    /// Submits one message's mutations to the group as one batch.
+    fn submit(&mut self, ops: impl ExactSizeIterator<Item = BrokerOp>) {
+        ReplicationMetrics::add(&self.metrics.ops_logged, ops.len() as u64);
+        self.replica.submit(ops, &mut self.outbox);
     }
 
     /// Drains the committed ops through `apply` (which folds them into the
@@ -276,15 +279,20 @@ impl ReplicatedBrokerNode {
         self.driver.metrics.snapshot()
     }
 
-    /// Ships replica messages and applies newly committed ops to the core.
+    /// Ships replica messages and applies newly committed ops to the core:
+    /// the whole committed batch is staged first, then one flush sends
+    /// each link's net announcement change as one list pair.
     fn pump(&mut self, ctx: &mut Ctx<'_, Message>) {
         self.driver.flush_outbox(ctx);
         let core = &mut self.core;
         // By value: a retraction reaches the table without a clone, an add
         // with the one its fold took.
-        let applied = self.driver.drain(|op| core.apply(ctx, op));
+        let applied = self.driver.drain(|op| core.stage(op));
+        if applied > 0 {
+            core.flush(ctx);
+        }
         // Applying ops emits announcements, never new replica traffic: the
-        // one flush above suffices.
+        // one outbox flush above suffices.
         ReplicationMetrics::add(&self.driver.metrics.ops_applied, applied);
     }
 }
@@ -305,13 +313,13 @@ impl Node<Message> for ReplicatedBrokerNode {
         // hot-path: begin — what a notification runs through here: the
         // core's read path, then the fan-out of its local deliveries. Must
         // never touch the replica, the op log or any lock.
-        let op = self.core.classify(ctx, from, msg, &mut self.outcome);
+        self.core.classify(ctx, from, msg, &mut self.outcome);
         for d in self.outcome.deliveries.drain(..) {
             ctx.send(d.node, Message::Deliver { client: d.client, notification: d.notification });
         }
         // hot-path: end
-        if let Some(op) = op {
-            self.driver.submit(op);
+        if !self.outcome.ops.is_empty() {
+            self.driver.submit(self.outcome.ops.drain(..));
             self.pump(ctx);
         }
     }
@@ -333,7 +341,7 @@ impl Node<Message> for ReplicatedBrokerNode {
             } else {
                 BrokerOp::LinkDown { node: peer }
             };
-            self.driver.submit(op);
+            self.driver.submit(std::iter::once(op));
         }
         self.pump(ctx);
     }

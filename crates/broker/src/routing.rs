@@ -10,12 +10,14 @@
 //! the deduplicated set of filters a broker must serve through a link,
 //! [`RoutingStrategy::announcements`] computes from scratch the filter set
 //! *announced* over that link. A broker never runs it: one
-//! [`LinkAnnouncer`] per link maintains the same set incrementally, and
-//! the transitions it reports for each routing-table delta are what the
-//! broker sends as [`SubForward`](crate::Message::SubForward) /
-//! [`UnsubForward`](crate::Message::UnsubForward) messages. The
-//! from-scratch form is the reference the equivalence tests compare the
-//! announcer against.
+//! [`LinkAnnouncer`] per link maintains the same set incrementally and
+//! reports its transitions into a per-link [`CoverChanges`] accumulator.
+//! The broker stages a whole batch of routing-table deltas there and then
+//! sends each link its net change as one filter list per direction — a
+//! [`SubForward`](crate::Message::SubForward) list, then an
+//! [`UnsubForward`](crate::Message::UnsubForward) list — not one message
+//! per filter. The from-scratch form is the reference the equivalence
+//! tests compare the announcer against.
 
 use rebeca_core::filter::shape_digest;
 use rebeca_core::{CoverKey, Digest, Filter};
@@ -118,10 +120,12 @@ fn dominates(g: &Filter, f: &Filter) -> bool {
     g.covers(f) && !(f.covers(g) && f.digest() < g.digest())
 }
 
-/// Transitions of a link's announced set produced by one served-filter
-/// mutation. `entered` are filters that became announced, `left` filters
-/// that stopped being announced. Both may carry several filters (adding a
-/// broad filter retracts everything it covers at once).
+/// Transitions of a link's announced set, appended by every served-filter
+/// mutation fed to a [`LinkAnnouncer`]. `entered` are filters that became
+/// announced, `left` filters that stopped being announced. One mutation
+/// may add several (adding a broad filter retracts everything it covers at
+/// once), and a broker accumulates a whole batch of mutations here before
+/// it sends the net change.
 #[derive(Debug, Clone, Default)]
 pub struct CoverChanges {
     /// Filters that entered the announced set.

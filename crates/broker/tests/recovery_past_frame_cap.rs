@@ -13,7 +13,10 @@
 //!   the `StartView` it ships is far below the frame cap;
 //! * **(b)** boots a fresh broker in its place: it recovers, and its
 //!   routing table equals the pre-crash table entry for entry,
-//!   announcements included;
+//!   announcements included. The repair re-announces more than
+//!   [`MAX_BATCH_OPS`] filters at once (the client also holds [`THIN`]
+//!   small subscriptions), and they leave as lists of at most
+//!   [`MAX_BATCH_OPS`] filters, every frame far below the cap;
 //!
 //! and the encoded state messages are a function of the live filter count:
 //! byte for byte the same size when the churn runs twice as long.
@@ -21,6 +24,7 @@
 //! Replay a failure with `REBECA_RECOVERY_SEED=<seed>`.
 
 use rebeca_broker::codec::{encode_broker_op, encode_message};
+use rebeca_broker::replication::MAX_BATCH_OPS;
 use rebeca_broker::{
     BrokerCore, BrokerOp, Message, ReplicaMsg, ReplicaNode, ReplicaStatus, ReplicatedBrokerNode,
     ReplicationMetrics, RoutingStrategy,
@@ -38,6 +42,11 @@ const CLIENT_NODE: NodeId = NodeId::new(10);
 const UPSTREAM: NodeId = NodeId::new(0);
 /// Live client subscriptions, and as many live upstream announcements.
 const SLOTS: u32 = 6;
+/// Small client subscriptions held beside the churned ones, so a repair
+/// re-announces more filters than one list carries.
+const THIN: u32 = 300;
+/// Subscription ids of the thin filters start here, above every churn id.
+const THIN_IDS: u32 = 1 << 30;
 
 /// SplitMix64: the seed is the whole input.
 struct Rng(u64);
@@ -91,6 +100,9 @@ struct Group {
     /// Encoded size of every state message delivered, by kind.
     start_views: Vec<usize>,
     recovery_responses: Vec<usize>,
+    /// `(filters, encoded bytes)` of every announcement list sent to a
+    /// neighbour.
+    announcements: Vec<(usize, usize)>,
 }
 
 impl Group {
@@ -113,6 +125,7 @@ impl Group {
             metrics,
             start_views: Vec::new(),
             recovery_responses: Vec::new(),
+            announcements: Vec::new(),
         };
         g.broker = Some(g.new_broker());
         g.start(&Group::members());
@@ -137,8 +150,8 @@ impl Group {
     }
 
     /// Delivers group-internal traffic (FIFO) until the group is quiet.
-    /// What leaves the group (announcements to the neighbours) and what is
-    /// addressed to a downed member is dropped.
+    /// What leaves the group (announcements to the neighbours) is measured
+    /// and dropped; what is addressed to a downed member is dropped.
     fn pump(&mut self, inflight: Vec<(NodeId, NodeId, Message)>) {
         let mut queue: VecDeque<_> = inflight.into();
         let mut scratch = Vec::new();
@@ -154,6 +167,11 @@ impl Group {
                 scratch.clear();
                 encode_message(&msg, &mut scratch);
                 sizes.push(scratch.len());
+            }
+            if let Message::SubForward { filters } | Message::UnsubForward { filters } = &msg {
+                scratch.clear();
+                encode_message(&msg, &mut scratch);
+                self.announcements.push((filters.len(), scratch.len()));
             }
             let Some(node) = self.member(to) else { continue };
             let sent = invoke(node, to, |n, ctx| n.on_message(ctx, from, msg));
@@ -226,21 +244,29 @@ fn churn_crash_recover(seed: u64, cycles: u32) -> (usize, Sizes) {
         }
         let filter = fat_filter(&mut rng);
         log(BrokerOp::NeighborSubscribe { node: UPSTREAM, filter: filter.clone() });
-        g.mutate(UPSTREAM, Message::SubForward { filter: filter.clone() });
+        g.mutate(UPSTREAM, Message::SubForward { filters: vec![filter.clone()].into() });
         if let Some(old) = announced[slot].replace(filter) {
             log(BrokerOp::NeighborUnsubscribe { node: UPSTREAM, filter: old.clone() });
-            g.mutate(UPSTREAM, Message::UnsubForward { filter: old });
+            g.mutate(UPSTREAM, Message::UnsubForward { filters: vec![old].into() });
         }
     }
 
+    for i in 0..THIN {
+        let filter = Filter::builder().eq("thin", i64::from(i)).build();
+        let subscription = Subscription::new(SubscriptionId::new(THIN_IDS + i), CLIENT, filter);
+        log(BrokerOp::Subscribe { node: CLIENT_NODE, subscription: subscription.clone() });
+        g.mutate(CLIENT_NODE, Message::Subscribe { subscription });
+    }
+
     let before = table_of(g.broker.as_ref().expect("still up").core());
-    assert_eq!(before.subs.len(), SLOTS as usize);
+    assert_eq!(before.subs.len(), (SLOTS + THIN) as usize);
     assert_eq!(before.upstream.len(), SLOTS as usize);
     let logged = g.metrics.snapshot().ops_logged;
     for b in &g.backups {
         let r = b.replica();
         assert_eq!((r.op_number(), r.commit_number(), r.log().base()), (logged, logged, logged));
-        assert_eq!(r.log().resident(), 1 + 2 * SLOTS as usize, "a client and the live filters");
+        let live = 1 + (2 * SLOTS + THIN) as usize;
+        assert_eq!(r.log().resident(), live, "a client and the live filters");
     }
 
     // (a) The primary's process dies; the supervisor tells the backups.
@@ -262,7 +288,16 @@ fn churn_crash_recover(seed: u64, cycles: u32) -> (usize, Sizes) {
 
     // (b) A fresh broker process takes its place and recovers.
     g.broker = Some(g.new_broker());
+    g.announcements.clear();
     g.start(&[ME]);
+    // Its repair re-announces the whole table: every client filter to
+    // both neighbours, the upstream ones downstream.
+    let repaired: usize = g.announcements.iter().map(|(n, _)| n).sum();
+    assert_eq!(repaired, 2 * (SLOTS + THIN) as usize + SLOTS as usize);
+    for &(filters, bytes) in &g.announcements {
+        assert!(filters <= MAX_BATCH_OPS, "a list of {filters} filters");
+        assert!(bytes < MAX_FRAME / 8, "an announcement frame of {bytes} B");
+    }
     let reborn = g.broker.as_ref().expect("rebooted");
     assert_eq!(reborn.replica().status(), ReplicaStatus::Normal);
     assert_eq!(reborn.replica().view(), 1);

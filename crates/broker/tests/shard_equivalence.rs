@@ -6,8 +6,9 @@
 //! publish), a 1-shard [`BrokerCore`] and an N-shard one produce
 //!
 //! * identical wire traffic after every mutation — the same `SubForward` /
-//!   `UnsubForward` announcement deltas to the same neighbours, in the same
-//!   order, and the same `Forward` fan-out for every publication;
+//!   `UnsubForward` announcement deltas (lists flattened to one entry per
+//!   filter) to the same neighbours, in the same order, and the same
+//!   `Forward` fan-out for every publication;
 //! * identical routing decisions for arbitrary probe notifications;
 //! * identical local deliveries;
 //! * identical maintained announced sets and table sizes.
@@ -95,18 +96,25 @@ enum Wire {
     Other(NodeId, std::mem::Discriminant<Message>),
 }
 
+/// The wire log with announcement lists flattened, one entry per filter.
 fn wire_log(ctx: &Ctx<'_, Message>) -> Vec<Wire> {
-    ctx.sent()
-        .map(|(to, msg)| match msg {
-            Message::SubForward { filter } => Wire::Sub(to, filter.digest()),
-            Message::UnsubForward { filter } => Wire::Unsub(to, filter.digest()),
-            Message::Forward { notification } => Wire::Forward(to, notification.seq()),
-            Message::Deliver { client, notification } => {
-                Wire::Deliver(to, *client, notification.seq())
+    let mut log = Vec::new();
+    for (to, msg) in ctx.sent() {
+        match msg {
+            Message::SubForward { filters } => {
+                log.extend(filters.iter().map(|f| Wire::Sub(to, f.digest())));
             }
-            other => Wire::Other(to, std::mem::discriminant(other)),
-        })
-        .collect()
+            Message::UnsubForward { filters } => {
+                log.extend(filters.iter().map(|f| Wire::Unsub(to, f.digest())));
+            }
+            Message::Forward { notification } => log.push(Wire::Forward(to, notification.seq())),
+            Message::Deliver { client, notification } => {
+                log.push(Wire::Deliver(to, *client, notification.seq()));
+            }
+            other => log.push(Wire::Other(to, std::mem::discriminant(other))),
+        }
+    }
+    log
 }
 
 /// Applies one op to a core through a fresh standalone context, returning
@@ -136,11 +144,11 @@ fn apply(c: &mut BrokerCore, op: &Op) -> (Vec<Wire>, Vec<(ClientId, NodeId)>) {
         }
         Op::Detach(cl) => c.apply(&mut ctx, BrokerOp::ClientDetach { client: ClientId::new(*cl) }),
         Op::NeighborSub(nb, f) => {
-            let msg = Message::SubForward { filter: f.clone() };
+            let msg = Message::SubForward { filters: vec![f.clone()].into() };
             c.handle_into(&mut ctx, nb_node(*nb), msg, &mut out);
         }
         Op::NeighborUnsub(nb, f) => {
-            let msg = Message::UnsubForward { filter: f.clone() };
+            let msg = Message::UnsubForward { filters: vec![f.clone()].into() };
             c.handle_into(&mut ctx, nb_node(*nb), msg, &mut out);
         }
         Op::Publish(n) => {

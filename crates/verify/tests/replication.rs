@@ -261,7 +261,7 @@ impl Net {
 
     fn submit(&mut self, i: usize, op: BrokerOp) {
         let mut out = Outbox::new();
-        self.live[i].submit(op, &mut out);
+        self.live[i].submit([op], &mut out);
         let from = self.live[i].me_node();
         self.feed(from, out);
     }
@@ -295,14 +295,14 @@ fn primary_crash_body() {
         r.start(out);
     }
     pump_full(&mut rs, &mut outs);
-    rs[0].submit(op(1), &mut outs[0]);
-    rs[0].submit(op(2), &mut outs[0]);
+    rs[0].submit([op(1)], &mut outs[0]);
+    rs[0].submit([op(2)], &mut outs[0]);
     pump_full(&mut rs, &mut outs);
 
     // The dying gasp: op 3 is prepared, then the primary is gone before
     // any acknowledgement returns. Whatever any member considered
     // committed at this instant must survive the view change.
-    rs[0].submit(op(3), &mut outs[0]);
+    rs[0].submit([op(3)], &mut outs[0]);
     let committed: Vec<BrokerOp> = {
         let high = rs.iter().max_by_key(|r| r.commit_number()).expect("three members");
         (1..=high.commit_number())
@@ -612,13 +612,13 @@ fn fold_crash_recover_body() {
     let ops = history();
     let mut table_2 = LiveState::default();
     for (i, op) in ops[..4].iter().enumerate() {
-        rs[0].submit(op.clone(), &mut outs[0]);
+        rs[0].submit([op.clone()], &mut outs[0]);
         pump_full(&mut rs, &mut outs);
         if i == 1 {
             rs[2].drain_committed(|op| table_2.fold(&op));
         }
     }
-    rs[0].submit(ops[4].clone(), &mut outs[0]);
+    rs[0].submit([ops[4].clone()], &mut outs[0]);
     let (dead, lucky) = (nodes[0], nodes[2]);
     let in_flight: Outbox = std::mem::take(&mut outs[0]);
     rs.remove(0);

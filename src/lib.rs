@@ -193,13 +193,14 @@
 //! but the reborn process would come back with an empty routing table.
 //! [`SystemBuilder::replication`] arms the broker-state replication layer
 //! ([`broker::replication`]). A broker has **one mutation seam**:
-//! [`broker::BrokerCore::classify`] turns a message into a
-//! [`broker::BrokerOp`] and [`broker::BrokerCore::apply`] is the only
-//! place an op touches the routing table. A plain broker applies the op
-//! on the spot; a replicated one submits the same op to a log
-//! replicated across a group of `group_size` members with
-//! viewstamped-replication-style primary/backup semantics and applies it
-//! on commit. The per-notification route path never touches the log (the
+//! [`broker::BrokerCore::classify`] turns a message into
+//! [`broker::BrokerOp`]s (one per filter of an announcement list), and
+//! applying an op is the only place it touches the routing table. A plain
+//! broker applies the ops on the spot; a replicated one submits the same
+//! ops to a log replicated across a group of `group_size` members with
+//! viewstamped-replication-style primary/backup semantics and applies each
+//! committed batch at once, sending each neighbour one announcement list
+//! pair for it. The per-notification route path never touches the log (the
 //! allocation-regression suite asserts zero steady-state allocations with
 //! replication enabled); only churn pays the quorum round trips — one per
 //! batch of ops, not one per op: a busy group ships the ops that piled up
