@@ -193,69 +193,18 @@ fn steady_state_pipeline_allocates_nothing() {
     let routed = allocations() - before;
     assert_eq!(routed, 0, "route_notification allocated {routed} times in 256 steady-state calls");
 
-    // --- the same broker partitioned into 4 digest-range shards: the
-    //     fanned-out route path must be just as allocation-free, and its
-    //     decisions identical to the single-shard core's ---
-    let mut sharded = BrokerCore::with_shards(
-        BrokerId::new(1),
-        Arc::clone(&topology),
-        Arc::new((0..3).map(NodeId::new).collect()),
-        RoutingStrategy::Covering,
-        Arc::new(SharedInterner::new()),
-        4,
-    );
-    assert_eq!(sharded.shard_count(), 4);
-    for op in subscriptions() {
-        sharded.apply(&mut ctx, op);
-    }
-    let announced = Filter::builder().eq("service", "t").build();
-    sharded.handle(
-        &mut ctx,
-        NodeId::new(0),
-        Message::SubForward { filters: vec![announced.clone()].into() },
-    );
-    sharded.handle(
-        &mut ctx,
-        NodeId::new(2),
-        Message::SubForward { filters: vec![announced].into() },
-    );
-    let mut sharded_out = Outcome::default();
-    for _ in 0..32 {
-        ctx.clear_actions();
-        sharded_out.clear();
-        sharded.route_notification_into(&mut ctx, NodeId::new(0), Arc::clone(&n), &mut sharded_out);
-    }
-    assert_eq!(
-        sharded_out.deliveries.len(),
-        out.deliveries.len(),
-        "sharded and single-shard cores must deliver identically"
-    );
-    let before = allocations();
-    for _ in 0..256 {
-        ctx.clear_actions();
-        sharded_out.clear();
-        sharded.route_notification_into(&mut ctx, NodeId::new(0), Arc::clone(&n), &mut sharded_out);
-    }
-    let routed = allocations() - before;
-    assert_eq!(
-        routed, 0,
-        "sharded route_notification allocated {routed} times in 256 steady-state calls"
-    );
-
     // --- many filters, few destinations, on a recycled number: a first
     //     client takes a destination number and leaves, a second one
     //     inherits it with 256 subscriptions, one link announces 256
     //     filters. The index sized its per-destination marks when those
     //     filters went in, so deciding "this client, that link" per
-    //     notification grows nothing — at 1 shard and at 4 ---
-    for shards in [1usize, 4] {
-        let mut few = BrokerCore::with_shards(
+    //     notification grows nothing ---
+    {
+        let mut few = BrokerCore::new(
             BrokerId::new(1),
             Arc::clone(&topology),
             Arc::new((0..3).map(NodeId::new).collect()),
             RoutingStrategy::Simple,
-            Arc::new(SharedInterner::new()),
-            shards,
         );
         let wide = |attr: &str, i: u32| {
             let (group, tag) = (i64::from(i % 16), -i64::from(i));
@@ -298,13 +247,10 @@ fn steady_state_pipeline_allocates_nothing() {
             route(&mut few);
         }
         let routed = allocations() - before;
-        assert_eq!(
-            routed, 0,
-            "{shards} shard(s): {routed} allocations in 256 two-destination routes"
-        );
+        assert_eq!(routed, 0, "{routed} allocations in 256 two-destination routes");
         let stats = few.stats();
         assert!(
-            stats.candidates_verified <= 2 * shards as u64 * stats.notifications_routed,
+            stats.candidates_verified <= 2 * stats.notifications_routed,
             "32 candidates share a value with the notification; {} were verified in {} routes",
             stats.candidates_verified,
             stats.notifications_routed

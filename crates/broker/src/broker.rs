@@ -28,8 +28,7 @@
 use crate::message::{Filters, Message};
 use crate::replication::{BrokerOp, MAX_BATCH_OPS};
 use crate::routing::{CoverChanges, LinkAnnouncer, RoutingStrategy};
-use crate::shard::ShardedRouter;
-use crate::table::{FilterOrigin, RouteScratch, TableDelta};
+use crate::table::{FilterOrigin, RouteScratch, RoutingTable, TableDelta};
 use rebeca_core::{BrokerId, ClientId, Digest, Filter, Notification, SharedInterner};
 use rebeca_net::{Ctx, Node, NodeId, Topology};
 use std::collections::HashMap;
@@ -101,9 +100,8 @@ pub struct BrokerCore {
     broker_nodes: Arc<Vec<NodeId>>,
     /// Node ids of the neighbouring brokers.
     neighbors: Vec<NodeId>,
-    /// The routing state, partitioned into ≥ 1 digest-range shards (1 shard
-    /// behaves exactly like the historical single table).
-    router: ShardedRouter,
+    /// The routing state: one table, read and written on this thread.
+    router: RoutingTable,
     /// Incremental announcement state, one per neighbour (same order as
     /// `neighbors`) — the single source of truth for announced sets.
     announcers: Vec<LinkAnnouncer>,
@@ -161,26 +159,6 @@ impl BrokerCore {
         strategy: RoutingStrategy,
         interner: Arc<SharedInterner>,
     ) -> Self {
-        Self::with_shards(id, topology, broker_nodes, strategy, interner, 1)
-    }
-
-    /// Creates the core with its routing state partitioned into `shards`
-    /// match/route shards keyed by filter digest range (`shards.max(1)`;
-    /// 1 = the historical unsharded behaviour). All shards share
-    /// `interner`, and the sharded decision is bit-for-bit identical to
-    /// the unsharded one — see the shard-equivalence test suite.
-    ///
-    /// # Panics
-    ///
-    /// As [`BrokerCore::new`].
-    pub fn with_shards(
-        id: BrokerId,
-        topology: Arc<Topology>,
-        broker_nodes: Arc<Vec<NodeId>>,
-        strategy: RoutingStrategy,
-        interner: Arc<SharedInterner>,
-        shards: usize,
-    ) -> Self {
         assert!((id.raw() as usize) < topology.broker_count(), "broker {id} not in topology");
         assert!(broker_nodes.len() >= topology.broker_count(), "broker node map incomplete");
         let neighbors: Vec<NodeId> =
@@ -193,13 +171,31 @@ impl BrokerCore {
             topology,
             broker_nodes,
             neighbors,
-            router: ShardedRouter::with_interner(shards, interner),
+            router: RoutingTable::with_interner(interner),
             announcers,
             staged,
             net: HashMap::new(),
             scratch: RouteScratch::new(),
             stats: BrokerStats::default(),
         }
+    }
+
+    /// [`BrokerCore::with_interner`] for `shards == 1`. Exists only until
+    /// the benchmark stops calling it: a broker has one routing table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards != 1`, and as [`BrokerCore::new`].
+    pub fn with_shards(
+        id: BrokerId,
+        topology: Arc<Topology>,
+        broker_nodes: Arc<Vec<NodeId>>,
+        strategy: RoutingStrategy,
+        interner: Arc<SharedInterner>,
+        shards: usize,
+    ) -> Self {
+        assert_eq!(shards, 1, "a broker has one routing table");
+        Self::with_interner(id, topology, broker_nodes, strategy, interner)
     }
 
     /// This broker's id.
@@ -212,14 +208,9 @@ impl BrokerCore {
         self.strategy
     }
 
-    /// Read access to the (sharded) routing state (stats, tests).
-    pub fn router(&self) -> &ShardedRouter {
+    /// Read access to the routing table (stats, tests).
+    pub fn router(&self) -> &RoutingTable {
         &self.router
-    }
-
-    /// Number of match/route shards the routing state is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.router.shard_count()
     }
 
     /// Counters accumulated so far.
@@ -618,6 +609,22 @@ mod tests {
 
     fn filter(v: i64) -> Filter {
         Filter::builder().eq("k", v).build()
+    }
+
+    #[test]
+    #[should_panic(expected = "one routing table")]
+    fn with_shards_refuses_more_than_one_table() {
+        let topology = Arc::new(Topology::line(3).expect("valid line"));
+        let nodes = Arc::new((0..3).map(NodeId::new).collect());
+        let interner = Arc::new(SharedInterner::new());
+        BrokerCore::with_shards(
+            BrokerId::new(1),
+            topology,
+            nodes,
+            RoutingStrategy::Simple,
+            interner,
+            4,
+        );
     }
 
     fn sub(id: u32, f: &Filter) -> BrokerOp {

@@ -7,11 +7,8 @@
 //!   broker, and the mobility sub-protocol interpreted by the mobility
 //!   crate's wrappers);
 //! * [`RoutingStrategy`] — flooding / simple / covering;
-//! * [`RoutingTable`] — `(Filter, Link)` entries backed by the value-keyed
-//!   match index;
-//! * [`ShardedRouter`] — the same routing state partitioned into
-//!   filter-digest-range shards, fanned over in-line, with decisions
-//!   provably identical to the unsharded table;
+//! * [`RoutingTable`] — a broker's one table of `(Filter, Link)` entries,
+//!   backed by the value-keyed match index;
 //! * [`BrokerCore`] / [`BrokerNode`] — the routing engine and its plain
 //!   node wrapper; neither knows about mobility. The engine has one
 //!   mutation seam: [`BrokerCore::classify`] handles everything about a
@@ -44,7 +41,6 @@ pub mod codec;
 pub mod message;
 pub mod replication;
 pub mod routing;
-pub mod shard;
 pub mod table;
 
 pub use broker::{BrokerCore, BrokerNode, BrokerStats, LocalDelivery, Outcome};
@@ -56,5 +52,4 @@ pub use replication::{
     ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats, StateReject,
 };
 pub use routing::{minimal_cover, CoverChanges, LinkAnnouncer, RoutingStrategy};
-pub use shard::ShardedRouter;
 pub use table::{ClientEntry, RouteDecision, RouteKey, RouteScratch, RoutingTable, TableDelta};

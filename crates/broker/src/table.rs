@@ -169,16 +169,12 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Normalises the accumulated decision buffers into their canonical
-    /// form: clients sorted by id, neighbours sorted, both deduplicated. One
-    /// table reports a destination once, so what is left to fold is a
-    /// client or link whose matching entries live in several shards.
-    /// In-place, no allocation.
-    pub(crate) fn finish(&mut self) {
+    /// Puts the decision buffers into their canonical order: clients sorted
+    /// by id, neighbours sorted. The index reports each destination once,
+    /// so there is nothing to deduplicate. In-place, no allocation.
+    fn finish(&mut self) {
         self.clients.sort_unstable_by_key(|(c, _)| *c);
-        self.clients.dedup_by_key(|(c, _)| *c);
         self.neighbors.sort_unstable();
-        self.neighbors.dedup();
     }
 }
 
@@ -364,32 +360,17 @@ impl RoutingTable {
     /// the mutation path, and the decision buffers retain their capacity
     /// across calls.
     pub fn route_into(&self, n: &Notification, scratch: &mut RouteScratch) {
-        scratch.clients.clear();
-        scratch.neighbors.clear();
-        scratch.verified = self.route_append(n, &mut scratch.clients, &mut scratch.neighbors);
-        scratch.finish();
-    }
-
-    /// Appends this table's contribution for `n` — every matching
-    /// destination once, unsorted — to the decision buffers and returns
-    /// how many candidates it verified. This is the building block
-    /// [`RoutingTable::route_into`] and the sharded router's fan-out
-    /// share: one table appends, the merge normalises once at the end
-    /// ([`RouteScratch::finish`]).
-    pub(crate) fn route_append(
-        &self,
-        n: &Notification,
-        clients: &mut Vec<(ClientId, NodeId)>,
-        neighbors: &mut Vec<NodeId>,
-    ) -> u64 {
-        let verified = self.index.matching_destinations(n, |dest| {
+        let RouteScratch { clients, neighbors, verified } = scratch;
+        clients.clear();
+        neighbors.clear();
+        *verified = self.index.matching_destinations(n, |dest| {
             match self.destinations.by_number[dest as usize] {
                 Destination::Client(client, node) => clients.push((client, node)),
                 Destination::Neighbor(node) => neighbors.push(node),
                 Destination::Free => debug_assert!(false, "entry filed under a free destination"),
             }
-        });
-        verified as u64
+        }) as u64;
+        scratch.finish();
     }
     // hot-path: end
 

@@ -10,10 +10,10 @@
 //! after **every step** compares `route_into` with the decision worked
 //! out from `clients()` / `neighbor_filters()` by plain [`Filter::matches`]
 //! — no index, no destination numbers, no marks. One scratch and one
-//! router live through the whole script, at 1 shard and at 4.
+//! table live through the whole script.
 
 use proptest::prelude::*;
-use rebeca_broker::{RouteScratch, ShardedRouter};
+use rebeca_broker::{RouteScratch, RoutingTable};
 use rebeca_core::{ClientId, Filter, Notification, SimTime, SubscriptionId};
 use rebeca_net::NodeId;
 
@@ -114,13 +114,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(router: &mut ShardedRouter, op: &Op) {
+fn apply(table: &mut RoutingTable, op: &Op) {
     match op {
         Op::Attach { client, node } => {
-            router.attach_client(ClientId::new(*client), NodeId::new(20 + node))
+            table.attach_client(ClientId::new(*client), NodeId::new(20 + node))
         }
         Op::Subscribe { client, sub, filter } => {
-            router.subscribe_client(
+            table.subscribe_client(
                 ClientId::new(*client),
                 SubscriptionId::new(*sub),
                 filter.clone(),
@@ -128,7 +128,7 @@ fn apply(router: &mut ShardedRouter, op: &Op) {
         }
         Op::SubscribeAll { client, filters } => {
             for (sub, filter) in filters.iter().enumerate() {
-                router.subscribe_client(
+                table.subscribe_client(
                     ClientId::new(*client),
                     SubscriptionId::new(sub as u32),
                     filter.clone(),
@@ -136,36 +136,34 @@ fn apply(router: &mut ShardedRouter, op: &Op) {
             }
         }
         Op::Unsubscribe { client, sub } => {
-            router.unsubscribe_client(ClientId::new(*client), SubscriptionId::new(*sub));
+            table.unsubscribe_client(ClientId::new(*client), SubscriptionId::new(*sub));
         }
         Op::Detach { client } => {
-            router.detach_client(ClientId::new(*client));
+            table.detach_client(ClientId::new(*client));
         }
         Op::Announce { link, filters } => {
             for filter in filters {
-                router.neighbor_subscribe(LINKS[*link], filter.clone());
+                table.neighbor_subscribe(LINKS[*link], filter.clone());
             }
         }
         Op::Retract { link, filter } => {
-            router.neighbor_unsubscribe(LINKS[*link], filter.digest());
+            table.neighbor_unsubscribe(LINKS[*link], filter.digest());
         }
     }
 }
 
-/// The decision, from the table's own filter lists and nothing else.
-fn reference(router: &ShardedRouter, n: &Notification) -> (Vec<(ClientId, NodeId)>, Vec<NodeId>) {
-    let mut clients: Vec<(ClientId, NodeId)> = router
-        .shards()
-        .iter()
-        .flat_map(|shard| shard.clients())
+/// The decision, from the table's own filter lists and nothing else:
+/// each matching client and link once, sorted.
+fn reference(table: &RoutingTable, n: &Notification) -> (Vec<(ClientId, NodeId)>, Vec<NodeId>) {
+    let mut clients: Vec<(ClientId, NodeId)> = table
+        .clients()
         .filter(|(_, entry)| entry.subs.values().any(|f| f.matches(n)))
         .map(|(client, entry)| (*client, entry.node))
         .collect();
     clients.sort_unstable();
-    clients.dedup();
     let neighbors = LINKS
         .into_iter()
-        .filter(|link| router.neighbor_filters(*link).any(|f| f.matches(n)))
+        .filter(|link| table.neighbor_filters(*link).any(|f| f.matches(n)))
         .collect();
     (clients, neighbors)
 }
@@ -178,24 +176,16 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..48),
         probes in proptest::collection::vec(arb_note(), 1..5),
     ) {
-        for shards in [1usize, 4] {
-            let mut router = ShardedRouter::new(shards);
-            let mut scratch = RouteScratch::new();
-            for (step, op) in ops.iter().enumerate() {
-                apply(&mut router, op);
-                for probe in &probes {
-                    router.route_into(probe, &mut scratch);
-                    let (clients, neighbors) = reference(&router, probe);
-                    prop_assert_eq!(
-                        &scratch.clients, &clients,
-                        "clients, {} shard(s), step {}, {}", shards, step, probe
-                    );
-                    prop_assert_eq!(
-                        &scratch.neighbors, &neighbors,
-                        "links, {} shard(s), step {}, {}", shards, step, probe
-                    );
-                    prop_assert!(scratch.verified <= router.entry_count() as u64);
-                }
+        let mut table = RoutingTable::new();
+        let mut scratch = RouteScratch::new();
+        for (step, op) in ops.iter().enumerate() {
+            apply(&mut table, op);
+            for probe in &probes {
+                table.route_into(probe, &mut scratch);
+                let (clients, neighbors) = reference(&table, probe);
+                prop_assert_eq!(&scratch.clients, &clients, "clients, step {}, {}", step, probe);
+                prop_assert_eq!(&scratch.neighbors, &neighbors, "links, step {}, {}", step, probe);
+                prop_assert!(scratch.verified <= table.entry_count() as u64);
             }
         }
     }

@@ -107,7 +107,7 @@ struct Observed {
 }
 
 fn observe(core: &BrokerCore) -> Observed {
-    let table = &core.router().shards()[0];
+    let table = core.router();
     let clients = table
         .clients()
         .map(|(c, e)| (*c, (e.node, e.subs.iter().map(|(id, f)| (*id, f.clone())).collect())))

@@ -196,14 +196,14 @@ struct Table {
 }
 
 fn table_of(core: &BrokerCore) -> Table {
-    let shard = &core.router().shards()[0];
-    let client = shard.client(CLIENT);
+    let table = core.router();
+    let client = table.client(CLIENT);
     Table {
         client_node: client.map(|e| e.node),
         subs: client.map(|e| e.subs.clone().into_iter().collect()).unwrap_or_default(),
-        upstream: shard.neighbor_filters(UPSTREAM).map(|f| (f.digest(), f.clone())).collect(),
+        upstream: table.neighbor_filters(UPSTREAM).map(|f| (f.digest(), f.clone())).collect(),
         announced: [core.announced_filters(NodeId::new(0)), core.announced_filters(NodeId::new(2))],
-        entries: core.router().entry_count(),
+        entries: table.entry_count(),
     }
 }
 

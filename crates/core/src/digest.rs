@@ -23,22 +23,6 @@ impl Digest {
     pub const fn raw(self) -> u64 {
         self.0
     }
-
-    /// The shard (out of `shards`) that owns this digest under contiguous
-    /// **range partitioning**: the `2^64` digest space is cut into `shards`
-    /// equal-width ranges and the digest's range index is computed with the
-    /// multiply-shift trick (no division on the hot path). Partitioning by
-    /// range rather than `digest % shards` keeps every shard's key set a
-    /// contiguous interval, so shard ownership is monotone in the digest
-    /// and re-sharding moves whole ranges instead of rehashing every key.
-    ///
-    /// `shards <= 1` maps everything to shard 0.
-    pub const fn shard(self, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        (((self.0 as u128) * (shards as u128)) >> 64) as usize
-    }
 }
 
 impl fmt::Display for Digest {
@@ -125,33 +109,6 @@ mod tests {
     #[test]
     fn display_is_hex() {
         assert_eq!(Digest::from_raw(0xdead_beef).to_string(), "00000000deadbeef");
-    }
-
-    #[test]
-    fn shard_is_a_monotone_range_partition() {
-        // One shard: everything lands in shard 0.
-        assert_eq!(Digest::from_raw(u64::MAX).shard(1), 0);
-        assert_eq!(Digest::from_raw(u64::MAX).shard(0), 0, "degenerate count treated as 1");
-        for shards in [2usize, 3, 4, 7, 16] {
-            assert_eq!(Digest::from_raw(0).shard(shards), 0);
-            assert_eq!(Digest::from_raw(u64::MAX).shard(shards), shards - 1);
-            // Monotone in the digest (the defining property of a range
-            // partition), and always within bounds.
-            let mut prev = 0usize;
-            for i in 0..512u64 {
-                let d = Digest::from_raw(i.wrapping_mul(u64::MAX / 511));
-                let s = d.shard(shards);
-                assert!(s < shards, "shard {s} out of range for {shards}");
-                assert!(s >= prev, "shard index must be monotone in the digest");
-                prev = s;
-            }
-        }
-        // Evenly spread digests land evenly: each of 4 shards owns a quarter.
-        let mut counts = [0usize; 4];
-        for i in 0..1024u64 {
-            counts[Digest::from_raw(i << 54).shard(4)] += 1;
-        }
-        assert_eq!(counts, [256; 4]);
     }
 
     #[test]

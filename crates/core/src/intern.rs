@@ -19,9 +19,9 @@
 //! only shared touch an uncached reader makes is a read-locked `Arc` clone.
 //! Because snapshots are append-only *prefixes* of every later snapshot,
 //! any symbol ever minted resolves identically in every snapshot taken
-//! afterwards — which is what lets N broker shards, and the brokers of N
-//! node threads sharing one interner, match without a single shared lock
-//! on the per-notification path.
+//! afterwards — which is what lets the brokers of N node threads sharing
+//! one interner match without a single shared lock on the
+//! per-notification path.
 //!
 //! The steady-state read protocol is [`InternerCache`]: each match index
 //! keeps the `Arc` of the snapshot it last used plus the generation it was
@@ -330,8 +330,8 @@ impl SharedInterner {
 /// single atomic generation load.
 ///
 /// This is the steady-state protocol of the matching hot path: each
-/// [`MatchIndex`](crate::MatchIndex) (hence each broker shard) owns one
-/// cache; [`InternerCache::get`] returns
+/// [`MatchIndex`](crate::MatchIndex) (hence each broker's routing table)
+/// owns one cache; [`InternerCache::get`] returns
 /// the current table without touching any shared cache line as long as no
 /// new attribute name appeared anywhere in the world. Only when the
 /// generation moved does it briefly lock to clone the new `Arc`.

@@ -150,8 +150,8 @@ pub struct ScenarioConfig {
     pub location_dependent: bool,
     /// Master seed (client start positions, movement seeds).
     pub seed: u64,
-    /// Match/route shards per broker; `None` inherits the builder default
-    /// (the `REBECA_SHARDS` environment variable, or 1).
+    /// Ignored if `None` or `Some(1)`, refused otherwise: a broker has one
+    /// routing table. Kept until the benchmark stops setting it.
     pub shards: Option<usize>,
 }
 
@@ -302,12 +302,14 @@ enum Ev {
 /// # Panics
 ///
 /// Panics if the configuration is inconsistent (no brokers, a too-short
-/// hand-off gap, or a movement graph that does not cover the brokers).
+/// hand-off gap, a shard count other than 1, or a movement graph that
+/// does not cover the brokers).
 /// Scenario configurations are test fixtures, not user input; the
 /// underlying [`SystemBuilder`] API reports the same conditions as
 /// [`rebeca::RebecaError`] values.
 pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
     assert!(cfg.brokers > 0, "need at least one broker");
+    assert!(matches!(cfg.shards, None | Some(1)), "a broker has one routing table");
     assert!(
         cfg.gap >= SimDuration::from_millis(100),
         "gap must leave room for the hand-off phases"
@@ -324,12 +326,12 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
         },
     };
 
-    let mut builder =
-        SystemBuilder::new(topology).strategy(cfg.strategy).deployment(deployment).seed(cfg.seed);
-    if let Some(shards) = cfg.shards {
-        builder = builder.shards(shards);
-    }
-    let mut sys = builder.build().expect("scenario produced a deployment its own topology rejects");
+    let mut sys = SystemBuilder::new(topology)
+        .strategy(cfg.strategy)
+        .deployment(deployment)
+        .seed(cfg.seed)
+        .build()
+        .expect("scenario produced a deployment its own topology rejects");
 
     // One immobile publisher per broker.
     let publishers: Vec<FixedClient> = (0..cfg.brokers)
@@ -603,5 +605,11 @@ mod tests {
     fn static_variant_keeps_clients_put() {
         let out = run(&quick_cfg(SystemVariant::Static));
         assert_eq!(out.timelines[0].moves(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one routing table")]
+    fn shard_counts_other_than_one_are_refused() {
+        run(&ScenarioConfig { shards: Some(4), ..quick_cfg(SystemVariant::Static) });
     }
 }

@@ -10,8 +10,8 @@
 //!   suite (`alloc_regression.rs`) asserts end to end; the lint catches
 //!   regressions at review time, per line.
 //! * **hot-lock** — no lock acquisitions (`.lock()`, `.read()`,
-//!   `.write()`) in hot regions: the routing fan-out's whole design is
-//!   that shard ownership and interner snapshots make locks unnecessary.
+//!   `.write()`) in hot regions: the route path reads state its node
+//!   thread owns and interner snapshots, so it needs no lock.
 //! * **wildcard-arm** — no `_ =>` match arms in protocol handler files
 //!   (`broker.rs`, `client.rs`, `replicator.rs`), transport dispatch
 //!   files (`wire.rs`, `process_rt.rs`, `supervisor.rs`) or the buffer
@@ -73,7 +73,7 @@ const ALLOC_PATTERNS: &[(&str, &str)] = &[
 
 /// Lock acquisitions forbidden in hot regions.
 const LOCK_PATTERNS: &[(&str, &str)] = &[
-    (".lock()", "acquires a mutex; hot paths run on owned/shard state"),
+    (".lock()", "acquires a mutex; hot paths run on state their thread owns"),
     (".read()", "acquires a read lock; hot paths use cached snapshots"),
     (".write()", "acquires a write lock; never on the per-notification path"),
 ];

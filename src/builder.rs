@@ -48,28 +48,11 @@ impl Deployment {
     }
 }
 
-/// The build-time default shard count: the `REBECA_SHARDS` environment
-/// variable when set (CI exercises the integration suites under both 1 and
-/// 4), otherwise 1 — the unsharded behaviour. A *set but invalid* value
-/// panics rather than silently falling back to 1: a CI matrix leg that
-/// thinks it is testing `shards=4` must never green-light an unsharded
-/// run.
-fn default_shard_count() -> usize {
-    match std::env::var("REBECA_SHARDS") {
-        Err(_) => 1,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("REBECA_SHARDS must be a positive integer (1 = unsharded), got {v:?}"),
-        },
-    }
-}
-
 /// What the nodes of a [`Plan`] are made of: the parts every node of one
 /// build shares.
 struct Parts {
     topology: Arc<Topology>,
     strategy: RoutingStrategy,
-    shards: usize,
     /// One world-wide interner, so every routing table and local-delivery
     /// index resolves identical symbols (see the "Notification lifecycle"
     /// section of the crate docs).
@@ -85,13 +68,11 @@ impl Parts {
     fn new(
         topology: Topology,
         strategy: RoutingStrategy,
-        shards: usize,
         mobility: Option<(Arc<MovementGraph>, Arc<LocationMap>, ReplicatorConfig)>,
     ) -> Parts {
         Parts {
             topology: Arc::new(topology),
             strategy,
-            shards,
             interner: Arc::new(SharedInterner::new()),
             metrics: Arc::default(),
             mobility,
@@ -105,13 +86,12 @@ impl Parts {
     fn node(&self, plan: &Plan, kind: NodeKind) -> Box<dyn Node<Message>> {
         match kind {
             NodeKind::Broker(b) => {
-                let core = BrokerCore::with_shards(
+                let core = BrokerCore::with_interner(
                     b,
                     Arc::clone(&self.topology),
                     Arc::clone(&plan.brokers),
                     self.strategy,
                     Arc::clone(&self.interner),
-                    self.shards,
                 );
                 match plan.group(b) {
                     [_] => Box::new(BrokerNode::new(core)),
@@ -155,6 +135,8 @@ pub struct SystemBuilder {
     locations: Option<LocationMap>,
     link_latency: SimDuration,
     seed: u64,
+    /// What [`SystemBuilder::shards`] was given; anything but 1 fails the
+    /// build.
     shards: usize,
     reconnect: Option<rebeca_net::ReconnectPolicy>,
     replication: usize,
@@ -162,12 +144,6 @@ pub struct SystemBuilder {
 
 impl SystemBuilder {
     /// Starts a builder over the given broker topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `REBECA_SHARDS` environment variable is set to
-    /// anything other than a positive integer (see
-    /// [`SystemBuilder::shards`]).
     pub fn new(topology: Topology) -> Self {
         SystemBuilder {
             topology,
@@ -176,7 +152,7 @@ impl SystemBuilder {
             locations: None,
             link_latency: SimDuration::from_millis(1),
             seed: 42,
-            shards: default_shard_count(),
+            shards: 1,
             reconnect: None,
             replication: 1,
         }
@@ -219,13 +195,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Partitions every broker's match/route state into `shards` shards
-    /// keyed by filter digest range (see the "Sharded matching" section of
-    /// the crate docs). Default: the `REBECA_SHARDS` environment variable,
-    /// or 1 — the unsharded behaviour. Sharding is an execution detail:
-    /// routing decisions, announcements and deliveries are identical for
-    /// every shard count. Passing `0` is rejected by
-    /// [`SystemBuilder::build`].
+    /// Accepts only `shards == 1`: a broker has one routing table. Exists
+    /// only until the benchmark stops calling it; any other value is
+    /// rejected by [`SystemBuilder::build`].
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -278,10 +250,11 @@ impl SystemBuilder {
             // empty graphs; kept so the facade never trusts its inputs.
             return Err(RebecaError::InvalidTopology("topology has no brokers".into()));
         }
-        if self.shards == 0 {
-            return Err(RebecaError::InvalidDeployment(
-                "shard count must be at least 1 (1 = unsharded)".into(),
-            ));
+        if self.shards != 1 {
+            return Err(RebecaError::InvalidDeployment(format!(
+                "shard count {} is not 1: a broker has one routing table",
+                self.shards
+            )));
         }
         if self.replication == 0 {
             return Err(RebecaError::InvalidDeployment(
@@ -337,8 +310,9 @@ impl SystemBuilder {
     /// # Errors
     ///
     /// Returns [`RebecaError::InvalidDeployment`] if the location map
-    /// assigns scopes to brokers outside the topology, or a replicated
-    /// deployment carries an explicitly empty movement graph; and
+    /// assigns scopes to brokers outside the topology, a replicated
+    /// deployment carries an explicitly empty movement graph, or
+    /// [`SystemBuilder::shards`] was given anything but 1; and
     /// [`RebecaError::InvalidTopology`] if the movement graph references
     /// brokers the topology does not have.
     pub fn build(self) -> Result<System, RebecaError> {
@@ -348,7 +322,7 @@ impl SystemBuilder {
             Arc::new(self.locations.unwrap_or_else(|| LocationMap::one_per_broker(&self.topology)));
         let mobility = replicated
             .map(|(movement, config)| (Arc::new(movement), Arc::clone(&locations), config));
-        let parts = Parts::new(self.topology, self.strategy, self.shards, mobility);
+        let parts = Parts::new(self.topology, self.strategy, mobility);
         let link = LinkConfig::constant(self.link_latency);
         let mut world = World::new(self.seed);
         for node in &plan.nodes {
@@ -364,7 +338,6 @@ impl SystemBuilder {
             plan,
             interner: parts.interner,
             link,
-            shards: self.shards,
             replication: self.replication,
             replication_metrics: (self.replication > 1).then_some(parts.metrics),
             clients: Vec::new(),
@@ -430,7 +403,7 @@ impl SystemBuilder {
             rt.set_reconnect_policy(policy);
         }
         let plan = Plan::new(&self.topology, &self.deployment, self.replication);
-        let parts = Parts::new(self.topology, self.strategy, self.shards, None);
+        let parts = Parts::new(self.topology, self.strategy, None);
         for node in &plan.nodes {
             if hosted.contains(&node.host) {
                 rt.add_local(parts.node(&plan, node.kind));

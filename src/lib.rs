@@ -83,7 +83,7 @@
 //!    attribute name) install a new immutable table; each index keeps a
 //!    cached snapshot ([`core::InternerCache`]) revalidated with a single
 //!    atomic generation load per matching call, so the match path holds
-//!    no lock and bumps no shared refcount at any shard count. A filter
+//!    no lock and bumps no shared refcount. A filter
 //!    is filed once, so it is a candidate at most once and matching
 //!    keeps no state per filter; what the routing table asks for is
 //!    matching *destinations* (a client, a link), and there the index
@@ -94,7 +94,10 @@
 //!    cloning the `Arc` ([`Message::Forward`] per matching neighbour,
 //!    [`Message::Deliver`] per matching local client): refcount bumps, no
 //!    copies, and — with warm buffers — zero heap allocation per routed
-//!    notification (asserted by an allocation-regression test).
+//!    notification (asserted by an allocation-regression test). Each
+//!    broker holds one routing table, read on its own node thread: the
+//!    broker tree spreads the matching work, one broker's table is never
+//!    split.
 //! 4. **Buffer.** Virtual clients and disconnected devices buffer in one
 //!    type ([`mobility::ReplayBuffer`]), and hold-back queues likewise store
 //!    the *same* `Arc`; each replicator's [`mobility::ByteLedger`] counts a
@@ -107,43 +110,6 @@
 //!    ([`DeliveryRecord`]) keeps the shared allocation, performing
 //!    duplicate suppression by notification id. The notification is freed
 //!    when the last buffer, log or in-flight message drops its reference.
-//!
-//! ## Sharded matching
-//!
-//! Every broker's match/route state can be partitioned into N **shards
-//! keyed by filter digest range** ([`core::Digest::shard`]): each routing
-//! entry lives in exactly one shard, a mutation touches only its owning
-//! shard, and a routing decision is the merge of the per-shard decisions.
-//! Configure it with [`SystemBuilder::shards`] (default 1, or the
-//! `REBECA_SHARDS` environment variable — CI runs the integration suites
-//! under both 1 and 4):
-//!
-//! ```
-//! use rebeca::{SystemBuilder, Topology};
-//! let sys = SystemBuilder::new(Topology::line(3)?).shards(4).build()?;
-//! assert_eq!(sys.shard_count(), 4);
-//! # Ok::<(), rebeca::RebecaError>(())
-//! ```
-//!
-//! **The equivalence guarantee.** Sharding is an execution detail, not a
-//! semantic one: for every shard count, routing decisions, announcement
-//! deltas and deliveries are *identical* to the unsharded broker's. This
-//! holds by construction — all shards resolve attribute names through the
-//! same [`SharedInterner`], each filter is owned by exactly one shard, and
-//! the merged decision is normalised exactly like the unsharded one — and
-//! it is enforced by machinery that ships with the shards: a
-//! shard-equivalence proptest (`crates/broker/tests/shard_equivalence.rs`)
-//! drives identical random churn into a 1-shard and a 4-shard broker and
-//! compares decisions and announcement wire traffic after every step, and
-//! a seed-replayable scenario soak (`tests/scenario_soak.rs`) replays
-//! randomized mobility scenarios under both shard counts against the
-//! simulator's delivery oracle. The zero-allocation steady state of the
-//! route path is preserved for every shard count (asserted by the
-//! allocation-regression test at shards = 4).
-//!
-//! The shards are fanned over in-line, in shard order
-//! ([`broker::ShardedRouter`]), in every runtime: one broker is one node
-//! thread, and the decision is deterministic whatever the shard count.
 //!
 //! ## Subscription churn at 10⁵ filters
 //!

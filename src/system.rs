@@ -51,7 +51,6 @@ pub struct System {
     pub(crate) plan: Plan,
     pub(crate) interner: Arc<SharedInterner>,
     pub(crate) link: LinkConfig,
-    pub(crate) shards: usize,
     pub(crate) replication: usize,
     pub(crate) replication_metrics: Option<Arc<ReplicationMetrics>>,
     /// Indexed by [`ClientId`].
@@ -75,12 +74,6 @@ impl System {
     /// The broker↔location mapping.
     pub fn locations(&self) -> &LocationMap {
         &self.locations
-    }
-
-    /// Number of match/route shards each broker's routing state is
-    /// partitioned into (1 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Replica-group size each broker's mutation state is replicated

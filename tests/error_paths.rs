@@ -6,6 +6,8 @@
 //! deployments and topologies at build time, hand-off protocol misuse
 //! (double arrive / double depart), and scheduling into the past.
 
+use rebeca::broker::Message;
+use rebeca::net::ProcessRuntime;
 use rebeca::{
     BrokerId, Deployment, Filter, LocationId, LocationMap, MovementGraph, Notification,
     RebecaError, ReplicatorConfig, SimDuration, SimTime, System, SystemBuilder, Topology,
@@ -28,6 +30,22 @@ fn build_rejects_location_map_outside_topology() {
     let err = SystemBuilder::new(line(3)).locations(locations).build().unwrap_err();
     assert!(matches!(err, RebecaError::InvalidDeployment(_)), "{err}");
     assert!(err.to_string().contains("B7"), "{err}");
+}
+
+#[test]
+fn shards_other_than_one_are_rejected() -> Result<(), RebecaError> {
+    for shards in [0, 4] {
+        let err = SystemBuilder::new(line(3)).shards(shards).build().unwrap_err();
+        assert!(matches!(err, RebecaError::InvalidDeployment(_)), "{shards}: {err}");
+        let mut rt = ProcessRuntime::<Message>::new();
+        let err = SystemBuilder::new(line(3))
+            .shards(shards)
+            .build_process_partition(&mut rt, &[BrokerId::new(0)], |_| None)
+            .unwrap_err();
+        assert!(matches!(err, RebecaError::InvalidDeployment(_)), "{shards}: {err}");
+    }
+    SystemBuilder::new(line(3)).shards(1).build()?;
+    Ok(())
 }
 
 #[test]

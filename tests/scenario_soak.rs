@@ -1,14 +1,11 @@
-//! Seed-replayable scenario soak: randomized mobility scenarios, replayed
-//! under shard counts {1, 4}, checked against the simulator's delivery
-//! oracle.
+//! Seed-replayable scenario soak: randomized mobility scenarios checked
+//! against the simulator's delivery oracle.
 //!
 //! Every run draws a fresh master seed (or takes one from the
 //! `REBECA_SOAK_SEED` environment variable), derives a handful of random
-//! scenarios from it, and asserts — for **both** shard counts — that under
-//! lossless links nothing the oracle says is due is ever missed
-//! (`miss_rate() == 0.0`), that FIFO is never violated, and that the set of
-//! delivered marks is *identical* across shard counts (system-level shard
-//! equivalence). On any failure the seed is printed so the exact run
+//! scenarios from it, and asserts that under lossless links nothing the
+//! oracle says is due is ever missed (`miss_rate() == 0.0`) and that FIFO
+//! is never violated. On any failure the seed is printed so the exact run
 //! reproduces with one environment variable:
 //!
 //! ```text
@@ -20,7 +17,6 @@ use rebeca::SimDuration;
 use rebeca_sim::scenario::{self, MovementKind, ScenarioConfig, SystemVariant, TopologyKind};
 use rebeca_sim::workload::{Arrivals, WorkloadConfig};
 use rebeca_sim::MovementModel;
-use std::collections::BTreeSet;
 
 /// One random scenario shape derived from the seed stream (the simulator's
 /// own deterministic [`SplitMix64`] — a single `u64` reproduces the entire
@@ -49,11 +45,9 @@ fn random_cfg(rng: &mut SplitMix64) -> ScenarioConfig {
     }
 }
 
-/// Runs one scenario under the given shard count and returns the delivered
-/// mark sets (one per mobile client), after asserting the oracle promises.
-fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet<i64>> {
-    let cfg = ScenarioConfig { shards: Some(shards), ..cfg.clone() };
-    let out = scenario::run(&cfg);
+/// Runs one scenario and asserts the oracle promises.
+fn run_checked(cfg: &ScenarioConfig, label: &str) {
+    let out = scenario::run(cfg);
     assert!(!out.pubs.is_empty(), "{label}: workload generated no publications");
     let reports = if cfg.location_dependent {
         // Graph-respecting walks: everything a continuously existing shadow
@@ -72,7 +66,7 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
         assert_eq!(
             report.miss_rate(),
             0.0,
-            "{label} shards={shards}: client {i} missed {} of {} due notifications",
+            "{label}: client {i} missed {} of {} due notifications",
             report.misses,
             report.hits + report.misses,
         );
@@ -81,7 +75,7 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
         // Location-independent interests are due from first attachment
         // onwards — a 40 s workload must make the check non-vacuous.
         let due: usize = reports.iter().map(|r| r.hits + r.misses).sum();
-        assert!(due > 0, "{label} shards={shards}: oracle found nothing due — vacuous soak");
+        assert!(due > 0, "{label}: oracle found nothing due — vacuous soak");
     }
     if cfg.location_dependent {
         // A `myloc` subscription follows the client's current location: a
@@ -97,7 +91,7 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
                 });
                 assert!(
                     !stale,
-                    "{label} shards={shards}: client {i} got mark {mark} for {:?}, published at \
+                    "{label}: client {i} got mark {mark} for {:?}, published at \
                      {:?} while it was elsewhere",
                     e.location, e.at,
                 );
@@ -105,16 +99,12 @@ fn run_checked(cfg: &ScenarioConfig, shards: usize, label: &str) -> Vec<BTreeSet
         }
     }
     for (i, v) in out.fifo_violations.iter().enumerate() {
-        assert_eq!(*v, 0, "{label} shards={shards}: client {i} observed FIFO violations");
+        assert_eq!(*v, 0, "{label}: client {i} observed FIFO violations");
     }
-    out.delivered
-        .iter()
-        .map(|log| log.iter().map(|(mark, _)| *mark).collect::<BTreeSet<i64>>())
-        .collect()
 }
 
 /// The soak body: a few random scenario shapes × three variant/interest
-/// pairs × shard counts {1, 4}.
+/// pairs.
 fn soak(master_seed: u64) {
     let mut rng = SplitMix64::new(master_seed);
     for round in 0..2 {
@@ -127,18 +117,13 @@ fn soak(master_seed: u64) {
             let cfg =
                 ScenarioConfig { variant: variant.clone(), location_dependent, ..base.clone() };
             let label = format!("round {round}, variant {}", variant.name());
-            let marks_1 = run_checked(&cfg, 1, &label);
-            let marks_4 = run_checked(&cfg, 4, &label);
-            assert_eq!(
-                marks_1, marks_4,
-                "{label}: the shard count changed the set of delivered notifications"
-            );
+            run_checked(&cfg, &label);
         }
     }
 }
 
 #[test]
-fn randomized_scenarios_lose_nothing_under_any_shard_count() {
+fn randomized_scenarios_lose_nothing() {
     // Fresh entropy per run unless pinned — every CI run soaks a new seed,
     // and any failure names the exact one to replay.
     let seed = match std::env::var("REBECA_SOAK_SEED") {
