@@ -21,7 +21,7 @@
 //!   notification's candidates are verified in full.
 //!
 //! The crate is deliberately free of any I/O or runtime concern so the same
-//! types drive the deterministic simulator and the threaded live runtime.
+//! types drive the deterministic simulator and the live multi-process runtime.
 //!
 //! ## Example
 //!

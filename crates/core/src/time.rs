@@ -1,7 +1,7 @@
 //! Simulated clock types shared by every crate in the workspace.
 //!
 //! All REBECA components are driven either by the deterministic
-//! discrete-event simulator or by the threaded live runtime; both express
+//! discrete-event simulator or by the live multi-process runtime; both express
 //! time as [`SimTime`] (a point on the simulated clock) and [`SimDuration`]
 //! (a span), with microsecond resolution.
 

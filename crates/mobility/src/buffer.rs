@@ -109,6 +109,10 @@ impl Ledger for () {
 pub struct ByteLedger {
     holders: HashMap<NotificationId, usize>,
     bytes: usize,
+    /// Most notifications ever held at once. `holders` keeps room for
+    /// twice as many, so insert/remove churn below the peak rehashes in
+    /// place instead of resizing.
+    peak: usize,
 }
 
 impl ByteLedger {
@@ -134,6 +138,10 @@ impl Ledger for ByteLedger {
         *holders += 1;
         if *holders == 1 {
             self.bytes += bytes;
+            if self.holders.len() > self.peak {
+                self.peak = self.holders.len();
+                self.holders.reserve(self.peak);
+            }
         }
     }
 

@@ -10,22 +10,20 @@
 //!   state machines implement the sans-io [`Node`] trait; the simulator owns
 //!   time, links and delivery. Runs are exactly reproducible, which is what
 //!   the scenario runner and its oracle need.
-//! * [`thread_rt::ThreadRuntime`] — a **live runtime** that runs the *same*
-//!   node state machines on one OS thread each, connected by crossbeam
-//!   channels. It demonstrates that nothing in the protocol layer depends on
-//!   the simulator.
+//! * [`process_rt::ProcessRuntime`] — a **live runtime** that runs the
+//!   *same* node state machines on one OS thread each, behind channel
+//!   inboxes, and hosts a partition of them per OS process: traffic to a
+//!   node in another process is framed over a Unix domain socket. Its
+//!   peer links have a **supervised lifecycle** ([`supervisor`]): a dying
+//!   peer never panics a service thread — its routes go down, its traffic
+//!   is counted and dropped, and under a [`ReconnectPolicy`] the link is
+//!   re-dialed with backoff and healed in place. With no peers it is a
+//!   one-process threaded deployment. It demonstrates that nothing in the
+//!   protocol layer depends on the simulator.
 //!
 //! [`topology`] builds the acyclic broker graphs (line, star, balanced and
 //! random trees) and answers the tree-path/junction queries that the
 //! physical-mobility relocation protocol needs.
-//!
-//! For deployments split over several OS processes,
-//! [`process_rt::ProcessRuntime`] frames the same node traffic over Unix
-//! domain sockets, with a **supervised link lifecycle**
-//! ([`supervisor`]): a dying peer never panics a service thread — its
-//! routes go down, its traffic is counted and dropped, and under a
-//! [`ReconnectPolicy`] the link is re-dialed with backoff and healed in
-//! place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! [`Node`]: a state machine that reacts to messages and timers by emitting
 //! actions into a [`Ctx`]. Nodes never perform I/O themselves, which is what
 //! lets the same implementation run under the deterministic simulator and
-//! the threaded live runtime.
+//! the live multi-process runtime.
 
 use rebeca_core::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};

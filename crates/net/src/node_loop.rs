@@ -1,22 +1,21 @@
-//! The node message/timer loop shared by the live runtimes.
+//! The node message/timer loop of the live runtime.
 //!
-//! [`ThreadRuntime`](crate::ThreadRuntime) and
-//! [`ProcessRuntime`](crate::ProcessRuntime) drive a [`Node`] the same way:
-//! one OS thread per node, an inbox of [`Envelope`]s, a wall-clock timer
-//! heap, and a shared [`LinkSet`] consulted at send time ("unplugged cable":
-//! a send across a down link is silently dropped). They differ only in
-//! where a permitted send goes — a plain channel, or a sink table that may
-//! frame the message onto a peer socket — so [`run_node`] takes that step
-//! as a monomorphised closure and everything else lives here once.
+//! [`ProcessRuntime`](crate::ProcessRuntime) drives each local [`Node`] on
+//! its own OS thread: an inbox of [`Envelope`]s, a wall-clock timer heap,
+//! and a shared [`LinkSet`] consulted at send time ("unplugged cable": a
+//! send across a down link is silently dropped). Where a permitted send
+//! goes — another node's inbox, or a frame onto a peer socket — is the
+//! runtime's business, so [`run_node`] takes that step as a monomorphised
+//! closure and the loop itself knows nothing of sockets.
 //!
 //! The loop looks one envelope ahead: after taking the current envelope it
 //! polls the inbox once more, and every send the handler makes is told
 //! whether that poll came back empty. Such a send is **quiet**: the node
 //! thread is about to sleep, so it may as well do the send's work itself.
-//! The multi-process runtime then writes the frame to the peer socket
-//! directly instead of waking the link's writer thread; the threaded
-//! runtime ignores the flag. Sends from timers are never quiet (the inbox
-//! was not polled for them).
+//! The runtime then writes a frame to the peer socket directly instead of
+//! waking the link's writer thread; a send to a local inbox ignores the
+//! flag. Sends from timers are never quiet (the inbox was not polled for
+//! them).
 
 use crate::node::{Action, Ctx, Node, NodeId, Payload, TimerId};
 use crossbeam::channel::{Receiver, RecvTimeoutError};

@@ -1,8 +1,10 @@
 //! A multi-process runtime: the same [`Node`] state machines, with links
 //! that cross OS process boundaries as framed byte streams.
 //!
-//! [`ProcessRuntime`] is the peer of [`ThreadRuntime`](crate::ThreadRuntime)
-//! for deployments split over several processes. The contract:
+//! [`ProcessRuntime`] is the live counterpart of the simulator
+//! ([`World`](crate::World)): one OS thread per local node, and a
+//! deployment split over as many processes as it has partitions. A
+//! runtime with no peers is a one-process deployment. The contract:
 //!
 //! * **Global id space.** Every participating process declares the *same*
 //!   nodes in the *same* order — [`add_local`] for the ones it hosts,
@@ -10,10 +12,10 @@
 //!   for the rest. `NodeId(i)` then means the same node everywhere, so
 //!   frames carry plain ids.
 //! * **Identical link semantics.** A send is gated on the *sender's* local
-//!   link set at send time, exactly like the threaded runtime ("unplugged
-//!   cable": the message is silently dropped). [`set_link_up`] applies the
-//!   flip locally and broadcasts a [`Frame::SetLink`] control frame to
-//!   every peer, so both ends of a cross-process link agree; control
+//!   link set at send time, for local and remote destinations alike
+//!   ("unplugged cable": the message is silently dropped). [`set_link_up`]
+//!   applies the flip locally and broadcasts a [`Frame::SetLink`] control
+//!   frame to every peer, so both ends of a cross-process link agree; control
 //!   frames bypass the link state (they model the management plane, not
 //!   the data plane). A logical link drop + re-establishment is therefore
 //!   one more `SetLink` each way — the FIFO-floor machinery in the
@@ -21,16 +23,16 @@
 //! * **FIFO per link.** A peer connection is one byte stream parsed by one
 //!   reader thread, and the link's [`SendBuffer`] lets one writer at a
 //!   time at it (its write token), so frames between two processes arrive
-//!   in the order they were sent — the same per-link FIFO the in-memory
-//!   runtimes give.
+//!   in the order they were sent — the same per-link FIFO a local inbox and
+//!   the simulator give.
 //!
 //! Each peer link runs two threads: a **writer** that drains the link's
 //! bounded [`SendBuffer`] (blocking node threads when full — backpressure)
 //! and issues coalesced stream writes, and a **reader** that feeds raw
 //! reads through a [`FrameReassembler`] (partial reads, many frames per
 //! read) and routes whole frames to local node inboxes. Node threads run
-//! the same message/timer loop as the threaded runtime, encoding each
-//! remote send into one reused frame buffer.
+//! the node loop, putting each local send straight into the destination's
+//! inbox and encoding each remote send into one reused frame buffer.
 //!
 //! A node thread whose inbox is empty after the envelope it handles (a
 //! *quiet* send, see the node loop) writes a frame to the peer socket
@@ -1200,6 +1202,84 @@ mod tests {
             vec![201],
             "frame sent across the down link must drop; post-reconnect frame must arrive"
         );
+    }
+
+    /// Sets one 5 ms timer on start and records that it fired.
+    #[derive(Default)]
+    struct TimerOnce {
+        fired: bool,
+    }
+
+    impl Node<Tick> for TimerOnce {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Tick>) {
+            ctx.set_timer(rebeca_core::SimDuration::from_millis(5), 1);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, Tick>, _: NodeId, _: Tick) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, Tick>, _: crate::node::TimerId, _: u64) {
+            self.fired = true;
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A runtime with no peers: two local nodes, no socket anywhere.
+    fn local_pair(max_hops: u64, b_replies: bool) -> (ProcessRuntime<Tick>, NodeId, NodeId) {
+        let mut rt: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let a = rt.add_local(Box::new(Collector {
+            peer: Some(NodeId::new(1)),
+            max_hops,
+            ..Default::default()
+        }));
+        let b = rt.add_local(Box::new(Collector {
+            peer: b_replies.then_some(NodeId::new(0)),
+            max_hops,
+            ..Default::default()
+        }));
+        rt.connect(a, b);
+        (rt, a, b)
+    }
+
+    fn collected(nodes: &[Option<Box<dyn Node<Tick>>>], id: NodeId) -> &[u64] {
+        let node = nodes[id.raw() as usize].as_ref().expect("local node");
+        &node.as_any().downcast_ref::<Collector>().expect("collector").received
+    }
+
+    #[test]
+    fn ping_pong_between_local_nodes() {
+        let (mut rt, a, b) = local_pair(10, true);
+        rt.start();
+        rt.send_external(a, Tick(0));
+        std::thread::sleep(Duration::from_millis(200));
+        let nodes = rt.stop();
+        assert_eq!(collected(&nodes, a), [0, 2, 4, 6, 8, 10]);
+        assert_eq!(collected(&nodes, b), [1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn timers_fire_on_local_node_threads() {
+        let mut rt: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let t = rt.add_local(Box::new(TimerOnce::default()));
+        rt.start();
+        std::thread::sleep(Duration::from_millis(100));
+        let nodes = rt.stop();
+        let node = nodes[t.raw() as usize].as_ref().expect("local node");
+        assert!(node.as_any().downcast_ref::<TimerOnce>().expect("timer node").fired);
+    }
+
+    #[test]
+    fn down_links_block_local_traffic() {
+        let (mut rt, a, b) = local_pair(10, false);
+        rt.set_link_up(a, b, false);
+        rt.start();
+        rt.send_external(a, Tick(0));
+        std::thread::sleep(Duration::from_millis(100));
+        let nodes = rt.stop();
+        assert_eq!(collected(&nodes, a), [0], "the external send reaches A");
+        assert!(collected(&nodes, b).is_empty(), "message crossed a down link");
     }
 
     fn frame_bytes(f: &Frame) -> Vec<u8> {

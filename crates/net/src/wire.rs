@@ -45,8 +45,8 @@ const TAG_SHUTDOWN: u8 = 3;
 ///
 /// This is the seam between the transport (this crate, which moves opaque
 /// payload bytes) and the protocol (`rebeca-broker`, which implements it
-/// for `Message` via its codec). The in-memory runtimes never touch it —
-/// they move values, bit-for-bit as before.
+/// for `Message` via its codec). The simulator and sends between nodes of
+/// one process never touch it — they move values, bit-for-bit as before.
 pub trait Wire: Sized {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);

@@ -1,7 +1,7 @@
 //! Two broker **processes** over a Unix domain socket.
 //!
-//! `live_threads` shows the sans-io broker state machines on OS threads;
-//! this example splits the same deployment across two OS processes. The
+//! The sans-io broker state machines, run live instead of in the
+//! simulator, and split across two OS processes. The
 //! parent hosts broker 0 and a publisher, re-executes itself as a child
 //! hosting broker 1 and a consumer, and the two halves talk through the
 //! framed wire protocol (`rebeca-net::wire`) over a UDS link: every

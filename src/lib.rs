@@ -140,7 +140,7 @@
 //! On top of the codec sits length-prefixed framing ([`net::wire`]:
 //! version byte, frame tags, 16 MiB cap, a [`net::FrameReassembler`] that
 //! tolerates arbitrary read chunking) and the [`net::ProcessRuntime`]: the
-//! [`net::ThreadRuntime`]'s peer that hosts a *partition* of the global
+//! simulator's live counterpart, which hosts a *partition* of the global
 //! node table per OS process and carries inter-process traffic over Unix
 //! domain sockets — per-peer writer threads coalesce frames out of a
 //! bounded [`net::SendBuffer`] (blocking producers = backpressure), reader
@@ -150,7 +150,7 @@
 //! [`SystemBuilder::build_process_partition`] deploys one process's share
 //! of a static broker tier; `examples/live_processes.rs` runs two broker
 //! processes end to end, and `tests/process_soak.rs` proves the
-//! two-process deployment delivery-identical to the threaded runtime —
+//! two-process deployment delivery-identical to the simulator —
 //! including a link drop + reconnect across the real socket.
 //!
 //! ## Replication: surviving broker crashes

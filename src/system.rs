@@ -288,9 +288,11 @@ impl System {
             return Err(RebecaError::NotConnected(info.id));
         }
         self.world.send_external(info.node, Message::Mobility(MobilityMsg::AppPrepareMove));
-        // Give the (naive) moveOut a moment on the still-up link.
-        let t = self.world.now() + SimDuration::from_millis(50);
-        self.world.run_until(t);
+        // Deliver what is due now, the announcement included, without
+        // moving the clock: a (naive) moveOut sent on the still-up link
+        // arrives even though the link goes down below.
+        let now = self.world.now();
+        self.world.run_until(now);
         for &access in self.plan.access().iter() {
             self.world.set_link_up(info.node, access, false);
         }

@@ -9,8 +9,9 @@
 use rebeca::broker::Message;
 use rebeca::net::ProcessRuntime;
 use rebeca::{
-    BrokerId, Deployment, Filter, LocationId, LocationMap, MovementGraph, Notification,
-    RebecaError, ReplicatorConfig, SimDuration, SimTime, System, SystemBuilder, Topology,
+    BrokerId, ClientMobilityMode, Deployment, Filter, LocationId, LocationMap, MovementGraph,
+    Notification, RebecaError, ReplicatorConfig, SimDuration, SimTime, System, SystemBuilder,
+    Topology,
 };
 
 fn line(n: usize) -> Topology {
@@ -191,6 +192,25 @@ fn double_depart_reports_not_connected() -> Result<(), RebecaError> {
     sys.arrive(m, BrokerId::new(0))?;
     sys.depart(m)?;
     assert_eq!(sys.depart(m).unwrap_err(), RebecaError::NotConnected(m.id()));
+    Ok(())
+}
+
+#[test]
+fn naive_depart_keeps_the_clock_and_still_moves_out() -> Result<(), RebecaError> {
+    // Departing delivers what is due now and leaves simulated time alone;
+    // the naive client's moveOut, sent before its links go down, still
+    // reaches the border and empties the client's routing entries there.
+    let mut sys = static_system(2);
+    let m = sys.add_mobile_client_with_mode(ClientMobilityMode::Naive);
+    sys.arrive(m, BrokerId::new(0))?;
+    sys.subscribe(m, Filter::builder().eq("service", "t").build())?;
+    sys.run_for(SimDuration::from_millis(500));
+    let subscribed = sys.table_size(BrokerId::new(0))?;
+    let before = sys.now();
+    sys.depart(m)?;
+    assert_eq!(sys.now(), before, "depart moved the clock");
+    sys.run_for(SimDuration::from_millis(10));
+    assert!(sys.table_size(BrokerId::new(0))? < subscribed, "the moveOut did not reach the border");
     Ok(())
 }
 

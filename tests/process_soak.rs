@@ -1,12 +1,14 @@
 //! Two-OS-process soak: the same seed-derived publish/subscribe script is
-//! driven through the in-memory [`ThreadRuntime`] and through a
+//! driven through the deterministic simulator ([`World`]) and through a
 //! [`ProcessRuntime`] split across **two real OS processes** joined by a
 //! Unix domain socket, and the delivered mark sets must come out
 //! *identical*. Mid-scenario one inter-broker link is dropped and
 //! re-established, with a blackout batch published while it is down: those
 //! marks must be lost in **both** runtimes (proving the wire path honours
-//! the same "unplugged cable" semantics as the channel path) while every
-//! other mark arrives in both, FIFO-clean and duplicate-free.
+//! the same "unplugged cable" semantics as the simulated link) while every
+//! other mark arrives in both, FIFO-clean and duplicate-free. One script
+//! driver serves both legs: it waits by sleeping on the process leg and by
+//! advancing the simulated clock on the reference leg.
 //!
 //! A second scenario goes further: the child process is **SIGKILLed**
 //! mid-run — no goodbye frame, just a dead socket. The parent's supervised
@@ -36,9 +38,12 @@
 
 use rebeca::broker::{BrokerCore, BrokerNode, ClientNode, Message, RoutingStrategy};
 use rebeca::net::{
-    LinkMetrics, NodeId, ProcessRuntime, ReconnectPolicy, SplitMix64, ThreadRuntime, Topology,
+    LinkConfig, LinkMetrics, NodeId, ProcessRuntime, ReconnectPolicy, SplitMix64, Topology, World,
 };
-use rebeca::{BrokerId, ClientId, Filter, Notification, SubscriptionId, SystemBuilder};
+use rebeca::{
+    BrokerId, ClientId, Filter, Notification, SimDuration, SubscriptionId, SystemBuilder,
+};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,7 +109,15 @@ impl Script {
     }
 }
 
-fn publish_at(send: &impl Fn(NodeId, Message), publisher: NodeId, marks: &[i64]) {
+/// Publishes `marks` from `publisher`, waiting 5 ms after each: `wait` is
+/// `std::thread::sleep` on a live runtime and a clock advance on the
+/// simulator.
+fn publish_at(
+    send: &impl Fn(NodeId, Message),
+    wait: &impl Fn(Duration),
+    publisher: NodeId,
+    marks: &[i64],
+) {
     for &m in marks {
         send(
             publisher,
@@ -112,12 +125,12 @@ fn publish_at(send: &impl Fn(NodeId, Message), publisher: NodeId, marks: &[i64])
                 attrs: Notification::builder().attr("service", "soak").attr("mark", m),
             },
         );
-        std::thread::sleep(Duration::from_millis(5));
+        wait(Duration::from_millis(5));
     }
 }
 
-fn publish(send: &impl Fn(NodeId, Message), marks: &[i64]) {
-    publish_at(send, PUBLISHER, marks);
+fn publish(send: &impl Fn(NodeId, Message), wait: &impl Fn(Duration), marks: &[i64]) {
+    publish_at(send, wait, PUBLISHER, marks);
 }
 
 /// What one consumer saw, comparable across runtimes.
@@ -199,36 +212,43 @@ fn child_runtime(sock: &std::path::Path, dial_timeout: Duration) -> ProcessRunti
 }
 
 /// Drives the script's publish/link timeline. `set_link` flips the
-/// broker 1 – broker 2 link in whichever runtime is hosting the scenario.
-fn drive(script: &Script, send: impl Fn(NodeId, Message), set_link: impl Fn(bool)) {
+/// broker 1 – broker 2 link in whichever runtime is hosting the scenario,
+/// and `wait` lets that runtime's time pass.
+fn drive(
+    script: &Script,
+    send: impl Fn(NodeId, Message),
+    set_link: impl Fn(bool),
+    wait: impl Fn(Duration),
+) {
     // Subscriptions (consumer A's is issued by whichever process hosts it)
     // get a beat to flood every routing table before the first publish.
-    std::thread::sleep(Duration::from_millis(800));
-    publish(&send, &script.batch1);
-    std::thread::sleep(Duration::from_millis(400));
+    wait(Duration::from_millis(800));
+    publish(&send, &wait, &script.batch1);
+    wait(Duration::from_millis(400));
 
     // Link drop: broker 1 stops being able to reach broker 2, so the
     // blackout batch dead-ends at broker 1 and consumer A never sees it.
     set_link(false);
-    std::thread::sleep(Duration::from_millis(300));
-    publish(&send, &script.blackout);
-    std::thread::sleep(Duration::from_millis(300));
+    wait(Duration::from_millis(300));
+    publish(&send, &wait, &script.blackout);
+    wait(Duration::from_millis(300));
 
     // Reconnect — for the process runtime this is the "one more link
     // re-establishment" path — and finish with a second live batch.
     set_link(true);
-    std::thread::sleep(Duration::from_millis(300));
-    publish(&send, &script.batch2);
-    std::thread::sleep(Duration::from_millis(600));
+    wait(Duration::from_millis(300));
+    publish(&send, &wait, &script.batch2);
+    wait(Duration::from_millis(600));
 }
 
-/// The whole scenario on the in-memory threaded runtime: six nodes, one
-/// process, crossbeam channels.
-fn run_threaded(script: &Script) -> (Observed, Observed) {
+/// The whole scenario on the deterministic simulator: the same six nodes
+/// and script in one [`World`] with 1 ms constant links. Waiting advances
+/// the simulated clock, so this leg never sleeps.
+fn run_simulated(script: &Script) -> (Observed, Observed) {
     let topology = Arc::new(Topology::line(BROKERS).expect("non-empty"));
     let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..BROKERS as u32).map(NodeId::new).collect());
 
-    let mut rt: ThreadRuntime<Message> = ThreadRuntime::new();
+    let mut world: World<Message> = World::new(0);
     for b in topology.brokers() {
         let core = BrokerCore::new(
             b,
@@ -236,41 +256,46 @@ fn run_threaded(script: &Script) -> (Observed, Observed) {
             Arc::clone(&broker_nodes),
             RoutingStrategy::Simple,
         );
-        rt.add_node(Box::new(BrokerNode::new(core)));
+        world.add_node(Box::new(BrokerNode::new(core)));
     }
-    rt.add_node(Box::new(ClientNode::new(ClientId::new(1), Some(NodeId::new(0)))));
-    rt.add_node(Box::new(ClientNode::new(ClientId::new(2), Some(NodeId::new(2)))));
-    rt.add_node(Box::new(ClientNode::new(ClientId::new(3), Some(NodeId::new(1)))));
+    world.add_node(Box::new(ClientNode::new(ClientId::new(1), Some(NodeId::new(0)))));
+    world.add_node(Box::new(ClientNode::new(ClientId::new(2), Some(NodeId::new(2)))));
+    world.add_node(Box::new(ClientNode::new(ClientId::new(3), Some(NodeId::new(1)))));
 
+    let link = LinkConfig::constant(SimDuration::from_millis(1));
     for (a, b) in topology.edges() {
-        rt.connect(NodeId::new(a.raw()), NodeId::new(b.raw()));
+        world.connect(NodeId::new(a.raw()), NodeId::new(b.raw()), link.clone());
     }
-    rt.connect(PUBLISHER, NodeId::new(0));
-    rt.connect(CONSUMER_A, NodeId::new(2));
-    rt.connect(CONSUMER_B, NodeId::new(1));
-    rt.start();
+    world.connect(PUBLISHER, NodeId::new(0), link.clone());
+    world.connect(CONSUMER_A, NodeId::new(2), link.clone());
+    world.connect(CONSUMER_B, NodeId::new(1), link);
 
-    std::thread::sleep(Duration::from_millis(100));
-    rt.send_external(
+    let world = RefCell::new(world);
+    let wait = |d: Duration| {
+        let mut w = world.borrow_mut();
+        let until = w.now() + SimDuration::from_micros(d.as_micros() as u64);
+        w.run_until(until);
+    };
+    wait(Duration::from_millis(100));
+    world.borrow_mut().send_external(
         CONSUMER_A,
         Message::AppSubscribe { id: SubscriptionId::new(1), filter: script.filter_a() },
     );
-    rt.send_external(
+    world.borrow_mut().send_external(
         CONSUMER_B,
         Message::AppSubscribe { id: SubscriptionId::new(2), filter: script.filter_b() },
     );
-
-    let cell = std::cell::RefCell::new(&mut rt);
     drive(
         script,
-        |to, msg| cell.borrow().send_external(to, msg),
-        |up| cell.borrow_mut().set_link_up(NodeId::new(1), NodeId::new(2), up),
+        |to, msg| world.borrow_mut().send_external(to, msg),
+        |up| {
+            world.borrow_mut().set_link_up(NodeId::new(1), NodeId::new(2), up);
+        },
+        wait,
     );
 
-    let nodes = rt.stop();
-    let client = |id: NodeId| {
-        nodes[id.raw() as usize].as_any().downcast_ref::<ClientNode>().expect("client node")
-    };
+    let world = world.into_inner();
+    let client = |id: NodeId| world.node_as::<ClientNode>(id).expect("client node");
     (observe(client(CONSUMER_A)), observe(client(CONSUMER_B)))
 }
 
@@ -320,6 +345,7 @@ fn run_two_processes(script: &Script, seed: u64) -> (Observed, Observed) {
         script,
         |to, msg| rt.send_external(to, msg),
         |up| rt.set_link_up(NodeId::new(1), NodeId::new(2), up),
+        std::thread::sleep,
     );
 
     // The child sleeps out its fixed schedule, prints what consumer A saw,
@@ -383,7 +409,7 @@ fn process_soak_child() {
 }
 
 #[test]
-fn process_runtime_is_delivery_identical_to_thread_runtime() {
+fn process_runtime_is_delivery_identical_to_the_simulator() {
     if std::env::var(ROLE_ENV).is_ok() {
         return; // never recurse inside a child re-execution
     }
@@ -398,27 +424,27 @@ fn process_runtime_is_delivery_identical_to_thread_runtime() {
 
     let result = std::panic::catch_unwind(|| {
         let script = Script::derive(seed);
-        let (thread_a, thread_b) = run_threaded(&script);
+        let (sim_a, sim_b) = run_simulated(&script);
         let (proc_a, proc_b) = run_two_processes(&script, seed);
 
         // Non-vacuous: the blackout batch matched consumer A's filter, so
         // only the link drop explains its absence.
         assert!(script.blackout.iter().all(|m| *m > script.threshold));
-        assert!(!thread_a.marks.is_empty(), "consumer A saw nothing at all");
+        assert!(!sim_a.marks.is_empty(), "consumer A saw nothing at all");
 
         for (label, seen) in [
-            ("thread A", &thread_a),
-            ("thread B", &thread_b),
+            ("simulated A", &sim_a),
+            ("simulated B", &sim_b),
             ("process A", &proc_a),
             ("process B", &proc_b),
         ] {
             assert_eq!(seen.fifo_violations, 0, "{label}: FIFO violated");
             assert_eq!(seen.duplicates, 0, "{label}: duplicate deliveries");
         }
-        assert_eq!(thread_a.marks, script.expected_a(), "thread A vs oracle");
-        assert_eq!(thread_b.marks, script.expected_b(), "thread B vs oracle");
-        assert_eq!(proc_a, thread_a, "consumer A: two processes vs one");
-        assert_eq!(proc_b, thread_b, "consumer B: two processes vs one");
+        assert_eq!(sim_a.marks, script.expected_a(), "simulated A vs oracle");
+        assert_eq!(sim_b.marks, script.expected_b(), "simulated B vs oracle");
+        assert_eq!(proc_a, sim_a, "consumer A: two processes vs the simulator");
+        assert_eq!(proc_b, sim_b, "consumer B: two processes vs the simulator");
     });
     if let Err(panic) = result {
         eprintln!("\nprocess soak FAILED under master seed {seed}");
@@ -537,7 +563,7 @@ fn run_kill_recover(script: &KillScript, seed: u64) -> (Observed, u64, LinkMetri
     // Generation 1 subscribes right after dialling; give the routing
     // tables a beat to flood, then publish the first live batch.
     std::thread::sleep(Duration::from_millis(800));
-    publish(&send, &script.batch1);
+    publish(&send, &std::thread::sleep, &script.batch1);
     std::thread::sleep(Duration::from_millis(300));
 
     // SIGKILL broker 2's process mid-scenario: no goodbye frame, no flush
@@ -551,7 +577,7 @@ fn run_kill_recover(script: &KillScript, seed: u64) -> (Observed, u64, LinkMetri
 
     // Published into the outage: drained-and-dropped towards the corpse,
     // still delivered to the parent-local consumer B.
-    publish(&send, &script.kill_window);
+    publish(&send, &std::thread::sleep, &script.kill_window);
 
     // Rebirth: generation 2 dials the same path; the supervisor re-accepts
     // on the retained listener and replays the handshake.
@@ -567,7 +593,7 @@ fn run_kill_recover(script: &KillScript, seed: u64) -> (Observed, u64, LinkMetri
     // Generation 2's re-subscription floods the routing tables again, then
     // the post-recovery batch rides the fresh connection.
     std::thread::sleep(Duration::from_millis(800));
-    publish(&send, &script.batch2);
+    publish(&send, &std::thread::sleep, &script.batch2);
     std::thread::sleep(Duration::from_millis(600));
 
     let out = gen2.wait_with_output().expect("wait for generation-2 child");
@@ -820,7 +846,7 @@ fn run_replicated_kill_recover(
     // right here in the parent, folding as they go). Then the first live
     // batch flows.
     std::thread::sleep(Duration::from_millis(800));
-    publish_at(&send, R_PUBLISHER, &script.batch1);
+    publish_at(&send, &std::thread::sleep, R_PUBLISHER, &script.batch1);
     std::thread::sleep(Duration::from_millis(300));
 
     // SIGKILL the group primary: broker 2's process dies with no goodbye
@@ -835,7 +861,7 @@ fn run_replicated_kill_recover(
 
     // Published into the outage: dead-ends at broker 1, still delivered to
     // the parent-local consumer B.
-    publish_at(&send, R_PUBLISHER, &script.kill_window);
+    publish_at(&send, &std::thread::sleep, R_PUBLISHER, &script.kill_window);
 
     // Rebirth. Generation 2 dials the same path and — crucially — never
     // re-subscribes: broker 2 must refetch its state from the group.
@@ -852,7 +878,7 @@ fn run_replicated_kill_recover(
     // (retransmitted every replica tick, so one lost probe cannot wedge
     // it); no client traffic is needed. Then the post-recovery batch.
     std::thread::sleep(Duration::from_millis(800));
-    publish_at(&send, R_PUBLISHER, &script.batch2);
+    publish_at(&send, &std::thread::sleep, R_PUBLISHER, &script.batch2);
     std::thread::sleep(Duration::from_millis(600));
 
     let out = gen2.wait_with_output().expect("wait for generation-2 child");

@@ -13,7 +13,7 @@
 //! ```
 
 use rebeca::net::SplitMix64;
-use rebeca::SimDuration;
+use rebeca::{SimDuration, SimTime};
 use rebeca_sim::scenario::{self, MovementKind, ScenarioConfig, SystemVariant, TopologyKind};
 use rebeca_sim::workload::{Arrivals, WorkloadConfig};
 use rebeca_sim::MovementModel;
@@ -37,6 +37,32 @@ fn random_cfg(rng: &mut SplitMix64) -> ScenarioConfig {
                 period: SimDuration::from_millis(1500 + rng.next_u64() % 3000),
             },
             duration: SimDuration::from_secs(40),
+            seed: rng.next_u64(),
+            ..Default::default()
+        },
+        seed: rng.next_u64(),
+        ..Default::default()
+    }
+}
+
+/// The paper's scale in one fixed shape: 32 clients roaming a 3 × 3 office
+/// grid over a balanced broker tree, all of them departing and arriving at
+/// the same instants (every stint and gap is a multiple of 500 ms). The
+/// publishers start at 1 025 ms, off those instants, so no notification is
+/// still in flight at a departure.
+fn grid_cfg(rng: &mut SplitMix64) -> ScenarioConfig {
+    ScenarioConfig {
+        brokers: 9,
+        topology: TopologyKind::BalancedBinary,
+        movement_graph: MovementKind::Grid(3, 3),
+        mobile_clients: 32,
+        movement_model: MovementModel::RandomWalk,
+        dwell: SimDuration::from_secs(5),
+        gap: SimDuration::from_millis(500),
+        workload: WorkloadConfig {
+            arrivals: Arrivals::Periodic { period: SimDuration::from_secs(1) },
+            duration: SimDuration::from_secs(40),
+            start: SimTime::from_millis(1025),
             seed: rng.next_u64(),
             ..Default::default()
         },
@@ -103,12 +129,14 @@ fn run_checked(cfg: &ScenarioConfig, label: &str) {
     }
 }
 
-/// The soak body: a few random scenario shapes × three variant/interest
-/// pairs.
+/// The soak body: two random scenario shapes and the fixed grid shape ×
+/// three variant/interest pairs.
 fn soak(master_seed: u64) {
     let mut rng = SplitMix64::new(master_seed);
-    for round in 0..2 {
-        let base = random_cfg(&mut rng);
+    let mut shapes: Vec<(String, ScenarioConfig)> =
+        (0..2).map(|round| (format!("round {round}"), random_cfg(&mut rng))).collect();
+    shapes.push(("3x3 grid, 32 clients".to_owned(), grid_cfg(&mut rng)));
+    for (shape, base) in shapes {
         for (variant, location_dependent) in [
             (SystemVariant::ReactiveLogical, false),
             (SystemVariant::ReactiveLogical, true),
@@ -116,7 +144,7 @@ fn soak(master_seed: u64) {
         ] {
             let cfg =
                 ScenarioConfig { variant: variant.clone(), location_dependent, ..base.clone() };
-            let label = format!("round {round}, variant {}", variant.name());
+            let label = format!("{shape}, variant {}", variant.name());
             run_checked(&cfg, &label);
         }
     }
