@@ -16,7 +16,7 @@ use rebeca_core::{
     SubscriptionId,
 };
 use rebeca_net::{Ctx, Node, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -32,6 +32,32 @@ pub struct DeliveryRecord {
     pub notification: Arc<Notification>,
 }
 
+/// The notification ids a client has seen: per publisher, the sequence
+/// numbers as maximal runs (start → end, both inclusive). Exact, like the
+/// set of ids it stands for, but as small as the gaps: a client that sees
+/// a publisher's stream in order holds one run for it.
+#[derive(Debug, Default)]
+struct SeenIds {
+    runs: HashMap<ClientId, BTreeMap<u64, u64>>,
+}
+
+impl SeenIds {
+    /// Records `id`; returns `false` if it was seen before.
+    fn insert(&mut self, id: NotificationId) -> bool {
+        let runs = self.runs.entry(id.publisher()).or_default();
+        let seq = id.seq();
+        let below = runs.range(..=seq).next_back().map(|(&start, &end)| (start, end));
+        let start = match below {
+            Some((_, end)) if seq <= end => return false,
+            Some((start, end)) if end + 1 == seq => start,
+            Some(_) | None => seq,
+        };
+        let end = seq.checked_add(1).and_then(|next| runs.remove(&next)).unwrap_or(seq);
+        runs.insert(start, end);
+        true
+    }
+}
+
 /// The client communication library (sans-io core).
 pub struct LocalBroker {
     client: ClientId,
@@ -39,7 +65,7 @@ pub struct LocalBroker {
     seq: u64,
     subs: HashMap<SubscriptionId, Filter>,
     delivered: Vec<DeliveryRecord>,
-    seen: HashSet<NotificationId>,
+    seen: SeenIds,
     duplicates: u64,
     fifo_violations: u64,
     last_seq: HashMap<ClientId, u64>,
@@ -66,7 +92,7 @@ impl LocalBroker {
             seq: 0,
             subs: HashMap::new(),
             delivered: Vec::new(),
-            seen: HashSet::new(),
+            seen: SeenIds::default(),
             duplicates: 0,
             fifo_violations: 0,
             last_seq: HashMap::new(),
@@ -305,5 +331,56 @@ impl Node<Message> for ClientNode {
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn runs_merge_and_stay_exact() {
+        let mut seen = SeenIds::default();
+        let id = |seq| NotificationId::new(ClientId::new(1), seq);
+        for seq in [0, 2, 4, 1, 3] {
+            assert!(seen.insert(id(seq)));
+        }
+        assert_eq!(seen.runs[&ClientId::new(1)], BTreeMap::from([(0, 4)]));
+        assert!(!seen.insert(id(2)));
+        assert!(seen.insert(id(u64::MAX)));
+        assert!(seen.insert(id(u64::MAX - 1)));
+        assert!(!seen.insert(id(u64::MAX)));
+        assert_eq!(seen.runs[&ClientId::new(1)].len(), 2);
+        // Another publisher's stream is its own.
+        assert!(seen.insert(NotificationId::new(ClientId::new(2), 2)));
+    }
+
+    proptest! {
+        /// The runs answer every insert exactly as the set of ids does,
+        /// for streams with repeats, reordering and sequence numbers at
+        /// both ends of the range.
+        #[test]
+        fn runs_answer_as_the_set_does(
+            stream in proptest::collection::vec((0u32..3, 0u64..48, any::<bool>()), 0..200),
+        ) {
+            let mut runs = SeenIds::default();
+            let mut set = HashSet::new();
+            for (publisher, seq, high) in stream {
+                let seq = if high { u64::MAX - seq } else { seq };
+                let id = NotificationId::new(ClientId::new(publisher), seq);
+                prop_assert_eq!(runs.insert(id), set.insert(id), "{}", id);
+            }
+            // Maximal runs: none touches or overlaps the next.
+            for publisher_runs in runs.runs.values() {
+                let mut prev: Option<u64> = None;
+                for (&start, &end) in publisher_runs {
+                    prop_assert!(start <= end);
+                    prop_assert!(prev.is_none_or(|p| p + 1 < start));
+                    prev = Some(end);
+                }
+            }
+        }
     }
 }

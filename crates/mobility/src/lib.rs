@@ -55,6 +55,4 @@ pub use location::LocationMap;
 pub use movement::MovementGraph;
 pub use paging::{pages, DEFAULT_MAX_BATCH_BYTES};
 pub use physical::RelocationBuffers;
-pub use replicator::{
-    app_of, virtual_client_id, ReplicatorConfig, ReplicatorNode, ReplicatorStats, VirtualClient,
-};
+pub use replicator::{app_of, ReplicatorConfig, ReplicatorNode, ReplicatorStats, VirtualClient};

@@ -37,6 +37,17 @@
 //! the replicator's one [`ByteLedger`]. They hold the same `Arc`s, so a
 //! notification buffered for k virtual clients and a device is stored and
 //! counted once: that is §4's shared buffer at the border broker.
+//!
+//! The shared buffer comes with a shared subscription (subscription
+//! subgrouping). Virtual clients are not broker clients: the replicator
+//! keeps one broker-level subscriber, a *group*, per distinct resolved
+//! filter, and records the virtual clients behind it. The first virtual
+//! client to join a group attaches and subscribes it at the broker; later
+//! ones send nothing; the last to leave detaches it. So the broker holds a
+//! filter once and delivers a matching notification once per group, and a
+//! group `Deliver` fans out here, to each member's device or buffer.
+//! Handover state (epochs, replica create/delete, exception mode,
+//! buffers) stays per virtual client.
 
 use crate::buffer::{BufferSpec, ByteLedger, ReplayBuffer};
 use crate::location::LocationMap;
@@ -44,11 +55,11 @@ use crate::movement::MovementGraph;
 use crate::physical::RelocationBuffers;
 use rebeca_broker::{Message, MobilityMsg};
 use rebeca_core::{
-    ApplicationId, BrokerId, ClientId, Filter, Notification, SimDuration, SimTime, Subscription,
-    SubscriptionId,
+    ApplicationId, BrokerId, ClientId, Digest, Filter, Notification, NotificationId, SimDuration,
+    Subscription, SubscriptionId,
 };
 use rebeca_net::{Ctx, Node, NodeId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -58,18 +69,21 @@ pub fn app_of(client: ClientId) -> ApplicationId {
     ApplicationId::new(client.raw())
 }
 
-/// The synthetic client id a virtual client uses at its local broker.
-///
-/// Virtual clients live in a separate id namespace (high bit set) so they
-/// can never collide with real clients.
-///
-/// # Panics
-///
-/// Panics if `app.raw() >= 2^19` or `broker.raw() >= 2^12`.
-pub fn virtual_client_id(app: ApplicationId, broker: BrokerId) -> ClientId {
-    assert!(app.raw() < (1 << 19), "application id too large for vc namespace");
-    assert!(broker.raw() < (1 << 12), "broker id too large for vc namespace");
-    ClientId::new(0x8000_0000 | (app.raw() << 12) | broker.raw())
+/// Set in the broker client id of every group; device ids never set it.
+/// Group ids only need to be unique within one broker's client table.
+const GROUP_BIT: u32 = 0x8000_0000;
+
+/// The one subscription a group holds at its broker.
+const GROUP_SUB: SubscriptionId = SubscriptionId::new(0);
+
+/// One broker-level subscriber standing in for every virtual client here
+/// with a subscription that resolves to the same filter.
+#[derive(Debug)]
+struct Group {
+    client: ClientId,
+    /// Member applications, each with the number of its subscriptions in
+    /// the group. Ordered, so a fan-out sends in the same order every run.
+    members: BTreeMap<ApplicationId, u32>,
 }
 
 /// A virtual client: the "information shadow" of a mobile application at
@@ -78,25 +92,24 @@ pub fn virtual_client_id(app: ApplicationId, broker: BrokerId) -> ClientId {
 pub struct VirtualClient {
     app: ApplicationId,
     device: ClientId,
-    vc_id: ClientId,
     /// Location-dependent subscriptions, markers unresolved (each replica
-    /// resolves them for its own broker's scope).
-    subs: HashMap<SubscriptionId, Filter>,
+    /// resolves them for its own broker's scope), with the digest of the
+    /// resolved filter: the group the subscription is in.
+    subs: HashMap<SubscriptionId, (Filter, Digest)>,
     /// The device node while this virtual client is the *active* one.
     active_node: Option<NodeId>,
     buffer: ReplayBuffer,
     replays: u64,
+    /// The last notification fanned out to this client. Two of its groups
+    /// matching one notification get two `Deliver`s of it, back to back
+    /// on the broker link; the second is skipped.
+    last_fanned: Option<NotificationId>,
 }
 
 impl VirtualClient {
     /// The application this virtual client shadows.
     pub fn app(&self) -> ApplicationId {
         self.app
-    }
-
-    /// The synthetic client id used at the local broker.
-    pub fn vc_id(&self) -> ClientId {
-        self.vc_id
     }
 
     /// Returns `true` while the mobile device is attached through this
@@ -182,6 +195,9 @@ pub struct ReplicatorStats {
     /// Replica control messages dropped as stale (older epoch than the
     /// newest handover seen for the application).
     pub stale_dropped: u64,
+    /// `Deliver`s received for groups: one per notification per matching
+    /// group, however many virtual clients are behind it.
+    pub group_deliveries: u64,
 }
 
 impl std::ops::AddAssign for ReplicatorStats {
@@ -195,6 +211,7 @@ impl std::ops::AddAssign for ReplicatorStats {
             replayed,
             buffered,
             stale_dropped,
+            group_deliveries,
         } = other;
         self.vcs_created += vcs_created;
         self.vcs_deleted += vcs_deleted;
@@ -203,6 +220,7 @@ impl std::ops::AddAssign for ReplicatorStats {
         self.replayed += replayed;
         self.buffered += buffered;
         self.stale_dropped += stale_dropped;
+        self.group_deliveries += group_deliveries;
     }
 }
 
@@ -215,8 +233,12 @@ pub struct ReplicatorNode {
     locations: Arc<LocationMap>,
     config: ReplicatorConfig,
     vcs: HashMap<ApplicationId, VirtualClient>,
-    /// vc_id → app, for O(1) lookup on `Deliver`.
-    vc_ids: HashMap<ClientId, ApplicationId>,
+    /// The groups, keyed by the digest of their resolved filter.
+    groups: HashMap<Digest, Group>,
+    /// Group client id → digest, for O(1) lookup on `Deliver`.
+    group_ids: HashMap<ClientId, Digest>,
+    /// Counter behind fresh group client ids.
+    next_group: u32,
     /// Newest handover epoch seen per application (from `MoveIn` locally or
     /// from replica control messages). Control traffic older than this is
     /// stale — a late `ReplicaSubscribe` overtaken by the next handover's
@@ -261,7 +283,9 @@ impl ReplicatorNode {
             reloc: RelocationBuffers::new(config.relocation_ttl),
             config,
             vcs: HashMap::new(),
-            vc_ids: HashMap::new(),
+            groups: HashMap::new(),
+            group_ids: HashMap::new(),
+            next_group: 0,
             epochs: HashMap::new(),
             device_nodes: HashMap::new(),
             ledger: ByteLedger::default(),
@@ -332,8 +356,8 @@ impl ReplicatorNode {
         self.replicator_nodes[broker.raw() as usize]
     }
 
-    /// Creates (or reuses) the virtual client of `app`, installing its
-    /// resolved subscriptions at the local broker.
+    /// Creates (or reuses) the virtual client of `app`, putting its
+    /// resolved subscriptions into their groups at the local broker.
     fn ensure_vc(
         &mut self,
         ctx: &mut Ctx<'_, Message>,
@@ -345,72 +369,149 @@ impl ReplicatorNode {
             self.reconcile_subs(ctx, app, subs);
             return;
         }
-        let vc_id = virtual_client_id(app, self.broker);
-        ctx.send(self.broker_node, Message::ClientAttach { client: vc_id });
-        let mut map = HashMap::new();
-        for sub in subs {
-            map.insert(sub.id(), sub.filter().clone());
-            let resolved = self.locations.resolve_subscription(sub, self.broker);
-            ctx.send(
-                self.broker_node,
-                Message::Subscribe {
-                    subscription: Subscription::new(resolved.id(), vc_id, resolved.into_filter()),
-                },
-            );
-        }
         let buffer = self.config.buffer.build();
         self.vcs.insert(
             app,
-            VirtualClient { app, device, vc_id, subs: map, active_node: None, buffer, replays: 0 },
+            VirtualClient {
+                app,
+                device,
+                subs: HashMap::new(),
+                active_node: None,
+                buffer,
+                replays: 0,
+                last_fanned: None,
+            },
         );
-        self.vc_ids.insert(vc_id, app);
         self.stats.vcs_created += 1;
+        for sub in subs {
+            self.set_sub(ctx, app, sub.id(), sub.filter().clone());
+        }
     }
 
     /// Brings an existing virtual client's subscription set in line with
-    /// the (unresolved) target set.
+    /// the (unresolved) target set. New and changed subscriptions join
+    /// their groups before stale ones leave theirs, so a filter that only
+    /// moves between subscription ids keeps its broker subscription.
     fn reconcile_subs(
         &mut self,
         ctx: &mut Ctx<'_, Message>,
         app: ApplicationId,
         subs: &[Subscription],
     ) {
-        let Some(vc) = self.vcs.get_mut(&app) else {
+        let Some(vc) = self.vcs.get(&app) else {
             return;
         };
-        let vc_id = vc.vc_id;
-        let target: HashMap<SubscriptionId, Filter> =
-            subs.iter().map(|s| (s.id(), s.filter().clone())).collect();
-        let stale: Vec<SubscriptionId> =
-            vc.subs.keys().filter(|id| !target.contains_key(id)).copied().collect();
-        for id in stale {
-            vc.subs.remove(&id);
-            ctx.send(self.broker_node, Message::Unsubscribe { client: vc_id, id });
+        let fresh: Vec<&Subscription> = subs
+            .iter()
+            .filter(|s| vc.subs.get(&s.id()).is_none_or(|(old, _)| old != s.filter()))
+            .collect();
+        let mut stale: Vec<SubscriptionId> =
+            vc.subs.keys().filter(|id| subs.iter().all(|s| s.id() != **id)).copied().collect();
+        stale.sort_unstable();
+        for sub in fresh {
+            self.set_sub(ctx, app, sub.id(), sub.filter().clone());
         }
-        for (id, filter) in target {
-            let fresh = match vc.subs.get(&id) {
-                Some(existing) => existing != &filter,
-                None => true,
-            };
-            if fresh {
-                vc.subs.insert(id, filter.clone());
-                let resolved = self.locations.resolve(&filter, self.broker);
-                ctx.send(
-                    self.broker_node,
-                    Message::Subscribe { subscription: Subscription::new(id, vc_id, resolved) },
-                );
+        for id in stale {
+            self.remove_sub(ctx, app, id);
+        }
+    }
+
+    /// Sets `app`'s subscription `id` to `filter` (unresolved): joins the
+    /// group of the filter resolved here, then leaves the group of the
+    /// filter `id` had before, if any.
+    fn set_sub(
+        &mut self,
+        ctx: &mut Ctx<'_, Message>,
+        app: ApplicationId,
+        id: SubscriptionId,
+        filter: Filter,
+    ) {
+        if !self.vcs.contains_key(&app) {
+            return;
+        }
+        let resolved = self.locations.resolve(&filter, self.broker);
+        let digest = resolved.digest();
+        self.join(ctx, app, digest, resolved);
+        let old = self.vcs.get_mut(&app).and_then(|vc| vc.subs.insert(id, (filter, digest)));
+        if let Some((_, old)) = old {
+            self.leave(ctx, app, old);
+        }
+    }
+
+    /// Drops `app`'s subscription `id` and leaves its group.
+    fn remove_sub(&mut self, ctx: &mut Ctx<'_, Message>, app: ApplicationId, id: SubscriptionId) {
+        let old = self.vcs.get_mut(&app).and_then(|vc| vc.subs.remove(&id));
+        if let Some((_, digest)) = old {
+            self.leave(ctx, app, digest);
+        }
+    }
+
+    /// Adds `app` to the group of `resolved`; the group's first member
+    /// attaches and subscribes it at the broker.
+    fn join(
+        &mut self,
+        ctx: &mut Ctx<'_, Message>,
+        app: ApplicationId,
+        digest: Digest,
+        resolved: Filter,
+    ) {
+        if !self.groups.contains_key(&digest) {
+            let client = self.fresh_group_id();
+            ctx.send(self.broker_node, Message::ClientAttach { client });
+            ctx.send(
+                self.broker_node,
+                Message::Subscribe { subscription: Subscription::new(GROUP_SUB, client, resolved) },
+            );
+            self.group_ids.insert(client, digest);
+            self.groups.insert(digest, Group { client, members: BTreeMap::new() });
+        }
+        if let Some(group) = self.groups.get_mut(&digest) {
+            *group.members.entry(app).or_insert(0) += 1;
+        }
+    }
+
+    /// Takes one of `app`'s subscriptions out of the group `digest`; the
+    /// group's last member detaches it at the broker.
+    fn leave(&mut self, ctx: &mut Ctx<'_, Message>, app: ApplicationId, digest: Digest) {
+        let Some(group) = self.groups.get_mut(&digest) else {
+            return;
+        };
+        if let Some(count) = group.members.get_mut(&app) {
+            *count -= 1;
+            if *count == 0 {
+                group.members.remove(&app);
+            }
+        }
+        if group.members.is_empty() {
+            let client = group.client;
+            self.groups.remove(&digest);
+            self.group_ids.remove(&client);
+            ctx.send(self.broker_node, Message::ClientDetach { client });
+        }
+    }
+
+    /// A group client id no live group uses.
+    fn fresh_group_id(&mut self) -> ClientId {
+        loop {
+            let id = ClientId::new(GROUP_BIT | (self.next_group & !GROUP_BIT));
+            self.next_group = self.next_group.wrapping_add(1);
+            if !self.group_ids.contains_key(&id) {
+                return id;
             }
         }
     }
 
-    /// Deletes the virtual client of `app` (unsubscribes and detaches it at
-    /// the broker, releases its buffer from the ledger).
+    /// Deletes the virtual client of `app` (leaves its groups, releases
+    /// its buffer from the ledger).
     fn delete_vc(&mut self, ctx: &mut Ctx<'_, Message>, app: ApplicationId) {
         let Some(mut vc) = self.vcs.remove(&app) else {
             return;
         };
-        self.vc_ids.remove(&vc.vc_id);
-        ctx.send(self.broker_node, Message::ClientDetach { client: vc.vc_id });
+        let mut digests: Vec<Digest> = vc.subs.values().map(|(_, d)| *d).collect();
+        digests.sort_unstable();
+        for digest in digests {
+            self.leave(ctx, app, digest);
+        }
         vc.buffer.drain_to(&mut self.ledger, ctx.now());
         self.stats.vcs_deleted += 1;
     }
@@ -430,15 +531,37 @@ impl ReplicatorNode {
         }
     }
 
-    /// Buffers `n` for the virtual client of `app`, which has no device
-    /// attached from here on.
-    fn buffer_vc(&mut self, now: SimTime, app: ApplicationId, n: Arc<Notification>) {
-        let Some(vc) = self.vcs.get_mut(&app) else {
+    /// Fans a group `Deliver` out to the group's members: to the device of
+    /// an active member whose link is up, into the buffer of every other
+    /// one. A member already given `n` by another of its groups is skipped.
+    fn fan_out(&mut self, ctx: &mut Ctx<'_, Message>, client: ClientId, n: Arc<Notification>) {
+        self.stats.group_deliveries += 1;
+        // A `Deliver` still in flight when its group was detached.
+        let Some(group) = self.group_ids.get(&client).and_then(|d| self.groups.get(d)) else {
             return;
         };
-        vc.active_node = None;
-        self.stats.buffered += 1;
-        vc.buffer.offer_to(&mut self.ledger, now, n);
+        let now = ctx.now();
+        for app in group.members.keys() {
+            let Some(vc) = self.vcs.get_mut(app) else {
+                continue;
+            };
+            if vc.last_fanned == Some(n.id()) {
+                continue;
+            }
+            vc.last_fanned = Some(n.id());
+            match vc.active_node {
+                Some(node) if ctx.link_up(node) => {
+                    let notification = Arc::clone(&n);
+                    ctx.send(node, Message::Deliver { client: vc.device, notification });
+                }
+                // No device attached, or it went silently: buffer.
+                Some(_) | None => {
+                    vc.active_node = None;
+                    self.stats.buffered += 1;
+                    vc.buffer.offer_to(&mut self.ledger, now, Arc::clone(&n));
+                }
+            }
+        }
     }
 
     /// The handover of §3.2.3 (and client setup of §3.2.1 when
@@ -630,31 +753,13 @@ impl ReplicatorNode {
                     self.ensure_vc(ctx, app, device, std::slice::from_ref(&subscription));
                     return;
                 }
-                if let Some(vc) = self.vcs.get_mut(&app) {
-                    vc.subs.insert(subscription.id(), subscription.filter().clone());
-                    let vc_id = vc.vc_id;
-                    let resolved = self.locations.resolve_subscription(&subscription, self.broker);
-                    ctx.send(
-                        self.broker_node,
-                        Message::Subscribe {
-                            subscription: Subscription::new(
-                                resolved.id(),
-                                vc_id,
-                                resolved.into_filter(),
-                            ),
-                        },
-                    );
-                }
+                self.set_sub(ctx, app, subscription.id(), subscription.filter().clone());
             }
             MobilityMsg::ReplicaUnsubscribe { app, id, epoch } => {
                 if !self.admit_epoch(app, epoch) {
                     return;
                 }
-                if let Some(vc) = self.vcs.get_mut(&app) {
-                    vc.subs.remove(&id);
-                    let vc_id = vc.vc_id;
-                    ctx.send(self.broker_node, Message::Unsubscribe { client: vc_id, id });
-                }
+                self.remove_sub(ctx, app, id);
             }
             MobilityMsg::ReplicaFetch { app, reply_to } => {
                 let now = ctx.now();
@@ -706,19 +811,9 @@ impl ReplicatorNode {
         client: ClientId,
         n: Arc<Notification>,
     ) {
-        if let Some(&app) = self.vc_ids.get(&client) {
-            // Delivery for a virtual client.
-            let (active_node, device) = match self.vcs.get(&app) {
-                Some(vc) => (vc.active_node, vc.device),
-                None => return,
-            };
-            match active_node {
-                Some(node) if ctx.link_up(node) => {
-                    ctx.send(node, Message::Deliver { client: device, notification: n });
-                }
-                // No device attached, or it went silently: buffer.
-                Some(_) | None => self.buffer_vc(ctx.now(), app, n),
-            }
+        if client.raw() & GROUP_BIT != 0 {
+            // Delivery for a group of virtual clients.
+            self.fan_out(ctx, client, n);
         } else {
             // Delivery for a real (device) client: physical mobility path.
             if let Some(new_border) = self.reloc.drain_target(client) {
@@ -784,21 +879,8 @@ impl ReplicatorNode {
                     self.ensure_vc(ctx, app, subscription.client(), &[]);
                     if let Some(vc) = self.vcs.get_mut(&app) {
                         vc.active_node = Some(from);
-                        vc.subs.insert(subscription.id(), subscription.filter().clone());
-                        let vc_id = vc.vc_id;
-                        let resolved =
-                            self.locations.resolve_subscription(&subscription, self.broker);
-                        ctx.send(
-                            self.broker_node,
-                            Message::Subscribe {
-                                subscription: Subscription::new(
-                                    resolved.id(),
-                                    vc_id,
-                                    resolved.into_filter(),
-                                ),
-                            },
-                        );
                     }
+                    self.set_sub(ctx, app, subscription.id(), subscription.filter().clone());
                     // Client operation (§3.2.2): mirror to the
                     // neighbourhood, stamped with the current attachment's
                     // epoch so it cannot outlive the next handover.
@@ -822,11 +904,7 @@ impl ReplicatorNode {
                 let app = app_of(client);
                 let is_ld = self.vcs.get(&app).is_some_and(|vc| vc.subs.contains_key(&id));
                 if is_ld {
-                    if let Some(vc) = self.vcs.get_mut(&app) {
-                        vc.subs.remove(&id);
-                        let vc_id = vc.vc_id;
-                        ctx.send(self.broker_node, Message::Unsubscribe { client: vc_id, id });
-                    }
+                    self.remove_sub(ctx, app, id);
                     let epoch = self.epoch_of(app);
                     for target in self.neighborhood() {
                         ctx.send(
@@ -907,22 +985,247 @@ impl Node<Message> for ReplicatorNode {
 mod tests {
     use super::*;
 
-    #[test]
-    fn vc_id_namespace_is_disjoint_and_injective() {
-        let a = virtual_client_id(ApplicationId::new(1), BrokerId::new(2));
-        let b = virtual_client_id(ApplicationId::new(1), BrokerId::new(3));
-        let c = virtual_client_id(ApplicationId::new(2), BrokerId::new(2));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert!(a.raw() & 0x8000_0000 != 0);
-        // Distinct from small "real" client ids.
-        assert_ne!(a, ClientId::new(1));
+    use rebeca_core::LocationId;
+    use rebeca_net::{LinkConfig, World};
+
+    /// Forwards what is injected from outside to `to`, and records
+    /// everything else it receives. Stands in for the broker (to inject a
+    /// group `Deliver` as if the broker sent it) and for a device.
+    struct Relay {
+        to: NodeId,
+        got: Vec<Message>,
+    }
+
+    impl Node<Message> for Relay {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
+            if from == NodeId::EXTERNAL {
+                ctx.send(self.to, msg);
+            } else {
+                self.got.push(msg);
+            }
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    const BROKER: NodeId = NodeId::new(0);
+    const REPLICATOR: NodeId = NodeId::new(1);
+    const DEVICE: NodeId = NodeId::new(2);
+
+    /// A replicator for `broker`, which serves location 0, with no
+    /// neighbourhood, between a broker relay and a device relay.
+    struct Rig {
+        world: World<Message>,
+    }
+
+    impl Rig {
+        fn new(broker: BrokerId) -> Rig {
+            let mut locations = LocationMap::new();
+            locations.assign(broker, [LocationId::new(0)]);
+            let mut world = World::new(1);
+            world.add_node(Box::new(Relay { to: REPLICATOR, got: Vec::new() }));
+            world.add_node(Box::new(ReplicatorNode::new(
+                broker,
+                BROKER,
+                Arc::new(vec![REPLICATOR]),
+                Arc::new(MovementGraph::new()),
+                Arc::new(locations),
+                ReplicatorConfig { k_hops: 0, ..Default::default() },
+            )));
+            world.add_node(Box::new(Relay { to: REPLICATOR, got: Vec::new() }));
+            world.connect(BROKER, REPLICATOR, LinkConfig::default());
+            world.connect(DEVICE, REPLICATOR, LinkConfig::default());
+            Rig { world }
+        }
+
+        /// Injects `msg` at `node` and runs until everything settled.
+        fn send(&mut self, node: NodeId, msg: Message) {
+            self.world.send_external(node, msg);
+            let until = self.world.now() + SimDuration::from_secs(1);
+            self.world.run_until(until);
+        }
+
+        fn mobility(&mut self, msg: MobilityMsg) {
+            self.send(REPLICATOR, Message::Mobility(msg));
+        }
+
+        /// Takes what `node`'s relay has received so far.
+        fn take(&mut self, node: NodeId) -> Vec<Message> {
+            std::mem::take(&mut self.world.node_as_mut::<Relay>(node).expect("a relay").got)
+        }
+
+        fn resolved(&self, filter: Filter) -> Filter {
+            let r = self.replicator();
+            r.locations.resolve(&filter, r.broker)
+        }
+
+        fn replicator(&self) -> &ReplicatorNode {
+            self.world.node_as::<ReplicatorNode>(REPLICATOR).expect("the replicator")
+        }
+    }
+
+    fn sub(id: u32, client: u32, filter: Filter) -> Subscription {
+        Subscription::new(SubscriptionId::new(id), ClientId::new(client), filter)
+    }
+
+    /// A location-dependent filter: `attr = value` here.
+    fn here(attr: &str, value: &str) -> Filter {
+        Filter::builder().eq(attr, value).myloc("location").build()
+    }
+
+    fn service(name: &str) -> Filter {
+        here("service", name)
+    }
+
+    fn create(app: u32, subscriptions: Vec<Subscription>) -> MobilityMsg {
+        MobilityMsg::ReplicaCreate { app: ApplicationId::new(app), subscriptions, epoch: 0 }
+    }
+
+    /// The broker client ids of `ClientAttach`es in `msgs`.
+    fn attached(msgs: &[Message]) -> Vec<ClientId> {
+        msgs.iter()
+            .filter_map(
+                |m| if let Message::ClientAttach { client } = m { Some(*client) } else { None },
+            )
+            .collect()
     }
 
     #[test]
-    #[should_panic(expected = "too large")]
-    fn vc_id_rejects_out_of_range() {
-        virtual_client_id(ApplicationId::new(1 << 20), BrokerId::new(0));
+    fn equal_filters_share_one_broker_subscription() {
+        let mut rig = Rig::new(BrokerId::new(0));
+        rig.mobility(create(1, vec![sub(1, 1, service("s"))]));
+        rig.mobility(create(2, vec![sub(7, 2, service("s"))]));
+        let got = rig.take(BROKER);
+        let [Message::ClientAttach { client }, Message::Subscribe { subscription }] = &got[..]
+        else {
+            panic!("one attach and one subscribe, got {got:?}");
+        };
+        assert_eq!(subscription.client(), *client);
+        assert_eq!(subscription.filter(), &rig.resolved(service("s")));
+        assert_eq!(rig.replicator().vc_count(), 2);
+
+        rig.mobility(MobilityMsg::ReplicaDelete { app: ApplicationId::new(1), epoch: 0 });
+        assert_eq!(rig.take(BROKER), vec![]);
+        rig.mobility(MobilityMsg::ReplicaDelete { app: ApplicationId::new(2), epoch: 0 });
+        assert_eq!(rig.take(BROKER), vec![Message::ClientDetach { client: *client }]);
+        assert_eq!(rig.replicator().vc_count(), 0);
+    }
+
+    #[test]
+    fn a_replaced_subscription_joins_before_it_leaves() {
+        let mut rig = Rig::new(BrokerId::new(0));
+        rig.mobility(create(1, vec![sub(1, 1, service("old"))]));
+        let old = attached(&rig.take(BROKER))[0];
+        rig.mobility(MobilityMsg::ReplicaSubscribe {
+            app: ApplicationId::new(1),
+            subscription: sub(1, 1, service("new")),
+            epoch: 0,
+        });
+        let got = rig.take(BROKER);
+        let new = attached(&got)[0];
+        assert_ne!(new, old);
+        assert_eq!(
+            got,
+            vec![
+                Message::ClientAttach { client: new },
+                Message::Subscribe {
+                    subscription: Subscription::new(GROUP_SUB, new, rig.resolved(service("new")))
+                },
+                Message::ClientDetach { client: old },
+            ]
+        );
+        let vc = rig.replicator().virtual_client(ApplicationId::new(1)).expect("kept");
+        assert_eq!(vc.subscription_ids(), vec![SubscriptionId::new(1)]);
+    }
+
+    #[test]
+    fn two_matching_groups_reach_a_client_once() {
+        let mut rig = Rig::new(BrokerId::new(0));
+        let two = vec![sub(1, 1, service("s")), sub(2, 1, here("floor", "3"))];
+        rig.mobility(create(1, two.clone()));
+        let groups = attached(&rig.take(BROKER));
+        assert_eq!(groups.len(), 2);
+        let publish = |seq| {
+            Arc::new(
+                Notification::builder()
+                    .attr("service", "s")
+                    .attr("floor", "3")
+                    .attr("location", LocationId::new(0))
+                    .publish(ClientId::new(9), seq, rebeca_core::SimTime::ZERO),
+            )
+        };
+        // The broker matches both groups in one route call: two `Deliver`s,
+        // back to back.
+        for client in &groups {
+            rig.send(BROKER, Message::Deliver { client: *client, notification: publish(0) });
+        }
+        let vc = rig.replicator().virtual_client(ApplicationId::new(1)).expect("created");
+        assert_eq!(vc.buffered(), 1);
+        assert_eq!(rig.replicator().stats().buffered, 1);
+        assert_eq!(rig.replicator().stats().group_deliveries, 2);
+
+        // The device arrives: the one buffered copy is replayed, and a
+        // notification both groups match is forwarded once.
+        rig.send(
+            DEVICE,
+            Message::Mobility(MobilityMsg::MoveIn {
+                client: ClientId::new(1),
+                old_border: None,
+                subscriptions: two,
+                epoch: 1,
+            }),
+        );
+        for client in &groups {
+            rig.send(BROKER, Message::Deliver { client: *client, notification: publish(1) });
+        }
+        let seqs: Vec<u64> = rig
+            .take(DEVICE)
+            .iter()
+            .filter_map(|m| {
+                if let Message::Deliver { notification, .. } = m {
+                    Some(notification.seq())
+                } else {
+                    None
+                }
+            })
+            .collect();
+        assert_eq!(seqs, vec![0, 1]);
+        // The arrival moved the subscriptions without touching the groups.
+        assert_eq!(attached(&rig.take(BROKER)), vec![ClientId::new(1)]);
+    }
+
+    #[test]
+    fn group_ids_never_equal_device_ids_at_any_scale() {
+        // Application and broker ids far past the old packed id's range.
+        let mut rig = Rig::new(BrokerId::new(1 << 12));
+        let (small, large) = (1u32, 1 << 20);
+        rig.mobility(create(small, vec![sub(1, small, service("a"))]));
+        rig.mobility(create(large, vec![sub(1, large, service("b"))]));
+        rig.send(
+            DEVICE,
+            Message::Mobility(MobilityMsg::MoveIn {
+                client: ClientId::new(large),
+                old_border: None,
+                subscriptions: vec![sub(1, large, service("b"))],
+                epoch: 1,
+            }),
+        );
+        let ids = attached(&rig.take(BROKER));
+        let (groups, devices): (Vec<ClientId>, Vec<ClientId>) =
+            ids.iter().partition(|c| c.raw() & GROUP_BIT != 0);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(devices, vec![ClientId::new(large)]);
+        for g in &groups {
+            assert_ne!(*g, ClientId::new(small));
+            assert_ne!(*g, ClientId::new(large));
+        }
+        assert_ne!(groups[0], groups[1]);
     }
 
     #[test]
@@ -935,6 +1238,7 @@ mod tests {
             replayed: 5,
             buffered: 6,
             stale_dropped: 7,
+            group_deliveries: 8,
         };
         let mut sum = one;
         sum += one;
@@ -948,6 +1252,7 @@ mod tests {
                 replayed: 10,
                 buffered: 12,
                 stale_dropped: 14,
+                group_deliveries: 16,
             }
         );
     }

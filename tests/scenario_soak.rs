@@ -127,6 +127,17 @@ fn run_checked(cfg: &ScenarioConfig, label: &str) {
     for (i, v) in out.fifo_violations.iter().enumerate() {
         assert_eq!(*v, 0, "{label}: client {i} observed FIFO violations");
     }
+    // Subscription subgrouping: every client has the same interest, so a
+    // replicator holds one broker subscription per resolved filter, and
+    // only the broker serving a publication's location has one for it.
+    // Each publication reaches the replicators once at most, however many
+    // virtual clients buffer it.
+    let group_deliveries = out.replicator_totals.group_deliveries;
+    assert!(
+        group_deliveries <= out.pubs.len() as u64,
+        "{label}: {group_deliveries} group deliveries for {} publications",
+        out.pubs.len(),
+    );
 }
 
 /// The soak body: two random scenario shapes and the fixed grid shape ×
