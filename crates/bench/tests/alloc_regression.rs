@@ -21,7 +21,7 @@ use rebeca_broker::replication::{
 };
 use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
 use rebeca_core::{
-    BrokerId, ClientId, Filter, LocationId, Notification, SharedInterner, SimTime, Subscription,
+    BrokerId, ClientId, Filter, Interner, LocationId, Notification, SimTime, Subscription,
     SubscriptionId,
 };
 use rebeca_mobility::{BufferSpec, ByteLedger};
@@ -319,19 +319,17 @@ fn steady_state_pipeline_allocates_nothing() {
     //     cross-process link ---
     let mut wire = Vec::with_capacity(n.wire_size());
     n.encode(&mut wire);
-    let shared = SharedInterner::new();
+    let mut interner = Interner::new();
     for (name, _) in n.attrs() {
-        shared.intern(name);
+        interner.intern(name);
     }
-    let mut cache = rebeca_core::intern::InternerCache::default();
     let mut symbols = Vec::with_capacity(n.attr_count());
-    // Warm-up: capacity for the encode buffer and symbol vector, plus the
-    // interner cache's snapshot clone.
+    // Warm-up: capacity for the encode buffer and symbol vector.
     for _ in 0..8 {
         wire.clear();
         n.encode(&mut wire);
         let (view, _) = rebeca_core::codec::ArchivedNotification::parse(&wire).expect("own bytes");
-        view.resolve_symbols(cache.get(&shared), &mut symbols);
+        view.resolve_symbols(&interner, &mut symbols);
     }
     let before = allocations();
     for _ in 0..256 {
@@ -340,7 +338,7 @@ fn steady_state_pipeline_allocates_nothing() {
         let (view, rest) =
             rebeca_core::codec::ArchivedNotification::parse(&wire).expect("own bytes");
         assert!(rest.is_empty());
-        view.resolve_symbols(cache.get(&shared), &mut symbols);
+        view.resolve_symbols(&interner, &mut symbols);
         assert!(view.get("room").is_some());
         assert_eq!(symbols.len(), n.attr_count());
     }

@@ -139,26 +139,6 @@ impl BrokerCore {
         broker_nodes: Arc<Vec<NodeId>>,
         strategy: RoutingStrategy,
     ) -> Self {
-        Self::with_interner(id, topology, broker_nodes, strategy, Arc::new(SharedInterner::new()))
-    }
-
-    /// Creates the core resolving attribute names through `interner` — the
-    /// shared symbol table of the broker (or, as the [`System`] facade does
-    /// it, of the whole world, so every broker's routing table and
-    /// local-delivery index mint identical [`Symbol`](rebeca_core::Symbol)s).
-    ///
-    /// # Panics
-    ///
-    /// As [`BrokerCore::new`].
-    ///
-    /// [`System`]: ../rebeca/struct.System.html
-    pub fn with_interner(
-        id: BrokerId,
-        topology: Arc<Topology>,
-        broker_nodes: Arc<Vec<NodeId>>,
-        strategy: RoutingStrategy,
-        interner: Arc<SharedInterner>,
-    ) -> Self {
         assert!((id.raw() as usize) < topology.broker_count(), "broker {id} not in topology");
         assert!(broker_nodes.len() >= topology.broker_count(), "broker node map incomplete");
         let neighbors: Vec<NodeId> =
@@ -171,7 +151,7 @@ impl BrokerCore {
             topology,
             broker_nodes,
             neighbors,
-            router: RoutingTable::with_interner(interner),
+            router: RoutingTable::new(),
             announcers,
             staged,
             net: HashMap::new(),
@@ -180,8 +160,10 @@ impl BrokerCore {
         }
     }
 
-    /// [`BrokerCore::with_interner`] for `shards == 1`. Exists only until
-    /// the benchmark stops calling it: a broker has one routing table.
+    /// [`BrokerCore::new`] for `shards == 1`, ignoring `interner`: a
+    /// broker has one routing table, and its match index owns its symbols.
+    /// Exists only until the benchmark stops calling it
+    /// (`bench/src/tier.rs:137`).
     ///
     /// # Panics
     ///
@@ -191,11 +173,11 @@ impl BrokerCore {
         topology: Arc<Topology>,
         broker_nodes: Arc<Vec<NodeId>>,
         strategy: RoutingStrategy,
-        interner: Arc<SharedInterner>,
+        _interner: Arc<SharedInterner>,
         shards: usize,
     ) -> Self {
         assert_eq!(shards, 1, "a broker has one routing table");
-        Self::with_interner(id, topology, broker_nodes, strategy, interner)
+        Self::new(id, topology, broker_nodes, strategy)
     }
 
     /// This broker's id.
@@ -226,11 +208,6 @@ impl BrokerCore {
     /// The world node of a broker id (for wrappers sending control traffic).
     pub fn node_of(&self, broker: BrokerId) -> NodeId {
         self.broker_nodes[broker.raw() as usize]
-    }
-
-    /// The shared symbol table of this broker's routing state.
-    pub fn interner(&self) -> &Arc<SharedInterner> {
-        self.router.interner()
     }
 
     /// Handles one message, returning its local deliveries. Allocating
@@ -616,13 +593,12 @@ mod tests {
     fn with_shards_refuses_more_than_one_table() {
         let topology = Arc::new(Topology::line(3).expect("valid line"));
         let nodes = Arc::new((0..3).map(NodeId::new).collect());
-        let interner = Arc::new(SharedInterner::new());
         BrokerCore::with_shards(
             BrokerId::new(1),
             topology,
             nodes,
             RoutingStrategy::Simple,
-            interner,
+            Arc::default(),
             4,
         );
     }

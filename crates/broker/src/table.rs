@@ -8,14 +8,11 @@
 //! (filters announced by neighbours, keyed by filter digest). A
 //! [`MatchIndex`] over both answers the per-notification routing decision.
 
-use rebeca_core::{
-    ClientId, Digest, Filter, MatchIndex, Notification, SharedInterner, SubscriptionId,
-};
+use rebeca_core::{ClientId, Digest, Filter, MatchIndex, Notification, SubscriptionId};
 use rebeca_net::NodeId;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Key of one routing-table entry in the match index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,26 +195,9 @@ impl fmt::Debug for RoutingTable {
 }
 
 impl RoutingTable {
-    /// Creates an empty table (with a private interner).
+    /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty table whose match index resolves attribute names
-    /// through `interner` — the per-broker (or per-world) shared symbol
-    /// table.
-    pub fn with_interner(interner: Arc<SharedInterner>) -> Self {
-        RoutingTable {
-            index: MatchIndex::with_interner(interner),
-            neighbor_filters: HashMap::new(),
-            clients: HashMap::new(),
-            destinations: Destinations::default(),
-        }
-    }
-
-    /// The shared symbol table of this table's match index.
-    pub fn interner(&self) -> &Arc<SharedInterner> {
-        self.index.interner()
     }
 
     // ----- clients -----
@@ -537,15 +517,6 @@ mod tests {
         let d = t.route(&note("t"));
         assert_eq!(d.clients, scratch.clients);
         assert_eq!(d.neighbors, scratch.neighbors);
-    }
-
-    #[test]
-    fn tables_share_interner() {
-        use std::sync::Arc;
-        let interner = Arc::new(SharedInterner::new());
-        let t1 = RoutingTable::with_interner(Arc::clone(&interner));
-        let t2 = RoutingTable::with_interner(Arc::clone(&interner));
-        assert!(Arc::ptr_eq(t1.interner(), t2.interner()));
     }
 
     #[test]

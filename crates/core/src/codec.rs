@@ -50,11 +50,10 @@
 //! lookup ([`ArchivedNotification::get`]), symbol resolution
 //! ([`ArchivedNotification::resolve_symbols`]) — reads straight out of the
 //! received buffer: **no per-attribute allocation, no copies**. Attribute
-//! names resolve to process-local [`Symbol`]s through a
-//! [`SharedInterner`](crate::SharedInterner) snapshot (via
-//! [`InternerCache`](crate::InternerCache)), never by shipping symbol
-//! indices across the wire — symbols are meaningful only within one
-//! process. Promotion to an owned [`Notification`]
+//! names resolve to [`Symbol`]s through the receiving broker's own
+//! [`Interner`], never by shipping symbol indices across the wire —
+//! symbols are meaningful only within the table that minted them, one
+//! per broker. Promotion to an owned [`Notification`]
 //! ([`ArchivedNotification::to_notification`]) is the one deliberately
 //! allocating exit.
 
@@ -617,18 +616,16 @@ impl<'a> ArchivedNotification<'a> {
         self.attrs().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    /// Resolves every attribute name to a process-local [`Symbol`] through
-    /// `interner` (a [`SharedInterner`](crate::SharedInterner) snapshot,
-    /// typically obtained via
-    /// [`InternerCache::get`](crate::InternerCache::get)). Reuses `out`;
-    /// with warm symbols and sufficient capacity this performs **zero**
-    /// allocations (asserted by the `alloc_regression` codec case).
-    /// `None` entries mark names this process has never interned.
+    /// Resolves every attribute name to a [`Symbol`] of `interner`, the
+    /// receiving broker's own table. Reuses `out`; with sufficient capacity
+    /// this performs **zero** allocations (asserted by the
+    /// `alloc_regression` codec case). `None` entries mark names
+    /// `interner` has never interned.
     pub fn resolve_symbols(&self, interner: &Interner, out: &mut Vec<Option<Symbol>>) {
         out.clear();
         // hot-path: begin archived symbol resolution — borrowed names
-        // resolve through the snapshot's lock-free lookup; the reused
-        // output vector is the only storage touched.
+        // resolve through the interner's lookup; the reused output vector
+        // is the only storage touched.
         for (name, _) in self.attrs() {
             out.push(interner.lookup(name));
         }
@@ -701,7 +698,6 @@ impl ExactSizeIterator for ArchivedAttrs<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::{InternerCache, SharedInterner};
 
     fn sample_filter() -> Filter {
         Filter::builder().eq("service", "temperature").gt("celsius", 20.0).myloc("location").build()
@@ -877,17 +873,16 @@ mod tests {
     }
 
     #[test]
-    fn symbols_resolve_through_snapshot_and_stay_process_local() {
-        let shared = SharedInterner::new();
-        let service = shared.intern("service");
-        let celsius = shared.intern("celsius");
+    fn symbols_resolve_through_the_receivers_interner() {
+        let mut interner = Interner::new();
+        let service = interner.intern("service");
+        let celsius = interner.intern("celsius");
         let n = sample_notification();
         let mut buf = Vec::new();
         n.encode(&mut buf);
         let (a, _) = ArchivedNotification::parse(&buf).expect("parse");
-        let mut cache = InternerCache::default();
         let mut syms = Vec::new();
-        a.resolve_symbols(cache.get(&shared), &mut syms);
+        a.resolve_symbols(&interner, &mut syms);
         assert_eq!(syms.len(), a.attr_count());
         // Names iterate in BTreeMap order: celsius, location, room,
         // service, stable. Only the interned two resolve.

@@ -61,7 +61,6 @@ pub mod intern;
 pub mod matching;
 pub mod notification;
 pub mod subscription;
-mod sync;
 pub mod time;
 pub mod value;
 

@@ -64,7 +64,7 @@
 
 use crate::digest::Fnv1a;
 use crate::filter::{Constraint, Filter, Predicate};
-use crate::intern::{InternerCache, SharedInterner, Symbol};
+use crate::intern::{Interner, Symbol};
 use crate::notification::Notification;
 use crate::value::Value;
 use std::cell::RefCell;
@@ -73,7 +73,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// One indexed filter in its dense slot.
 #[derive(Debug, Clone)]
@@ -286,11 +285,10 @@ impl Filed {
 /// `K` is the caller's handle for a filter (a subscription id, a routing
 /// link, ...). Inserting a key that is already present replaces its filter.
 ///
-/// Attribute names resolve through a [`SharedInterner`]: by default every
-/// index owns a fresh one, but [`MatchIndex::with_interner`] lets several
-/// indices — a broker's routing table, its local-delivery index, its
-/// replicator — share one symbol table, so a notification's attributes map
-/// to the same [`Symbol`]s at every pipeline stage.
+/// Every index owns its own [`Interner`]: attribute names become
+/// [`Symbol`]s when a filter is inserted, and a notification's names are
+/// looked up in the same table when it is matched. Symbols are private to
+/// the index; two indices may number the same name differently.
 ///
 /// ```
 /// use rebeca_core::{ClientId, Filter, MatchIndex, Notification, SimTime, SubscriptionId};
@@ -327,16 +325,24 @@ pub struct MatchIndex<K> {
     universal: Vec<(K, u32)>,
     /// Destination marks of the call in progress.
     marks: RefCell<Marks>,
-    interner: Arc<SharedInterner>,
-    /// Cached symbol-table snapshot (revalidated per call with one atomic
-    /// load — see [`InternerCache`]): attribute names resolve against it
-    /// without taking any lock or bumping any refcount.
-    cache: RefCell<InternerCache>,
+    /// attribute name → symbol; `by_attr` has one entry per symbol.
+    interner: Interner,
 }
 
 impl<K> Default for MatchIndex<K> {
     fn default() -> Self {
-        MatchIndex::with_interner(Arc::new(SharedInterner::new()))
+        MatchIndex {
+            keys: HashMap::new(),
+            slots: Vec::new(),
+            dest: Vec::new(),
+            live: Vec::new(),
+            live_dests: 0,
+            free: Vec::new(),
+            by_attr: Vec::new(),
+            universal: Vec::new(),
+            marks: RefCell::new(Marks::default()),
+            interner: Interner::new(),
+        }
     }
 }
 
@@ -351,62 +357,33 @@ impl<K: fmt::Debug> fmt::Debug for MatchIndex<K> {
     }
 }
 
-impl<K> MatchIndex<K> {
-    /// Creates an empty index resolving attribute names through `interner`
-    /// — the sharing constructor: every index built over the same interner
-    /// agrees on symbols.
-    pub fn with_interner(interner: Arc<SharedInterner>) -> Self {
-        MatchIndex {
-            keys: HashMap::new(),
-            slots: Vec::new(),
-            dest: Vec::new(),
-            live: Vec::new(),
-            live_dests: 0,
-            free: Vec::new(),
-            by_attr: Vec::new(),
-            universal: Vec::new(),
-            marks: RefCell::new(Marks::default()),
-            interner,
-            cache: RefCell::new(InternerCache::default()),
-        }
-    }
-
-    /// The shared symbol table this index resolves attribute names with.
-    pub fn interner(&self) -> &Arc<SharedInterner> {
-        &self.interner
-    }
-}
-
 impl<K: Copy + Eq + Hash> MatchIndex<K> {
-    /// Creates an empty index (with a private interner).
+    /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Interns `attr`, resolving already-known names through the cached
-    /// snapshot (one atomic generation load — the mutation path pays the
-    /// shared interner's lock only for genuinely new attribute names).
-    fn intern_cached(&self, attr: &str) -> Symbol {
-        if let Some(sym) = self.cache.borrow_mut().get(&self.interner).lookup(attr) {
-            return sym;
+    /// The symbol of `attr`, minting it — and its empty `by_attr` entry —
+    /// on first sight.
+    fn intern(&mut self, attr: &str) -> Symbol {
+        let sym = self.interner.intern(attr);
+        if sym.index() == self.by_attr.len() {
+            self.by_attr.push(Filed::default());
         }
-        self.interner.intern(attr)
+        sym
     }
 
-    /// Interns every constraint's attribute (matching resolves names
-    /// against the interner, and indices sharing one rely on it) and picks
-    /// the access constraint: the value-keyed one that is cheapest to file
-    /// under — the first on a tie — or, without any, the first constraint.
-    /// Costs are only worked out once there is a choice to make.
+    /// Interns every constraint's attribute (matching looks names up in
+    /// the interner) and picks the access constraint: the value-keyed one
+    /// that is cheapest to file under — the first on a tie — or, without
+    /// any, the first constraint. Costs are only worked out once there is
+    /// a choice to make.
     fn choose_access<'f>(&mut self, filter: &'f Filter) -> Option<(usize, Symbol, &'f Constraint)> {
         let mut first = None;
         let mut best = None;
         let mut best_cost = None;
         for (i, c) in filter.constraints().enumerate() {
-            let sym = self.intern_cached(c.attr());
-            if self.by_attr.len() <= sym.index() {
-                self.by_attr.resize_with(sym.index() + 1, Filed::default);
-            }
+            let sym = self.intern(c.attr());
             first.get_or_insert((i, sym, c));
             if value_keys(c.predicate()).is_none() {
                 continue;
@@ -499,12 +476,7 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
         match entry.filter.constraints().nth(entry.access as usize) {
             None => self.universal.retain(|(k, _)| k != key),
             Some(c) => {
-                let sym = self
-                    .cache
-                    .borrow_mut()
-                    .get(&self.interner)
-                    .lookup(c.attr())
-                    .expect("indexed attr interned");
+                let sym = self.interner.lookup(c.attr()).expect("indexed attr interned");
                 self.by_attr[sym.index()].unfile(c.predicate(), slot);
             }
         }
@@ -561,15 +533,9 @@ impl<K: Copy + Eq + Hash> MatchIndex<K> {
         n: &Notification,
         mut visit: impl FnMut(u32, &Value) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
-        // One snapshot for the whole notification — no lock, no shared
-        // refcount traffic when the cache is warm.
-        let mut cache = self.cache.borrow_mut();
-        let interner = cache.get(&self.interner);
         for (attr, value) in n.attrs() {
-            let Some(sym) = interner.lookup(attr) else { continue };
-            // A symbol minted by a *different* index over the same interner
-            // may exceed `by_attr` — hence `get`.
-            let Some(filed) = self.by_attr.get(sym.index()) else { continue };
+            let Some(sym) = self.interner.lookup(attr) else { continue };
+            let filed = &self.by_attr[sym.index()];
             // An attribute no filter is filed by value under is not hashed.
             let keyed = if filed.by_value.is_empty() {
                 None
@@ -799,28 +765,36 @@ mod tests {
         }
     }
 
-    /// Two indices over one shared interner agree on symbols, stay exact,
-    /// and a symbol minted by one never confuses the other (sparse
-    /// `by_attr` access).
+    /// Each index numbers names in the order it meets them: two indices
+    /// that meet `a` and `b` in opposite orders disagree on both symbols
+    /// and still match every notification to the same keys.
     #[test]
-    fn indices_share_one_interner() {
-        use crate::intern::SharedInterner;
-        use std::sync::Arc;
-        let shared = Arc::new(SharedInterner::new());
-        let mut routing: MatchIndex<SubscriptionId> =
-            MatchIndex::with_interner(Arc::clone(&shared));
-        let mut local: MatchIndex<SubscriptionId> = MatchIndex::with_interner(Arc::clone(&shared));
-        routing.insert(sid(1), Filter::builder().eq("a", 1i64).build());
-        // `local` interns attributes `routing` has never seen.
-        local.insert(sid(2), Filter::builder().eq("b", 2i64).eq("c", 3i64).build());
-        assert!(Arc::ptr_eq(routing.interner(), local.interner()));
-        assert_eq!(shared.len(), 3, "one symbol table across both indices");
-        let n = note(&[("a", 1), ("b", 2), ("c", 3)]);
-        assert_eq!(routing.matching(&n), vec![sid(1)]);
-        assert_eq!(local.matching(&n), vec![sid(2)]);
-        // A notification naming only foreign symbols matches nothing here.
-        assert!(routing.matching(&note(&[("b", 2), ("c", 3)])).is_empty());
-        assert!(routing.matching(&note(&[("c", 3)])).is_empty());
+    fn indices_own_their_symbols() {
+        // Separate filters: a filter orders its own constraints.
+        let on_a = Filter::builder().eq("a", 1i64).build();
+        let on_b = Filter::builder().eq("b", 2i64).build();
+        let mut ab = MatchIndex::new();
+        ab.insert(sid(1), on_a.clone());
+        ab.insert(sid(2), on_b.clone());
+        let mut ba = MatchIndex::new();
+        ba.insert(sid(2), on_b);
+        ba.insert(sid(1), on_a);
+        for name in ["a", "b"] {
+            let (x, y) = (ab.interner.lookup(name), ba.interner.lookup(name));
+            assert!(x.is_some() && y.is_some() && x != y, "{name}: {x:?} vs {y:?}");
+        }
+        for (n, want) in [
+            (note(&[("a", 1), ("b", 2)]), vec![sid(1), sid(2)]),
+            (note(&[("b", 2)]), vec![sid(2)]),
+            (note(&[("a", 1), ("b", 3)]), vec![sid(1)]),
+            (note(&[("c", 1)]), vec![]),
+        ] {
+            for idx in [&ab, &ba] {
+                let mut got = idx.matching(&n);
+                got.sort();
+                assert_eq!(got, want, "for {n}");
+            }
+        }
     }
 
     #[test]

@@ -68,20 +68,6 @@ impl Subscription {
     pub fn is_context_dependent(&self) -> bool {
         self.filter.is_context_dependent()
     }
-
-    /// Returns a copy of this subscription with its filter's `myloc`
-    /// markers resolved to the given location set.
-    #[must_use]
-    pub fn resolved_for(
-        &self,
-        locations: impl IntoIterator<Item = crate::id::LocationId>,
-    ) -> Subscription {
-        Subscription {
-            id: self.id,
-            client: self.client,
-            filter: self.filter.resolve_locations(locations),
-        }
-    }
 }
 
 impl fmt::Display for Subscription {
@@ -93,7 +79,6 @@ impl fmt::Display for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::LocationId;
 
     #[test]
     fn accessors_and_flags() {
@@ -104,16 +89,6 @@ mod tests {
         assert_eq!(s.filter(), &f);
         assert!(s.is_location_dependent());
         assert!(!s.is_context_dependent());
-    }
-
-    #[test]
-    fn resolved_for_replaces_marker_but_keeps_identity() {
-        let f = Filter::builder().myloc("location").build();
-        let s = Subscription::new(SubscriptionId::new(1), ClientId::new(2), f);
-        let r = s.resolved_for([LocationId::new(9)]);
-        assert_eq!(r.id(), s.id());
-        assert_eq!(r.client(), s.client());
-        assert!(!r.is_location_dependent());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! paper's mapping from the marker to "a specific set of locations that
 //! depends on the current location of the client".
 
-use rebeca_core::{BrokerId, Filter, LocationId, Subscription};
+use rebeca_core::{BrokerId, Filter, LocationId};
 use rebeca_net::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -72,17 +72,6 @@ impl LocationMap {
         filter.resolve_locations(self.scope(broker))
     }
 
-    /// Resolves a subscription for a client at `broker` (identity for
-    /// subscriptions that are not location-dependent).
-    #[must_use]
-    pub fn resolve_subscription(&self, sub: &Subscription, broker: BrokerId) -> Subscription {
-        if sub.is_location_dependent() {
-            sub.resolved_for(self.scope(broker))
-        } else {
-            sub.clone()
-        }
-    }
-
     /// All brokers whose scope contains `location`.
     pub fn brokers_serving(&self, location: LocationId) -> Vec<BrokerId> {
         self.scopes.iter().filter(|(_, s)| s.contains(&location)).map(|(b, _)| *b).collect()
@@ -107,7 +96,7 @@ impl LocationMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rebeca_core::{ClientId, Notification, SimTime, SubscriptionId};
+    use rebeca_core::{ClientId, Notification, SimTime};
 
     #[test]
     fn one_per_broker_mapping() {
@@ -157,26 +146,5 @@ mod tests {
         map.assign(BrokerId::new(0), [LocationId::new(1)]);
         map.extend(BrokerId::new(0), [LocationId::new(2)]);
         assert_eq!(map.scope(BrokerId::new(0)).len(), 2);
-    }
-
-    #[test]
-    fn resolve_subscription_keeps_identity() {
-        let topo = Topology::line(2).unwrap();
-        let map = LocationMap::one_per_broker(&topo);
-        let sub = Subscription::new(
-            SubscriptionId::new(4),
-            ClientId::new(2),
-            Filter::builder().myloc("location").build(),
-        );
-        let r = map.resolve_subscription(&sub, BrokerId::new(1));
-        assert_eq!(r.id(), sub.id());
-        assert!(!r.is_location_dependent());
-        // Non-location-dependent subscriptions pass through unchanged.
-        let plain = Subscription::new(
-            SubscriptionId::new(5),
-            ClientId::new(2),
-            Filter::builder().eq("a", 1i64).build(),
-        );
-        assert_eq!(map.resolve_subscription(&plain, BrokerId::new(1)), plain);
     }
 }

@@ -10,8 +10,9 @@
 //!   suite (`alloc_regression.rs`) asserts end to end; the lint catches
 //!   regressions at review time, per line.
 //! * **hot-lock** — no lock acquisitions (`.lock()`, `.read()`,
-//!   `.write()`) in hot regions: the route path reads state its node
-//!   thread owns and interner snapshots, so it needs no lock.
+//!   `.write()`) in hot regions: the route path reads only state its
+//!   node thread owns, the per-broker symbol table included, so it needs
+//!   no lock.
 //! * **wildcard-arm** — no `_ =>` match arms in protocol handler files
 //!   (`broker.rs`, `client.rs`, `replicator.rs`), transport dispatch
 //!   files (`wire.rs`, `process_rt.rs`, `supervisor.rs`) or the buffer

@@ -6,8 +6,9 @@
 //! hosting broker 1 and a consumer, and the two halves talk through the
 //! framed wire protocol (`rebeca-net::wire`) over a UDS link: every
 //! notification crossing the process boundary is encoded with the binary
-//! codec, framed, reassembled and decoded on the far side — symbols are
-//! re-resolved against the receiving process's own interner.
+//! codec, framed, reassembled and decoded on the far side. Attribute
+//! symbols are per-broker: each broker's match index interns the names
+//! it meets, and no symbol crosses the wire.
 //!
 //! Both halves arm a [`ReconnectPolicy`]: the links are *supervised*, so
 //! if either process died mid-run the survivor would mark the routes

@@ -4,7 +4,7 @@
 use crate::plan::{NodeKind, Plan};
 use crate::{
     BrokerId, LocationMap, Message, MovementGraph, RebecaError, ReplicatorConfig, RoutingStrategy,
-    SharedInterner, SimDuration, System, Topology,
+    SimDuration, System, Topology,
 };
 use rebeca_broker::replication::{ReplicaNode, ReplicatedBrokerNode, ReplicationMetrics};
 use rebeca_broker::{BrokerCore, BrokerNode};
@@ -53,10 +53,6 @@ impl Deployment {
 struct Parts {
     topology: Arc<Topology>,
     strategy: RoutingStrategy,
-    /// One world-wide interner, so every routing table and local-delivery
-    /// index resolves identical symbols (see the "Notification lifecycle"
-    /// section of the crate docs).
-    interner: Arc<SharedInterner>,
     /// Shared by every replica group member; read only when replication
     /// is on.
     metrics: Arc<ReplicationMetrics>,
@@ -70,13 +66,7 @@ impl Parts {
         strategy: RoutingStrategy,
         mobility: Option<(Arc<MovementGraph>, Arc<LocationMap>, ReplicatorConfig)>,
     ) -> Parts {
-        Parts {
-            topology: Arc::new(topology),
-            strategy,
-            interner: Arc::new(SharedInterner::new()),
-            metrics: Arc::default(),
-            mobility,
-        }
+        Parts { topology: Arc::new(topology), strategy, metrics: Arc::default(), mobility }
     }
 
     /// Builds the node the plan puts at `kind`. This is where a deployment
@@ -86,12 +76,11 @@ impl Parts {
     fn node(&self, plan: &Plan, kind: NodeKind) -> Box<dyn Node<Message>> {
         match kind {
             NodeKind::Broker(b) => {
-                let core = BrokerCore::with_interner(
+                let core = BrokerCore::new(
                     b,
                     Arc::clone(&self.topology),
                     Arc::clone(&plan.brokers),
                     self.strategy,
-                    Arc::clone(&self.interner),
                 );
                 match plan.group(b) {
                     [_] => Box::new(BrokerNode::new(core)),
@@ -336,7 +325,6 @@ impl SystemBuilder {
             topology: parts.topology,
             locations,
             plan,
-            interner: parts.interner,
             link,
             replication: self.replication,
             replication_metrics: (self.replication > 1).then_some(parts.metrics),
@@ -362,9 +350,9 @@ impl SystemBuilder {
     /// here and [`add_remote`](rebeca_net::ProcessRuntime::add_remote)
     /// elsewhere.
     ///
-    /// Each process builds its own [`SharedInterner`]: attribute-name
-    /// symbols are process-local, resolved on decode — nothing interned
-    /// ever crosses the wire. Returns the broker node ids, indexed by
+    /// Attribute-name symbols are per-broker: each broker's match index
+    /// interns the names it meets — nothing interned ever crosses the
+    /// wire. Returns the broker node ids, indexed by
     /// [`BrokerId`]. The simulation-only settings of the builder (seed,
     /// link latency) are ignored. A
     /// [`reconnect_policy`](SystemBuilder::reconnect_policy), if set, is

@@ -75,15 +75,11 @@
 //!    with the value-keyed [`MatchIndex`](core::MatchIndex): every filter
 //!    is filed under one `(attribute, value)` bucket, so the candidates of
 //!    a notification are the filters sharing a value with it, and each is
-//!    verified against all of its constraints. Attribute names resolve to dense symbols through the **per-world
-//!    [`SharedInterner`]** — one symbol table, owned by the [`System`]
-//!    (accessible via [`System::interner`]) and shared by every routing
-//!    table and local-delivery index, so no stage ever re-interns. The
-//!    interner publishes **RCU snapshots**: writers (first sight of a new
-//!    attribute name) install a new immutable table; each index keeps a
-//!    cached snapshot ([`core::InternerCache`]) revalidated with a single
-//!    atomic generation load per matching call, so the match path holds
-//!    no lock and bumps no shared refcount. A filter
+//!    verified against all of its constraints. Attribute names resolve to
+//!    dense symbols through a **per-broker** symbol table
+//!    ([`core::Interner`]) that the match index owns: it interns a name
+//!    when a filter naming it is inserted, on the broker's own node
+//!    thread, so the match path shares nothing and holds no lock. A filter
 //!    is filed once, so it is a candidate at most once and matching
 //!    keeps no state per filter; what the routing table asks for is
 //!    matching *destinations* (a client, a link), and there the index
@@ -133,8 +129,8 @@
 //! surfaced as values, never panics. The receive side is **zero-copy**:
 //! [`core::codec::ArchivedNotification`] validates received bytes once
 //! and then serves ids, attributes and by-name lookups by reference,
-//! resolving attribute names to process-local symbols through a warm
-//! [`core::InternerCache`] with zero allocations (asserted by the
+//! resolving attribute names to symbols through the receiving broker's
+//! own [`core::Interner`] with zero allocations (asserted by the
 //! allocation-regression suite).
 //!
 //! On top of the codec sits length-prefixed framing ([`net::wire`]:
@@ -231,7 +227,7 @@ pub use handle::{ClientHandle, FixedClient, MobileClient};
 pub use rebeca_broker::{BrokerStats, DeliveryRecord, Message, MobilityMsg, RoutingStrategy};
 pub use rebeca_core::{
     ApplicationId, BrokerId, ClientId, Filter, LocationId, Notification, NotificationBuilder,
-    Predicate, SharedInterner, SimDuration, SimTime, Subscription, SubscriptionId, Value,
+    Predicate, SimDuration, SimTime, Subscription, SubscriptionId, Value,
 };
 pub use rebeca_mobility::{
     BufferSpec, ClientMobilityMode, ContextMap, LocationMap, MovementGraph, ReplicatorConfig,

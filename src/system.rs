@@ -5,8 +5,7 @@ use crate::plan::Plan;
 use crate::{
     BrokerId, BrokerStats, ClientHandle, ClientId, ClientMobilityMode, DeliveryRecord, Filter,
     FixedClient, LocationMap, Message, MobileClient, MobilityMsg, NetMetrics, NotificationBuilder,
-    Predicate, RebecaError, ReplicatorStats, SharedInterner, SimDuration, SimTime, SubscriptionId,
-    Topology,
+    Predicate, RebecaError, ReplicatorStats, SimDuration, SimTime, SubscriptionId, Topology,
 };
 use rebeca_broker::replication::{ReplicatedBrokerNode, ReplicationMetrics, ReplicationStats};
 use rebeca_broker::{BrokerCore, BrokerNode, ClientNode, LocalBroker};
@@ -49,7 +48,6 @@ pub struct System {
     pub(crate) topology: Arc<Topology>,
     pub(crate) locations: Arc<LocationMap>,
     pub(crate) plan: Plan,
-    pub(crate) interner: Arc<SharedInterner>,
     pub(crate) link: LinkConfig,
     pub(crate) replication: usize,
     pub(crate) replication_metrics: Option<Arc<ReplicationMetrics>>,
@@ -62,13 +60,6 @@ impl System {
     /// The broker topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The world-wide attribute-name symbol table shared by every broker's
-    /// routing table and local-delivery index (see the "Notification
-    /// lifecycle" section of the crate docs).
-    pub fn interner(&self) -> &Arc<SharedInterner> {
-        &self.interner
     }
 
     /// The broker↔location mapping.

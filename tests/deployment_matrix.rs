@@ -54,7 +54,13 @@ fn immobile_delivery_across_the_matrix() -> Result<(), RebecaError> {
                     .replication(g)
                     .build()?;
                 let p = sys.add_client(BrokerId::new(0))?;
+                let q = sys.add_client(BrokerId::new(0))?;
                 let s = sys.add_client(BrokerId::new(3))?;
+                sys.run_for(SimDuration::from_millis(500));
+                // Each broker numbers attribute names in the order it meets
+                // them: broker 0 meets `i` before `service`, broker 3 the
+                // reverse. Delivery must not care.
+                sys.subscribe(q, Filter::builder().gt("i", 2i64).build())?;
                 sys.run_for(SimDuration::from_millis(500));
                 sys.subscribe(s, Filter::builder().eq("service", "t").build())?;
                 sys.run_for(SimDuration::from_millis(500));
@@ -65,10 +71,12 @@ fn immobile_delivery_across_the_matrix() -> Result<(), RebecaError> {
                     )?;
                 }
                 sys.run_for(SimDuration::from_secs(2));
-                let stats = sys.client_stats(s)?;
-                assert_eq!(stats.delivered, 5, "{case}");
-                assert_eq!(stats.duplicates, 0, "{case}");
-                assert_eq!(stats.fifo_violations, 0, "{case}");
+                for (client, want) in [(s, 5), (q, 2)] {
+                    let stats = sys.client_stats(client)?;
+                    assert_eq!(stats.delivered, want, "{case}");
+                    assert_eq!(stats.duplicates, 0, "{case}");
+                    assert_eq!(stats.fifo_violations, 0, "{case}");
+                }
                 assert_groups_committed(&sys, g, &case);
             }
         }
