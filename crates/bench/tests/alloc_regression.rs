@@ -11,6 +11,8 @@
 //!   and `offer_to` with a [`ByteLedger`], as a replicator buffers.
 //! * [`ReplicatedBrokerNode`] dispatch — the same route path behind PR 10's
 //!   op-log replication wrapper, table populated through a live group of 3.
+//! * [`World::step`] — the simulator's event loop: pop, dispatch, apply,
+//!   with a delivery and a timer set and cancelled per hop.
 //!
 //! The counter is per thread: the test harness's own thread allocates
 //! while the test runs (about one run in thirty saw it inside a measured
@@ -20,13 +22,15 @@ use rebeca_broker::replication::{
     Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicatedBrokerNode, ReplicationMetrics,
 };
 use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
+use rebeca_core::SimDuration;
 use rebeca_core::{
     BrokerId, ClientId, Filter, Interner, LocationId, Notification, SimTime, Subscription,
     SubscriptionId,
 };
 use rebeca_mobility::{BufferSpec, ByteLedger};
-use rebeca_net::{Ctx, Node, NodeId, Topology};
+use rebeca_net::{Ctx, LinkConfig, Node, NodeId, Payload, TimerId, Topology, World};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -430,4 +434,76 @@ fn steady_state_pipeline_allocates_nothing() {
         routed, 0,
         "replicated dispatch allocated {routed} times in 256 steady-state publishes"
     );
+}
+
+/// A heap-free message: the world case measures the event loop, not the
+/// payload.
+#[derive(Debug)]
+struct Ball(u64);
+
+impl Payload for Ball {
+    fn wire_size(&self) -> usize {
+        8
+    }
+}
+
+/// Returns every ball to its peer and re-arms a watchdog per hop: the
+/// previous timer is cancelled, a fresh one set. The watchdog is longer
+/// than a round trip, so it never fires.
+struct Paddle {
+    peer: NodeId,
+    watchdog: Option<TimerId>,
+    hits: u64,
+}
+
+impl Node<Ball> for Paddle {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Ball>, _from: NodeId, ball: Ball) {
+        self.hits += 1;
+        if let Some(t) = self.watchdog.take() {
+            ctx.cancel_timer(t);
+        }
+        self.watchdog = Some(ctx.set_timer(SimDuration::from_millis(10), 0));
+        ctx.send(self.peer, Ball(ball.0 + 1));
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Ball>, _timer: TimerId, _tag: u64) {
+        panic!("the watchdog is always cancelled first");
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn world_event_loop_allocates_nothing() {
+    let mut world: World<Ball> = World::new(1);
+    let (a, b) = (NodeId::new(0), NodeId::new(1));
+    world.add_node(Box::new(Paddle { peer: b, watchdog: None, hits: 0 }));
+    world.add_node(Box::new(Paddle { peer: a, watchdog: None, hits: 0 }));
+    world.connect(a, b, LinkConfig::constant(SimDuration::from_millis(1)));
+    world.send_external(a, Ball(0));
+
+    // Warm-up: the lane, the heap of cancelled watchdogs, the timer sets,
+    // the action buffer and the traffic counters reach their steady size.
+    for _ in 0..1024 {
+        assert!(world.step(), "the rally never stops");
+    }
+
+    // Measured: deliveries and cancelled-timer pops, zero allocations.
+    let hits = |w: &World<Ball>| {
+        [a, b].iter().map(|&n| w.node_as::<Paddle>(n).expect("paddle").hits).sum::<u64>()
+    };
+    let hits_before = hits(&world);
+    let before = allocations();
+    for _ in 0..256 {
+        assert!(world.step(), "the rally never stops");
+    }
+    let stepped = allocations() - before;
+    assert!(hits(&world) - hits_before >= 128, "most steps are deliveries");
+    assert_eq!(stepped, 0, "World::step allocated {stepped} times in 256 steady-state steps");
 }

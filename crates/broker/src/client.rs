@@ -65,6 +65,8 @@ pub struct LocalBroker {
     seq: u64,
     subs: HashMap<SubscriptionId, Filter>,
     delivered: Vec<DeliveryRecord>,
+    /// Deliveries ever accepted; unlike `delivered`, never drained.
+    delivered_total: u64,
     seen: SeenIds,
     duplicates: u64,
     fifo_violations: u64,
@@ -92,6 +94,7 @@ impl LocalBroker {
             seq: 0,
             subs: HashMap::new(),
             delivered: Vec::new(),
+            delivered_total: 0,
             seen: SeenIds::default(),
             duplicates: 0,
             fifo_violations: 0,
@@ -218,6 +221,7 @@ impl LocalBroker {
         } else {
             *last = n.seq();
         }
+        self.delivered_total += 1;
         self.delivered.push(DeliveryRecord { at: now, notification: n });
     }
 
@@ -229,6 +233,12 @@ impl LocalBroker {
     /// Everything delivered and not yet taken.
     pub fn delivered(&self) -> &[DeliveryRecord] {
         &self.delivered
+    }
+
+    /// Number of notifications delivered so far (after duplicate
+    /// suppression), including those already taken from the log.
+    pub fn delivered_count(&self) -> u64 {
+        self.delivered_total
     }
 
     /// Number of duplicate deliveries suppressed.

@@ -11,6 +11,40 @@ use crate::rng::SplitMix64;
 use rebeca_core::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// An Fx-style hasher for keys the world mints itself — [`NodeId`] pairs
+/// and timer ids — which no outside party chooses, so they need no
+/// SipHash protection against flooding. Keys derived from wire data
+/// (names, digests, client and notification ids) keep the default hasher.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`IdHasher`]s for the world's id-keyed maps and sets.
+pub(crate) type IdHash = BuildHasherDefault<IdHasher>;
 
 /// A directed link key (`from → to`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,13 +137,13 @@ pub(crate) struct LinkState {
 /// All links of a world, keyed by direction.
 #[derive(Debug, Default)]
 pub struct LinkTable {
-    links: HashMap<LinkKey, LinkState>,
+    links: HashMap<LinkKey, LinkState, IdHash>,
     /// FIFO floors of removed link incarnations, so a re-created link never
     /// schedules deliveries before messages still in flight from its
     /// predecessor (handover tears links down and re-creates them with
     /// traffic in the air). Entries move back into `links` on re-insert,
     /// keeping the map bounded by currently-removed pairs.
-    retired_floors: HashMap<LinkKey, SimTime>,
+    retired_floors: HashMap<LinkKey, SimTime, IdHash>,
 }
 
 impl LinkTable {

@@ -2,11 +2,11 @@
 //!
 //! Two consumers live here:
 //!
-//! * [`NetMetrics`] — the simulator's per-link / per-kind traffic charge
-//!   sheet. The simulator charges every sent message against its directed
-//!   link and its coarse message class (`kind`), which is how the
-//!   bandwidth overhead of pre-subscription replication and the control
-//!   traffic of routing strategies are measured.
+//! * [`NetMetrics`] — the simulator's per-kind traffic charge sheet. The
+//!   simulator charges every sent message against its coarse message
+//!   class (`kind`), which is how the bandwidth overhead of
+//!   pre-subscription replication and the control traffic of routing
+//!   strategies are measured.
 //! * [`LinkCounters`] / [`LinkMetrics`] — the
 //!   [`ProcessRuntime`](crate::ProcessRuntime)'s supervision counters:
 //!   how often peer links died, how many frames were dropped into dead
@@ -15,12 +15,9 @@
 //!   service threads, snapshot via
 //!   [`ProcessRuntime::metrics`](crate::ProcessRuntime::metrics).
 
-use crate::link::LinkKey;
-use crate::node::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters for one directed link or one message kind.
+/// Counters for one message kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Messages sent.
@@ -39,8 +36,9 @@ impl Counters {
 /// Traffic metrics of one [`World`](crate::World) run.
 #[derive(Debug, Default)]
 pub struct NetMetrics {
-    per_link: HashMap<LinkKey, Counters>,
-    per_kind: HashMap<&'static str, Counters>,
+    /// One entry per kind seen, in order of first use. A run knows a
+    /// handful of kinds, so a scan beats hashing the name.
+    per_kind: Vec<(&'static str, Counters)>,
     dropped: u64,
     delivered: u64,
 }
@@ -51,15 +49,22 @@ impl NetMetrics {
         Self::default()
     }
 
-    pub(crate) fn record_send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        kind: &'static str,
-        bytes: usize,
-    ) {
-        self.per_link.entry(LinkKey { from, to }).or_default().add(bytes);
-        self.per_kind.entry(kind).or_default().add(bytes);
+    pub(crate) fn record_send(&mut self, kind: &'static str, bytes: usize) {
+        // Kinds are string literals, so the pointer almost always matches;
+        // the same name at another address still lands on its entry.
+        let at = self
+            .per_kind
+            .iter()
+            .position(|(k, _)| std::ptr::eq(*k, kind))
+            .or_else(|| self.per_kind.iter().position(|(k, _)| *k == kind));
+        match at {
+            Some(i) => self.per_kind[i].1.add(bytes),
+            None => {
+                let mut c = Counters::default();
+                c.add(bytes);
+                self.per_kind.push((kind, c));
+            }
+        }
     }
 
     pub(crate) fn record_drop(&mut self) {
@@ -70,31 +75,26 @@ impl NetMetrics {
         self.delivered += 1;
     }
 
-    /// Counters of one directed link.
-    pub fn link(&self, from: NodeId, to: NodeId) -> Counters {
-        self.per_link.get(&LinkKey { from, to }).copied().unwrap_or_default()
-    }
-
     /// Counters aggregated for a message kind.
     pub fn kind(&self, kind: &str) -> Counters {
-        self.per_kind.get(kind).copied().unwrap_or_default()
+        self.per_kind.iter().find(|(k, _)| *k == kind).map(|(_, c)| *c).unwrap_or_default()
     }
 
     /// All kinds seen so far, sorted.
     pub fn kinds(&self) -> Vec<&'static str> {
-        let mut v: Vec<_> = self.per_kind.keys().copied().collect();
+        let mut v: Vec<_> = self.per_kind.iter().map(|(k, _)| *k).collect();
         v.sort_unstable();
         v
     }
 
     /// Total messages sent on any link.
     pub fn total_msgs(&self) -> u64 {
-        self.per_kind.values().map(|c| c.msgs).sum()
+        self.per_kind.iter().map(|(_, c)| c.msgs).sum()
     }
 
     /// Total bytes sent on any link.
     pub fn total_bytes(&self) -> u64 {
-        self.per_kind.values().map(|c| c.bytes).sum()
+        self.per_kind.iter().map(|(_, c)| c.bytes).sum()
     }
 
     /// Messages dropped because no live link existed (down wireless link,
@@ -171,18 +171,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_accumulate_per_link_and_kind() {
+    fn records_accumulate_per_kind() {
         let mut m = NetMetrics::new();
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        m.record_send(a, b, "pub", 100);
-        m.record_send(a, b, "pub", 50);
-        m.record_send(b, a, "sub", 10);
-        assert_eq!(m.link(a, b), Counters { msgs: 2, bytes: 150 });
-        assert_eq!(m.link(b, a), Counters { msgs: 1, bytes: 10 });
-        assert_eq!(m.kind("pub"), Counters { msgs: 2, bytes: 150 });
+        m.record_send("sub", 10);
+        m.record_send("pub", 100);
+        m.record_send("pub", 50);
+        // The same name at another address counts against the same kind.
+        let pub_copy: &'static str = String::from("pub").leak();
+        m.record_send(pub_copy, 0);
+        assert_eq!(m.kind("pub"), Counters { msgs: 3, bytes: 150 });
         assert_eq!(m.kind("sub").msgs, 1);
         assert_eq!(m.kind("none"), Counters::default());
-        assert_eq!(m.total_msgs(), 3);
+        assert_eq!(m.total_msgs(), 4);
         assert_eq!(m.total_bytes(), 160);
         assert_eq!(m.kinds(), vec!["pub", "sub"]);
     }

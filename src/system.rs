@@ -418,7 +418,7 @@ impl System {
     /// belong to this system.
     pub fn client_stats(&self, client: impl ClientHandle) -> Result<ClientStats, RebecaError> {
         self.with_local(client.client_id(), |l| ClientStats {
-            delivered: l.delivered().len() as u64,
+            delivered: l.delivered_count(),
             duplicates: l.duplicates(),
             fifo_violations: l.fifo_violations(),
         })

@@ -234,6 +234,22 @@ fn handoff_errors_do_not_disturb_delivery() -> Result<(), RebecaError> {
 }
 
 #[test]
+fn delivered_count_survives_draining_the_log() -> Result<(), RebecaError> {
+    // The statistics count deliveries, not what is left in the log.
+    let mut sys = static_system(2);
+    let p = sys.add_client(BrokerId::new(1))?;
+    let s = sys.add_client(BrokerId::new(0))?;
+    sys.subscribe(s, Filter::builder().eq("service", "t").build())?;
+    sys.run_for(SimDuration::from_millis(500));
+    sys.publish(p, Notification::builder().attr("service", "t"))?;
+    sys.run_for(SimDuration::from_secs(1));
+    assert_eq!(sys.client_stats(s)?.delivered, 1);
+    assert_eq!(sys.take_delivered(s)?.len(), 1);
+    assert_eq!(sys.client_stats(s)?.delivered, 1, "draining the log reset the count");
+    Ok(())
+}
+
+#[test]
 fn shutdown_detaches_the_mobile_client() -> Result<(), RebecaError> {
     // An orderly shutdown must not leave the facade believing the client
     // is still attached: the handle stays usable for a later arrive.
