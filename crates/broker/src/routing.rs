@@ -16,7 +16,10 @@
 //! sends each link its net change as one filter list per direction — a
 //! [`SubForward`](crate::Message::SubForward) list, then an
 //! [`UnsubForward`](crate::Message::UnsubForward) list — not one message
-//! per filter. The from-scratch form is the reference the equivalence
+//! per filter. In covering mode the announcer keeps a shape-bucketed
+//! index of its served filters from the first one on, so a mutation
+//! compares the filter only with those that could cover it or that it
+//! could cover. The from-scratch form is the reference the equivalence
 //! tests compare the announcer against.
 
 use rebeca_core::filter::shape_digest;
@@ -417,32 +420,22 @@ impl CoverIndex {
 /// available without ever rescanning the whole table.
 ///
 /// In *simple* mode (no covering) every distinct filter is announced; in
-/// *covering* mode only non-dominated filters are. Covering mode keeps a
-/// `CoverIndex`: a mutation probes only the *candidate* dominators and
-/// dominated filters its shape admits — for the common
-/// equality-conjunction workload that is O(1) per mutation, flat in
-/// the number of distinct served filters (the scan this replaces was
-/// `O(distinct)` per mutation, itself replacing the historical `O(n²)`
-/// from-scratch [`minimal_cover`]). Nothing outside this link is touched.
+/// *covering* mode only non-dominated filters are, and a `CoverIndex`
+/// kept from the first filter on limits each mutation to the *candidate*
+/// dominators and dominated filters its shape admits — for the common
+/// equality-conjunction workload that is O(1) per mutation, flat in the
+/// number of distinct served filters (the from-scratch [`minimal_cover`]
+/// is `O(n²)`). Nothing outside this link is touched.
 #[derive(Debug, Clone)]
 pub struct LinkAnnouncer {
     covering: bool,
     entries: HashMap<Digest, Served>,
-    /// Covering mode only: the shape-bucketed candidate index. Built the
-    /// first time the link serves [`INDEX_THRESHOLD`] distinct filters and
-    /// maintained from then on — below that a plain scan of `entries` is
-    /// faster than any candidate bookkeeping, and links touched by
-    /// steady-state churn are typically tiny (the big ones are the ones
-    /// *accumulating* a preload, which is exactly where the index turns
-    /// quadratic growth linear).
-    index: Option<CoverIndex>,
+    /// The shape-bucketed candidate index over `entries`; empty in simple
+    /// mode.
+    index: CoverIndex,
     /// Reusable candidate-digest scratch for the probes.
     candidates: Vec<Digest>,
 }
-
-/// Distinct-filter count at which a link switches from scanning to the
-/// bucketed candidate index (hysteresis: once built, the index stays).
-const INDEX_THRESHOLD: usize = 64;
 
 impl LinkAnnouncer {
     /// Creates empty state for `strategy`: covering mode for
@@ -452,14 +445,9 @@ impl LinkAnnouncer {
         LinkAnnouncer {
             covering: strategy == RoutingStrategy::Covering,
             entries: HashMap::new(),
-            index: None,
+            index: CoverIndex::default(),
             candidates: Vec::new(),
         }
-    }
-
-    /// Number of distinct filters currently served through the link.
-    pub fn distinct_len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Adds one occurrence of `filter` to the served multiset, recording
@@ -472,68 +460,38 @@ impl LinkAnnouncer {
         }
         let mut dominated_by = 0;
         if self.covering {
-            self.ensure_index();
-            if let Some(index) = &self.index {
-                let key = filter.cover_key();
-                let attrs = AttrBuf::collect(filter);
-                let attrs = attrs.as_slice();
-                let mut candidates = std::mem::take(&mut self.candidates);
-                // Who dominates the newcomer? Only filters whose shape is
-                // a subset of its attribute set can.
-                index.dominator_candidates(attrs, key, &mut candidates);
-                for d in &candidates {
-                    if dominates(&self.entries[d].filter, filter) {
-                        dominated_by += 1;
-                    }
+            let key = filter.cover_key();
+            let attrs = AttrBuf::collect(filter);
+            let attrs = attrs.as_slice();
+            let mut candidates = std::mem::take(&mut self.candidates);
+            // Who dominates the newcomer? Only filters whose shape is a
+            // subset of its attribute set can.
+            self.index.dominator_candidates(attrs, key, &mut candidates);
+            for d in &candidates {
+                if dominates(&self.entries[d].filter, filter) {
+                    dominated_by += 1;
                 }
-                // Whom does the newcomer dominate? Only filters in
-                // superset shapes.
-                index.dominated_candidates(attrs, key, &mut candidates);
-                for d in &candidates {
-                    let entry = self.entries.get_mut(d).expect("indexed entry served");
-                    if dominates(filter, &entry.filter) {
-                        entry.dominated_by += 1;
-                        if entry.dominated_by == 1 {
-                            changes.left.push(entry.filter.clone());
-                        }
-                    }
-                }
-                candidates.clear();
-                self.candidates = candidates;
-                self.index.as_mut().expect("index built").insert(digest, filter, key);
-            } else {
-                // Small link: the plain scan beats candidate bookkeeping.
-                for entry in self.entries.values_mut() {
-                    if dominates(&entry.filter, filter) {
-                        dominated_by += 1;
-                    }
-                    if dominates(filter, &entry.filter) {
-                        entry.dominated_by += 1;
-                        if entry.dominated_by == 1 {
-                            changes.left.push(entry.filter.clone());
-                        }
+            }
+            // Whom does the newcomer dominate? Only filters in superset
+            // shapes.
+            self.index.dominated_candidates(attrs, key, &mut candidates);
+            for d in &candidates {
+                let entry = self.entries.get_mut(d).expect("indexed entry served");
+                if dominates(filter, &entry.filter) {
+                    entry.dominated_by += 1;
+                    if entry.dominated_by == 1 {
+                        changes.left.push(entry.filter.clone());
                     }
                 }
             }
+            candidates.clear();
+            self.candidates = candidates;
+            self.index.insert(digest, filter, key);
         }
         if dominated_by == 0 {
             changes.entered.push(filter.clone());
         }
         self.entries.insert(digest, Served { filter: filter.clone(), refs: 1, dominated_by });
-    }
-
-    /// Builds the candidate index once the link crosses
-    /// [`INDEX_THRESHOLD`] distinct filters (one O(distinct) pass,
-    /// amortised over the adds that grew the link there).
-    fn ensure_index(&mut self) {
-        if self.index.is_some() || self.entries.len() < INDEX_THRESHOLD {
-            return;
-        }
-        let mut index = CoverIndex::default();
-        for (digest, served) in &self.entries {
-            index.insert(*digest, &served.filter, served.filter.cover_key());
-        }
-        self.index = Some(index);
     }
 
     /// Removes one occurrence of `filter` from the served multiset,
@@ -550,36 +508,24 @@ impl LinkAnnouncer {
         }
         let removed = self.entries.remove(&digest).expect("entry exists");
         if self.covering {
-            if let Some(index) = &mut self.index {
-                let key = removed.filter.cover_key();
-                let attrs = AttrBuf::collect(&removed.filter);
-                // Take the departed filter out of the index *first*, then
-                // release everything it alone dominated.
-                index.remove(digest, key);
-                let index = &*index;
-                let mut candidates = std::mem::take(&mut self.candidates);
-                index.dominated_candidates(attrs.as_slice(), key, &mut candidates);
-                for d in &candidates {
-                    let entry = self.entries.get_mut(d).expect("indexed entry served");
-                    if dominates(&removed.filter, &entry.filter) {
-                        entry.dominated_by -= 1;
-                        if entry.dominated_by == 0 {
-                            changes.entered.push(entry.filter.clone());
-                        }
-                    }
-                }
-                candidates.clear();
-                self.candidates = candidates;
-            } else {
-                for entry in self.entries.values_mut() {
-                    if dominates(&removed.filter, &entry.filter) {
-                        entry.dominated_by -= 1;
-                        if entry.dominated_by == 0 {
-                            changes.entered.push(entry.filter.clone());
-                        }
+            let key = removed.filter.cover_key();
+            let attrs = AttrBuf::collect(&removed.filter);
+            // Take the departed filter out of the index *first*, then
+            // release everything it alone dominated.
+            self.index.remove(digest, key);
+            let mut candidates = std::mem::take(&mut self.candidates);
+            self.index.dominated_candidates(attrs.as_slice(), key, &mut candidates);
+            for d in &candidates {
+                let entry = self.entries.get_mut(d).expect("indexed entry served");
+                if dominates(&removed.filter, &entry.filter) {
+                    entry.dominated_by -= 1;
+                    if entry.dominated_by == 0 {
+                        changes.entered.push(entry.filter.clone());
                     }
                 }
             }
+            candidates.clear();
+            self.candidates = candidates;
         }
         if removed.dominated_by == 0 {
             changes.left.push(removed.filter);
@@ -612,6 +558,34 @@ mod tests {
         Filter::builder().eq("service", s).eq("room", r).build()
     }
 
+    /// Sorted digests. `Filter`'s `PartialEq` equates an `Int` value with
+    /// its `Float` alias, so the announcer checks compare digests, which
+    /// tell the two members of such a pair apart.
+    pub(super) fn digests(filters: &[Filter]) -> Vec<Digest> {
+        let mut out: Vec<Digest> = filters.iter().map(Filter::digest).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Asserts that `announcer`, just fed one mutation of `served` that
+    /// reported `changes`, announces exactly `strategy`'s from-scratch set,
+    /// and that `changes` are exactly the difference from the announced
+    /// digests `before` the mutation.
+    pub(super) fn assert_step(
+        announcer: &LinkAnnouncer,
+        strategy: RoutingStrategy,
+        served: &[Filter],
+        before: &[Digest],
+        changes: &CoverChanges,
+    ) {
+        let after = digests(&announcer.announced());
+        assert_eq!(after, digests(&strategy.announcements(served)), "incremental cover diverged");
+        let entered: Vec<Digest> = after.iter().filter(|d| !before.contains(d)).copied().collect();
+        let left: Vec<Digest> = before.iter().filter(|d| !after.contains(d)).copied().collect();
+        assert_eq!(digests(&changes.entered), entered, "entered transitions");
+        assert_eq!(digests(&changes.left), left, "left transitions");
+    }
+
     #[test]
     fn flooding_announces_nothing() {
         let fs = vec![f_service("a"), f_service("b")];
@@ -631,9 +605,7 @@ mod tests {
         let fs =
             vec![f_service("t"), f_service_room("t", 1), f_service_room("t", 2), f_service("news")];
         let out = RoutingStrategy::Covering.announcements(&fs);
-        assert_eq!(out.len(), 2);
-        assert!(out.contains(&f_service("t")));
-        assert!(out.contains(&f_service("news")));
+        assert_eq!(digests(&out), digests(&[f_service("t"), f_service("news")]));
     }
 
     #[test]
@@ -644,9 +616,13 @@ mod tests {
         let b = Filter::builder().eq("x", 1i64).build();
         assert!(a.covers(&b) && b.covers(&a));
         let out = RoutingStrategy::Covering.announcements(&[a.clone(), b.clone()]);
-        assert_eq!(out.len(), 1);
+        assert_eq!(digests(&out), vec![a.digest().min(b.digest())]);
         let out2 = RoutingStrategy::Covering.announcements(&[b, a]);
-        assert_eq!(out, out2, "representative choice must not depend on input order");
+        assert_eq!(
+            digests(&out),
+            digests(&out2),
+            "representative choice must not depend on input order"
+        );
     }
 
     #[test]
@@ -680,52 +656,36 @@ mod tests {
         assert_eq!(RoutingStrategy::Covering.to_string(), "covering");
     }
 
-    /// Drives an announcer well past [`INDEX_THRESHOLD`] so the bucketed
-    /// candidate index (not the small-link scan) maintains the cover, with
-    /// a workload built to hit every probe path: many same-shape points,
-    /// range (general) filters over the same attributes, subset-shape
-    /// dominators (including `Filter::all`), superset shapes, an
-    /// `In`-singleton ↔ `Eq` equivalence pair and an `Int`/`Float` alias
-    /// pair (mutual covering through the canonical point digest). After
-    /// every step the incremental state must equal the from-scratch
-    /// computation.
+    /// Drives a covering announcer through a script built to hit every
+    /// probe path of its index: many same-shape points, range (general)
+    /// filters over the same attributes, subset-shape dominators
+    /// (including `Filter::all`), superset shapes, an `In`-singleton ↔
+    /// `Eq` equivalence pair and an `Int`/`Float` alias pair (mutual
+    /// covering through the canonical point digest). After every step the
+    /// incremental state must equal the from-scratch computation.
     #[test]
-    fn bucketed_index_matches_from_scratch_past_threshold() {
+    fn bucketed_index_matches_from_scratch() {
         let mut announcer = LinkAnnouncer::new(RoutingStrategy::Covering);
         let mut served: Vec<Filter> = Vec::new();
         let step =
             |announcer: &mut LinkAnnouncer, served: &mut Vec<Filter>, add: bool, f: Filter| {
                 let mut changes = CoverChanges::default();
-                let before = announcer.announced();
+                let before = digests(&announcer.announced());
                 if add {
                     served.push(f.clone());
                     announcer.add(&f, &mut changes);
                 } else {
-                    let pos =
-                        served.iter().position(|g| g == &f).expect("removing a served filter");
+                    let pos = served
+                        .iter()
+                        .position(|g| g.digest() == f.digest())
+                        .expect("removing a served filter");
                     served.swap_remove(pos);
                     announcer.remove(&f, &mut changes);
                 }
-                let after = announcer.announced();
-                assert_eq!(
-                    after,
-                    RoutingStrategy::Covering.announcements(served),
-                    "incremental cover diverged (add={add}, filter={f})"
-                );
-                // Transitions are exactly the announced-set difference.
-                let mut entered: Vec<Filter> =
-                    after.iter().filter(|f| !before.contains(f)).cloned().collect();
-                let mut left: Vec<Filter> =
-                    before.iter().filter(|f| !after.contains(f)).cloned().collect();
-                entered.sort_by_key(Filter::digest);
-                left.sort_by_key(Filter::digest);
-                changes.entered.sort_by_key(Filter::digest);
-                changes.left.sort_by_key(Filter::digest);
-                assert_eq!(changes.entered, entered);
-                assert_eq!(changes.left, left);
+                assert_step(announcer, RoutingStrategy::Covering, served, &before, &changes);
             };
 
-        // 1. 100 same-shape points (crosses the threshold mid-loop).
+        // 1. 100 same-shape points.
         for i in 0..100i64 {
             step(&mut announcer, &mut served, true, f_service_room("t", i));
         }
@@ -772,26 +732,39 @@ mod tests {
         for i in 0..25i64 {
             step(&mut announcer, &mut served, true, f_service_room("t", i));
         }
-        assert!(announcer.distinct_len() > INDEX_THRESHOLD);
     }
 }
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::{assert_step, digests};
     use super::*;
     use proptest::prelude::*;
     use rebeca_core::{ClientId, Notification, SimTime};
 
+    /// Filters over four attributes whose equivalences only digests tell
+    /// apart: `a` is an `Int` equality, its `Float` alias or its `In`
+    /// singleton (three digests, mutually covering); `d` is an equality
+    /// or a range; one filter in sixteen is `Filter::all`.
     fn arb_filter() -> impl Strategy<Value = Filter> {
         (
+            proptest::option::of((0i64..3, 0u32..3)),
             proptest::option::of(0i64..3),
             proptest::option::of(0i64..3),
-            proptest::option::of(0i64..3),
+            proptest::option::of((0i64..3, any::<bool>())),
+            0u32..16,
         )
-            .prop_map(|(a, b, c)| {
+            .prop_map(|(a, b, c, d, all)| {
+                if all == 0 {
+                    return Filter::all();
+                }
                 let mut f = Filter::builder();
-                if let Some(v) = a {
-                    f = f.eq("a", v);
+                if let Some((v, form)) = a {
+                    f = match form {
+                        0 => f.eq("a", v),
+                        1 => f.eq("a", v as f64),
+                        _ => f.one_of("a", [v]),
+                    };
                 }
                 if let Some(v) = b {
                     f = f.ge("b", v);
@@ -799,13 +772,16 @@ mod prop_tests {
                 if let Some(v) = c {
                     f = f.one_of("c", [v, v + 1]);
                 }
+                if let Some((v, range)) = d {
+                    f = if range { f.between("d", v, v + 1) } else { f.eq("d", v) };
+                }
                 f.build()
             })
     }
 
     fn arb_note() -> impl Strategy<Value = Notification> {
-        (0i64..4, 0i64..4, 0i64..4).prop_map(|(a, b, c)| {
-            Notification::builder().attr("a", a).attr("b", b).attr("c", c).publish(
+        (0i64..4, 0i64..4, 0i64..4, 0i64..4).prop_map(|(a, b, c, d)| {
+            Notification::builder().attr("a", a).attr("b", b).attr("c", c).attr("d", d).publish(
                 ClientId::new(0),
                 0,
                 SimTime::ZERO,
@@ -830,44 +806,6 @@ mod prop_tests {
             }
         }
 
-        /// The incremental per-link announcer agrees with the from-scratch
-        /// strategy computation after every step of a random add/remove
-        /// churn sequence, in both simple and covering mode.
-        #[test]
-        fn link_announcer_matches_from_scratch(
-            ops in proptest::collection::vec((any::<bool>(), 0usize..8, arb_filter()), 1..40),
-            covering in any::<bool>(),
-        ) {
-            let strategy =
-                if covering { RoutingStrategy::Covering } else { RoutingStrategy::Simple };
-            let mut announcer = LinkAnnouncer::new(strategy);
-            let mut served: Vec<Filter> = Vec::new();
-            for (add, pick, f) in ops {
-                let mut changes = CoverChanges::default();
-                let before = announcer.announced();
-                if add || served.is_empty() {
-                    served.push(f.clone());
-                    announcer.add(&f, &mut changes);
-                } else {
-                    let victim = served.swap_remove(pick % served.len());
-                    announcer.remove(&victim, &mut changes);
-                }
-                let after = announcer.announced();
-                prop_assert_eq!(&after, &strategy.announcements(&served));
-                // The reported transitions are exactly the set difference.
-                let mut expect_entered: Vec<Filter> =
-                    after.iter().filter(|f| !before.contains(f)).cloned().collect();
-                let mut expect_left: Vec<Filter> =
-                    before.iter().filter(|f| !after.contains(f)).cloned().collect();
-                expect_entered.sort_by_key(Filter::digest);
-                expect_left.sort_by_key(Filter::digest);
-                changes.entered.sort_by_key(Filter::digest);
-                changes.left.sort_by_key(Filter::digest);
-                prop_assert_eq!(changes.entered, expect_entered);
-                prop_assert_eq!(changes.left, expect_left);
-            }
-        }
-
         /// Covering output is antichain-like: no announced filter strictly
         /// covers another.
         #[test]
@@ -880,6 +818,37 @@ mod prop_tests {
                         prop_assert!(!(f.covers(g) && g.covers(f)), "equivalent filters both kept");
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The incremental per-link announcer agrees, digest for digest,
+        /// with the from-scratch strategy computation after every step of
+        /// a random add/remove churn sequence, in both simple and covering
+        /// mode.
+        #[test]
+        fn link_announcer_matches_from_scratch(
+            ops in proptest::collection::vec((any::<bool>(), 0usize..8, arb_filter()), 1..60),
+            covering in any::<bool>(),
+        ) {
+            let strategy =
+                if covering { RoutingStrategy::Covering } else { RoutingStrategy::Simple };
+            let mut announcer = LinkAnnouncer::new(strategy);
+            let mut served: Vec<Filter> = Vec::new();
+            for (add, pick, f) in ops {
+                let mut changes = CoverChanges::default();
+                let before = digests(&announcer.announced());
+                if add || served.is_empty() {
+                    served.push(f.clone());
+                    announcer.add(&f, &mut changes);
+                } else {
+                    let victim = served.swap_remove(pick % served.len());
+                    announcer.remove(&victim, &mut changes);
+                }
+                assert_step(&announcer, strategy, &served, &before, &changes);
             }
         }
     }

@@ -15,7 +15,8 @@
 use rebeca_core::Notification;
 use std::sync::Arc;
 
-/// Default byte budget of one handover chunk.
+/// Byte budget of one handover chunk: replicators page any larger handover
+/// buffer.
 pub const DEFAULT_MAX_BATCH_BYTES: usize = 64 * 1024;
 
 /// Splits `items` into pages whose cumulative [`Notification::wire_size`]

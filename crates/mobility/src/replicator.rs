@@ -52,6 +52,7 @@
 use crate::buffer::{BufferSpec, ByteLedger, ReplayBuffer};
 use crate::location::LocationMap;
 use crate::movement::MovementGraph;
+use crate::paging::{pages, DEFAULT_MAX_BATCH_BYTES};
 use crate::physical::RelocationBuffers;
 use rebeca_broker::{Message, MobilityMsg};
 use rebeca_core::{
@@ -146,19 +147,6 @@ pub struct ReplicatorConfig {
     /// Buffering policy of virtual clients (default: the last 1 024
     /// notifications of the last 300 s).
     pub buffer: BufferSpec,
-    /// TTL of the notifications buffered for a disconnected client, and
-    /// how long it stays disconnected before it is retired.
-    pub relocation_ttl: SimDuration,
-    /// Housekeeping interval (buffer GC, TTL sweeps).
-    pub sweep_interval: SimDuration,
-    /// Make-before-break window of the relocation hand-off: after
-    /// `FetchBuffered` the old replicator keeps forwarding in-flight
-    /// stragglers to the new one this long before it retires the client.
-    pub handover_grace: SimDuration,
-    /// Byte budget of one `BufferedBatch`/`ReplicaBatch` chunk: a handover
-    /// buffer larger than this is paged into several messages (see
-    /// [`crate::paging`]) so it cannot head-of-line-block a link.
-    pub max_batch_bytes: usize,
 }
 
 impl Default for ReplicatorConfig {
@@ -166,13 +154,19 @@ impl Default for ReplicatorConfig {
         ReplicatorConfig {
             k_hops: 1,
             buffer: BufferSpec::Combined { ttl: SimDuration::from_secs(300), capacity: 1024 },
-            relocation_ttl: SimDuration::from_secs(300),
-            sweep_interval: SimDuration::from_secs(5),
-            handover_grace: SimDuration::from_millis(100),
-            max_batch_bytes: crate::paging::DEFAULT_MAX_BATCH_BYTES,
         }
     }
 }
+
+/// TTL of the notifications buffered for a disconnected client, and how
+/// long it stays disconnected before it is retired.
+const RELOCATION_TTL: SimDuration = SimDuration::from_secs(300);
+/// Housekeeping interval (buffer GC, TTL sweeps).
+const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Make-before-break window of the relocation hand-off: after
+/// `FetchBuffered` the old replicator keeps forwarding in-flight
+/// stragglers to the new one this long before it retires the client.
+const HANDOVER_GRACE: SimDuration = SimDuration::from_millis(100);
 
 const SWEEP_TAG: u64 = 0;
 const DRAIN_TAG_BASE: u64 = 1 << 32;
@@ -280,7 +274,7 @@ impl ReplicatorNode {
             replicator_nodes,
             movement,
             locations,
-            reloc: RelocationBuffers::new(config.relocation_ttl),
+            reloc: RelocationBuffers::new(RELOCATION_TTL),
             config,
             vcs: HashMap::new(),
             groups: HashMap::new(),
@@ -686,7 +680,7 @@ impl ReplicatorNode {
                 // drain-expiry timer sends the terminating chunk after the
                 // make-before-break grace period.
                 let peer = self.peer(new_border);
-                for page in crate::paging::pages(batch, self.config.max_batch_bytes) {
+                for page in pages(batch, DEFAULT_MAX_BATCH_BYTES) {
                     ctx.send(
                         peer,
                         Message::Mobility(MobilityMsg::BufferedBatch {
@@ -696,7 +690,7 @@ impl ReplicatorNode {
                         }),
                     );
                 }
-                ctx.set_timer(self.config.handover_grace, DRAIN_TAG_BASE + u64::from(client.raw()));
+                ctx.set_timer(HANDOVER_GRACE, DRAIN_TAG_BASE + u64::from(client.raw()));
             }
             MobilityMsg::BufferedBatch { client, notifications, complete } => {
                 if let Some(&node) = self.device_nodes.get(&client) {
@@ -770,7 +764,7 @@ impl ReplicatorNode {
                 // Page the replica buffer; only the last chunk carries the
                 // `complete` marker that ends the handover.
                 let peer = self.peer(reply_to);
-                let pages = crate::paging::pages(items, self.config.max_batch_bytes);
+                let pages = pages(items, DEFAULT_MAX_BATCH_BYTES);
                 let last = pages.len() - 1;
                 for (i, page) in pages.into_iter().enumerate() {
                     ctx.send(
@@ -926,7 +920,7 @@ impl ReplicatorNode {
 
 impl Node<Message> for ReplicatorNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Message>) {
-        ctx.set_timer(self.config.sweep_interval, 0);
+        ctx.set_timer(SWEEP_INTERVAL, 0);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Message>, from: NodeId, msg: Message) {
@@ -969,7 +963,7 @@ impl Node<Message> for ReplicatorNode {
         for client in self.reloc.expire(&mut self.ledger, now) {
             ctx.send(self.broker_node, Message::ClientDetach { client });
         }
-        ctx.set_timer(self.config.sweep_interval, SWEEP_TAG);
+        ctx.set_timer(SWEEP_INTERVAL, SWEEP_TAG);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

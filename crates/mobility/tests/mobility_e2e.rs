@@ -13,9 +13,10 @@ use rebeca_core::{
 };
 use rebeca_mobility::{
     app_of, BufferSpec, ClientMobilityMode, LocationMap, MobileClientNode, MovementGraph,
-    ReplicatorConfig, ReplicatorNode,
+    ReplicatorConfig, ReplicatorNode, DEFAULT_MAX_BATCH_BYTES,
 };
 use rebeca_net::{LinkConfig, NodeId, Topology, World};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A full deployment under test.
@@ -138,6 +139,33 @@ impl Deployment {
                     .attr("mark", seq_mark),
             },
         );
+    }
+
+    /// Publishes `marks` at `loc`, each padded to about 1 KiB of wire
+    /// size, so 64 of them fill a handover page.
+    fn publish_padded(
+        &mut self,
+        publisher_node: NodeId,
+        service: &str,
+        loc: u32,
+        marks: Range<i64>,
+    ) {
+        for mark in marks {
+            self.world.send_external(
+                publisher_node,
+                Message::AppPublish {
+                    attrs: Notification::builder()
+                        .attr("service", service)
+                        .attr("location", LocationId::new(loc))
+                        .attr("mark", mark)
+                        .attr("pad", "x".repeat(1024)),
+                },
+            );
+        }
+    }
+
+    fn replicator(&self, idx: usize) -> &ReplicatorNode {
+        self.world.node_as::<ReplicatorNode>(self.replicator_nodes[idx]).unwrap()
     }
 
     fn settle(&mut self) {
@@ -404,4 +432,73 @@ fn exception_mode_recovers_popup_clients() {
     // location (degraded service: it is L0 information, which the client
     // subscribed to while there).
     assert!(marks.contains(&2), "exception fetch must recover the gap; got {marks:?}");
+}
+
+/// Asserts that `client_node` got exactly `marks`, each once and in
+/// publication order (the tests that use it have a single publisher).
+fn assert_every_mark_once_in_order(d: &Deployment, client_node: NodeId, marks: Range<i64>) {
+    assert_eq!(d.delivered_marks(client_node), marks.collect::<Vec<_>>());
+    let lb = d.world.node_as::<MobileClientNode>(client_node).unwrap().local();
+    assert_eq!(lb.duplicates(), 0, "a mark arrived twice");
+    assert_eq!(lb.fifo_violations(), 0);
+}
+
+#[test]
+fn paged_relocation_drain_delivers_every_mark_once_in_order() {
+    // The buffer a disconnected client leaves at B0 outgrows one page, so
+    // the drain to B3 travels as several `BufferedBatch` chunks.
+    let mut d = replicated(
+        Topology::line(4).unwrap(),
+        MovementGraph::line(4),
+        ReplicatorConfig { k_hops: 0, ..Default::default() },
+    );
+    let p = d.add_publisher(ClientId::new(100), 1);
+    let c = d.add_mobile_client(ClientId::new(1), ClientMobilityMode::Relocation);
+    d.arrive(c, 0);
+    d.settle();
+    d.subscribe(c, 1, Filter::builder().eq("service", "stock").build());
+    d.settle();
+    d.publish_padded(p, "stock", 0, 0..5);
+    d.settle();
+    d.depart(c);
+    d.settle();
+    d.publish_padded(p, "stock", 0, 5..165);
+    d.settle();
+    let held = d.replicator(0).buffer_bytes();
+    assert!(held > DEFAULT_MAX_BATCH_BYTES, "B0 holds {held} B, one page or less");
+    d.arrive(c, 3);
+    d.settle();
+    assert!(d.replicator(3).stats().replayed >= 160, "the drain must come through B3");
+    d.publish_padded(p, "stock", 0, 165..170);
+    d.settle();
+    assert_every_mark_once_in_order(&d, c, 0..170);
+}
+
+#[test]
+fn paged_virtual_client_replay_delivers_every_mark_once_in_order() {
+    // The client pops up at B3, outside nlb(B0): the buffer of its
+    // virtual client at B0 outgrows one page, so the exception-mode fetch
+    // answers with several `ReplicaBatch` chunks.
+    let mut d =
+        replicated(Topology::line(4).unwrap(), MovementGraph::line(4), ReplicatorConfig::default());
+    let p0 = d.add_publisher(ClientId::new(100), 0);
+    let c = d.add_mobile_client(ClientId::new(1), ClientMobilityMode::Relocation);
+    d.arrive(c, 0);
+    d.settle();
+    d.subscribe(c, 1, Filter::builder().eq("service", "s").myloc("location").build());
+    d.settle();
+    d.publish_padded(p0, "s", 0, 0..5);
+    d.settle();
+    d.depart(c);
+    d.settle();
+    d.publish_padded(p0, "s", 0, 5..165);
+    d.settle();
+    let held = d.replicator(0).buffer_bytes();
+    assert!(held > DEFAULT_MAX_BATCH_BYTES, "B0 holds {held} B, one page or less");
+    d.arrive(c, 3);
+    d.settle();
+    let stats = d.replicator(3).stats();
+    assert!(stats.exceptions >= 1, "the pop-up must take the exception-mode fetch");
+    assert!(stats.replayed >= 160, "the replay must come through B3");
+    assert_every_mark_once_in_order(&d, c, 0..165);
 }

@@ -322,7 +322,7 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
         SystemVariant::NaiveReconnect | SystemVariant::ReactiveLogical => Deployment::reactive(),
         SystemVariant::ExtendedLogical { k, buffer, shared: _ } => Deployment::Replicated {
             movement: Some(movement.clone()),
-            config: ReplicatorConfig { k_hops: *k, buffer: buffer.clone(), ..Default::default() },
+            config: ReplicatorConfig { k_hops: *k, buffer: buffer.clone() },
         },
     };
 

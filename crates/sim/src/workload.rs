@@ -3,8 +3,7 @@
 //! Publishers sit at border brokers (one per broker by default) and publish
 //! location-stamped service notifications — weather per region, menus per
 //! restaurant, temperature per office. Arrival processes are Poisson
-//! (seeded, reproducible) or periodic; location popularity can be skewed by
-//! a Zipf law to model hot spots.
+//! (seeded, reproducible) or periodic, at the same rate at every broker.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -47,9 +46,6 @@ pub struct WorkloadConfig {
     pub services: Vec<String>,
     /// Arrival process per (broker, service) publisher.
     pub arrivals: Arrivals,
-    /// Zipf skew across brokers (0.0 = uniform rates; larger = hotter
-    /// hot-spots). Applied as a per-broker rate multiplier.
-    pub zipf_s: f64,
     /// Workload horizon.
     pub duration: SimDuration,
     /// Warm-up offset before the first publication.
@@ -63,7 +59,6 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             services: vec!["service".to_owned()],
             arrivals: Arrivals::Poisson { rate: 1.0 },
-            zipf_s: 0.0,
             duration: SimDuration::from_secs(60),
             start: SimTime::from_secs(1),
             seed: 1,
@@ -79,29 +74,18 @@ impl WorkloadConfig {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut events = Vec::new();
         let mut mark: i64 = 0;
-        // Zipf weights over brokers, normalised to mean 1.
-        let weights: Vec<f64> = if self.zipf_s == 0.0 {
-            vec![1.0; brokers]
-        } else {
-            let raw: Vec<f64> =
-                (0..brokers).map(|i| 1.0 / ((i + 1) as f64).powf(self.zipf_s)).collect();
-            let mean = raw.iter().sum::<f64>() / brokers as f64;
-            raw.into_iter().map(|w| w / mean).collect()
-        };
         let horizon = self.start + self.duration;
-        for (b, weight) in weights.iter().enumerate() {
+        for b in 0..brokers {
             for service in &self.services {
                 let mut t = self.start;
                 loop {
                     let step = match self.arrivals {
                         Arrivals::Poisson { rate } => {
-                            let lambda = (rate * weight).max(1e-9);
+                            let lambda = rate.max(1e-9);
                             let u: f64 = rng.random::<f64>().max(1e-12);
                             SimDuration::from_micros((-u.ln() / lambda * 1e6) as u64 + 1)
                         }
-                        Arrivals::Periodic { period } => SimDuration::from_micros(
-                            ((period.as_micros() as f64) / weight.max(1e-9)) as u64,
-                        ),
+                        Arrivals::Periodic { period } => period,
                     };
                     t += step;
                     if t > horizon {
@@ -178,24 +162,6 @@ mod tests {
                 assert!(events[i - 1].at <= e.at);
             }
         }
-    }
-
-    #[test]
-    fn zipf_skews_rates() {
-        let cfg = WorkloadConfig {
-            arrivals: Arrivals::Poisson { rate: 5.0 },
-            zipf_s: 1.5,
-            duration: SimDuration::from_secs(200),
-            ..Default::default()
-        };
-        let events = cfg.generate(4);
-        let count = |b: u32| events.iter().filter(|e| e.broker == BrokerId::new(b)).count();
-        assert!(
-            count(0) > 2 * count(3),
-            "broker 0 should be much hotter: {} vs {}",
-            count(0),
-            count(3)
-        );
     }
 
     #[test]

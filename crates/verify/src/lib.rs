@@ -11,7 +11,7 @@
 //!
 //! * [`shim`] — drop-in `AtomicU64`/`AtomicUsize`/`AtomicBool` (explicit
 //!   orderings honored under a store-buffer-style weak-memory model),
-//!   `Mutex`, `RwLock`, `Condvar`, mpsc channels, and `thread`
+//!   `Mutex`, `Condvar`, mpsc channels, and `thread`
 //!   spawn/join, mirroring the exact API surface the production code
 //!   uses. `rebeca-net` re-exports these through a small `sync` facade
 //!   module when compiled with `--cfg rebeca_verify`, so the

@@ -114,7 +114,7 @@ pub(crate) fn init_store(val: u64) -> StoreRec {
 
 /// Fresh model state for a lock resource.
 pub(crate) fn new_lock() -> Resource {
-    Resource::Lock { writer: None, readers: Vec::new(), view: View::default() }
+    Resource::Lock { holder: None, view: View::default() }
 }
 
 /// Fresh model state for a condvar resource.
@@ -139,9 +139,9 @@ pub(crate) fn abort_now() -> ! {
 pub(crate) enum Resource {
     /// An atomic cell with its full modification order.
     Atomic { stores: Vec<StoreRec> },
-    /// A mutex (`write`-only) or rwlock. `view` accumulates the views of
-    /// every releasing holder; acquirers join it (locks synchronize).
-    Lock { writer: Option<ThreadId>, readers: Vec<ThreadId>, view: View },
+    /// A mutex. `view` accumulates the views of every releasing holder;
+    /// acquirers join it (locks synchronize).
+    Lock { holder: Option<ThreadId>, view: View },
     /// A condvar: the set of threads currently parked in `wait`.
     Condvar { waiters: Vec<ThreadId> },
     /// An mpsc channel. Payload values live in the shim object; the model
@@ -153,7 +153,7 @@ pub(crate) enum Resource {
 /// Why a thread is blocked (used for wakeups and deadlock reports).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Block {
-    Lock { res: ResourceId, write: bool },
+    Lock { res: ResourceId },
     CondWait { res: ResourceId },
     Recv { res: ResourceId },
     Join { target: ThreadId },
@@ -699,7 +699,7 @@ impl Execution {
 
     // ---- locks -----------------------------------------------------------
 
-    pub(crate) fn lock_acquire(&self, me: ThreadId, res: ResourceId, write: bool) {
+    pub(crate) fn lock_acquire(&self, me: ThreadId, res: ResourceId) {
         self.yield_point(me);
         let mut g = self.lock();
         loop {
@@ -707,54 +707,38 @@ impl Execution {
                 drop(g);
                 abort_unwind();
             }
-            let free = {
-                let Resource::Lock { writer, readers, .. } = &g.resources[res] else {
-                    unreachable!("resource {res} is not a lock")
-                };
-                writer.is_none() && (!write || readers.is_empty())
+            let Resource::Lock { holder, view } = &mut g.resources[res] else {
+                unreachable!("resource {res} is not a lock")
             };
-            if free {
-                let lock_view = {
-                    let Resource::Lock { writer, readers, view } = &mut g.resources[res] else {
-                        unreachable!()
-                    };
-                    if write {
-                        *writer = Some(me);
-                    } else {
-                        readers.push(me);
-                    }
-                    view.clone()
-                };
+            if holder.is_none() {
+                *holder = Some(me);
+                let lock_view = view.clone();
                 g.threads[me].view.join(&lock_view);
                 return;
             }
-            g = self.park(g, me, Block::Lock { res, write });
+            g = self.park(g, me, Block::Lock { res });
         }
     }
 
-    fn release_locked(g: &mut Guard<'_>, me: ThreadId, res: ResourceId, write: bool) {
+    fn release_locked(g: &mut Guard<'_>, me: ThreadId, res: ResourceId) {
         let me_view = g.threads[me].view.clone();
-        let Resource::Lock { writer, readers, view } = &mut g.resources[res] else {
+        let Resource::Lock { holder, view } = &mut g.resources[res] else {
             unreachable!("resource {res} is not a lock")
         };
-        if write {
-            debug_assert_eq!(*writer, Some(me), "releasing a write lock we do not hold");
-            *writer = None;
-        } else {
-            readers.retain(|&t| t != me);
-        }
+        debug_assert_eq!(*holder, Some(me), "releasing a lock we do not hold");
+        *holder = None;
         view.join(&me_view);
-        Self::wake(g, |b| matches!(b, Block::Lock { res: r, .. } if *r == res));
+        Self::wake(g, |b| matches!(b, Block::Lock { res: r } if *r == res));
     }
 
     /// `unwinding` releases (guard dropped during a panic) skip the yield
     /// point: they must not raise a second panic mid-unwind.
-    pub(crate) fn lock_release(&self, me: ThreadId, res: ResourceId, write: bool, unwinding: bool) {
+    pub(crate) fn lock_release(&self, me: ThreadId, res: ResourceId, unwinding: bool) {
         if !unwinding {
             self.yield_point(me);
         }
         let mut g = self.lock();
-        Self::release_locked(&mut g, me, res, write);
+        Self::release_locked(&mut g, me, res);
         self.cv.notify_all();
     }
 
@@ -765,7 +749,7 @@ impl Execution {
         let mut g = self.lock();
         // Atomically release the mutex and park on the condvar: no wakeup
         // between the two can be lost (the classic condvar contract).
-        Self::release_locked(&mut g, me, lock_res, true);
+        Self::release_locked(&mut g, me, lock_res);
         {
             let Resource::Condvar { waiters } = &mut g.resources[cv_res] else {
                 unreachable!("resource {cv_res} is not a condvar")
@@ -775,7 +759,7 @@ impl Execution {
         let g = self.park(g, me, Block::CondWait { res: cv_res });
         drop(g);
         // Reacquire the mutex before returning (contends normally).
-        self.lock_acquire(me, lock_res, true);
+        self.lock_acquire(me, lock_res);
     }
 
     pub(crate) fn cond_notify(&self, me: ThreadId, cv_res: ResourceId, all: bool) {

@@ -25,7 +25,6 @@
 
 use crate::sched::{self, Execution, Resource, ResourceId, ThreadId};
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::Mutex as StdMutex;
 use std::sync::PoisonError;
 
@@ -185,7 +184,7 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let (exec, me) = sched::ctx();
         let res = self.res(&exec);
-        exec.lock_acquire(me, res, true);
+        exec.lock_acquire(me, res);
         MutexGuard { mutex: self, inner: Some(unpoison(self.data.lock())), res, held: true }
     }
 
@@ -213,92 +212,8 @@ impl<T> Drop for MutexGuard<'_, T> {
         self.inner.take();
         if self.held {
             let (exec, me) = sched::ctx();
-            exec.lock_release(me, self.res, true, std::thread::panicking());
+            exec.lock_release(me, self.res, std::thread::panicking());
         }
-    }
-}
-
-/// Model-checked reader-writer lock with the `parking_lot` API.
-#[derive(Debug, Default)]
-pub struct RwLock<T> {
-    reg: Reg,
-    data: std::sync::RwLock<T>,
-}
-
-/// Shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T> {
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-    res: ResourceId,
-    _marker: PhantomData<&'a RwLock<T>>,
-}
-
-/// Exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T> {
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-    res: ResourceId,
-    _marker: PhantomData<&'a RwLock<T>>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(t: T) -> Self {
-        RwLock { reg: Reg::new(), data: std::sync::RwLock::new(t) }
-    }
-
-    fn res(&self, exec: &Execution) -> ResourceId {
-        self.reg.id(exec, sched::new_lock)
-    }
-
-    /// Acquires a shared read guard (model scheduling point).
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let (exec, me) = sched::ctx();
-        let res = self.res(&exec);
-        exec.lock_acquire(me, res, false);
-        RwLockReadGuard { inner: Some(unpoison(self.data.read())), res, _marker: PhantomData }
-    }
-
-    /// Acquires the exclusive write guard (model scheduling point).
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let (exec, me) = sched::ctx();
-        let res = self.res(&exec);
-        exec.lock_acquire(me, res, true);
-        RwLockWriteGuard { inner: Some(unpoison(self.data.write())), res, _marker: PhantomData }
-    }
-}
-
-impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard payload present")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner.take();
-        let (exec, me) = sched::ctx();
-        exec.lock_release(me, self.res, false, std::thread::panicking());
-    }
-}
-
-impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard payload present")
-    }
-}
-
-impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard payload present")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.inner.take();
-        let (exec, me) = sched::ctx();
-        exec.lock_release(me, self.res, true, std::thread::panicking());
     }
 }
 

@@ -335,31 +335,6 @@ fn channel_send_synchronizes_with_recv() {
 }
 
 #[test]
-fn rwlock_allows_concurrent_readers_and_exclusive_writers() {
-    let report = Checker::new("litmus_rwlock").check(|| {
-        let v = Arc::new(rebeca_verify::shim::RwLock::new(0u64));
-        let writer = {
-            let v = Arc::clone(&v);
-            thread::spawn(move || {
-                *v.write() += 10;
-            })
-        };
-        let reader = {
-            let v = Arc::clone(&v);
-            thread::spawn(move || {
-                let g = v.read();
-                assert!(*g == 0 || *g == 10, "torn read through rwlock");
-            })
-        };
-        writer.join().unwrap();
-        reader.join().unwrap();
-        assert_eq!(*v.read(), 10);
-    });
-    report.assert_ok();
-    assert!(report.complete);
-}
-
-#[test]
 fn step_budget_flags_livelocks() {
     let report = Checker::new("litmus_livelock").max_steps(200).check(|| {
         let flag = AtomicBool::new(false);

@@ -114,11 +114,10 @@
 //! candidate dominators — filters whose distinct attribute set is a
 //! subset or superset of the churning filter's, pure-equality filters
 //! additionally pre-filtered by a canonical value digest
-//! ([`core::filter::Filter::cover_key`]). Links below 64 distinct filters
-//! keep the plain scan (faster at that size); larger links build the
-//! index once and from then on pay O(candidates) per mutation instead of
-//! O(distinct served filters), so a 10⁵-filter preload is built in linear
-//! time.
+//! ([`core::filter::Filter::cover_key`]). Every covering link keeps the
+//! index from its first filter and pays O(candidates) per mutation
+//! instead of O(distinct served filters), so a 10⁵-filter preload is
+//! built in linear time.
 //!
 //! ## Wire protocol & multi-process runtime
 //!

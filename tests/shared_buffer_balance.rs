@@ -54,11 +54,7 @@ proptest! {
         spec in arb_spec(),
         k_hops in 1u32..3,
     ) {
-        let config = ReplicatorConfig {
-            buffer: spec,
-            k_hops,
-            ..ReplicatorConfig::default()
-        };
+        let config = ReplicatorConfig { buffer: spec, k_hops };
         let mut sys = SystemBuilder::new(Topology::line(BROKERS as usize).expect("valid line"))
             .deployment(Deployment::Replicated {
                 movement: Some(MovementGraph::line(BROKERS as usize)),
