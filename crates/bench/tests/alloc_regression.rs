@@ -481,7 +481,7 @@ impl Node<Ball> for Paddle {
 
 #[test]
 fn world_event_loop_allocates_nothing() {
-    let mut world: World<Ball> = World::new(1);
+    let mut world: World<Ball> = World::new();
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     world.add_node(Box::new(Paddle { peer: b, watchdog: None, hits: 0 }));
     world.add_node(Box::new(Paddle { peer: a, watchdog: None, hits: 0 }));

@@ -205,11 +205,6 @@ impl BrokerCore {
         &self.neighbors
     }
 
-    /// The world node of a broker id (for wrappers sending control traffic).
-    pub fn node_of(&self, broker: BrokerId) -> NodeId {
-        self.broker_nodes[broker.raw() as usize]
-    }
-
     /// Handles one message, returning its local deliveries. Allocating
     /// convenience form of
     /// [`BrokerCore::handle_into`].

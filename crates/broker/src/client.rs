@@ -251,11 +251,6 @@ impl LocalBroker {
         self.fifo_violations
     }
 
-    /// Publications still queued while disconnected.
-    pub fn pending_publications(&self) -> usize {
-        self.pending_pubs.len()
-    }
-
     /// Sends publications queued while disconnected (no-op unless
     /// connected). Called automatically by [`LocalBroker::attach`];
     /// relocation-style attachment calls it explicitly after `MoveIn`.

@@ -28,7 +28,7 @@ enum Op {
 fn build_world(strategy: RoutingStrategy) -> World<Message> {
     let topology = Arc::new(Topology::star(BROKERS).expect("valid star"));
     let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..BROKERS as u32).map(NodeId::new).collect());
-    let mut world = World::new(7);
+    let mut world = World::new();
     for b in topology.brokers() {
         let core = BrokerCore::new(b, Arc::clone(&topology), Arc::clone(&broker_nodes), strategy);
         world.add_node(Box::new(BrokerNode::new(core)));

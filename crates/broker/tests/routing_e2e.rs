@@ -17,7 +17,7 @@ fn build(topology: Topology, strategy: RoutingStrategy) -> Net {
     let topology = Arc::new(topology);
     let n = topology.broker_count();
     let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..n as u32).map(NodeId::new).collect());
-    let mut world = World::new(1234);
+    let mut world = World::new();
     for b in topology.brokers() {
         let core = BrokerCore::new(b, Arc::clone(&topology), Arc::clone(&broker_nodes), strategy);
         let id = world.add_node(Box::new(BrokerNode::new(core)));

@@ -52,16 +52,6 @@ impl Value {
         }
     }
 
-    /// Returns the comparison-class name of this value (used in diagnostics).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) | Value::Float(_) => "number",
-            Value::Str(_) => "string",
-            Value::Loc(_) => "location",
-        }
-    }
-
     /// Returns the boolean payload, if this is a `Bool`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

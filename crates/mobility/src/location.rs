@@ -72,11 +72,6 @@ impl LocationMap {
         filter.resolve_locations(self.scope(broker))
     }
 
-    /// All brokers whose scope contains `location`.
-    pub fn brokers_serving(&self, location: LocationId) -> Vec<BrokerId> {
-        self.scopes.iter().filter(|(_, s)| s.contains(&location)).map(|(b, _)| *b).collect()
-    }
-
     /// Iterates over `(broker, scope)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&BrokerId, &BTreeSet<LocationId>)> {
         self.scopes.iter()

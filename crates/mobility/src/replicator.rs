@@ -1022,7 +1022,7 @@ mod tests {
         fn new(broker: BrokerId) -> Rig {
             let mut locations = LocationMap::new();
             locations.assign(broker, [LocationId::new(0)]);
-            let mut world = World::new(1);
+            let mut world = World::new();
             world.add_node(Box::new(Relay { to: REPLICATOR, got: Vec::new() }));
             world.add_node(Box::new(ReplicatorNode::new(
                 broker,

@@ -35,7 +35,7 @@ fn replicated(topology: Topology, movement: MovementGraph, config: ReplicatorCon
         Arc::new((n as u32..2 * n as u32).map(NodeId::new).collect());
     let locations = Arc::new(LocationMap::one_per_broker(&topology));
     let movement = Arc::new(movement);
-    let mut world = World::new(7);
+    let mut world = World::new();
     for b in topology.brokers() {
         let core = BrokerCore::new(
             b,

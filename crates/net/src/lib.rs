@@ -8,8 +8,10 @@
 //!
 //! * [`World`] — a deterministic **discrete-event simulator**. All protocol
 //!   state machines implement the sans-io [`Node`] trait; the simulator owns
-//!   time, links and delivery. Runs are exactly reproducible, which is what
-//!   the scenario runner and its oracle need.
+//!   time, links and delivery. A link has one constant latency per
+//!   direction ([`LinkConfig`]), and the world draws no random numbers, so
+//!   runs are exactly reproducible, which is what the scenario runner and
+//!   its oracle need.
 //! * [`process_rt::ProcessRuntime`] — a **live runtime** that runs the
 //!   *same* node state machines on one OS thread each, behind channel
 //!   inboxes, and hosts a partition of them per OS process: traffic to a
@@ -43,7 +45,7 @@ pub mod topology;
 pub mod wire;
 pub mod world;
 
-pub use link::{LatencyModel, LinkConfig, LinkKey, LinkTable};
+pub use link::LinkConfig;
 pub use metrics::{LinkCounters, LinkMetrics, NetMetrics};
 pub use node::{Ctx, Node, NodeId, Payload, TimerId};
 pub use process_rt::{LinkMetricsHandle, PeerId, PeerStatus, ProcessRuntime, PEER_SEND_CAPACITY};

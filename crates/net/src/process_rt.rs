@@ -769,11 +769,6 @@ impl<M: Payload + Wire> Supervisor<M> {
     /// One link died: contain the damage, then (policy permitting) heal.
     fn handle_down(&mut self, i: usize, cause: LinkDownCause) {
         LinkCounters::bump(&self.counters.link_downs);
-        {
-            let mut st = self.peers[i].status.lock();
-            st.up = false;
-            st.last_cause = Some(cause.clone());
-        }
         // Mark every up route that crosses this peer down, locally only:
         // the peer is unreachable, so there is nobody to broadcast to, and
         // other peers' views of *their* routes are unaffected.
@@ -802,6 +797,13 @@ impl<M: Payload + Wire> Supervisor<M> {
         // the dead link and tells the old writer (if it is the surviving
         // half) to exit. Every discarded byte is counted.
         self.peers[i].buffer.mark_down();
+        // Only now publish the verdict: whoever sees the link down finds
+        // its buffer down too, so a frame sent after that is a counted drop.
+        {
+            let mut st = self.peers[i].status.lock();
+            st.up = false;
+            st.last_cause = Some(cause.clone());
+        }
         self.teardown_peer(i, false);
 
         // ordering: Relaxed — advisory flag, see ProcessRuntime::stop.

@@ -1,9 +1,9 @@
-//! A tiny deterministic PRNG for the simulator's internal needs.
+//! A tiny deterministic PRNG for the substrate's internal needs.
 //!
-//! Link-latency jitter must be reproducible across runs and independent of
-//! external crate versions, so the simulator uses its own SplitMix64
-//! generator. Workload generation in higher layers uses the `rand` crate —
-//! this type is only for substrate-internal randomness.
+//! Random topologies and reconnect backoff must be reproducible across runs
+//! and independent of external crate versions, so the substrate uses its
+//! own SplitMix64 generator. Workload generation in higher layers uses the
+//! `rand` crate — this type is only for substrate-internal randomness.
 
 use serde::{Deserialize, Serialize};
 
@@ -50,11 +50,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// Derives an independent generator (e.g. one per link).
-    pub fn fork(&mut self, salt: u64) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
 }
 
 #[cfg(test)]
@@ -98,13 +93,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_bound_panics() {
         SplitMix64::new(0).next_below(0);
-    }
-
-    #[test]
-    fn forked_generators_are_independent() {
-        let mut root = SplitMix64::new(3);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

@@ -329,7 +329,6 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let mut sys = SystemBuilder::new(topology)
         .strategy(cfg.strategy)
         .deployment(deployment)
-        .seed(cfg.seed)
         .build()
         .expect("scenario produced a deployment its own topology rejects");
 

@@ -123,7 +123,6 @@ pub struct SystemBuilder {
     deployment: Deployment,
     locations: Option<LocationMap>,
     link_latency: SimDuration,
-    seed: u64,
     /// What [`SystemBuilder::shards`] was given; anything but 1 fails the
     /// build.
     shards: usize,
@@ -140,7 +139,6 @@ impl SystemBuilder {
             deployment: Deployment::Static,
             locations: None,
             link_latency: SimDuration::from_millis(1),
-            seed: 42,
             shards: 1,
             reconnect: None,
             replication: 1,
@@ -177,10 +175,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the determinism seed.
+    /// Does nothing: a simulated run draws no random numbers, so it has no
+    /// seed. Exists only until the benchmark's `roam` workload stops
+    /// calling it (`bench/src/roam.rs`).
     #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    pub fn seed(self, _seed: u64) -> Self {
         self
     }
 
@@ -313,7 +312,7 @@ impl SystemBuilder {
             .map(|(movement, config)| (Arc::new(movement), Arc::clone(&locations), config));
         let parts = Parts::new(self.topology, self.strategy, mobility);
         let link = LinkConfig::constant(self.link_latency);
-        let mut world = World::new(self.seed);
+        let mut world = World::new();
         for node in &plan.nodes {
             world.add_node(parts.node(&plan, node.kind));
         }
@@ -353,8 +352,8 @@ impl SystemBuilder {
     /// Attribute-name symbols are per-broker: each broker's match index
     /// interns the names it meets — nothing interned ever crosses the
     /// wire. Returns the broker node ids, indexed by
-    /// [`BrokerId`]. The simulation-only settings of the builder (seed,
-    /// link latency) are ignored. A
+    /// [`BrokerId`]. The simulation-only setting of the builder (link
+    /// latency) is ignored. A
     /// [`reconnect_policy`](SystemBuilder::reconnect_policy), if set, is
     /// installed on `rt` so killed peer processes are survivable (see
     /// [`rebeca_net::supervisor`]).

@@ -73,9 +73,6 @@ impl Plan {
             topology.brokers().map(|b| alloc(NodeKind::Replicator(b), b)).collect::<Vec<_>>()
         });
 
-        // The order is part of the plan: the simulator forks each link's
-        // jitter stream as it installs the link, so reordering would change
-        // every seeded run.
         let mut edges: Vec<(NodeId, NodeId)> = topology
             .edges()
             .iter()

@@ -248,7 +248,7 @@ fn run_simulated(script: &Script) -> (Observed, Observed) {
     let topology = Arc::new(Topology::line(BROKERS).expect("non-empty"));
     let broker_nodes: Arc<Vec<NodeId>> = Arc::new((0..BROKERS as u32).map(NodeId::new).collect());
 
-    let mut world: World<Message> = World::new(0);
+    let mut world: World<Message> = World::new();
     for b in topology.brokers() {
         let core = BrokerCore::new(
             b,
