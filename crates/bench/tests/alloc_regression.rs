@@ -13,6 +13,9 @@
 //!   op-log replication wrapper, table populated through a live group of 3.
 //! * [`World::step`] — the simulator's event loop: pop, dispatch, apply,
 //!   with a delivery and a timer set and cancelled per hop.
+//! * [`ProcessRuntime`]'s event loop — a rally between two locally linked
+//!   nodes, which one loop thread drives: each hop a push onto the loop's
+//!   lane and a pop off it.
 //!
 //! The counter is per thread: the test harness's own thread allocates
 //! while the test runs (about one run in thirty saw it inside a measured
@@ -22,18 +25,23 @@ use rebeca_broker::replication::{
     Outbox, Replica, ReplicaConfig, ReplicaMsg, ReplicatedBrokerNode, ReplicationMetrics,
 };
 use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
+use rebeca_core::CoreError;
 use rebeca_core::SimDuration;
 use rebeca_core::{
     BrokerId, ClientId, Filter, Interner, LocationId, Notification, SimTime, Subscription,
     SubscriptionId,
 };
 use rebeca_mobility::{BufferSpec, ByteLedger};
-use rebeca_net::{Ctx, LinkConfig, Node, NodeId, Payload, TimerId, Topology, World};
+use rebeca_net::{
+    Ctx, LinkConfig, Node, NodeId, Payload, ProcessRuntime, TimerId, Topology, Wire, World,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Counts every allocation (alloc + realloc) the calling thread passes
 /// through the global allocator.
@@ -447,6 +455,17 @@ impl Payload for Ball {
     }
 }
 
+impl Wire for Ball {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0.to_le_bytes());
+    }
+    fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
+        let raw: [u8; 8] =
+            bytes.try_into().map_err(|_| CoreError::Truncated { need: 8, have: bytes.len() })?;
+        Ok(Ball(u64::from_le_bytes(raw)))
+    }
+}
+
 /// Returns every ball to its peer and re-arms a watchdog per hop: the
 /// previous timer is cancelled, a fresh one set. The watchdog is longer
 /// than a round trip, so it never fires.
@@ -506,4 +525,79 @@ fn world_event_loop_allocates_nothing() {
     let stepped = allocations() - before;
     assert!(hits(&world) - hits_before >= 128, "most steps are deliveries");
     assert_eq!(stepped, 0, "World::step allocated {stepped} times in 256 steady-state steps");
+}
+
+/// Hops of the live rally before the measured ones, and measured hops.
+const LIVE_WARM: u64 = 1024;
+const LIVE_MEASURED: u64 = 256;
+
+/// Returns every ball to its loop-mate until the rally is measured. The
+/// loop thread's allocation count is read at the first and the last
+/// measured hop, from inside the handlers: both nodes run on that thread.
+struct LiveRally {
+    peer: NodeId,
+    hits: Arc<AtomicU64>,
+    start: Arc<AtomicU64>,
+    end: Arc<AtomicU64>,
+}
+
+impl Node<Ball> for LiveRally {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Ball>, _from: NodeId, ball: Ball) {
+        // ordering: Relaxed — one thread counts; the test thread polls it
+        // for progress only.
+        let hit = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
+        if hit == LIVE_WARM {
+            // ordering: Relaxed — read after the runtime's stop joined
+            // this thread.
+            self.start.store(allocations(), Ordering::Relaxed);
+        }
+        if hit == LIVE_WARM + LIVE_MEASURED {
+            // ordering: Relaxed — as `start`.
+            self.end.store(allocations(), Ordering::Relaxed);
+            return;
+        }
+        ctx.send(self.peer, Ball(ball.0 + 1));
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn live_event_loop_allocates_nothing() {
+    let hits = Arc::new(AtomicU64::new(0));
+    let start = Arc::new(AtomicU64::new(u64::MAX));
+    let end = Arc::new(AtomicU64::new(u64::MAX));
+    let mut rt: ProcessRuntime<Ball> = ProcessRuntime::new();
+    let (a, b) = (NodeId::new(0), NodeId::new(1));
+    for peer in [b, a] {
+        rt.add_local(Box::new(LiveRally {
+            peer,
+            hits: Arc::clone(&hits),
+            start: Arc::clone(&start),
+            end: Arc::clone(&end),
+        }));
+    }
+    rt.connect(a, b);
+    rt.start();
+    rt.send_external(a, Ball(0));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // ordering: Relaxed — a progress poll; the values are read after stop.
+    while hits.load(Ordering::Relaxed) < LIVE_WARM + LIVE_MEASURED && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    rt.stop();
+    // ordering: Relaxed — the stop joined the loop thread that stored them.
+    let (start, end) = (start.load(Ordering::Relaxed), end.load(Ordering::Relaxed));
+    assert!(end != u64::MAX, "the rally ran its {} hops", LIVE_WARM + LIVE_MEASURED);
+    let rallied = end - start;
+    assert_eq!(
+        rallied, 0,
+        "the event loop allocated {rallied} times in {LIVE_MEASURED} steady-state hops"
+    );
 }

@@ -13,9 +13,10 @@
 //!   runs are exactly reproducible, which is what the scenario runner and
 //!   its oracle need.
 //! * [`process_rt::ProcessRuntime`] — a **live runtime** that runs the
-//!   *same* node state machines on one OS thread each, behind channel
-//!   inboxes, and hosts a partition of them per OS process: traffic to a
-//!   node in another process is framed over a Unix domain socket. Its
+//!   *same* node state machines on event loops, one OS thread each; a
+//!   client shares its border broker's loop, so a send between them is a
+//!   queue push. It hosts a partition of the nodes per OS process: traffic
+//!   to a node in another process is framed over a Unix domain socket. Its
 //!   peer links have a **supervised lifecycle** ([`supervisor`]): a dying
 //!   peer never panics a service thread — its routes go down, its traffic
 //!   is counted and dropped, and under a [`ReconnectPolicy`] the link is
@@ -31,6 +32,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod event_queue;
 pub mod link;
 pub mod metrics;
 pub mod node;

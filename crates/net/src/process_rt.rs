@@ -2,9 +2,10 @@
 //! that cross OS process boundaries as framed byte streams.
 //!
 //! [`ProcessRuntime`] is the live counterpart of the simulator
-//! ([`World`](crate::World)): one OS thread per local node, and a
-//! deployment split over as many processes as it has partitions. A
-//! runtime with no peers is a one-process deployment. The contract:
+//! ([`World`](crate::World)): its local nodes run on event loops, one OS
+//! thread each, and a deployment is split over as many processes as it
+//! has partitions. A runtime with no peers is a one-process
+//! deployment. The contract:
 //!
 //! * **Global id space.** Every participating process declares the *same*
 //!   nodes in the *same* order — [`add_local`] for the ones it hosts,
@@ -23,19 +24,33 @@
 //! * **FIFO per link.** A peer connection is one byte stream parsed by one
 //!   reader thread, and the link's [`SendBuffer`] lets one writer at a
 //!   time at it (its write token), so frames between two processes arrive
-//!   in the order they were sent — the same per-link FIFO a local inbox and
-//!   the simulator give.
+//!   in the order they were sent — the same per-link FIFO an event loop's
+//!   lane and inbox and the simulator give.
+//!
+//! [`start`] gives each local node that has exactly one link — a client,
+//! say — the event loop of the node at its other end when that one is
+//! local too (a union–find over the local pairs [`connect`] declared), and
+//! every other local node a loop of its own. A client and its border
+//! broker thus share a loop, and a send between them is a push onto the
+//! loop's lane, not a channel send and a thread wake-up. Two nodes with
+//! further links — the brokers of one process, adjacent or not, or the
+//! members of a replica group — keep separate threads and cores. Measured
+//! on the end-to-end benchmark, two brokers on one loop lost 16 % of their
+//! matching throughput to the shared core, and a primary on its backup's
+//! loop had its acknowledgements back within the round, so its `Prepare`
+//! batches shrank and the wire carried more, smaller messages.
 //!
 //! Each peer link runs two threads: a **writer** that drains the link's
-//! bounded [`SendBuffer`] (blocking node threads when full — backpressure)
+//! bounded [`SendBuffer`] (blocking event loops when full — backpressure)
 //! and issues coalesced stream writes, and a **reader** that feeds raw
 //! reads through a [`FrameReassembler`] (partial reads, many frames per
-//! read) and routes whole frames to local node inboxes. Node threads run
-//! the node loop, putting each local send straight into the destination's
-//! inbox and encoding each remote send into one reused frame buffer.
+//! read) and routes whole frames to the inboxes of the destinations'
+//! event loops. An event loop puts each send to another loop's node into
+//! that loop's inbox and encodes each remote send into one reused frame
+//! buffer.
 //!
-//! A node thread whose inbox is empty after the envelope it handles (a
-//! *quiet* send, see the node loop) writes a frame to the peer socket
+//! An event loop with nothing else to do after the event it handles (a
+//! *quiet* send, see the event loop) writes a frame to the peer socket
 //! **itself** when the buffer grants it the write token — nothing queued
 //! for the link and no write in flight. That saves the writer thread's
 //! wake-up on every lightly loaded hop. Otherwise the frame is pushed and
@@ -43,8 +58,14 @@
 //! supervisor keeps the live epoch's stream for these direct writes: it
 //! installs it before the epoch's writer spawns and clears it after
 //! teardown. A failed direct write is reported exactly like a writer
-//! failure, as a [`LinkDownCause::Write`] of its epoch. A direct write
-//! blocks its node thread while the kernel socket buffer is full.
+//! failure, as a [`LinkDownCause::Write`] of its epoch.
+//!
+//! A handler that blocks blocks its whole loop: a push into a full
+//! [`SendBuffer`] (backpressure) or a direct write into a full kernel
+//! socket buffer stalls every node of the loop until the link drains. No
+//! deadlock is added: the writer threads and the kernel drain links
+//! without waiting on any loop, and readers never block — a loop's inbox
+//! is unbounded.
 //!
 //! A **supervisor** thread owns every link's service threads. Any link
 //! failure — the peer killed mid-stream, a torn write, garbage bytes, an
@@ -61,12 +82,14 @@
 //!
 //! [`add_local`]: ProcessRuntime::add_local
 //! [`add_remote`]: ProcessRuntime::add_remote
+//! [`connect`]: ProcessRuntime::connect
+//! [`start`]: ProcessRuntime::start
 //! [`set_link_up`]: ProcessRuntime::set_link_up
 //! [`set_reconnect_policy`]: ProcessRuntime::set_reconnect_policy
 
 use crate::metrics::{LinkCounters, LinkMetrics};
 use crate::node::{Node, NodeId, Payload};
-use crate::node_loop::{run_node, Envelope, LinkSet};
+use crate::node_loop::{run_loop, Envelope, LinkSet};
 use crate::rng::SplitMix64;
 use crate::send_buffer::SendBuffer;
 use crate::supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
@@ -117,11 +140,20 @@ enum PeerEndpoint {
 }
 
 enum Slot<M: Payload> {
-    Local { node: Option<Box<dyn Node<M>>>, rx: Option<Receiver<Envelope<M>>> },
-    Remote { peer: PeerId },
+    /// `None` while the node's event loop runs.
+    Local {
+        node: Option<Box<dyn Node<M>>>,
+    },
+    Remote {
+        peer: PeerId,
+    },
 }
 
-/// Where a node's traffic goes: a local inbox or a peer's send buffer.
+/// What an event-loop thread returns: the nodes it drove, by global id.
+type LoopHandle<M> = std::thread::JoinHandle<Vec<Option<Box<dyn Node<M>>>>>;
+
+/// Where a node's traffic goes from outside its event loop: the loop's
+/// inbox or a peer's send buffer.
 enum Sink<M> {
     Local(Sender<Envelope<M>>),
     Remote(PeerId),
@@ -131,8 +163,8 @@ enum Sink<M> {
 /// peer block once this much is queued ahead of them (backpressure).
 pub const PEER_SEND_CAPACITY: usize = 4 * 1024 * 1024;
 
-/// The live epoch's stream of one peer link, with its epoch, for node
-/// threads' direct writes. `None` while the link is down.
+/// The live epoch's stream of one peer link, with its epoch, for event
+/// loops' direct writes. `None` while the link is down.
 type LiveStream = Arc<Mutex<Option<(u64, Arc<UnixStream>)>>>;
 
 struct PeerLink {
@@ -146,7 +178,7 @@ struct PeerLink {
     status: Arc<Mutex<PeerStatus>>,
 }
 
-/// One peer link as a node thread sends to it.
+/// One peer link as an event loop sends to it.
 struct PeerTx {
     peer: usize,
     buffer: SendBuffer,
@@ -186,8 +218,8 @@ impl PeerTx {
                 return;
             }
         }
-        // Blocking push: a full peer buffer is backpressure on this node
-        // thread.
+        // Blocking push: a full peer buffer is backpressure on this event
+        // loop.
         let _ = self.buffer.push(frame);
     }
 }
@@ -211,10 +243,13 @@ impl PeerTx {
 /// [`stop`]: ProcessRuntime::stop
 pub struct ProcessRuntime<M: Payload + Wire> {
     slots: Vec<Slot<M>>,
+    /// Per node, the inbox of the event loop hosting it; filled by `start`.
     senders: Vec<Option<Sender<Envelope<M>>>>,
+    /// One inbox per event loop.
+    loops: Vec<Sender<Envelope<M>>>,
     links: Arc<RwLock<LinkSet>>,
     peers: Vec<PeerLink>,
-    node_handles: Vec<std::thread::JoinHandle<Box<dyn Node<M>>>>,
+    loop_handles: Vec<LoopHandle<M>>,
     supervisor_handle: Option<std::thread::JoinHandle<()>>,
     events_tx: Option<Sender<SupEvent>>,
     stopping: Arc<AtomicBool>,
@@ -239,9 +274,10 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         ProcessRuntime {
             slots: Vec::new(),
             senders: Vec::new(),
+            loops: Vec::new(),
             links: Arc::new(RwLock::new(LinkSet::default())),
             peers: Vec::new(),
-            node_handles: Vec::new(),
+            loop_handles: Vec::new(),
             supervisor_handle: None,
             events_tx: None,
             stopping: Arc::new(AtomicBool::new(false)),
@@ -274,9 +310,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
     pub fn add_local(&mut self, node: Box<dyn Node<M>>) -> NodeId {
         assert!(!self.started, "cannot add nodes after start");
         let id = NodeId::new(self.slots.len() as u32);
-        let (tx, rx) = unbounded();
-        self.slots.push(Slot::Local { node: Some(node), rx: Some(rx) });
-        self.senders.push(Some(tx));
+        self.slots.push(Slot::Local { node: Some(node) });
         id
     }
 
@@ -290,7 +324,6 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         assert!(!self.started, "cannot add nodes after start");
         let id = NodeId::new(self.slots.len() as u32);
         self.slots.push(Slot::Remote { peer });
-        self.senders.push(None);
         id
     }
 
@@ -403,6 +436,50 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         }
     }
 
+    /// The event loops of this process: the connected components of the
+    /// links declared between two local nodes of which one end is a leaf —
+    /// a node with no other link, like a client and its border broker —
+    /// each listed in id order.
+    fn loop_groups(&self) -> Vec<Vec<usize>> {
+        let n = self.slots.len();
+        let local = |i: usize| matches!(self.slots.get(i), Some(Slot::Local { .. }));
+        // Union–find over the local pairs; each set's root is its least id.
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let links = self.links.read();
+        // `known` holds both directions of every link.
+        let mut degree = vec![0usize; n];
+        for &(a, _) in &links.known {
+            degree[a.raw() as usize] += 1;
+        }
+        let mut parent: Vec<usize> = (0..n).collect();
+        for &(a, b) in &links.known {
+            let (a, b) = (a.raw() as usize, b.raw() as usize);
+            if local(a) && local(b) && (degree[a] == 1 || degree[b] == 1) {
+                let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+                parent[ra.max(rb)] = ra.min(rb);
+            }
+        }
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of = vec![0; n];
+        for i in (0..n).filter(|&i| local(i)) {
+            // A root precedes the rest of its set.
+            match root(&mut parent, i) {
+                r if r == i => {
+                    group_of[i] = groups.len();
+                    groups.push(vec![i]);
+                }
+                r => groups[group_of[r]].push(i),
+            }
+        }
+        groups
+    }
+
     fn sinks(&self) -> Vec<Sink<M>> {
         self.slots
             .iter()
@@ -416,8 +493,9 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
             .collect()
     }
 
-    /// Spawns node threads, a supervisor thread, and (via the supervisor)
-    /// a reader and a writer thread per peer.
+    /// Spawns an event-loop thread per local node that is not a leaf of
+    /// another local node (see the module doc), a supervisor thread, and
+    /// (via the supervisor) a reader and a writer thread per peer.
     ///
     /// # Panics
     ///
@@ -426,6 +504,17 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         assert!(!self.started, "already started");
         self.started = true;
         let t0 = Instant::now();
+        let groups = self.loop_groups();
+        self.senders = vec![None; self.slots.len()];
+        let mut inboxes = Vec::with_capacity(groups.len());
+        for group in &groups {
+            let (tx, rx) = unbounded();
+            for &i in group {
+                self.senders[i] = Some(tx.clone());
+            }
+            self.loops.push(tx);
+            inboxes.push(rx);
+        }
         let sinks: Arc<Vec<Sink<M>>> = Arc::new(self.sinks());
 
         // Handshake: announce our node count so a topology mismatch tears
@@ -485,6 +574,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
             tx: events_tx,
             peers: sup_peers,
             senders: self.senders.clone(),
+            loops: self.loops.clone(),
             links: Arc::clone(&self.links),
             expected_nodes: self.slots.len() as u32,
             policy: self.policy.clone(),
@@ -498,42 +588,44 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                 .expect("spawn supervisor thread"),
         );
 
-        for i in 0..self.slots.len() {
-            if let Slot::Local { node, rx } = &mut self.slots[i] {
-                let node = node.take().expect("node present before start");
-                let rx = rx.take().expect("receiver present");
-                let me = NodeId::new(i as u32);
-                let sinks = Arc::clone(&sinks);
-                let peer_txs = Arc::clone(&peer_txs);
-                let links = Arc::clone(&self.links);
-                let handle = std::thread::Builder::new()
-                    .name(format!("rebeca-pnode-{i}"))
-                    .spawn(move || {
-                        // This thread's one frame buffer, reused by every
-                        // remote send.
-                        let mut frame = Vec::new();
-                        run_node(node, me, rx, links, t0, move |to: NodeId, msg: M, quiet| {
-                            match sinks.get(to.raw() as usize) {
-                                Some(Sink::Local(tx)) => {
-                                    let _ = tx.send(Envelope::Msg { from: me, msg });
-                                }
-                                Some(Sink::Remote(peer)) => {
-                                    frame.clear();
-                                    encode_msg_frame(me, to, &msg, &mut frame);
-                                    peer_txs[peer.0].send(&frame, quiet);
-                                }
-                                None => {}
-                            }
-                        })
-                    })
-                    .expect("spawn node thread");
-                self.node_handles.push(handle);
+        for (group, rx) in groups.iter().zip(inboxes) {
+            let mut nodes: Vec<Option<Box<dyn Node<M>>>> =
+                self.slots.iter().map(|_| None).collect();
+            for &i in group {
+                if let Slot::Local { node } = &mut self.slots[i] {
+                    nodes[i] = node.take();
+                }
             }
+            let sinks = Arc::clone(&sinks);
+            let peer_txs = Arc::clone(&peer_txs);
+            let links = Arc::clone(&self.links);
+            let handle = std::thread::Builder::new()
+                .name(format!("rebeca-loop-{}", group[0]))
+                .spawn(move || {
+                    // This loop's one frame buffer, reused by every remote
+                    // send.
+                    let mut frame = Vec::new();
+                    run_loop(nodes, rx, links, t0, move |from, to, msg: M, quiet| {
+                        match sinks.get(to.raw() as usize) {
+                            Some(Sink::Local(tx)) => {
+                                let _ = tx.send(Envelope::Msg { from, to, msg });
+                            }
+                            Some(Sink::Remote(peer)) => {
+                                frame.clear();
+                                encode_msg_frame(from, to, &msg, &mut frame);
+                                peer_txs[peer.0].send(&frame, quiet);
+                            }
+                            None => {}
+                        }
+                    })
+                })
+                .expect("spawn event loop thread");
+            self.loop_handles.push(handle);
         }
     }
 
-    /// Marks a link up or down in this process, propagates the flip to
-    /// every peer, and nudges the local endpoints.
+    /// Marks a link up or down in this process and propagates the flip to
+    /// every peer. Nodes read links when they send, so none is told.
     pub fn set_link_up(&self, a: NodeId, b: NodeId, up: bool) {
         self.links.write().set(a, b, up);
         let mut bytes = Vec::new();
@@ -543,20 +635,17 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
             // then moot.
             let _ = peer.buffer.push(&bytes);
         }
-        for id in [a, b] {
-            if let Some(Some(tx)) = self.senders.get(id.raw() as usize) {
-                let _ = tx.send(Envelope::SetLinkNotice);
-            }
-        }
     }
 
     /// Sends a message into a node from outside ([`NodeId::EXTERNAL`]).
-    /// Remote destinations are framed onto their peer connection.
+    /// Remote destinations are framed onto their peer connection. Before
+    /// [`start`](ProcessRuntime::start) a local node has no event loop yet,
+    /// and a message to it is dropped.
     pub fn send_external(&self, to: NodeId, msg: M) {
         match self.slots.get(to.raw() as usize) {
             Some(Slot::Local { .. }) => {
                 if let Some(Some(tx)) = self.senders.get(to.raw() as usize) {
-                    let _ = tx.send(Envelope::Msg { from: NodeId::EXTERNAL, msg });
+                    let _ = tx.send(Envelope::Msg { from: NodeId::EXTERNAL, to, msg });
                 }
             }
             Some(Slot::Remote { peer }) => {
@@ -568,7 +657,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         }
     }
 
-    /// Stops local node threads, flushes and tears down peer links, and
+    /// Stops the event loops, flushes and tears down peer links, and
     /// returns the local nodes in global id order (`None` in remote slots).
     /// A runtime that was never started returns its nodes untouched.
     pub fn stop(mut self) -> Vec<Option<Box<dyn Node<M>>>> {
@@ -576,11 +665,17 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         // reconnect attempts); the teardown itself is sequenced by the
         // channel sends and joins below.
         self.stopping.store(true, Ordering::Relaxed);
-        for tx in self.senders.iter().flatten() {
+        for tx in &self.loops {
             let _ = tx.send(Envelope::Stop);
         }
-        let local_nodes: Vec<Box<dyn Node<M>>> =
-            self.node_handles.drain(..).map(|h| h.join().expect("node thread panicked")).collect();
+        for handle in self.loop_handles.drain(..) {
+            let nodes = handle.join().expect("event loop panicked");
+            for (slot, node) in self.slots.iter_mut().zip(nodes) {
+                if let (Slot::Local { node: held }, Some(node)) = (slot, node) {
+                    *held = Some(node);
+                }
+            }
+        }
 
         // Orderly teardown: a Shutdown frame, then close each buffer. The
         // writer drains what is queued (final flush) and exits; the peer's
@@ -603,15 +698,10 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
             }
         }
 
-        let mut locals = local_nodes.into_iter();
         self.slots
             .iter_mut()
             .map(|slot| match slot {
-                // A runtime that never started still holds its nodes.
-                Slot::Local { node, .. } => Some(
-                    node.take()
-                        .unwrap_or_else(|| locals.next().expect("one joined node per local slot")),
-                ),
+                Slot::Local { node } => Some(node.take().expect("its loop returned every node")),
                 Slot::Remote { .. } => None,
             })
             .collect()
@@ -703,7 +793,10 @@ struct Supervisor<M: Payload + Wire> {
     rx: Receiver<SupEvent>,
     tx: Sender<SupEvent>,
     peers: Vec<SupPeer>,
+    /// Per node, its event loop's inbox (for the readers' routing).
     senders: Vec<Option<Sender<Envelope<M>>>>,
+    /// Every event loop's inbox, each told of a peer change once.
+    loops: Vec<Sender<Envelope<M>>>,
     links: Arc<RwLock<LinkSet>>,
     expected_nodes: u32,
     policy: Option<ReconnectPolicy>,
@@ -733,7 +826,7 @@ impl<M: Payload + Wire> Supervisor<M> {
         }
     }
 
-    /// Installs `stream` as `epoch`'s live stream for node threads' direct
+    /// Installs `stream` as `epoch`'s live stream for event loops' direct
     /// writes, then spawns the epoch's writer/reader pair over it.
     fn bring_up(&mut self, i: usize, stream: UnixStream, epoch: u64) -> std::io::Result<()> {
         let write_half = stream.try_clone()?;
@@ -785,11 +878,11 @@ impl<M: Payload + Wire> Supervisor<M> {
             }
             crossing
         };
-        // Failure-detector verdict to every local node: the nodes behind
-        // this peer are unreachable until the link restarts (the
-        // replication layer's view-change trigger). It also wakes them.
+        // Failure-detector verdict to every local node, through its loop:
+        // the nodes behind this peer are unreachable until the link
+        // restarts (the replication layer's view-change trigger).
         let down_nodes = Arc::new(self.peers[i].behind.clone());
-        for tx in self.senders.iter().flatten() {
+        for tx in &self.loops {
             let _ = tx.send(Envelope::PeerChange { nodes: Arc::clone(&down_nodes), up: false });
         }
         self.peers[i].saved_routes = saved;
@@ -927,7 +1020,7 @@ impl<M: Payload + Wire> Supervisor<M> {
             st.restarts += 1;
         }
         let up_nodes = Arc::new(self.peers[i].behind.clone());
-        for tx in self.senders.iter().flatten() {
+        for tx in &self.loops {
             let _ = tx.send(Envelope::PeerChange { nodes: Arc::clone(&up_nodes), up: true });
         }
     }
@@ -1006,17 +1099,10 @@ fn drain_frames<M: Payload + Wire>(
                 // the sender misdeclared the topology, and the Hello
                 // handshake already tore the link down for it.
                 if let Some(Some(tx)) = senders.get(to.raw() as usize) {
-                    let _ = tx.send(Envelope::Msg { from, msg });
+                    let _ = tx.send(Envelope::Msg { from, to, msg });
                 }
             }
-            Ok(Some(Frame::SetLink { a, b, up })) => {
-                links.write().set(a, b, up);
-                for id in [a, b] {
-                    if let Some(Some(tx)) = senders.get(id.raw() as usize) {
-                        let _ = tx.send(Envelope::SetLinkNotice);
-                    }
-                }
-            }
+            Ok(Some(Frame::SetLink { a, b, up })) => links.write().set(a, b, up),
             Ok(Some(Frame::Hello { nodes })) => {
                 if nodes != expected_nodes {
                     return Err(LinkDownCause::HelloMismatch {
@@ -1064,14 +1150,14 @@ fn reader_loop<M: Payload + Wire>(
 }
 
 #[cfg(all(test, not(rebeca_verify)))]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::node::Ctx;
     use rebeca_core::CoreError;
     use std::any::Any;
 
     #[derive(Debug, Clone, PartialEq)]
-    struct Tick(u64);
+    pub(crate) struct Tick(pub(crate) u64);
 
     impl Payload for Tick {
         fn wire_size(&self) -> usize {
@@ -1303,7 +1389,7 @@ mod tests {
         }
     }
 
-    fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
+    pub(crate) fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
             if cond() {
@@ -1458,7 +1544,7 @@ mod tests {
         let (listener, mut conn1) = accept.join().expect("accept thread");
         let mut re = FrameReassembler::new();
         assert_eq!(recv_frame(&mut conn1, &mut re), Frame::Hello { nodes: 2 });
-        // What a node thread holds when it is about to write directly
+        // What an event loop holds when it is about to write directly
         // into epoch 0.
         let stale = rt.peers[peer.0].live.lock().clone();
         assert_eq!(stale.as_ref().map(|(epoch, _)| *epoch), Some(0), "epoch 0 is live");

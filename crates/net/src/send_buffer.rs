@@ -99,7 +99,7 @@ struct Shared {
     capacity: usize,
 }
 
-/// Bounded byte buffer between node threads (producers) and one link
+/// Bounded byte buffer between event loops (producers) and one link
 /// writer thread (consumer). Cheap to clone; clones share the buffer.
 #[derive(Clone)]
 pub struct SendBuffer {

@@ -5,7 +5,7 @@
 //! here instead of `parking_lot`, so the exact production code can be
 //! compiled against the [`rebeca-verify`](../../rebeca_verify/index.html)
 //! shims and exhaustively interleaved by the model checker — no copies, no
-//! drift. The runtimes' node loop is *not* routed through the facade: it
+//! drift. The live runtime's event loop is *not* routed through the facade: it
 //! relies on wall-clock timeouts (`recv_timeout`), which have no meaning
 //! under a model checker that owns the schedule.
 //!

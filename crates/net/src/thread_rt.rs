@@ -1,9 +1,10 @@
 //! `ThreadRuntime`: the name of a former all-local runtime, now a
 //! [`ProcessRuntime`] with no peers.
 //!
-//! A `ProcessRuntime` whose nodes are all [`add_local`] already runs each
-//! node on its own thread behind a channel inbox, gates every send on the
-//! same link set and returns the nodes from `stop`. This shim exists only
+//! A `ProcessRuntime` whose nodes are all [`add_local`] already runs them
+//! on event loops — a node with one link shares the thread of the node at
+//! its other end — gates every send on the same link set and returns the
+//! nodes from `stop`. This shim exists only
 //! until the benchmark drops its `net.thread_rt.hop_ns` kernel, the one
 //! caller of these methods; use [`ProcessRuntime`] or the simulator
 //! ([`World`](crate::World)) instead.
@@ -34,7 +35,7 @@ impl<M: Payload + Wire> ThreadRuntime<M> {
         self.0.connect(a, b);
     }
 
-    /// Spawns all node threads.
+    /// Spawns the event-loop threads.
     pub fn start(&mut self) {
         self.0.start();
     }

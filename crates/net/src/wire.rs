@@ -125,7 +125,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
 /// [`Wire::encode_into`]ed in place behind the header, so no payload buffer
 /// is built and copied. The bytes equal `encode_frame` of the same `Msg`.
 pub fn encode_msg_frame<W: Wire>(from: NodeId, to: NodeId, msg: &W, out: &mut Vec<u8>) {
-    // hot-path: begin message framing — a node thread's every cross-process
+    // hot-path: begin message framing — an event loop's every cross-process
     // send; one reused buffer, the payload written where it travels.
     let start = begin_frame(out);
     put_msg_header(from, to, out);

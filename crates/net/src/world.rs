@@ -7,126 +7,17 @@
 //! is drawn at random, and no iteration order of any hash map ever
 //! influences behaviour.
 //!
-//! The queue is two sorted structures with one order. A link delivery due
-//! no earlier than the newest entry of a FIFO *lane* is appended there;
-//! everything else — timers, external injections, a delivery over a faster
-//! link that would undercut the lane's back — goes to a binary heap. Each
-//! step pops the smaller `(time, seq)` of the lane's front and the heap's
-//! top, so the pop order is exactly that of one heap holding every event.
-//! Most deliveries take the lane: an append and a pop-front instead of two
-//! sift operations.
+//! Events wait in the `EventQueue` the live runtime's event loop orders
+//! its events with too: a link delivery due no earlier than the newest
+//! entry of a FIFO lane is appended there, everything else goes to a heap,
+//! and pops follow one `(time, seq)` order.
 
-use crate::link::{IdHash, LinkConfig, LinkTable};
+use crate::event_queue::{Event, EventQueue};
+use crate::link::{LinkConfig, LinkTable};
 use crate::metrics::NetMetrics;
-use crate::node::{Action, Ctx, Node, NodeId, Payload, TimerId};
+use crate::node::{Action, Ctx, Node, NodeId, Payload};
 use rebeca_core::SimTime;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::fmt;
-
-enum Event<M> {
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    Timer { node: NodeId, id: TimerId, tag: u64 },
-}
-
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    event: Event<M>,
-}
-
-impl<M> Scheduled<M> {
-    /// The total order events run in; `seq` is unique.
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// The pending events: a FIFO lane for in-order appends plus a heap for
-/// the rest, popped as one `(at, seq)`-ordered queue.
-struct EventQueue<M> {
-    /// Sorted by construction: only events no earlier than the back, with
-    /// a larger `seq` than any before them, are appended.
-    lane: VecDeque<Scheduled<M>>,
-    heap: BinaryHeap<Scheduled<M>>,
-    /// Tests' reference queue: every event goes to the heap.
-    #[cfg(test)]
-    heap_only: bool,
-}
-
-impl<M> EventQueue<M> {
-    fn new() -> Self {
-        EventQueue {
-            lane: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            #[cfg(test)]
-            heap_only: false,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lane.len() + self.heap.len()
-    }
-
-    /// Queues an event that may go in the lane. `s.seq` must exceed every
-    /// queued `seq`, which the world's counter guarantees.
-    fn push_in_order(&mut self, s: Scheduled<M>) {
-        #[cfg(test)]
-        if self.heap_only {
-            return self.heap.push(s);
-        }
-        if self.lane.back().is_none_or(|back| s.at >= back.at) {
-            self.lane.push_back(s);
-        } else {
-            self.heap.push(s);
-        }
-    }
-
-    fn push(&mut self, s: Scheduled<M>) {
-        self.heap.push(s);
-    }
-
-    /// Whether the next event comes from the lane rather than the heap.
-    fn lane_first(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => l.key() < h.key(),
-            (l, _) => l.is_some(),
-        }
-    }
-
-    fn peek_at(&self) -> Option<SimTime> {
-        if self.lane_first() {
-            self.lane.front().map(|s| s.at)
-        } else {
-            self.heap.peek().map(|s| s.at)
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        if self.lane_first() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
-        }
-    }
-}
 
 /// The deterministic discrete-event world.
 ///
@@ -160,7 +51,6 @@ impl<M> EventQueue<M> {
 /// ```
 pub struct World<M: Payload> {
     time: SimTime,
-    seq: u64,
     queue: EventQueue<M>,
     /// The `(at, seq)` of the last event run: each pop must exceed it.
     #[cfg(debug_assertions)]
@@ -171,11 +61,6 @@ pub struct World<M: Payload> {
     /// The handlers' action buffer, emptied and reused across dispatches.
     actions: Vec<Action<M>>,
     next_timer: u64,
-    /// Timer ids scheduled and not yet fired. Cancellation is only recorded
-    /// for ids in this set, so `cancelled` can never accumulate ids whose
-    /// timers already fired (or were never scheduled).
-    pending_timers: HashSet<u64, IdHash>,
-    cancelled: HashSet<u64, IdHash>,
     started: bool,
 }
 
@@ -201,7 +86,6 @@ impl<M: Payload> World<M> {
     pub fn new() -> Self {
         World {
             time: SimTime::ZERO,
-            seq: 0,
             queue: EventQueue::new(),
             #[cfg(debug_assertions)]
             last_run: None,
@@ -210,8 +94,6 @@ impl<M: Payload> World<M> {
             metrics: NetMetrics::new(),
             actions: Vec::new(),
             next_timer: 0,
-            pending_timers: HashSet::default(),
-            cancelled: HashSet::default(),
             started: false,
         }
     }
@@ -272,14 +154,14 @@ impl<M: Payload> World<M> {
 
     /// Timers scheduled and not yet fired (diagnostics).
     pub fn pending_timer_count(&self) -> usize {
-        self.pending_timers.len()
+        self.queue.pending_timer_count()
     }
 
     /// Cancellations whose timer event has not popped yet. Bounded by
     /// [`World::pending_timer_count`] — cancelling fired or unknown timers
     /// never grows this set.
     pub fn cancelled_timer_count(&self) -> usize {
-        self.cancelled.len()
+        self.queue.cancelled_timer_count()
     }
 
     /// Injects a message into `to` as if it arrived from outside the world
@@ -296,12 +178,7 @@ impl<M: Payload> World<M> {
     /// Panics if `at` lies in the past.
     pub fn send_external_at(&mut self, to: NodeId, msg: M, at: SimTime) {
         assert!(at >= self.time, "cannot schedule into the past");
-        let seq = self.next_seq();
-        self.queue.push(Scheduled {
-            at,
-            seq,
-            event: Event::Deliver { from: NodeId::EXTERNAL, to, msg },
-        });
+        self.queue.inject(at, NodeId::EXTERNAL, to, msg);
     }
 
     /// Downcasts a node to its concrete type for inspection.
@@ -352,8 +229,7 @@ impl<M: Payload> World<M> {
                 }
             }
             Event::Timer { node, id, tag } => {
-                self.pending_timers.remove(&id.0);
-                if !self.cancelled.remove(&id.0) && (node.raw() as usize) < self.nodes.len() {
+                if self.queue.timer_fires(id) && (node.raw() as usize) < self.nodes.len() {
                     self.dispatch(node, |n, ctx| n.on_timer(ctx, id, tag));
                 }
             }
@@ -372,12 +248,6 @@ impl<M: Payload> World<M> {
         if self.time < deadline {
             self.time = deadline;
         }
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 
     // hot-path: begin
@@ -420,34 +290,13 @@ impl<M: Payload> World<M> {
                             let at = (now + link.latency).max(link.fifo_floor);
                             link.fifo_floor = at;
                             self.metrics.record_send(msg.kind(), msg.wire_size());
-                            let seq = self.next_seq();
-                            self.queue.push_in_order(Scheduled {
-                                at,
-                                seq,
-                                event: Event::Deliver { from, to, msg },
-                            });
+                            self.queue.deliver(at, from, to, msg);
                         }
                         _ => self.metrics.record_drop(),
                     }
                 }
-                Action::SetTimer { at, id, tag } => {
-                    self.pending_timers.insert(id.0);
-                    let seq = self.next_seq();
-                    self.queue.push(Scheduled {
-                        at,
-                        seq,
-                        event: Event::Timer { node: from, id, tag },
-                    });
-                }
-                Action::CancelTimer(id) => {
-                    // Cancelling an already-fired (or never-set, or
-                    // already-cancelled) timer must not grow the set: only
-                    // genuinely pending timers are recorded, and the entry
-                    // is consumed when the cancelled timer pops.
-                    if self.pending_timers.remove(&id.0) {
-                        self.cancelled.insert(id.0);
-                    }
-                }
+                Action::SetTimer { at, id, tag } => self.queue.set_timer(at, from, id, tag),
+                Action::CancelTimer(id) => self.queue.cancel_timer(id),
             }
         }
     }
@@ -458,6 +307,7 @@ impl<M: Payload> World<M> {
 mod tests {
     use super::*;
     use crate::metrics::Counters;
+    use crate::node::TimerId;
     use rebeca_core::SimDuration;
     use std::any::Any;
 
@@ -802,6 +652,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::node::TimerId;
     use crate::rng::SplitMix64;
     use proptest::prelude::*;
     use rebeca_core::SimDuration;

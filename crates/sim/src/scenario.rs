@@ -6,11 +6,11 @@ use crate::movement::{MoveSchedule, MovementModel};
 use crate::oracle::{self, ClientTimeline, OracleReport};
 use crate::workload::{PubEvent, WorkloadConfig};
 use rebeca::{
-    BrokerId, BufferSpec, ClientMobilityMode, Deployment, Filter, FixedClient, LocationMap,
-    MovementGraph, Notification, ReplicatorConfig, RoutingStrategy, SimDuration, SimTime,
-    SystemBuilder, Topology,
+    BrokerId, BufferSpec, ClientMobilityMode, Deployment, Filter, FixedClient, LocationId,
+    LocationMap, MovementGraph, Notification, ReplicatorConfig, RoutingStrategy, SimDuration,
+    SimTime, SystemBuilder, Topology,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Broker-tree shapes available to scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,15 +262,19 @@ impl ScenarioOutcome {
     /// Arrivals with no relevant delivery during the stint are reported as
     /// the stint length (censored).
     pub fn arrival_latencies(&self) -> Vec<f64> {
+        // Each mark's location, from its first publication.
+        let mut location_of: HashMap<i64, LocationId> = HashMap::with_capacity(self.pubs.len());
+        for e in &self.pubs {
+            location_of.entry(e.mark).or_insert(e.location);
+        }
         let mut out = Vec::new();
         for (tl, del) in self.timelines.iter().zip(&self.delivered) {
             for stint in &tl.stints {
                 // Location-relevant marks for this stint's broker.
                 let relevant = |mark: i64| -> bool {
-                    self.pubs
-                        .iter()
-                        .find(|e| e.mark == mark)
-                        .is_some_and(|e| self.locations.serves(stint.broker, e.location))
+                    location_of
+                        .get(&mark)
+                        .is_some_and(|&location| self.locations.serves(stint.broker, location))
                 };
                 let first = del
                     .iter()
@@ -519,6 +523,37 @@ mod tests {
             lat_extended.mean,
             lat_reactive.mean
         );
+    }
+
+    /// The mark → location map gives what a scan of the publication list
+    /// per delivered mark gave, on a seeded run with several movers.
+    #[test]
+    fn arrival_latencies_match_a_scan_of_the_publications() {
+        let mut cfg = quick_cfg(SystemVariant::extended_default());
+        cfg.mobile_clients = 3;
+        cfg.seed = 4242;
+        cfg.workload.seed = 77;
+        let out = run(&cfg);
+        let mut scanned = Vec::new();
+        for (tl, del) in out.timelines.iter().zip(&out.delivered) {
+            for stint in &tl.stints {
+                let relevant = |mark: i64| {
+                    out.pubs
+                        .iter()
+                        .find(|e| e.mark == mark)
+                        .is_some_and(|e| out.locations.serves(stint.broker, e.location))
+                };
+                let first = del
+                    .iter()
+                    .filter(|(m, at)| *at >= stint.from && *at < stint.to && relevant(*m))
+                    .map(|(_, at)| *at)
+                    .min();
+                scanned.push((first.unwrap_or(stint.to) - stint.from).as_secs_f64());
+            }
+        }
+        assert!(scanned.len() > 3, "the movers make several stints");
+        assert!(out.delivered.iter().any(|d| !d.is_empty()), "something is delivered");
+        assert_eq!(out.arrival_latencies(), scanned);
     }
 
     /// Two clients on a line of 6 with `k`-hop pre-subscriptions and

@@ -16,7 +16,7 @@
 //!   uses. `rebeca-net` re-exports these through a small `sync` facade
 //!   module when compiled with `--cfg rebeca_verify`, so the
 //!   *production* protocol code is what gets checked. (Symbol tables are
-//!   per-broker, owned by one node thread, and need no model.)
+//!   per-broker, owned by one node on one event loop, and need no model.)
 //! * [`Checker`] — DFS over every scheduling (and Relaxed-load value)
 //!   choice point with a preemption bound (default 2), deadlock and
 //!   livelock detection, and first-failure abort.

@@ -138,7 +138,7 @@ impl Socket {
     }
 }
 
-/// A node thread's send step: the frame goes to the socket from this
+/// An event loop's send step: the frame goes to the socket from this
 /// thread when the buffer grants the token, into the queue otherwise.
 fn send(sb: &SendBuffer, socket: &Socket, frame: &[u8]) {
     if sb.try_direct() {
@@ -167,7 +167,7 @@ fn position(log: &[u8], byte: u8) -> usize {
     log.iter().position(|&b| b == byte).expect("every byte was written")
 }
 
-/// Producer A switches paths as a node thread does: a frame through the
+/// Producer A switches paths as an event loop does: a frame through the
 /// direct-or-queued step, a pushed one (a send made with messages waiting
 /// in its inbox), another through the step. Producer B pushes two, the
 /// drainer drains. The two-byte capacity makes pushes wait for the

@@ -11,8 +11,8 @@
 //!   regressions at review time, per line.
 //! * **hot-lock** — no lock acquisitions (`.lock()`, `.read()`,
 //!   `.write()`) in hot regions: the route path reads only state its
-//!   node thread owns, the per-broker symbol table included, so it needs
-//!   no lock.
+//!   node owns on its event loop, the per-broker symbol table included,
+//!   so it needs no lock.
 //! * **wildcard-arm** — no `_ =>` match arms in protocol handler files
 //!   (`broker.rs`, `client.rs`, `replicator.rs`), transport dispatch
 //!   files (`wire.rs`, `process_rt.rs`, `supervisor.rs`) or the buffer

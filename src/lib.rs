@@ -91,7 +91,7 @@
 //!    [`Message::Deliver`] per matching local client): refcount bumps, no
 //!    copies, and — with warm buffers — zero heap allocation per routed
 //!    notification (asserted by an allocation-regression test). Each
-//!    broker holds one routing table, read on its own node thread: the
+//!    broker holds one routing table, read on its own event loop: the
 //!    broker tree spreads the matching work, one broker's table is never
 //!    split.
 //! 4. **Buffer.** Virtual clients and disconnected devices buffer in one
