@@ -169,6 +169,11 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Whether the next event is the lane's only delivery.
+    pub(crate) fn next_is_lone_delivery(&self) -> bool {
+        self.lane.len() == 1 && self.lane_first()
+    }
+
     /// When the next event is due.
     pub(crate) fn peek_at(&self) -> Option<SimTime> {
         if self.lane_first() {
@@ -183,15 +188,6 @@ impl<M> EventQueue<M> {
             self.lane.pop_front()
         } else {
             self.heap.pop()
-        }
-    }
-
-    /// Pops the next event if it is due no later than `now`.
-    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<Scheduled<M>> {
-        if self.peek_at()? <= now {
-            self.pop()
-        } else {
-            None
         }
     }
 }

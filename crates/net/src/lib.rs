@@ -15,7 +15,8 @@
 //! * [`process_rt::ProcessRuntime`] — a **live runtime** that runs the
 //!   *same* node state machines on event loops, one OS thread each; a
 //!   client shares its border broker's loop, so a send between them is a
-//!   queue push. It hosts a partition of the nodes per OS process: traffic
+//!   queue push, and a peer link's reader runs a lone frame's delivery on
+//!   the parked loop itself ([`loop_token`]). It hosts a partition of the nodes per OS process: traffic
 //!   to a node in another process is framed over a Unix domain socket. Its
 //!   peer links have a **supervised lifecycle** ([`supervisor`]): a dying
 //!   peer never panics a service thread — its routes go down, its traffic
@@ -34,6 +35,7 @@
 
 mod event_queue;
 pub mod link;
+pub mod loop_token;
 pub mod metrics;
 pub mod node;
 mod node_loop;
@@ -48,6 +50,7 @@ pub mod wire;
 pub mod world;
 
 pub use link::LinkConfig;
+pub use loop_token::{LoopToken, Pending, Refusal};
 pub use metrics::{LinkCounters, LinkMetrics, NetMetrics};
 pub use node::{Ctx, Node, NodeId, Payload, TimerId};
 pub use process_rt::{LinkMetricsHandle, PeerId, PeerStatus, ProcessRuntime, PEER_SEND_CAPACITY};

@@ -11,7 +11,8 @@
 //!   [`ProcessRuntime`](crate::ProcessRuntime)'s supervision counters:
 //!   how often peer links died, how many frames were dropped into dead
 //!   links, how hard reconnection worked, and whether any service thread
-//!   ever died by panic. Shared atomics, written by supervisor and
+//!   ever died by panic; and how traffic crossed: direct or writer-thread
+//!   writes, deliveries run on a borrowing reader or posted to a loop. Shared atomics, written by supervisor and
 //!   service threads, snapshot via
 //!   [`ProcessRuntime::metrics`](crate::ProcessRuntime::metrics).
 
@@ -127,6 +128,21 @@ pub struct LinkCounters {
     /// supervision contract is that this stays 0 — malformed input is an
     /// error, never a panic.
     pub thread_panics: AtomicU64,
+    /// Frames an event loop's round wrote to a peer socket itself.
+    pub direct_writes: AtomicU64,
+    /// Coalesced batches a link's writer thread wrote.
+    pub writer_writes: AtomicU64,
+    /// Direct writes the socket's send timeout cut short; their tails went
+    /// to the link's writer thread.
+    pub direct_write_timeouts: AtomicU64,
+    /// Deliveries handled by a reader that borrowed their event loop.
+    pub borrowed_deliveries: AtomicU64,
+    /// Deliveries posted because their loop's token was held.
+    pub borrow_refused_busy: AtomicU64,
+    /// Deliveries posted because earlier posts to their loop waited.
+    pub borrow_refused_pending: AtomicU64,
+    /// Deliveries posted because their read held more than their frame.
+    pub borrow_refused_not_quiet: AtomicU64,
 }
 
 impl LinkCounters {
@@ -135,6 +151,12 @@ impl LinkCounters {
     pub(crate) fn bump(counter: &AtomicU64) {
         // ordering: Relaxed — pure statistics counter, no memory published.
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds `n`. ordering: Relaxed — see [`LinkCounters::bump`].
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
+        // ordering: Relaxed — pure statistics counter, no memory published.
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// ordering: Relaxed — see [`LinkCounters::bump`].
@@ -146,7 +168,8 @@ impl LinkCounters {
 
 /// One consistent-enough snapshot of a [`ProcessRuntime`]'s supervision
 /// counters (the atomic counters plus the per-peer send-buffer drop
-/// accounting).
+/// accounting). The send-path and borrow counters after `thread_panics`
+/// describe how traffic was carried, not failures.
 ///
 /// [`ProcessRuntime`]: crate::ProcessRuntime
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,6 +187,20 @@ pub struct LinkMetrics {
     pub link_restarts: u64,
     /// Service threads that died by panic (contract: 0).
     pub thread_panics: u64,
+    /// Frames an event loop's round wrote to a peer socket itself.
+    pub direct_writes: u64,
+    /// Coalesced batches the links' writer threads wrote.
+    pub writer_writes: u64,
+    /// Direct writes the socket's send timeout cut short.
+    pub direct_write_timeouts: u64,
+    /// Deliveries handled by a reader that borrowed their event loop.
+    pub borrowed_deliveries: u64,
+    /// Deliveries posted because their loop's token was held.
+    pub borrow_refused_busy: u64,
+    /// Deliveries posted because earlier posts to their loop waited.
+    pub borrow_refused_pending: u64,
+    /// Deliveries posted because their read held more than their frame.
+    pub borrow_refused_not_quiet: u64,
 }
 
 #[cfg(test)]

@@ -44,28 +44,41 @@
 //! bounded [`SendBuffer`] (blocking event loops when full — backpressure)
 //! and issues coalesced stream writes, and a **reader** that feeds raw
 //! reads through a [`FrameReassembler`] (partial reads, many frames per
-//! read) and routes whole frames to the inboxes of the destinations'
-//! event loops. An event loop puts each send to another loop's node into
-//! that loop's inbox and encodes each remote send into one reused frame
-//! buffer.
+//! read) and routes whole frames to the destinations' event loops. A
+//! message frame that its read held alone, for a loop that is parked with
+//! nothing posted to its inbox, is delivered by the reader itself: it
+//! borrows the loop's token and runs the loop's round on its own thread,
+//! so the loop thread is not woken (see the event loop). Every other frame
+//! goes to the loop's inbox. An event loop puts each send to another
+//! loop's node into that loop's inbox and encodes each remote send into
+//! one reused frame buffer.
 //!
-//! An event loop with nothing else to do after the event it handles (a
-//! *quiet* send, see the event loop) writes a frame to the peer socket
-//! **itself** when the buffer grants it the write token — nothing queued
-//! for the link and no write in flight. That saves the writer thread's
-//! wake-up on every lightly loaded hop. Otherwise the frame is pushed and
-//! the writer thread, the coalescing overflow path, ships it. The
-//! supervisor keeps the live epoch's stream for these direct writes: it
-//! installs it before the epoch's writer spawns and clears it after
-//! teardown. A failed direct write is reported exactly like a writer
-//! failure, as a [`LinkDownCause::Write`] of its epoch.
+//! A round with nothing else to do after the event it handles (a *quiet*
+//! send, see the event loop) writes a frame to the peer socket **itself**
+//! when the buffer grants it the write token — nothing queued for the link
+//! and no write in flight. That saves the writer thread's wake-up on every
+//! lightly loaded hop. Otherwise the frame is pushed and the writer
+//! thread, the coalescing overflow path, ships it. The supervisor keeps
+//! the live epoch's stream for these direct writes: it installs it before
+//! the epoch's writer spawns and clears it after teardown. A failed direct
+//! write is reported exactly like a writer failure, as a
+//! [`LinkDownCause::Write`] of its epoch. Each epoch's socket has a send
+//! timeout of 2 ms: a direct write into a full socket returns within it,
+//! and hands its unwritten tail to the buffer, ahead of everything queued,
+//! for the writer thread to ship.
 //!
-//! A handler that blocks blocks its whole loop: a push into a full
-//! [`SendBuffer`] (backpressure) or a direct write into a full kernel
-//! socket buffer stalls every node of the loop until the link drains. No
-//! deadlock is added: the writer threads and the kernel drain links
-//! without waiting on any loop, and readers never block — a loop's inbox
-//! is unbounded.
+//! A handler that blocks on its loop thread blocks the whole loop: a push
+//! into a full [`SendBuffer`] (backpressure) stalls every node of the loop
+//! until the link drains. No deadlock is added, though readers run
+//! handlers: the writer threads and the kernel drain links without waiting
+//! on any loop, and a reader never waits on anything that may wait in
+//! turn. It takes a loop's token only with a try-lock, and otherwise posts
+//! to the loop's inbox, which is unbounded. In a borrowed round it queues
+//! frames with [`SendBuffer::try_push`] and hands whatever would wait for
+//! room back to the loop thread, and it writes to a socket with bounded
+//! patience, the send timeout. The other locks it touches — the link set,
+//! a send buffer's state, the live-stream slot, which it only try-locks —
+//! are leaf locks that no holder keeps across a wait.
 //!
 //! A **supervisor** thread owns every link's service threads. Any link
 //! failure — the peer killed mid-stream, a torn write, garbage bytes, an
@@ -89,7 +102,7 @@
 
 use crate::metrics::{LinkCounters, LinkMetrics};
 use crate::node::{Node, NodeId, Payload};
-use crate::node_loop::{run_loop, Envelope, LinkSet};
+use crate::node_loop::{run_loop, Envelope, Inbox, LinkSet, Loop, SendStep};
 use crate::rng::SplitMix64;
 use crate::send_buffer::SendBuffer;
 use crate::supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
@@ -97,7 +110,7 @@ use crate::wire::{encode_frame, encode_msg_frame, Frame, FrameReassembler, Wire}
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -155,9 +168,19 @@ type LoopHandle<M> = std::thread::JoinHandle<Vec<Option<Box<dyn Node<M>>>>>;
 /// Where a node's traffic goes from outside its event loop: the loop's
 /// inbox or a peer's send buffer.
 enum Sink<M> {
-    Local(Sender<Envelope<M>>),
+    Local(Inbox<M>),
     Remote(PeerId),
 }
+
+/// The event loop of this runtime, as its readers reach it.
+type LiveLoop<M> = Loop<M, Outbound<M>>;
+
+/// How long a write to a peer socket may wait for room before it returns
+/// what it wrote: the socket's send timeout, set once per link epoch. It
+/// bounds how long an event loop's direct write, run by a reader too,
+/// waits on a peer that does not read; the link's writer thread takes the
+/// rest and waits on.
+const WRITE_PATIENCE: Duration = Duration::from_millis(2);
 
 /// Byte capacity of each peer link's send buffer. Producers sending to a
 /// peer block once this much is queued ahead of them (backpressure).
@@ -185,27 +208,31 @@ struct PeerTx {
     live: LiveStream,
     lifecycle: Arc<LinkLifecycle>,
     events: Sender<SupEvent>,
+    counters: Arc<LinkCounters>,
 }
 
 impl PeerTx {
     /// Sends one whole frame: written to the socket by this thread when
-    /// `quiet` and the buffer grants the write token, pushed for the
-    /// writer thread otherwise.
-    fn send(&self, frame: &[u8], quiet: bool) {
+    /// `quiet` and the buffer grants the write token, queued for the
+    /// writer thread otherwise. False, with nothing sent, when the caller
+    /// may not wait (`borrowed`) and the queue is full.
+    fn send(&self, frame: &[u8], quiet: bool, borrowed: bool) -> bool {
         // The stream is taken before the token is asked for. Taken after,
         // a grant from a dying epoch could meet the next epoch's stream and
         // put this frame ahead of that epoch's Hello; taken before, the
         // frame at worst goes to the dead epoch's socket, whose write fails
-        // and whose report loses to the restart.
-        let live = if quiet { self.live.lock().clone() } else { None };
-        self.send_on(live, frame);
+        // and whose report loses to the restart. The slot is only
+        // try-locked: while the supervisor swaps it, the frame is queued.
+        let live = if quiet { self.live.try_lock().and_then(|slot| slot.clone()) } else { None };
+        self.send_on(live, frame, borrowed)
     }
 
-    fn send_on(&self, live: Option<(u64, Arc<UnixStream>)>, frame: &[u8]) {
+    fn send_on(&self, live: Option<(u64, Arc<UnixStream>)>, frame: &[u8], borrowed: bool) -> bool {
         if let Some((epoch, stream)) = live {
             if self.buffer.try_direct() {
-                let written = (&*stream).write_all(frame);
-                if let Err(e) = written {
+                LinkCounters::bump(&self.counters.direct_writes);
+                let (written, failed) = write_within_patience(&stream, frame);
+                if let Some(e) = failed {
                     // Torn link: reported as a writer thread reports it.
                     if self.lifecycle.report_down(epoch) {
                         let _ = self.events.send(SupEvent::Down {
@@ -213,14 +240,58 @@ impl PeerTx {
                             cause: LinkDownCause::Write(e.kind()),
                         });
                     }
+                    self.buffer.end_direct(&[]);
+                } else {
+                    if written < frame.len() {
+                        LinkCounters::bump(&self.counters.direct_write_timeouts);
+                    }
+                    // A peer slow to read: the writer thread ships the tail.
+                    self.buffer.end_direct(&frame[written..]);
                 }
-                self.buffer.end_direct();
-                return;
+                return true;
             }
+        }
+        if borrowed {
+            // A reader never waits for room: a full buffer refuses.
+            return !matches!(self.buffer.try_push(frame), Ok(false));
         }
         // Blocking push: a full peer buffer is backpressure on this event
         // loop.
         let _ = self.buffer.push(frame);
+        true
+    }
+}
+
+/// The send step of this process's event loops: another loop's inbox, or
+/// a frame onto a peer link.
+struct Outbound<M> {
+    sinks: Arc<Vec<Sink<M>>>,
+    peers: Arc<Vec<PeerTx>>,
+    /// This loop's one frame buffer, reused by every remote send.
+    frame: Vec<u8>,
+}
+
+impl<M: Payload + Wire> SendStep<M> for Outbound<M> {
+    fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        quiet: bool,
+        borrowed: bool,
+    ) -> Result<(), M> {
+        match self.sinks.get(to.raw() as usize) {
+            Some(Sink::Local(inbox)) => inbox.post(Envelope::Msg { from, to, msg }),
+            Some(Sink::Remote(peer)) => {
+                self.frame.clear();
+                encode_msg_frame(from, to, &msg, &mut self.frame);
+                if !self.peers[peer.0].send(&self.frame, quiet, borrowed) {
+                    return Err(msg);
+                }
+            }
+            None => {}
+        }
+        Ok(())
     }
 }
 
@@ -244,9 +315,9 @@ impl PeerTx {
 pub struct ProcessRuntime<M: Payload + Wire> {
     slots: Vec<Slot<M>>,
     /// Per node, the inbox of the event loop hosting it; filled by `start`.
-    senders: Vec<Option<Sender<Envelope<M>>>>,
+    senders: Vec<Option<Inbox<M>>>,
     /// One inbox per event loop.
-    loops: Vec<Sender<Envelope<M>>>,
+    loops: Vec<Inbox<M>>,
     links: Arc<RwLock<LinkSet>>,
     peers: Vec<PeerLink>,
     loop_handles: Vec<LoopHandle<M>>,
@@ -508,11 +579,11 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         self.senders = vec![None; self.slots.len()];
         let mut inboxes = Vec::with_capacity(groups.len());
         for group in &groups {
-            let (tx, rx) = unbounded();
+            let (inbox, rx) = Inbox::new();
             for &i in group {
-                self.senders[i] = Some(tx.clone());
+                self.senders[i] = Some(inbox.clone());
             }
-            self.loops.push(tx);
+            self.loops.push(inbox);
             inboxes.push(rx);
         }
         let sinks: Arc<Vec<Sink<M>>> = Arc::new(self.sinks());
@@ -540,9 +611,33 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                     live: Arc::clone(&p.live),
                     lifecycle: Arc::clone(&p.lifecycle),
                     events: events_tx.clone(),
+                    counters: Arc::clone(&self.counters),
                 })
                 .collect(),
         );
+        // Each loop's state behind its token, reached by its thread and, per
+        // node, by the peer links' readers.
+        let mut loop_of: Vec<Option<Arc<LiveLoop<M>>>> = vec![None; self.slots.len()];
+        let mut lps = Vec::with_capacity(groups.len());
+        for (group, inbox) in groups.iter().zip(&self.loops) {
+            let mut nodes: Vec<Option<Box<dyn Node<M>>>> =
+                self.slots.iter().map(|_| None).collect();
+            for &i in group {
+                if let Slot::Local { node } = &mut self.slots[i] {
+                    nodes[i] = node.take();
+                }
+            }
+            let send = Outbound {
+                sinks: Arc::clone(&sinks),
+                peers: Arc::clone(&peer_txs),
+                frame: Vec::new(),
+            };
+            let lp = Arc::new(Loop::new(nodes, inbox.clone(), Arc::clone(&self.links), t0, send));
+            for &i in group {
+                loop_of[i] = Some(Arc::clone(&lp));
+            }
+            lps.push(lp);
+        }
         let sup_peers: Vec<SupPeer> = self
             .peers
             .iter_mut()
@@ -573,7 +668,7 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
             rx: events_rx,
             tx: events_tx,
             peers: sup_peers,
-            senders: self.senders.clone(),
+            loop_of,
             loops: self.loops.clone(),
             links: Arc::clone(&self.links),
             expected_nodes: self.slots.len() as u32,
@@ -588,37 +683,10 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
                 .expect("spawn supervisor thread"),
         );
 
-        for (group, rx) in groups.iter().zip(inboxes) {
-            let mut nodes: Vec<Option<Box<dyn Node<M>>>> =
-                self.slots.iter().map(|_| None).collect();
-            for &i in group {
-                if let Slot::Local { node } = &mut self.slots[i] {
-                    nodes[i] = node.take();
-                }
-            }
-            let sinks = Arc::clone(&sinks);
-            let peer_txs = Arc::clone(&peer_txs);
-            let links = Arc::clone(&self.links);
+        for ((group, lp), rx) in groups.iter().zip(lps).zip(inboxes) {
             let handle = std::thread::Builder::new()
                 .name(format!("rebeca-loop-{}", group[0]))
-                .spawn(move || {
-                    // This loop's one frame buffer, reused by every remote
-                    // send.
-                    let mut frame = Vec::new();
-                    run_loop(nodes, rx, links, t0, move |from, to, msg: M, quiet| {
-                        match sinks.get(to.raw() as usize) {
-                            Some(Sink::Local(tx)) => {
-                                let _ = tx.send(Envelope::Msg { from, to, msg });
-                            }
-                            Some(Sink::Remote(peer)) => {
-                                frame.clear();
-                                encode_msg_frame(from, to, &msg, &mut frame);
-                                peer_txs[peer.0].send(&frame, quiet);
-                            }
-                            None => {}
-                        }
-                    })
-                })
+                .spawn(move || run_loop(&lp, &rx))
                 .expect("spawn event loop thread");
             self.loop_handles.push(handle);
         }
@@ -644,8 +712,8 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
     pub fn send_external(&self, to: NodeId, msg: M) {
         match self.slots.get(to.raw() as usize) {
             Some(Slot::Local { .. }) => {
-                if let Some(Some(tx)) = self.senders.get(to.raw() as usize) {
-                    let _ = tx.send(Envelope::Msg { from: NodeId::EXTERNAL, to, msg });
+                if let Some(Some(inbox)) = self.senders.get(to.raw() as usize) {
+                    inbox.post(Envelope::Msg { from: NodeId::EXTERNAL, to, msg });
                 }
             }
             Some(Slot::Remote { peer }) => {
@@ -665,8 +733,8 @@ impl<M: Payload + Wire> ProcessRuntime<M> {
         // reconnect attempts); the teardown itself is sequenced by the
         // channel sends and joins below.
         self.stopping.store(true, Ordering::Relaxed);
-        for tx in &self.loops {
-            let _ = tx.send(Envelope::Stop);
+        for inbox in &self.loops {
+            inbox.post(Envelope::Stop);
         }
         for handle in self.loop_handles.drain(..) {
             let nodes = handle.join().expect("event loop panicked");
@@ -732,6 +800,13 @@ impl LinkMetricsHandle {
             thread_panics: LinkCounters::get(&self.counters.thread_panics),
             frames_dropped: 0,
             bytes_dropped: 0,
+            direct_writes: LinkCounters::get(&self.counters.direct_writes),
+            writer_writes: LinkCounters::get(&self.counters.writer_writes),
+            direct_write_timeouts: LinkCounters::get(&self.counters.direct_write_timeouts),
+            borrowed_deliveries: LinkCounters::get(&self.counters.borrowed_deliveries),
+            borrow_refused_busy: LinkCounters::get(&self.counters.borrow_refused_busy),
+            borrow_refused_pending: LinkCounters::get(&self.counters.borrow_refused_pending),
+            borrow_refused_not_quiet: LinkCounters::get(&self.counters.borrow_refused_not_quiet),
         };
         for b in &self.buffers {
             m.frames_dropped += b.dropped_frames();
@@ -793,10 +868,10 @@ struct Supervisor<M: Payload + Wire> {
     rx: Receiver<SupEvent>,
     tx: Sender<SupEvent>,
     peers: Vec<SupPeer>,
-    /// Per node, its event loop's inbox (for the readers' routing).
-    senders: Vec<Option<Sender<Envelope<M>>>>,
+    /// Per node, its event loop (for the readers' routing).
+    loop_of: Vec<Option<Arc<LiveLoop<M>>>>,
     /// Every event loop's inbox, each told of a peer change once.
-    loops: Vec<Sender<Envelope<M>>>,
+    loops: Vec<Inbox<M>>,
     links: Arc<RwLock<LinkSet>>,
     expected_nodes: u32,
     policy: Option<ReconnectPolicy>,
@@ -829,6 +904,8 @@ impl<M: Payload + Wire> Supervisor<M> {
     /// Installs `stream` as `epoch`'s live stream for event loops' direct
     /// writes, then spawns the epoch's writer/reader pair over it.
     fn bring_up(&mut self, i: usize, stream: UnixStream, epoch: u64) -> std::io::Result<()> {
+        // One send timeout for every descriptor of the socket.
+        stream.set_write_timeout(Some(WRITE_PATIENCE))?;
         let write_half = stream.try_clone()?;
         let teardown = stream.try_clone()?;
         let direct = stream.try_clone()?;
@@ -838,22 +915,24 @@ impl<M: Payload + Wire> Supervisor<M> {
         let buffer = p.buffer.clone();
         let lifecycle = Arc::clone(&p.lifecycle);
         let events = self.tx.clone();
+        let counters = Arc::clone(&self.counters);
         let wr = std::thread::Builder::new()
             .name(format!("rebeca-wr-{i}-e{epoch}"))
-            .spawn(move || writer_loop(write_half, buffer, lifecycle, events, i, epoch))
+            .spawn(move || writer_loop(write_half, buffer, lifecycle, events, counters, i, epoch))
             .expect("spawn writer thread");
         p.writer = Some(wr);
 
+        let reader = Reader {
+            loop_of: self.loop_of.clone(),
+            links: Arc::clone(&self.links),
+            expected_nodes: self.expected_nodes,
+            counters: Arc::clone(&self.counters),
+        };
         let lifecycle = Arc::clone(&p.lifecycle);
         let events = self.tx.clone();
-        let senders = self.senders.clone();
-        let links = Arc::clone(&self.links);
-        let expected_nodes = self.expected_nodes;
         let rd = std::thread::Builder::new()
             .name(format!("rebeca-rd-{i}-e{epoch}"))
-            .spawn(move || {
-                reader_loop(stream, senders, links, expected_nodes, lifecycle, events, i, epoch)
-            })
+            .spawn(move || reader.run(stream, lifecycle, events, i, epoch))
             .expect("spawn reader thread");
         self.peers[i].reader = Some(rd);
         Ok(())
@@ -882,8 +961,8 @@ impl<M: Payload + Wire> Supervisor<M> {
         // the nodes behind this peer are unreachable until the link
         // restarts (the replication layer's view-change trigger).
         let down_nodes = Arc::new(self.peers[i].behind.clone());
-        for tx in &self.loops {
-            let _ = tx.send(Envelope::PeerChange { nodes: Arc::clone(&down_nodes), up: false });
+        for inbox in &self.loops {
+            inbox.post(Envelope::PeerChange { nodes: Arc::clone(&down_nodes), up: false });
         }
         self.peers[i].saved_routes = saved;
         // Drain-and-drop the send buffer: releases any producer blocked on
@@ -1020,8 +1099,8 @@ impl<M: Payload + Wire> Supervisor<M> {
             st.restarts += 1;
         }
         let up_nodes = Arc::new(self.peers[i].behind.clone());
-        for tx in &self.loops {
-            let _ = tx.send(Envelope::PeerChange { nodes: Arc::clone(&up_nodes), up: true });
+        for inbox in &self.loops {
+            inbox.post(Envelope::PeerChange { nodes: Arc::clone(&up_nodes), up: true });
         }
     }
 }
@@ -1042,30 +1121,58 @@ fn sleep_unless_stopping(total: Duration, stopping: &AtomicBool) {
     }
 }
 
+/// Writes `bytes` until all are written, or until the socket's send
+/// timeout ([`WRITE_PATIENCE`]) passes with no room. Returns the bytes
+/// written and the error that ended the write, if one did (a timeout is
+/// not one).
+fn write_within_patience(mut stream: &UnixStream, bytes: &[u8]) -> (usize, Option<std::io::Error>) {
+    let mut written = 0;
+    while written < bytes.len() {
+        match stream.write(&bytes[written..]) {
+            Ok(0) => return (written, Some(ErrorKind::WriteZero.into())),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => return (written, Some(e)),
+        }
+    }
+    (written, None)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn writer_loop(
-    mut stream: UnixStream,
+    stream: UnixStream,
     buffer: SendBuffer,
     lifecycle: Arc<LinkLifecycle>,
     events: Sender<SupEvent>,
+    counters: Arc<LinkCounters>,
     peer: usize,
     epoch: u64,
 ) {
     let mut out = Vec::new();
     while buffer.drain_into(&mut out) {
-        if let Err(e) = stream.write_all(&out) {
-            // Torn link: report it (first reporter of this epoch wins) and
-            // exit. The supervisor drains-and-drops the buffer, so
-            // producers never block on the dead link.
-            if lifecycle.report_down(epoch) {
-                let _ = events.send(SupEvent::Down { peer, cause: LinkDownCause::Write(e.kind()) });
+        LinkCounters::bump(&counters.writer_writes);
+        // The send timeout bounds the event loops' direct writes; the
+        // writer thread waits on until the batch is out.
+        let mut rest = &out[..];
+        while !rest.is_empty() {
+            let (written, failed) = write_within_patience(&stream, rest);
+            if let Some(e) = failed {
+                // Torn link: report it (first reporter of this epoch wins)
+                // and exit. The supervisor drains-and-drops the buffer, so
+                // producers never block on the dead link.
+                if lifecycle.report_down(epoch) {
+                    let _ =
+                        events.send(SupEvent::Down { peer, cause: LinkDownCause::Write(e.kind()) });
+                }
+                return;
             }
-            return;
+            rest = &rest[written..];
         }
     }
     // Buffer closed (orderly stop) or marked down: flush and half-close so
     // the peer's reader sees EOF after the last frame.
-    let _ = stream.flush();
+    let _ = (&stream).flush();
     let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
@@ -1077,75 +1184,81 @@ enum ReadControl {
     PeerShutdown,
 }
 
-/// Parses and dispatches every whole frame currently buffered in `re`.
-/// Malformed input — misframing, undecodable payloads, a Hello that
-/// contradicts our node table — is an error, never a panic: the caller
-/// turns it into a link-down report. Split out from [`reader_loop`] so
-/// property tests can drive it with arbitrary bytes.
-fn drain_frames<M: Payload + Wire>(
-    re: &mut FrameReassembler,
-    senders: &[Option<Sender<Envelope<M>>>],
-    links: &Arc<RwLock<LinkSet>>,
-    expected_nodes: u32,
-) -> Result<ReadControl, LinkDownCause> {
-    loop {
-        match re.next_frame() {
-            Ok(Some(Frame::Msg { from, to, payload })) => {
-                let msg = match M::decode(&payload) {
-                    Ok(m) => m,
-                    Err(e) => return Err(LinkDownCause::Decode(e.to_string())),
-                };
-                // Frames for nodes this process does not host are dropped:
-                // the sender misdeclared the topology, and the Hello
-                // handshake already tore the link down for it.
-                if let Some(Some(tx)) = senders.get(to.raw() as usize) {
-                    let _ = tx.send(Envelope::Msg { from, to, msg });
-                }
-            }
-            Ok(Some(Frame::SetLink { a, b, up })) => links.write().set(a, b, up),
-            Ok(Some(Frame::Hello { nodes })) => {
-                if nodes != expected_nodes {
-                    return Err(LinkDownCause::HelloMismatch {
-                        peer_nodes: nodes,
-                        local_nodes: expected_nodes,
-                    });
-                }
-            }
-            Ok(Some(Frame::Shutdown)) => return Ok(ReadControl::PeerShutdown),
-            Ok(None) => return Ok(ReadControl::Continue), // partial frame
-            Err(e) => return Err(LinkDownCause::Misframe(e.to_string())),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reader_loop<M: Payload + Wire>(
-    mut stream: UnixStream,
-    senders: Vec<Option<Sender<Envelope<M>>>>,
+/// What a peer link's reader thread needs besides its socket.
+struct Reader<M: Payload + Wire> {
+    /// Per node, the event loop hosting it (`None` for remote nodes).
+    loop_of: Vec<Option<Arc<LiveLoop<M>>>>,
     links: Arc<RwLock<LinkSet>>,
     expected_nodes: u32,
-    lifecycle: Arc<LinkLifecycle>,
-    events: Sender<SupEvent>,
-    peer: usize,
-    epoch: u64,
-) {
-    let mut re = FrameReassembler::new();
-    let mut chunk = [0u8; 64 * 1024];
-    let cause = loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => break LinkDownCause::Eof,
-            Err(e) => break LinkDownCause::Read(e.kind()),
-            Ok(n) => n,
-        };
-        re.push(&chunk[..n]);
-        match drain_frames(&mut re, &senders, &links, expected_nodes) {
-            Ok(ReadControl::Continue) => {}
-            Ok(ReadControl::PeerShutdown) => break LinkDownCause::PeerShutdown,
-            Err(cause) => break cause,
+    counters: Arc<LinkCounters>,
+}
+
+impl<M: Payload + Wire> Reader<M> {
+    /// Parses and dispatches every whole frame currently buffered in `re`.
+    /// A message whose read held it alone may run on this thread (see
+    /// [`Loop::deliver`]). Malformed input — misframing, undecodable
+    /// payloads, a Hello that contradicts our node table — is an error,
+    /// never a panic: the caller turns it into a link-down report.
+    fn drain_frames(&self, re: &mut FrameReassembler) -> Result<ReadControl, LinkDownCause> {
+        let mut first = true;
+        loop {
+            let frame = re.next_frame();
+            let alone = std::mem::take(&mut first) && re.pending_bytes() == 0;
+            match frame {
+                Ok(Some(Frame::Msg { from, to, payload })) => {
+                    let msg = match M::decode(&payload) {
+                        Ok(m) => m,
+                        Err(e) => return Err(LinkDownCause::Decode(e.to_string())),
+                    };
+                    // Frames for nodes this process does not host are
+                    // dropped: the sender misdeclared the topology, and the
+                    // Hello handshake already tore the link down for it.
+                    if let Some(Some(lp)) = self.loop_of.get(to.raw() as usize) {
+                        lp.deliver(from, to, msg, alone, &self.counters);
+                    }
+                }
+                Ok(Some(Frame::SetLink { a, b, up })) => self.links.write().set(a, b, up),
+                Ok(Some(Frame::Hello { nodes })) => {
+                    if nodes != self.expected_nodes {
+                        return Err(LinkDownCause::HelloMismatch {
+                            peer_nodes: nodes,
+                            local_nodes: self.expected_nodes,
+                        });
+                    }
+                }
+                Ok(Some(Frame::Shutdown)) => return Ok(ReadControl::PeerShutdown),
+                Ok(None) => return Ok(ReadControl::Continue), // partial frame
+                Err(e) => return Err(LinkDownCause::Misframe(e.to_string())),
+            }
         }
-    };
-    if lifecycle.report_down(epoch) {
-        let _ = events.send(SupEvent::Down { peer, cause });
+    }
+
+    fn run(
+        self,
+        mut stream: UnixStream,
+        lifecycle: Arc<LinkLifecycle>,
+        events: Sender<SupEvent>,
+        peer: usize,
+        epoch: u64,
+    ) {
+        let mut re = FrameReassembler::new();
+        let mut chunk = [0u8; 64 * 1024];
+        let cause = loop {
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => break LinkDownCause::Eof,
+                Err(e) => break LinkDownCause::Read(e.kind()),
+                Ok(n) => n,
+            };
+            re.push(&chunk[..n]);
+            match self.drain_frames(&mut re) {
+                Ok(ReadControl::Continue) => {}
+                Ok(ReadControl::PeerShutdown) => break LinkDownCause::PeerShutdown,
+                Err(cause) => break cause,
+            }
+        };
+        if lifecycle.report_down(epoch) {
+            let _ = events.send(SupEvent::Down { peer, cause });
+        }
     }
 }
 
@@ -1178,7 +1291,7 @@ pub(crate) mod tests {
     }
 
     #[derive(Default)]
-    struct Collector {
+    pub(crate) struct Collector {
         peer: Option<NodeId>,
         received: Vec<u64>,
         max_hops: u64,
@@ -1331,7 +1444,7 @@ pub(crate) mod tests {
         (rt, a, b)
     }
 
-    fn collected(nodes: &[Option<Box<dyn Node<Tick>>>], id: NodeId) -> &[u64] {
+    pub(crate) fn collected(nodes: &[Option<Box<dyn Node<Tick>>>], id: NodeId) -> &[u64] {
         let node = nodes[id.raw() as usize].as_ref().expect("local node");
         &node.as_any().downcast_ref::<Collector>().expect("collector").received
     }
@@ -1370,14 +1483,53 @@ pub(crate) mod tests {
         assert!(collected(&nodes, b).is_empty(), "message crossed a down link");
     }
 
-    fn frame_bytes(f: &Frame) -> Vec<u8> {
+    pub(crate) fn frame_bytes(f: &Frame) -> Vec<u8> {
         let mut out = Vec::new();
         encode_frame(f, &mut out);
         out
     }
 
+    /// One message frame, as a peer process writes it.
+    pub(crate) fn tick_frame(from: NodeId, to: NodeId, tick: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_msg_frame(from, to, &Tick(tick), &mut out);
+        out
+    }
+
+    /// Every delivery the readers handed over, borrowed or posted.
+    fn handed_over(m: &LinkMetrics) -> u64 {
+        m.borrowed_deliveries
+            + m.borrow_refused_busy
+            + m.borrow_refused_pending
+            + m.borrow_refused_not_quiet
+    }
+
+    /// Writes `frame` alone, and `answered` waits for what it provokes,
+    /// until a reader borrows the frame's loop: the loop thread has parked
+    /// then, and with no timer and nothing posted it stays parked, so every
+    /// later lone frame is borrowed.
+    pub(crate) fn until_borrowed(
+        remote: &mut UnixStream,
+        frame: &[u8],
+        mh: &LinkMetricsHandle,
+        mut answered: impl FnMut(&mut UnixStream),
+    ) {
+        for _ in 0..1000 {
+            let before = mh.snapshot();
+            remote.write_all(frame).expect("write");
+            assert!(wait_until(Duration::from_secs(5), || {
+                handed_over(&mh.snapshot()) > handed_over(&before)
+            }));
+            answered(remote);
+            if mh.snapshot().borrowed_deliveries > before.borrowed_deliveries {
+                return;
+            }
+        }
+        panic!("no lone frame was ever borrowed");
+    }
+
     /// Reads whole frames off a raw test-side stream.
-    fn recv_frame(stream: &mut UnixStream, re: &mut FrameReassembler) -> Frame {
+    pub(crate) fn recv_frame(stream: &mut UnixStream, re: &mut FrameReassembler) -> Frame {
         loop {
             if let Some(f) = re.next_frame().expect("well-formed frame from runtime") {
                 return f;
@@ -1403,11 +1555,11 @@ pub(crate) mod tests {
     /// Waits until the link's writer thread has handed the write token back
     /// (it holds it for a batch until its next drain), so the next quiet
     /// send is granted a direct write.
-    fn wait_token_idle(buffer: &SendBuffer) {
+    pub(crate) fn wait_token_idle(buffer: &SendBuffer) {
         let idle = wait_until(Duration::from_secs(5), || {
             let granted = buffer.try_direct();
             if granted {
-                buffer.end_direct();
+                buffer.end_direct(&[]);
             }
             granted
         });
@@ -1584,16 +1736,17 @@ pub(crate) mod tests {
             live: Arc::clone(&p.live),
             lifecycle: Arc::clone(&p.lifecycle),
             events: rt.events_tx.clone().expect("started"),
+            counters: Arc::clone(&rt.counters),
         };
         wait_token_idle(&tx.buffer);
         let (_, dead) = stale.clone().expect("epoch 0's stream");
         assert!((&*dead).write_all(&[0]).is_err(), "epoch 0's socket is shut down");
         let mut payload = Vec::new();
         Tick(7).encode_into(&mut payload);
-        tx.send_on(stale, &frame_bytes(&Frame::Msg { from: n0, to: n1, payload }));
+        tx.send_on(stale, &frame_bytes(&Frame::Msg { from: n0, to: n1, payload }), false);
         assert!(!tx.lifecycle.is_down(), "a dead epoch's write cannot down the restarted link");
         assert!(tx.buffer.try_direct(), "the zombie returned the token");
-        tx.buffer.end_direct();
+        tx.buffer.end_direct(&[]);
 
         std::thread::sleep(Duration::from_millis(100));
         assert!(rt.peer_status(peer).up);
@@ -1718,6 +1871,309 @@ pub(crate) mod tests {
         let m = mh.snapshot();
         assert_eq!(m.link_downs, 1);
         assert_eq!(m.thread_panics, 0);
+    }
+
+    /// Answers every message with the same tick, and records the name of
+    /// the thread each of its handlers ran on.
+    #[derive(Default)]
+    struct Echo {
+        threads: Vec<String>,
+    }
+
+    impl Node<Tick> for Echo {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Tick>, from: NodeId, msg: Tick) {
+            self.threads.push(std::thread::current().name().unwrap_or_default().to_owned());
+            ctx.send(from, msg);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// An unloaded ping-pong: each frame from the peer arrives alone while
+    /// the loop is parked, so the reader runs every delivery itself and the
+    /// quiet answer is its own direct write. Neither the loop thread nor
+    /// the writer thread is woken.
+    #[test]
+    fn an_unloaded_peer_is_answered_on_the_reader_thread() {
+        const ROUNDS: u64 = 200;
+        let (local, mut remote) = UnixStream::pair().expect("socketpair");
+        let mut rt: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let peer = rt.add_peer(local);
+        let n0 = rt.add_local(Box::<Echo>::default());
+        let n1 = rt.add_remote(peer);
+        rt.connect(n0, n1);
+        let mh = rt.metrics_handle();
+        rt.start();
+        let mut re = FrameReassembler::new();
+        assert_eq!(recv_frame(&mut remote, &mut re), Frame::Hello { nodes: 2 });
+        wait_token_idle(&rt.peers[peer.0].buffer);
+        let answer = |i: u64| {
+            let mut payload = Vec::new();
+            Tick(i).encode_into(&mut payload);
+            Frame::Msg { from: n0, to: n1, payload }
+        };
+        until_borrowed(&mut remote, &tick_frame(n1, n0, 0), &mh, |remote| {
+            assert_eq!(recv_frame(remote, &mut re), answer(0));
+        });
+        let before = mh.snapshot();
+        for i in 1..=ROUNDS {
+            remote.write_all(&tick_frame(n1, n0, i)).expect("write");
+            assert_eq!(recv_frame(&mut remote, &mut re), answer(i));
+        }
+        // A reader counts its borrowed delivery once its round is over,
+        // after the answer left.
+        let borrowed = || mh.snapshot().borrowed_deliveries - before.borrowed_deliveries;
+        assert!(wait_until(Duration::from_secs(5), || borrowed() == ROUNDS), "{}", borrowed());
+        let m = mh.snapshot();
+        let nodes = rt.stop();
+        let echo = nodes[0].as_ref().unwrap().as_any().downcast_ref::<Echo>().unwrap();
+        let measured = &echo.threads[echo.threads.len() - ROUNDS as usize..];
+        assert!(
+            measured.iter().all(|t| t == "rebeca-rd-0-e0"),
+            "every delivery ran on the reader: {measured:?}"
+        );
+        let refused = |m: &LinkMetrics| {
+            m.borrow_refused_busy + m.borrow_refused_pending + m.borrow_refused_not_quiet
+        };
+        assert_eq!(refused(&m), refused(&before), "no borrow was refused");
+        assert_eq!(m.direct_writes - before.direct_writes, ROUNDS, "every answer written directly");
+        assert_eq!(m.writer_writes, 1, "the writer thread wrote the Hello only");
+        assert_eq!(m.direct_write_timeouts, 0);
+    }
+
+    /// Answers each message from outside its loop with a burst of `BURST`
+    /// numbered ticks to `peer`, and counts the messages it got.
+    struct Chatter {
+        peer: NodeId,
+        next: u64,
+        got: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Node<Tick> for Chatter {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Tick>, _: NodeId, _: Tick) {
+            for _ in 0..Chatter::BURST {
+                ctx.send(self.peer, Tick(self.next));
+                self.next += 1;
+            }
+            // ordering: Relaxed — a test counter, read by polling.
+            self.got.fetch_add(1, Ordering::Relaxed);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    impl Chatter {
+        const BURST: u64 = 64;
+    }
+
+    /// A peer that stops reading fills our socket: the direct writes of the
+    /// borrowed rounds time out and hand their tails to the writer thread,
+    /// so our reader keeps taking the peer's frames. Nothing goes down,
+    /// and once the peer reads again every frame arrives whole and in order.
+    #[test]
+    fn a_peer_that_stops_reading_never_stalls_our_reader() {
+        const MSGS: u64 = 40;
+        let (local, mut remote) = UnixStream::pair().expect("socketpair");
+        let got = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut rt: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let peer = rt.add_peer(local);
+        let n0 = rt.add_local(Box::new(Chatter {
+            peer: NodeId::new(1),
+            next: 0,
+            got: Arc::clone(&got),
+        }));
+        let n1 = rt.add_remote(peer);
+        rt.connect(n0, n1);
+        let mh = rt.metrics_handle();
+        rt.start();
+        wait_token_idle(&rt.peers[peer.0].buffer);
+        for i in 0..MSGS {
+            remote.write_all(&tick_frame(n1, n0, i)).expect("write");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ordering: Relaxed — a test counter, read by polling.
+        let all_taken = || got.load(Ordering::Relaxed) == MSGS;
+        assert!(wait_until(Duration::from_secs(10), all_taken), "the reader stalled");
+        let m = mh.snapshot();
+        assert!(m.direct_write_timeouts > 0, "the socket never filled: {m:?}");
+        assert_eq!(m.link_downs, 0);
+        // The peer reads again: the Hello, then every tick in order.
+        let mut re = FrameReassembler::new();
+        assert_eq!(recv_frame(&mut remote, &mut re), Frame::Hello { nodes: 2 });
+        for i in 0..MSGS * Chatter::BURST {
+            let mut payload = Vec::new();
+            Tick(i).encode_into(&mut payload);
+            assert_eq!(recv_frame(&mut remote, &mut re), Frame::Msg { from: n0, to: n1, payload });
+        }
+        rt.stop();
+        let m = mh.snapshot();
+        assert_eq!((m.link_downs, m.frames_dropped, m.thread_panics), (0, 0, 0));
+    }
+
+    /// A payload of any size; a blob's first 8 bytes number it.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Blob(Vec<u8>);
+
+    impl Payload for Blob {
+        fn wire_size(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    impl Wire for Blob {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+        fn decode(bytes: &[u8]) -> Result<Self, CoreError> {
+            Ok(Blob(bytes.to_vec()))
+        }
+    }
+
+    /// Answers each non-empty blob with `FLOOD` numbered blobs of `SIZE`
+    /// bytes to `peer`.
+    struct Flood {
+        peer: NodeId,
+        next: u64,
+    }
+
+    impl Flood {
+        const FLOOD: u64 = 16;
+        const SIZE: usize = 64 * 1024;
+    }
+
+    impl Node<Blob> for Flood {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Blob>, _: NodeId, msg: Blob) {
+            if msg.0.is_empty() {
+                return;
+            }
+            for _ in 0..Flood::FLOOD {
+                let mut blob = vec![0; Flood::SIZE];
+                blob[..8].copy_from_slice(&self.next.to_le_bytes());
+                ctx.send(self.peer, Blob(blob));
+                self.next += 1;
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Borrowed rounds answer a peer that stopped reading until its send
+    /// buffer is full: the round that finds no room hands the rest of its
+    /// sends to the loop thread, which waits for room, and the reader keeps
+    /// taking frames meanwhile. Once the peer reads, every blob arrives in
+    /// order.
+    #[test]
+    fn a_borrowed_round_hands_what_would_wait_to_the_loop_thread() {
+        const MSGS: u64 = 8;
+        let (local, mut remote) = UnixStream::pair().expect("socketpair");
+        let mut rt: ProcessRuntime<Blob> = ProcessRuntime::new();
+        let peer = rt.add_peer(local);
+        let n0 = rt.add_local(Box::new(Flood { peer: NodeId::new(1), next: 0 }));
+        let n1 = rt.add_remote(peer);
+        rt.connect(n0, n1);
+        let mh = rt.metrics_handle();
+        rt.start();
+        let frame = |blob: Vec<u8>| {
+            let mut out = Vec::new();
+            encode_msg_frame(n1, n0, &Blob(blob), &mut out);
+            out
+        };
+        until_borrowed(&mut remote, &frame(Vec::new()), &mh, |_| {});
+        // MSGS × 1 MiB against a 4 MiB buffer: the loop thread ends up
+        // waiting for room, and the reader still hands every frame over.
+        // Each frame is written once the last was handed over, so each
+        // arrives alone.
+        let before = mh.snapshot();
+        for i in 1..=MSGS {
+            remote.write_all(&frame(vec![1])).expect("write");
+            let handed = || handed_over(&mh.snapshot()) - handed_over(&before) == i;
+            assert!(wait_until(Duration::from_secs(10), handed), "the reader stalled at {i}");
+        }
+        let m = mh.snapshot();
+        assert!(m.borrowed_deliveries > before.borrowed_deliveries, "{m:?}");
+        assert!(
+            m.borrow_refused_busy > before.borrow_refused_busy,
+            "the loop thread waited: {m:?}"
+        );
+        let mut re = FrameReassembler::new();
+        assert_eq!(recv_frame(&mut remote, &mut re), Frame::Hello { nodes: 2 });
+        for i in 0..MSGS * Flood::FLOOD {
+            let Frame::Msg { from, to, payload } = recv_frame(&mut remote, &mut re) else {
+                panic!("a message frame");
+            };
+            assert_eq!((from, to, payload.len()), (n0, n1, Flood::SIZE));
+            assert_eq!(payload[..8], i.to_le_bytes(), "blob {i} out of order");
+        }
+        rt.stop();
+        let m = mh.snapshot();
+        assert_eq!((m.link_downs, m.frames_dropped, m.thread_panics), (0, 0, 0));
+    }
+
+    /// Holds its handler for `HOLD` on a `Tick(1)`, after telling the test
+    /// it started, and records the thread it held.
+    struct Slow {
+        started: Arc<AtomicBool>,
+        held_on: Option<String>,
+    }
+
+    impl Slow {
+        const HOLD: Duration = Duration::from_millis(200);
+    }
+
+    impl Node<Tick> for Slow {
+        fn on_message(&mut self, _: &mut Ctx<'_, Tick>, _: NodeId, msg: Tick) {
+            if msg.0 == 1 {
+                // ordering: Relaxed — a test flag, read by polling.
+                self.started.store(true, Ordering::Relaxed);
+                std::thread::sleep(Slow::HOLD);
+                self.held_on = std::thread::current().name().map(str::to_owned);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// `stop` while a reader runs a borrowed round: the loop thread waits
+    /// for the borrower to hand the token back, then returns every node.
+    #[test]
+    fn stop_while_a_reader_holds_the_token_returns_every_node() {
+        let (local, mut remote) = UnixStream::pair().expect("socketpair");
+        let started = Arc::new(AtomicBool::new(false));
+        let mut rt: ProcessRuntime<Tick> = ProcessRuntime::new();
+        let peer = rt.add_peer(local);
+        let slow = rt.add_local(Box::new(Slow { started: Arc::clone(&started), held_on: None }));
+        let far = rt.add_remote(peer);
+        let other = rt.add_local(Box::<Collector>::default());
+        rt.connect(slow, far);
+        rt.connect(slow, other);
+        let mh = rt.metrics_handle();
+        rt.start();
+        until_borrowed(&mut remote, &tick_frame(far, slow, 0), &mh, |_| {});
+        remote.write_all(&tick_frame(far, slow, 1)).expect("write");
+        // ordering: Relaxed — a test flag, read by polling.
+        assert!(wait_until(Duration::from_secs(5), || started.load(Ordering::Relaxed)));
+        let nodes = rt.stop();
+        let slow = nodes[slow.raw() as usize].as_ref().expect("the slow node came back");
+        let held_on = &slow.as_any().downcast_ref::<Slow>().expect("slow").held_on;
+        assert_eq!(held_on.as_deref(), Some("rebeca-rd-0-e0"), "a reader held the token");
+        assert!(nodes[other.raw() as usize].is_some(), "the other loop's node came back");
+        assert!(nodes[far.raw() as usize].is_none());
     }
 
     /// Listen-side supervision: the listener is retained, so when the

@@ -20,7 +20,9 @@
 //! * `Direct` — a producer was granted [`try_direct`](SendBuffer::try_direct)
 //!   and writes one frame to the socket itself, skipping the writer thread
 //!   and its wake-up; [`end_direct`](SendBuffer::end_direct) hands the
-//!   token back.
+//!   token back, with the frame's unwritten tail if the socket's send
+//!   timeout cut the write short. The tail goes ahead of everything
+//!   queued meanwhile, so the frame stays whole on the wire.
 //!
 //! `try_direct` grants only when the link is open and up, nothing is
 //! queued and the token is `Idle`, and `drain_into` waits while a `Direct`
@@ -45,7 +47,13 @@
 //! demonstrates the checker catches the classic condvar bug (treating a
 //! wakeup as a grant without re-checking occupancy); the
 //! `sendbuf_direct_ignores_queue` twin grants `Direct` past queued bytes
-//! and the checker catches the reordered frames.
+//! and the checker catches the reordered frames; the `tail_behind_queue`
+//! twin queues a torn write's tail behind later pushes, and the checker
+//! catches the torn frame.
+//!
+//! A caller that may not wait (a reader running an event loop's round)
+//! queues with [`try_push`](SendBuffer::try_push), which refuses where
+//! [`push`](SendBuffer::push) would block.
 
 use crate::sync::lock::{Condvar, Mutex};
 use std::fmt;
@@ -146,6 +154,22 @@ impl SendBuffer {
     ///
     /// [`LinkClosed`] once [`close`](SendBuffer::close) was called.
     pub fn push(&self, frame: &[u8]) -> Result<(), LinkClosed> {
+        self.push_or(frame, true).map(|_| ())
+    }
+
+    /// [`push`](SendBuffer::push) for a caller that may not wait: `false`,
+    /// with nothing queued, where `push` would block on a full buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkClosed`] once [`close`](SendBuffer::close) was called.
+    pub fn try_push(&self, frame: &[u8]) -> Result<bool, LinkClosed> {
+        self.push_or(frame, false)
+    }
+
+    /// Queues `frame`, waiting for space if `wait`; false if it would have
+    /// had to wait and may not.
+    fn push_or(&self, frame: &[u8], wait: bool) -> Result<bool, LinkClosed> {
         let mut st = self.shared.state.lock();
         loop {
             if st.closed {
@@ -156,10 +180,13 @@ impl SendBuffer {
                 // queue into) a dead link — the frame is a counted drop.
                 st.dropped_frames += 1;
                 st.dropped_bytes += frame.len() as u64;
-                return Ok(());
+                return Ok(true);
             }
             if st.queue.is_empty() || st.queue.len() + frame.len() <= self.shared.capacity {
                 break;
+            }
+            if !wait {
+                return Ok(false);
             }
             self.shared.space.wait(&mut st);
             // Model-checker fault injection: treat the wakeup itself as a
@@ -177,7 +204,7 @@ impl SendBuffer {
         }
         st.queue.extend_from_slice(frame);
         self.shared.ready.notify_one();
-        Ok(())
+        Ok(true)
     }
 
     /// Swaps all queued bytes into `out` (cleared first), blocking until
@@ -234,11 +261,33 @@ impl SendBuffer {
     }
 
     /// Returns the token a [`try_direct`](SendBuffer::try_direct) granted,
-    /// and wakes the drainer if frames were queued during the write.
-    pub fn end_direct(&self) {
+    /// with the `unwritten` tail of a write the socket's send timeout cut
+    /// short (empty if it finished or failed), and wakes the drainer if
+    /// anything is queued. The tail goes ahead of every frame queued
+    /// during the write, since those were pushed after the granted frame;
+    /// like an oversized frame it is admitted past the capacity. A link
+    /// marked down meanwhile counts the tail as dropped bytes.
+    pub fn end_direct(&self, unwritten: &[u8]) {
         let mut st = self.shared.state.lock();
         debug_assert_eq!(st.token, Token::Direct, "end_direct without a granted try_direct");
         st.token = Token::Idle;
+        if st.down {
+            st.dropped_bytes += unwritten.len() as u64;
+        } else {
+            // Model-checker fault injection: queue the tail behind the
+            // frames pushed during the write, tearing the granted frame.
+            // `crates/verify/tests/send_buffer.rs` proves the checker
+            // sees the torn frame.
+            #[cfg(rebeca_verify)]
+            let tail_first = !rebeca_verify::inject::enabled("tail_behind_queue");
+            #[cfg(not(rebeca_verify))]
+            let tail_first = true;
+            if tail_first {
+                st.queue.splice(..0, unwritten.iter().copied());
+            } else {
+                st.queue.extend_from_slice(unwritten);
+            }
+        }
         let wake = !st.queue.is_empty();
         drop(st);
         if wake {
@@ -411,7 +460,7 @@ mod tests {
         let sb = SendBuffer::new(8);
         assert!(sb.try_direct(), "idle, empty and up");
         assert!(!sb.try_direct(), "one direct writer at a time");
-        sb.end_direct();
+        sb.end_direct(&[]);
         sb.push(&[1]).unwrap();
         assert!(!sb.try_direct(), "queued bytes go first");
         let mut out = Vec::new();
@@ -425,7 +474,7 @@ mod tests {
         assert!(!sb.drain_into(&mut out), "down ends the writer loop");
         sb.mark_up();
         assert!(sb.try_direct(), "a drain that exits releases its token");
-        sb.end_direct();
+        sb.end_direct(&[]);
         sb.close();
         assert!(!sb.try_direct(), "never onto a closed link");
     }
@@ -443,7 +492,7 @@ mod tests {
         });
         thread::sleep(Duration::from_millis(30));
         assert!(!writer.is_finished(), "the drainer must not write beside a direct write");
-        sb.end_direct();
+        sb.end_direct(&[]);
         assert_eq!(writer.join().unwrap(), (true, vec![5, 6]));
     }
 
@@ -457,9 +506,43 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         sb.mark_down();
         assert!(!writer.join().unwrap(), "down ends the writer loop mid-direct-write");
-        sb.end_direct();
+        sb.end_direct(&[]);
         sb.mark_up();
         assert!(sb.try_direct(), "the token came back");
+    }
+
+    #[test]
+    fn try_push_refuses_where_push_would_wait() {
+        let sb = SendBuffer::new(4);
+        assert_eq!(sb.try_push(&[1u8; 3]), Ok(true));
+        assert_eq!(sb.try_push(&[2u8; 2]), Ok(false), "the buffer is full");
+        assert_eq!(sb.occupancy(), 3, "a refused frame is not queued");
+        sb.mark_down();
+        assert_eq!(sb.try_push(&[3u8; 9]), Ok(true), "a down link drops, never refuses");
+        assert_eq!(sb.dropped_frames(), 1);
+        sb.close();
+        assert_eq!(sb.try_push(&[4]), Err(LinkClosed));
+    }
+
+    #[test]
+    fn a_torn_direct_writes_tail_goes_ahead_of_later_pushes() {
+        let sb = SendBuffer::new(4);
+        assert!(sb.try_direct());
+        sb.push(&[7, 8, 9, 10]).unwrap();
+        sb.end_direct(&[5, 6]);
+        let mut out = Vec::new();
+        assert!(sb.drain_into(&mut out));
+        assert_eq!(out, vec![5, 6, 7, 8, 9, 10], "the tail first, then the push");
+    }
+
+    #[test]
+    fn a_torn_tail_into_a_down_link_is_dropped_bytes() {
+        let sb = SendBuffer::new(4);
+        assert!(sb.try_direct());
+        sb.mark_down();
+        sb.end_direct(&[1, 2, 3]);
+        assert_eq!(sb.occupancy(), 0);
+        assert_eq!(sb.dropped_bytes(), 3);
     }
 
     #[test]

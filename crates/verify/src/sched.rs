@@ -720,6 +720,26 @@ impl Execution {
         }
     }
 
+    /// Takes the lock if it is free; false (and no park) if it is held.
+    pub(crate) fn lock_try_acquire(&self, me: ThreadId, res: ResourceId) -> bool {
+        self.yield_point(me);
+        let mut g = self.lock();
+        if g.aborting {
+            drop(g);
+            abort_unwind();
+        }
+        let Resource::Lock { holder, view } = &mut g.resources[res] else {
+            unreachable!("resource {res} is not a lock")
+        };
+        if holder.is_some() {
+            return false;
+        }
+        *holder = Some(me);
+        let lock_view = view.clone();
+        g.threads[me].view.join(&lock_view);
+        true
+    }
+
     fn release_locked(g: &mut Guard<'_>, me: ThreadId, res: ResourceId) {
         let me_view = g.threads[me].view.clone();
         let Resource::Lock { holder, view } = &mut g.resources[res] else {

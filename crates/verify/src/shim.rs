@@ -117,6 +117,17 @@ macro_rules! shim_atomic {
                 )
             }
 
+            /// Atomic subtract; returns the previous value.
+            pub fn fetch_sub(&self, v: $prim, ord: Ordering) -> $prim {
+                let to: fn($prim) -> u64 = $to;
+                let from: fn(u64) -> $prim = $from;
+                from(
+                    self.with(|e, me, res| {
+                        e.atomic_rmw(me, res, ord, |old| old.wrapping_sub(to(v)))
+                    }),
+                )
+            }
+
             /// Atomic swap; returns the previous value.
             pub fn swap(&self, v: $prim, ord: Ordering) -> $prim {
                 let to: fn($prim) -> u64 = $to;
@@ -186,6 +197,19 @@ impl<T> Mutex<T> {
         let res = self.res(&exec);
         exec.lock_acquire(me, res);
         MutexGuard { mutex: self, inner: Some(unpoison(self.data.lock())), res, held: true }
+    }
+
+    /// Acquires the mutex if no model thread holds it (a model scheduling
+    /// point; never blocks).
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let (exec, me) = sched::ctx();
+        let res = self.res(&exec);
+        exec.lock_try_acquire(me, res).then(|| MutexGuard {
+            mutex: self,
+            inner: Some(unpoison(self.data.lock())),
+            res,
+            held: true,
+        })
     }
 
     /// Consumes the mutex, returning the inner value.

@@ -21,6 +21,12 @@
 //! during a direct write ends the drainer and the token comes back. The
 //! `sendbuf_direct_ignores_queue` injection grants `Direct` past queued
 //! bytes, and the checker catches the reordered frames.
+//!
+//! A direct write the socket's send timeout cuts short hands its tail back
+//! with `end_direct`: the granted frame reaches the socket whole, ahead of
+//! every frame pushed during the write. The `tail_behind_queue` injection
+//! queues the tail behind those pushes, and the checker catches the torn
+//! frame.
 #![cfg(rebeca_verify)]
 
 use rebeca_net::{LinkClosed, SendBuffer};
@@ -143,7 +149,7 @@ impl Socket {
 fn send(sb: &SendBuffer, socket: &Socket, frame: &[u8]) {
     if sb.try_direct() {
         socket.write(frame);
-        sb.end_direct();
+        sb.end_direct(&[]);
     } else {
         sb.push(frame).expect("the link is open");
     }
@@ -227,7 +233,7 @@ fn mark_down_during_a_direct_write_returns_the_token() {
                 let (sb, socket) = (sb.clone(), Arc::clone(&socket));
                 thread::spawn(move || {
                     socket.write(&[0xD1]);
-                    sb.end_direct();
+                    sb.end_direct(&[]);
                 })
             };
             let drainer = {
@@ -254,7 +260,7 @@ fn mark_down_during_a_direct_write_returns_the_token() {
             }
             sb.mark_up();
             assert!(sb.try_direct(), "the token came back");
-            sb.end_direct();
+            sb.end_direct(&[]);
         })
         .assert_ok();
 }
@@ -278,6 +284,71 @@ fn injected_direct_ignores_queue_is_caught_and_replays() {
         .inject("sendbuf_direct_ignores_queue")
         .schedule(&failure.schedule)
         .check(direct_body);
+    assert_eq!(replay.explored, 1, "a replay explores exactly one schedule");
+    assert_eq!(replay.assert_fails().message, failure.message);
+}
+
+/// Producer A's direct write is cut short after its first byte (the
+/// socket's send timeout) and hands the second back; B pushes meanwhile,
+/// and the drainer ships the queue. A's frame must reach the socket whole:
+/// its tail goes ahead of any frame pushed after the grant.
+fn torn_body() {
+    let sb = SendBuffer::new(2);
+    let socket = Arc::new(Socket::default());
+    let drainer = {
+        let (sb, socket) = (sb.clone(), Arc::clone(&socket));
+        thread::spawn(move || drain_to(&sb, &socket))
+    };
+    let a = {
+        let (sb, socket) = (sb.clone(), Arc::clone(&socket));
+        thread::spawn(move || {
+            if sb.try_direct() {
+                socket.write(&[0xA1]);
+                sb.end_direct(&[0xA2]);
+            } else {
+                sb.push(&[0xA1, 0xA2]).expect("the link is open");
+            }
+        })
+    };
+    let b = {
+        let sb = sb.clone();
+        thread::spawn(move || sb.push(&[0xB1]).expect("the link is open"))
+    };
+    a.join().expect("producer A");
+    b.join().expect("producer B");
+    sb.close();
+    drainer.join().expect("drainer");
+    let log = socket.bytes();
+    let mut sorted = log.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, vec![0xA1, 0xA2, 0xB1], "every byte exactly once: {log:x?}");
+    assert_eq!(position(&log, 0xA1) + 1, position(&log, 0xA2), "A's frame was torn: {log:x?}");
+}
+
+#[test]
+fn a_torn_direct_writes_tail_goes_first() {
+    Checker::new("a_torn_direct_writes_tail_goes_first").check(torn_body).assert_ok();
+}
+
+/// Injected bug: the tail of a torn direct write is queued behind the
+/// frames pushed during the write, so B's frame lands inside A's. The
+/// checker must find that interleaving and replay it from the printed
+/// schedule.
+#[test]
+fn injected_tail_behind_queue_is_caught_and_replays() {
+    let report = Checker::new("injected_tail_behind_queue_is_caught_and_replays")
+        .inject("tail_behind_queue")
+        .check(torn_body);
+    let failure = report.assert_fails();
+    assert!(
+        failure.message.contains("A's frame was torn"),
+        "unexpected failure: {}",
+        failure.message
+    );
+    let replay = Checker::new("injected_tail_behind_queue_is_caught_and_replays")
+        .inject("tail_behind_queue")
+        .schedule(&failure.schedule)
+        .check(torn_body);
     assert_eq!(replay.explored, 1, "a replay explores exactly one schedule");
     assert_eq!(replay.assert_fails().message, failure.message);
 }
