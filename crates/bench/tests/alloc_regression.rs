@@ -17,6 +17,11 @@
 //!   nodes, which one loop thread drives: each hop a push onto the loop's
 //!   lane and a pop off it.
 //!
+//! One case counts allocations that are meant to happen: the owned decode
+//! of a received notification allocates its flat attribute set's two
+//! buffers, one string per string value and its `Arc`, exactly, and a
+//! hostile count or name length buys nothing beyond the bytes at hand.
+//!
 //! The counter is per thread: the test harness's own thread allocates
 //! while the test runs (about one run in thirty saw it inside a measured
 //! loop when the counter was global).
@@ -28,8 +33,8 @@ use rebeca_broker::{BrokerCore, BrokerOp, Message, Outcome, RoutingStrategy};
 use rebeca_core::CoreError;
 use rebeca_core::SimDuration;
 use rebeca_core::{
-    BrokerId, ClientId, Filter, Interner, LocationId, Notification, SimTime, Subscription,
-    SubscriptionId,
+    BrokerId, ClientId, Filter, Interner, LocationId, Notification, NotificationBuilder, SimTime,
+    Subscription, SubscriptionId,
 };
 use rebeca_mobility::{BufferSpec, ByteLedger};
 use rebeca_net::{
@@ -44,19 +49,21 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counts every allocation (alloc + realloc) the calling thread passes
-/// through the global allocator.
+/// through the global allocator, and the bytes they ask for.
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator neither allocates nor outlives its thread.
+    // Const-initialised and without a destructor, so touching them from
+    // inside the allocator neither allocates nor outlives their thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // A thread being torn down may allocate after its locals are gone;
     // nothing measures that thread any more.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: delegates directly to the system allocator; the counter is a
@@ -65,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards `layout` unchanged to the system allocator, which
     // upholds the GlobalAlloc contract for it.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
@@ -78,7 +85,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same delegation as `alloc`/`dealloc`; the system allocator
     // upholds the realloc contract for a pointer it handed out.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -88,6 +95,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.with(Cell::get)
+}
+
+/// Allocations and bytes asked for by one call of `f`.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (calls, bytes) = (allocations(), allocated_bytes());
+    let out = f();
+    (out, allocations() - calls, allocated_bytes() - bytes)
 }
 
 /// Shuttles replica traffic between a [`ReplicatedBrokerNode`] and a set
@@ -600,4 +618,56 @@ fn live_event_loop_allocates_nothing() {
         rallied, 0,
         "the event loop allocated {rallied} times in {LIVE_MEASURED} steady-state hops"
     );
+}
+
+/// A `Forward` of `attrs`, published, as the bytes a link carries.
+fn forward_bytes(attrs: NotificationBuilder) -> Vec<u8> {
+    let n = attrs.publish(ClientId::new(1), 7, SimTime::from_micros(1_234_567_890));
+    let mut bytes = Vec::new();
+    Message::Forward { notification: Arc::new(n) }.encode_into(&mut bytes);
+    bytes
+}
+
+#[test]
+fn owned_decode_allocates_the_set_once() {
+    let decode = |bytes: &[u8]| counted(|| Message::decode(bytes).expect("own encoding"));
+
+    // Shaped like the relay workload's: three attributes, one a string. The
+    // `Arc<Notification>`, the name string, the entry vector, the string.
+    let relay = NotificationBuilder::new()
+        .attr("topic", "relay-topic")
+        .attr("t", 1_234_567_890i64)
+        .attr("op", 42i64);
+    let bytes = forward_bytes(relay.clone());
+    let (msg, calls, _) = decode(&bytes);
+    assert_eq!(calls, 4, "a relay Forward decoded in {calls} allocations");
+    let Message::Forward { notification } = msg else { panic!("decoded {msg:?}") };
+    assert_eq!(notification.get("topic").and_then(|v| v.as_str()), Some("relay-topic"));
+
+    // Eight attributes and no string value: three, however many names.
+    let eight = (0..8).fold(NotificationBuilder::new(), |b, i| b.attr(format!("a{i}"), i as i64));
+    let (_, calls, _) = decode(&forward_bytes(eight));
+    assert_eq!(calls, 3, "an 8-attribute Forward decoded in {calls} allocations");
+
+    // Publishing moves the staged set into the notification.
+    let (n, calls, _) = counted(|| relay.publish(ClientId::new(1), 0, SimTime::ZERO));
+    assert_eq!(calls, 0, "publish allocated {calls} times");
+    assert_eq!(n.attr_count(), 3);
+
+    // A hostile attribute count: 65 535 claimed, two present, then the
+    // bytes end. The set is sized by the two, not by the claim.
+    let two = NotificationBuilder::new().attr("a", 1i64).attr("b", 2i64);
+    let mut hostile = forward_bytes(two);
+    let count_at = 1 + 4 + 8 + 8; // Forward tag, publisher, seq, published_at
+    hostile[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    let (err, calls, bytes) = counted(|| Message::decode(&hostile).expect_err("cut short"));
+    assert!(matches!(err, CoreError::Truncated { .. }), "{err:?}");
+    assert!(calls <= 2 && bytes <= 256, "{calls} allocations of {bytes} bytes for two attributes");
+
+    // A hostile name length: 65 535 bytes claimed, 13 left in the message.
+    let mut hostile = forward_bytes(NotificationBuilder::new().attr("name", 1i64));
+    hostile[count_at + 2..count_at + 4].copy_from_slice(&u16::MAX.to_le_bytes());
+    let (err, calls, _) = counted(|| Message::decode(&hostile).expect_err("cut short"));
+    assert_eq!(err, CoreError::Truncated { need: usize::from(u16::MAX), have: 13 });
+    assert_eq!(calls, 0, "a name that is not there allocated {calls} times");
 }

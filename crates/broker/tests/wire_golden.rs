@@ -22,7 +22,9 @@ use rebeca_broker::codec::encode_broker_op;
 use rebeca_broker::{
     encode_message, encode_mobility, BrokerOp, LogState, Message, MobilityMsg, ReplicaMsg,
 };
-use rebeca_core::codec::{encode_filter, encode_predicate, encode_subscription, encode_value};
+use rebeca_core::codec::{
+    encode_filter, encode_predicate, encode_subscription, encode_value, ArchivedNotification,
+};
 use rebeca_core::{
     ApplicationId, BrokerId, ClientId, Constraint, Filter, LocationId, Notification, Predicate,
     SimTime, Subscription, SubscriptionId, Value,
@@ -689,4 +691,42 @@ fn size_is_the_encoding() {
     assert_eq!(n.wire_size(), enc(&*n, |n, b| n.encode(b)).len());
     assert_eq!(f.wire_size(), enc(&f, encode_filter).len());
     assert_eq!(s.wire_size(), enc(&s, encode_subscription).len());
+}
+
+// ----- the notification body ---------------------------------------------
+
+const DIGEST_SEED: u64 = 0xD16E_57A7_7E55_0001;
+const DIGEST_NOTIFICATIONS: usize = 4_000;
+/// Recorded from the `BTreeMap` attribute set, before the set became flat.
+const DIGESTS: [u64; 4] =
+    [0x6663_534e_eca8_a439, 0x8d3f_a707_791f_b3c1, 0xb2fd_45e9_9831_991d, 0x5a8e_11f8_276e_dac1];
+const DIGEST_FOLD: u64 = 0xdabc_b1cf_38c6_0045;
+
+/// Shared buffers key notifications by [`Notification::digest`], so the
+/// attribute set's layout may not move it: the first digests of a seeded
+/// draw, and a fold over all of them, are pinned.
+#[test]
+fn seeded_notification_digests_are_pinned() {
+    let mut gen = Gen(SplitMix64::new(DIGEST_SEED));
+    let digests: Vec<u64> =
+        (0..DIGEST_NOTIFICATIONS).map(|_| gen.notification().digest().raw()).collect();
+    let fold = digests.iter().fold(0u64, |h, d| h.rotate_left(7) ^ d);
+    assert_eq!((&digests[..4], fold), (&DIGESTS[..], DIGEST_FOLD));
+}
+
+/// The two readers of a notification body agree: the owned decode equals
+/// the archived view's promotion, for the sample and for every
+/// notification the seeded generator draws.
+#[test]
+fn owned_decode_equals_the_archived_promotion() {
+    let mut gen = Gen(SplitMix64::new(CORPUS_SEED));
+    let drawn = (0..2_000).map(|_| gen.notification());
+    for n in std::iter::once(sample_notification(9)).chain(drawn) {
+        let bytes = enc(&*n, |n, b| n.encode(b));
+        let owned = Notification::decode(&mut bytes.as_slice()).expect("own encoding");
+        let (view, rest) = ArchivedNotification::parse(&bytes).expect("own encoding");
+        assert!(rest.is_empty());
+        assert_eq!(owned, view.to_notification(), "{n}");
+        assert_eq!(owned, *n);
+    }
 }

@@ -28,16 +28,21 @@
 //! Decoders never panic on foreign bytes and trust no prefix: each field is
 //! bounds-checked where it is read (a short buffer is
 //! [`CoreError::Truncated`]), an unknown tag byte is [`CoreError::BadTag`],
-//! invalid UTF-8 is [`CoreError::Decode`], and [`List`] — the one reader
-//! that reserves — caps its reservation whatever the count claims.
+//! invalid UTF-8 is [`CoreError::Decode`], and the readers that reserve —
+//! [`List`] and the attribute set — cap their reservations whatever the
+//! count claims.
 //!
 //! ## Written by hand, and why
 //!
 //! * [`Filter`]: decoded constraints are re-normalised through
 //!   [`Filter::from_constraints`], so bytes in any order decode to the
 //!   filter every other construction path would have built.
-//! * Location sets and attribute maps (the latter in `notification.rs`):
-//!   counted like a [`List`], but read into their ordered collection.
+//! * Location sets: counted like a [`List`], but read into their ordered
+//!   collection.
+//! * Attribute sets (in `notification.rs`): counted like a [`List`] of
+//!   `Str<u16>` names and values, but read into one flat set — every name
+//!   appended to one `String`, the set sized by the bytes at hand rather
+//!   than by the count, sorted once after the read.
 //! * [`ArchivedNotification`]: the borrowing second reader of the
 //!   notification body, which a table of owned values cannot express.
 //!
@@ -61,7 +66,7 @@ use crate::error::CoreError;
 use crate::filter::{Constraint, Filter, Predicate};
 use crate::id::{ClientId, LocationId, SubscriptionId};
 use crate::intern::{Interner, Symbol};
-use crate::notification::{Notification, NotificationId};
+use crate::notification::{Attrs, Notification, NotificationId};
 use crate::subscription::Subscription;
 use crate::time::SimTime;
 use crate::value::Value;
@@ -112,7 +117,7 @@ pub trait Field {
 /// have recursed. Made by [`decode`].
 #[derive(Debug)]
 pub struct Reader<'a, B> {
-    buf: &'a mut B,
+    pub(crate) buf: &'a mut B,
     depth: usize,
 }
 
@@ -636,11 +641,13 @@ impl<'a> ArchivedNotification<'a> {
     /// allocating exit of the archived path (used when a notification
     /// leaves the transport layer and enters buffers / delivery logs).
     pub fn to_notification(&self) -> Notification {
-        let mut b = Notification::builder();
+        let names = self.attrs().map(|(name, _)| name.len()).sum();
+        let mut attrs = Attrs::with_capacity(self.attr_count(), names);
         for (name, v) in self.attrs() {
-            b = b.attr(name, v.to_value());
+            attrs.push(name, v.to_value());
         }
-        b.publish(self.publisher, self.seq, self.published_at)
+        attrs.canonicalise();
+        Notification::from_attrs(self.id(), self.published_at, attrs)
     }
 }
 

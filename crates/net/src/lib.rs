@@ -60,7 +60,7 @@ pub use supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
 pub use thread_rt::ThreadRuntime;
 pub use topology::{Topology, TopologyError};
 pub use wire::{
-    decode_frame, encode_frame, encode_msg_frame, Frame, FrameReassembler, Wire, MAX_FRAME,
-    WIRE_VERSION,
+    decode_frame, encode_frame, encode_msg_frame, parse_frame, Frame, FrameReassembler, Wire,
+    MAX_FRAME, WIRE_VERSION,
 };
 pub use world::World;

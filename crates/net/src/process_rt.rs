@@ -106,7 +106,7 @@ use crate::node_loop::{run_loop, Envelope, Inbox, LinkSet, Loop, SendStep};
 use crate::rng::SplitMix64;
 use crate::send_buffer::SendBuffer;
 use crate::supervisor::{LinkDownCause, LinkLifecycle, ReconnectPolicy};
-use crate::wire::{encode_frame, encode_msg_frame, Frame, FrameReassembler, Wire};
+use crate::wire::{encode_frame, encode_msg_frame, parse_frame, Frame, FrameReassembler, Wire};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
@@ -1194,20 +1194,33 @@ struct Reader<M: Payload + Wire> {
 }
 
 impl<M: Payload + Wire> Reader<M> {
-    /// Parses and dispatches every whole frame currently buffered in `re`.
-    /// A message whose read held it alone may run on this thread (see
-    /// [`Loop::deliver`]). Malformed input — misframing, undecodable
-    /// payloads, a Hello that contradicts our node table — is an error,
-    /// never a panic: the caller turns it into a link-down report.
+    /// Parses and dispatches every whole frame currently buffered in `re`,
+    /// each read where it lies in `re`'s buffer: a `Msg` payload is decoded
+    /// from the lent frame body, never copied out first. A message whose
+    /// read held it alone may run on this thread (see [`Loop::deliver`]).
+    /// Malformed input — misframing, undecodable payloads, a Hello that
+    /// contradicts our node table — is an error, never a panic: the caller
+    /// turns it into a link-down report.
     fn drain_frames(&self, re: &mut FrameReassembler) -> Result<ReadControl, LinkDownCause> {
         let mut first = true;
         loop {
-            let frame = re.next_frame();
-            let alone = std::mem::take(&mut first) && re.pending_bytes() == 0;
-            match frame {
-                Ok(Some(Frame::Msg { from, to, payload })) => {
-                    let msg = match M::decode(&payload) {
+            // hot-path: begin received-frame dispatch — per frame a body on
+            // loan from the reassembler and, for a `Msg`, one decode of the
+            // payload in place; the decoded message is the only allocation.
+            let (body, behind) = match re.next_body() {
+                Ok(Some(lent)) => lent,
+                Ok(None) => return Ok(ReadControl::Continue), // partial frame
+                // lint: allow(hot-alloc) — misframed stream; the link is dropped.
+                Err(e) => return Err(LinkDownCause::Misframe(e.to_string())),
+            };
+            let alone = std::mem::take(&mut first) && behind == 0;
+            match parse_frame(body) {
+                Ok(Frame::Msg { from, to, payload }) => {
+                    // The deliberate allocations of a received message: its
+                    // decoded value (a notification's set, strings, `Arc`).
+                    let msg = match M::decode(payload) {
                         Ok(m) => m,
+                        // lint: allow(hot-alloc) — undecodable payload; the link is dropped.
                         Err(e) => return Err(LinkDownCause::Decode(e.to_string())),
                     };
                     // Frames for nodes this process does not host are
@@ -1217,8 +1230,9 @@ impl<M: Payload + Wire> Reader<M> {
                         lp.deliver(from, to, msg, alone, &self.counters);
                     }
                 }
-                Ok(Some(Frame::SetLink { a, b, up })) => self.links.write().set(a, b, up),
-                Ok(Some(Frame::Hello { nodes })) => {
+                // hot-path: end
+                Ok(Frame::SetLink { a, b, up }) => self.links.write().set(a, b, up),
+                Ok(Frame::Hello { nodes }) => {
                     if nodes != self.expected_nodes {
                         return Err(LinkDownCause::HelloMismatch {
                             peer_nodes: nodes,
@@ -1226,8 +1240,7 @@ impl<M: Payload + Wire> Reader<M> {
                         });
                     }
                 }
-                Ok(Some(Frame::Shutdown)) => return Ok(ReadControl::PeerShutdown),
-                Ok(None) => return Ok(ReadControl::Continue), // partial frame
+                Ok(Frame::Shutdown) => return Ok(ReadControl::PeerShutdown),
                 Err(e) => return Err(LinkDownCause::Misframe(e.to_string())),
             }
         }

@@ -20,7 +20,11 @@
 //! arbitrary read-sized chunks (partial frames, many frames per read) and
 //! come out as whole frames. Node payloads inside [`Frame::Msg`] stay as
 //! raw bytes here — the runtime decodes them via the [`Wire`] trait, which
-//! is the seam that keeps this crate ignorant of the broker protocol.
+//! is the seam that keeps this crate ignorant of the broker protocol. The
+//! runtime's reader takes each frame body on loan from the reassembler
+//! ([`FrameReassembler::next_body`]) and decodes a `Msg` payload where it
+//! lies; [`FrameReassembler::next_frame`] is the same step with the
+//! payload copied out.
 
 use crate::node::NodeId;
 use rebeca_core::CoreError;
@@ -60,9 +64,11 @@ pub trait Wire: Sized {
     fn decode(bytes: &[u8]) -> Result<Self, CoreError>;
 }
 
-/// One frame on an inter-process link.
+/// One frame on an inter-process link. `P` holds a `Msg` payload: the
+/// payload's own bytes by default, or a slice of the received frame body
+/// ([`parse_frame`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<P = Vec<u8>> {
     /// A node-to-node message; `payload` is the [`Wire`] encoding of the
     /// runtime's payload type.
     Msg {
@@ -71,7 +77,7 @@ pub enum Frame {
         /// Destination node (global id space).
         to: NodeId,
         /// Encoded payload.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Link-state propagation: the sending process flipped `a`↔`b`.
     SetLink {
@@ -183,14 +189,30 @@ fn reject_trailing(body: &[u8], expected: usize, what: &str) -> Result<(), CoreE
     Ok(())
 }
 
-/// Decodes one frame body (the bytes *after* the length prefix).
+/// Decodes one frame body (the bytes *after* the length prefix), copying a
+/// `Msg` payload out of it.
+///
+/// # Errors
+///
+/// As [`parse_frame`].
+pub fn decode_frame(body: &[u8]) -> Result<Frame, CoreError> {
+    Ok(match parse_frame(body)? {
+        Frame::Msg { from, to, payload } => Frame::Msg { from, to, payload: payload.to_vec() },
+        Frame::SetLink { a, b, up } => Frame::SetLink { a, b, up },
+        Frame::Hello { nodes } => Frame::Hello { nodes },
+        Frame::Shutdown => Frame::Shutdown,
+    })
+}
+
+/// Parses one frame body (the bytes *after* the length prefix); a `Msg`
+/// payload stays a slice of `body`.
 ///
 /// # Errors
 ///
 /// [`CoreError::Decode`] on a version mismatch, [`CoreError::BadTag`] on
 /// an unknown frame tag, [`CoreError::Truncated`] on a body shorter than
 /// its tag requires.
-pub fn decode_frame(body: &[u8]) -> Result<Frame, CoreError> {
+pub fn parse_frame(body: &[u8]) -> Result<Frame<&[u8]>, CoreError> {
     if body.len() < 2 {
         return Err(CoreError::Truncated { need: 2, have: body.len() });
     }
@@ -204,7 +226,7 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, CoreError> {
         TAG_MSG => {
             let from = NodeId::new(get_u32(body, 2)?);
             let to = NodeId::new(get_u32(body, 6)?);
-            Ok(Frame::Msg { from, to, payload: body[10..].to_vec() })
+            Ok(Frame::Msg { from, to, payload: &body[10..] })
         }
         TAG_SET_LINK => {
             let a = NodeId::new(get_u32(body, 2)?);
@@ -235,9 +257,11 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, CoreError> {
 /// back into whole frames.
 ///
 /// Feed reads with [`push`](FrameReassembler::push); pull frames with
-/// [`next_frame`](FrameReassembler::next_frame) until it returns
-/// `Ok(None)` ("need more bytes"). Consumed bytes are compacted away
-/// periodically, so a long-lived link runs in amortised O(bytes).
+/// [`next_body`](FrameReassembler::next_body) (lent from the buffer) or
+/// [`next_frame`](FrameReassembler::next_frame) (decoded and owned) until
+/// they return `Ok(None)` ("need more bytes"). Consumed bytes are compacted
+/// away when more are pushed, so a long-lived link runs in amortised
+/// O(bytes).
 #[derive(Debug, Default)]
 pub struct FrameReassembler {
     buf: Vec<u8>,
@@ -255,8 +279,18 @@ impl FrameReassembler {
         FrameReassembler::default()
     }
 
-    /// Appends bytes read from the stream.
+    /// Appends bytes read from the stream, first dropping the bytes earlier
+    /// frames were consumed from once they are most of the buffer (or all
+    /// of it).
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > COMPACT_THRESHOLD && self.start * 2 > self.buf.len() {
+            self.buf.copy_within(self.start.., 0);
+            self.buf.truncate(self.buf.len() - self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -265,19 +299,20 @@ impl FrameReassembler {
         self.buf.len() - self.start
     }
 
-    /// Extracts the next whole frame, or `Ok(None)` if the buffered bytes
-    /// end mid-frame (partial read — push more and retry).
+    /// Lends the next whole frame's body — the bytes after its length
+    /// prefix, for [`parse_frame`] — straight out of the buffer, with the
+    /// number of bytes still buffered behind it; `Ok(None)` if the buffered
+    /// bytes end mid-frame (partial read — push more and retry).
     ///
     /// # Errors
     ///
-    /// Any [`decode_frame`] error, or [`CoreError::Decode`] for a length
-    /// prefix exceeding [`MAX_FRAME`]. Errors are sticky in practice: a
-    /// stream that misframes once has lost sync, so callers should drop
-    /// the link.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, CoreError> {
+    /// [`CoreError::Decode`] for a length prefix exceeding [`MAX_FRAME`].
+    /// Errors are sticky in practice: a stream that misframes once has lost
+    /// sync, so callers should drop the link.
+    pub fn next_body(&mut self) -> Result<Option<(&[u8], usize)>, CoreError> {
         // hot-path: begin frame reassembly — every received byte funnels
-        // through here; the steady state is pointer arithmetic over the
-        // reused buffer (the one alloc is the decoded Msg payload itself).
+        // through here; pointer arithmetic over the reused buffer, the body
+        // lent where it lies, no allocation.
         let avail = &self.buf[self.start..];
         if avail.len() < LEN_PREFIX {
             return Ok(None);
@@ -293,15 +328,21 @@ impl FrameReassembler {
         if avail.len() < LEN_PREFIX + len {
             return Ok(None);
         }
-        let frame = decode_frame(&avail[LEN_PREFIX..LEN_PREFIX + len])?;
-        self.start += LEN_PREFIX + len;
-        if self.start > COMPACT_THRESHOLD && self.start * 2 > self.buf.len() {
-            self.buf.copy_within(self.start.., 0);
-            self.buf.truncate(self.buf.len() - self.start);
-            self.start = 0;
-        }
-        Ok(Some(frame))
+        let body = self.start + LEN_PREFIX..self.start + LEN_PREFIX + len;
+        self.start = body.end;
+        Ok(Some((&self.buf[body], self.buf.len() - self.start)))
         // hot-path: end
+    }
+
+    /// Extracts the next whole frame, its `Msg` payload copied out of the
+    /// buffer, or `Ok(None)` if the buffered bytes end mid-frame.
+    ///
+    /// # Errors
+    ///
+    /// Any [`next_body`](FrameReassembler::next_body) or [`decode_frame`]
+    /// error; either way the stream has lost sync.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, CoreError> {
+        self.next_body()?.map(|(body, _)| decode_frame(body)).transpose()
     }
 }
 
@@ -387,6 +428,28 @@ mod tests {
             got.push(f);
         }
         assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn lent_bodies_parse_in_place_and_count_what_is_behind() {
+        let frames = sample_frames();
+        let mut stream = Vec::new();
+        for f in &frames {
+            encode_frame(f, &mut stream);
+        }
+        let mut re = FrameReassembler::new();
+        re.push(&stream);
+        for f in &frames {
+            let (body, behind) = re.next_body().expect("well-formed").expect("whole frame");
+            if let Frame::Msg { payload, .. } = f {
+                let lent = parse_frame(body).expect("own framing");
+                assert!(matches!(lent, Frame::Msg { payload: p, .. } if p == payload.as_slice()));
+            }
+            assert_eq!(decode_frame(body).expect("own framing"), *f);
+            assert_eq!(behind, re.pending_bytes());
+        }
+        assert_eq!(re.pending_bytes(), 0);
+        assert!(re.next_body().expect("empty").is_none());
     }
 
     #[test]
