@@ -11,8 +11,9 @@
 //!   and `offer_to` with a [`ByteLedger`], as a replicator buffers.
 //! * [`ReplicatedBrokerNode`] dispatch — the same route path behind PR 10's
 //!   op-log replication wrapper, table populated through a live group of 3.
-//! * [`World::step`] — the simulator's event loop: pop, dispatch, apply,
-//!   with a delivery and a timer set and cancelled per hop.
+//! * [`World::step`] — the simulator's event loop: an event popped and
+//!   its handler run, with a delivery and a timer set and cancelled per
+//!   hop.
 //! * [`ProcessRuntime`]'s event loop — a rally between two locally linked
 //!   nodes, which one loop thread drives: each hop a push onto the loop's
 //!   lane and a pop off it.

@@ -11,7 +11,8 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
 
-/// Identifier of a node inside a [`World`](crate::World) or thread runtime.
+/// Identifier of a node inside a [`World`](crate::World) or a
+/// [`ProcessRuntime`](crate::ProcessRuntime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(u32);
 
@@ -72,7 +73,7 @@ pub trait Payload: fmt::Debug + Send + 'static {
 /// messages, and manage timers. `as_any`/`as_any_mut` let harnesses downcast
 /// a node back to its concrete type to inspect state after a run.
 pub trait Node<M: Payload>: Send {
-    /// Invoked once when the node is started (world start or thread spawn).
+    /// Invoked once when the node is started (world start, or its event loop's start in the live runtime).
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
         let _ = ctx;
     }

@@ -1,16 +1,19 @@
 //! The event loop of the live runtime.
 //!
 //! [`ProcessRuntime`](crate::ProcessRuntime) drives its local [`Node`]s on
-//! event loops: a set of nodes, one inbox of [`Envelope`]s from outside
-//! the loop, one [`EventQueue`] and a shared [`LinkSet`] consulted at send
-//! time ("unplugged cable": a send across a down link is silently
-//! dropped). The queue's lane holds the deliveries between two nodes of
-//! the loop — such a send is a push, not a channel send and a thread
-//! wake-up — and its heap holds every node's timers, under one timer-id
-//! counter, by wall-clock deadline. Where a send to a node outside the
-//! loop goes — another loop's inbox, or a frame onto a peer socket — is
-//! the runtime's business, so the loop takes that step as a monomorphised
-//! [`SendStep`] and knows nothing of sockets.
+//! event loops: one inbox of [`Envelope`]s from outside the loop and one
+//! [`Host`] — the nodes, their [`EventQueue`] and the dispatch the
+//! simulator runs too, which builds each handler's context, runs it and
+//! applies its actions. The loop's own are its clock (wall time since the
+//! runtime started), its rounds (below) and its [`Net`], which consults a
+//! shared [`LinkSet`] at send time ("unplugged cable": a send across a
+//! down link is silently dropped). The queue's lane holds the deliveries
+//! between two nodes of the loop — such a send is a push, not a channel
+//! send and a thread wake-up — and its heap holds every node's timers,
+//! under one timer-id counter, by wall-clock deadline. Where a send to a
+//! node outside the loop goes — another loop's inbox, or a frame onto a
+//! peer socket — is the runtime's business, so the loop takes that step as
+//! a monomorphised [`SendStep`] and knows nothing of sockets.
 //!
 //! An envelope taken out of the inbox joins the lane at once, behind every
 //! delivery queued before it was taken. The lane is thus the one order
@@ -59,10 +62,10 @@
 //! waking the link's writer thread; a send to another loop's inbox ignores
 //! the flag. Sends from timers and peer verdicts are never quiet.
 
-use crate::event_queue::{Event, EventQueue};
+use crate::event_queue::{EventQueue, Host, Net};
 use crate::loop_token::{LoopToken, Pending, Refusal};
 use crate::metrics::LinkCounters;
-use crate::node::{Action, Ctx, Node, NodeId, Payload};
+use crate::node::{Node, NodeId, Payload};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use rebeca_core::SimTime;
@@ -161,23 +164,15 @@ pub(crate) trait SendStep<M>: Send {
 /// backlog from outside the loop holds its timers back only so long.
 const INBOX_BATCH: usize = 64;
 
-/// One event loop's state, behind its token.
-pub(crate) struct EventLoop<M: Payload, S> {
-    /// Indexed by global node id: `Some` for the nodes this loop drives.
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
-    /// The nodes this loop drives, in id order.
-    members: Vec<NodeId>,
-    /// Between the loop thread's start and its stop: a borrower may run
-    /// rounds only then.
-    running: bool,
-    t0: Instant,
-    /// The latest reading of the clock: what an envelope taken from the
-    /// inbox is stamped with, so that the lane's stamps never decrease.
-    clock: SimTime,
+/// Where the live loop's sends go, after the send-time link check: to a
+/// loop-mate through the lane, to anyone else through the runtime's
+/// [`SendStep`] — or, where a borrowed round could not make that send
+/// without waiting, back to the loop thread.
+struct LiveNet<M, S> {
     links: Arc<RwLock<LinkSet>>,
+    /// Indexed by global node id: whether this loop drives the node.
+    local: Vec<bool>,
     send: S,
-    /// The inbox's count of envelopes posted and not yet taken.
-    pending: Arc<Pending>,
     /// Whether a borrower runs the current round.
     borrowed: bool,
     /// Whether the lane was empty behind the event being handled, after
@@ -186,11 +181,42 @@ pub(crate) struct EventLoop<M: Payload, S> {
     /// Sends out of the loop a borrowed round could not make without
     /// waiting, with every such send after them, in send order.
     handback: VecDeque<(NodeId, NodeId, M)>,
-    /// The handlers' action buffer, emptied and reused across invocations:
-    /// one commit-apply of a batched `Prepare` emits hundreds of sends.
-    actions: Vec<Action<M>>,
-    next_timer: u64,
-    queue: EventQueue<M>,
+}
+
+impl<M: Payload, S: SendStep<M>> Net<M> for LiveNet<M, S> {
+    fn link_up(&self, from: NodeId, to: NodeId) -> bool {
+        self.links.read().up.contains(&(from, to))
+    }
+
+    fn send(&mut self, queue: &mut EventQueue<M>, now: SimTime, from: NodeId, to: NodeId, msg: M) {
+        // Send-time link check: a down link silently drops the message,
+        // like an unplugged cable.
+        if !self.link_up(from, to) {
+            return;
+        }
+        if self.local.get(to.raw() as usize) == Some(&true) {
+            queue.deliver(now, from, to, msg);
+        } else if !self.handback.is_empty() {
+            self.handback.push_back((from, to, msg));
+        } else if let Err(msg) = self.send.send(from, to, msg, self.quiet, self.borrowed) {
+            self.handback.push_back((from, to, msg));
+        }
+    }
+}
+
+/// One event loop's state, behind its token.
+pub(crate) struct EventLoop<M: Payload, S> {
+    host: Host<M>,
+    net: LiveNet<M, S>,
+    /// Between the loop thread's start and its stop: a borrower may run
+    /// rounds only then.
+    running: bool,
+    t0: Instant,
+    /// The latest reading of the clock: what an envelope taken from the
+    /// inbox is stamped with, so that the lane's stamps never decrease.
+    clock: SimTime,
+    /// The inbox's count of envelopes posted and not yet taken.
+    pending: Arc<Pending>,
 }
 
 /// How a round ended.
@@ -208,23 +234,20 @@ impl<M: Payload, S: SendStep<M>> EventLoop<M, S> {
         self.clock
     }
 
-    fn hosts(&self, id: NodeId) -> bool {
-        self.nodes.get(id.raw() as usize).is_some_and(Option::is_some)
-    }
-
     /// Takes one envelope out of the inbox: a message joins the lane
     /// behind every delivery queued so far, a peer verdict is handled at
     /// once. False on [`Envelope::Stop`].
     fn take(&mut self, envelope: Envelope<M>) -> bool {
         self.pending.taken();
         match envelope {
-            Envelope::Msg { from, to, msg } => self.queue.deliver(self.clock, from, to, msg),
+            Envelope::Msg { from, to, msg } => self.host.queue.deliver(self.clock, from, to, msg),
             Envelope::PeerChange { nodes, up } => {
-                self.quiet = false;
-                for i in 0..self.members.len() {
-                    let me = self.members[i];
+                self.net.quiet = false;
+                for me in (0..self.host.nodes.len() as u32).map(NodeId::new) {
                     for &peer in nodes.iter() {
-                        self.invoke(me, |n, ctx| n.on_peer_change(ctx, peer, up));
+                        let now = self.now();
+                        let net = &mut self.net;
+                        self.host.invoke(net, now, me, |n, ctx| n.on_peer_change(ctx, peer, up));
                     }
                 }
             }
@@ -234,59 +257,22 @@ impl<M: Payload, S: SendStep<M>> EventLoop<M, S> {
         true
     }
 
-    /// Runs one handler invocation of node `me` and applies its actions.
-    fn invoke(&mut self, me: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {
-        let now = self.now();
-        let Some(Some(node)) = self.nodes.get_mut(me.raw() as usize) else {
-            return;
-        };
-        let links = &self.links;
-        let link_up = |a: NodeId, b: NodeId| links.read().up.contains(&(a, b));
-        let mut ctx = Ctx {
-            now,
-            me,
-            actions: std::mem::take(&mut self.actions),
-            next_timer: &mut self.next_timer,
-            link_up: &link_up,
-        };
-        f(node.as_mut(), &mut ctx);
-        let mut actions = ctx.actions;
-        for a in actions.drain(..) {
-            match a {
-                // Send-time link check: a down link silently drops the
-                // message, like an unplugged cable.
-                Action::Send { to, msg } if link_up(me, to) => {
-                    if self.hosts(to) {
-                        self.queue.deliver(now, me, to, msg);
-                    } else if !self.handback.is_empty() {
-                        self.handback.push_back((me, to, msg));
-                    } else if let Err(msg) = self.send.send(me, to, msg, self.quiet, self.borrowed)
-                    {
-                        self.handback.push_back((me, to, msg));
-                    }
-                }
-                Action::Send { .. } => {}
-                Action::SetTimer { at, id, tag } => self.queue.set_timer(at, me, id, tag),
-                Action::CancelTimer(id) => self.queue.cancel_timer(id),
-            }
-        }
-        self.actions = actions;
-    }
-
     /// Whether a borrower may run the next due event: a delivery that
     /// leaves the lane empty, with nothing posted and nothing handed back.
     fn quiet_next(&self) -> bool {
-        self.handback.is_empty() && self.pending.get() == 0 && self.queue.next_is_lone_delivery()
+        self.net.handback.is_empty()
+            && self.pending.get() == 0
+            && self.host.queue.next_is_lone_delivery()
     }
 
     /// One round (see the module doc), run by the loop thread, which
     /// passes its `inbox`, or by a borrower, which passes `None`.
     fn round(&mut self, inbox: Option<&Receiver<Envelope<M>>>) -> Round {
-        self.borrowed = inbox.is_none();
+        self.net.borrowed = inbox.is_none();
         if let Some(rx) = inbox {
-            while let Some((from, to, msg)) = self.handback.pop_front() {
+            while let Some((from, to, msg)) = self.net.handback.pop_front() {
                 // The loop thread may wait, so the send is never refused.
-                let _ = self.send.send(from, to, msg, false, false);
+                let _ = self.net.send.send(from, to, msg, false, false);
             }
             // The inbox's backlog joins the lane. An empty or disconnected
             // inbox both read as "nothing now"; a disconnect is seen again
@@ -301,46 +287,37 @@ impl<M: Payload, S: SendStep<M>> EventLoop<M, S> {
         // Every event due at the round's start, in `(at, seq)` order.
         let now = self.now();
         let mut handled = 0;
-        while self.queue.peek_at().is_some_and(|at| at <= now) {
-            if self.borrowed && !self.quiet_next() {
+        while self.host.queue.peek_at().is_some_and(|at| at <= now) {
+            if self.net.borrowed && !self.quiet_next() {
                 return Round::Ran { handled, left: true };
             }
-            let event = self.queue.pop().expect("an event is due").event;
-            handled += 1;
-            match event {
-                Event::Deliver { from, to, msg } => {
-                    if let (Some(rx), true) = (inbox, self.queue.lane_is_empty()) {
-                        if let Ok(envelope) = rx.try_recv() {
-                            if !self.take(envelope) {
-                                return Round::Stopped;
-                            }
-                        }
-                    }
-                    self.quiet = self.queue.lane_is_empty();
-                    self.invoke(to, |n, ctx| n.on_message(ctx, from, msg));
-                }
-                Event::Timer { node, id, tag } => {
-                    if self.queue.timer_fires(id) {
-                        self.quiet = false;
-                        self.invoke(node, |n, ctx| n.on_timer(ctx, id, tag));
+            // The look-ahead, before a delivery that leaves the lane empty.
+            if let (Some(rx), true) = (inbox, self.host.queue.next_is_lone_delivery()) {
+                if let Ok(envelope) = rx.try_recv() {
+                    if !self.take(envelope) {
+                        return Round::Stopped;
                     }
                 }
             }
+            self.net.quiet = self.host.queue.next_is_lone_delivery();
+            handled += 1;
+            let at = self.now();
+            self.host.run(&mut self.net, at);
         }
-        Round::Ran { handled, left: !self.handback.is_empty() }
+        Round::Ran { handled, left: !self.net.handback.is_empty() }
     }
 
     /// The earliest deadline in the queue, in microseconds since `t0`
     /// (`u64::MAX` for none).
     fn next_deadline(&self) -> u64 {
-        self.queue.peek_at().map_or(u64::MAX, SimTime::as_micros)
+        self.host.queue.peek_at().map_or(u64::MAX, SimTime::as_micros)
     }
 
     /// Ends the loop: borrowers are refused from now on, and the nodes go
     /// back to the caller.
     fn stop(&mut self) -> Vec<Option<Box<dyn Node<M>>>> {
         self.running = false;
-        std::mem::take(&mut self.nodes)
+        std::mem::take(&mut self.host.nodes)
     }
 }
 
@@ -363,25 +340,22 @@ impl<M: Payload, S: SendStep<M>> Loop<M, S> {
         t0: Instant,
         send: S,
     ) -> Self {
-        let members: Vec<NodeId> = (0..nodes.len() as u32)
-            .map(NodeId::new)
-            .filter(|id| nodes[id.raw() as usize].is_some())
-            .collect();
-        let state = EventLoop {
-            nodes,
-            members,
-            running: false,
-            t0,
-            clock: SimTime::ZERO,
+        let local = nodes.iter().map(Option::is_some).collect();
+        let net = LiveNet {
             links,
+            local,
             send,
-            pending: Arc::clone(&inbox.pending),
             borrowed: false,
             quiet: false,
             handback: VecDeque::new(),
-            actions: Vec::new(),
-            next_timer: 0,
-            queue: EventQueue::new(),
+        };
+        let state = EventLoop {
+            host: Host::new(nodes),
+            net,
+            running: false,
+            t0,
+            clock: SimTime::ZERO,
+            pending: Arc::clone(&inbox.pending),
         };
         Loop { token: LoopToken::new(state, Arc::clone(&inbox.pending)), inbox }
     }
@@ -405,7 +379,7 @@ impl<M: Payload, S: SendStep<M>> Loop<M, S> {
             match self.token.try_borrow() {
                 Ok(mut held) if held.running => {
                     let now = held.now();
-                    held.queue.deliver(now, from, to, msg);
+                    held.host.queue.deliver(now, from, to, msg);
                     let Round::Ran { handled, left } = held.round(None) else {
                         unreachable!("a borrower takes nothing from the inbox")
                     };
@@ -433,10 +407,9 @@ pub(crate) fn run_loop<M: Payload, S: SendStep<M>>(
     rx: &Receiver<Envelope<M>>,
 ) -> Vec<Option<Box<dyn Node<M>>>> {
     let mut held = lp.token.hold();
-    for i in 0..held.members.len() {
-        let me = held.members[i];
-        held.invoke(me, |n, ctx| n.on_start(ctx));
-    }
+    let now = held.now();
+    let EventLoop { host, net, .. } = &mut *held;
+    host.start(net, now);
     held.running = true;
     loop {
         match held.round(Some(rx)) {
@@ -455,7 +428,7 @@ pub(crate) fn run_loop<M: Payload, S: SendStep<M>>(
         };
         held = lp.token.hold();
         // A borrower may have run rounds meanwhile; this thread may wait.
-        held.borrowed = false;
+        held.net.borrowed = false;
         match got {
             Ok(envelope) => {
                 if !held.take(envelope) {

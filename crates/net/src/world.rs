@@ -7,15 +7,18 @@
 //! is drawn at random, and no iteration order of any hash map ever
 //! influences behaviour.
 //!
-//! Events wait in the `EventQueue` the live runtime's event loop orders
-//! its events with too: a link delivery due no earlier than the newest
-//! entry of a FIFO lane is appended there, everything else goes to a heap,
-//! and pops follow one `(time, seq)` order.
+//! The nodes and their events live in the `Host` the live runtime's event
+//! loop dispatches with too: the same code builds each handler's context,
+//! runs it and applies its actions. What stays the simulator's own is the
+//! clock, set to each event's instant as it pops, the round (one event per
+//! [`World::step`]) and where a send goes: over a link of the world's
+//! `LinkTable`, due after its latency and never before an earlier send on
+//! the same link, or dropped and counted when the link is down.
 
-use crate::event_queue::{Event, EventQueue};
+use crate::event_queue::{EventQueue, Host, Net};
 use crate::link::{LinkConfig, LinkTable};
 use crate::metrics::NetMetrics;
-use crate::node::{Action, Ctx, Node, NodeId, Payload};
+use crate::node::{Node, NodeId, Payload};
 use rebeca_core::SimTime;
 use std::fmt;
 
@@ -51,26 +54,47 @@ use std::fmt;
 /// ```
 pub struct World<M: Payload> {
     time: SimTime,
-    queue: EventQueue<M>,
-    /// The `(at, seq)` of the last event run: each pop must exceed it.
-    #[cfg(debug_assertions)]
-    last_run: Option<(SimTime, u64)>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
+    host: Host<M>,
+    net: SimNet,
+    started: bool,
+}
+
+/// Where the simulator's sends go: its links, and the traffic they carried.
+#[derive(Default)]
+struct SimNet {
     links: LinkTable,
     metrics: NetMetrics,
-    /// The handlers' action buffer, emptied and reused across dispatches.
-    actions: Vec<Action<M>>,
-    next_timer: u64,
-    started: bool,
+}
+
+impl<M: Payload> Net<M> for SimNet {
+    fn link_up(&self, from: NodeId, to: NodeId) -> bool {
+        self.links.is_up(from, to)
+    }
+
+    // hot-path: begin
+    fn send(&mut self, queue: &mut EventQueue<M>, now: SimTime, from: NodeId, to: NodeId, msg: M) {
+        match self.links.get_mut(from, to) {
+            Some(link) if link.up => {
+                // FIFO: never deliver before an earlier send on the same
+                // directed link.
+                let at = (now + link.latency).max(link.fifo_floor);
+                link.fifo_floor = at;
+                self.metrics.record_send(msg.kind(), msg.wire_size());
+                queue.deliver(at, from, to, msg);
+            }
+            _ => self.metrics.record_drop(),
+        }
+    }
+    // hot-path: end
 }
 
 impl<M: Payload> fmt::Debug for World<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("World")
             .field("time", &self.time)
-            .field("nodes", &self.nodes.len())
-            .field("links", &self.links.len())
-            .field("pending", &self.queue.len())
+            .field("nodes", &self.host.nodes.len())
+            .field("links", &self.net.links.len())
+            .field("pending", &self.host.queue.len())
             .finish()
     }
 }
@@ -86,14 +110,8 @@ impl<M: Payload> World<M> {
     pub fn new() -> Self {
         World {
             time: SimTime::ZERO,
-            queue: EventQueue::new(),
-            #[cfg(debug_assertions)]
-            last_run: None,
-            nodes: Vec::new(),
-            links: LinkTable::default(),
-            metrics: NetMetrics::new(),
-            actions: Vec::new(),
-            next_timer: 0,
+            host: Host::new(Vec::new()),
+            net: SimNet::default(),
             started: false,
         }
     }
@@ -101,10 +119,10 @@ impl<M: Payload> World<M> {
     /// Adds a node, returning its identifier. Nodes added after the world
     /// has started receive their `on_start` callback immediately.
     pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
-        let id = NodeId::new(self.nodes.len() as u32);
-        self.nodes.push(Some(node));
+        let id = NodeId::new(self.host.nodes.len() as u32);
+        self.host.nodes.push(Some(node));
         if self.started {
-            self.dispatch(id, |node, ctx| node.on_start(ctx));
+            self.host.invoke(&mut self.net, self.time, id, |node, ctx| node.on_start(ctx));
         }
         id
     }
@@ -118,23 +136,21 @@ impl<M: Payload> World<M> {
     ///
     /// Panics if either node does not exist.
     pub fn connect(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        assert!(
-            (a.raw() as usize) < self.nodes.len() && (b.raw() as usize) < self.nodes.len(),
-            "connect: unknown node"
-        );
-        self.links.insert(a, b, &cfg, self.time);
+        let n = self.host.nodes.len();
+        assert!((a.raw() as usize) < n && (b.raw() as usize) < n, "connect: unknown node");
+        self.net.links.insert(a, b, &cfg, self.time);
     }
 
     /// Marks a link up or down (both directions). Messages sent over a down
     /// link are dropped and counted; messages already in flight still
     /// arrive. Returns `false` if no such link exists.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) -> bool {
-        self.links.set_up(a, b, up)
+        self.net.links.set_up(a, b, up)
     }
 
     /// Returns `true` if the directed link exists and is up.
     pub fn link_up(&self, from: NodeId, to: NodeId) -> bool {
-        self.links.is_up(from, to)
+        self.net.links.is_up(from, to)
     }
 
     /// Current simulated time.
@@ -144,24 +160,24 @@ impl<M: Payload> World<M> {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.host.nodes.len()
     }
 
     /// Traffic metrics accumulated so far.
     pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
+        &self.net.metrics
     }
 
     /// Timers scheduled and not yet fired (diagnostics).
     pub fn pending_timer_count(&self) -> usize {
-        self.queue.pending_timer_count()
+        self.host.queue.pending_timer_count()
     }
 
     /// Cancellations whose timer event has not popped yet. Bounded by
     /// [`World::pending_timer_count`] — cancelling fired or unknown timers
     /// never grows this set.
     pub fn cancelled_timer_count(&self) -> usize {
-        self.queue.cancelled_timer_count()
+        self.host.queue.cancelled_timer_count()
     }
 
     /// Injects a message into `to` as if it arrived from outside the world
@@ -178,28 +194,25 @@ impl<M: Payload> World<M> {
     /// Panics if `at` lies in the past.
     pub fn send_external_at(&mut self, to: NodeId, msg: M, at: SimTime) {
         assert!(at >= self.time, "cannot schedule into the past");
-        self.queue.inject(at, NodeId::EXTERNAL, to, msg);
+        self.host.queue.inject(at, NodeId::EXTERNAL, to, msg);
     }
 
     /// Downcasts a node to its concrete type for inspection.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.nodes.get(id.raw() as usize)?.as_ref()?.as_any().downcast_ref::<T>()
+        self.host.nodes.get(id.raw() as usize)?.as_ref()?.as_any().downcast_ref::<T>()
     }
 
     /// Mutable downcast of a node.
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.nodes.get_mut(id.raw() as usize)?.as_mut()?.as_any_mut().downcast_mut::<T>()
+        self.host.nodes.get_mut(id.raw() as usize)?.as_mut()?.as_any_mut().downcast_mut::<T>()
     }
 
     /// Runs `on_start` on all nodes that have not been started yet. Called
     /// automatically by the run methods.
     pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            self.dispatch(NodeId::new(i as u32), |node, ctx| node.on_start(ctx));
+        if !self.started {
+            self.started = true;
+            self.host.start(&mut self.net, self.time);
         }
     }
 
@@ -207,32 +220,12 @@ impl<M: Payload> World<M> {
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some(s) = self.queue.pop() else {
+        let Some(at) = self.host.queue.peek_at() else {
             return false;
         };
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(
-                self.last_run.is_none_or(|last| s.key() > last),
-                "events out of (at, seq) order: {:?} after {:?}",
-                s.key(),
-                self.last_run
-            );
-            self.last_run = Some(s.key());
-        }
-        self.time = s.at;
-        match s.event {
-            Event::Deliver { from, to, msg } => {
-                if (to.raw() as usize) < self.nodes.len() {
-                    self.metrics.record_delivery();
-                    self.dispatch(to, |node, ctx| node.on_message(ctx, from, msg));
-                }
-            }
-            Event::Timer { node, id, tag } => {
-                if self.queue.timer_fires(id) && (node.raw() as usize) < self.nodes.len() {
-                    self.dispatch(node, |n, ctx| n.on_timer(ctx, id, tag));
-                }
-            }
+        self.time = at;
+        if self.host.run(&mut self.net, at) {
+            self.net.metrics.record_delivery();
         }
         true
     }
@@ -242,72 +235,20 @@ impl<M: Payload> World<M> {
     /// ends at `deadline` even if the queue drains earlier.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
-        while self.queue.peek_at().is_some_and(|at| at <= deadline) {
+        while self.host.queue.peek_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
         if self.time < deadline {
             self.time = deadline;
         }
     }
-
-    // hot-path: begin
-    /// Core dispatch: takes the node out, runs the handler with a context,
-    /// puts it back and applies the emitted actions.
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {
-        let idx = id.raw() as usize;
-        let Some(slot) = self.nodes.get_mut(idx) else {
-            return;
-        };
-        let Some(mut node) = slot.take() else {
-            return;
-        };
-        let links = &self.links;
-        let link_up = move |from: NodeId, to: NodeId| links.is_up(from, to);
-        let mut ctx = Ctx {
-            now: self.time,
-            me: id,
-            actions: std::mem::take(&mut self.actions),
-            next_timer: &mut self.next_timer,
-            link_up: &link_up,
-        };
-        f(node.as_mut(), &mut ctx);
-        let mut actions = ctx.actions;
-        self.nodes[idx] = Some(node);
-        self.apply(id, &mut actions);
-        self.actions = actions;
-    }
-
-    /// Applies and drains `actions`, leaving the buffer's capacity.
-    fn apply(&mut self, from: NodeId, actions: &mut Vec<Action<M>>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => {
-                    let now = self.time;
-                    match self.links.get_mut(from, to) {
-                        Some(link) if link.up => {
-                            // FIFO: never deliver before an earlier send on
-                            // the same directed link.
-                            let at = (now + link.latency).max(link.fifo_floor);
-                            link.fifo_floor = at;
-                            self.metrics.record_send(msg.kind(), msg.wire_size());
-                            self.queue.deliver(at, from, to, msg);
-                        }
-                        _ => self.metrics.record_drop(),
-                    }
-                }
-                Action::SetTimer { at, id, tag } => self.queue.set_timer(at, from, id, tag),
-                Action::CancelTimer(id) => self.queue.cancel_timer(id),
-            }
-        }
-    }
-    // hot-path: end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Counters;
-    use crate::node::TimerId;
+    use crate::node::{Ctx, TimerId};
     use rebeca_core::SimDuration;
     use std::any::Any;
 
@@ -441,7 +382,7 @@ mod tests {
         assert!(w.step(), "the injection runs");
         // The 2 ms delivery opened the lane; the 50 µs one, sent after it
         // but due before it, cannot join the lane's back.
-        assert_eq!((w.queue.lane.len(), w.queue.heap.len()), (1, 1));
+        assert_eq!((w.host.queue.lane.len(), w.host.queue.heap.len()), (1, 1));
         assert!(w.step());
         assert_eq!(w.now(), SimTime::from_micros(50), "the heap's earlier delivery pops first");
         assert_eq!(w.node_as::<Recorder>(fast).unwrap().seen.len(), 1);
@@ -652,7 +593,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use crate::node::TimerId;
+    use crate::node::{Ctx, TimerId};
     use crate::rng::SplitMix64;
     use proptest::prelude::*;
     use rebeca_core::SimDuration;
@@ -795,7 +736,7 @@ mod prop_tests {
         heap_only: bool,
     ) -> Vec<Vec<Seen>> {
         let mut w: World<Hop> = World::new();
-        w.queue.heap_only = heap_only;
+        w.host.queue.heap_only = heap_only;
         for me in 0..NODES {
             let peers = (0..NODES).filter(|&p| p != me).map(NodeId::new).collect();
             w.add_node(Box::new(Mixer::new(u64::from(me), seed, peers)));
@@ -825,7 +766,7 @@ mod prop_tests {
         w.run_until(SimTime::from_millis(cut_ms) + SimDuration::from_micros(500));
         w.connect(a, b, link(kinds[0] + 1));
         w.run_until(SimTime::from_secs(10));
-        assert_eq!(w.queue.len(), 0, "the run drains");
+        assert_eq!(w.host.queue.len(), 0, "the run drains");
         assert_eq!(w.metrics().dropped(), 0, "senders check the link first");
 
         let mixers: Vec<&Mixer> =
